@@ -7,7 +7,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: check vet build test validate fuzz bench-smoke bench bench-json staticcheck
+.PHONY: check vet build test validate fuzz fuzz-wire bench-smoke bench bench-json staticcheck
 
 check: vet build test
 
@@ -38,14 +38,23 @@ fuzz:
 	FUZZ_BUDGET=$(FUZZ_BUDGET) FUZZ_SEED=$(FUZZ_SEED) FUZZ_REPRO_DIR=$(CURDIR)/fuzz-repros \
 	    $(GO) test -count=1 -run TestFuzzNightly -v ./internal/validate/
 
+# Native fuzzing of the classify wire codec (the second nightly CI step,
+# with a 10 s smoke in ci.yml): FuzzClassifyDecode differentially checks
+# the single-pass decoder against encoding/json on arbitrary bytes. The
+# target drives the real handler, whose ring worker makes coverage vary
+# from run to run; minimization is capped in executions so that a flaky
+# "interesting" input cannot eat the budget.
+fuzz-wire:
+	$(GO) test -run='^$$' -fuzz=FuzzClassifyDecode -fuzztime=$(FUZZ_BUDGET) -fuzzminimizetime=200x ./internal/httpapi/
+
 # One iteration of every benchmark, no unit tests: catches bit-rotted
 # benchmark code and asserts the allocation budgets in bench_test.go.
 bench-smoke:
-	$(GO) test -bench=. -benchtime=1x -run='^$$' . ./internal/cluster/
+	$(GO) test -bench=. -benchtime=1x -run='^$$' . ./internal/cluster/ ./internal/httpapi/
 
 # Full benchmark pass with allocation reporting (slow).
 bench:
-	$(GO) test -bench=. -benchmem -run='^$$' . ./internal/cluster/
+	$(GO) test -bench=. -benchmem -run='^$$' . ./internal/cluster/ ./internal/httpapi/
 
 # Snapshot the benchmark pass as BENCH_pr10.json (one iteration per
 # benchmark, with allocation reporting so the budget comparison in CI
@@ -53,8 +62,10 @@ bench:
 # re-run at 2000 iterations — their ns/op carries a CI regression budget,
 # and a single-iteration sample is too noisy to gate on — and the
 # cluster fetch benchmark at 200 iterations (it seeds a real compile, so
-# its fixture dominates a 1x run); the later passes overwrite the 1x
-# entries in the snapshot. The bench output goes through a temp file,
+# its fixture dominates a 1x run), as are the classify handler
+# benchmarks (their allocs/op budget is a steady-state figure: the first
+# request fills the codec's buffer pool); the later passes overwrite the
+# 1x entries in the snapshot. The bench output goes through a temp file,
 # not a pipe, so a failing benchmark run fails the target instead of
 # feeding a truncated snapshot to the parser.
 bench-json:
@@ -64,6 +75,8 @@ bench-json:
 	    -benchtime=2000x -benchmem -run='^$$' . >> BENCH_pr10.out
 	$(GO) test -bench='^BenchmarkClusterCacheFetch$$' \
 	    -benchtime=200x -benchmem -run='^$$' ./internal/cluster/ >> BENCH_pr10.out
+	$(GO) test -bench='^BenchmarkClassifyHandler' \
+	    -benchtime=200x -benchmem -run='^$$' ./internal/httpapi/ >> BENCH_pr10.out
 	python3 scripts/bench2json.py --pr 10 \
 	    --description "Cluster-fabric snapshot (go test -bench . -benchmem; serve benchmarks at -benchtime=2000x, cluster fetch at -benchtime=200x). All prior allocation budgets hold and the serve path keeps its 0 allocs/op steady state (steady_allocs). BenchmarkClusterCacheFetch measures one peer artifact fetch — HTTP round trip plus envelope digest verification over loopback — i.e. the latency a remote cache hit pays instead of recompiling; CI's bench-compare budgets it at 2ms/op (~15x headroom over the committed ~135us sample) so a regression in the fetch path or envelope verification cannot land silently. The PR9 autopilot gate (within_pct <= 10) still applies." \
 	    < BENCH_pr10.out > BENCH_pr10.json

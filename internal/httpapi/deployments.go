@@ -77,21 +77,6 @@ type DeployStatsJSON struct {
 	UptimeMS        int64    `json:"uptime_ms"`
 }
 
-// ClassifyRequest is the POST /v1/deployments/{id}/classify body: a
-// batch of feature vectors.
-type ClassifyRequest struct {
-	Features [][]float64 `json:"features"`
-}
-
-// ClassifyResponse reports per-vector classes (-1 for shed or failed
-// requests) plus the shed count — partial shedding under backpressure is
-// an expected outcome, not an HTTP error.
-type ClassifyResponse struct {
-	Classes []int  `json:"classes"`
-	Dropped int    `json:"dropped"`
-	Error   string `json:"error,omitempty"`
-}
-
 func statsJSON(st homunculus.DeploymentStats) *DeployStatsJSON {
 	return &DeployStatsJSON{
 		Accepted:        st.Accepted,
@@ -243,38 +228,7 @@ func (h *handler) classify(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var req ClassifyRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("parse request: %w", err))
-		return
-	}
-	if len(req.Features) == 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("request needs a features batch"))
-		return
-	}
-	classes, dropped, err := e.ClassifyBatch(req.Features)
-	writeClassifyResponse(w, classes, dropped, err, len(req.Features))
-}
-
-// writeClassifyResponse maps a batch classify outcome to the wire: 409
-// when the target is draining, 429 with a Retry-After hint when the
-// whole batch was shed (nothing admitted — back off), 200 otherwise.
-// Partial shedding is a 200 with dropped > 0 and -1 placeholders —
-// expected behaviour under load, not an error.
-func writeClassifyResponse(w http.ResponseWriter, classes []int, dropped int, err error, batchLen int) {
-	resp := ClassifyResponse{Classes: classes, Dropped: dropped}
-	if err != nil {
-		resp.Error = err.Error()
-	}
-	switch {
-	case errors.Is(err, homunculus.ErrDeploymentClosed):
-		writeJSON(w, http.StatusConflict, resp)
-	case dropped == batchLen:
-		writeRetryAfter(w)
-		writeJSON(w, http.StatusTooManyRequests, resp)
-	default:
-		writeJSON(w, http.StatusOK, resp)
-	}
+	classifyOn(w, r, e)
 }
 
 func (h *handler) undeploy(w http.ResponseWriter, r *http.Request) {

@@ -3,6 +3,7 @@ package httpapi
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -30,7 +31,7 @@ var (
 	}
 )
 
-func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
+func postJSON(t testing.TB, url string, body any) (*http.Response, []byte) {
 	t.Helper()
 	raw, err := json.Marshal(body)
 	if err != nil {
@@ -67,7 +68,7 @@ func doDelete(t *testing.T, url string) (*http.Response, []byte) {
 }
 
 // compileDone submits the tiny spec and polls the job to done.
-func compileDone(t *testing.T, srv *httptest.Server) JobJSON {
+func compileDone(t testing.TB, srv *httptest.Server) JobJSON {
 	t.Helper()
 	job, resp := postJob(t, srv, submitBody("httpapi_tiny"))
 	if resp.StatusCode != http.StatusAccepted {
@@ -250,10 +251,11 @@ func TestHTTPDeployErrors(t *testing.T) {
 	}
 }
 
-// TestHTTPClassifyFeatureMismatch: wrong-width vectors are per-item
-// failures (-1) with the error surfaced, not a transport error.
+// TestHTTPClassifyFeatureMismatch: a wrong-width or ragged batch is
+// refused whole with a 400 naming the first offending row and the
+// expected width, on both classify routes, before anything is admitted.
 func TestHTTPClassifyFeatureMismatch(t *testing.T) {
-	srv, _ := setupServer(t, homunculus.ServiceOptions{MaxInFlight: 2})
+	srv, svc := setupServer(t, homunculus.ServiceOptions{MaxInFlight: 2})
 	job := compileDone(t, srv)
 	resp, body := postJSON(t, srv.URL+"/v1/deployments", DeployRequest{JobID: job.ID})
 	if resp.StatusCode != http.StatusCreated {
@@ -263,17 +265,21 @@ func TestHTTPClassifyFeatureMismatch(t *testing.T) {
 	if err := json.Unmarshal(body, &dep); err != nil {
 		t.Fatal(err)
 	}
-	cresp, cbody := postJSON(t, srv.URL+"/v1/deployments/"+dep.ID+"/classify",
-		ClassifyRequest{Features: [][]float64{{0.1, 1.0}, {0.5}}})
-	if cresp.StatusCode != http.StatusOK {
-		t.Fatalf("classify status %d", cresp.StatusCode)
+	for _, route := range []string{"/v1/deployments/", "/v1/endpoints/"} {
+		for _, batch := range [][][]float64{{{0.1, 1.0}, {0.5}}, {{0.1, 1.0}, {0.5, 1, 2}}, {{0.1, 1.0}, {}}} {
+			cresp, cbody := postJSON(t, srv.URL+route+dep.ID+"/classify", ClassifyRequest{Features: batch})
+			if cresp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s %v: status %d: %s", route, batch, cresp.StatusCode, cbody)
+			}
+			want := fmt.Sprintf("features[1] has %d values", len(batch[1]))
+			if !bytes.Contains(cbody, []byte(want)) || !bytes.Contains(cbody, []byte("expects 2")) {
+				t.Fatalf("%s %v: error %s does not name the row and the width", route, batch, cbody)
+			}
+		}
 	}
-	var cls ClassifyResponse
-	if err := json.Unmarshal(cbody, &cls); err != nil {
-		t.Fatal(err)
-	}
-	if cls.Classes[0] < 0 || cls.Classes[1] != -1 || cls.Error == "" {
-		t.Fatalf("mismatch handling: %+v", cls)
+	ep, _ := svc.Endpoint(dep.ID)
+	if st := ep.Stats().Merged; st.Accepted != 0 || st.Errors != 0 {
+		t.Fatalf("refused batches reached the runtime: %+v", st)
 	}
 }
 

@@ -381,17 +381,7 @@ func (h *handler) endpointClassify(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var req ClassifyRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("parse request: %w", err))
-		return
-	}
-	if len(req.Features) == 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("request needs a features batch"))
-		return
-	}
-	classes, dropped, err := ep.ClassifyBatch(req.Features)
-	writeClassifyResponse(w, classes, dropped, err, len(req.Features))
+	classifyOn(w, r, ep)
 }
 
 func (h *handler) deleteEndpoint(w http.ResponseWriter, r *http.Request) {

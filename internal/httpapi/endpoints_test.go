@@ -342,7 +342,7 @@ func TestHTTPQueueFullRetryAfter(t *testing.T) {
 func TestClassifyShedRetryAfter(t *testing.T) {
 	fullyShed := []int{-1, -1}
 	rec := httptest.NewRecorder()
-	writeClassifyResponse(rec, fullyShed, 2, nil, 2)
+	new(classifyBuf).writeResponse(rec, fullyShed, 2, nil)
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("fully shed status %d, want 429", rec.Code)
 	}
@@ -351,13 +351,13 @@ func TestClassifyShedRetryAfter(t *testing.T) {
 	}
 
 	rec = httptest.NewRecorder()
-	writeClassifyResponse(rec, []int{1, -1}, 1, nil, 2)
+	new(classifyBuf).writeResponse(rec, []int{1, -1}, 1, nil)
 	if rec.Code != http.StatusOK || rec.Header().Get("Retry-After") != "" {
 		t.Fatalf("partial shed: status %d Retry-After %q", rec.Code, rec.Header().Get("Retry-After"))
 	}
 
 	rec = httptest.NewRecorder()
-	writeClassifyResponse(rec, fullyShed, 2, homunculus.ErrDeploymentClosed, 2)
+	new(classifyBuf).writeResponse(rec, fullyShed, 2, homunculus.ErrDeploymentClosed)
 	if rec.Code != http.StatusConflict || rec.Header().Get("Retry-After") != "" {
 		t.Fatalf("closed target: status %d Retry-After %q", rec.Code, rec.Header().Get("Retry-After"))
 	}

@@ -41,7 +41,7 @@ func tinyData() *alchemy.Data {
 	return d
 }
 
-func setupServer(t *testing.T, opts homunculus.ServiceOptions) (*httptest.Server, *homunculus.Service) {
+func setupServer(t testing.TB, opts homunculus.ServiceOptions) (*httptest.Server, *homunculus.Service) {
 	t.Helper()
 	registerTestLoaders.Do(func() {
 		alchemy.RegisterLoader("httpapi_tiny", alchemy.DataLoaderFunc(func() (*alchemy.Data, error) {
@@ -72,7 +72,7 @@ func submitBody(dataset string) string {
 	}`, dataset)
 }
 
-func postJob(t *testing.T, srv *httptest.Server, body string) (JobJSON, *http.Response) {
+func postJob(t testing.TB, srv *httptest.Server, body string) (JobJSON, *http.Response) {
 	t.Helper()
 	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", bytes.NewBufferString(body))
 	if err != nil {
@@ -88,7 +88,7 @@ func postJob(t *testing.T, srv *httptest.Server, body string) (JobJSON, *http.Re
 	return job, resp
 }
 
-func pollDone(t *testing.T, srv *httptest.Server, id string) JobJSON {
+func pollDone(t testing.TB, srv *httptest.Server, id string) JobJSON {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {

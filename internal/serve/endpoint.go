@@ -719,7 +719,9 @@ func (e *Endpoint) classifyBatchOnce(xs [][]float64) (classes []int, dropped int
 // mirror re-scores one classified request on the shadow revision without
 // blocking the caller: the mirror runs on its own goroutine under a
 // bounded semaphore, and saturation sheds the mirror (counted) rather
-// than delaying the primary path.
+// than delaying the primary path. x is copied before the goroutine
+// starts: the caller may reuse it the moment its own call returns
+// (httpapi's pooled classify buffers depend on it).
 func (e *Endpoint) mirror(t *revTable, x []float64, primary int) {
 	select {
 	case e.mirrorSem <- struct{}{}:

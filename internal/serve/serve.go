@@ -265,7 +265,10 @@ func (rt *Runtime) Classify(x []float64) (int, error) {
 // Accepted requests always complete, even when later ones shed. When a
 // ring fills with this call's own in-flight traffic, the enqueue loop
 // helps harvest instead of shedding, so a batch larger than the ring
-// pipelines through it; sheds happen only under competing load.
+// pipelines through it; sheds happen only under competing load. Every
+// vector is copied into its request slot before this returns, so the
+// caller may reuse xs and its rows immediately — httpapi's pooled
+// classify buffers depend on it.
 func (rt *Runtime) ClassifyBatch(xs [][]float64) (classes []int, dropped int, err error) {
 	classes = make([]int, len(xs))
 	pending := make([]*request, len(xs))
