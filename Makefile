@@ -7,7 +7,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: check vet build test validate fuzz fuzz-wire bench-smoke bench bench-json staticcheck
+.PHONY: check vet build test validate fuzz fuzz-wire fuzz-batch bench-smoke bench bench-json staticcheck
 
 check: vet build test
 
@@ -47,6 +47,13 @@ fuzz:
 fuzz-wire:
 	$(GO) test -run='^$$' -fuzz=FuzzClassifyDecode -fuzztime=$(FUZZ_BUDGET) -fuzzminimizetime=200x ./internal/httpapi/
 
+# Native fuzzing of the batch kernel (the third nightly CI step, with a
+# 10 s smoke in ci.yml): FuzzPredictorBatch differentially checks
+# Predictor.ClassifyBatch against Model.InferQ, row by row, on fuzzed
+# models of all four families and fuzzed feature bit patterns.
+fuzz-batch:
+	$(GO) test -run='^$$' -fuzz=FuzzPredictorBatch -fuzztime=$(FUZZ_BUDGET) ./internal/ir/
+
 # One iteration of every benchmark, no unit tests: catches bit-rotted
 # benchmark code and asserts the allocation budgets in bench_test.go.
 bench-smoke:
@@ -71,7 +78,7 @@ bench:
 bench-json:
 	$(GO) version > BENCH_pr10.out
 	$(GO) test -bench=. -benchtime=1x -benchmem -run='^$$' . >> BENCH_pr10.out
-	$(GO) test -bench='^(BenchmarkServeClassify|BenchmarkServeClassifyConcurrent|BenchmarkEndpointClassifyCanary)$$' \
+	$(GO) test -bench='^(BenchmarkServeClassify|BenchmarkServeClassifyConcurrent|BenchmarkEndpointClassifyCanary|BenchmarkServeClassifyBatch256)$$' \
 	    -benchtime=2000x -benchmem -run='^$$' . >> BENCH_pr10.out
 	$(GO) test -bench='^BenchmarkClusterCacheFetch$$' \
 	    -benchtime=200x -benchmem -run='^$$' ./internal/cluster/ >> BENCH_pr10.out

@@ -14,6 +14,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -735,6 +736,140 @@ func BenchmarkServeClassifyConcurrent(b *testing.B) {
 	st := dep.Stats()
 	b.ReportMetric(st.MeanBatch, "mean_batch")
 	b.ReportMetric(float64(st.Dropped), "dropped")
+}
+
+// servedDNN is a DNN of the shape the repo benchmark serves
+// (7→15→8→23→2, ReLU), and a batch of n vectors for it in one flat
+// buffer, the way httpapi hands them over.
+func servedDNN(n int) (*ir.Model, [][]float64) {
+	rng := rand.New(rand.NewSource(1))
+	m := &ir.Model{Kind: ir.DNN, Name: "served", Inputs: 7, Outputs: 2, Format: fixed.Q8_8}
+	widths := []int{7, 15, 8, 23, 2}
+	for li := 1; li < len(widths); li++ {
+		in, out := widths[li-1], widths[li]
+		l := ir.Layer{In: in, Out: out, W: make([][]float64, out), B: make([]float64, out), Activation: "relu"}
+		if li == len(widths)-1 {
+			l.Activation = "softmax"
+		}
+		for o := range l.W {
+			l.W[o] = make([]float64, in)
+			for i := range l.W[o] {
+				l.W[o][i] = rng.NormFloat64()
+			}
+			l.B[o] = rng.NormFloat64()
+		}
+		m.Layers = append(m.Layers, l)
+	}
+	flat := make([]float64, n*m.Inputs)
+	for i := range flat {
+		flat[i] = rng.NormFloat64()
+	}
+	xs := make([][]float64, n)
+	for i := range xs {
+		xs[i] = flat[i*m.Inputs : (i+1)*m.Inputs]
+	}
+	return m, xs
+}
+
+// BenchmarkPredictorClassifyBatchDNN measures the batch kernel alone:
+// 256 vectors per op through Predictor.ClassifyBatch, 32 tiles of 8
+// lanes. per_vector_ns against BenchmarkPredictorClassifyDNN-style
+// single calls is what the register block buys.
+func BenchmarkPredictorClassifyBatchDNN(b *testing.B) {
+	m, xs := servedDNN(256)
+	p, err := ir.NewPredictor(m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	out := make([]int, len(xs))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := p.ClassifyBatch(xs, out); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(xs)), "per_vector_ns")
+}
+
+// BenchmarkServeClassifyBatch256 measures one 256-vector ClassifyBatch
+// through the deployment runtime with default options: spans of the
+// caller's rows in the rings, one kernel call per span. The call may
+// allocate its result slice and nothing per vector, which is asserted
+// here.
+func BenchmarkServeClassifyBatch256(b *testing.B) {
+	m, xs := servedDNN(256)
+	svc := New(ServiceOptions{})
+	defer svc.Close()
+	dep, err := svc.DeployPipeline(
+		&Pipeline{Platform: "taurus", Apps: []AppResult{{Name: "served", Algorithm: "dnn", Model: m}}},
+		DeployOptions{},
+	)
+	if err != nil {
+		b.Fatal(err)
+	}
+	classify := func() {
+		if _, dropped, err := dep.ClassifyBatch(xs); err != nil || dropped != 0 {
+			b.Fatalf("ClassifyBatch: dropped=%d err=%v", dropped, err)
+		}
+	}
+	for i := 0; i < 16; i++ { // warm the pools
+		classify()
+	}
+	b.ReportAllocs()
+	if !testing.Short() {
+		if allocs := testing.AllocsPerRun(100, classify); allocs > 2 {
+			b.Fatalf("ClassifyBatch of 256 allocated %.1f times per op, budget 2", allocs)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		classify()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(xs)), "per_vector_ns")
+	b.ReportMetric(dep.Stats().MeanBatch, "mean_batch")
+}
+
+// BenchmarkServeClassifyFreshGoroutine measures Classify the way a
+// shadow mirror makes it: once, from a goroutine that has just started.
+// A fresh goroutine has 2 KB of stack; when Classify's call chain
+// (await, harvest, sweep, the predictor, DotQ) outgrows what the runtime
+// leaves of it, every such call pays a stack copy — about 2.6 µs an op
+// here instead of 1.4 µs, when single vectors went through the batch
+// entry point's two extra frames — and the bursts in which mirrors run
+// showed as +15% on serve_inproc's p95. No budget is asserted (the gap
+// is too small for a shared runner); the number is here to be looked at
+// when that tail moves.
+func BenchmarkServeClassifyFreshGoroutine(b *testing.B) {
+	m, xs := servedDNN(64)
+	svc := New(ServiceOptions{})
+	defer svc.Close()
+	dep, err := svc.DeployPipeline(
+		&Pipeline{Platform: "taurus", Apps: []AppResult{{Name: "served", Algorithm: "dnn", Model: m}}},
+		DeployOptions{Shards: 1, MaxDelay: -1},
+	)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var failed atomic.Bool
+	b.ResetTimer()
+	for i := 0; i < b.N; i += len(xs) {
+		var wg sync.WaitGroup
+		wg.Add(len(xs))
+		for _, x := range xs {
+			go func() {
+				defer wg.Done()
+				if _, err := dep.Classify(x); err != nil {
+					failed.Store(true)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	if failed.Load() {
+		b.Fatal("Classify failed")
+	}
 }
 
 // BenchmarkServiceSubmit measures the admission hot path of the job

@@ -55,8 +55,10 @@ var errBodyTooLarge = fmt.Errorf("request body exceeds %d bytes", maxClassifyBod
 
 // classifyBuf is the scratch memory of one classify request. It may be
 // reused the moment the handler returns because nothing downstream keeps
-// a feature slice: serve.Runtime.Classify/ClassifyBatch and
-// serve.Endpoint.mirror copy every vector before they return.
+// a feature slice: serve.Runtime.ClassifyBatch classifies the rows where
+// they lie — flat is the one buffer between the socket and the batch
+// kernel — and has delivered every one when it returns, and
+// serve.Endpoint's shadow mirror copies what it re-scores later.
 type classifyBuf struct {
 	body bytes.Buffer // the request document, then scratch for the reply
 	flat []float64    // every feature of the batch, row after row

@@ -21,6 +21,9 @@ package ir
 // saturating add, PWL activations) is exactly the generated hardware's,
 // so a served answer matches what the data plane would output.
 //
+// ClassifyBatch (batch.go) is the same arithmetic carried over Tile
+// input vectors at once, and is bit-identical to InferQ lane for lane.
+//
 // A Predictor is NOT safe for concurrent use — it owns mutable scratch
 // state. Create one per goroutine; construction is cheap relative to the
 // model's lifetime (one pass over the parameters).
@@ -58,12 +61,26 @@ func resolveAct(s string) actKind {
 }
 
 // flatLayer is one DNN layer with weights quantized into a single
-// row-major array: neuron o's weights are w[o*in : (o+1)*in].
+// row-major array: neuron o's weights are w[o*in : (o+1)*in]. An SVM is
+// one such layer with no activation: its hyperplanes are the rows.
 type flatLayer struct {
 	in, out int
 	w       []int32
 	b       []int32
 	act     actKind
+}
+
+// newFlatLayer quantizes one layer's [out][in] weights and biases.
+func newFlatLayer(f fixed.Format, in int, w [][]float64, b []float64, act actKind) flatLayer {
+	l := flatLayer{in: in, out: len(w), w: make([]int32, len(w)*in), b: make([]int32, len(w)), act: act}
+	for o, wo := range w {
+		row := l.w[o*in : (o+1)*in]
+		for i, wv := range wo {
+			row[i] = f.Quantize(wv)
+		}
+		l.b[o] = f.Quantize(b[o])
+	}
+	return l
 }
 
 // Predictor holds quantized parameters and reusable inference buffers.
@@ -74,12 +91,9 @@ type Predictor struct {
 	hasNorm bool
 
 	vbuf, nbuf []int32 // ping-pong activation buffers
+	tcur, tnxt []int32 // the same for one tile of the batch kernel (batch.go)
 
-	layers []flatLayer // DNN
-
-	svmW   []int32 // SVM: row-major [class*feature]
-	svmB   []int32
-	scores []int32
+	layers []flatLayer // DNN, or the one linear layer of an SVM
 
 	cq []int32 // KMeans: row-major [cluster*feature]
 
@@ -103,44 +117,17 @@ func NewPredictor(m *Model) (*Predictor, error) {
 	}
 	f := m.Format
 	p := &Predictor{m: m, f: f, one: f.Quantize(1), hasNorm: len(m.Mean) == m.Inputs}
-	maxW := m.Inputs
 	switch m.Kind {
 	case DNN:
 		p.layers = make([]flatLayer, len(m.Layers))
 		for li, l := range m.Layers {
-			fl := flatLayer{
-				in:  l.In,
-				out: l.Out,
-				w:   make([]int32, l.Out*l.In),
-				b:   make([]int32, l.Out),
-				act: resolveAct(l.Activation),
-			}
-			for o := 0; o < l.Out; o++ {
-				row := fl.w[o*l.In : (o+1)*l.In]
-				for i, wv := range l.W[o] {
-					row[i] = f.Quantize(wv)
-				}
-				fl.b[o] = f.Quantize(l.B[o])
-			}
-			p.layers[li] = fl
-			if l.Out > maxW {
-				maxW = l.Out
-			}
+			p.layers[li] = newFlatLayer(f, l.In, l.W, l.B, resolveAct(l.Activation))
 		}
 	case SVM:
 		if len(m.SVM.B) != m.Outputs {
 			return nil, fmt.Errorf("ir: SVM %q has %d biases, want %d", m.Name, len(m.SVM.B), m.Outputs)
 		}
-		p.svmW = make([]int32, m.Outputs*m.Inputs)
-		p.svmB = make([]int32, m.Outputs)
-		for k := 0; k < m.Outputs; k++ {
-			row := p.svmW[k*m.Inputs : (k+1)*m.Inputs]
-			for i, wv := range m.SVM.W[k] {
-				row[i] = f.Quantize(wv)
-			}
-			p.svmB[k] = f.Quantize(m.SVM.B[k])
-		}
-		p.scores = make([]int32, m.Outputs)
+		p.layers = []flatLayer{newFlatLayer(f, m.Inputs, m.SVM.W, m.SVM.B, actNone)}
 	case KMeans:
 		p.cq = make([]int32, len(m.Centroids)*m.Inputs)
 		for k, c := range m.Centroids {
@@ -152,8 +139,14 @@ func NewPredictor(m *Model) (*Predictor, error) {
 	case DTree:
 		p.flattenTree(m.Tree)
 	}
+	maxW := m.Inputs
+	for _, l := range p.layers {
+		maxW = max(maxW, l.out)
+	}
 	p.vbuf = make([]int32, maxW)
 	p.nbuf = make([]int32, maxW)
+	p.tcur = make([]int32, maxW*Tile)
+	p.tnxt = make([]int32, maxW*Tile)
 	return p, nil
 }
 
@@ -220,7 +213,7 @@ func (p *Predictor) Classify(x []float64) (int, error) {
 		}
 	}
 	switch m.Kind {
-	case DNN:
+	case DNN, SVM:
 		nxt := p.nbuf
 		for li := range p.layers {
 			l := &p.layers[li]
@@ -259,12 +252,6 @@ func (p *Predictor) Classify(x []float64) (int, error) {
 			cur = nv
 		}
 		return argMaxQ(cur), nil
-	case SVM:
-		in := m.Inputs
-		for k := range p.scores {
-			p.scores[k] = f.Add(f.DotQ(p.svmW[k*in:(k+1)*in], cur), p.svmB[k])
-		}
-		return argMaxQ(p.scores), nil
 	case KMeans:
 		in := m.Inputs
 		bestK, bestD := 0, int64(-1)

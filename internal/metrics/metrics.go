@@ -5,8 +5,11 @@
 package metrics
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 )
 
 // Confusion is a square confusion matrix: Count[actual][predicted].
@@ -192,8 +195,10 @@ func entropy(labels []int) float64 {
 	}
 	n := float64(len(labels))
 	var h float64
-	for _, c := range counts {
-		p := float64(c) / n
+	// In key order: float addition does not commute with map iteration
+	// order, and the same labels must score the same bits on every run.
+	for _, k := range slices.Sorted(maps.Keys(counts)) {
+		p := float64(counts[k]) / n
 		h -= p * math.Log(p)
 	}
 	return h
@@ -215,8 +220,12 @@ func conditionalEntropy(target, given []int) float64 {
 	}
 	n := float64(len(target))
 	var h float64
-	for key, c := range joint {
-		pxy := float64(c) / n
+	// In key order, as in entropy.
+	pairs := slices.SortedFunc(maps.Keys(joint), func(a, b [2]int) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+	})
+	for _, key := range pairs {
+		pxy := float64(joint[key]) / n
 		py := float64(margin[key[0]]) / n
 		h -= pxy * math.Log(pxy/py)
 	}

@@ -122,6 +122,25 @@ func TestVMeasureDegradesWithMerging(t *testing.T) {
 	}
 }
 
+// TestVMeasureDeterministic: the entropies are sums of floats over maps;
+// reduced in map-iteration order they differed in their last bits from
+// call to call, and so did every KMeans pipeline's reported metric.
+func TestVMeasureDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	classes := make([]int, 500)
+	clusters := make([]int, 500)
+	for i := range classes {
+		classes[i] = rng.Intn(9)
+		clusters[i] = rng.Intn(11)
+	}
+	want := math.Float64bits(VMeasure(classes, clusters))
+	for call := 1; call < 200; call++ {
+		if got := math.Float64bits(VMeasure(classes, clusters)); got != want {
+			t.Fatalf("call %d: VMeasure bits %#x, first call %#x", call, got, want)
+		}
+	}
+}
+
 // Property: V-measure is symmetric under cluster relabeling and bounded
 // in [0, 1].
 func TestVMeasureQuick(t *testing.T) {

@@ -54,8 +54,9 @@ var (
 	ErrNoRollback = errors.New("serve: no revision to roll back to")
 )
 
-// mirrorDepth bounds concurrent shadow mirrors: excess mirrors are shed
-// (counted in the divergence report) rather than queued behind a slow
+// mirrorDepth bounds concurrent shadow mirrors — a Classify vector or a
+// whole ClassifyBatch each take one: excess mirrors are shed (counted in
+// the divergence report, in vectors) rather than queued behind a slow
 // shadow — the primary path must never wait on its shadow.
 const mirrorDepth = 64
 
@@ -170,10 +171,11 @@ func newDivergence(revision, primaryClasses, shadowClasses int) *divergence {
 	}
 }
 
-// record tallies one mirrored request once its shadow score arrives.
-func (d *divergence) record(primary, shadow int, err error) {
+// record tallies one mirrored vector once its shadow score arrives;
+// failed means the shadow shed it or could not classify it.
+func (d *divergence) record(primary, shadow int, failed bool) {
 	d.mirrored.Add(1)
-	if err != nil {
+	if failed {
 		d.errors.Add(1)
 		return
 	}
@@ -191,9 +193,10 @@ func (d *divergence) record(primary, shadow int, err error) {
 type DivergenceStats struct {
 	// Revision is the shadow revision the report compares against.
 	Revision int
-	// Mirrored counts requests scored on the shadow; Shed counts mirrors
-	// dropped because the mirror pool was saturated (the primary path
-	// never waits); Errors counts shadow-side inference failures.
+	// Mirrored counts vectors scored on the shadow; Shed counts vectors
+	// whose mirror was dropped because the mirror pool was saturated (the
+	// primary path never waits; a ClassifyBatch is mirrored, or shed, as
+	// one unit); Errors counts vectors the shadow shed or failed on.
 	Mirrored, Shed, Errors uint64
 	// Agreed and Disagreed partition the successfully mirrored requests
 	// by whether the shadow matched the primary's class.
@@ -707,11 +710,7 @@ func (e *Endpoint) classifyBatchOnce(xs [][]float64) (classes []int, dropped int
 		}
 	}
 	if t.shadow != nil {
-		for i, c := range classes {
-			if c >= 0 {
-				e.mirror(t, xs[i], c)
-			}
-		}
+		e.mirrorBatch(t, xs, classes)
 	}
 	return classes, dropped, err
 }
@@ -730,11 +729,53 @@ func (e *Endpoint) mirror(t *revTable, x []float64, primary int) {
 		go func() {
 			defer func() { <-e.mirrorSem }()
 			class, err := rt.Classify(xc)
-			d.record(primary, class, err)
+			d.record(primary, class, err != nil)
 		}()
 	default:
 		t.shadowCmp.shed.Add(1)
 	}
+}
+
+// mirrorBatch is mirror for a classified batch, as one unit: one
+// semaphore slot, one copy of the rows that got a class (and of the
+// classes — both are the caller's again once its call returns), one
+// goroutine, one shadow ClassifyBatch. Saturation sheds the whole
+// batch's mirror, counted in vectors.
+func (e *Endpoint) mirrorBatch(t *revTable, xs [][]float64, classes []int) {
+	n, width := 0, 0
+	for i, c := range classes {
+		if c >= 0 {
+			n, width = n+1, width+len(xs[i])
+		}
+	}
+	if n == 0 {
+		return
+	}
+	select {
+	case e.mirrorSem <- struct{}{}:
+	default:
+		t.shadowCmp.shed.Add(uint64(n))
+		return
+	}
+	flat := make([]float64, 0, width)
+	rows := make([][]float64, 0, n)
+	primary := make([]int, 0, n)
+	for i, c := range classes {
+		if c >= 0 {
+			at := len(flat)
+			flat = append(flat, xs[i]...)
+			rows = append(rows, flat[at:len(flat):len(flat)])
+			primary = append(primary, c)
+		}
+	}
+	d, rt := t.shadowCmp, t.shadowRT
+	go func() {
+		defer func() { <-e.mirrorSem }()
+		shadow, _, _ := rt.ClassifyBatch(rows)
+		for i, class := range shadow {
+			d.record(primary[i], class, class < 0)
+		}
+	}()
 }
 
 // Revisions lists every revision in rollout order.

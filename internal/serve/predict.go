@@ -238,12 +238,13 @@ func (rt *Runtime) holdTarget(sh *shard) int {
 }
 
 // holdFor blocks the harvester until the shard has target published
-// requests, the deadline passes, or the runtime starts draining.
-// Returns true when the hold ended on the deadline with work pending —
-// the next sweep is a deadline flush.
+// requests, a ClassifyBatch span arrives (its caller already did the
+// batching; it is swept at once), the deadline passes, or the runtime
+// starts draining. Returns true when the hold ended on the deadline with
+// work pending — the next sweep is a deadline flush.
 func (rt *Runtime) holdFor(sh *shard, deadline time.Time, target int) bool {
 	for {
-		if rt.closed.Load() {
+		if rt.closed.Load() || sh.batches.Load() > 0 {
 			return false
 		}
 		if sh.readyCount() >= target {

@@ -2,24 +2,28 @@ package serve
 
 // The ring scheduler: the serving hot loop rebuilt in the hardware idiom.
 //
-// Each shard owns a fixed-size ring of preallocated request slots plus an
-// atomic ready-bitmap scoreboard. The old intake/dispatch/done channel
-// hops are gone:
+// Each shard owns a fixed-size ring of preallocated slots plus an atomic
+// ready-bitmap scoreboard. A slot carries a span: a run of the caller's
+// own rows and the matching run of its result slice — one row for
+// Classify, up to a shard's share of the batch for ClassifyBatch. Nothing
+// is copied: the caller blocks until every span it published is
+// delivered, so its memory is live for as long as a harvester reads it.
 //
 //   - producers claim a slot with an atomic fetch-add ticket (a per-slot
-//     sequence number gates reuse, Vyukov-style), write the request
-//     pointer, and publish by setting the slot's bit in the bitmap;
+//     sequence number gates reuse, Vyukov-style), write the span, and
+//     publish by setting the slot's bit in the bitmap;
 //   - a harvester drains the bitmap with an atomic Swap(0) per word and a
-//     bits.TrailingZeros64 sweep — one sweep is one micro-batch;
-//   - admission is a per-shard credit counter: when the ring's credits
-//     are exhausted the producer sheds with ErrOverloaded at the door,
-//     before touching a ticket.
+//     bits.TrailingZeros64 sweep — one sweep is one micro-batch, one
+//     predictor call per span;
+//   - admission is a per-shard credit counter in vectors: when a span
+//     does not fit the ring's remaining credits the producer sheds it
+//     with ErrOverloaded at the door, before touching a ticket.
 //
 // The busy path never touches a channel or a mutex. Parking is
 // futex-style and only for the idle path: a shard's worker goroutine
 // publishes a parked flag and blocks on a 1-slot wake channel; the first
 // producer to observe the flag claims it with a Swap and posts exactly
-// one token. A waiting producer uses the same protocol per-request (a
+// one token. A waiting producer uses the same protocol per call (a
 // waiter flag + 1-slot channel on the pooled request).
 //
 // The fast path is caller-harvesting: a producer that finds the shard
@@ -28,8 +32,8 @@ package serve
 // goroutine — zero scheduler handoffs, which is what buys the single-
 // digit-µs p99. Under concurrency the same sweep naturally forms
 // micro-batches. The worker goroutine is the fallback harvester: it
-// covers pipelined ClassifyBatch enqueues and producers that gave up
-// spinning and parked.
+// takes the spans of a ClassifyBatch its caller has not reached yet and
+// covers producers that gave up spinning and parked.
 
 import (
 	"math/bits"
@@ -44,9 +48,15 @@ import (
 // per shard (must be a power of two). Ticket 0 is always sampled, so the
 // first request of a deployment lands in the histogram and quantiles are
 // nonzero as soon as traffic flows. Counters (accepted/completed/
-// per-class) still see every request — only the two time.Now() calls and
-// the histogram update are sampled.
+// per-class) still see every vector — only the two time.Now() calls and
+// the histogram update are sampled, once per sampled span.
 const latSampleEvery = 8
+
+// minSpan is the fewest vectors a ClassifyBatch hands to a second shard:
+// 32 tiles of the batch kernel. A smaller batch is one span, classified
+// inline by its caller — waking another shard's worker costs more than
+// the tens of µs of kernel time it would take over.
+const minSpan = 32 * ir.Tile
 
 // awaitSpinRounds bounds how long a producer re-tries the harvest lock
 // (yielding between attempts) before it arms its waiter flag and parks.
@@ -54,12 +64,15 @@ const awaitSpinRounds = 128
 
 // slot is one ring entry. seq is the Vyukov sequence gate: a producer
 // holding ticket t may write the slot when seq==t; the harvester frees it
-// for ticket t+capacity by storing t+capacity after detaching the
-// request. Padded so neighboring slots don't share a cache line.
+// for ticket t+capacity by storing t+capacity after detaching the span.
+// Exactly one cache line, so neighboring slots don't share one (a single
+// vector walks the ring a slot per call: a second line per slot shows in
+// the in-process tail latency).
 type slot struct {
 	seq atomic.Uint64
-	req *request
-	_   [48]byte
+	xs  [][]float64 // the span's rows, in the caller's memory
+	out []int       // where their classes go, likewise
+	req *request    // the call to tell when the span is delivered
 }
 
 // shard is one inference lane: a slot ring, its ready-bitmap, the
@@ -68,17 +81,20 @@ type slot struct {
 // the harvester that owns busy may touch it.
 type shard struct {
 	tickets atomic.Uint64 // fetch-add slot claim
-	credits atomic.Int64  // in-flight admission bound (≤ cap)
+	credits atomic.Int64  // vectors admitted and not yet harvested (≤ cap)
+	batches atomic.Int32  // multi-vector spans among them: never held back
 	busy    atomic.Uint32 // harvest lock: 1 while a harvester owns pred
 	parked  atomic.Uint32 // worker is parked; Swap(1→0) claims the wake
 	wake    chan struct{} // 1-slot worker unpark token
 
-	cap   uint64
-	mask  uint64
-	ready []atomic.Uint64 // the bitmap scoreboard, 64 slots per word
-	slots []slot
+	cap    uint64
+	mask   uint64
+	ready  []atomic.Uint64 // the bitmap scoreboard, 64 slots per word
+	slots  []slot
+	starts []time.Duration // when slot i's span was admitted, if its ticket is sampled: since stats.start
 
-	pred *ir.Predictor
+	pred   *ir.Predictor
+	counts []uint64 // per-class tally of the span in hand; busy-guarded
 
 	// Adaptive-flush state (predict.go). Producers feed the shared
 	// arrival history with relaxed atomics (lastNS, gapHist); the gaps
@@ -98,12 +114,14 @@ func newShard(model *ir.Model, capacity uint64) (*shard, error) {
 		return nil, err
 	}
 	sh := &shard{
-		cap:   capacity,
-		mask:  capacity - 1,
-		ready: make([]atomic.Uint64, (capacity+63)/64),
-		slots: make([]slot, capacity),
-		wake:  make(chan struct{}, 1),
-		pred:  pred,
+		cap:    capacity,
+		mask:   capacity - 1,
+		ready:  make([]atomic.Uint64, (capacity+63)/64),
+		slots:  make([]slot, capacity),
+		starts: make([]time.Duration, capacity),
+		wake:   make(chan struct{}, 1),
+		pred:   pred,
+		counts: make([]uint64, model.Outputs),
 	}
 	for i := range sh.slots {
 		sh.slots[i].seq.Store(uint64(i))
@@ -121,21 +139,24 @@ func (sh *shard) hasReady() bool {
 	return false
 }
 
-// enqueue admits r into sh's ring: credit, ticket, slot write, bitmap
-// publish. It does not block on a full ring — it sheds (the caller
-// decides whether to count the drop or retry). The rare seq spin waits
-// for a harvester to detach the slot's previous occupant (possible only
-// when the ring is nearly full).
-func (rt *Runtime) enqueue(sh *shard, r *request) error {
-	if sh.credits.Add(1) > int64(sh.cap) {
-		sh.credits.Add(-1)
+// enqueue admits one span of r into sh's ring: credits, ticket, slot
+// write, bitmap publish. It does not block on a full ring — it sheds (the
+// caller decides whether to count the drop or retry). A span takes one
+// credit per vector and one slot, so QueueDepth bounds vectors and the
+// ring cannot run out of slots before it runs out of credits. The rare
+// seq spin waits for a harvester to detach the slot's previous occupant
+// (possible only when the ring is nearly full).
+func (rt *Runtime) enqueue(sh *shard, r *request, xs [][]float64, out []int) error {
+	n := int64(len(xs))
+	if sh.credits.Add(n) > int64(sh.cap) {
+		sh.credits.Add(-n)
 		return ErrOverloaded
 	}
 	// Closed is checked after the credit so Close's drain poll cannot
 	// miss an in-flight producer: if this load sees the flag unset, the
 	// credit above is already visible to the poll.
 	if rt.closed.Load() {
-		sh.credits.Add(-1)
+		sh.credits.Add(-n)
 		return ErrClosed
 	}
 	if sh.gaps != nil {
@@ -155,21 +176,24 @@ func (rt *Runtime) enqueue(sh *shard, r *request) error {
 	for s.seq.Load() != t {
 		runtime.Gosched()
 	}
-	r.done.Store(0)
-	if r.sampled = t&(latSampleEvery-1) == 0; r.sampled {
-		r.start = time.Now()
+	s.xs, s.out, s.req = xs, out, r
+	if t&(latSampleEvery-1) == 0 {
+		sh.starts[i] = time.Since(rt.stats.start)
 	}
-	s.req = r
-	rt.stats.accepted.Add(1)
+	if n > 1 {
+		sh.batches.Add(1)
+	}
+	rt.stats.accepted.Add(uint64(n))
 	sh.ready[i>>6].Or(1 << (i & 63))
 	return nil
 }
 
 // sweep is one micro-batch: the harvester (which must own sh.busy) swaps
-// each bitmap word to zero and classifies every published slot in
-// trailing-zeros order. Slots are freed the moment the request pointer is
-// detached — before the classify — so the ring never stays clogged behind
-// a slow inference. Returns the number of requests harvested.
+// each bitmap word to zero and classifies every published span in
+// trailing-zeros order, one predictor call each. Slots are freed the
+// moment the span is detached — before the classify — so the ring never
+// stays clogged behind a slow inference. Returns the number of vectors
+// harvested.
 func (rt *Runtime) sweep(sh *shard) int {
 	n := 0
 	for w := range sh.ready {
@@ -184,24 +208,53 @@ func (rt *Runtime) sweep(sh *shard) int {
 			i := w<<6 | bits.TrailingZeros64(word)
 			word &= word - 1
 			s := &sh.slots[i]
-			r := s.req
-			s.req = nil
-			s.seq.Store(s.seq.Load() + sh.cap) // free the slot for ticket t+cap
-			sh.credits.Add(-1)
+			xs, out, r := s.xs, s.out, s.req
+			s.xs, s.out, s.req = nil, nil, nil
+			t := s.seq.Load() // the ticket that published the slot
+			sampled := t&(latSampleEvery-1) == 0
+			var start time.Duration
+			if sampled {
+				start = sh.starts[i]
+			}
+			s.seq.Store(t + sh.cap) // free the slot, and starts[i], for ticket t+cap
+			sh.credits.Add(-int64(len(xs)))
 			if rt.opts.testHook != nil {
 				rt.opts.testHook()
 			}
-			r.class, r.err = sh.pred.Classify(r.x)
-			if r.sampled {
-				rt.stats.observe(r.class, r.err, time.Since(r.start))
+			var err error
+			if len(xs) == 1 {
+				// Straight to Classify: the batch entry point's frames on
+				// top of this call chain outgrow the 2 KB stack a fresh
+				// goroutine starts with — every shadow mirror is one —
+				// and growing it costs three classifies.
+				if out[0], err = sh.pred.Classify(xs[0]); err != nil {
+					out[0] = -1
+				}
 			} else {
-				rt.stats.observeFast(r.class, r.err)
+				sh.batches.Add(-1)
+				err = sh.pred.ClassifyBatch(xs, out)
 			}
-			r.done.Store(1)
-			if r.waiter.Swap(0) == 1 {
+			if sampled {
+				rt.stats.observeLatency(time.Since(rt.stats.start) - start)
+			}
+			failed := 0
+			if err != nil {
+				// The predictor's only error is a row of the wrong width.
+				for _, x := range xs {
+					if len(x) != rt.model.Inputs {
+						failed++
+					}
+				}
+				first := err // a copy to escape, so only this path allocates
+				r.err.CompareAndSwap(nil, &first)
+			}
+			rt.stats.observe(sh.counts, out, failed)
+			// The span is delivered; r may be back in the pool, and in
+			// another caller's hands, the moment pending reads zero.
+			if r.pending.Add(-1) == 0 && r.waiter.Swap(0) == 1 {
 				r.wake <- struct{}{}
 			}
-			n++
+			n += len(xs)
 		}
 	}
 	if n > 0 {
@@ -213,15 +266,19 @@ func (rt *Runtime) sweep(sh *shard) int {
 }
 
 // harvest acquires the harvest lock if free and sweeps until the bitmap
-// stays empty. Returns false if another harvester owns the shard.
-func (rt *Runtime) harvest(sh *shard) bool {
+// stays empty. Returns false if another harvester owns the shard. hold
+// lets the flush policy (predict.go) delay the first sweep; a batch
+// caller passes false — it is waiting on spans, which are never held.
+func (rt *Runtime) harvest(sh *shard, hold bool) bool {
 	if !sh.busy.CompareAndSwap(0, 1) {
 		return false
 	}
-	if sh.gaps != nil {
-		rt.adaptiveHold(sh)
-	} else if rt.holdFixed {
-		rt.fixedHold(sh)
+	if hold {
+		if sh.gaps != nil {
+			rt.adaptiveHold(sh)
+		} else if rt.holdFixed {
+			rt.fixedHold(sh)
+		}
 	}
 	for rt.sweep(sh) > 0 {
 	}
@@ -229,18 +286,28 @@ func (rt *Runtime) harvest(sh *shard) bool {
 	return true
 }
 
-// await blocks until r's result is delivered. Fast path: become the
-// shard's harvester and classify the request inline. If another
-// harvester owns the shard, spin briefly (it is probably classifying our
-// request right now), then arm the waiter flag, make sure the fallback
-// worker is awake (our bit may still be unclaimed in the bitmap), and
-// park on the request's 1-slot channel.
-func (rt *Runtime) await(sh *shard, r *request) {
-	for round := 0; ; round++ {
-		if r.done.Load() == 1 {
-			return
+// await blocks until every span of r is delivered; the spans went to n
+// consecutive shards from index first on, wrapping. Fast path: become a shard's
+// harvester and classify the spans inline. If other harvesters own the
+// shards, spin briefly (they are probably classifying our spans right
+// now), then arm the waiter flag, make sure the fallback workers are
+// awake (a bit of ours may still be unclaimed in a bitmap), and park on
+// the request's 1-slot channel. A token can come from a harvester that
+// delivered the pooled request's previous call and was descheduled
+// before it looked at the waiter flag, so a wake-up is a reason to look
+// again, not proof. hold is harvest's.
+func (rt *Runtime) await(r *request, first, n int, hold bool) {
+	on := func(k int) *shard {
+		if i := first + k; i < len(rt.rings) {
+			return rt.rings[i]
 		}
-		if rt.harvest(sh) && r.done.Load() == 1 {
+		return rt.rings[first+k-len(rt.rings)]
+	}
+	for round := 0; ; round++ {
+		for k := 0; k < n && r.pending.Load() != 0; k++ {
+			rt.harvest(on(k), hold)
+		}
+		if r.pending.Load() == 0 {
 			return
 		}
 		if round < awaitSpinRounds {
@@ -248,7 +315,7 @@ func (rt *Runtime) await(sh *shard, r *request) {
 			continue
 		}
 		r.waiter.Store(1)
-		if r.done.Load() == 1 {
+		if r.pending.Load() == 0 {
 			if r.waiter.Swap(0) == 0 {
 				// The harvester claimed the flag and is posting the
 				// token; drain it so the pooled channel stays empty.
@@ -256,9 +323,10 @@ func (rt *Runtime) await(sh *shard, r *request) {
 			}
 			return
 		}
-		rt.unpark(sh)
+		for k := 0; k < n; k++ {
+			rt.unpark(on(k))
+		}
 		<-r.wake
-		return
 	}
 }
 
@@ -277,7 +345,7 @@ func (rt *Runtime) unpark(sh *shard) {
 func (rt *Runtime) worker(sh *shard) {
 	defer rt.workers.Done()
 	for {
-		rt.harvest(sh)
+		rt.harvest(sh, true)
 		if sh.hasReady() {
 			// Bits are published but another harvester owns the shard;
 			// stay runnable until the ring is visibly drained.

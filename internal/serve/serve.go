@@ -6,15 +6,17 @@
 // value.
 //
 // The hot loop is built in the hardware idiom (see ring.go): each shard
-// owns a fixed-size ring of preallocated request slots with an atomic
+// owns a fixed-size ring of preallocated slots with an atomic
 // ready-bitmap scoreboard. Producers claim a slot with an atomic
-// fetch-add and publish with a bit set; a harvester — the producer
-// itself when the shard is idle, else the shard's fallback worker —
-// drains the bitmap with a bits.TrailingZeros64 sweep. One sweep is one
-// micro-batch, so batches form naturally under concurrent load and a
-// lone request is classified inline with zero scheduler handoffs. The
-// busy path touches no channel and no mutex; parking is futex-style and
-// only on the idle path.
+// fetch-add, write a span — a run of their own rows and of their result
+// slice, nothing copied — and publish with a bit set; a harvester — the
+// producer itself when the shard is idle, else the shard's fallback
+// worker — drains the bitmap with a bits.TrailingZeros64 sweep. One
+// sweep is one micro-batch, so batches form naturally under concurrent
+// load, a ClassifyBatch is one span and one batch-kernel call per shard,
+// and a lone request is classified inline with zero scheduler handoffs.
+// The busy path touches no channel and no mutex; parking is futex-style
+// and only on the idle path.
 //
 // Backpressure is a per-shard credit counter: when a ring is full,
 // Classify sheds immediately with ErrOverloaded instead of queueing
@@ -87,10 +89,10 @@ type Options struct {
 	// get full batches. Classification output is bit-identical either
 	// way. Default off.
 	AdaptiveFlush bool
-	// QueueDepth caps requests accepted but not yet harvested by a
-	// shard. Classify sheds with ErrOverloaded beyond it. Default 1024.
-	// The per-shard ring size is QueueDepth/Shards rounded up to a
-	// power of two.
+	// QueueDepth caps vectors accepted but not yet harvested, singly or
+	// in ClassifyBatch spans. Classify sheds with ErrOverloaded beyond
+	// it. Default 1024. The per-shard ring size is QueueDepth/Shards
+	// rounded up to a power of two.
 	QueueDepth int
 
 	// RetainRetired caps how many retired revisions an Endpoint keeps
@@ -102,7 +104,7 @@ type Options struct {
 	// Meaningful only for endpoints; single-revision runtimes ignore it.
 	RetainRetired int
 
-	// testHook, when set by white-box tests, runs before each request is
+	// testHook, when set by white-box tests, runs before each span is
 	// classified — it lets tests hold shards busy deterministically.
 	testHook func()
 }
@@ -126,22 +128,28 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// request is one in-flight classification. Requests are pooled: the
-// feature buffer, the 1-slot wake channel, and the struct itself are all
-// reused, which is what keeps the steady-state classify path at zero
-// allocations. Delivery is a done flag (spin/park, see ring.go), not a
-// channel send, so the busy path stays channel-free.
+// request is one blocking call, Classify or ClassifyBatch, waiting on the
+// spans it has published. Requests are pooled: the 1-slot wake channel
+// and the struct itself are reused, which is what keeps the steady-state
+// classify path at zero allocations. Delivery is a countdown (spin/park,
+// see ring.go), not a channel send, so the busy path stays channel-free.
 type request struct {
-	x     []float64
-	class int
-	err   error
+	row [1][]float64 // Classify's vector, as a span of one
+	cls [1]int       // and its class
 
-	done   atomic.Uint32 // result published
-	waiter atomic.Uint32 // producer parked; Swap(1→0) claims the wake
-	wake   chan struct{} // 1-slot producer unpark token
+	pending atomic.Int32          // spans published and not yet delivered
+	err     atomic.Pointer[error] // an inference error from one of them
+	waiter  atomic.Uint32         // producer parked; Swap(1→0) claims the wake
+	wake    chan struct{}         // 1-slot producer unpark token
+}
 
-	sampled bool      // latency timestamps recorded for this request
-	start   time.Time // set only when sampled
+// release returns r to the pool holding nothing of the caller's.
+func (rt *Runtime) release(r *request) {
+	r.row[0] = nil
+	if r.err.Load() != nil {
+		r.err.Store(nil)
+	}
+	rt.reqPool.Put(r)
 }
 
 // Runtime is a live deployment serving one compiled model. All exported
@@ -200,9 +208,7 @@ func New(model *ir.Model, opts Options) (*Runtime, error) {
 	// (ServingConfig presence); legacy flat MaxDelay spellings keep the
 	// greedy ring-scheduler behavior they were written against.
 	rt.holdFixed = o.MaxDelaySet && o.MaxDelay > 0 && !adaptive
-	rt.reqPool.New = func() any {
-		return &request{wake: make(chan struct{}, 1), x: make([]float64, 0, model.Inputs)}
-	}
+	rt.reqPool.New = func() any { return &request{wake: make(chan struct{}, 1)} }
 	rt.stats.init(model.Outputs)
 	rt.workers.Add(o.Shards)
 	for _, sh := range rt.rings {
@@ -228,101 +234,114 @@ func (rt *Runtime) Options() Options { return rt.opts }
 // Model returns the deployed model.
 func (rt *Runtime) Model() *ir.Model { return rt.model }
 
-// pick selects the next shard round-robin.
-func (rt *Runtime) pick() *shard {
+// next advances the round-robin shard cursor by n and returns the index
+// of the first of the n shards it passed.
+func (rt *Runtime) next(n int) int {
 	if len(rt.rings) == 1 {
-		return rt.rings[0]
+		return 0
 	}
-	return rt.rings[rt.rr.Add(1)%uint64(len(rt.rings))]
+	return int((rt.rr.Add(uint64(n)) - uint64(n)) % uint64(len(rt.rings)))
 }
 
 // Classify submits one feature vector and blocks until its class is
 // computed (micro-batched with concurrent submissions). It sheds with
 // ErrOverloaded when the slot ring is full and fails with ErrClosed once
-// draining began. The input slice is copied; the caller may reuse it
-// immediately.
+// draining began. x is read until Classify returns and not after; the
+// caller may reuse it then.
 func (rt *Runtime) Classify(x []float64) (int, error) {
+	at := rt.next(1)
 	r := rt.reqPool.Get().(*request)
-	r.x = append(r.x[:0], x...)
-	sh := rt.pick()
-	if err := rt.enqueue(sh, r); err != nil {
+	r.row[0] = x
+	r.pending.Store(1)
+	if err := rt.enqueue(rt.rings[at], r, r.row[:], r.cls[:]); err != nil {
 		if errors.Is(err, ErrOverloaded) {
 			rt.stats.dropped.Add(1)
 		}
-		r.x = r.x[:0]
-		rt.reqPool.Put(r)
+		rt.release(r)
 		return 0, err
 	}
-	rt.await(sh, r)
-	class, err := r.class, r.err
-	rt.reqPool.Put(r)
-	return class, err
+	rt.await(r, at, 1, true)
+	class, perr := r.cls[0], r.err.Load()
+	rt.release(r)
+	if perr != nil {
+		return 0, *perr
+	}
+	return class, nil
+}
+
+// spanSize cuts a batch of n vectors for this runtime: into as many
+// spans as there are shards, as long as each keeps minSpan vectors; in
+// whole tiles of the batch kernel; and never more than a ring holds — so
+// a batch larger than the rings is more spans than shards and pipelines.
+func (rt *Runtime) spanSize(n int) int {
+	spans := max(1, min(len(rt.rings), n/minSpan))
+	size := ((n+spans-1)/spans + ir.Tile - 1) / ir.Tile * ir.Tile
+	return min(size, int(rt.rings[0].cap))
 }
 
 // ClassifyBatch submits every vector of xs and waits for all results.
-// classes[i] is -1 for requests that were shed (counted in dropped) or
-// failed inference; err carries the first inference error, if any.
-// Accepted requests always complete, even when later ones shed. When a
-// ring fills with this call's own in-flight traffic, the enqueue loop
-// helps harvest instead of shedding, so a batch larger than the ring
-// pipelines through it; sheds happen only under competing load. Every
-// vector is copied into its request slot before this returns, so the
-// caller may reuse xs and its rows immediately — httpapi's pooled
-// classify buffers depend on it.
+// classes[i] is -1 for vectors that were shed (counted in dropped) or
+// failed inference; err carries an inference error, if there was one.
+// The batch is admitted as spans — runs of xs, each classified in place
+// by one shard in one batch-kernel call — so a span is shed or accepted
+// whole, and accepted spans always complete, even when later ones shed.
+// When a ring fills with this call's own spans, the enqueue loop helps
+// harvest instead of shedding, so a batch larger than the rings pipelines
+// through them; sheds happen only under competing load. xs and its rows
+// are read until ClassifyBatch returns and not after; the caller may
+// reuse them then — httpapi's pooled classify buffers depend on it.
 func (rt *Runtime) ClassifyBatch(xs [][]float64) (classes []int, dropped int, err error) {
 	classes = make([]int, len(xs))
-	pending := make([]*request, len(xs))
-	shards := make([]*shard, len(xs))
-	head := 0 // first of our requests that may still be in flight
-	for i, x := range xs {
-		r := rt.reqPool.Get().(*request)
-		r.x = append(r.x[:0], x...)
+	if len(xs) == 0 {
+		return classes, 0, nil
+	}
+	size := rt.spanSize(len(xs))
+	spans := (len(xs) + size - 1) / size
+	r := rt.reqPool.Get().(*request)
+	r.pending.Store(int32(spans))
+	// Consecutive shards: at most one span each while they last.
+	first := rt.next(spans)
+	for k := 0; k < spans; k++ {
+		lo, hi := k*size, min((k+1)*size, len(xs))
+		sh := rt.rings[(first+k)%len(rt.rings)]
+		var eerr error
 		for {
-			sh := rt.pick()
-			eerr := rt.enqueue(sh, r)
-			if eerr == nil {
-				pending[i], shards[i] = r, sh
-				rt.unpark(sh) // let the worker harvest while we keep enqueueing
+			// Read before the attempt: a full ring sheds the span only if
+			// nothing of ours could have been what filled it.
+			ours := int(r.pending.Load()) > spans-k
+			eerr = rt.enqueue(sh, r, xs[lo:hi], classes[lo:hi])
+			if !ours || !errors.Is(eerr, ErrOverloaded) {
 				break
 			}
-			if errors.Is(eerr, ErrOverloaded) {
-				for head < i && (pending[head] == nil || pending[head].done.Load() == 1) {
-					head++
-				}
-				if head < i {
-					// Our own traffic holds ring credits; help drain it
-					// and retry instead of shedding our own pipeline.
-					rt.harvest(shards[head])
-					runtime.Gosched()
-					continue
-				}
-				rt.stats.dropped.Add(1)
-			}
-			classes[i] = -1
-			dropped++
-			if errors.Is(eerr, ErrClosed) && err == nil {
-				err = eerr
-			}
-			r.x = r.x[:0]
-			rt.reqPool.Put(r)
-			break
+			// Spans of ours were in the rings or under a kernel: help
+			// drain and retry instead of shedding our own pipeline.
+			rt.harvest(sh, false)
+			runtime.Gosched()
 		}
-	}
-	for i, r := range pending {
-		if r == nil {
+		if eerr == nil {
+			if k > 0 {
+				// The first span is ours to classify; a worker can take
+				// this one meanwhile.
+				rt.unpark(sh)
+			}
 			continue
 		}
-		rt.await(shards[i], r)
-		if r.err != nil {
-			classes[i] = -1
-			if err == nil {
-				err = r.err
-			}
-		} else {
-			classes[i] = r.class
+		if errors.Is(eerr, ErrOverloaded) {
+			rt.stats.dropped.Add(uint64(hi - lo))
+		} else if err == nil {
+			err = eerr
 		}
-		rt.reqPool.Put(r)
+		for i := lo; i < hi; i++ {
+			classes[i] = -1
+		}
+		dropped += hi - lo
+		r.pending.Add(-1)
 	}
+	rt.await(r, first, min(spans, len(rt.rings)), false)
+	if perr := r.err.Load(); perr != nil && err == nil {
+		err = *perr
+	}
+	rt.release(r)
 	return classes, dropped, err
 }
 

@@ -5,9 +5,10 @@ package serve
 // and a log2-bucketed latency histogram from which Stats derives p50/p99.
 // The memory-centric-profiling lesson applied to serving: latency and
 // throughput observability is built into the path, not bolted around it.
-// Counters see every request; the latency histogram is fed by sampled
-// requests (every latSampleEvery-th ticket per shard, ring.go), so the
-// steady-state path sheds the two time.Now() calls on the other N-1.
+// Counters see every vector, added once per harvested span; the latency
+// histogram is fed by sampled spans (every latSampleEvery-th ticket per
+// shard, ring.go), so the steady-state path sheds the two time.Now()
+// calls on the other N-1.
 
 import (
 	"math/bits"
@@ -56,20 +57,36 @@ func (s *stats) flush(size int, deadline, full bool) {
 	}
 }
 
-// observeFast records one completed request's counters without a
-// latency sample — the common (unsampled) hot-path variant.
-func (s *stats) observeFast(class int, err error) {
-	s.completed.Add(1)
-	if err != nil {
-		s.errors.Add(1)
-	} else if class >= 0 && class < len(s.perClass) {
-		s.perClass[class].Add(1)
+// observe records one delivered span: completed, errors and per-class
+// counts, each added once however long the span. failed of its rows could
+// not be classified and hold -1 in out. counts is the caller's zeroed
+// per-class scratch, and is zeroed again on return.
+func (s *stats) observe(counts []uint64, out []int, failed int) {
+	s.completed.Add(uint64(len(out)))
+	if failed > 0 {
+		s.errors.Add(uint64(failed))
+	}
+	if len(out) == 1 {
+		if c := out[0]; c >= 0 && c < len(s.perClass) {
+			s.perClass[c].Add(1)
+		}
+		return
+	}
+	for _, c := range out {
+		if c >= 0 && c < len(counts) {
+			counts[c]++
+		}
+	}
+	for c, n := range counts {
+		if n > 0 {
+			s.perClass[c].Add(n)
+			counts[c] = 0
+		}
 	}
 }
 
-// observe records one completed request including its latency sample.
-func (s *stats) observe(class int, err error, lat time.Duration) {
-	s.observeFast(class, err)
+// observeLatency records one sampled span's admission-to-delivery time.
+func (s *stats) observeLatency(lat time.Duration) {
 	ns := lat.Nanoseconds()
 	if ns < 0 {
 		ns = 0
@@ -83,26 +100,27 @@ func (s *stats) observe(class int, err error, lat time.Duration) {
 
 // Stats is a point-in-time snapshot of a deployment's serving metrics.
 type Stats struct {
-	// Accepted counts requests admitted to a shard's slot ring; Completed
-	// counts requests classified and delivered (Completed ≤ Accepted,
-	// equal once quiescent). Dropped counts requests shed at the door by
-	// backpressure; Errors counts accepted requests whose inference
+	// Accepted counts vectors admitted to a shard's slot ring; Completed
+	// counts vectors classified and delivered (Completed ≤ Accepted,
+	// equal once quiescent). Dropped counts vectors shed at the door by
+	// backpressure; Errors counts accepted vectors whose inference
 	// failed (e.g. wrong feature count).
 	Accepted, Completed, Dropped, Errors uint64
 	// PerClass tallies delivered predictions by class index.
 	PerClass []uint64
 	// Batches counts harvest sweeps (= micro-batches); FullFlushes are
-	// sweeps that collected at least BatchSize requests. DeadlineFlushes
+	// sweeps that collected at least BatchSize vectors. DeadlineFlushes
 	// are sweeps released by an expired hold deadline — always 0 under
 	// the default greedy policy, nonzero only when deadline batching is
 	// enabled through ServingConfig (max_delay_ns present and positive,
-	// or adaptive_flush). MeanBatch is the average sweep size.
+	// or adaptive_flush). MeanBatch is the average sweep size in vectors.
 	Batches, FullFlushes, DeadlineFlushes uint64
 	MeanBatch                             float64
 	// P50 and P99 are latency-quantile upper bounds from the log2
 	// histogram (zero until a sampled request completes): time from
 	// admission to delivered classification, batching wait included.
-	// The histogram is fed by every latSampleEvery-th request per shard.
+	// The histogram is fed by every latSampleEvery-th span per shard — a
+	// Classify vector or a shard's share of a ClassifyBatch.
 	P50, P99 time.Duration
 	// Throughput is delivered requests per second averaged over the
 	// deployment's uptime.
