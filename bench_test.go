@@ -586,9 +586,9 @@ func BenchmarkServeClassify(b *testing.B) {
 	m := ir.FromNN("ad", net, fixed.Q8_8)
 	svc := New(ServiceOptions{})
 	defer svc.Close()
-	dep, err := svc.DeployPipeline(
+	dep, err := svc.CreateEndpointPipeline("bench",
 		&Pipeline{Platform: "taurus", Apps: []AppResult{{Name: "ad", Algorithm: "dnn", Model: m}}},
-		DeployOptions{Shards: 1, BatchSize: 32, MaxDelay: -1},
+		EndpointOptions{Serving: ServingConfig{Shards: 1, BatchSize: 32, MaxDelayNS: new(int64)}},
 	)
 	if err != nil {
 		b.Fatal(err)
@@ -629,7 +629,7 @@ func BenchmarkServeClassify(b *testing.B) {
 	// Metrics must be reported after ResetTimer (which clears them) —
 	// CI's bench-compare job reads steady_allocs from the snapshot.
 	b.ReportMetric(steady, "steady_allocs")
-	st := dep.Stats()
+	st := dep.Stats().Merged
 	b.ReportMetric(st.MeanBatch, "mean_batch")
 }
 
@@ -652,7 +652,7 @@ func BenchmarkEndpointClassifyCanary(b *testing.B) {
 	svc := New(ServiceOptions{})
 	defer svc.Close()
 	pipe := &Pipeline{Platform: "taurus", Apps: []AppResult{{Name: "ad", Algorithm: "dnn", Model: m}}}
-	ep, err := svc.CreateEndpointPipeline("bench", pipe, EndpointOptions{Shards: 1, BatchSize: 32, MaxDelay: -1})
+	ep, err := svc.CreateEndpointPipeline("bench", pipe, EndpointOptions{Serving: ServingConfig{Shards: 1, BatchSize: 32, MaxDelayNS: new(int64)}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -705,9 +705,9 @@ func BenchmarkServeClassifyConcurrent(b *testing.B) {
 	m := ir.FromNN("ad", net, fixed.Q8_8)
 	svc := New(ServiceOptions{})
 	defer svc.Close()
-	dep, err := svc.DeployPipeline(
+	dep, err := svc.CreateEndpointPipeline("bench",
 		&Pipeline{Platform: "taurus", Apps: []AppResult{{Name: "ad", Algorithm: "dnn", Model: m}}},
-		DeployOptions{BatchSize: 32, MaxDelay: -1},
+		EndpointOptions{Serving: ServingConfig{BatchSize: 32, MaxDelayNS: new(int64)}},
 	)
 	if err != nil {
 		b.Fatal(err)
@@ -733,7 +733,7 @@ func BenchmarkServeClassifyConcurrent(b *testing.B) {
 	if classifyErr != nil {
 		b.Fatal(classifyErr)
 	}
-	st := dep.Stats()
+	st := dep.Stats().Merged
 	b.ReportMetric(st.MeanBatch, "mean_batch")
 	b.ReportMetric(float64(st.Dropped), "dropped")
 }
@@ -801,9 +801,9 @@ func BenchmarkServeClassifyBatch256(b *testing.B) {
 	m, xs := servedDNN(256)
 	svc := New(ServiceOptions{})
 	defer svc.Close()
-	dep, err := svc.DeployPipeline(
+	dep, err := svc.CreateEndpointPipeline("bench",
 		&Pipeline{Platform: "taurus", Apps: []AppResult{{Name: "served", Algorithm: "dnn", Model: m}}},
-		DeployOptions{},
+		EndpointOptions{},
 	)
 	if err != nil {
 		b.Fatal(err)
@@ -828,7 +828,7 @@ func BenchmarkServeClassifyBatch256(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(xs)), "per_vector_ns")
-	b.ReportMetric(dep.Stats().MeanBatch, "mean_batch")
+	b.ReportMetric(dep.Stats().Merged.MeanBatch, "mean_batch")
 }
 
 // BenchmarkServeClassifyFreshGoroutine measures Classify the way a
@@ -845,9 +845,9 @@ func BenchmarkServeClassifyFreshGoroutine(b *testing.B) {
 	m, xs := servedDNN(64)
 	svc := New(ServiceOptions{})
 	defer svc.Close()
-	dep, err := svc.DeployPipeline(
+	dep, err := svc.CreateEndpointPipeline("bench",
 		&Pipeline{Platform: "taurus", Apps: []AppResult{{Name: "served", Algorithm: "dnn", Model: m}}},
-		DeployOptions{Shards: 1, MaxDelay: -1},
+		EndpointOptions{Serving: ServingConfig{Shards: 1, MaxDelayNS: new(int64)}},
 	)
 	if err != nil {
 		b.Fatal(err)

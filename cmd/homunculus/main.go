@@ -37,9 +37,9 @@
 // completion, and the generated code lands in -out as usual; the
 // dataset must be a catalog name the daemon can resolve.
 //
-// -deploy promotes the freshly compiled pipeline into an in-process
-// deployment runtime (micro-batched, sharded quantized inference — see
-// docs/serving.md) and drives it with a replayed synthetic trace,
+// -deploy serves the freshly compiled pipeline behind an in-process
+// endpoint named "replay" (micro-batched, sharded quantized inference —
+// see docs/serving.md) and drives it with a replayed synthetic trace,
 // printing the achieved rate, latency quantiles, accuracy against the
 // trace's ground-truth labels, and a sha256 digest of the delivered
 // classifications (fixed-seed replays are byte-comparable across
@@ -60,13 +60,12 @@
 // spike inline before producers pile up. Burst digests are
 // timing-dependent and not byte-comparable.
 //
-// -endpoint NAME serves the pipeline behind a named endpoint instead of
-// a flat deployment and unlocks the lifecycle flags: -rollout recompiles
-// the spec mid-replay (search seed+1) and rolls the result out as
-// revision 2 — a -canary N percent traffic slice (deterministic
-// splitmix split; 0 deploys it warm without traffic) or a -shadow
-// mirror (scored off the record, divergence report printed) — and
-// -promote / -rollback complete or revert the rollout at the
+// -endpoint NAME names the endpoint and unlocks the lifecycle flags:
+// -rollout recompiles the spec mid-replay (search seed+1) and rolls the
+// result out as revision 2 — a -canary N percent traffic slice
+// (deterministic splitmix split; 0 deploys it warm without traffic) or a
+// -shadow mirror (scored off the record, divergence report printed) —
+// and -promote / -rollback complete or revert the rollout at the
 // three-quarter mark. The final report breaks stats down per revision.
 //
 // -replay and -serve trap SIGINT/SIGTERM and drain gracefully: the
@@ -169,8 +168,8 @@ type SearchSpec struct {
 var showProgress bool
 
 // replaySettings mirrors the -deploy/-replay/-endpoint flag group: when
-// enabled, the compiled pipeline is served in-process (flat deployment
-// or named endpoint) and driven with a replayed synthetic trace.
+// enabled, the compiled pipeline is served in-process behind an endpoint
+// and driven with a replayed synthetic trace.
 type replaySettings struct {
 	deploy  bool
 	samples int
@@ -243,7 +242,7 @@ func main() {
 	replay := flag.Int("replay", 0, "replay this many trace samples through the deployment (implies -deploy; 0 = one pass over the natural trace)")
 	clients := flag.Int("clients", 0, "concurrent replay clients (default GOMAXPROCS)")
 	batch := flag.Int("batch", 0, "deployment micro-batch flush threshold (default 64)")
-	batchDelay := flag.Duration("batch-delay", 0, "deployment micro-batch flush deadline (default 500µs; negative = greedy)")
+	batchDelay := flag.Duration("batch-delay", 0, "hold partial micro-batches up to this long (unset = greedy flush, 500µs bound under -adaptive; negative = always greedy)")
 	shards := flag.Int("shards", 0, "deployment inference shards (default GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "deployment ring depth; requests beyond it shed (default 1024)")
 	adaptive := flag.Bool("adaptive", false, "enable the adaptive arrival-rate flush predictor on the replay deployment (requires a positive -batch-delay bound; default 500µs)")
@@ -713,8 +712,8 @@ func compilePipeline(ctx context.Context, spec Spec, loader alchemy.DataLoader, 
 type replayReport struct {
 	digest      string
 	result      serve.ReplayResult
-	final       homunculus.DeploymentStats // merged, post-drain
-	endpoint    *homunculus.EndpointStats  // nil for the flat path
+	final       homunculus.ServingStats // merged, post-drain
+	endpoint    *homunculus.EndpointStats
 	interrupted bool
 }
 
@@ -743,6 +742,9 @@ func addResult(agg *serve.ReplayResult, res serve.ReplayResult) {
 	agg.Elapsed += res.Elapsed
 	if agg.Elapsed > 0 {
 		agg.Rate = float64(agg.Delivered) / agg.Elapsed.Seconds()
+		if res.OfferedRate > 0 { // burst-paced segments
+			agg.OfferedRate = float64(agg.Issued) / agg.Elapsed.Seconds()
+		}
 	}
 	if agg.Delivered > 0 {
 		agg.Accuracy = float64(agg.Correct) / float64(agg.Delivered)
@@ -797,36 +799,27 @@ func calibrateBurstRate(c serve.Classifier, xs [][]float64) float64 {
 	return rate
 }
 
-// replayEndpointOptions renders the replay flag knobs as endpoint
-// options — through the canonical ServingConfig when -adaptive asks
-// for the arrival predictor, through the legacy flat spellings
-// otherwise (preserving the default greedy flush the byte-identity
-// digests are pinned to).
+// replayEndpointOptions renders the replay flag knobs as one
+// ServingConfig. max_delay_ns is present iff -batch-delay was given, so
+// the default stays the greedy flush the byte-identity digests are
+// pinned to and a positive -batch-delay holds partial batches up to it.
 func replayEndpointOptions() homunculus.EndpointOptions {
-	if !replayCfg.adaptive {
-		return homunculus.EndpointOptions{
-			Shards:     replayCfg.shards,
-			BatchSize:  replayCfg.batch,
-			MaxDelay:   replayCfg.delay,
-			QueueDepth: replayCfg.queue,
-		}
-	}
-	delay := int64(replayCfg.delay)
-	if delay <= 0 {
-		delay = int64(500 * time.Microsecond)
-	}
-	return homunculus.EndpointOptions{Serving: &homunculus.ServingConfig{
+	cfg := homunculus.ServingConfig{
 		Shards:        replayCfg.shards,
 		BatchSize:     replayCfg.batch,
-		MaxDelayNS:    &delay,
 		QueueDepth:    replayCfg.queue,
-		AdaptiveFlush: true,
-	}}
+		AdaptiveFlush: replayCfg.adaptive,
+	}
+	if replayCfg.delay != 0 {
+		delay := int64(replayCfg.delay)
+		cfg.MaxDelayNS = &delay
+	}
+	return homunculus.EndpointOptions{Serving: cfg}
 }
 
-// runReplay serves the compiled pipeline in-process — behind a named
-// endpoint when -endpoint is set, a flat deployment otherwise — and
-// drives it with the replayed trace (docs/serving.md).
+// runReplay serves the compiled pipeline in-process behind a named
+// endpoint — "replay" unless -endpoint names it — and drives it with the
+// replayed trace (docs/serving.md).
 func runReplay(ctx context.Context, spec Spec, loader alchemy.DataLoader, pipe *homunculus.Pipeline, search core.SearchConfig) error {
 	burstRate = 0
 	xs, labels, err := buildTrace(spec, loader, replayCfg.samples)
@@ -839,47 +832,7 @@ func runReplay(ctx context.Context, spec Spec, loader alchemy.DataLoader, pipe *
 	}
 	svc := homunculus.New(homunculus.ServiceOptions{})
 	defer svc.Close()
-	if replayCfg.endpoint != "" {
-		return runEndpointReplay(ctx, svc, spec, loader, pipe, search, xs, labels, clients)
-	}
-	return runFlatReplay(ctx, svc, pipe, xs, labels, clients)
-}
-
-// runFlatReplay is the single-revision path. It used to go through the
-// deprecated Service.Deploy; it now serves the same runtime behind an
-// anonymous single-revision endpoint (named after the replay itself),
-// keeping the flat report shape — lastReplayReport.endpoint stays nil —
-// so the byte-identity tests keep comparing the two serving paths.
-func runFlatReplay(ctx context.Context, svc *homunculus.Service, pipe *homunculus.Pipeline, xs [][]float64, labels []int, clients int) error {
-	ep, err := svc.CreateEndpointPipeline("replay", pipe, replayEndpointOptions())
-	if err != nil {
-		return err
-	}
-	cfg := ep.Config()
-	fmt.Printf("deployment %q: platform=%s algorithm=%s shards=%d batch=%d delay=%v queue=%d clients=%d\n",
-		ep.Name(), ep.Platform(), ep.Model().Kind, cfg.Shards, cfg.BatchSize, cfg.MaxDelay, cfg.QueueDepth, clients)
-	record := newRecord(len(xs))
-	res, err := replaySegment(ctx, ep, xs, labels, clients, record)
-	if err != nil {
-		return err
-	}
-	interrupted := ctx.Err() != nil
-	if interrupted {
-		fmt.Printf("interrupted after %d/%d samples; draining accepted requests\n", res.Issued, res.Requests)
-	}
-	printReplaySummary(res, ep.Stats().Merged)
-	digest := classesDigest(record)
-	fmt.Printf("classes digest: sha256:%s\n", digest)
-	final, err := svc.DeleteEndpoint(ep.Name())
-	if err != nil {
-		return err
-	}
-	fmt.Printf("final: accepted=%d completed=%d dropped=%d errors=%d\n",
-		final.Merged.Accepted, final.Merged.Completed, final.Merged.Dropped, final.Merged.Errors)
-	lastReplayReport = &replayReport{
-		digest: digest, result: res, final: final.Merged, interrupted: interrupted,
-	}
-	return nil
+	return runEndpointReplay(ctx, svc, spec, loader, pipe, search, xs, labels, clients)
 }
 
 // runEndpointReplay serves behind a named endpoint and optionally drives
@@ -888,11 +841,11 @@ func runFlatReplay(ctx context.Context, svc *homunculus.Service, pipe *homunculu
 // the third quarter runs the split, -promote/-rollback fire at the
 // three-quarter mark, and the final quarter runs the settled route.
 func runEndpointReplay(ctx context.Context, svc *homunculus.Service, spec Spec, loader alchemy.DataLoader, pipe *homunculus.Pipeline, search core.SearchConfig, xs [][]float64, labels []int, clients int) error {
-	ep, err := svc.CreateEndpointPipeline(replayCfg.endpoint, pipe, replayEndpointOptions())
+	ep, err := svc.CreateEndpointPipeline(orDefault(replayCfg.endpoint, "replay"), pipe, replayEndpointOptions())
 	if err != nil {
 		return err
 	}
-	cfg := ep.Config()
+	cfg := ep.ServingConfig().Options()
 	fmt.Printf("endpoint %q rev 1: platform=%s algorithm=%s shards=%d batch=%d delay=%v queue=%d clients=%d\n",
 		ep.Name(), ep.Platform(), ep.Model().Kind, cfg.Shards, cfg.BatchSize, cfg.MaxDelay, cfg.QueueDepth, clients)
 
@@ -1013,7 +966,7 @@ func newRecord(n int) []int {
 }
 
 // printReplaySummary renders the replay aggregate and serving metrics.
-func printReplaySummary(res serve.ReplayResult, st homunculus.DeploymentStats) {
+func printReplaySummary(res serve.ReplayResult, st homunculus.ServingStats) {
 	fmt.Printf("replayed %d samples in %v: %.0f req/s, accuracy %.4f (delivered %d, dropped %d, errors %d)\n",
 		res.Requests, res.Elapsed.Round(time.Microsecond), res.Rate, res.Accuracy,
 		res.Delivered, res.Dropped, res.Errors)

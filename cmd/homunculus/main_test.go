@@ -202,7 +202,7 @@ func TestBuildLoaderValidation(t *testing.T) {
 // TestRunDeployReplay drives the -deploy/-replay leg: compile the AD
 // spec, deploy it in-process, and replay a cycled test-split trace.
 func TestRunDeployReplay(t *testing.T) {
-	replayCfg = replaySettings{deploy: true, samples: 500, clients: 4, batch: 16, delay: time.Millisecond}
+	replayCfg = replaySettings{deploy: true, samples: 500, clients: 4, batch: 16}
 	defer func() { replayCfg = replaySettings{} }()
 	if err := run(context.Background(), "testdata/ad.json", t.TempDir(), "", 0); err != nil {
 		t.Fatal(err)
@@ -216,7 +216,7 @@ func TestRunDeployReplay(t *testing.T) {
 func TestRunDeployBurstReplay(t *testing.T) {
 	replayCfg = replaySettings{
 		deploy: true, samples: 500, clients: 8, batch: 16,
-		delay: time.Millisecond, queue: 2, burst: true,
+		queue: 2, burst: true,
 	}
 	defer func() { replayCfg = replaySettings{}; lastReplayReport = nil }()
 	if err := run(context.Background(), "testdata/ad.json", t.TempDir(), "", 0); err != nil {
@@ -239,19 +239,19 @@ func TestRunDeployBurstReplay(t *testing.T) {
 }
 
 // TestRunEndpointCanaryZeroByteIdentical is the acceptance criterion: a
-// fixed-seed replay served through a named endpoint — even with a live
-// 0%-canary rollout sitting in the table — must produce byte-identical
-// classifications to the PR4 flat deployment path, with nothing dropped.
+// fixed-seed replay served with a live 0%-canary rollout sitting in the
+// endpoint's table must produce byte-identical classifications to the
+// plain -deploy replay (no rollout), with nothing dropped.
 func TestRunEndpointCanaryZeroByteIdentical(t *testing.T) {
 	defer func() { replayCfg = replaySettings{}; lastReplayReport = nil }()
 
-	// Flat deployment replay (the PR4 path).
-	replayCfg = replaySettings{deploy: true, samples: 400, clients: 4, batch: 16, delay: time.Millisecond}
+	// Plain -deploy replay: the endpoint named "replay", no rollout.
+	replayCfg = replaySettings{deploy: true, samples: 400, clients: 4, batch: 16}
 	if err := run(context.Background(), "testdata/ad.json", t.TempDir(), "", 0); err != nil {
 		t.Fatal(err)
 	}
 	flat := lastReplayReport
-	if flat == nil || flat.digest == "" || flat.endpoint != nil {
+	if flat == nil || flat.digest == "" || flat.endpoint == nil || flat.endpoint.Name != "replay" || len(flat.endpoint.Revisions) != 1 {
 		t.Fatalf("flat replay report: %+v", flat)
 	}
 	if flat.result.Dropped != 0 || flat.final.Accepted != flat.final.Completed {
@@ -261,7 +261,7 @@ func TestRunEndpointCanaryZeroByteIdentical(t *testing.T) {
 	// The same spec through an endpoint with a mid-replay 0% canary
 	// rollout (recompiled at seed+1, routed no traffic).
 	replayCfg = replaySettings{
-		deploy: true, samples: 400, clients: 4, batch: 16, delay: time.Millisecond,
+		deploy: true, samples: 400, clients: 4, batch: 16,
 		endpoint: "ad", rollout: true, canary: 0,
 	}
 	if err := run(context.Background(), "testdata/ad.json", t.TempDir(), "", 0); err != nil {
@@ -291,7 +291,7 @@ func TestRunEndpointCanaryZeroByteIdentical(t *testing.T) {
 func TestRunEndpointPromoteMidReplay(t *testing.T) {
 	defer func() { replayCfg = replaySettings{}; lastReplayReport = nil }()
 	replayCfg = replaySettings{
-		deploy: true, samples: 400, clients: 4, batch: 16, delay: time.Millisecond,
+		deploy: true, samples: 400, clients: 4, batch: 16,
 		endpoint: "ad", rollout: true, canary: 25, promote: true,
 	}
 	if err := run(context.Background(), "testdata/ad.json", t.TempDir(), "", 0); err != nil {
@@ -322,7 +322,7 @@ func TestRunEndpointPromoteMidReplay(t *testing.T) {
 func TestRunEndpointShadowReplay(t *testing.T) {
 	defer func() { replayCfg = replaySettings{}; lastReplayReport = nil }()
 	replayCfg = replaySettings{
-		deploy: true, samples: 400, clients: 4, batch: 16, delay: time.Millisecond,
+		deploy: true, samples: 400, clients: 4, batch: 16,
 		endpoint: "ad", rollout: true, shadow: true,
 	}
 	if err := run(context.Background(), "testdata/ad.json", t.TempDir(), "", 0); err != nil {

@@ -78,7 +78,7 @@ func TestRunTuneBadSLO(t *testing.T) {
 // default greedy path.
 func TestRunReplayAdaptiveByteIdentical(t *testing.T) {
 	defer resetTune()
-	replayCfg = replaySettings{deploy: true, samples: 400, clients: 4, batch: 16, delay: time.Millisecond}
+	replayCfg = replaySettings{deploy: true, samples: 400, clients: 4, batch: 16}
 	if err := run(context.Background(), "testdata/ad.json", t.TempDir(), "", 0); err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestRunReplayAdaptiveByteIdentical(t *testing.T) {
 		t.Fatalf("baseline replay report: %+v", base)
 	}
 
-	replayCfg.adaptive = true
+	replayCfg.adaptive, replayCfg.delay = true, time.Millisecond
 	if err := run(context.Background(), "testdata/ad.json", t.TempDir(), "", 0); err != nil {
 		t.Fatal(err)
 	}
@@ -97,6 +97,30 @@ func TestRunReplayAdaptiveByteIdentical(t *testing.T) {
 	}
 	if adaptive.result.Dropped != 0 || adaptive.final.Accepted != adaptive.final.Completed {
 		t.Fatalf("adaptive replay dropped traffic: %+v", adaptive.final)
+	}
+}
+
+// TestReplayEndpointOptions: the replay flags build one ServingConfig,
+// with max_delay_ns present iff -batch-delay was given — so the default
+// replay is greedy and a positive -batch-delay holds, -adaptive or not.
+func TestReplayEndpointOptions(t *testing.T) {
+	defer resetTune()
+	for _, tc := range []struct {
+		in   replaySettings
+		want string
+	}{
+		{replaySettings{}, `{"version":1}`},
+		{replaySettings{shards: 2, batch: 16, queue: 64}, `{"version":1,"shards":2,"batch_size":16,"queue_depth":64}`},
+		{replaySettings{delay: time.Millisecond}, `{"version":1,"max_delay_ns":1000000}`},
+		{replaySettings{delay: -1}, `{"version":1,"max_delay_ns":-1}`},
+		{replaySettings{adaptive: true}, `{"version":1,"adaptive_flush":true}`},
+		{replaySettings{adaptive: true, delay: time.Millisecond}, `{"version":1,"max_delay_ns":1000000,"adaptive_flush":true}`},
+	} {
+		replayCfg = tc.in
+		got, err := replayEndpointOptions().Serving.Canonical()
+		if err != nil || string(got) != tc.want {
+			t.Fatalf("%+v: config %s (%v), want %s", tc.in, got, err, tc.want)
+		}
 	}
 }
 

@@ -173,12 +173,12 @@ func TestClusterThreeNodeDifferential(t *testing.T) {
 	// traffic, merged from any node equals the per-node sum.
 	var ep httpapi.EndpointJSON
 	if err := a.client.Post(ctx, "/v1/endpoints", httpapi.EndpointRequest{
-		Name: "clf", JobID: jobA.ID, BatchSize: 8, MaxDelayUS: 1000,
+		Name: "clf", JobID: jobA.ID, Serving: homunculus.ServingConfig{BatchSize: 8},
 	}, &ep); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.client.Post(ctx, "/v1/endpoints", httpapi.EndpointRequest{
-		Name: "clf", JobID: jobB.ID, BatchSize: 8, MaxDelayUS: 1000,
+		Name: "clf", JobID: jobB.ID, Serving: homunculus.ServingConfig{BatchSize: 8},
 	}, &ep); err != nil {
 		t.Fatal(err)
 	}

@@ -244,12 +244,12 @@ func TestCrashMidRolloutRecovers(t *testing.T) {
 
 	var ep httpapi.EndpointJSON
 	if err := d.client.Post(ctx, "/v1/endpoints", httpapi.EndpointRequest{
-		Name: "ad", JobID: ids[0], BatchSize: 8, MaxDelayUS: 1000,
+		Name: "ad", JobID: ids[0], Serving: homunculus.ServingConfig{BatchSize: 8},
 	}, &ep); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.client.Post(ctx, "/v1/endpoints/ad/rollout", httpapi.RolloutRequest{
-		JobID: ids[1], CanaryPercent: 50, BatchSize: 8, MaxDelayUS: 1000,
+		JobID: ids[1], CanaryPercent: 50, Serving: homunculus.ServingConfig{BatchSize: 8},
 	}, &ep); err != nil {
 		t.Fatal(err)
 	}

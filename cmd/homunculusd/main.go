@@ -28,19 +28,18 @@
 //
 // Endpoints: POST /v1/jobs, GET /v1/jobs, GET /v1/jobs/{id},
 // GET /v1/jobs/{id}/events (SSE), DELETE /v1/jobs/{id},
-// GET /v1/backends, GET /v1/healthz. Finished jobs can be promoted to
-// live inference servers through POST /v1/deployments, classified in
-// batches via POST /v1/deployments/{id}/classify, observed at
-// GET /v1/deployments/{id}/stats, and drained with DELETE
-// (docs/serving.md). The versioned serving surface lives under
-// /v1/endpoints: named routes whose revisions roll out gradually
-// (POST {name}/rollout with a canary percent or shadow mirror), get
-// promoted or rolled back atomically (POST {name}/promote|rollback),
-// and report per-revision stats plus shadow divergence
-// (GET {name}/stats, ?scope=cluster for the cross-node merge). The
-// bundled synthetic dataset generators ("nslkdd", "iottc", "botnet")
-// are pre-registered in the dataset catalog; embed the daemon to
-// register custom loaders with alchemy.RegisterLoader.
+// GET /v1/backends, GET /v1/healthz. Finished jobs are promoted to live
+// inference servers under /v1/endpoints (docs/serving.md): POST creates
+// a named route (its "serving" document carries every runtime knob),
+// POST {name}/classify serves batches, and DELETE drains. Revisions roll
+// out gradually (POST {name}/rollout with a canary percent or shadow
+// mirror), get promoted or rolled back atomically
+// (POST {name}/promote|rollback), and report per-revision stats plus
+// shadow divergence (GET {name}/stats, ?scope=cluster for the
+// cross-node merge). The bundled synthetic dataset generators
+// ("nslkdd", "iottc", "botnet") are pre-registered in the dataset
+// catalog; embed the daemon to register custom loaders with
+// alchemy.RegisterLoader.
 //
 // SIGINT/SIGTERM shut down gracefully: HTTP drains, running
 // compilations finish, queued jobs fail with ErrServiceClosed

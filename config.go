@@ -1,16 +1,16 @@
 package homunculus
 
 // The canonical serving-config surface: ServingConfig is the one
-// artifact that names every serving knob — replacing the flat fields
-// scattered across DeployOptions, the wire JSON and the CLI flags —
-// and the unit the tuner emits, the manifest persists, and
-// `PUT /v1/endpoints/{name}/config` applies. See docs/tuning.md.
+// declaration of the serving knobs — what EndpointOptions and
+// RolloutOptions carry, the wire JSON and the CLI flags build, the tuner
+// emits, the manifest persists, and `PUT /v1/endpoints/{name}/config`
+// applies. Every way in validates it before serve.Options are resolved
+// from it. See docs/tuning.md.
 
 import (
 	"fmt"
 
 	"repro/internal/serve"
-	"repro/internal/store"
 )
 
 // ServingConfig is the canonical, versioned serving configuration
@@ -29,85 +29,13 @@ func ParseServingConfig(data []byte) (ServingConfig, error) {
 	return serve.ParseConfig(data)
 }
 
-// servingOptions resolves a deploy/create request's runtime bounds:
-// the canonical Serving config wins wholesale when present (the flat
-// legacy knobs are ignored); otherwise the flat knobs apply with their
-// historical zero-means-default semantics.
-func servingOptions(o DeployOptions) (serve.Options, error) {
-	if o.Serving != nil {
-		if err := o.Serving.Validate(); err != nil {
-			return serve.Options{}, err
-		}
-		return o.Serving.Options(), nil
-	}
-	return serve.Options{
-		Shards:        o.Shards,
-		BatchSize:     o.BatchSize,
-		MaxDelay:      o.MaxDelay,
-		QueueDepth:    o.QueueDepth,
-		RetainRetired: o.RetainRetired,
-	}, nil
-}
-
-// validateRollouts resolves the rollout-validation gate of a request.
-func validateRollouts(o DeployOptions) bool {
-	return o.ValidateRollouts || (o.Serving != nil && o.Serving.ValidateRollouts)
-}
-
-// servingRecord persists the requested bounds (zero fields stay zero —
-// defaults are re-derived on restore).
-func servingRecord(o DeployOptions) store.OptionsRecord {
-	if o.Serving == nil {
-		r := optionsRecord(o)
-		return r
-	}
-	return configRecord(*o.Serving)
-}
-
-// configRecord renders a canonical config in its persisted form.
-func configRecord(c ServingConfig) store.OptionsRecord {
-	r := store.OptionsRecord{
-		Shards:           c.Shards,
-		BatchSize:        c.BatchSize,
-		QueueDepth:       c.QueueDepth,
-		RetainRetired:    c.RetainRetired,
-		AdaptiveFlush:    c.AdaptiveFlush,
-		ValidateRollouts: c.ValidateRollouts,
-	}
-	if c.MaxDelayNS != nil {
-		r.MaxDelayNS = *c.MaxDelayNS
-		r.MaxDelaySet = true
-	}
-	return r
-}
-
-// recordConfig is the inverse of configRecord, for per-revision
-// config readback.
-func recordConfig(r store.OptionsRecord) ServingConfig {
-	c := ServingConfig{
-		Version:          serve.ConfigVersion,
-		Shards:           r.Shards,
-		BatchSize:        r.BatchSize,
-		QueueDepth:       r.QueueDepth,
-		RetainRetired:    r.RetainRetired,
-		AdaptiveFlush:    r.AdaptiveFlush,
-		ValidateRollouts: r.ValidateRollouts,
-	}
-	if r.MaxDelaySet || r.MaxDelayNS != 0 {
-		ns := r.MaxDelayNS
-		c.MaxDelayNS = &ns
-	}
-	return c
-}
-
 // ServingConfig returns the endpoint's live effective configuration —
 // every field resolved, suitable for GET /v1/endpoints/{name}/config
 // and as the base document to edit and re-apply.
 func (e *Endpoint) ServingConfig() ServingConfig {
 	c := serve.ConfigFromOptions(e.ep.Options())
-	c.Version = serve.ConfigVersion
 	e.mu.Lock()
-	c.ValidateRollouts = e.validate
+	c.ValidateRollouts = e.cfg.ValidateRollouts
 	e.mu.Unlock()
 	return c
 }
@@ -119,7 +47,7 @@ func (e *Endpoint) RevisionConfigs() map[int]ServingConfig {
 	defer e.mu.Unlock()
 	out := make(map[int]ServingConfig, len(e.meta))
 	for id, m := range e.meta {
-		out[id] = recordConfig(m.opts)
+		out[id] = m.cfg
 	}
 	return out
 }
@@ -145,11 +73,9 @@ func (e *Endpoint) ApplyConfig(cfg ServingConfig) (RevisionInfo, error) {
 	if err != nil {
 		return RevisionInfo{}, fmt.Errorf("homunculus: apply config on %s: %w", e.name, err)
 	}
-	rec := configRecord(cfg)
 	e.mu.Lock()
-	e.meta[rev.ID] = revisionMeta{jobID: prev.jobID, app: prev.app, specHash: prev.specHash, opts: rec}
-	e.reqOpts = rec
-	e.validate = cfg.ValidateRollouts
+	e.meta[rev.ID] = revisionMeta{jobID: prev.jobID, app: prev.app, specHash: prev.specHash, cfg: cfg}
+	e.cfg = cfg
 	e.mu.Unlock()
 	e.svc.persistEndpoints()
 	return RevisionInfo{

@@ -1,7 +1,7 @@
 package homunculus
 
-// Tests for the canonical ServingConfig surface of the Go API: deploy
-// and endpoint creation through DeployOptions.Serving, the
+// Tests for the canonical ServingConfig surface of the Go API: endpoint
+// creation through EndpointOptions.Serving, the
 // GET-edit-PUT-equivalent ApplyConfig path, validation failure shapes,
 // durable persistence of presence-aware fields (explicit greedy flush,
 // adaptive flush) across restart, and the Service-level tuner.
@@ -23,7 +23,7 @@ func TestServingConfigEndpointLifecycle(t *testing.T) {
 
 	zero := int64(0)
 	ep, err := svc.CreateEndpoint("cfg", job1.ID(), EndpointOptions{
-		Serving: &ServingConfig{BatchSize: 8, MaxDelayNS: &zero},
+		Serving: ServingConfig{BatchSize: 8, MaxDelayNS: &zero},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -82,10 +82,11 @@ func TestServingConfigEndpointLifecycle(t *testing.T) {
 }
 
 // TestServingConfigValidationOnCreate: invalid Serving documents are
-// rejected up front on both the deploy and endpoint-create paths.
+// rejected up front on the create and rollout paths, and there is no
+// spelling that gets an out-of-range value past Validate.
 func TestServingConfigValidationOnCreate(t *testing.T) {
 	svc, job1, _ := endpointService(t)
-	bad := &ServingConfig{Version: 7, QueueDepth: -3}
+	bad := ServingConfig{Version: 7, QueueDepth: -3}
 
 	_, err := svc.CreateEndpoint("bad-cfg", job1.ID(), EndpointOptions{Serving: bad})
 	var ce *ServingConfigError
@@ -100,8 +101,28 @@ func TestServingConfigValidationOnCreate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.DeployPipeline(pipe, DeployOptions{Serving: bad}); !errors.As(err, &ce) {
-		t.Fatalf("deploy with bad config: %v", err)
+	if _, err := svc.CreateEndpointPipeline("bad-cfg", pipe, EndpointOptions{Serving: bad}); !errors.As(err, &ce) {
+		t.Fatalf("create from a pipeline with bad config: %v", err)
+	}
+
+	// The same out-of-range value draws the same error text from every
+	// Go-API way in.
+	wide := ServingConfig{Shards: 300}
+	want := wide.Validate().Error()
+	_, cerr := svc.CreateEndpoint("wide", job1.ID(), EndpointOptions{Serving: wide})
+	ep, err := svc.CreateEndpoint("ok", job1.ID(), EndpointOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rerr := ep.Rollout(job1.ID(), RolloutOptions{Serving: wide})
+	_, aerr := ep.ApplyConfig(wide)
+	for way, err := range map[string]error{"create": cerr, "rollout": rerr, "apply": aerr} {
+		if !errors.As(err, &ce) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s with shards 300: %v, want %q", way, err, want)
+		}
+	}
+	if _, ok := svc.Endpoint("wide"); ok {
+		t.Fatal("a refused config must not create an endpoint")
 	}
 }
 
@@ -116,13 +137,13 @@ func TestServingConfigDurableRestart(t *testing.T) {
 
 	zero := int64(0)
 	if _, err := svc.CreateEndpoint("greedy-ep", job.ID(), EndpointOptions{
-		Serving: &ServingConfig{BatchSize: 8, MaxDelayNS: &zero},
+		Serving: ServingConfig{BatchSize: 8, MaxDelayNS: &zero},
 	}); err != nil {
 		t.Fatal(err)
 	}
 	delay := int64(300 * time.Microsecond)
 	ep, err := svc.CreateEndpoint("adaptive-ep", job.ID(), EndpointOptions{
-		Serving: &ServingConfig{BatchSize: 16, MaxDelayNS: &delay, AdaptiveFlush: true},
+		Serving: ServingConfig{BatchSize: 16, MaxDelayNS: &delay, AdaptiveFlush: true},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -20,6 +20,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -211,17 +212,38 @@ func (s *Service) endpointArtifact(pipe *Pipeline, jobID string) string {
 	return key
 }
 
-// serveOptions converts persisted runtime bounds back to serve.Options.
-func serveOptions(r store.OptionsRecord) serve.Options {
-	return serve.Options{
-		Shards:        r.Shards,
-		BatchSize:     r.BatchSize,
-		MaxDelay:      time.Duration(r.MaxDelayNS),
-		MaxDelaySet:   r.MaxDelaySet,
-		AdaptiveFlush: r.AdaptiveFlush,
-		QueueDepth:    r.QueueDepth,
-		RetainRetired: r.RetainRetired,
+// configDocument renders a serving config as its manifest document.
+func configDocument(c ServingConfig) json.RawMessage {
+	raw, _ := c.Canonical() // cannot fail: every stored config passed Validate
+	return raw
+}
+
+// parseConfigDocument reads a manifest config document back, validated —
+// the disk is as untrusted as the wire. A version-1 manifest spelled the
+// knobs flat, with max_delay_set beside max_delay_ns: the same keys
+// otherwise, so the record decodes as a ServingConfig and only the delay
+// is translated, to what the version-1 service actually ran. A positive
+// delay without max_delay_set came from the flat option, which never
+// engaged a hold, and reads back absent.
+func parseConfigDocument(raw json.RawMessage, manifestVersion int) (ServingConfig, error) {
+	if manifestVersion != 1 {
+		return ParseServingConfig(raw)
 	}
+	var v1 struct {
+		ServingConfig
+		MaxDelaySet bool `json:"max_delay_set"`
+	}
+	if err := json.Unmarshal(raw, &v1); err != nil {
+		return ServingConfig{}, fmt.Errorf("parse version-1 options: %w", err)
+	}
+	c := v1.ServingConfig
+	switch {
+	case v1.MaxDelaySet && c.MaxDelayNS == nil:
+		c.MaxDelayNS = new(int64)
+	case !v1.MaxDelaySet && c.MaxDelayNS != nil && *c.MaxDelayNS > 0:
+		c.MaxDelayNS = nil
+	}
+	return c, c.Validate()
 }
 
 // persistEndpoints rewrites the endpoint manifest from the live table.
@@ -257,18 +279,18 @@ func (e *Endpoint) record() store.EndpointRecord {
 		Name:            e.name,
 		Platform:        e.platform,
 		CreatedUnixNano: e.created.UnixNano(),
-		Options:         e.reqOpts,
 	}
 	rec.Stable, rec.Canary, rec.CanaryPercent, rec.Shadow = e.ep.View()
 	rows := e.ep.RevisionInfos()
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	rec.Options = configDocument(e.cfg)
 	for _, r := range rows {
 		m := e.meta[r.ID]
 		rec.Revisions = append(rec.Revisions, store.RevisionRecord{
 			ID: r.ID, JobID: m.jobID, App: m.app, SpecHash: m.specHash,
 			State: string(r.State), CanaryPercent: r.CanaryPercent,
-			CreatedUnixNano: r.Created.UnixNano(), Options: m.opts,
+			CreatedUnixNano: r.Created.UnixNano(), Options: configDocument(m.cfg),
 		})
 	}
 	return rec
@@ -367,7 +389,7 @@ func (s *Service) recover(dir string, fs store.FS) error {
 		s.storeErr(fmt.Errorf("endpoint manifest: %w", merr))
 	} else {
 		for _, rec := range m.Endpoints {
-			if rerr := s.restoreEndpoint(rec); rerr != nil {
+			if rerr := s.restoreEndpoint(rec, m.Version); rerr != nil {
 				s.storeErr(fmt.Errorf("restore endpoint %q: %w", rec.Name, rerr))
 				s.recovery.EndpointsSkipped = append(s.recovery.EndpointsSkipped, rec.Name)
 				continue
@@ -427,11 +449,20 @@ func (s *Service) resubmitRecovered(id string, p *alchemy.Platform, cfg core.Sea
 }
 
 // restoreEndpoint rebuilds one named endpoint from its manifest record,
-// loading each revision's model out of the artifact store.
-func (s *Service) restoreEndpoint(rec store.EndpointRecord) error {
+// loading each revision's model out of the artifact store. Every config
+// document is validated before anything is built from it.
+func (s *Service) restoreEndpoint(rec store.EndpointRecord, manifestVersion int) error {
+	cfg, err := parseConfigDocument(rec.Options, manifestVersion)
+	if err != nil {
+		return err
+	}
 	revs := make([]serve.RestoreRevision, 0, len(rec.Revisions))
 	meta := make(map[int]revisionMeta, len(rec.Revisions))
 	for _, rr := range rec.Revisions {
+		rcfg, err := parseConfigDocument(rr.Options, manifestVersion)
+		if err != nil {
+			return fmt.Errorf("revision %d: %w", rr.ID, err)
+		}
 		state := serve.RevisionState(rr.State)
 		model := s.revisionModel(rr)
 		if model == nil && (state == serve.RevCanary || state == serve.RevShadow) {
@@ -442,13 +473,13 @@ func (s *Service) restoreEndpoint(rec store.EndpointRecord) error {
 			state = serve.RevRetired
 		}
 		revs = append(revs, serve.RestoreRevision{
-			ID: rr.ID, Model: model, Opts: serveOptions(rr.Options),
+			ID: rr.ID, Model: model, Opts: rcfg.Options(),
 			State: state, CanaryPercent: rr.CanaryPercent,
 			Created: time.Unix(0, rr.CreatedUnixNano),
 		})
-		meta[rr.ID] = revisionMeta{jobID: rr.JobID, app: rr.App, specHash: rr.SpecHash, opts: rr.Options}
+		meta[rr.ID] = revisionMeta{jobID: rr.JobID, app: rr.App, specHash: rr.SpecHash, cfg: rcfg}
 	}
-	sep, err := serve.RestoreEndpoint(rec.Name, serveOptions(rec.Options), revs)
+	sep, err := serve.RestoreEndpoint(rec.Name, cfg.Options(), revs)
 	if err != nil {
 		return err
 	}
@@ -458,8 +489,7 @@ func (s *Service) restoreEndpoint(rec store.EndpointRecord) error {
 		created:  time.Unix(0, rec.CreatedUnixNano),
 		svc:      s,
 		ep:       sep,
-		validate: rec.Options.ValidateRollouts,
-		reqOpts:  rec.Options,
+		cfg:      cfg,
 		meta:     meta,
 	}
 	s.mu.Lock()

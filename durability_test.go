@@ -10,8 +10,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -208,7 +210,7 @@ func TestDurableEndpointSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	svc := mustOpen(t, dir, nil)
 	job, _ := runJob(t, svc)
-	ep, err := svc.CreateEndpoint("detector", job.ID(), EndpointOptions{BatchSize: 8, MaxDelay: -1})
+	ep, err := svc.CreateEndpoint("detector", job.ID(), EndpointOptions{Serving: ServingConfig{BatchSize: 8, MaxDelayNS: new(int64)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,11 +264,116 @@ func TestDurableEndpointSurvivesRestart(t *testing.T) {
 	}
 }
 
+// seedManifest compiles one job into a fresh state dir, closes the
+// service, and writes manifest (its SPEC_HASH placeholders replaced by
+// the job's artifact key) as the dir's endpoints.json.
+func seedManifest(t *testing.T, manifest []byte) string {
+	t.Helper()
+	dir := t.TempDir()
+	svc := mustOpen(t, dir, nil)
+	job, _ := runJob(t, svc)
+	hash := job.Status().SpecHash
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	manifest = bytes.ReplaceAll(manifest, []byte("SPEC_HASH"), []byte(hash))
+	if err := os.WriteFile(filepath.Join(dir, "endpoints.json"), manifest, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestDurableManifestV1Restores: testdata/endpoints_v1.json is a manifest
+// the version-1 service wrote. Every endpoint restores with the flush
+// behaviour it ran with — in particular a positive flat max_delay_ns,
+// which never engaged a hold, reads back absent — and the next save
+// rewrites the file as version 2.
+func TestDurableManifestV1Restores(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "endpoints_v1.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := seedManifest(t, fixture)
+	svc := mustOpen(t, dir, nil)
+	defer svc.Close()
+	if rep := svc.Recovery(); len(rep.EndpointsRestored) != 4 || len(rep.EndpointsSkipped) != 0 || svc.StoreErrors() != 0 {
+		t.Fatalf("v1 restore: %+v, %d store errors", rep, svc.StoreErrors())
+	}
+	ns := func(v int64) *int64 { return &v }
+	for name, want := range map[string]ServingConfig{
+		"set-zero":      {BatchSize: 8, MaxDelayNS: ns(0)},
+		"set-value":     {BatchSize: 16, MaxDelayNS: ns(300000), AdaptiveFlush: true},
+		"flat-negative": {BatchSize: 8, MaxDelayNS: ns(-1)},
+		"flat-positive": {BatchSize: 8, QueueDepth: 64},
+	} {
+		ep, ok := svc.Endpoint(name)
+		if !ok {
+			t.Fatalf("%s not restored", name)
+		}
+		got, _ := ep.RevisionConfigs()[1].Canonical()
+		exp, _ := want.Canonical()
+		if string(got) != string(exp) {
+			t.Fatalf("%s: revision 1 config %s, want %s", name, got, exp)
+		}
+		if _, err := ep.Classify([]float64{1.4, -0.9, 0.1}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	ep, _ := svc.Endpoint("flat-positive")
+	if _, canary, pct, _ := ep.View(); canary != 2 || pct != 25 {
+		t.Fatalf("flat-positive routing: canary %d at %d%%", canary, pct)
+	}
+	if cfg := ep.RevisionConfigs()[2]; cfg.MaxDelayNS != nil {
+		t.Fatalf("flat-positive canary must restore greedy, got max_delay_ns %d", *cfg.MaxDelayNS)
+	}
+
+	if err := ep.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "endpoints.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(raw, []byte(`"version": 2`)) || bytes.Contains(raw, []byte("max_delay_set")) {
+		t.Fatalf("manifest not rewritten as version 2:\n%s", raw)
+	}
+}
+
+// TestDurableManifestRejectsBadConfig: the manifest is validated like the
+// wire. An endpoint whose config document is out of range or unparseable
+// is skipped and reported — nothing is allocated from its numbers — and
+// the endpoints beside it restore.
+func TestDurableManifestRejectsBadConfig(t *testing.T) {
+	rev := `"stable": 1, "revisions": [{"id": 1, "app": "durable_app", "spec_hash": "SPEC_HASH", "state": "stable", "created_unix_nano": 1, "options": %s}]`
+	ep := func(name, options, revOptions string) string {
+		return fmt.Sprintf(`{"name": %q, "platform": "taurus", "created_unix_nano": 1, "options": %s, `+rev+`}`, name, options, revOptions)
+	}
+	manifest := `{"version": 2, "endpoints": [` + strings.Join([]string{
+		ep("huge", `{"version":1,"shards":1000000000}`, `{"version":1}`),
+		ep("good", `{"version":1,"batch_size":8}`, `{"version":1,"batch_size":8}`),
+		ep("huge-rev", `{"version":1}`, `{"version":1,"queue_depth":2097152}`),
+		ep("typo", `{"version":1,"batchsize":8}`, `{"version":1}`),
+	}, ",") + `]}`
+	dir := seedManifest(t, []byte(manifest))
+	svc := mustOpen(t, dir, nil)
+	defer svc.Close()
+	rep := svc.Recovery()
+	if len(rep.EndpointsRestored) != 1 || rep.EndpointsRestored[0] != "good" || len(rep.EndpointsSkipped) != 3 {
+		t.Fatalf("recovery: %+v", rep)
+	}
+	if svc.StoreErrors() != 3 {
+		t.Fatalf("store errors = %d, want one per skipped endpoint", svc.StoreErrors())
+	}
+	if got := svc.Endpoints(); len(got) != 1 || got[0].ServingConfig().BatchSize != 8 {
+		t.Fatalf("live endpoints after restore: %v", got)
+	}
+}
+
 func TestDurableEndpointDeletionPersists(t *testing.T) {
 	dir := t.TempDir()
 	svc := mustOpen(t, dir, nil)
 	job, _ := runJob(t, svc)
-	if _, err := svc.CreateEndpoint("ephemeral", job.ID(), EndpointOptions{BatchSize: 8, MaxDelay: -1}); err != nil {
+	if _, err := svc.CreateEndpoint("ephemeral", job.ID(), EndpointOptions{Serving: ServingConfig{BatchSize: 8, MaxDelayNS: new(int64)}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := svc.DeleteEndpoint("ephemeral"); err != nil {
@@ -300,7 +407,7 @@ func TestDurableStoreFaultsDegradeGracefully(t *testing.T) {
 	}
 	// Endpoints still work; persistence failures are absorbed too.
 	jobs := svc.Jobs()
-	ep, err := svc.CreateEndpoint("faulty", jobs[0].ID(), EndpointOptions{BatchSize: 8, MaxDelay: -1})
+	ep, err := svc.CreateEndpoint("faulty", jobs[0].ID(), EndpointOptions{Serving: ServingConfig{BatchSize: 8, MaxDelayNS: new(int64)}})
 	if err != nil {
 		t.Fatalf("CreateEndpoint under store faults: %v", err)
 	}

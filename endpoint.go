@@ -1,18 +1,15 @@
 package homunculus
 
-// Endpoint is the lifecycle-aware serving handle: a stable named route
-// (e.g. "anomaly-detection") owning an ordered history of revisions,
-// each a compiled pipeline's prepared inference runtime. Where a
-// Deployment serves exactly one compiled model for its whole life, an
-// Endpoint is what the paper's continuous-recompilation story needs in
-// production: ship a re-compiled pipeline behind the same name with a
-// deterministic canary slice or an off-the-record shadow mirror, watch
-// the per-revision stats and divergence report, then Promote — one
-// atomic routing-table swap, in-flight requests finish on the revision
-// that admitted them, nothing is dropped — or Rollback to the previous
-// revision, which stays warm. The flat Deploy/Deployment API remains as
-// a thin single-revision wrapper (see docs/serving.md for the
-// deprecation plan).
+// Endpoint is the serving handle: a stable named route (e.g.
+// "anomaly-detection") owning an ordered history of revisions, each a
+// compiled pipeline's prepared inference runtime. It is what the paper's
+// continuous-recompilation story needs in production: ship a re-compiled
+// pipeline behind the same name with a deterministic canary slice or an
+// off-the-record shadow mirror, watch the per-revision stats and
+// divergence report, then Promote — one atomic routing-table swap,
+// in-flight requests finish on the revision that admitted them, nothing
+// is dropped — or Rollback to the previous revision, which stays warm.
+// Every serving knob is spelled once, in ServingConfig (config.go).
 
 import (
 	"errors"
@@ -23,10 +20,15 @@ import (
 
 	"repro/internal/ir"
 	"repro/internal/serve"
-	"repro/internal/store"
 )
 
 var (
+	// ErrOverloaded sheds a classify request because the endpoint's
+	// bounded intake queue is full — back off and retry (HTTP 429).
+	ErrOverloaded = serve.ErrOverloaded
+	// ErrNotDeployable rejects serving a pipeline (or app) that carries
+	// no compiled model.
+	ErrNotDeployable = errors.New("homunculus: pipeline has no deployable model")
 	// ErrEndpointExists rejects creating an endpoint under a name a live
 	// endpoint already holds.
 	ErrEndpointExists = errors.New("homunculus: endpoint already exists")
@@ -39,7 +41,7 @@ var (
 	// abort nor a previous stable revision to return to.
 	ErrNoRollback = serve.ErrNoRollback
 	// ErrEndpointClosed rejects requests to an endpoint that is draining
-	// or deleted (the same sentinel as ErrDeploymentClosed).
+	// or deleted.
 	ErrEndpointClosed = serve.ErrClosed
 	// ErrValidationFailed (validation.go) refuses creating or rolling out
 	// a revision whose shipped artifact fails translation validation on a
@@ -55,9 +57,21 @@ type RevisionState = serve.RevisionState
 // per-class-pair confusion matrix.
 type ShadowDivergence = serve.DivergenceStats
 
-// EndpointOptions tunes an endpoint's default serving runtime — the same
-// knobs as a flat deployment; rollouts may override them per revision.
-type EndpointOptions = DeployOptions
+// ServingStats is a point-in-time snapshot of serving metrics
+// (throughput, latency quantiles, per-class counts, drops).
+type ServingStats = serve.Stats
+
+// EndpointOptions shapes a new endpoint.
+type EndpointOptions struct {
+	// App selects which compiled application of a multi-model pipeline
+	// to serve. Empty selects the first app with a deployable model.
+	App string
+	// Serving is the endpoint's serving configuration — the document the
+	// tuner emits and PUT /v1/endpoints/{name}/config applies. The zero
+	// value selects every default; an out-of-range value fails the
+	// create with every violation listed (*ServingConfigError).
+	Serving ServingConfig
+}
 
 // RolloutOptions shapes how a new revision receives traffic.
 type RolloutOptions struct {
@@ -74,17 +88,12 @@ type RolloutOptions struct {
 	// divergence counters compare the two. Mutually exclusive with a
 	// nonzero CanaryPercent.
 	Shadow bool
-	// Shards/BatchSize/MaxDelay/QueueDepth override the new revision's
-	// runtime bounds; zero values inherit the endpoint's defaults.
-	Shards     int
-	BatchSize  int
-	MaxDelay   time.Duration
-	QueueDepth int
-	// Serving, when non-nil, is the canonical config for the new
-	// revision; it wins wholesale over the flat knobs above. Its
-	// presence-aware MaxDelayNS lets a rollout pin an explicit greedy
-	// flush (delay 0) instead of inheriting the endpoint default.
-	Serving *ServingConfig
+	// Serving overrides the new revision's runtime bounds; zero fields
+	// inherit the endpoint's defaults. Its presence-aware MaxDelayNS
+	// lets a rollout pin an explicit greedy flush (delay 0) instead of
+	// inheriting the endpoint default. ValidateRollouts is an endpoint
+	// setting and is ignored here.
+	Serving ServingConfig
 }
 
 // RevisionInfo describes one revision of an endpoint.
@@ -108,7 +117,7 @@ type RevisionInfo struct {
 	// consuming serving resources.
 	Warm bool
 	// Stats snapshots the revision's own serving metrics.
-	Stats DeploymentStats
+	Stats ServingStats
 }
 
 // EndpointStats is a point-in-time snapshot of an endpoint: the merged
@@ -118,7 +127,7 @@ type EndpointStats struct {
 	Name      string
 	Platform  string
 	Revisions []RevisionInfo
-	Merged    DeploymentStats
+	Merged    ServingStats
 	Shadow    *ShadowDivergence
 }
 
@@ -131,16 +140,13 @@ type Endpoint struct {
 	svc      *Service
 	ep       *serve.Endpoint
 
-	// validate gates every revision behind translation validation of its
-	// shipped artifact (DeployOptions.ValidateRollouts).
-	validate bool
-
-	// reqOpts are the creation-time options as requested (zero fields =
-	// inherit defaults) — what the manifest persists, so a restored
-	// endpoint re-derives machine defaults instead of pinning them.
-	reqOpts store.OptionsRecord
-
-	mu   sync.Mutex
+	mu sync.Mutex
+	// cfg is the endpoint's configuration as requested (zero fields =
+	// defaults) — what the manifest persists, so a restored endpoint
+	// re-derives machine defaults instead of pinning them. Its
+	// ValidateRollouts gates every revision behind translation
+	// validation of its shipped artifact.
+	cfg  ServingConfig
 	meta map[int]revisionMeta // revision ID -> origin
 
 	forget sync.Once
@@ -153,22 +159,9 @@ type revisionMeta struct {
 	// pipeline ("" on an in-memory service, or when persisting failed —
 	// the revision then does not survive a restart).
 	specHash string
-	// opts are the revision's requested runtime overrides, persisted for
+	// cfg is the revision's requested runtime overrides, persisted for
 	// restore.
-	opts store.OptionsRecord
-}
-
-// optionsRecord renders requested deploy options in their persisted
-// form (zero fields stay zero — defaults are re-derived on restore).
-func optionsRecord(o DeployOptions) store.OptionsRecord {
-	return store.OptionsRecord{
-		Shards:           o.Shards,
-		BatchSize:        o.BatchSize,
-		MaxDelayNS:       int64(o.MaxDelay),
-		QueueDepth:       o.QueueDepth,
-		RetainRetired:    o.RetainRetired,
-		ValidateRollouts: o.ValidateRollouts,
-	}
+	cfg ServingConfig
 }
 
 // endpointNameRE bounds endpoint names to URL-path-safe route segments.
@@ -200,17 +193,16 @@ func (s *Service) createEndpoint(name string, pipe *Pipeline, jobID string, opts
 	if err != nil {
 		return nil, err
 	}
-	validate := validateRollouts(opts)
-	if validate {
+	cfg := opts.Serving
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("homunculus: endpoint %s: %w", name, err)
+	}
+	if cfg.ValidateRollouts {
 		if err := gateRollout(pipe.Platform, app); err != nil {
 			return nil, err
 		}
 	}
-	sopts, err := servingOptions(opts)
-	if err != nil {
-		return nil, fmt.Errorf("homunculus: endpoint %s: %w", name, err)
-	}
-	sep, err := serve.NewEndpoint(name, app.Model, sopts)
+	sep, err := serve.NewEndpoint(name, app.Model, cfg.Options())
 	if err != nil {
 		return nil, fmt.Errorf("homunculus: endpoint %s: %w", name, err)
 	}
@@ -220,13 +212,12 @@ func (s *Service) createEndpoint(name string, pipe *Pipeline, jobID string, opts
 		created:  time.Now(),
 		svc:      s,
 		ep:       sep,
-		validate: validate,
-		reqOpts:  servingRecord(opts),
+		cfg:      cfg,
 		meta: map[int]revisionMeta{1: {
 			jobID:    jobID,
 			app:      app.Name,
 			specHash: s.endpointArtifact(pipe, jobID),
-			opts:     servingRecord(opts),
+			cfg:      cfg,
 		}},
 	}
 	s.mu.Lock()
@@ -355,19 +346,6 @@ func (e *Endpoint) Created() time.Time { return e.created }
 // the endpoint is closed).
 func (e *Endpoint) Model() *ir.Model { return e.ep.Model() }
 
-// Config returns the endpoint's default (defaulted) serving options.
-func (e *Endpoint) Config() EndpointOptions {
-	o := e.ep.Options()
-	return EndpointOptions{
-		Shards:           o.Shards,
-		BatchSize:        o.BatchSize,
-		MaxDelay:         o.MaxDelay,
-		QueueDepth:       o.QueueDepth,
-		RetainRetired:    o.RetainRetired,
-		ValidateRollouts: e.validate,
-	}
-}
-
 // Rollout starts serving a finished job's compiled pipeline as a new
 // revision behind the configured canary split or shadow mirror. Only
 // one rollout may be in progress per endpoint.
@@ -414,32 +392,18 @@ func (e *Endpoint) rollout(pipe *Pipeline, jobID string, opts RolloutOptions) (R
 	if err != nil {
 		return RevisionInfo{}, err
 	}
-	if e.validate {
+	if e.ServingConfig().ValidateRollouts {
 		if err := gateRollout(e.platform, app); err != nil {
 			return RevisionInfo{}, fmt.Errorf("homunculus: rollout on %s refused: %w", e.name, err)
 		}
 	}
-	rovr := serve.Options{
-		Shards:     opts.Shards,
-		BatchSize:  opts.BatchSize,
-		MaxDelay:   opts.MaxDelay,
-		QueueDepth: opts.QueueDepth,
-	}
-	rrec := optionsRecord(DeployOptions{
-		Shards: opts.Shards, BatchSize: opts.BatchSize,
-		MaxDelay: opts.MaxDelay, QueueDepth: opts.QueueDepth,
-	})
-	if opts.Serving != nil {
-		if err := opts.Serving.Validate(); err != nil {
-			return RevisionInfo{}, fmt.Errorf("homunculus: rollout on %s: %w", e.name, err)
-		}
-		rovr = opts.Serving.Options()
-		rrec = configRecord(*opts.Serving)
+	if err := opts.Serving.Validate(); err != nil {
+		return RevisionInfo{}, fmt.Errorf("homunculus: rollout on %s: %w", e.name, err)
 	}
 	rev, err := e.ep.Rollout(app.Model, serve.RolloutConfig{
 		CanaryPercent: opts.CanaryPercent,
 		Shadow:        opts.Shadow,
-		Opts:          rovr,
+		Opts:          opts.Serving.Options(),
 	})
 	if err != nil {
 		return RevisionInfo{}, fmt.Errorf("homunculus: rollout on %s: %w", e.name, err)
@@ -449,7 +413,7 @@ func (e *Endpoint) rollout(pipe *Pipeline, jobID string, opts RolloutOptions) (R
 		jobID:    jobID,
 		app:      app.Name,
 		specHash: e.svc.endpointArtifact(pipe, jobID),
-		opts:     rrec,
+		cfg:      opts.Serving,
 	}
 	e.mu.Unlock()
 	e.svc.persistEndpoints()

@@ -10,7 +10,176 @@ import (
 	"time"
 
 	"repro/alchemy"
+	"repro/internal/serve"
 )
+
+// deployService compiles a fast dtree pipeline through a fresh service
+// and returns both, with cleanup registered.
+func deployService(t *testing.T) (*Service, *Job) {
+	t.Helper()
+	svc := New(ServiceOptions{MaxInFlight: 2})
+	t.Cleanup(func() { _ = svc.Close() })
+	p := alchemy.Taurus()
+	p.Schedule(alchemy.NewModel(alchemy.ModelSpec{
+		Name: "ad", Algorithms: []string{"dtree"}, DataLoader: sampleLoader(21)}))
+	job, err := svc.Submit(context.Background(), p, WithSearchConfig(fastConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := job.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return svc, job
+}
+
+// greedyFlush is the explicit greedy-flush config most tests serve under.
+func greedyFlush() ServingConfig { return ServingConfig{MaxDelayNS: new(int64)} }
+
+// TestDeployServeUndeploy is the Go-API acceptance path: compile, serve
+// behind an endpoint, classify a replayed synthetic trace end-to-end,
+// check the stats account for every request with a nonzero p99, then
+// drain through DeleteEndpoint.
+func TestDeployServeUndeploy(t *testing.T) {
+	svc, job := deployService(t)
+	ep, err := svc.CreateEndpoint("ad", job.ID(), EndpointOptions{Serving: ServingConfig{BatchSize: 16}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if revs := ep.Revisions(); len(revs) != 1 || revs[0].JobID != job.ID() || revs[0].App != "ad" || ep.Platform() != "taurus" {
+		t.Fatalf("endpoint identity: %+v %q", revs, ep.Platform())
+	}
+
+	// Replay the model's own synthetic test split as live traffic.
+	data, err := sampleLoader(21).Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := serve.Replay(ep, data.TestX, data.TestY, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Delivered != len(data.TestX) || res.Dropped != 0 {
+		t.Fatalf("replay must deliver the whole trace: %+v", res)
+	}
+	if res.Accuracy < 0.8 {
+		t.Fatalf("served accuracy %v implausibly low vs labels", res.Accuracy)
+	}
+
+	st := ep.Stats().Merged
+	if st.Completed < uint64(len(data.TestX)) {
+		t.Fatalf("stats completed %d < replayed %d", st.Completed, len(data.TestX))
+	}
+	if st.P99 == 0 {
+		t.Fatalf("p99 must be nonzero after traffic: %+v", st)
+	}
+	if st.PerClass[0]+st.PerClass[1] != st.Completed-st.Errors {
+		t.Fatalf("per-class counts must partition completions: %+v", st)
+	}
+
+	final, err := svc.DeleteEndpoint("ad")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.Merged.Completed != st.Completed {
+		t.Fatalf("final stats lost traffic: %+v vs %+v", final.Merged, st)
+	}
+}
+
+// TestDeployErrors: what cannot be served is refused with a typed error
+// (unknown job and nil pipeline are TestEndpointValidation's).
+func TestDeployErrors(t *testing.T) {
+	svc, job := deployService(t)
+
+	if _, err := svc.CreateEndpoint("e", job.ID(), EndpointOptions{App: "nope"}); err == nil {
+		t.Fatal("unknown app must not serve")
+	}
+	if _, err := svc.CreateEndpointPipeline("e", &Pipeline{Platform: "taurus", Apps: []AppResult{{Name: "empty"}}}, EndpointOptions{}); !errors.Is(err, ErrNotDeployable) {
+		t.Fatalf("modelless pipeline: %v", err)
+	}
+
+	// A still-running job cannot serve.
+	started, release := make(chan struct{}), make(chan struct{})
+	blocked := alchemy.Taurus()
+	blocked.Schedule(alchemy.NewModel(alchemy.ModelSpec{
+		Name: "slow", Algorithms: []string{"dtree"},
+		DataLoader: blockingLoader(5, started, release)}))
+	slow, err := svc.Submit(context.Background(), blocked, WithSearchConfig(fastConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	if _, err := svc.CreateEndpoint("e", slow.ID(), EndpointOptions{}); !errors.Is(err, ErrJobNotFinished) {
+		t.Fatalf("running job: %v, want ErrJobNotFinished", err)
+	}
+	close(release)
+	if _, err := slow.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDeployPipelineDirect serves a pipeline compiled via Generate (no
+// job handle), the CLI -deploy path.
+func TestDeployPipelineDirect(t *testing.T) {
+	p := alchemy.Taurus()
+	p.Schedule(alchemy.NewModel(alchemy.ModelSpec{
+		Name: "direct", Algorithms: []string{"dtree"}, DataLoader: sampleLoader(22)}))
+	pipe, err := Generate(context.Background(), p, WithSearchConfig(fastConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := New(ServiceOptions{})
+	defer svc.Close()
+	ep, err := svc.CreateEndpointPipeline("direct", pipe, EndpointOptions{Serving: greedyFlush()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if revs := ep.Revisions(); len(revs) != 1 || revs[0].JobID != "" {
+		t.Fatalf("direct endpoint must have no job: %+v", revs)
+	}
+	if _, err := ep.Classify([]float64{0.5, -0.5, 0}); err != nil {
+		t.Fatal(err)
+	}
+	cfg := ep.ServingConfig()
+	if cfg.Shards < 1 || cfg.BatchSize != 64 || cfg.QueueDepth != 1024 {
+		t.Fatalf("defaulted config: %+v", cfg)
+	}
+}
+
+// TestDeploymentCloseDeregisters is the regression test for the leak
+// where a handle closed directly (not via Service.DeleteEndpoint) stayed
+// registered in the service map and listed forever: Close must
+// deregister.
+func TestDeploymentCloseDeregisters(t *testing.T) {
+	svc, job := deployService(t)
+	ep, err := svc.CreateEndpoint("gone", job.ID(), EndpointOptions{Serving: greedyFlush()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep, err := svc.CreateEndpoint("keep", job.ID(), EndpointOptions{Serving: greedyFlush()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ep.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := svc.Endpoint("gone"); ok {
+		t.Fatal("directly closed endpoint must be deregistered")
+	}
+	if all := svc.Endpoints(); len(all) != 1 || all[0] != keep {
+		t.Fatalf("listing after direct close: %v", all)
+	}
+	// Closing is idempotent and DeleteEndpoint of the closed name now misses.
+	if err := ep.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.DeleteEndpoint("gone"); err == nil {
+		t.Fatal("delete of a closed-and-deregistered endpoint must error")
+	}
+	// The survivor is untouched.
+	if _, err := keep.Classify([]float64{1, 1, 0}); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // endpointService compiles two distinct dtree pipelines (different data
 // seeds, so almost surely different trees) through one service.
@@ -41,7 +210,7 @@ func TestEndpointLifecycleService(t *testing.T) {
 	svc, job1, job2 := endpointService(t)
 
 	ep, err := svc.CreateEndpoint("anomaly-detection", job1.ID(), EndpointOptions{
-		BatchSize: 16, MaxDelay: time.Millisecond})
+		Serving: ServingConfig{BatchSize: 16}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +303,7 @@ func TestEndpointLifecycleService(t *testing.T) {
 // see only stable answers while the divergence report fills in.
 func TestEndpointShadowRollout(t *testing.T) {
 	svc, job1, job2 := endpointService(t)
-	ep, err := svc.CreateEndpoint("shadowed", job1.ID(), EndpointOptions{MaxDelay: -1})
+	ep, err := svc.CreateEndpoint("shadowed", job1.ID(), EndpointOptions{Serving: greedyFlush()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,8 +311,8 @@ func TestEndpointShadowRollout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reference answers from the flat single-revision path.
-	dep, err := svc.Deploy(job1.ID(), DeployOptions{MaxDelay: -1})
+	// Reference answers from a plain single-revision endpoint.
+	dep, err := svc.CreateEndpoint("plain", job1.ID(), EndpointOptions{Serving: greedyFlush()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,8 +355,9 @@ func TestEndpointShadowRollout(t *testing.T) {
 // endpoint must be quiescent-consistent afterwards.
 func TestEndpointConcurrentHotSwap(t *testing.T) {
 	svc, job1, job2 := endpointService(t)
-	ep, err := svc.CreateEndpoint("swap", job1.ID(), EndpointOptions{
-		MaxDelay: -1, QueueDepth: 1 << 15})
+	cfg := greedyFlush()
+	cfg.QueueDepth = 1 << 15
+	ep, err := svc.CreateEndpoint("swap", job1.ID(), EndpointOptions{Serving: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,14 +418,15 @@ func TestEndpointConcurrentHotSwap(t *testing.T) {
 }
 
 // TestEndpointCanaryZeroMatchesFlat: a 0% canary rollout must leave the
-// served classifications bit-identical to the flat deployment path.
+// served classifications bit-identical to a flat endpoint — one with no
+// rollout in its table.
 func TestEndpointCanaryZeroMatchesFlat(t *testing.T) {
 	svc, job1, job2 := endpointService(t)
-	dep, err := svc.Deploy(job1.ID(), DeployOptions{MaxDelay: -1})
+	dep, err := svc.CreateEndpoint("flat", job1.ID(), EndpointOptions{Serving: greedyFlush()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep, err := svc.CreateEndpoint("frozen", job1.ID(), EndpointOptions{MaxDelay: -1})
+	ep, err := svc.CreateEndpoint("frozen", job1.ID(), EndpointOptions{Serving: greedyFlush()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +447,7 @@ func TestEndpointCanaryZeroMatchesFlat(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got != want {
-			t.Fatalf("sample %d: endpoint(0%% canary)=%d, flat deployment=%d", i, got, want)
+			t.Fatalf("sample %d: endpoint(0%% canary)=%d, flat endpoint=%d", i, got, want)
 		}
 	}
 	st := ep.Stats()
@@ -325,11 +496,11 @@ func TestEndpointValidation(t *testing.T) {
 	}
 }
 
-// TestServiceCloseDrainsEndpoints: Close must drain endpoints alongside
-// deployments so accepted traffic is never lost at shutdown.
+// TestServiceCloseDrainsEndpoints: Close must drain endpoints so
+// accepted traffic is never lost at shutdown.
 func TestServiceCloseDrainsEndpoints(t *testing.T) {
 	svc, job1, _ := endpointService(t)
-	ep, err := svc.CreateEndpoint("closing", job1.ID(), EndpointOptions{MaxDelay: -1})
+	ep, err := svc.CreateEndpoint("closing", job1.ID(), EndpointOptions{Serving: greedyFlush()})
 	if err != nil {
 		t.Fatal(err)
 	}

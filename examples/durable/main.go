@@ -69,7 +69,9 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("lifetime 1: compiled %s (spec %.12s...)\n", job.ID(), job.Status().SpecHash)
-	if _, err := svc.CreateEndpoint("ad", job.ID(), homunculus.EndpointOptions{BatchSize: 8}); err != nil {
+	if _, err := svc.CreateEndpoint("ad", job.ID(), homunculus.EndpointOptions{
+		Serving: homunculus.ServingConfig{BatchSize: 8},
+	}); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("lifetime 1: endpoint \"ad\" serving; shutting down")

@@ -4,8 +4,8 @@
 // identical jobs are submitted concurrently here — single-flight
 // coalescing runs ONE search and both handles resolve to the same
 // pipeline; a third submission with a different seed misses the cache.
-// The winning pipeline then serves live traffic behind a named endpoint
-// (the versioned serving surface — Service.Deploy is deprecated).
+// The winning pipeline then serves live traffic behind a named endpoint,
+// the versioned serving surface.
 //
 //	go run ./examples/service
 package main
@@ -96,10 +96,12 @@ func main() {
 	}
 	fmt.Printf("job C (seed 8): cache hit: %v\n", jobC.Status().CacheHit)
 
-	// Serve job A behind a named endpoint — the serving surface (the
-	// flat Deploy API is deprecated): a stable route with versioned
-	// revisions, canary/shadow rollouts, and rollback (docs/serving.md).
-	ep, err := svc.CreateEndpoint("ad", jobA.ID(), homunculus.EndpointOptions{BatchSize: 8})
+	// Serve job A behind a named endpoint — the serving surface: a stable
+	// route with versioned revisions, canary/shadow rollouts, and
+	// rollback (docs/serving.md).
+	ep, err := svc.CreateEndpoint("ad", jobA.ID(), homunculus.EndpointOptions{
+		Serving: homunculus.ServingConfig{BatchSize: 8},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

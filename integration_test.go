@@ -9,7 +9,6 @@ import (
 	"context"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/alchemy"
 	"repro/internal/backend"
@@ -153,7 +152,7 @@ func TestEndToEndADOnTaurus(t *testing.T) {
 	// accounting for every request.
 	svc := New(ServiceOptions{})
 	defer svc.Close()
-	dep, err := svc.DeployPipeline(pipe, DeployOptions{BatchSize: 16, MaxDelay: time.Millisecond})
+	dep, err := svc.CreateEndpointPipeline("ad", pipe, EndpointOptions{Serving: ServingConfig{BatchSize: 16}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +170,7 @@ func TestEndToEndADOnTaurus(t *testing.T) {
 			t.Fatalf("served class %d diverges from InferQ at %d", c, i)
 		}
 	}
-	if st := dep.Stats(); st.Completed < uint64(probe.Len()) || st.P99 == 0 {
+	if st := dep.Stats().Merged; st.Completed < uint64(probe.Len()) || st.P99 == 0 {
 		t.Fatalf("serving stats must cover the replay with nonzero p99: %+v", st)
 	}
 }

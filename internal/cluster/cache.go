@@ -11,13 +11,11 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"math/bits"
 	"time"
 
 	"repro/internal/httpapi"
+	"repro/internal/serve"
 	"repro/internal/store"
-
-	homunculus "repro"
 )
 
 // Fetch resolves a content address from live peers, first hit wins.
@@ -111,31 +109,18 @@ func (f *Fabric) Offer(hash string, payload []byte) {
 }
 
 // observeFetch records a successful peer fetch in the log2 latency
-// histogram (same bucketing as the serving stats, so the quantile
-// derivation is shared).
+// histogram (the serving stats' bucketing and quantile derivation).
 func (f *Fabric) observeFetch(d time.Duration) {
-	ns := d.Nanoseconds()
-	if ns < 0 {
-		ns = 0
-	}
-	b := bits.Len64(uint64(ns))
-	if b >= len(f.metrics.fetchLat) {
-		b = len(f.metrics.fetchLat) - 1
-	}
-	f.metrics.fetchLat[b].Add(1)
+	f.metrics.fetchLat[serve.LatencyBucket(d)].Add(1)
 }
 
-// cacheJSON renders the cache counters, deriving fetch-latency
-// quantiles from the histogram via the serving stats machinery.
+// cacheJSON renders the cache counters and the fetch-latency quantiles.
 func (f *Fabric) cacheJSON() httpapi.ClusterCacheJSON {
-	var raw homunculus.RawServingStats
-	raw.Latency = make([]uint64, len(f.metrics.fetchLat))
-	var total uint64
+	hist := make([]uint64, len(f.metrics.fetchLat))
 	for i := range f.metrics.fetchLat {
-		raw.Latency[i] = f.metrics.fetchLat[i].Load()
-		total += raw.Latency[i]
+		hist[i] = f.metrics.fetchLat[i].Load()
 	}
-	out := httpapi.ClusterCacheJSON{
+	return httpapi.ClusterCacheJSON{
 		Mode:           string(f.cfg.Mode),
 		RemoteHits:     f.metrics.remoteHits.Load(),
 		RemoteMisses:   f.metrics.remoteMisses.Load(),
@@ -143,11 +128,7 @@ func (f *Fabric) cacheJSON() httpapi.ClusterCacheJSON {
 		Served:         f.metrics.served.Load(),
 		BroadcastsSent: f.metrics.broadcasts.Load(),
 		Installs:       f.metrics.installs.Load(),
+		FetchP50NS:     serve.LatencyQuantile(hist, 0.50).Nanoseconds(),
+		FetchP99NS:     serve.LatencyQuantile(hist, 0.99).Nanoseconds(),
 	}
-	if total > 0 {
-		st := raw.Stats()
-		out.FetchP50NS = st.P50.Nanoseconds()
-		out.FetchP99NS = st.P99.Nanoseconds()
-	}
-	return out
 }

@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"repro/internal/httpapi"
+	"repro/internal/serve"
 
 	homunculus "repro"
 )
@@ -181,7 +182,7 @@ type metrics struct {
 	stolenGranted, stolenDone   atomic.Uint64
 	reclaimed                   atomic.Uint64
 	stealsTried, stealsExecuted atomic.Uint64
-	fetchLat                    [64]atomic.Uint64 // log2 ns buckets, hits only
+	fetchLat                    [serve.LatencyBuckets]atomic.Uint64 // log2 ns buckets, hits only
 }
 
 // New builds a fabric over svc and attaches its hooks: the remote

@@ -1,10 +1,9 @@
 package httpapi
 
-// The classify wire codec, shared by POST /v1/endpoints/{name}/classify
-// and its /v1/deployments/{id}/classify alias. A request's body, its
-// decoded features and its reply all live in one pooled classifyBuf, and
-// the canonical document {"features":[[n,…],…]} is decoded in a single
-// pass with no reflection. Any other document — unknown, duplicate or
+// The classify wire codec behind POST /v1/endpoints/{name}/classify. A
+// request's body, its decoded features and its reply all live in one
+// pooled classifyBuf, and the canonical document {"features":[[n,…],…]}
+// is decoded in a single pass with no reflection. Any other document — unknown, duplicate or
 // case-variant keys, null, trailing data, out-of-range numbers,
 // malformed input — is handed, same bytes, to encoding/json, so what is
 // accepted, what it decodes to and what is refused are encoding/json's
@@ -247,7 +246,7 @@ func scanNumber(s []byte, i int) int {
 }
 
 // classifyOn serves one classify request against a resolved endpoint —
-// the whole of both classify routes after their path lookup.
+// the whole of the classify route after its path lookup.
 func classifyOn(w http.ResponseWriter, r *http.Request, e *homunculus.Endpoint) {
 	b := classifyBufs.Get().(*classifyBuf)
 	defer b.release()
@@ -291,7 +290,7 @@ func classifyOn(w http.ResponseWriter, r *http.Request, e *homunculus.Endpoint) 
 func (b *classifyBuf) writeResponse(w http.ResponseWriter, classes []int, dropped int, err error) {
 	code := http.StatusOK
 	switch {
-	case errors.Is(err, homunculus.ErrDeploymentClosed):
+	case errors.Is(err, homunculus.ErrEndpointClosed):
 		code = http.StatusConflict
 	case dropped == len(classes):
 		writeRetryAfter(w)

@@ -254,7 +254,7 @@ func TestClientAgainstRealServer(t *testing.T) {
 
 	var ep EndpointJSON
 	if err := c.Post(ctx, "/v1/endpoints", EndpointRequest{
-		Name: "ad", JobID: job.ID, BatchSize: 8, MaxDelayUS: 1000,
+		Name: "ad", JobID: job.ID, Serving: homunculus.ServingConfig{BatchSize: 8},
 	}, &ep); err != nil {
 		t.Fatal(err)
 	}

@@ -143,9 +143,9 @@ type BacklogJSON struct {
 // NodeStatsJSON is one node's contribution to a cluster-scope stats
 // merge.
 type NodeStatsJSON struct {
-	Node  string          `json:"node"`
-	Addr  string          `json:"addr"`
-	Stats DeployStatsJSON `json:"stats"`
+	Node  string           `json:"node"`
+	Addr  string           `json:"addr"`
+	Stats ServingStatsJSON `json:"stats"`
 }
 
 // ClusterStatsJSON answers GET /v1/endpoints/{name}/stats?scope=cluster:
@@ -156,6 +156,6 @@ type ClusterStatsJSON struct {
 	Name   string                     `json:"name"`
 	Scope  string                     `json:"scope"`
 	Nodes  []NodeStatsJSON            `json:"nodes"`
-	Merged DeployStatsJSON            `json:"merged"`
+	Merged ServingStatsJSON           `json:"merged"`
 	Raw    homunculus.RawServingStats `json:"raw"`
 }

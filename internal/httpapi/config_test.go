@@ -41,7 +41,7 @@ func TestHTTPEndpointConfig(t *testing.T) {
 	zero := int64(0)
 	resp, body := postJSON(t, srv.URL+"/v1/endpoints", EndpointRequest{
 		Name: "cfg-ep", JobID: job.ID,
-		Serving: &homunculus.ServingConfig{BatchSize: 8, MaxDelayNS: &zero},
+		Serving: homunculus.ServingConfig{BatchSize: 8, MaxDelayNS: &zero},
 	})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create status %d: %s", resp.StatusCode, body)
@@ -117,6 +117,12 @@ func TestHTTPEndpointConfig(t *testing.T) {
 		ClassifyRequest{Features: [][]float64{{0.1, 1.0}, {2.0, 0.1}}})
 	if cresp.StatusCode != http.StatusOK {
 		t.Fatalf("classify after config apply: %d %s", cresp.StatusCode, cbody)
+	}
+
+	// What GET returns, PUT accepts.
+	_, gbody = httpGet(t, srv.URL+"/v1/endpoints/cfg-ep/config")
+	if rresp, rbody := httpPut(t, srv.URL+"/v1/endpoints/cfg-ep/config", gbody); rresp.StatusCode != http.StatusOK {
+		t.Fatalf("PUT of the GET document: %d %s", rresp.StatusCode, rbody)
 	}
 }
 

@@ -4,9 +4,7 @@ package httpapi
 // /v1/endpoints serves a *stable name* whose revisions can be rolled
 // out gradually (deterministic canary split), mirrored (shadow scoring
 // with a divergence report), promoted atomically, and rolled back —
-// zero downtime at every step. The flat /v1/deployments routes
-// (deployments.go) alias onto this surface behind auto-generated names
-// (docs/serving.md):
+// zero downtime at every step (docs/serving.md):
 //
 //	POST   /v1/endpoints                     create from a finished job
 //	GET    /v1/endpoints                     list endpoints
@@ -26,13 +24,12 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"time"
 
 	homunculus "repro"
 )
 
-// EndpointRequest is the POST /v1/endpoints body. Zero-valued knobs
-// select the runtime defaults.
+// EndpointRequest is the POST /v1/endpoints body. Unknown fields are
+// rejected.
 type EndpointRequest struct {
 	// Name is the endpoint's stable route name (URL-safe segment).
 	Name string `json:"name"`
@@ -41,30 +38,19 @@ type EndpointRequest struct {
 	JobID string `json:"job_id"`
 	// App selects one application of a multi-model pipeline.
 	App string `json:"app,omitempty"`
-	// Serving is the canonical versioned serving configuration — the
-	// same document GET/PUT /v1/endpoints/{name}/config speak and the
-	// tuner emits. When present it wins wholesale over the flat knobs
-	// below and is validated up front (400 lists every violation).
-	Serving *homunculus.ServingConfig `json:"serving,omitempty"`
-	// Deprecated: set Serving. The flat knobs remain as thin aliases for
-	// pre-config-API clients; zero values select defaults.
-	Shards int `json:"shards,omitempty"`
-	// Deprecated: set Serving.
-	BatchSize int `json:"batch_size,omitempty"`
-	// Deprecated: set Serving (whose max_delay_ns is presence-aware, so
-	// an explicit greedy flush survives; this µs spelling cannot say
-	// "explicit zero").
-	MaxDelayUS int64 `json:"max_delay_us,omitempty"`
-	// Deprecated: set Serving.
-	QueueDepth int `json:"queue_depth,omitempty"`
-	// ValidateRollouts gates revision 1 and every later rollout of this
-	// endpoint behind translation validation of the shipped artifact; a
-	// diverging revision is refused with 409 (docs/validation.md).
-	ValidateRollouts bool `json:"validate_rollouts,omitempty"`
+	// Serving is the endpoint's serving configuration — the same
+	// document GET/PUT /v1/endpoints/{name}/config speak and the tuner
+	// emits. Absent selects every default; a violation is a 400 listing
+	// all of them. Its validate_rollouts gates revision 1 and every
+	// later rollout behind translation validation of the shipped
+	// artifact (a diverging revision is refused with 409,
+	// docs/validation.md).
+	Serving homunculus.ServingConfig `json:"serving,omitzero"`
 }
 
 // RolloutRequest is the POST /v1/endpoints/{name}/rollout body. Rollouts
-// inherit the endpoint's validate_rollouts setting.
+// inherit the endpoint's validate_rollouts setting. Unknown fields are
+// rejected.
 type RolloutRequest struct {
 	// JobID names the finished compilation job to roll out.
 	JobID string `json:"job_id"`
@@ -75,28 +61,19 @@ type RolloutRequest struct {
 	// of splitting it.
 	Shadow bool   `json:"shadow,omitempty"`
 	App    string `json:"app,omitempty"`
-	// Serving, when present, is the canonical config for the new
-	// revision; it wins wholesale over the flat knobs below.
-	Serving *homunculus.ServingConfig `json:"serving,omitempty"`
-	// Deprecated: set Serving. Thin aliases for pre-config-API clients;
-	// zero values inherit the endpoint defaults.
-	Shards int `json:"shards,omitempty"`
-	// Deprecated: set Serving.
-	BatchSize int `json:"batch_size,omitempty"`
-	// Deprecated: set Serving.
-	MaxDelayUS int64 `json:"max_delay_us,omitempty"`
-	// Deprecated: set Serving.
-	QueueDepth int `json:"queue_depth,omitempty"`
+	// Serving overrides the new revision's runtime bounds; absent or
+	// zero fields inherit the endpoint defaults.
+	Serving homunculus.ServingConfig `json:"serving,omitzero"`
 }
 
 // RevisionJSON is the wire rendering of one endpoint revision.
 type RevisionJSON struct {
-	ID            int              `json:"id"`
-	JobID         string           `json:"job_id,omitempty"`
-	App           string           `json:"app"`
-	State         string           `json:"state"`
-	CanaryPercent int              `json:"canary_percent,omitempty"`
-	Stats         *DeployStatsJSON `json:"stats,omitempty"`
+	ID            int               `json:"id"`
+	JobID         string            `json:"job_id,omitempty"`
+	App           string            `json:"app"`
+	State         string            `json:"state"`
+	CanaryPercent int               `json:"canary_percent,omitempty"`
+	Stats         *ServingStatsJSON `json:"stats,omitempty"`
 }
 
 // EndpointJSON is the wire rendering of an endpoint.
@@ -122,9 +99,47 @@ type EndpointJSON struct {
 // is embedded in an EndpointJSON (whose revisions array already carries
 // per-revision stats), the Revisions field is omitted.
 type EndpointStatsJSON struct {
-	Merged    DeployStatsJSON `json:"merged"`
-	Revisions []RevisionJSON  `json:"revisions,omitempty"`
-	Shadow    *DivergenceJSON `json:"shadow,omitempty"`
+	Merged    ServingStatsJSON `json:"merged"`
+	Revisions []RevisionJSON   `json:"revisions,omitempty"`
+	Shadow    *DivergenceJSON  `json:"shadow,omitempty"`
+}
+
+// ServingStatsJSON is the wire rendering of serving metrics.
+type ServingStatsJSON struct {
+	Accepted        uint64   `json:"accepted"`
+	Completed       uint64   `json:"completed"`
+	Dropped         uint64   `json:"dropped"`
+	Errors          uint64   `json:"errors"`
+	PerClass        []uint64 `json:"per_class"`
+	Batches         uint64   `json:"batches"`
+	FullFlushes     uint64   `json:"full_flushes"`
+	DeadlineFlushes uint64   `json:"deadline_flushes"`
+	MeanBatch       float64  `json:"mean_batch"`
+	P50NS           int64    `json:"p50_ns"`
+	P99NS           int64    `json:"p99_ns"`
+	ThroughputRPS   float64  `json:"throughput_rps"`
+	UptimeMS        int64    `json:"uptime_ms"`
+}
+
+// StatsJSON renders a serving-stats snapshot in wire form — exported so
+// internal/cluster can render per-node and merged documents with the
+// exact schema the local stats surface uses.
+func StatsJSON(st homunculus.ServingStats) ServingStatsJSON {
+	return ServingStatsJSON{
+		Accepted:        st.Accepted,
+		Completed:       st.Completed,
+		Dropped:         st.Dropped,
+		Errors:          st.Errors,
+		PerClass:        st.PerClass,
+		Batches:         st.Batches,
+		FullFlushes:     st.FullFlushes,
+		DeadlineFlushes: st.DeadlineFlushes,
+		MeanBatch:       st.MeanBatch,
+		P50NS:           st.P50.Nanoseconds(),
+		P99NS:           st.P99.Nanoseconds(),
+		ThroughputRPS:   st.Throughput,
+		UptimeMS:        st.Uptime.Milliseconds(),
+	}
 }
 
 // DivergenceJSON is the shadow-vs-primary comparison report.
@@ -155,7 +170,8 @@ func revisionJSON(r homunculus.RevisionInfo, withStats bool) RevisionJSON {
 		State: string(r.State), CanaryPercent: r.CanaryPercent,
 	}
 	if withStats {
-		out.Stats = statsJSON(r.Stats)
+		st := StatsJSON(r.Stats)
+		out.Stats = &st
 	}
 	return out
 }
@@ -166,7 +182,7 @@ func endpointJSON(e *homunculus.Endpoint, withStats bool) EndpointJSON {
 		Name:     e.Name(),
 		Platform: e.Platform(),
 		Stable:   stable, Canary: canary, CanaryPercent: pct, Shadow: shadow,
-		ValidateRollouts: e.Config().ValidateRollouts,
+		ValidateRollouts: e.ServingConfig().ValidateRollouts,
 	}
 	if withStats {
 		// One full snapshot: the revisions array carries the per-revision
@@ -177,7 +193,7 @@ func endpointJSON(e *homunculus.Endpoint, withStats bool) EndpointJSON {
 			out.Revisions = append(out.Revisions, revisionJSON(r, true))
 		}
 		out.Stats = &EndpointStatsJSON{
-			Merged: *statsJSON(st.Merged),
+			Merged: StatsJSON(st.Merged),
 			Shadow: divergenceJSON(st.Shadow),
 		}
 	} else {
@@ -197,7 +213,7 @@ func endpointJSON(e *homunculus.Endpoint, withStats bool) EndpointJSON {
 
 func endpointStatsJSON(st homunculus.EndpointStats) EndpointStatsJSON {
 	out := EndpointStatsJSON{
-		Merged: *statsJSON(st.Merged),
+		Merged: StatsJSON(st.Merged),
 		Shadow: divergenceJSON(st.Shadow),
 	}
 	for _, r := range st.Revisions {
@@ -206,10 +222,21 @@ func endpointStatsJSON(st homunculus.EndpointStats) EndpointStatsJSON {
 	return out
 }
 
+// decodeStrict parses a request body, rejecting unknown fields — so a
+// mistyped or retired knob is a 400 naming it, not silently a default.
+func decodeStrict(r *http.Request, v any) error {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("parse request: %w", err)
+	}
+	return nil
+}
+
 func (h *handler) createEndpoint(w http.ResponseWriter, r *http.Request) {
 	var req EndpointRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("parse request: %w", err))
+	if err := decodeStrict(r, &req); err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	if req.Name == "" || req.JobID == "" {
@@ -217,13 +244,8 @@ func (h *handler) createEndpoint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ep, err := h.svc.CreateEndpoint(req.Name, req.JobID, homunculus.EndpointOptions{
-		App:              req.App,
-		Serving:          req.Serving,
-		Shards:           req.Shards,
-		BatchSize:        req.BatchSize,
-		MaxDelay:         time.Duration(req.MaxDelayUS) * time.Microsecond,
-		QueueDepth:       req.QueueDepth,
-		ValidateRollouts: req.ValidateRollouts,
+		App:     req.App,
+		Serving: req.Serving,
 	})
 	if err != nil {
 		switch {
@@ -314,8 +336,8 @@ func (h *handler) rollout(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req RolloutRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("parse request: %w", err))
+	if err := decodeStrict(r, &req); err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	if req.JobID == "" {
@@ -327,10 +349,6 @@ func (h *handler) rollout(w http.ResponseWriter, r *http.Request) {
 		CanaryPercent: req.CanaryPercent,
 		Shadow:        req.Shadow,
 		Serving:       req.Serving,
-		Shards:        req.Shards,
-		BatchSize:     req.BatchSize,
-		MaxDelay:      time.Duration(req.MaxDelayUS) * time.Microsecond,
-		QueueDepth:    req.QueueDepth,
 	})
 	if err != nil {
 		switch {

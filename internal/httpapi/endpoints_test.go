@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -32,6 +33,88 @@ var (
 	}
 )
 
+// unfinishedBlockDataset registers a second blocking loader, for the
+// unfinished-job case of TestHTTPEndpointErrors: releasing it cannot
+// interfere with the queue-full test's gate or httpapi_test.go's
+// cancellation gate.
+var (
+	unfinishedTestLoaders  sync.Once
+	unfinishedRelease      = make(chan struct{})
+	unfinishedReleaseOnce  sync.Once
+	unfinishedBlockDataset = func() {
+		unfinishedTestLoaders.Do(func() {
+			alchemy.RegisterLoader("httpapi_unfinished_block", alchemy.DataLoaderFunc(func() (*alchemy.Data, error) {
+				<-unfinishedRelease
+				return tinyData(), nil
+			}))
+		})
+	}
+)
+
+func postJSON(t testing.TB, url string, body any) (*http.Response, []byte) {
+	t.Helper()
+	raw, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url, "application/json", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	return resp, buf.Bytes()
+}
+
+func doDelete(t *testing.T, url string) (*http.Response, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodDelete, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	return resp, buf.Bytes()
+}
+
+func httpGet(t *testing.T, url string) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	return resp, buf.Bytes()
+}
+
+// compileDone submits the tiny spec and polls the job to done.
+func compileDone(t testing.TB, srv *httptest.Server) JobJSON {
+	t.Helper()
+	job, resp := postJob(t, srv, submitBody("httpapi_tiny"))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST /v1/jobs status %d", resp.StatusCode)
+	}
+	final := pollDone(t, srv, job.ID)
+	if final.State != homunculus.JobDone {
+		t.Fatalf("job state %q (%s)", final.State, final.Error)
+	}
+	return final
+}
+
 // TestHTTPEndpointLifecycle is the versioned-serving acceptance path:
 // compile two jobs, create a named endpoint from the first, classify,
 // roll the second out at 50% canary, see both revisions serving in the
@@ -57,7 +140,7 @@ func TestHTTPEndpointLifecycle(t *testing.T) {
 	}
 
 	resp, body := postJSON(t, srv.URL+"/v1/endpoints", EndpointRequest{
-		Name: "anomaly-detection", JobID: job1.ID, BatchSize: 8, MaxDelayUS: 1000,
+		Name: "anomaly-detection", JobID: job1.ID, Serving: homunculus.ServingConfig{BatchSize: 8},
 	})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create status %d: %s", resp.StatusCode, body)
@@ -93,8 +176,27 @@ func TestHTTPEndpointLifecycle(t *testing.T) {
 	if err := json.Unmarshal(cbody, &cls); err != nil {
 		t.Fatal(err)
 	}
-	if len(cls.Classes) != 4 || cls.Dropped != 0 {
+	if len(cls.Classes) != 4 || cls.Dropped != 0 || cls.Error != "" {
 		t.Fatalf("classify response: %+v", cls)
+	}
+	for i, c := range cls.Classes {
+		if c < 0 || c > 1 {
+			t.Fatalf("class %d out of range in %+v", i, cls)
+		}
+	}
+
+	// Stats must account for at least the classified batch with a
+	// nonzero latency tail.
+	sresp, sbody := httpGet(t, srv.URL+"/v1/endpoints/anomaly-detection/stats")
+	var st EndpointStatsJSON
+	if err := json.Unmarshal(sbody, &st); err != nil {
+		t.Fatal(err)
+	}
+	if sresp.StatusCode != http.StatusOK || st.Merged.Completed < 4 || st.Merged.P99NS == 0 {
+		t.Fatalf("stats: %d %s", sresp.StatusCode, sbody)
+	}
+	if st.Merged.PerClass[0]+st.Merged.PerClass[1] != st.Merged.Completed {
+		t.Fatalf("per-class counts must partition completions: %s", sbody)
 	}
 
 	// Roll out job2 at 50% canary and push enough traffic that both
@@ -123,8 +225,8 @@ func TestHTTPEndpointLifecycle(t *testing.T) {
 			t.Fatalf("canary classify status %d", cresp.StatusCode)
 		}
 	}
-	sresp, sbody := httpGet(t, srv.URL+"/v1/endpoints/anomaly-detection/stats")
-	var st EndpointStatsJSON
+	sresp, sbody = httpGet(t, srv.URL+"/v1/endpoints/anomaly-detection/stats")
+	st = EndpointStatsJSON{}
 	if err := json.Unmarshal(sbody, &st); err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +278,7 @@ func TestHTTPEndpointLifecycle(t *testing.T) {
 	if err := json.Unmarshal(dbody, &final); err != nil {
 		t.Fatal(err)
 	}
-	if dresp.StatusCode != http.StatusOK || final.Merged.Accepted != final.Merged.Completed {
+	if dresp.StatusCode != http.StatusOK || final.Merged.Accepted != final.Merged.Completed || final.Merged.Completed < st.Merged.Completed {
 		t.Fatalf("drain: %d %s", dresp.StatusCode, dbody)
 	}
 	gresp, _ := httpGet(t, srv.URL+"/v1/endpoints/anomaly-detection")
@@ -195,7 +297,7 @@ func TestHTTPEndpointShadow(t *testing.T) {
 	srv, _ := setupServer(t, homunculus.ServiceOptions{MaxInFlight: 2})
 	job := compileDone(t, srv)
 	resp, body := postJSON(t, srv.URL+"/v1/endpoints", EndpointRequest{
-		Name: "shadowed", JobID: job.ID, MaxDelayUS: -1,
+		Name: "shadowed", JobID: job.ID, Serving: homunculus.ServingConfig{MaxDelayNS: new(int64)},
 	})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create status %d: %s", resp.StatusCode, body)
@@ -301,6 +403,123 @@ func TestHTTPEndpointErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("rollout without job status %d", resp.StatusCode)
 	}
+	// Unknown app on a real job; an empty classify batch.
+	resp, body := postJSON(t, srv.URL+"/v1/endpoints", EndpointRequest{Name: "x", JobID: job.ID, App: "nope"})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unknown app status %d: %s", resp.StatusCode, body)
+	}
+	resp, _ = postJSON(t, srv.URL+"/v1/endpoints/dup/classify", ClassifyRequest{})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("empty batch status %d", resp.StatusCode)
+	}
+
+	// A job that has not finished yet conflicts.
+	unfinishedBlockDataset()
+	blocked, presp := postJob(t, srv, submitBody("httpapi_unfinished_block"))
+	if presp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST status %d", presp.StatusCode)
+	}
+	resp, body = postJSON(t, srv.URL+"/v1/endpoints", EndpointRequest{Name: "early", JobID: blocked.ID})
+	if resp.StatusCode != http.StatusConflict {
+		t.Fatalf("unfinished job status %d: %s", resp.StatusCode, body)
+	}
+	// Unblock and settle the job so service Close can drain.
+	unfinishedReleaseOnce.Do(func() { close(unfinishedRelease) })
+	pollDone(t, srv, blocked.ID)
+}
+
+// TestHTTPServingWireStrict: the create and rollout bodies have one
+// spelling of the serving knobs. A retired flat knob (or any unknown
+// field) is a 400 naming it instead of a silently applied default, and
+// an out-of-range value inside "serving" is a 400 carrying the accepted
+// range — with no endpoint or revision created either way.
+func TestHTTPServingWireStrict(t *testing.T) {
+	srv, svc := setupServer(t, homunculus.ServiceOptions{MaxInFlight: 2})
+	job := compileDone(t, srv)
+	if resp, body := postJSON(t, srv.URL+"/v1/endpoints", EndpointRequest{Name: "live", JobID: job.ID}); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create status %d: %s", resp.StatusCode, body)
+	}
+	wide := homunculus.ServingConfig{Shards: 300}
+	for _, tc := range []struct{ field, want string }{
+		{`"shards": 1000000000`, `unknown field \"shards\"`},
+		{`"batch_size": 8`, `unknown field \"batch_size\"`},
+		{`"max_delay_us": 1000`, `unknown field \"max_delay_us\"`},
+		{`"queue_depth": 64`, `unknown field \"queue_depth\"`},
+		{`"validate_rollouts": true`, `unknown field \"validate_rollouts\"`},
+		{`"serving": {"batchsize": 8}`, `unknown field \"batchsize\"`},
+		{`"serving": {"shards": 1000000000}`, "accepted [0, 256]"},
+		{`"serving": {"shards": 300}`, wide.Validate().Error()},
+	} {
+		for route, ids := range map[string]string{
+			"/v1/endpoints":              `"name": "strict", `,
+			"/v1/endpoints/live/rollout": ``,
+		} {
+			body := fmt.Sprintf(`{%s"job_id": %q, %s}`, ids, job.ID, tc.field)
+			resp, err := http.Post(srv.URL+route, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			_, _ = buf.ReadFrom(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(buf.String(), tc.want) {
+				t.Fatalf("POST %s %s: status %d %s, want 400 containing %q", route, body, resp.StatusCode, buf.String(), tc.want)
+			}
+		}
+	}
+	// PUT …/config refuses the same value with the same text.
+	presp, pbody := httpPut(t, srv.URL+"/v1/endpoints/live/config", []byte(`{"shards": 300}`))
+	if presp.StatusCode != http.StatusBadRequest || !strings.Contains(string(pbody), wide.Validate().Error()) {
+		t.Fatalf("PUT config shards 300: %d %s", presp.StatusCode, pbody)
+	}
+	if _, ok := svc.Endpoint("strict"); ok {
+		t.Fatal("a refused create must not leave an endpoint behind")
+	}
+	live, _ := svc.Endpoint("live")
+	if revs := live.Revisions(); len(revs) != 1 {
+		t.Fatalf("a refused rollout must not add a revision: %+v", revs)
+	}
+}
+
+// TestHTTPClassifyFeatureMismatch: a wrong-width or ragged batch is
+// refused whole with a 400 naming the first offending row and the
+// expected width, before anything is admitted.
+func TestHTTPClassifyFeatureMismatch(t *testing.T) {
+	srv, svc := setupServer(t, homunculus.ServiceOptions{MaxInFlight: 2})
+	job := compileDone(t, srv)
+	resp, body := postJSON(t, srv.URL+"/v1/endpoints", EndpointRequest{Name: "narrow", JobID: job.ID})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create status %d: %s", resp.StatusCode, body)
+	}
+	for _, batch := range [][][]float64{{{0.1, 1.0}, {0.5}}, {{0.1, 1.0}, {0.5, 1, 2}}, {{0.1, 1.0}, {}}} {
+		cresp, cbody := postJSON(t, srv.URL+"/v1/endpoints/narrow/classify", ClassifyRequest{Features: batch})
+		if cresp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%v: status %d: %s", batch, cresp.StatusCode, cbody)
+		}
+		want := fmt.Sprintf("features[1] has %d values", len(batch[1]))
+		if !bytes.Contains(cbody, []byte(want)) || !bytes.Contains(cbody, []byte("expects 2")) {
+			t.Fatalf("%v: error %s does not name the row and the width", batch, cbody)
+		}
+	}
+	ep, _ := svc.Endpoint("narrow")
+	if st := ep.Stats().Merged; st.Accepted != 0 || st.Errors != 0 {
+		t.Fatalf("refused batches reached the runtime: %+v", st)
+	}
+}
+
+// TestHTTPServingStatsJSONShape pins the stats wire format the CI daemon
+// smoke greps for.
+func TestHTTPServingStatsJSONShape(t *testing.T) {
+	st := StatsJSON(homunculus.ServingStats{Accepted: 2, Completed: 2, PerClass: []uint64{1, 1}})
+	raw, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"accepted"`, `"completed"`, `"dropped"`, `"p50_ns"`, `"p99_ns"`, `"throughput_rps"`, `"per_class"`} {
+		if !bytes.Contains(raw, []byte(key)) {
+			t.Fatalf("stats JSON missing %s: %s", key, raw)
+		}
+	}
 }
 
 // TestHTTPQueueFullRetryAfter pins the backpressure contract on the
@@ -338,7 +557,7 @@ func TestHTTPQueueFullRetryAfter(t *testing.T) {
 // TestClassifyShedRetryAfter pins the serving-side backpressure wire
 // contract: a fully shed classify batch is a 429 with Retry-After, a
 // partial shed is a 200, and a draining target is a 409 (no backoff
-// hint — retrying a closed deployment is pointless).
+// hint — retrying a closed endpoint is pointless).
 func TestClassifyShedRetryAfter(t *testing.T) {
 	fullyShed := []int{-1, -1}
 	rec := httptest.NewRecorder()
@@ -357,7 +576,7 @@ func TestClassifyShedRetryAfter(t *testing.T) {
 	}
 
 	rec = httptest.NewRecorder()
-	new(classifyBuf).writeResponse(rec, fullyShed, 2, homunculus.ErrDeploymentClosed)
+	new(classifyBuf).writeResponse(rec, fullyShed, 2, homunculus.ErrEndpointClosed)
 	if rec.Code != http.StatusConflict || rec.Header().Get("Retry-After") != "" {
 		t.Fatalf("closed target: status %d Retry-After %q", rec.Code, rec.Header().Get("Retry-After"))
 	}
@@ -385,7 +604,7 @@ func TestHTTPEndpointValidationGate(t *testing.T) {
 
 	// The clean pipeline passes the gate and the flag lands on the doc.
 	resp, body := postJSON(t, srv.URL+"/v1/endpoints", EndpointRequest{
-		Name: "gated", JobID: job.ID, ValidateRollouts: true,
+		Name: "gated", JobID: job.ID, Serving: homunculus.ServingConfig{ValidateRollouts: true},
 	})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("gated create status %d: %s", resp.StatusCode, body)
@@ -436,7 +655,7 @@ func TestHTTPEndpointValidationGate(t *testing.T) {
 	// Creating a fresh gated endpoint from the corrupted job is refused
 	// the same way; an ungated one still works.
 	cresp, _ := postJSON(t, srv.URL+"/v1/endpoints", EndpointRequest{
-		Name: "gated2", JobID: job.ID, ValidateRollouts: true,
+		Name: "gated2", JobID: job.ID, Serving: homunculus.ServingConfig{ValidateRollouts: true},
 	})
 	if cresp.StatusCode != http.StatusConflict {
 		t.Fatalf("corrupted gated create status %d", cresp.StatusCode)

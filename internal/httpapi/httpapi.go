@@ -15,10 +15,8 @@
 // /v1/endpoints surface (endpoints.go, docs/serving.md): named routes
 // with revisions, canary/shadow rollouts, promote, and rollback —
 // zero-downtime swaps over a batched, backpressured runtime with
-// per-revision latency/throughput stats. The original flat
-// /v1/deployments routes remain as thin aliases (deployments.go) that
-// create endpoints behind auto-generated "dep-%06d" names. Every 429
-// the API emits carries a Retry-After backoff hint.
+// per-revision latency/throughput stats. Every 429 the API emits
+// carries a Retry-After backoff hint.
 //
 // Dataset references resolve through the alchemy loader catalog;
 // RegisterBuiltinLoaders installs the bundled synthetic generators so a
@@ -34,7 +32,6 @@ import (
 	"os"
 	"os/signal"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -251,12 +248,6 @@ func NewServerWith(svc *homunculus.Service, opts ServerOptions) http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/events", h.events)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", h.cancel)
 	mux.HandleFunc("GET /v1/backends", h.backends)
-	mux.HandleFunc("POST /v1/deployments", h.deploy)
-	mux.HandleFunc("GET /v1/deployments", h.listDeployments)
-	mux.HandleFunc("GET /v1/deployments/{id}", h.deployment)
-	mux.HandleFunc("POST /v1/deployments/{id}/classify", h.classify)
-	mux.HandleFunc("GET /v1/deployments/{id}/stats", h.deploymentStats)
-	mux.HandleFunc("DELETE /v1/deployments/{id}", h.undeploy)
 	mux.HandleFunc("POST /v1/endpoints", h.createEndpoint)
 	mux.HandleFunc("GET /v1/endpoints", h.listEndpoints)
 	mux.HandleFunc("GET /v1/endpoints/{name}", h.endpoint)
@@ -276,10 +267,6 @@ func NewServerWith(svc *homunculus.Service, opts ServerOptions) http.Handler {
 type handler struct {
 	svc  *homunculus.Service
 	opts ServerOptions
-
-	// depSeq mints the auto-generated endpoint names ("dep-%06d") behind
-	// the flat /v1/deployments alias surface (deployments.go).
-	depSeq atomic.Uint64
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -14,18 +14,18 @@ import (
 const ConfigVersion = 1
 
 // ServingConfig is the canonical, versioned description of a serving
-// runtime's knobs. It collapses the spellings that grew across the Go
-// API (Options / EndpointOptions), the wire JSON (flat max_delay_us
-// fields), and the CLI flags into one artifact that round-trips through
-// JSON byte-identically: the tuner emits it, the manifest persists it,
-// and `PUT /v1/endpoints/{name}/config` applies it.
+// runtime's knobs, and their only declaration: the Go API's
+// EndpointOptions and RolloutOptions carry it, the wire JSON and the CLI
+// flags build it, the tuner emits it, the manifest persists it, and
+// `PUT /v1/endpoints/{name}/config` applies it. It round-trips through
+// JSON byte-identically. Every way in runs Validate before Options()
+// resolves the bounds a runtime is built from.
 //
 // The zero value means "current defaults" for every field: Options()
 // on a zero ServingConfig yields the same resolved runtime bounds as a
 // zero Options. MaxDelayNS is a pointer so that an explicit zero
-// (greedy flush) is representable and survives rollout inheritance —
-// the flat int spellings conflate "unset" with "0" and cannot express
-// it (see Endpoint.resolveOpts).
+// (greedy flush) is representable and survives rollout inheritance
+// (see Endpoint.resolveOpts).
 type ServingConfig struct {
 	// Version is the schema version (0 or ConfigVersion). Canonical
 	// marshalling always emits ConfigVersion.

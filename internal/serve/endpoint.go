@@ -836,19 +836,21 @@ func (e *Endpoint) Stats() EndpointStats {
 	e.mu.Unlock()
 
 	out := EndpointStats{Name: e.name}
-	var acc statsAccum
+	var merged RawStats
 	for i, r := range revs {
 		var st Stats
 		if rts[i] != nil {
-			st = rts[i].Stats()
-			rts[i].stats.accumulate(&acc)
+			raw := rts[i].stats.raw()
+			st = raw.Stats()
+			merged.Merge(raw)
 		}
 		out.Revisions = append(out.Revisions, RevisionStats{
 			ID: r.ID, State: states[i], Created: r.Created,
 			CanaryPercent: pcts[i], Warm: rts[i] != nil, Stats: st,
 		})
 	}
-	out.Merged = acc.snapshot(time.Since(e.start))
+	merged.UptimeNS = int64(time.Since(e.start))
+	out.Merged = merged.Stats()
 	if shadow != nil {
 		out.Shadow = shadow.snapshot()
 	}

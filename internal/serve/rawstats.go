@@ -33,30 +33,12 @@ type RawStats struct {
 	UptimeNS int64 `json:"uptime_ns"`
 }
 
-// rawFromAccum renders an accumulator as wire stats.
-func rawFromAccum(acc *statsAccum, uptime time.Duration) RawStats {
-	out := RawStats{
-		Accepted:        acc.accepted,
-		Completed:       acc.completed,
-		Dropped:         acc.dropped,
-		Errors:          acc.errors,
-		Batches:         acc.batches,
-		Batched:         acc.batched,
-		FullFlushes:     acc.fullFlushes,
-		DeadlineFlushes: acc.deadlineFlushes,
-		PerClass:        append([]uint64(nil), acc.perClass...),
-		UptimeNS:        int64(uptime),
+// grow returns s zero-extended to at least n elements.
+func grow(s []uint64, n int) []uint64 {
+	if len(s) >= n {
+		return s
 	}
-	last := -1
-	for i, c := range acc.latency {
-		if c != 0 {
-			last = i
-		}
-	}
-	if last >= 0 {
-		out.Latency = append([]uint64(nil), acc.latency[:last+1]...)
-	}
-	return out
+	return append(s, make([]uint64, n-len(s))...)
 }
 
 // Merge folds o into r: counters and histograms sum exactly, uptime
@@ -71,19 +53,11 @@ func (r *RawStats) Merge(o RawStats) {
 	r.Batched += o.Batched
 	r.FullFlushes += o.FullFlushes
 	r.DeadlineFlushes += o.DeadlineFlushes
-	if len(o.PerClass) > len(r.PerClass) {
-		grown := make([]uint64, len(o.PerClass))
-		copy(grown, r.PerClass)
-		r.PerClass = grown
-	}
+	r.PerClass = grow(r.PerClass, len(o.PerClass))
 	for i, c := range o.PerClass {
 		r.PerClass[i] += c
 	}
-	if len(o.Latency) > len(r.Latency) {
-		grown := make([]uint64, len(o.Latency))
-		copy(grown, r.Latency)
-		r.Latency = grown
-	}
+	r.Latency = grow(r.Latency, len(o.Latency))
 	for i, c := range o.Latency {
 		r.Latency[i] += c
 	}
@@ -115,14 +89,8 @@ func (r RawStats) Stats() Stats {
 	if out.Uptime > 0 {
 		out.Throughput = float64(out.Completed) / out.Uptime.Seconds()
 	}
-	hist := make([]uint64, latBuckets)
-	copy(hist, r.Latency)
-	var total uint64
-	for _, c := range hist {
-		total += c
-	}
-	out.P50 = quantile(hist, total, 0.50)
-	out.P99 = quantile(hist, total, 0.99)
+	out.P50 = LatencyQuantile(r.Latency, 0.50)
+	out.P99 = LatencyQuantile(r.Latency, 0.99)
 	return out
 }
 
@@ -140,9 +108,10 @@ func (e *Endpoint) RawStats() RawStats {
 	start := e.start
 	e.mu.Unlock()
 
-	var acc statsAccum
+	var out RawStats
 	for _, rt := range rts {
-		rt.stats.accumulate(&acc)
+		out.Merge(rt.stats.raw())
 	}
-	return rawFromAccum(&acc, time.Since(start))
+	out.UptimeNS = int64(time.Since(start))
+	return out
 }

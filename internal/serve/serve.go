@@ -77,10 +77,9 @@ type Options struct {
 	// always greedy.
 	MaxDelay time.Duration
 	// MaxDelaySet marks MaxDelay as explicitly configured, making an
-	// explicit zero (greedy) distinguishable from "use the default" —
-	// the flat int spellings conflate the two, which made greedy
-	// unrepresentable on rollout inheritance. Set automatically by
-	// ServingConfig.Options when max_delay_ns is present.
+	// explicit zero (greedy) distinguishable from "use the default" on
+	// rollout inheritance. Set by ServingConfig.Options when
+	// max_delay_ns is present.
 	MaxDelaySet bool
 	// AdaptiveFlush enables the per-shard TAGE-flavored inter-arrival
 	// predictor (predict.go): the harvester holds a partial batch only
@@ -205,8 +204,8 @@ func New(model *ir.Model, opts Options) (*Runtime, error) {
 		rt.rings[i] = sh
 	}
 	// Deadline batching only for explicitly configured positive bounds
-	// (ServingConfig presence); legacy flat MaxDelay spellings keep the
-	// greedy ring-scheduler behavior they were written against.
+	// (max_delay_ns present in the ServingConfig); the default bound
+	// keeps the greedy ring-scheduler behavior.
 	rt.holdFixed = o.MaxDelaySet && o.MaxDelay > 0 && !adaptive
 	rt.reqPool.New = func() any { return &request{wake: make(chan struct{}, 1)} }
 	rt.stats.init(model.Outputs)
@@ -346,7 +345,7 @@ func (rt *Runtime) ClassifyBatch(xs [][]float64) (classes []int, dropped int, er
 }
 
 // Stats snapshots the deployment's metrics.
-func (rt *Runtime) Stats() Stats { return rt.stats.snapshot() }
+func (rt *Runtime) Stats() Stats { return rt.stats.raw().Stats() }
 
 // Close stops intake and drains: every accepted request is classified
 // and delivered, then the workers exit. Blocks until the drain

@@ -16,9 +16,9 @@ import (
 	"time"
 )
 
-// latBuckets is the histogram size: bucket i counts latencies in
+// LatencyBuckets is the histogram size: bucket i counts latencies in
 // [2^(i-1), 2^i) nanoseconds, covering up to ~9.2 s in bucket 63.
-const latBuckets = 64
+const LatencyBuckets = 64
 
 type stats struct {
 	start time.Time
@@ -34,7 +34,7 @@ type stats struct {
 	deadlineFlushes atomic.Uint64
 
 	perClass []atomic.Uint64
-	latency  [latBuckets]atomic.Uint64
+	latency  [LatencyBuckets]atomic.Uint64
 }
 
 func (s *stats) init(classes int) {
@@ -87,15 +87,7 @@ func (s *stats) observe(counts []uint64, out []int, failed int) {
 
 // observeLatency records one sampled span's admission-to-delivery time.
 func (s *stats) observeLatency(lat time.Duration) {
-	ns := lat.Nanoseconds()
-	if ns < 0 {
-		ns = 0
-	}
-	b := bits.Len64(uint64(ns))
-	if b >= latBuckets {
-		b = latBuckets - 1
-	}
-	s.latency[b].Add(1)
+	s.latency[LatencyBucket(lat)].Add(1)
 }
 
 // Stats is a point-in-time snapshot of a deployment's serving metrics.
@@ -129,80 +121,48 @@ type Stats struct {
 	Uptime time.Duration
 }
 
-func (s *stats) snapshot() Stats {
-	var acc statsAccum
-	s.accumulate(&acc)
-	return acc.snapshot(time.Since(s.start))
-}
-
-// statsAccum sums raw counters and histograms across one or more stats
-// instances, so an endpoint's merged view computes its quantiles over
-// the combined latency histogram instead of averaging per-revision
-// quantiles (which would be meaningless).
-type statsAccum struct {
-	accepted, completed, dropped, errors           uint64
-	batches, batched, fullFlushes, deadlineFlushes uint64
-	perClass                                       []uint64
-	latency                                        [latBuckets]uint64
-}
-
-// accumulate folds this stats instance's live counters into acc.
-func (s *stats) accumulate(acc *statsAccum) {
-	acc.accepted += s.accepted.Load()
-	acc.completed += s.completed.Load()
-	acc.dropped += s.dropped.Load()
-	acc.errors += s.errors.Load()
-	acc.batches += s.batches.Load()
-	acc.batched += s.batched.Load()
-	acc.fullFlushes += s.fullFlushes.Load()
-	acc.deadlineFlushes += s.deadlineFlushes.Load()
-	if len(s.perClass) > len(acc.perClass) {
-		grown := make([]uint64, len(s.perClass))
-		copy(grown, acc.perClass)
-		acc.perClass = grown
+// raw loads the live counters into the mergeable wire form, trailing
+// empty latency buckets trimmed.
+func (s *stats) raw() RawStats {
+	out := RawStats{
+		Accepted:        s.accepted.Load(),
+		Completed:       s.completed.Load(),
+		Dropped:         s.dropped.Load(),
+		Errors:          s.errors.Load(),
+		Batches:         s.batches.Load(),
+		Batched:         s.batched.Load(),
+		FullFlushes:     s.fullFlushes.Load(),
+		DeadlineFlushes: s.deadlineFlushes.Load(),
+		PerClass:        make([]uint64, len(s.perClass)),
+		Latency:         make([]uint64, LatencyBuckets),
+		UptimeNS:        int64(time.Since(s.start)),
 	}
 	for i := range s.perClass {
-		acc.perClass[i] += s.perClass[i].Load()
+		out.PerClass[i] = s.perClass[i].Load()
 	}
+	used := 0
 	for i := range s.latency {
-		acc.latency[i] += s.latency[i].Load()
+		if out.Latency[i] = s.latency[i].Load(); out.Latency[i] != 0 {
+			used = i + 1
+		}
 	}
-}
-
-// snapshot renders the accumulated counters as a Stats over uptime.
-func (acc *statsAccum) snapshot(uptime time.Duration) Stats {
-	out := Stats{
-		Accepted:        acc.accepted,
-		Completed:       acc.completed,
-		Dropped:         acc.dropped,
-		Errors:          acc.errors,
-		Batches:         acc.batches,
-		FullFlushes:     acc.fullFlushes,
-		DeadlineFlushes: acc.deadlineFlushes,
-		Uptime:          uptime,
-		PerClass:        append([]uint64(nil), acc.perClass...),
-	}
-	if out.PerClass == nil {
-		out.PerClass = []uint64{}
-	}
-	if out.Batches > 0 {
-		out.MeanBatch = float64(acc.batched) / float64(out.Batches)
-	}
-	if out.Uptime > 0 {
-		out.Throughput = float64(out.Completed) / out.Uptime.Seconds()
-	}
-	var total uint64
-	for _, c := range acc.latency {
-		total += c
-	}
-	out.P50 = quantile(acc.latency[:], total, 0.50)
-	out.P99 = quantile(acc.latency[:], total, 0.99)
+	out.Latency = out.Latency[:used]
 	return out
 }
 
-// quantile returns the upper bound (2^bucket ns) of the histogram bucket
-// containing the q-th completed request.
-func quantile(hist []uint64, total uint64, q float64) time.Duration {
+// LatencyBucket is the log2 histogram's bucket index for one observed
+// latency: the bit length of its nanoseconds, capped at the last bucket.
+func LatencyBucket(lat time.Duration) int {
+	return min(bits.Len64(uint64(max(lat, 0))), LatencyBuckets-1)
+}
+
+// LatencyQuantile returns the upper bound (2^bucket ns) of the log2
+// histogram bucket containing the q-th observation; 0 when hist is empty.
+func LatencyQuantile(hist []uint64, q float64) time.Duration {
+	var total uint64
+	for _, c := range hist {
+		total += c
+	}
 	if total == 0 {
 		return 0
 	}

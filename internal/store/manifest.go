@@ -13,10 +13,16 @@ import (
 	"path/filepath"
 )
 
-const manifestVersion = 1
+// manifestVersion 2 persists each serving config as the canonical
+// ServingConfig document. Version 1 (flat knob records, a separate
+// max_delay_set flag) is still read; the service translates its records
+// on restore and the next save rewrites the file as version 2.
+const manifestVersion = 2
 
 // Manifest is the persisted endpoint table.
 type Manifest struct {
+	// Version is the version the file was read at; SaveManifest always
+	// writes manifestVersion.
 	Version   int              `json:"version"`
 	Endpoints []EndpointRecord `json:"endpoints"`
 }
@@ -27,8 +33,9 @@ type EndpointRecord struct {
 	Platform string `json:"platform"`
 	// CreatedUnixNano is when the endpoint was first created.
 	CreatedUnixNano int64 `json:"created_unix_nano"`
-	// Options are the endpoint's default runtime bounds.
-	Options OptionsRecord `json:"options"`
+	// Options is the endpoint's serving-config document, kept as raw
+	// bytes: the store carries it, the service parses and validates it.
+	Options json.RawMessage `json:"options"`
 	// Stable/Canary/Shadow are the routing table's revision IDs (0 =
 	// none); CanaryPercent is the live canary's traffic share.
 	Stable        int `json:"stable"`
@@ -37,25 +44,6 @@ type EndpointRecord struct {
 	Shadow        int `json:"shadow,omitempty"`
 	// Revisions lists every revision in rollout order.
 	Revisions []RevisionRecord `json:"revisions"`
-}
-
-// OptionsRecord persists serving runtime bounds.
-type OptionsRecord struct {
-	Shards     int   `json:"shards,omitempty"`
-	BatchSize  int   `json:"batch_size,omitempty"`
-	MaxDelayNS int64 `json:"max_delay_ns,omitempty"`
-	// MaxDelaySet records that MaxDelayNS was configured explicitly —
-	// an explicit zero (greedy flush) must survive the round-trip,
-	// which omitempty on the int64 alone cannot express.
-	MaxDelaySet bool `json:"max_delay_set,omitempty"`
-	// AdaptiveFlush enables the arrival-predictor flush policy.
-	AdaptiveFlush bool `json:"adaptive_flush,omitempty"`
-	QueueDepth    int  `json:"queue_depth,omitempty"`
-	// RetainRetired caps warm retired revisions (0 = default).
-	RetainRetired int `json:"retain_retired,omitempty"`
-	// ValidateRollouts gates revisions behind translation validation of
-	// their shipped artifact.
-	ValidateRollouts bool `json:"validate_rollouts,omitempty"`
 }
 
 // RevisionRecord persists one revision's identity and lifecycle place.
@@ -72,9 +60,9 @@ type RevisionRecord struct {
 	State           string `json:"state"`
 	CanaryPercent   int    `json:"canary_percent,omitempty"`
 	CreatedUnixNano int64  `json:"created_unix_nano"`
-	// Options are the revision's runtime bounds when they override the
-	// endpoint defaults.
-	Options OptionsRecord `json:"options,omitempty"`
+	// Options is the revision's serving-config document (zero fields
+	// inherit the endpoint defaults).
+	Options json.RawMessage `json:"options,omitempty"`
 }
 
 // SaveManifest atomically replaces the endpoint manifest.
@@ -107,8 +95,8 @@ func (s *Store) LoadManifest() (Manifest, error) {
 	if err := json.Unmarshal(raw, &m); err != nil {
 		return Manifest{}, fmt.Errorf("store: parse manifest: %w", err)
 	}
-	if m.Version != manifestVersion {
-		return Manifest{}, fmt.Errorf("store: unsupported manifest version %d (want %d)", m.Version, manifestVersion)
+	if m.Version != 1 && m.Version != manifestVersion {
+		return Manifest{}, fmt.Errorf("store: unsupported manifest version %d (want 1 or %d)", m.Version, manifestVersion)
 	}
 	return m, nil
 }

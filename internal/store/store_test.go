@@ -1,8 +1,10 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -297,7 +299,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 	want := Manifest{Endpoints: []EndpointRecord{{
 		Name: "ad", Platform: "taurus", Stable: 2, Canary: 3, CanaryPercent: 25,
-		Options: OptionsRecord{Shards: 2, BatchSize: 8, QueueDepth: 64},
+		Options: json.RawMessage(`{"version":1,"shards":2,"batch_size":8,"queue_depth":64}`),
 		Revisions: []RevisionRecord{
 			{ID: 1, App: "anomaly", SpecHash: testKey("r1"), State: "retired"},
 			{ID: 2, JobID: "job-000001", App: "anomaly", SpecHash: testKey("r2"), State: "stable"},
@@ -320,6 +322,27 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 	if ep.Revisions[2].State != "canary" || ep.Revisions[2].CanaryPercent != 25 {
 		t.Fatalf("revision round trip lost data: %+v", ep.Revisions[2])
+	}
+	// The config document is carried as bytes, not interpreted.
+	var doc bytes.Buffer
+	if err := json.Compact(&doc, ep.Options); err != nil || doc.String() != string(want.Endpoints[0].Options) {
+		t.Fatalf("options document = %s (%v), want %s", ep.Options, err, want.Endpoints[0].Options)
+	}
+	if got.Version != 2 {
+		t.Fatalf("saved manifest version = %d, want 2", got.Version)
+	}
+
+	// Version 1 files still load (the service translates their records);
+	// unknown versions are refused.
+	for version, ok := range map[int]bool{1: true, 3: false} {
+		raw := fmt.Sprintf(`{"version":%d,"endpoints":[{"name":"old","options":{"batch_size":8,"max_delay_set":true}}]}`, version)
+		if err := os.WriteFile(filepath.Join(dir, "endpoints.json"), []byte(raw), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := s.LoadManifest()
+		if ok != (err == nil) || (ok && (m.Version != version || len(m.Endpoints) != 1)) {
+			t.Fatalf("version %d manifest: %+v, %v", version, m, err)
+		}
 	}
 
 	// A corrupt manifest is an error, not a panic or silent empty table.

@@ -97,13 +97,6 @@ type Service struct {
 	jobs   map[string]*Job
 	order  []string // job IDs in admission order
 
-	// Deployments: live serving runtimes over compiled pipelines
-	// (deployment.go). Deployments are registered in creation order and
-	// drained on Close.
-	nextDepID   int
-	deployments map[string]*Deployment
-	depOrder    []string
-
 	// Endpoints: named serving routes with versioned revisions
 	// (endpoint.go). Registered in creation order, drained on Close.
 	endpoints map[string]*Endpoint
@@ -153,7 +146,6 @@ func Open(opts ServiceOptions) (*Service, error) {
 		opts:         o,
 		queue:        jobqueue.New(o.MaxInFlight, o.QueueDepth),
 		jobs:         map[string]*Job{},
-		deployments:  map[string]*Deployment{},
 		endpoints:    map[string]*Endpoint{},
 		fingerprints: map[*alchemy.Model]string{},
 	}
@@ -243,8 +235,7 @@ func (s *Service) Submit(ctx context.Context, p *alchemy.Platform, opts ...Optio
 }
 
 // removeFromOrder compacts a registration-order slice in place, keeping
-// every entry except id — the shared removal step of the deployment and
-// endpoint registries. Caller holds s.mu.
+// every entry except id. Caller holds s.mu.
 func removeFromOrder(order []string, id string) []string {
 	kept := order[:0]
 	for _, v := range order {
@@ -307,24 +298,17 @@ func (s *Service) Stats() (queued, running int) {
 // Close stops admission, fails every still-queued job with an error
 // wrapping ErrServiceClosed, and drains: it blocks until running
 // compilations finish (they are not cancelled — cancel jobs explicitly
-// for a hard stop) and until every deployment and endpoint delivers its
-// accepted requests. Idempotent.
+// for a hard stop) and until every endpoint delivers its accepted
+// requests. Idempotent.
 func (s *Service) Close() error {
 	s.mu.Lock()
 	s.closed = true
-	deps := make([]*Deployment, 0, len(s.depOrder))
-	for _, id := range s.depOrder {
-		deps = append(deps, s.deployments[id])
-	}
 	eps := make([]*Endpoint, 0, len(s.epOrder))
 	for _, name := range s.epOrder {
 		eps = append(eps, s.endpoints[name])
 	}
 	s.mu.Unlock()
 	s.queue.Close()
-	for _, d := range deps {
-		_ = d.Close()
-	}
 	for _, e := range eps {
 		_ = e.Close()
 	}

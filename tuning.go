@@ -98,7 +98,7 @@ func tuneModel(ctx context.Context, model *ir.Model, opts TuneOptions) (*TuneRep
 // Tune runs the offline serving tuner against a finished job's
 // compiled model without touching any live endpoint: candidate
 // configs serve the trace in sandboxed runtimes, and the report's
-// Chosen.Config is ready to pass as DeployOptions.Serving or PUT to
+// Chosen.Config is ready to pass as EndpointOptions.Serving or PUT to
 // an endpoint's config route. Fails with ErrTuneInfeasible (wrapping
 // a *TuneInfeasibleError) when nothing meets the SLO.
 func (s *Service) Tune(ctx context.Context, jobID string, opts TuneOptions) (*TuneReport, error) {

@@ -83,7 +83,7 @@ func TestRolloutGateRefusesCorruptedSpatialArtifact(t *testing.T) {
 	// the emitter would ship.
 	corrupt := corruptCode(t, clean, "0.375", "0.25")
 
-	if _, err := svc.CreateEndpointPipeline("gated", corrupt, EndpointOptions{ValidateRollouts: true}); !errors.Is(err, ErrValidationFailed) {
+	if _, err := svc.CreateEndpointPipeline("gated", corrupt, EndpointOptions{Serving: ServingConfig{ValidateRollouts: true}}); !errors.Is(err, ErrValidationFailed) {
 		t.Fatalf("corrupted create = %v, want ErrValidationFailed", err)
 	}
 	// The gate is opt-in: without the flag the same pipeline serves
@@ -95,11 +95,11 @@ func TestRolloutGateRefusesCorruptedSpatialArtifact(t *testing.T) {
 	}
 	_ = unguarded.Close()
 
-	ep, err := svc.CreateEndpointPipeline("gated", clean, EndpointOptions{ValidateRollouts: true})
+	ep, err := svc.CreateEndpointPipeline("gated", clean, EndpointOptions{Serving: ServingConfig{ValidateRollouts: true}})
 	if err != nil {
 		t.Fatalf("clean create: %v", err)
 	}
-	if !ep.Config().ValidateRollouts {
+	if !ep.ServingConfig().ValidateRollouts {
 		t.Fatal("Config must report ValidateRollouts")
 	}
 
@@ -122,10 +122,10 @@ func TestRolloutGateRefusesCorruptedP4Artifact(t *testing.T) {
 	clean := gatePipeline(t, "tofino", gateSVMModel())
 	corrupt := corruptCode(t, clean, "(_) : mac_0(", "(_) : mac_0(-")
 
-	if _, err := svc.CreateEndpointPipeline("p4gated", corrupt, EndpointOptions{ValidateRollouts: true}); !errors.Is(err, ErrValidationFailed) {
+	if _, err := svc.CreateEndpointPipeline("p4gated", corrupt, EndpointOptions{Serving: ServingConfig{ValidateRollouts: true}}); !errors.Is(err, ErrValidationFailed) {
 		t.Fatalf("corrupted create = %v, want ErrValidationFailed", err)
 	}
-	if _, err := svc.CreateEndpointPipeline("p4gated", clean, EndpointOptions{ValidateRollouts: true}); err != nil {
+	if _, err := svc.CreateEndpointPipeline("p4gated", clean, EndpointOptions{Serving: ServingConfig{ValidateRollouts: true}}); err != nil {
 		t.Fatalf("clean create: %v", err)
 	}
 }
@@ -138,7 +138,7 @@ func TestRolloutGateRefusesUnparseableArtifact(t *testing.T) {
 
 	pipe := gatePipeline(t, "taurus", gateTreeModel())
 	pipe.Apps[0].Code = pipe.Apps[0].Code[:len(pipe.Apps[0].Code)/3]
-	if _, err := svc.CreateEndpointPipeline("trunc", pipe, EndpointOptions{ValidateRollouts: true}); !errors.Is(err, ErrValidationFailed) {
+	if _, err := svc.CreateEndpointPipeline("trunc", pipe, EndpointOptions{Serving: ServingConfig{ValidateRollouts: true}}); !errors.Is(err, ErrValidationFailed) {
 		t.Fatalf("truncated create = %v, want ErrValidationFailed", err)
 	}
 }
@@ -151,7 +151,7 @@ func TestRolloutGateHonorsRecordedVerdict(t *testing.T) {
 
 	pipe := gatePipeline(t, "taurus", gateTreeModel())
 	pipe.Apps[0].Validation = &ValidationReport{Evaluators: []string{"ir", "spatial"}, Inputs: 10, Divergences: 3}
-	if _, err := svc.CreateEndpointPipeline("verdict", pipe, EndpointOptions{ValidateRollouts: true}); !errors.Is(err, ErrValidationFailed) {
+	if _, err := svc.CreateEndpointPipeline("verdict", pipe, EndpointOptions{Serving: ServingConfig{ValidateRollouts: true}}); !errors.Is(err, ErrValidationFailed) {
 		t.Fatalf("recorded-diverging create = %v, want ErrValidationFailed", err)
 	}
 }
@@ -163,7 +163,7 @@ func TestRolloutGateSurvivesRestart(t *testing.T) {
 	svc := mustOpen(t, dir, nil)
 
 	clean := gatePipeline(t, "taurus", gateTreeModel())
-	if _, err := svc.CreateEndpointPipeline("gated", clean, EndpointOptions{ValidateRollouts: true}); err != nil {
+	if _, err := svc.CreateEndpointPipeline("gated", clean, EndpointOptions{Serving: ServingConfig{ValidateRollouts: true}}); err != nil {
 		t.Fatalf("create: %v", err)
 	}
 	if err := svc.Close(); err != nil {
@@ -176,7 +176,7 @@ func TestRolloutGateSurvivesRestart(t *testing.T) {
 	if !ok {
 		t.Fatalf("endpoint not restored: %+v", svc2.Recovery())
 	}
-	if !ep.Config().ValidateRollouts {
+	if !ep.ServingConfig().ValidateRollouts {
 		t.Fatal("ValidateRollouts lost across restart")
 	}
 	corrupt := corruptCode(t, clean, "0.375", "0.25")
