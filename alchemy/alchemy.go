@@ -29,6 +29,7 @@ import (
 	"slices"
 
 	"repro/internal/dataset"
+	"repro/internal/ir"
 )
 
 // Data is what a DataLoader produces: train/test features and labels,
@@ -178,6 +179,11 @@ func (m *Model) Validate() error {
 	if !slices.Contains(MetricNames(), m.Spec.OptimizationMetric) {
 		return fmt.Errorf("alchemy: model %q has unknown metric %q (accepted: %v)",
 			m.Spec.Name, m.Spec.OptimizationMetric, MetricNames())
+	}
+	for _, a := range m.Spec.Algorithms {
+		if _, err := ir.ParseKind(a); err != nil {
+			return fmt.Errorf("alchemy: model %q: %w", m.Spec.Name, err)
+		}
 	}
 	return nil
 }

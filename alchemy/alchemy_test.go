@@ -1,8 +1,12 @@
 package alchemy
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
+
+	"repro/internal/ir"
 )
 
 func sampleData(seed int64) *Data {
@@ -94,6 +98,12 @@ func TestModelValidate(t *testing.T) {
 		DataLoader: DataLoaderFunc(func() (*Data, error) { return nil, nil })})
 	if m.Validate() == nil {
 		t.Fatal("unknown metric must fail")
+	}
+	m = NewModel(ModelSpec{Name: "x", Algorithms: []string{"dtree", "bogus"},
+		DataLoader: DataLoaderFunc(func() (*Data, error) { return nil, nil })})
+	if err := m.Validate(); err == nil || !strings.Contains(err.Error(), `"bogus"`) ||
+		!strings.Contains(err.Error(), fmt.Sprint(ir.KindNames())) {
+		t.Fatalf("unknown algorithm must fail listing the accepted names, got %v", err)
 	}
 }
 

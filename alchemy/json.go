@@ -213,7 +213,8 @@ func (c ConstraintsJSON) Constraints() Constraints {
 	}
 }
 
-func constraintsJSON(c Constraints) ConstraintsJSON {
+// ConstraintsToJSON is the inverse: the DSL type in its flat wire form.
+func ConstraintsToJSON(c Constraints) ConstraintsJSON {
 	return ConstraintsJSON{
 		ThroughputGPkts: c.Performance.ThroughputGPkts,
 		LatencyNS:       c.Performance.LatencyNS,
@@ -246,16 +247,27 @@ type ModelJSON struct {
 	Normalize  *bool    `json:"normalize,omitempty"`
 }
 
-// MarshalPlatform renders the declaration as canonical JSON. Every
-// scheduled model's loader must be a catalog reference (NamedDataLoader —
-// use NamedLoader or register loaders with RegisterLoader); arbitrary
-// in-process loaders cannot cross the wire. Two distinct models sharing
-// one name is an error, since names are the wire's only identity.
+// MarshalPlatform renders the declaration as canonical JSON: the bytes of
+// its PlatformToJSON document.
 func MarshalPlatform(p *Platform) ([]byte, error) {
+	doc, err := PlatformToJSON(p)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(doc)
+}
+
+// PlatformToJSON renders the declaration as its wire document (the
+// inverse of PlatformFromJSON). Every scheduled model's loader must be a
+// catalog reference (NamedDataLoader — use NamedLoader or register
+// loaders with RegisterLoader); arbitrary in-process loaders cannot cross
+// the wire. Two distinct models sharing one name is an error, since names
+// are the wire's only identity.
+func PlatformToJSON(p *Platform) (*PlatformJSON, error) {
 	if p == nil {
 		return nil, fmt.Errorf("alchemy: nil platform")
 	}
-	doc := PlatformJSON{Kind: string(p.Kind), Constraints: constraintsJSON(p.Constraints)}
+	doc := &PlatformJSON{Kind: string(p.Kind), Constraints: ConstraintsToJSON(p.Constraints)}
 	byName := map[string]*Model{}
 	var walk func(s *Schedule) (*ScheduleJSON, error)
 	walk = func(s *Schedule) (*ScheduleJSON, error) {
@@ -310,7 +322,7 @@ func MarshalPlatform(p *Platform) ([]byte, error) {
 		return nil, err
 	}
 	doc.Schedule = sched
-	return json.Marshal(doc)
+	return doc, nil
 }
 
 // UnmarshalPlatform rebuilds a declaration from its wire form. Dataset

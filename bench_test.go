@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -512,6 +513,19 @@ func BenchmarkFlowTableStreaming(b *testing.B) {
 	b.ReportMetric(float64(len(stream)), "packets")
 }
 
+// mallocsPerOp runs f, which performs n operations, and returns the heap
+// allocations per operation — what -benchmem prints as allocs/op, taken
+// at a fixed n so that a budget holds at any -benchtime (bench-smoke runs
+// every benchmark once). Unlike testing.AllocsPerRun it leaves GOMAXPROCS
+// alone: the budgeted paths below are the parallel ones.
+func mallocsPerOp(n int, f func()) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(n)
+}
+
 func BenchmarkParetoSearch(b *testing.B) {
 	cfg := nslkdd.DefaultConfig()
 	cfg.Samples = 1200
@@ -521,7 +535,7 @@ func BenchmarkParetoSearch(b *testing.B) {
 	}
 	app := core.App{Name: "ad", Train: train, Test: test, Normalize: true}
 	var res *core.ParetoSearchResult
-	for i := 0; i < b.N; i++ {
+	search := func() {
 		sc := core.DefaultSearchConfig()
 		sc.BO.InitSamples = 4
 		sc.BO.Iterations = 6
@@ -532,6 +546,17 @@ func BenchmarkParetoSearch(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+	}
+	if !testing.Short() {
+		// PR1's parallel-search allocation budget (the seed allocated
+		// 122865 times per search).
+		if allocs := mallocsPerOp(1, search); allocs > 3500 {
+			b.Fatalf("SearchPareto allocated %.0f times, budget 3500", allocs)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		search()
 	}
 	b.ReportMetric(float64(len(res.Front)), "front_size")
 	if len(res.Front) > 0 {
@@ -626,8 +651,7 @@ func BenchmarkServeClassify(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	// Metrics must be reported after ResetTimer (which clears them) —
-	// CI's bench-compare job reads steady_allocs from the snapshot.
+	// Metrics must be reported after ResetTimer (which clears them).
 	b.ReportMetric(steady, "steady_allocs")
 	st := dep.Stats().Merged
 	b.ReportMetric(st.MeanBatch, "mean_batch")
@@ -713,14 +737,38 @@ func BenchmarkServeClassifyConcurrent(b *testing.B) {
 		b.Fatal(err)
 	}
 	x := []float64{0.1, -0.2, 0.3, -0.4, 0.5, -0.6, 0.7}
-	b.ReportAllocs()
-	b.ResetTimer()
 	// Worker goroutines must not call b.Fatal (FailNow is only legal on
 	// the benchmark goroutine); collect the first error and fail after.
 	var (
 		errOnce     sync.Once
 		classifyErr error
 	)
+	if !testing.Short() {
+		// The ring's pooled requests keep the concurrent path near zero:
+		// 2000 classifies from GOMAXPROCS goroutines, spawning included.
+		procs := runtime.GOMAXPROCS(0)
+		allocs := mallocsPerOp(2000, func() {
+			var wg sync.WaitGroup
+			for c := 0; c < procs; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 2000/procs; i++ {
+						if _, err := dep.Classify(x); err != nil {
+							errOnce.Do(func() { classifyErr = err })
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+		})
+		if classifyErr == nil && allocs > 2 {
+			b.Fatalf("concurrent Classify allocated %.2f times per op, budget 2", allocs)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			if _, err := dep.Classify(x); err != nil {
@@ -900,14 +948,28 @@ func BenchmarkServiceSubmit(b *testing.B) {
 	p.Schedule(alchemy.NewModel(alchemy.ModelSpec{
 		Name: "bench", Algorithms: []string{"dtree"}, DataLoader: sampleLoader(50)}))
 	cfg := fastConfig()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	submit := func() {
 		job, err := svc.Submit(context.Background(), p, WithSearchConfig(cfg))
 		if err != nil {
 			b.Fatal(err)
 		}
 		job.Cancel()
+	}
+	if !testing.Short() {
+		// PR3's admission-path allocation budget.
+		allocs := mallocsPerOp(64, func() {
+			for i := 0; i < 64; i++ {
+				submit()
+			}
+		})
+		if allocs > 40 {
+			b.Fatalf("Submit+Cancel allocated %.1f times per op, budget 40", allocs)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		submit()
 	}
 	b.StopTimer()
 	if mean := b.Elapsed() / time.Duration(b.N); mean > time.Millisecond {
@@ -974,8 +1036,8 @@ func BenchmarkServiceSubmitDurable(b *testing.B) {
 // grid (the AutoTM-style yardstick), reporting how far the tuner's
 // chosen config falls short of the best grid point — within_pct is the
 // worst relative gap across {throughput, p99}, clamped at 0 when the
-// tuner wins. CI's bench-compare job asserts within_pct <= 10. The sim
-// evaluator (not wall-clock replay) keeps the metric noise-free.
+// tuner wins, and the gate is within_pct <= 10. The sim evaluator (not
+// wall-clock replay) keeps the metric noise-free.
 func BenchmarkTuneAutopilot(b *testing.B) {
 	eval := tune.SimEvaluator()
 	slo, err := tune.ParseSLO("p99<=2ms,drops=0")
@@ -1012,6 +1074,9 @@ func BenchmarkTuneAutopilot(b *testing.B) {
 	gapTput := 100 * (bestTput - chosen.Throughput) / bestTput
 	gapP99 := 100 * (float64(chosen.P99) - bestP99) / bestP99
 	within := math.Max(0, math.Max(gapTput, gapP99))
+	if within > 10 {
+		b.Fatalf("tuner lands %.1f%% short of the best coarse-grid point, gate 10%%", within)
+	}
 	b.ReportMetric(within, "within_pct")
 	b.ReportMetric(chosen.Throughput, "tuner_tput")
 	b.ReportMetric(bestTput, "grid_tput")

@@ -74,6 +74,28 @@ type searchKeyDoc struct {
 	Seed            int64     `json:"seed"`
 }
 
+// searchDocument renders the effective search configuration — the one
+// place the document is populated, for the spec hash and for the wire
+// codec (persist.go) alike.
+func searchDocument(cfg core.SearchConfig) searchKeyDoc {
+	algos := make([]string, 0, len(cfg.Algorithms))
+	for _, k := range cfg.Algorithms {
+		algos = append(algos, k.String())
+	}
+	return searchKeyDoc{
+		Algorithms:      algos,
+		Metric:          string(cfg.Metric),
+		BO:              cfg.BO,
+		MaxHiddenLayers: cfg.MaxHiddenLayers,
+		MaxNeurons:      cfg.MaxNeurons,
+		MaxClusters:     cfg.MaxClusters,
+		TrainEpochs:     cfg.TrainEpochs,
+		FormatIntBits:   cfg.Format.IntBits,
+		FormatFracBits:  cfg.Format.FracBits,
+		Seed:            cfg.Seed,
+	}
+}
+
 // SpecHash returns the content address of a submission: a sha256 over
 // the canonical form of the declaration and the effective search
 // configuration. Equal hashes mean Generate would produce byte-identical
@@ -100,15 +122,11 @@ func specHash(p *alchemy.Platform, search core.SearchConfig, validate bool, fing
 			return alchemy.DatasetFingerprint(m.Spec.DataLoader)
 		}
 	}
-	doc := specKeyDoc{Kind: p.Kind.String(), Validate: validate}
-	doc.Constraints = alchemy.ConstraintsJSON{
-		ThroughputGPkts: p.Constraints.Performance.ThroughputGPkts,
-		LatencyNS:       p.Constraints.Performance.LatencyNS,
-		Rows:            p.Constraints.Resources.Rows,
-		Cols:            p.Constraints.Resources.Cols,
-		Tables:          p.Constraints.Resources.Tables,
-		MaxLUTPct:       p.Constraints.Resources.MaxLUTPct,
-		MaxPowerW:       p.Constraints.Resources.MaxPowerW,
+	doc := specKeyDoc{
+		Kind:        p.Kind.String(),
+		Constraints: alchemy.ConstraintsToJSON(p.Constraints),
+		Search:      searchDocument(search),
+		Validate:    validate,
 	}
 
 	// Fingerprint each unique model once even when scheduled repeatedly
@@ -163,23 +181,6 @@ func specHash(p *alchemy.Platform, search core.SearchConfig, validate bool, fing
 		return "", err
 	}
 	doc.Schedule = sched
-
-	algos := make([]string, 0, len(search.Algorithms))
-	for _, k := range search.Algorithms {
-		algos = append(algos, k.String())
-	}
-	doc.Search = searchKeyDoc{
-		Algorithms:      algos,
-		Metric:          string(search.Metric),
-		BO:              search.BO,
-		MaxHiddenLayers: search.MaxHiddenLayers,
-		MaxNeurons:      search.MaxNeurons,
-		MaxClusters:     search.MaxClusters,
-		TrainEpochs:     search.TrainEpochs,
-		FormatIntBits:   search.Format.IntBits,
-		FormatFracBits:  search.Format.FracBits,
-		Seed:            search.Seed,
-	}
 
 	raw, err := json.Marshal(doc)
 	if err != nil {

@@ -11,11 +11,10 @@ package homunculus
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 
 	"repro/alchemy"
-	"repro/internal/core"
+	"repro/internal/store"
 )
 
 // RemoteArtifacts is the cluster fabric's artifact exchange. Fetch is
@@ -63,37 +62,12 @@ func (s *Service) lookupStored(ctx context.Context, key string) (*Pipeline, bool
 	if !ok {
 		return nil, false
 	}
-	pipe, err := UnmarshalPipeline(payload)
+	pipe, err := s.InstallArtifact(key, payload)
 	if err != nil {
-		s.storeErr(fmt.Errorf("remote artifact %s: %w", key, err))
+		s.storeErr(err)
 		return nil, false
 	}
-	if s.store != nil {
-		if perr := s.store.Artifacts.Put(key, payload); perr != nil {
-			s.storeErr(fmt.Errorf("install remote artifact %s: %w", key, perr))
-		}
-	}
 	return pipe, true
-}
-
-// InstallArtifact installs an already-verified artifact payload (the
-// receiving end of a broadcast): parsed, written through to the store,
-// and planted in the in-memory cache so an identical submission is a
-// warm hit without touching disk.
-func (s *Service) InstallArtifact(key string, payload []byte) error {
-	pipe, err := UnmarshalPipeline(payload)
-	if err != nil {
-		return fmt.Errorf("homunculus: install artifact %s: %w", key, err)
-	}
-	if s.store != nil {
-		if perr := s.store.Artifacts.Put(key, payload); perr != nil {
-			s.storeErr(fmt.Errorf("install artifact %s: %w", key, perr))
-		}
-	}
-	if s.cache != nil {
-		s.cache.insert(key, pipe)
-	}
-	return nil
 }
 
 // ExportArtifact returns the canonical pipeline document stored under
@@ -115,41 +89,22 @@ func (s *Service) ExportArtifact(key string) ([]byte, bool) {
 	return nil, false
 }
 
-// WireJob is a submission in wire form: the canonical platform document
-// plus the journal's search-config encoding. It is what crosses nodes
-// when work is delegated or stolen.
-type WireJob struct {
-	Platform json.RawMessage
-	Search   json.RawMessage
-}
-
-// SubmitWire decodes a wire-form submission and admits it through the
-// normal Submit path (bounded queue, cache, journal). The thief side of
-// work stealing: execute a peer's spec as a first-class local job.
-func (s *Service) SubmitWire(ctx context.Context, wj WireJob, opts ...Option) (*Job, error) {
-	p, err := alchemy.UnmarshalPlatform(wj.Platform)
+// SubmitWire decodes a wire-form submission and admits it like any other
+// (bounded queue, cache, journal). The thief side of work stealing:
+// execute a peer's spec as a first-class local job.
+func (s *Service) SubmitWire(ctx context.Context, wj store.WireJob) (*Job, error) {
+	p, o, err := decodeWireJob(wj)
 	if err != nil {
-		return nil, fmt.Errorf("homunculus: wire spec: %w", err)
+		return nil, err
 	}
-	cfg, validate, err := unmarshalSearchConfig(wj.Search)
-	if err != nil {
-		return nil, fmt.Errorf("homunculus: wire search config: %w", err)
-	}
-	all := make([]Option, 0, len(opts)+2)
-	all = append(all, WithSearchConfig(cfg))
-	if validate {
-		all = append(all, WithValidation())
-	}
-	all = append(all, opts...)
-	return s.Submit(ctx, p, all...)
+	return s.admit(ctx, p, o)
 }
 
 // BacklogJob describes one queued submission a peer may steal.
 type BacklogJob struct {
-	ID       string          `json:"id"`
-	Platform string          `json:"platform"`
-	Spec     json.RawMessage `json:"spec"`
-	Search   json.RawMessage `json:"search"`
+	ID       string `json:"id"`
+	Platform string `json:"platform"`
+	store.WireJob
 }
 
 // Backlog lists queued jobs with a wire form, oldest first — the
@@ -162,8 +117,8 @@ func (s *Service) Backlog() []BacklogJob {
 	var out []BacklogJob
 	for _, j := range jobs {
 		j.mu.Lock()
-		if j.state == JobQueued && j.wireSpec != nil && j.ticket != nil {
-			out = append(out, BacklogJob{ID: j.id, Platform: j.platform, Spec: j.wireSpec, Search: j.wireSearch})
+		if j.state == JobQueued && j.wire.Spec != nil && j.ticket != nil {
+			out = append(out, BacklogJob{ID: j.id, Platform: j.platform, WireJob: j.wire})
 		}
 		j.mu.Unlock()
 	}
@@ -180,7 +135,7 @@ type RemoteJob struct {
 	svc *Service
 	job *Job
 	p   *alchemy.Platform
-	o   options
+	o   *options
 }
 
 // Job returns the underlying local job handle.
@@ -189,12 +144,7 @@ func (r *RemoteJob) Job() *Job { return r.job }
 // Context returns the job's run context — cancelled when the client
 // cancels the job, so a delegation in flight stops polling a peer for a
 // result nobody wants.
-func (r *RemoteJob) Context() context.Context {
-	if r.job.ctx != nil {
-		return r.job.ctx
-	}
-	return context.Background()
-}
+func (r *RemoteJob) Context() context.Context { return r.job.ctx }
 
 // ID returns the origin-node job ID.
 func (r *RemoteJob) ID() string { return r.job.id }
@@ -220,14 +170,13 @@ func (r *RemoteJob) Hash() (string, error) {
 // is also installed locally so the result survives restarts and serves
 // identical submissions warm.
 func (r *RemoteJob) Complete(payload []byte) error {
-	pipe, err := UnmarshalPipeline(payload)
+	key, err := r.Hash()
+	if err != nil {
+		return err
+	}
+	pipe, err := r.svc.InstallArtifact(key, payload)
 	if err != nil {
 		return fmt.Errorf("homunculus: delegated result for %s: %w", r.job.id, err)
-	}
-	if key, herr := r.Hash(); herr == nil {
-		if ierr := r.svc.InstallArtifact(key, payload); ierr != nil {
-			r.svc.storeErr(fmt.Errorf("delegated result for %s: %w", r.job.id, ierr))
-		}
 	}
 	r.job.setRunning()
 	r.job.finish(pipe, nil)
@@ -245,13 +194,7 @@ func (r *RemoteJob) Fail(err error) {
 // bypasses the admission queue deliberately: the job was already
 // admitted once, and the guarantee that it reaches a terminal state
 // outranks the concurrency bound for this one run.
-func (r *RemoteJob) RunLocal() {
-	ctx := r.job.ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	r.svc.run(ctx, r.job, r.p, &r.o)
-}
+func (r *RemoteJob) RunLocal() { r.svc.run(r.job.ctx, r.job, r.p, r.o) }
 
 // SubmitRemote admits a job for out-of-band execution: registered and
 // journaled under a fresh local ID, but never enqueued — the returned
@@ -259,37 +202,17 @@ func (r *RemoteJob) RunLocal() {
 // queue-full delegation: the local queue is saturated, so the job must
 // not consume a slot, yet the client needs a first-class job handle.
 func (s *Service) SubmitRemote(ctx context.Context, p *alchemy.Platform, opts ...Option) (*RemoteJob, error) {
-	if err := p.Validate(); err != nil {
+	clone, o, err := declare(p, opts)
+	if err != nil {
 		return nil, err
 	}
-	o := options{search: core.DefaultSearchConfig()}
-	for _, opt := range opts {
-		opt(&o)
+	j, err := s.mint(ctx, clone)
+	if err != nil {
+		return nil, err
 	}
-	clone := *p
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, ErrServiceClosed
-	}
-	s.nextID++
-	id := fmt.Sprintf("job-%06d", s.nextID)
-	s.mu.Unlock()
-
-	jctx, cancel := context.WithCancel(ctx)
-	j := newJob(id, clone.Kind.String(), cancel)
-	j.ctx = jctx
-	if s.store != nil {
-		j.onFinish = s.journalFinish
-	}
-	s.mu.Lock()
-	s.jobs[id] = j
-	s.order = append(s.order, id)
-	s.pruneLocked()
-	s.mu.Unlock()
-	s.recordSubmission(j, &clone, &o)
-	return &RemoteJob{svc: s, job: j, p: &clone, o: o}, nil
+	s.register(j)
+	s.recordSubmission(j, clone, o)
+	return &RemoteJob{svc: s, job: j, p: clone, o: o}, nil
 }
 
 // ClaimForSteal hands a queued job to a thief: the job is withdrawn from
@@ -303,26 +226,19 @@ func (s *Service) ClaimForSteal(id string) (*RemoteJob, BacklogJob, bool) {
 		return nil, BacklogJob{}, false
 	}
 	j.mu.Lock()
-	spec, search := j.wireSpec, j.wireSearch
-	ticket := j.ticket
+	wj, ticket := j.wire, j.ticket
 	queued := j.state == JobQueued
 	j.mu.Unlock()
-	if !queued || spec == nil || ticket == nil || !ticket.Cancel() {
+	if !queued || wj.Spec == nil || ticket == nil || !ticket.Cancel() {
 		return nil, BacklogJob{}, false
 	}
 	// From here the local run closure will never fire: this claim owns
 	// the job's terminal transition.
-	p, err := alchemy.UnmarshalPlatform(spec)
+	p, o, err := decodeWireJob(wj)
 	if err != nil {
-		j.finish(nil, fmt.Errorf("homunculus: job %s wire spec: %w", id, err))
-		return nil, BacklogJob{}, false
-	}
-	cfg, validate, err := unmarshalSearchConfig(search)
-	if err != nil {
-		j.finish(nil, fmt.Errorf("homunculus: job %s wire search config: %w", id, err))
+		j.finish(nil, fmt.Errorf("homunculus: job %s: %w", id, err))
 		return nil, BacklogJob{}, false
 	}
 	j.setRunning()
-	rj := &RemoteJob{svc: s, job: j, p: p, o: options{search: cfg, validate: validate}}
-	return rj, BacklogJob{ID: id, Platform: j.platform, Spec: spec, Search: search}, true
+	return &RemoteJob{svc: s, job: j, p: p, o: o}, BacklogJob{ID: id, Platform: j.platform, WireJob: wj}, true
 }

@@ -85,8 +85,12 @@
 //	             "max_layers": 4, "max_neurons": 24, "seed": 1}
 //	}
 //
-// Data can come from the bundled generators ("nslkdd", "iottc", "botnet")
-// or from CSV files written by the dataset package ("train_csv"/"test_csv").
+// The "platform" and "search" sections are the documents POST /v1/jobs
+// and the journal speak (kind + alchemy.ConstraintsJSON, httpapi.SearchJSON);
+// loadSpec and Spec.declare are the one way from the file to a declaration,
+// and an unknown kind, metric or algorithm is refused before any data
+// loads. Data can come from the bundled generators ("nslkdd", "iottc",
+// "botnet") or from CSV files ("train_csv"/"test_csv").
 package main
 
 import (
@@ -122,14 +126,16 @@ import (
 	homunculus "repro"
 )
 
-// Spec is the on-disk pipeline specification.
+// Spec is the on-disk pipeline specification. Its platform and search
+// sections are the shared wire types, so the file format, POST /v1/jobs
+// and the journal agree on every knob's spelling.
 type Spec struct {
-	Name       string       `json:"name"`
-	Metric     string       `json:"metric"`
-	Algorithms []string     `json:"algorithms"`
-	Data       DataSpec     `json:"data"`
-	Platform   PlatformSpec `json:"platform"`
-	Search     SearchSpec   `json:"search"`
+	Name       string             `json:"name"`
+	Metric     string             `json:"metric"`
+	Algorithms []string           `json:"algorithms"`
+	Data       DataSpec           `json:"data"`
+	Platform   PlatformSpec       `json:"platform"`
+	Search     httpapi.SearchJSON `json:"search"`
 }
 
 // DataSpec selects a bundled generator or CSV pair.
@@ -141,26 +147,56 @@ type DataSpec struct {
 	TestCSV   string `json:"test_csv,omitempty"`
 }
 
-// PlatformSpec mirrors alchemy.Platform constraints.
+// PlatformSpec is the spec's platform section: the kind beside the flat
+// constraints.
 type PlatformSpec struct {
-	Kind            string  `json:"kind"`
-	ThroughputGPkts float64 `json:"throughput_gpkts,omitempty"`
-	LatencyNS       float64 `json:"latency_ns,omitempty"`
-	Rows            int     `json:"rows,omitempty"`
-	Cols            int     `json:"cols,omitempty"`
-	Tables          int     `json:"tables,omitempty"`
-	MaxLUTPct       float64 `json:"max_lut_pct,omitempty"`
-	MaxPowerW       float64 `json:"max_power_w,omitempty"`
+	Kind string `json:"kind"`
+	alchemy.ConstraintsJSON
 }
 
-// SearchSpec mirrors core.SearchConfig knobs.
-type SearchSpec struct {
-	Init       int   `json:"init,omitempty"`
-	Iterations int   `json:"iterations,omitempty"`
-	Epochs     int   `json:"epochs,omitempty"`
-	MaxLayers  int   `json:"max_layers,omitempty"`
-	MaxNeurons int   `json:"max_neurons,omitempty"`
-	Seed       int64 `json:"seed,omitempty"`
+// loadSpec reads, parses and checks the spec file; a non-empty override
+// replaces its platform.kind.
+func loadSpec(path, platformOverride string) (Spec, error) {
+	var spec Spec
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return spec, fmt.Errorf("read spec: %w", err)
+	}
+	if err := json.Unmarshal(raw, &spec); err != nil {
+		return spec, fmt.Errorf("parse spec: %w", err)
+	}
+	if spec.Name == "" {
+		return spec, fmt.Errorf("spec needs a name")
+	}
+	if platformOverride != "" {
+		spec.Platform.Kind = platformOverride
+	}
+	return spec, nil
+}
+
+// declare renders the spec as what a compilation takes: its model
+// scheduled on its platform, and the search configuration. The kind
+// resolves through the backend registry (an unknown kind's error lists
+// every registered backend). A sweep ("all") declares a kind-less base
+// that starts with ZERO constraints, so only the spec's explicit fields
+// carry across backends — every unset field takes each backend's own
+// registered defaults, exactly as a direct single-target run would.
+func (spec Spec) declare(loader alchemy.DataLoader) (*alchemy.Platform, core.SearchConfig, error) {
+	platform := &alchemy.Platform{}
+	if spec.Platform.Kind != "all" {
+		var err error
+		if platform, err = alchemy.PlatformFor(orDefault(spec.Platform.Kind, "taurus")); err != nil {
+			return nil, core.SearchConfig{}, err
+		}
+	}
+	platform.Constrain(spec.Platform.Constraints())
+	platform.Schedule(alchemy.NewModel(alchemy.ModelSpec{
+		Name:               spec.Name,
+		OptimizationMetric: orDefault(spec.Metric, "f1"),
+		Algorithms:         spec.Algorithms,
+		DataLoader:         loader,
+	}))
+	return platform, spec.Search.Config(), nil
 }
 
 // showProgress mirrors the -progress flag: print single-target stage
@@ -413,19 +449,9 @@ func runRemote(ctx context.Context, specPath, outDir, platformOverride, baseURL 
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	raw, err := os.ReadFile(specPath)
+	spec, err := loadSpec(specPath, platformOverride)
 	if err != nil {
-		return fmt.Errorf("read spec: %w", err)
-	}
-	var spec Spec
-	if err := json.Unmarshal(raw, &spec); err != nil {
-		return fmt.Errorf("parse spec: %w", err)
-	}
-	if spec.Name == "" {
-		return fmt.Errorf("spec needs a name")
-	}
-	if platformOverride != "" {
-		spec.Platform.Kind = platformOverride
+		return err
 	}
 	switch {
 	case spec.Platform.Kind == "all":
@@ -441,32 +467,15 @@ func runRemote(ctx context.Context, specPath, outDir, platformOverride, baseURL 
 	// Build the same declaration a local run would, then ship its wire
 	// form — the daemon re-resolves the dataset name through its own
 	// catalog.
-	model := alchemy.NewModel(alchemy.ModelSpec{
-		Name:               spec.Name,
-		OptimizationMetric: orDefault(spec.Metric, "f1"),
-		Algorithms:         spec.Algorithms,
-		DataLoader:         alchemy.NamedLoader(spec.Data.Generator),
-	})
-	platform, err := buildPlatform(spec.Platform)
+	platform, _, err := spec.declare(alchemy.NamedLoader(spec.Data.Generator))
 	if err != nil {
 		return err
 	}
-	platform.Schedule(model)
-	doc, err := alchemy.MarshalPlatform(platform)
+	doc, err := alchemy.PlatformToJSON(platform)
 	if err != nil {
 		return err
 	}
-	req := httpapi.SubmitRequest{Validate: validateMode, Search: &httpapi.SearchJSON{
-		Init:       spec.Search.Init,
-		Iterations: spec.Search.Iterations,
-		Epochs:     spec.Search.Epochs,
-		MaxLayers:  spec.Search.MaxLayers,
-		MaxNeurons: spec.Search.MaxNeurons,
-		Seed:       spec.Search.Seed,
-	}}
-	if err := json.Unmarshal(doc, &req.Platform); err != nil {
-		return err
-	}
+	req := httpapi.SubmitRequest{Platform: doc, Search: &spec.Search, Validate: validateMode}
 
 	client := httpapi.NewClient(baseURL)
 	job, err := client.SubmitJob(ctx, req)
@@ -540,44 +549,17 @@ func run(ctx context.Context, specPath, outDir, platformOverride string, timeout
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	raw, err := os.ReadFile(specPath)
+	spec, err := loadSpec(specPath, platformOverride)
 	if err != nil {
-		return fmt.Errorf("read spec: %w", err)
+		return err
 	}
-	var spec Spec
-	if err := json.Unmarshal(raw, &spec); err != nil {
-		return fmt.Errorf("parse spec: %w", err)
-	}
-	if spec.Name == "" {
-		return fmt.Errorf("spec needs a name")
-	}
-	if platformOverride != "" {
-		spec.Platform.Kind = platformOverride
-	}
-
 	loader, err := buildLoader(spec.Data, filepath.Dir(specPath))
 	if err != nil {
 		return err
 	}
-
-	search := core.DefaultSearchConfig()
-	if spec.Search.Init > 0 {
-		search.BO.InitSamples = spec.Search.Init
-	}
-	if spec.Search.Iterations > 0 {
-		search.BO.Iterations = spec.Search.Iterations
-	}
-	if spec.Search.Epochs > 0 {
-		search.TrainEpochs = spec.Search.Epochs
-	}
-	if spec.Search.MaxLayers > 0 {
-		search.MaxHiddenLayers = spec.Search.MaxLayers
-	}
-	if spec.Search.MaxNeurons > 0 {
-		search.MaxNeurons = spec.Search.MaxNeurons
-	}
-	if spec.Search.Seed != 0 {
-		search.Seed = spec.Search.Seed
+	platform, search, err := spec.declare(loader)
+	if err != nil {
+		return err
 	}
 
 	if spec.Platform.Kind == "all" {
@@ -587,16 +569,10 @@ func run(ctx context.Context, specPath, outDir, platformOverride string, timeout
 		if tuneCfg.enabled {
 			return fmt.Errorf("-tune applies to a single-target compilation, not -platform all")
 		}
-		model := alchemy.NewModel(alchemy.ModelSpec{
-			Name:               spec.Name,
-			OptimizationMetric: orDefault(spec.Metric, "f1"),
-			Algorithms:         spec.Algorithms,
-			DataLoader:         loader,
-		})
-		return runSweep(ctx, spec, model, outDir, search)
+		return runSweep(ctx, spec, platform, outDir, search)
 	}
 
-	pipe, err := compilePipeline(ctx, spec, loader, search)
+	pipe, err := compilePipeline(ctx, platform, search)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
 			return fmt.Errorf("compilation timed out after %v: %w", timeout, err)
@@ -677,26 +653,15 @@ func run(ctx context.Context, specPath, outDir, platformOverride string, timeout
 		}
 	}
 	if replayCfg.deploy {
-		return runReplay(ctx, spec, loader, pipe, search)
+		return runReplay(ctx, spec, loader, platform, pipe, search)
 	}
 	return nil
 }
 
-// compilePipeline builds the spec's model/platform pair and runs one
-// single-target compilation — shared by run and the mid-replay rollout
-// (which recompiles the same spec under a bumped seed).
-func compilePipeline(ctx context.Context, spec Spec, loader alchemy.DataLoader, search core.SearchConfig) (*homunculus.Pipeline, error) {
-	model := alchemy.NewModel(alchemy.ModelSpec{
-		Name:               spec.Name,
-		OptimizationMetric: orDefault(spec.Metric, "f1"),
-		Algorithms:         spec.Algorithms,
-		DataLoader:         loader,
-	})
-	platform, err := buildPlatform(spec.Platform)
-	if err != nil {
-		return nil, err
-	}
-	platform.Schedule(model)
+// compilePipeline runs one single-target compilation of the spec's
+// declaration — shared by run and the mid-replay rollout (which
+// recompiles it under a bumped seed).
+func compilePipeline(ctx context.Context, platform *alchemy.Platform, search core.SearchConfig) (*homunculus.Pipeline, error) {
 	genOpts := []homunculus.Option{homunculus.WithSearchConfig(search)}
 	if showProgress {
 		genOpts = append(genOpts, homunculus.WithProgress(printEvent))
@@ -820,7 +785,7 @@ func replayEndpointOptions() homunculus.EndpointOptions {
 // runReplay serves the compiled pipeline in-process behind a named
 // endpoint — "replay" unless -endpoint names it — and drives it with the
 // replayed trace (docs/serving.md).
-func runReplay(ctx context.Context, spec Spec, loader alchemy.DataLoader, pipe *homunculus.Pipeline, search core.SearchConfig) error {
+func runReplay(ctx context.Context, spec Spec, loader alchemy.DataLoader, platform *alchemy.Platform, pipe *homunculus.Pipeline, search core.SearchConfig) error {
 	burstRate = 0
 	xs, labels, err := buildTrace(spec, loader, replayCfg.samples)
 	if err != nil {
@@ -832,7 +797,7 @@ func runReplay(ctx context.Context, spec Spec, loader alchemy.DataLoader, pipe *
 	}
 	svc := homunculus.New(homunculus.ServiceOptions{})
 	defer svc.Close()
-	return runEndpointReplay(ctx, svc, spec, loader, pipe, search, xs, labels, clients)
+	return runEndpointReplay(ctx, svc, platform, pipe, search, xs, labels, clients)
 }
 
 // runEndpointReplay serves behind a named endpoint and optionally drives
@@ -840,7 +805,7 @@ func runReplay(ctx context.Context, spec Spec, loader alchemy.DataLoader, pipe *
 // recompiles the spec (seed+1) and rolls it out as a canary or shadow,
 // the third quarter runs the split, -promote/-rollback fire at the
 // three-quarter mark, and the final quarter runs the settled route.
-func runEndpointReplay(ctx context.Context, svc *homunculus.Service, spec Spec, loader alchemy.DataLoader, pipe *homunculus.Pipeline, search core.SearchConfig, xs [][]float64, labels []int, clients int) error {
+func runEndpointReplay(ctx context.Context, svc *homunculus.Service, platform *alchemy.Platform, pipe *homunculus.Pipeline, search core.SearchConfig, xs [][]float64, labels []int, clients int) error {
 	ep, err := svc.CreateEndpointPipeline(orDefault(replayCfg.endpoint, "replay"), pipe, replayEndpointOptions())
 	if err != nil {
 		return err
@@ -876,7 +841,7 @@ func runEndpointReplay(ctx context.Context, svc *homunculus.Service, spec Spec, 
 			s2 := search
 			s2.Seed = search.Seed + 1
 			fmt.Printf("recompiling for rollout (seed %d)...\n", s2.Seed)
-			pipe2, err := compilePipeline(ctx, spec, loader, s2)
+			pipe2, err := compilePipeline(ctx, platform, s2)
 			if err != nil {
 				return fmt.Errorf("rollout compilation: %w", err)
 			}
@@ -1077,44 +1042,10 @@ func buildLoader(d DataSpec, baseDir string) (alchemy.DataLoader, error) {
 	}
 }
 
-// buildPlatform resolves the declared kind through the backend registry;
-// an unknown kind's error lists every registered backend.
-func buildPlatform(p PlatformSpec) (*alchemy.Platform, error) {
-	plat, err := alchemy.PlatformFor(orDefault(p.Kind, "taurus"))
-	if err != nil {
-		return nil, err
-	}
-	plat.Constrain(p.constraints())
-	return plat, nil
-}
-
-// constraints renders the spec's platform section as DSL constraints.
-func (p PlatformSpec) constraints() alchemy.Constraints {
-	return alchemy.Constraints{
-		Performance: alchemy.Performance{
-			ThroughputGPkts: p.ThroughputGPkts,
-			LatencyNS:       p.LatencyNS,
-		},
-		Resources: alchemy.Resources{
-			Rows: p.Rows, Cols: p.Cols, Tables: p.Tables,
-			MaxLUTPct: p.MaxLUTPct, MaxPowerW: p.MaxPowerW,
-		},
-	}
-}
-
 // runSweep compiles the spec against every registered backend and prints
 // the per-target feasibility table, writing code artifacts for each
 // deployable target.
-func runSweep(ctx context.Context, spec Spec, model *alchemy.Model, outDir string, search core.SearchConfig) error {
-	// The declared kind is irrelevant for a sweep (GenerateAcross swaps
-	// it per target), and the base starts with ZERO constraints so that
-	// only the spec's explicit fields carry across backends — every
-	// unset field takes each backend's own registered defaults, exactly
-	// as a direct single-target run would.
-	base := &alchemy.Platform{}
-	base.Constrain(spec.Platform.constraints())
-	base.Schedule(model)
-
+func runSweep(ctx context.Context, spec Spec, base *alchemy.Platform, outDir string, search core.SearchConfig) error {
 	// Per-target compilations interleave on the service, so sweep
 	// progress is always printed platform-tagged: Event.Platform is what
 	// lets one observer tell the concurrent streams apart.

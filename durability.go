@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"repro/alchemy"
-	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/serve"
 	"repro/internal/store"
@@ -85,32 +84,25 @@ func (s *Service) journal(rec store.Record, sync bool) {
 
 // recordSubmission writes a job's admission record ahead of any work
 // and, when the cluster fabric enabled work sharing, stashes the wire
-// form on the job so a peer can steal it while queued. The journal
-// record carries the full spec when it has a wire form (catalog data
-// loaders); submissions with anonymous loaders journal spec-less and are
-// reported, not recompiled, after a crash. Written without fsync: the OS
-// page cache survives process death (SIGKILL, panic), and syncing every
-// admission would put a disk flush on the sub-millisecond Submit path —
-// only an OS crash can lose the tail, and the journal's replay tolerates
-// exactly that debris.
+// form on the job so a peer can steal it while queued — the one place a
+// submission is encoded. The journal record carries the wire job when
+// there is one (catalog data loaders); submissions with anonymous loaders
+// journal spec-less and are reported, not recompiled, after a crash.
+// Written without fsync: the OS page cache survives process death
+// (SIGKILL, panic), and syncing every admission would put a disk flush on
+// the sub-millisecond Submit path — only an OS crash can lose the tail,
+// and the journal's replay tolerates exactly that debris.
 func (s *Service) recordSubmission(j *Job, p *alchemy.Platform, o *options) {
 	sharing := s.workSharing.Load()
 	if s.store == nil && !sharing {
 		return
 	}
-	var spec, search []byte
-	if sp, err := alchemy.MarshalPlatform(p); err == nil {
-		if se, serr := marshalSearchConfig(o.search, o.validate); serr == nil {
-			spec, search = sp, se
-		} else if s.store != nil {
-			s.storeErr(fmt.Errorf("journal job %s search config: %w", j.id, serr))
-		}
-	}
-	if sharing && spec != nil {
-		j.setWire(spec, search)
+	wj, err := encodeWireJob(p, o) // zero when there is no wire form
+	if err == nil && sharing {
+		j.setWire(wj)
 	}
 	if s.store != nil {
-		s.journal(store.Record{Op: store.OpSubmitted, Job: j.id, Platform: j.platform, Spec: spec, Search: search}, false)
+		s.journal(store.Record{Op: store.OpSubmitted, Job: j.id, Platform: j.platform, WireJob: wj}, false)
 	}
 }
 
@@ -134,9 +126,9 @@ func (s *Service) journalFinish(j *Job) {
 	s.journal(rec, true)
 }
 
-// loadArtifact reads a compiled pipeline back from the artifact store.
-// Corrupt artifacts were already quarantined by the store layer; either
-// way a false return means "compile it again".
+// loadArtifact is the one artifact read: store → parse. Corrupt artifacts
+// were already quarantined by the store layer; either way a false return
+// means "compile it again" (for an endpoint revision, "restore it cold").
 func (s *Service) loadArtifact(key string) (*Pipeline, bool) {
 	if s.store == nil {
 		return nil, false
@@ -156,9 +148,38 @@ func (s *Service) loadArtifact(key string) (*Pipeline, bool) {
 	return pipe, true
 }
 
+// putArtifact is the one artifact write (best effort — a store failure
+// degrades durability, never the operation it shadows).
+func (s *Service) putArtifact(key string, raw []byte) bool {
+	if s.store == nil {
+		return false
+	}
+	if err := s.store.Artifacts.Put(key, raw); err != nil {
+		s.storeErr(fmt.Errorf("artifact %s: %w", key, err))
+		return false
+	}
+	return true
+}
+
+// InstallArtifact takes an already-verified payload from a peer — a
+// fetch on a local miss, a broadcast, a delegated or stolen job's result:
+// parsed once, written through to the store, and planted in the memory
+// cache so an identical submission is a warm hit without touching disk.
+func (s *Service) InstallArtifact(key string, payload []byte) (*Pipeline, error) {
+	pipe, err := UnmarshalPipeline(payload)
+	if err != nil {
+		return nil, fmt.Errorf("homunculus: install artifact %s: %w", key, err)
+	}
+	s.putArtifact(key, payload)
+	if s.cache != nil {
+		s.cache.insert(key, pipe)
+	}
+	return pipe, nil
+}
+
 // storeArtifact writes a compiled pipeline through to the artifact
-// store (best effort) and offers it to cluster peers (broadcast
-// consistency mode installs it everywhere; other modes ignore offers).
+// store and offers it to cluster peers (broadcast consistency mode
+// installs it everywhere; other modes ignore offers).
 func (s *Service) storeArtifact(key string, pipe *Pipeline) {
 	box := s.remote.Load()
 	if s.store == nil && box == nil {
@@ -169,11 +190,7 @@ func (s *Service) storeArtifact(key string, pipe *Pipeline) {
 		s.storeErr(fmt.Errorf("serialize artifact %s: %w", key, err))
 		return
 	}
-	if s.store != nil {
-		if perr := s.store.Artifacts.Put(key, raw); perr != nil {
-			s.storeErr(fmt.Errorf("artifact %s: %w", key, perr))
-		}
-	}
+	s.putArtifact(key, raw)
 	if box != nil {
 		box.ra.Offer(key, raw)
 	}
@@ -203,11 +220,8 @@ func (s *Service) endpointArtifact(pipe *Pipeline, jobID string) string {
 		sum := sha256.Sum256(raw)
 		key = hex.EncodeToString(sum[:])
 	}
-	if !s.store.Artifacts.Has(key) {
-		if err := s.store.Artifacts.Put(key, raw); err != nil {
-			s.storeErr(fmt.Errorf("endpoint artifact %s: %w", key, err))
-			return ""
-		}
+	if !s.store.Artifacts.Has(key) && !s.putArtifact(key, raw) {
+		return ""
 	}
 	return key
 }
@@ -344,10 +358,9 @@ func (s *Service) recover(dir string, fs store.FS) error {
 	s.nextID = maxID
 
 	type pendingJob struct {
-		id       string
-		p        *alchemy.Platform
-		cfg      core.SearchConfig
-		validate bool
+		id string
+		p  *alchemy.Platform
+		o  *options
 	}
 	var requeue []pendingJob
 	var keep []store.Record
@@ -368,19 +381,13 @@ func (s *Service) recover(dir string, fs store.FS) error {
 				s.recovery.JobsSkipped = append(s.recovery.JobsSkipped, id)
 				continue
 			}
-			p, perr := alchemy.UnmarshalPlatform(t.submitted.Spec)
-			if perr != nil {
-				s.storeErr(fmt.Errorf("job %s spec: %w", id, perr))
+			p, o, derr := decodeWireJob(t.submitted.WireJob)
+			if derr != nil {
+				s.storeErr(fmt.Errorf("job %s: %w", id, derr))
 				s.recovery.JobsSkipped = append(s.recovery.JobsSkipped, id)
 				continue
 			}
-			cfg, validate, cerr := unmarshalSearchConfig(t.submitted.Search)
-			if cerr != nil {
-				s.storeErr(fmt.Errorf("job %s search config: %w", id, cerr))
-				s.recovery.JobsSkipped = append(s.recovery.JobsSkipped, id)
-				continue
-			}
-			requeue = append(requeue, pendingJob{id: id, p: p, cfg: cfg, validate: validate})
+			requeue = append(requeue, pendingJob{id: id, p: p, o: o})
 			keep = append(keep, *t.submitted)
 		}
 	}
@@ -405,46 +412,18 @@ func (s *Service) recover(dir string, fs store.FS) error {
 		s.storeErr(fmt.Errorf("compact journal: %w", cerr))
 	}
 
+	// Interrupted jobs re-enter under their original IDs: admit minus ID
+	// assignment and re-journaling (the compacted journal has the record).
 	for _, pj := range requeue {
-		if qerr := s.resubmitRecovered(pj.id, pj.p, pj.cfg, pj.validate); qerr != nil {
+		j := s.openJob(context.Background(), pj.id, pj.p)
+		if qerr := s.enqueue(j, pj.p, pj.o); qerr != nil {
 			s.storeErr(fmt.Errorf("requeue job %s: %w", pj.id, qerr))
 			s.recovery.JobsSkipped = append(s.recovery.JobsSkipped, pj.id)
 			continue
 		}
+		s.register(j)
 		s.recovery.JobsRequeued = append(s.recovery.JobsRequeued, pj.id)
 	}
-	return nil
-}
-
-// resubmitRecovered re-enqueues one interrupted job under its original
-// ID — Submit's admission path minus ID assignment and re-journaling
-// (the compacted journal already carries the admission record).
-func (s *Service) resubmitRecovered(id string, p *alchemy.Platform, cfg core.SearchConfig, validate bool) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	o := options{search: cfg, validate: validate}
-	jctx, cancel := context.WithCancel(context.Background())
-	j := newJob(id, p.Kind.String(), cancel)
-	j.ctx = jctx
-	j.onFinish = s.journalFinish
-	ticket, err := s.queue.Submit(
-		func() { s.run(jctx, j, p, &o) },
-		func(error) {
-			j.finish(nil, fmt.Errorf("homunculus: job %s dropped before dispatch: %w", id, ErrServiceClosed))
-		},
-	)
-	if err != nil {
-		cancel()
-		return err
-	}
-	j.mu.Lock()
-	j.ticket = ticket
-	j.mu.Unlock()
-	s.mu.Lock()
-	s.jobs[id] = j
-	s.order = append(s.order, id)
-	s.mu.Unlock()
 	return nil
 }
 
@@ -511,16 +490,8 @@ func (s *Service) revisionModel(rr store.RevisionRecord) *ir.Model {
 	if rr.SpecHash == "" {
 		return nil
 	}
-	raw, err := s.store.Artifacts.Get(rr.SpecHash)
-	if err != nil {
-		if !errors.Is(err, store.ErrNotFound) {
-			s.storeErr(fmt.Errorf("revision artifact %s: %w", rr.SpecHash, err))
-		}
-		return nil
-	}
-	pipe, err := UnmarshalPipeline(raw)
-	if err != nil {
-		s.storeErr(fmt.Errorf("revision artifact %s: %w", rr.SpecHash, err))
+	pipe, ok := s.loadArtifact(rr.SpecHash)
+	if !ok {
 		return nil
 	}
 	app, err := selectApp(pipe, rr.App)

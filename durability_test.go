@@ -135,15 +135,11 @@ func TestDurableInterruptedJobReruns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := alchemy.MarshalPlatform(durablePlatform(t))
+	wj, err := encodeWireJob(durablePlatform(t), &options{search: fastConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	search, err := marshalSearchConfig(fastConfig(), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := store.Record{Op: store.OpSubmitted, Job: "job-000007", Platform: "taurus", Spec: spec, Search: search}
+	rec := store.Record{Op: store.OpSubmitted, Job: "job-000007", Platform: "taurus", WireJob: wj}
 	if err := st.Journal.Append(rec, true); err != nil {
 		t.Fatal(err)
 	}

@@ -22,11 +22,11 @@ import (
 // responsible for computing throughput and latency as well as identifying
 // whether the application can be mapped within the available resources").
 type Verdict struct {
-	Feasible bool
-	Reason   string
+	Feasible bool   `json:"feasible"`
+	Reason   string `json:"reason,omitempty"`
 	// Metrics carries backend-specific measurements (CUs, MUs, tables,
 	// LUT%, latency_ns, throughput_gpkts, ...).
-	Metrics map[string]float64
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 // Target is a deployable backend: it estimates resources/performance for

@@ -13,6 +13,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -442,6 +444,89 @@ func TestStealLeaseReclaim(t *testing.T) {
 		t.Fatal("late stolen report was accepted after reclaim")
 	}
 	release()
+}
+
+// TestStealWireShape pins what crosses nodes when work is stolen: the
+// backlog listing and the grant carry the journal's wire job under the
+// keys peers already speak, and the two steal bodies are read under the
+// request cap.
+func TestStealWireShape(t *testing.T) {
+	release := newGate(t)
+	a := startNode(t, homunculus.ServiceOptions{MaxInFlight: 1}, Config{StealLease: time.Minute})
+	a.submit(specBody("cluster_block", 40))
+	victim := a.submit(specBody("cluster_tiny", 41))
+	waitFor(t, 10*time.Second, "victim queued", func() bool {
+		queued, _ := a.svc.Stats()
+		return queued >= 1
+	})
+
+	keys := func(raw []byte) string {
+		var doc map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatalf("%s: %v", raw, err)
+		}
+		names := make([]string, 0, len(doc))
+		for k := range doc {
+			names = append(names, k)
+		}
+		sort.Strings(names)
+		return fmt.Sprint(names)
+	}
+	resp, err := http.Get(a.URL() + "/v1/cluster/backlog")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var backlog struct{ Jobs []json.RawMessage }
+	err = json.NewDecoder(resp.Body).Decode(&backlog)
+	resp.Body.Close()
+	if err != nil || len(backlog.Jobs) != 1 {
+		t.Fatalf("backlog: %v %+v", err, backlog)
+	}
+	if got := keys(backlog.Jobs[0]); got != "[id platform search spec]" {
+		t.Fatalf("backlog job keys %s", got)
+	}
+	for _, path := range []string{"/v1/cluster/steal", "/v1/cluster/stolen"} {
+		big := `{"job_id": "` + strings.Repeat("x", httpapi.MaxRequestBody) + `"}`
+		resp, err := http.Post(a.URL()+path, "application/json", strings.NewReader(big))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("oversize POST %s: status %d, want 413", path, resp.StatusCode)
+		}
+	}
+	body, _ := json.Marshal(httpapi.StealRequestJSON{JobID: victim.ID, ThiefID: "ghost", ThiefAddr: "http://127.0.0.1:1"})
+	resp, err = http.Post(a.URL()+"/v1/cluster/steal", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("steal: status %d %s", resp.StatusCode, raw)
+	}
+	if got := keys(raw); got != "[job_id lease_ms platform search spec]" {
+		t.Fatalf("grant keys %s", got)
+	}
+	// The grant is the submission: a thief admits it as it stands.
+	var grant httpapi.StealGrantJSON
+	if err := json.Unmarshal(raw, &grant); err != nil {
+		t.Fatal(err)
+	}
+	b := homunculus.New(homunculus.ServiceOptions{})
+	defer b.Close()
+	job, err := b.SubmitWire(context.Background(), grant.WireJob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := job.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	release() // the lease never expires in this test: finish the victim by report
+	if err := a.fab.handleStolenReport(httpapi.StealReportJSON{JobID: victim.ID, State: "failed", Error: "ghost"}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestPoisonedPeerQuarantined: a peer serving corrupt envelopes

@@ -98,7 +98,7 @@ func (f *Fabric) handlePutArtifact(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if err := f.svc.InstallArtifact(hash, payload); err != nil {
+	if _, err := f.svc.InstallArtifact(hash, payload); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -115,8 +115,8 @@ func (f *Fabric) handleBacklog(w http.ResponseWriter, r *http.Request) {
 // there first — is a 409 the thief treats as "try again later".
 func (f *Fabric) handleSteal(w http.ResponseWriter, r *http.Request) {
 	var req httpapi.StealRequestJSON
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, httpapi.MaxRequestBody)).Decode(&req); err != nil {
+		writeError(w, httpapi.DecodeStatus(err), err)
 		return
 	}
 	if req.JobID == "" || req.ThiefAddr == "" {
@@ -136,8 +136,8 @@ func (f *Fabric) handleSteal(w http.ResponseWriter, r *http.Request) {
 // the local run owns the terminal transition.
 func (f *Fabric) handleStolen(w http.ResponseWriter, r *http.Request) {
 	var rep httpapi.StealReportJSON
-	if err := json.NewDecoder(r.Body).Decode(&rep); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, httpapi.MaxRequestBody)).Decode(&rep); err != nil {
+		writeError(w, httpapi.DecodeStatus(err), err)
 		return
 	}
 	if err := f.handleStolenReport(rep); err != nil {

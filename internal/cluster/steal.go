@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/alchemy"
 	"repro/internal/httpapi"
 
 	homunculus "repro"
@@ -36,10 +35,14 @@ type stolenEntry struct {
 // SubmitFallback is the httpapi queue-full hook: place the shed
 // submission on the least-loaded live peer. The returned job is local —
 // clients poll it exactly like a queued one.
-func (f *Fabric) SubmitFallback(ctx context.Context, p *alchemy.Platform, opts []homunculus.Option, req httpapi.SubmitRequest) (*homunculus.Job, error) {
+func (f *Fabric) SubmitFallback(req httpapi.SubmitRequest) (*homunculus.Job, error) {
 	target := f.leastLoaded()
 	if target == nil {
 		return nil, errors.New("cluster: no live peer with queue headroom")
+	}
+	p, opts, err := req.Declaration()
+	if err != nil {
+		return nil, err
 	}
 	// The job context derives from the fabric's: closing the fabric
 	// cancels in-flight delegations, whose jobs then reach a terminal
@@ -206,7 +209,7 @@ func (f *Fabric) busiest() *peer {
 // job ID.
 func (f *Fabric) executeStolen(origin *peer, grant httpapi.StealGrantJSON) {
 	rep := httpapi.StealReportJSON{JobID: grant.JobID, Addr: f.cfg.SelfAddr}
-	job, err := f.svc.SubmitWire(f.ctx, homunculus.WireJob{Platform: grant.Spec, Search: grant.Search})
+	job, err := f.svc.SubmitWire(f.ctx, grant.WireJob)
 	if err != nil {
 		rep.State = "failed"
 		rep.Error = err.Error()
@@ -241,8 +244,7 @@ func (f *Fabric) grantSteal(req httpapi.StealRequestJSON) (httpapi.StealGrantJSO
 	return httpapi.StealGrantJSON{
 		JobID:    req.JobID,
 		Platform: wire.Platform,
-		Spec:     wire.Spec,
-		Search:   wire.Search,
+		WireJob:  wire.WireJob,
 		LeaseMS:  f.cfg.StealLease.Milliseconds(),
 	}, true
 }

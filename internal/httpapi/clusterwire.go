@@ -14,8 +14,9 @@ package httpapi
 //	POST /v1/cluster/stolen          report a stolen job's terminal state
 
 import (
-	"encoding/json"
 	"errors"
+
+	"repro/internal/store"
 
 	homunculus "repro"
 )
@@ -115,11 +116,10 @@ type StealRequestJSON struct {
 // StealGrantJSON hands the claimed job's wire form to the thief, with
 // the lease the origin will wait before reclaiming the job.
 type StealGrantJSON struct {
-	JobID    string          `json:"job_id"`
-	Platform string          `json:"platform"`
-	Spec     json.RawMessage `json:"spec"`
-	Search   json.RawMessage `json:"search"`
-	LeaseMS  int64           `json:"lease_ms"`
+	JobID    string `json:"job_id"`
+	Platform string `json:"platform"`
+	store.WireJob
+	LeaseMS int64 `json:"lease_ms"`
 }
 
 // StealReportJSON is the POST /v1/cluster/stolen body: the thief

@@ -95,7 +95,7 @@ func (h *handler) putEndpointConfig(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	raw, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	raw, err := io.ReadAll(io.LimitReader(r.Body, MaxRequestBody))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("read request: %w", err))
 		return
@@ -137,8 +137,8 @@ func tuneOptions(req TuneRequest) homunculus.TuneOptions {
 // decodeTuneRequest parses and sanity-checks the tune body.
 func decodeTuneRequest(w http.ResponseWriter, r *http.Request) (TuneRequest, bool) {
 	var req TuneRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("parse request: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBody)).Decode(&req); err != nil {
+		writeError(w, DecodeStatus(err), fmt.Errorf("parse request: %w", err))
 		return req, false
 	}
 	if req.SLO == "" {

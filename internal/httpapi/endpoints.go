@@ -222,10 +222,15 @@ func endpointStatsJSON(st homunculus.EndpointStats) EndpointStatsJSON {
 	return out
 }
 
-// decodeStrict parses a request body, rejecting unknown fields — so a
-// mistyped or retired knob is a 400 naming it, not silently a default.
-func decodeStrict(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// MaxRequestBody caps every JSON request body except classify's, which
+// carries feature batches under a cap of its own.
+const MaxRequestBody = 1 << 20
+
+// decodeStrict parses a request body of at most MaxRequestBody bytes,
+// rejecting unknown fields — so a mistyped or retired knob is a 400
+// naming it, not silently a default.
+func decodeStrict(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("parse request: %w", err)
@@ -233,10 +238,20 @@ func decodeStrict(r *http.Request, v any) error {
 	return nil
 }
 
+// DecodeStatus is the status of a request whose body did not decode: 413
+// when it ran past the cap, 400 otherwise.
+func DecodeStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 func (h *handler) createEndpoint(w http.ResponseWriter, r *http.Request) {
 	var req EndpointRequest
-	if err := decodeStrict(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if err := decodeStrict(w, r, &req); err != nil {
+		writeError(w, DecodeStatus(err), err)
 		return
 	}
 	if req.Name == "" || req.JobID == "" {
@@ -336,8 +351,8 @@ func (h *handler) rollout(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req RolloutRequest
-	if err := decodeStrict(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if err := decodeStrict(w, r, &req); err != nil {
+		writeError(w, DecodeStatus(err), err)
 		return
 	}
 	if req.JobID == "" {

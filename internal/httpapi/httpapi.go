@@ -220,7 +220,7 @@ type ServerOptions struct {
 	// place the work elsewhere — delegation to the least-loaded live
 	// peer — and return the local job handle tracking it. An error falls
 	// through to the plain 429.
-	SubmitFallback func(ctx context.Context, p *alchemy.Platform, opts []homunculus.Option, req SubmitRequest) (*homunculus.Job, error)
+	SubmitFallback func(req SubmitRequest) (*homunculus.Job, error)
 	// ClusterStats resolves GET /v1/endpoints/{name}/stats?scope=cluster
 	// by merging the endpoint's histograms across live nodes. Nil maps
 	// the scope to a 400 (not running in cluster mode).
@@ -294,54 +294,59 @@ func writeRetryAfter(w http.ResponseWriter) {
 	w.Header().Set("Retry-After", retryAfterSeconds)
 }
 
-func (h *handler) submit(w http.ResponseWriter, r *http.Request) {
-	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("parse request: %w", err))
-		return
-	}
+// Declaration decodes the request into the declaration and options it
+// submits — the one request→declaration decode, shared by the submit
+// handler and the queue-full fallback. Unknown dataset names fail here
+// (the catalog lookup otherwise happens inside the job, where the client
+// can only see the failure by polling).
+func (req *SubmitRequest) Declaration() (*alchemy.Platform, []homunculus.Option, error) {
 	if req.Platform == nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("request needs a platform document"))
-		return
+		return nil, nil, fmt.Errorf("request needs a platform document")
 	}
 	p, err := alchemy.PlatformFromJSON(req.Platform)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return nil, nil, err
 	}
-	// Fail unknown dataset names at submission time (the catalog lookup
-	// otherwise happens inside the job, where the client can only see
-	// the failure by polling).
 	for _, m := range p.Sched.Models() {
 		if named, ok := m.Spec.DataLoader.(alchemy.NamedDataLoader); ok {
 			if _, err := alchemy.LoaderFor(named.LoaderName()); err != nil {
-				writeError(w, http.StatusBadRequest, err)
-				return
+				return nil, nil, err
 			}
 		}
 	}
-	// The job must outlive this request: submit with a background
-	// context rather than r.Context(). DELETE /v1/jobs/{id} is the
-	// cancellation path.
 	opts := []homunculus.Option{homunculus.WithSearchConfig(req.Search.Config())}
 	if req.Validate {
 		opts = append(opts, homunculus.WithValidation())
 	}
+	return p, opts, nil
+}
+
+func (h *handler) submit(w http.ResponseWriter, r *http.Request) {
+	var req SubmitRequest
+	if err := decodeStrict(w, r, &req); err != nil {
+		writeError(w, DecodeStatus(err), err)
+		return
+	}
+	p, opts, err := req.Declaration()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	// The job must outlive this request: submit with a background
+	// context rather than r.Context(). DELETE /v1/jobs/{id} is the
+	// cancellation path.
 	job, err := h.svc.Submit(context.Background(), p, opts...)
+	if errors.Is(err, homunculus.ErrQueueFull) && h.opts.SubmitFallback != nil && !req.Delegated {
+		// Cluster delegation: instead of shedding, hand the request to a
+		// less-loaded peer and return a local job tracking it — unless
+		// this submission already crossed a node (bounded at one hop).
+		if djob, derr := h.opts.SubmitFallback(req); derr == nil {
+			job, err = djob, nil
+		}
+	}
 	if err != nil {
 		switch {
 		case errors.Is(err, homunculus.ErrQueueFull):
-			// Cluster delegation: instead of shedding, hand the wire spec
-			// to a less-loaded peer and return a local job tracking it —
-			// unless this submission already crossed a node (bounded at
-			// one hop).
-			if h.opts.SubmitFallback != nil && !req.Delegated {
-				if djob, derr := h.opts.SubmitFallback(r.Context(), p, opts, req); derr == nil {
-					w.Header().Set("Location", "/v1/jobs/"+djob.ID())
-					writeJSON(w, http.StatusAccepted, jobJSON(djob, false))
-					return
-				}
-			}
 			writeError(w, http.StatusTooManyRequests, err)
 		case errors.Is(err, homunculus.ErrServiceClosed):
 			writeError(w, http.StatusServiceUnavailable, err)
@@ -456,17 +461,9 @@ func (h *handler) backends(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		out = append(out, BackendJSON{
-			Kind:    kind,
-			CodeExt: backend.CodeExt(kind),
-			Defaults: alchemy.ConstraintsJSON{
-				ThroughputGPkts: defaults.Performance.ThroughputGPkts,
-				LatencyNS:       defaults.Performance.LatencyNS,
-				Rows:            defaults.Resources.Rows,
-				Cols:            defaults.Resources.Cols,
-				Tables:          defaults.Resources.Tables,
-				MaxLUTPct:       defaults.Resources.MaxLUTPct,
-				MaxPowerW:       defaults.Resources.MaxPowerW,
-			},
+			Kind:     kind,
+			CodeExt:  backend.CodeExt(kind),
+			Defaults: alchemy.ConstraintsToJSON(defaults),
 		})
 	}
 	writeJSON(w, http.StatusOK, out)

@@ -192,6 +192,7 @@ func TestHTTPBadRequests(t *testing.T) {
 		"not json":    `{`,
 		"no platform": `{"search": {}}`,
 		"bad kind":    `{"platform": {"kind": "abacus", "schedule": {"model": {"name": "x", "dataset": "httpapi_tiny"}}}}`,
+		"bad algo":    `{"platform": {"kind": "taurus", "schedule": {"model": {"name": "x", "algorithms": ["bogus"], "dataset": "httpapi_tiny"}}}}`,
 	} {
 		_, resp := postJob(t, srv, body)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -205,6 +206,59 @@ func TestHTTPBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("missing job status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestHTTPSubmitWireStrict: POST /v1/jobs has no lax way in. A misspelled
+// section or knob is a 400 naming it (not a 202 at the default budget),
+// an unknown algorithm a 400 listing the accepted names, a body past the
+// cap a 413 — and nothing is admitted either way. A delegated submission
+// is still accepted as before.
+func TestHTTPSubmitWireStrict(t *testing.T) {
+	srv, svc := setupServer(t, homunculus.ServiceOptions{MaxInFlight: 2})
+	model := `"schedule": {"model": {"name": "tiny", "algorithms": ["dtree"], "dataset": "httpapi_tiny"}}`
+	for _, tc := range []struct {
+		body, want string
+		status     int
+	}{
+		{`{"platform": {"kind": "taurus", ` + model + `}, "serach": {"init": 2}}`, `unknown field \"serach\"`, 400},
+		{`{"platform": {"kind": "taurus", ` + model + `}, "search": {"max_neuron": 4}}`, `unknown field \"max_neuron\"`, 400},
+		{`{"platform": {"kind": "taurus", "rows": 4, ` + model + `}}`, `unknown field \"rows\"`, 400},
+		{`{"platform": {"kind": "taurus", "schedule": {"model": {"name": "tiny", "algorithm": "dtree", "dataset": "httpapi_tiny"}}}}`, `unknown field \"algorithm\"`, 400},
+		{`{"platform": {"kind": "taurus", "schedule": {"model": {"name": "tiny", "algorithms": ["bogus"], "dataset": "httpapi_tiny"}}}}`, `accepted: [dnn svm kmeans dtree]`, 400},
+		{`{"platform": {"kind": "taurus", ` + model + `}, "pad": "` + strings.Repeat("x", MaxRequestBody) + `"}`, `request body too large`, 413},
+	} {
+		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.status || !strings.Contains(string(raw), tc.want) {
+			t.Fatalf("POST %.120s: status %d %s, want %d containing %q", tc.body, resp.StatusCode, raw, tc.status, tc.want)
+		}
+	}
+	if jobs := svc.Jobs(); len(jobs) != 0 {
+		t.Fatalf("refused submissions must admit nothing, got %d jobs", len(jobs))
+	}
+	// Both tune routes read their body through decodeTuneRequest, under
+	// the same cap.
+	resp, err := http.Post(srv.URL+"/v1/jobs/job-000001/tune", "application/json",
+		strings.NewReader(`{"slo": "`+strings.Repeat("x", MaxRequestBody)+`"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize tune body: status %d, want 413", resp.StatusCode)
+	}
+	var req SubmitRequest
+	if err := json.Unmarshal([]byte(submitBody("httpapi_tiny")), &req); err != nil {
+		t.Fatal(err)
+	}
+	req.Delegated = true
+	if resp, body := postJSON(t, srv.URL+"/v1/jobs", req); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("delegated submission: status %d %s", resp.StatusCode, body)
 	}
 }
 

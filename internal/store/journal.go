@@ -32,6 +32,17 @@ const (
 	OpCancelled = "cancelled"
 )
 
+// WireJob is a submission in wire form — the only one: the journal
+// stores it, and a peer's backlog listing and steal grant carry it to the
+// node that executes it. The root package's codec (persist.go) is the one
+// place that writes and reads the two documents.
+type WireJob struct {
+	// Spec is the canonical platform wire document (alchemy.MarshalPlatform).
+	Spec json.RawMessage `json:"spec,omitempty"`
+	// Search is the effective search configuration plus result-affecting flags.
+	Search json.RawMessage `json:"search,omitempty"`
+}
+
 // Record is one journal line.
 type Record struct {
 	Seq int64  `json:"seq"`
@@ -39,12 +50,10 @@ type Record struct {
 	Job string `json:"job"`
 	// Platform is the declared backend kind (submitted records).
 	Platform string `json:"platform,omitempty"`
-	// Spec is the canonical platform wire document (submitted records
-	// whose loaders are catalog references; absent otherwise, in which
-	// case the job cannot be recovered and is skipped with a warning).
-	Spec json.RawMessage `json:"spec,omitempty"`
-	// Search is the effective search configuration (submitted records).
-	Search json.RawMessage `json:"search,omitempty"`
+	// WireJob is the submission itself (submitted records whose loaders
+	// are catalog references; absent otherwise, in which case the job
+	// cannot be recovered and is skipped with a warning).
+	WireJob
 	// SpecHash is the submission's content address (done records).
 	SpecHash string `json:"spec_hash,omitempty"`
 	// Error is the terminal error text (failed/cancelled records).

@@ -183,7 +183,7 @@ func TestJournalAppendReplay(t *testing.T) {
 			t.Fatalf("Append: %v", err)
 		}
 	}
-	must(Record{Op: OpSubmitted, Job: "job-000001", Platform: "taurus", Spec: []byte(`{"kind":"taurus"}`)}, false)
+	must(Record{Op: OpSubmitted, Job: "job-000001", Platform: "taurus", WireJob: WireJob{Spec: []byte(`{"kind":"taurus"}`)}}, false)
 	must(Record{Op: OpRunning, Job: "job-000001"}, false)
 	must(Record{Op: OpDone, Job: "job-000001", SpecHash: testKey("spec")}, true)
 	_ = s.Close()
@@ -250,10 +250,10 @@ func TestJournalCompact(t *testing.T) {
 		_ = s.Journal.Append(Record{Op: OpSubmitted, Job: id}, false)
 		_ = s.Journal.Append(Record{Op: OpDone, Job: id, SpecHash: testKey(id)}, false)
 	}
-	_ = s.Journal.Append(Record{Op: OpSubmitted, Job: "job-000006", Spec: []byte(`{"kind":"taurus"}`)}, false)
+	_ = s.Journal.Append(Record{Op: OpSubmitted, Job: "job-000006", WireJob: WireJob{Spec: []byte(`{"kind":"taurus"}`)}}, false)
 
 	// Compact down to the one live job.
-	if err := s.Journal.Compact([]Record{{Op: OpSubmitted, Job: "job-000006", Spec: []byte(`{"kind":"taurus"}`)}}); err != nil {
+	if err := s.Journal.Compact([]Record{{Op: OpSubmitted, Job: "job-000006", WireJob: WireJob{Spec: []byte(`{"kind":"taurus"}`)}}}); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
 	// Appends continue after compaction with a consistent sequence.

@@ -12,6 +12,7 @@ import (
 	"sync"
 
 	"repro/internal/jobqueue"
+	"repro/internal/store"
 )
 
 // JobState is one point of the job lifecycle.
@@ -86,18 +87,17 @@ type Job struct {
 	state    JobState
 	cacheHit bool
 	specHash string
-	// wireSpec/wireSearch retain the submission's wire form while the
-	// job is queued on a work-sharing service, so peers can steal it
-	// (cluster.go). Nil everywhere else.
-	wireSpec   []byte
-	wireSearch []byte
-	stages     map[Stage]*StageProgress
-	events     []Event
-	cancelled  bool
-	ticket     *jobqueue.Ticket
-	pipe       *Pipeline
-	err        error
-	done       chan struct{}
+	// wire retains the submission's wire form while the job is queued on
+	// a work-sharing service, so peers can steal it (cluster.go). Zero
+	// everywhere else.
+	wire      store.WireJob
+	stages    map[Stage]*StageProgress
+	events    []Event
+	cancelled bool
+	ticket    *jobqueue.Ticket
+	pipe      *Pipeline
+	err       error
+	done      chan struct{}
 }
 
 func newJob(id, platform string, cancel context.CancelFunc) *Job {
@@ -247,9 +247,9 @@ func (j *Job) setRunning() {
 }
 
 // setWire retains the submission's wire form for work stealing.
-func (j *Job) setWire(spec, search []byte) {
+func (j *Job) setWire(wj store.WireJob) {
 	j.mu.Lock()
-	j.wireSpec, j.wireSearch = spec, search
+	j.wire = wj
 	j.mu.Unlock()
 }
 

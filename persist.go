@@ -1,8 +1,9 @@
 package homunculus
 
-// Pipeline serialization: the canonical JSON document the durable
-// artifact store keeps per SpecHash (internal/store, docs/operations.md).
-// The document is deterministic — fixed field order, compacted model
+// Serialization: first the pipeline — the canonical JSON document the
+// durable artifact store keeps per SpecHash (internal/store,
+// docs/operations.md) — then the wire-job codec. The pipeline document
+// is deterministic — fixed field order, compacted model
 // JSON, map keys sorted by the encoder — so equal pipelines produce
 // equal bytes and a recovered cache entry re-serializes bit-identically.
 //
@@ -17,77 +18,31 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"repro/alchemy"
 	"repro/internal/core"
 	"repro/internal/fixed"
 	"repro/internal/ir"
+	"repro/internal/store"
 )
 
 // pipelineFormatVersion is bumped on incompatible artifact changes.
 const pipelineFormatVersion = 1
 
 type pipelineDoc struct {
-	Version     int         `json:"version"`
-	Platform    string      `json:"platform"`
-	Apps        []appDoc    `json:"apps"`
-	Composition *verdictDoc `json:"composition,omitempty"`
+	Version     int           `json:"version"`
+	Platform    string        `json:"platform"`
+	Apps        []appDoc      `json:"apps"`
+	Composition *core.Verdict `json:"composition,omitempty"`
 }
 
 type appDoc struct {
-	Name       string          `json:"name"`
-	Algorithm  string          `json:"algorithm,omitempty"`
-	Metric     float64         `json:"metric"`
-	Model      json.RawMessage `json:"model,omitempty"`
-	Verdict    verdictDoc      `json:"verdict"`
-	Code       string          `json:"code,omitempty"`
-	Validation *validationDoc  `json:"validation,omitempty"`
-}
-
-type validationDoc struct {
-	Evaluators  []string        `json:"evaluators,omitempty"`
-	Inputs      int             `json:"inputs"`
-	Divergences int             `json:"divergences"`
-	Repro       json.RawMessage `json:"repro,omitempty"`
-	Err         string          `json:"error,omitempty"`
-}
-
-func toValidationDoc(v *ValidationReport) *validationDoc {
-	if v == nil {
-		return nil
-	}
-	return &validationDoc{
-		Evaluators:  v.Evaluators,
-		Inputs:      v.Inputs,
-		Divergences: v.Divergences,
-		Repro:       v.Repro,
-		Err:         v.Err,
-	}
-}
-
-func (d *validationDoc) report() *ValidationReport {
-	if d == nil {
-		return nil
-	}
-	return &ValidationReport{
-		Evaluators:  d.Evaluators,
-		Inputs:      d.Inputs,
-		Divergences: d.Divergences,
-		Repro:       d.Repro,
-		Err:         d.Err,
-	}
-}
-
-type verdictDoc struct {
-	Feasible bool               `json:"feasible"`
-	Reason   string             `json:"reason,omitempty"`
-	Metrics  map[string]float64 `json:"metrics,omitempty"`
-}
-
-func toVerdictDoc(v core.Verdict) verdictDoc {
-	return verdictDoc{Feasible: v.Feasible, Reason: v.Reason, Metrics: v.Metrics}
-}
-
-func (d verdictDoc) verdict() core.Verdict {
-	return core.Verdict{Feasible: d.Feasible, Reason: d.Reason, Metrics: d.Metrics}
+	Name       string            `json:"name"`
+	Algorithm  string            `json:"algorithm,omitempty"`
+	Metric     float64           `json:"metric"`
+	Model      json.RawMessage   `json:"model,omitempty"`
+	Verdict    core.Verdict      `json:"verdict"`
+	Code       string            `json:"code,omitempty"`
+	Validation *ValidationReport `json:"validation,omitempty"`
 }
 
 // MarshalPipeline renders a compiled pipeline as the canonical artifact
@@ -104,9 +59,9 @@ func MarshalPipeline(pipe *Pipeline) ([]byte, error) {
 			Name:       app.Name,
 			Algorithm:  app.Algorithm,
 			Metric:     app.Metric,
-			Verdict:    toVerdictDoc(app.Verdict),
+			Verdict:    app.Verdict,
 			Code:       app.Code,
-			Validation: toValidationDoc(app.Validation),
+			Validation: app.Validation,
 		}
 		if app.Model != nil {
 			var buf bytes.Buffer
@@ -117,10 +72,7 @@ func MarshalPipeline(pipe *Pipeline) ([]byte, error) {
 		}
 		doc.Apps = append(doc.Apps, ad)
 	}
-	if pipe.Composition != nil {
-		vd := toVerdictDoc(*pipe.Composition)
-		doc.Composition = &vd
-	}
+	doc.Composition = pipe.Composition
 	return json.Marshal(doc)
 }
 
@@ -134,15 +86,15 @@ func UnmarshalPipeline(raw []byte) (*Pipeline, error) {
 	if doc.Version != pipelineFormatVersion {
 		return nil, fmt.Errorf("homunculus: unsupported pipeline format version %d (want %d)", doc.Version, pipelineFormatVersion)
 	}
-	pipe := &Pipeline{Platform: doc.Platform}
+	pipe := &Pipeline{Platform: doc.Platform, Composition: doc.Composition}
 	for _, ad := range doc.Apps {
 		app := AppResult{
 			Name:       ad.Name,
 			Algorithm:  ad.Algorithm,
 			Metric:     ad.Metric,
-			Verdict:    ad.Verdict.verdict(),
+			Verdict:    ad.Verdict,
 			Code:       ad.Code,
-			Validation: ad.Validation.report(),
+			Validation: ad.Validation,
 		}
 		if len(ad.Model) > 0 {
 			m, err := ir.ReadJSON(bytes.NewReader(ad.Model))
@@ -153,54 +105,50 @@ func UnmarshalPipeline(raw []byte) (*Pipeline, error) {
 		}
 		pipe.Apps = append(pipe.Apps, app)
 	}
-	if doc.Composition != nil {
-		v := doc.Composition.verdict()
-		pipe.Composition = &v
-	}
 	return pipe, nil
 }
 
-// journalConfigDoc is the journaled effective configuration: the cache
-// key's canonical search document plus the result-affecting option flags,
-// so a recovered job hashes to the same SpecHash as the original
-// submission (old journals without the flags decode them false).
-type journalConfigDoc struct {
+// searchWireDoc is the search half of a wire job: the cache key's
+// effective-search document plus the result-affecting option flags, so a
+// decoded job hashes to the same SpecHash as the original submission (old
+// journals without the flags decode them false).
+type searchWireDoc struct {
 	searchKeyDoc
 	Validate bool `json:"validate,omitempty"`
 }
 
-// marshalSearchConfig renders the effective configuration for a journal
-// record.
-func marshalSearchConfig(cfg core.SearchConfig, validate bool) ([]byte, error) {
-	algos := make([]string, 0, len(cfg.Algorithms))
-	for _, k := range cfg.Algorithms {
-		algos = append(algos, k.String())
+// encodeWireJob renders a submission in wire form — what the journal
+// stores and what a peer executes. A declaration with an anonymous data
+// loader has no wire form and fails here.
+func encodeWireJob(p *alchemy.Platform, o *options) (store.WireJob, error) {
+	spec, err := alchemy.MarshalPlatform(p)
+	if err != nil {
+		return store.WireJob{}, err
 	}
-	return json.Marshal(journalConfigDoc{
-		searchKeyDoc: searchKeyDoc{
-			Algorithms:      algos,
-			Metric:          string(cfg.Metric),
-			BO:              cfg.BO,
-			MaxHiddenLayers: cfg.MaxHiddenLayers,
-			MaxNeurons:      cfg.MaxNeurons,
-			MaxClusters:     cfg.MaxClusters,
-			TrainEpochs:     cfg.TrainEpochs,
-			FormatIntBits:   cfg.Format.IntBits,
-			FormatFracBits:  cfg.Format.FracBits,
-			Seed:            cfg.Seed,
-		},
-		Validate: validate,
-	})
+	search, err := json.Marshal(searchWireDoc{searchKeyDoc: searchDocument(o.search), Validate: o.validate})
+	if err != nil {
+		return store.WireJob{}, fmt.Errorf("homunculus: encode search config: %w", err)
+	}
+	return store.WireJob{Spec: spec, Search: search}, nil
 }
 
-// unmarshalSearchConfig is the journal-replay inverse. OnCandidate is
-// observability-only and does not round-trip.
-func unmarshalSearchConfig(raw []byte) (core.SearchConfig, bool, error) {
-	var doc journalConfigDoc
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return core.SearchConfig{}, false, fmt.Errorf("homunculus: parse search config: %w", err)
+// decodeWireJob is the inverse, and the one place bytes from the journal
+// or from a peer become a declaration: both documents parsed, every name
+// resolved, the declaration validated. Observers (WithProgress,
+// OnCandidate) are observability-only and do not cross the wire.
+func decodeWireJob(wj store.WireJob) (*alchemy.Platform, *options, error) {
+	p, err := alchemy.UnmarshalPlatform(wj.Spec)
+	if err == nil {
+		err = p.Validate()
 	}
-	cfg := core.SearchConfig{
+	if err != nil {
+		return nil, nil, fmt.Errorf("homunculus: wire spec: %w", err)
+	}
+	var doc searchWireDoc
+	if err := json.Unmarshal(wj.Search, &doc); err != nil {
+		return nil, nil, fmt.Errorf("homunculus: wire search config: %w", err)
+	}
+	o := &options{validate: doc.Validate, search: core.SearchConfig{
 		Metric:          core.Metric(doc.Metric),
 		BO:              doc.BO,
 		MaxHiddenLayers: doc.MaxHiddenLayers,
@@ -209,13 +157,13 @@ func unmarshalSearchConfig(raw []byte) (core.SearchConfig, bool, error) {
 		TrainEpochs:     doc.TrainEpochs,
 		Format:          fixed.Format{IntBits: doc.FormatIntBits, FracBits: doc.FormatFracBits},
 		Seed:            doc.Seed,
-	}
+	}}
 	for _, a := range doc.Algorithms {
 		kind, err := ir.ParseKind(a)
 		if err != nil {
-			return core.SearchConfig{}, false, fmt.Errorf("homunculus: search config: %w", err)
+			return nil, nil, fmt.Errorf("homunculus: wire search config: %w", err)
 		}
-		cfg.Algorithms = append(cfg.Algorithms, kind)
+		o.search.Algorithms = append(o.search.Algorithms, kind)
 	}
-	return cfg, doc.Validate, nil
+	return p, o, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/alchemy"
 	"repro/internal/core"
 	"repro/internal/fixed"
 	"repro/internal/ir"
@@ -158,27 +159,28 @@ func TestSearchConfigRoundTripPreservesSpecHash(t *testing.T) {
 	cfg.Seed = 7
 	cfg.TrainEpochs = 42
 	cfg.Algorithms = []ir.Kind{ir.DNN, ir.DTree}
-	raw, err := marshalSearchConfig(cfg, true)
+	p := servicePlatform(3)
+	p.Sched.Model.Spec.DataLoader = alchemy.NamedLoader("persist_test_rt")
+	wj, err := encodeWireJob(p, &options{search: cfg, validate: true})
 	if err != nil {
-		t.Fatalf("marshalSearchConfig: %v", err)
+		t.Fatalf("encodeWireJob: %v", err)
 	}
-	back, validated, err := unmarshalSearchConfig(raw)
+	_, back, err := decodeWireJob(wj)
 	if err != nil {
-		t.Fatalf("unmarshalSearchConfig: %v", err)
+		t.Fatalf("decodeWireJob: %v", err)
 	}
-	if !validated {
+	if !back.validate {
 		t.Fatal("validate flag lost in search-config round trip")
 	}
 
 	// The recovered config must produce the same content address as the
 	// original — that is what makes a recompiled job land on the same
 	// artifact key.
-	p := servicePlatform(3)
 	h1, err := SpecHash(p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, err := SpecHash(p, back)
+	h2, err := SpecHash(p, back.search)
 	if err != nil {
 		t.Fatal(err)
 	}

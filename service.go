@@ -175,63 +175,101 @@ func (s *Service) Options() ServiceOptions { return s.opts }
 // ErrQueueFull when the backlog is at capacity, ErrServiceClosed after
 // Close.
 func (s *Service) Submit(ctx context.Context, p *alchemy.Platform, opts ...Option) (*Job, error) {
-	if err := p.Validate(); err != nil {
+	clone, o, err := declare(p, opts)
+	if err != nil {
 		return nil, err
 	}
-	o := options{search: core.DefaultSearchConfig()}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	// Snapshot the declaration's top level so a caller mutating Kind or
-	// Constraints after Submit cannot race the compilation. (The
-	// schedule tree and loaders are shared by design — they are the
-	// declaration's identity.)
-	clone := *p
+	return s.admit(ctx, clone, o)
+}
 
+// declare is how a Go-API submission enters the service (bytes enter
+// through decodeWireJob): the declaration validated, the options applied
+// over the default search configuration, and the declaration's top level
+// snapshotted so a caller mutating Kind or Constraints afterwards cannot
+// race the compilation. (The schedule tree and loaders are shared by
+// design — they are the declaration's identity.)
+func declare(p *alchemy.Platform, opts []Option) (*alchemy.Platform, *options, error) {
+	if err := p.Validate(); err != nil {
+		return nil, nil, err
+	}
+	o := &options{search: core.DefaultSearchConfig()}
+	for _, opt := range opts {
+		opt(o)
+	}
+	clone := *p
+	return &clone, o, nil
+}
+
+// admit queues a validated submission under a fresh ID.
+func (s *Service) admit(ctx context.Context, p *alchemy.Platform, o *options) (*Job, error) {
+	j, err := s.mint(ctx, p)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.enqueue(j, p, o); err != nil {
+		return nil, err
+	}
+	s.register(j)
+	s.recordSubmission(j, p, o)
+	return j, nil
+}
+
+// mint opens a job under the next ID.
+func (s *Service) mint(ctx context.Context, p *alchemy.Platform) (*Job, error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return nil, ErrServiceClosed
 	}
 	s.nextID++
-	id := fmt.Sprintf("job-%06d", s.nextID)
-	s.mu.Unlock()
+	return s.openJob(ctx, fmt.Sprintf("job-%06d", s.nextID), p), nil
+}
 
+// openJob builds the handle for id — minted above, or adopted from the
+// journal by recovery — with its run context and, on a durable service,
+// the journal hook, installed before the job can reach any terminal
+// transition (including enqueue's drop callback).
+func (s *Service) openJob(ctx context.Context, id string, p *alchemy.Platform) *Job {
 	jctx, cancel := context.WithCancel(ctx)
-	j := newJob(id, clone.Kind.String(), cancel)
+	j := newJob(id, p.Kind.String(), cancel)
 	j.ctx = jctx
 	if s.store != nil {
-		// The hook is installed before the job can reach any terminal
-		// transition, including the queue's drop callback below.
 		j.onFinish = s.journalFinish
 	}
+	return j
+}
+
+// enqueue hands the job to the dispatch queue.
+func (s *Service) enqueue(j *Job, p *alchemy.Platform, o *options) error {
 	ticket, err := s.queue.Submit(
-		func() { s.run(jctx, j, &clone, &o) },
+		func() { s.run(j.ctx, j, p, o) },
 		func(error) {
-			j.finish(nil, fmt.Errorf("homunculus: job %s dropped before dispatch: %w", id, ErrServiceClosed))
+			j.finish(nil, fmt.Errorf("homunculus: job %s dropped before dispatch: %w", j.id, ErrServiceClosed))
 		},
 	)
 	if err != nil {
-		cancel()
+		j.cancelCtx()
 		switch {
 		case errors.Is(err, jobqueue.ErrClosed):
-			return nil, ErrServiceClosed
+			return ErrServiceClosed
 		case errors.Is(err, jobqueue.ErrFull):
-			return nil, fmt.Errorf("%w (depth %d)", ErrQueueFull, s.opts.QueueDepth)
+			return fmt.Errorf("%w (depth %d)", ErrQueueFull, s.opts.QueueDepth)
 		}
-		return nil, err
+		return err
 	}
 	j.mu.Lock()
 	j.ticket = ticket
 	j.mu.Unlock()
+	return nil
+}
 
+// register makes the job reachable by ID.
+func (s *Service) register(j *Job) {
 	s.mu.Lock()
-	s.jobs[id] = j
-	s.order = append(s.order, id)
+	s.jobs[j.id] = j
+	s.order = append(s.order, j.id)
 	s.pruneLocked()
 	s.mu.Unlock()
-	s.recordSubmission(j, &clone, &o)
-	return j, nil
 }
 
 // removeFromOrder compacts a registration-order slice in place, keeping

@@ -36,18 +36,18 @@ const (
 type ValidationReport struct {
 	// Evaluators lists what executed the traffic ("ir", "p4", "spatial",
 	// "sim" — coverage depends on the model family).
-	Evaluators []string
+	Evaluators []string `json:"evaluators,omitempty"`
 	// Inputs is the traffic size (random vectors + boundary probes).
-	Inputs int
+	Inputs int `json:"inputs"`
 	// Divergences counts inputs on which any evaluator disagreed with
 	// the IR reference.
-	Divergences int
+	Divergences int `json:"divergences"`
 	// Repro is the minimized divergence artifact (validate.Repro JSON)
 	// when Divergences > 0; replay it with `homunculus -validate -repro`.
-	Repro json.RawMessage
+	Repro json.RawMessage `json:"repro,omitempty"`
 	// Err records a validation run that could not execute (artifact
 	// unparseable, generator error). A non-empty Err is a failed verdict.
-	Err string
+	Err string `json:"error,omitempty"`
 }
 
 // OK reports whether the artifacts were checked and found equivalent.
