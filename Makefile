@@ -7,7 +7,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: check vet build test validate fuzz fuzz-wire fuzz-batch fuzz-job bench-smoke bench staticcheck
+.PHONY: check vet build test validate fuzz fuzz-wire fuzz-batch fuzz-job fuzz-tree bench-smoke bench staticcheck
 
 check: vet build test
 
@@ -60,6 +60,13 @@ fuzz-batch:
 # ClaimForSteal; whatever it accepts must re-encode to the same spec hash.
 fuzz-job:
 	$(GO) test -run='^$$' -fuzz=FuzzWireJobDecode -fuzztime=$(FUZZ_BUDGET) .
+
+# Native fuzzing of the presorted CART (the fifth nightly CI step, with a
+# 10 s smoke in ci.yml): FuzzDTreePresorted grows a tree from fuzzed
+# feature bit patterns, labels and hyperparameters and requires the tree
+# the per-node-sorting reference implementation fits, node for node.
+fuzz-tree:
+	$(GO) test -run='^$$' -fuzz=FuzzDTreePresorted -fuzztime=$(FUZZ_BUDGET) ./internal/dtree/
 
 # One iteration of every benchmark, no unit tests: catches bit-rotted
 # benchmark code and asserts the allocation budgets and the autopilot

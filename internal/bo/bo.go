@@ -287,12 +287,15 @@ func (h *history) add(x []float64, objective float64, feasible bool) {
 	}
 }
 
-// suggestScratch holds the candidate pool and acquisition buffers, reused
-// across every suggest call of a run.
+// suggestScratch holds the candidate pool, the acquisition buffers and the
+// two forests' fit memory, reused across every suggest call of a run.
 type suggestScratch struct {
 	flat  []float64   // backing storage for the candidate points
 	cands [][]float64 // row views into flat
 	eis   []float64   // acquisition value per candidate
+	// Each suggest refits both models and is done with them when it
+	// returns, so each refit overwrites the previous forest in place.
+	surrogate, feasibility rf.Scratch
 }
 
 func newSuggestScratch(nCands, dims int) *suggestScratch {
@@ -402,11 +405,11 @@ func suggest(space Space, cfg Config, rng *rand.Rand, hist *history, incumbent f
 		feasCfg := fcfg
 		feasCfg.Seed = rng.Int63()
 		parallel.Run(
-			func() { surrogate, surrogateErr = rf.Train(surrogateCfg, hist.xs, hist.ys) },
-			func() { feasModel, feasErr = rf.Train(feasCfg, hist.xs, hist.feas) },
+			func() { surrogate, surrogateErr = scratch.surrogate.Train(surrogateCfg, hist.xs, hist.ys) },
+			func() { feasModel, feasErr = scratch.feasibility.Train(feasCfg, hist.xs, hist.feas) },
 		)
 	} else {
-		surrogate, surrogateErr = rf.Train(surrogateCfg, hist.xs, hist.ys)
+		surrogate, surrogateErr = scratch.surrogate.Train(surrogateCfg, hist.xs, hist.ys)
 	}
 	if surrogateErr != nil {
 		return nil, fmt.Errorf("bo: surrogate training: %w", surrogateErr)

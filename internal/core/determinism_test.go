@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"repro/internal/backend"
+	"repro/internal/dtree"
+	"repro/internal/ir"
 	"repro/internal/parallel"
 	"repro/internal/synth/nslkdd"
 )
@@ -42,12 +44,50 @@ func bestFingerprint(t *testing.T, res *SearchResult) []byte {
 	return buf.Bytes()
 }
 
+// requireFreshlyTrainedTree retrains the tree family's winner from its
+// design point with dtree.Train — its own presort, nothing shared — and
+// requires the search's model, byte for byte.
+func requireFreshlyTrainedTree(t *testing.T, app App, sc SearchConfig, res *SearchResult) {
+	t.Helper()
+	for _, c := range res.Candidates {
+		if c.Algorithm != ir.DTree {
+			continue
+		}
+		if c.Model == nil || c.BO.Best == nil {
+			t.Fatal("the tree family found no model")
+		}
+		data := prepare(app)
+		x := c.BO.Best.X
+		tree, err := dtree.Train(dtree.Config{MaxDepth: int(x[0]), MinLeaf: int(x[1]), Classes: app.Train.Classes()}, data.train)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := ir.FromDTree(app.Name, tree, data.train.Features(), sc.Format)
+		fresh.FeatureNames = app.Train.FeatureNames
+		data.foldNormalizer(fresh)
+		var got, want bytes.Buffer
+		if err := c.Model.WriteJSON(&got); err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.WriteJSON(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("the tree grown from the shared presort at %v is not the tree dtree.Train fits there", x)
+		}
+		return
+	}
+	t.Fatal("the tree family was not searched")
+}
+
 // TestSearchDeterministicAcrossGOMAXPROCS pins the repo's concurrency
 // contract: a fixed-seed core.Search must return byte-identical results
 // across repeated runs, with the worker pool disabled (GOMAXPROCS=1) and
-// with it fully populated (GOMAXPROCS=NumCPU) — the parallel kernels,
-// forest fits, acquisition scoring, and family fan-out must not leak
-// scheduling into the outcome.
+// populated (2 and 4 workers) — the parallel kernels, forest fits,
+// acquisition scoring, family fan-out and the early return of finished
+// families' tokens must not leak scheduling into the outcome. The tree
+// family's twenty candidates grow from one presort of the training set;
+// its winner must be the tree a fresh dtree.Train fits at that point.
 func TestSearchDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	cfg := nslkdd.DefaultConfig()
 	cfg.Samples = 600
@@ -70,6 +110,7 @@ func TestSearchDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		requireFreshlyTrainedTree(t, app, sc, res)
 		return bestFingerprint(t, res)
 	}
 
@@ -81,7 +122,7 @@ func TestSearchDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	}()
 
 	var reference []byte
-	for _, procs := range []int{1, runtime.NumCPU(), 4} {
+	for _, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
 		parallel.SetWorkers(procs)
 		for rep := 0; rep < 3; rep++ {

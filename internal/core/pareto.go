@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/bo"
-	"repro/internal/dataset"
 	"repro/internal/ir"
 )
 
@@ -54,16 +53,7 @@ func SearchPareto(ctx context.Context, app App, target Target, cfg SearchConfig,
 	}
 	space, build := familySpace(app, cfg, kind)
 	key := target.ResourceKey()
-
-	var norm *dataset.Normalizer
-	train, test := app.Train, app.Test
-	if app.Normalize {
-		norm = dataset.FitNormalizer(app.Train)
-		train = app.Train.Clone()
-		test = app.Test.Clone()
-		norm.Apply(train)
-		norm.Apply(test)
-	}
+	data := prepare(app)
 
 	// Keep the trained model of each evaluation so front entries can be
 	// resolved back to deployable models. Keyed by evaluation index.
@@ -82,23 +72,12 @@ func SearchPareto(ctx context.Context, app App, target Target, cfg SearchConfig,
 		seed := cfg.Seed + int64(kind)*2000 + int64(id)
 		mu.Unlock()
 
-		model, err := build(x, train, seed)
+		model, verdict, metric, err := data.evaluate(build, x, seed, target, cfg.Metric)
 		if err != nil {
+			return nil, false, nil, err
+		}
+		if model == nil {
 			return []float64{0, 0}, false, map[string]float64{"eval_id": float64(id)}, nil
-		}
-		if norm != nil {
-			model.Mean = append([]float64{}, norm.Mean...)
-			model.Std = append([]float64{}, norm.Std...)
-		}
-		model.FeatureNames = app.Train.FeatureNames
-
-		verdict, err := target.Estimate(stripNormalizer(model))
-		if err != nil {
-			return nil, false, nil, err
-		}
-		metric, err := scoreModel(stripNormalizer(model), test, cfg.Metric)
-		if err != nil {
-			return nil, false, nil, err
 		}
 		resource := verdict.Metrics[key]
 		mu.Lock()
@@ -124,6 +103,7 @@ func SearchPareto(ctx context.Context, app App, target Target, cfg SearchConfig,
 		if m == nil {
 			continue
 		}
+		data.foldNormalizer(m)
 		out.Front = append(out.Front, ParetoPoint{
 			Model:    m,
 			Metric:   ev.Values[0],

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/dataset"
 	"repro/internal/ir"
 	"repro/internal/svm"
 )
@@ -42,15 +41,8 @@ func PruneSVMToFit(app App, target Target, cfg SearchConfig, svmCfg svm.Config) 
 		return nil, fmt.Errorf("core: target %s does not support SVMs", target.Name())
 	}
 
-	var norm *dataset.Normalizer
-	train, test := app.Train, app.Test
-	if app.Normalize {
-		norm = dataset.FitNormalizer(app.Train)
-		train = app.Train.Clone()
-		test = app.Test.Clone()
-		norm.Apply(train)
-		norm.Apply(test)
-	}
+	data := prepare(app)
+	train, test := data.train, data.test
 
 	ranked := RankFeatures(train) // most important first
 	res := &PruneResult{}

@@ -217,6 +217,7 @@ func Search(ctx context.Context, app App, target Target, cfg SearchConfig) (*Sea
 	// never oversubscribe the machine. Each family writes only its own
 	// slot and is internally deterministic, so results are independent of
 	// how the tasks get scheduled.
+	data := prepare(app)
 	results := make([]CandidateResult, len(jobs))
 	errs := make([]error, len(jobs))
 	tasks := make([]func(), 0, len(jobs))
@@ -231,7 +232,7 @@ func Search(ctx context.Context, app App, target Target, cfg SearchConfig) (*Sea
 		i, kind := i, j.kind
 		tasks = append(tasks, func() {
 			notify(CandidateEvent{App: app.Name, Algorithm: kind})
-			res, err := searchFamily(ctx, app, target, cfg, kind)
+			res, err := searchFamily(ctx, data, target, cfg, kind)
 			if err != nil {
 				errs[i] = err
 				return
@@ -266,21 +267,66 @@ func Search(ctx context.Context, app App, target Target, cfg SearchConfig) (*Sea
 	return out, nil
 }
 
-// searchFamily runs BO over one algorithm family's design space.
-func searchFamily(ctx context.Context, app App, target Target, cfg SearchConfig, kind ir.Kind) (CandidateResult, error) {
-	space, build := familySpace(app, cfg, kind)
-	res := CandidateResult{Algorithm: kind}
+// prepared is an app's data as every candidate of every family sees it,
+// made once per app: the normalised train and test sets, and the
+// training set's presort, which the tree family's candidates share.
+type prepared struct {
+	app         App
+	train, test *dataset.Dataset    // what candidates train and are scored on
+	norm        *dataset.Normalizer // nil unless app.Normalize
+	// sorted presorts train on first use; only tree candidates call it.
+	sorted func() *dtree.Presorted
+}
 
-	// Normalization is fit once on the training set.
-	var norm *dataset.Normalizer
-	train, test := app.Train, app.Test
+func prepare(app App) *prepared {
+	p := &prepared{app: app, train: app.Train, test: app.Test}
 	if app.Normalize {
-		norm = dataset.FitNormalizer(app.Train)
-		train = app.Train.Clone()
-		test = app.Test.Clone()
-		norm.Apply(train)
-		norm.Apply(test)
+		// Normalization is fit on the training set.
+		p.norm = dataset.FitNormalizer(app.Train)
+		p.train, p.test = app.Train.Clone(), app.Test.Clone()
+		p.norm.Apply(p.train)
+		p.norm.Apply(p.test)
 	}
+	p.sorted = sync.OnceValue(func() *dtree.Presorted { return dtree.Presort(p.train) })
+	return p
+}
+
+// evaluate trains the candidate at design point x and measures it: the
+// target's verdict and the quantized test metric. A training failure is
+// an infeasible point, not an error, and returns a nil model. The model
+// carries no normalization affine, so that estimation and scoring work on
+// the already-normalized sets; foldNormalizer adds it to a model that is
+// kept.
+func (p *prepared) evaluate(build builder, x []float64, seed int64, target Target, metric Metric) (*ir.Model, Verdict, float64, error) {
+	model, err := build(x, p, seed)
+	if err != nil {
+		return nil, Verdict{}, 0, nil
+	}
+	model.FeatureNames = p.app.Train.FeatureNames
+	verdict, err := target.Estimate(model)
+	if err != nil {
+		return nil, Verdict{}, 0, err
+	}
+	score, err := scoreModel(model, p.test, metric)
+	if err != nil {
+		return nil, Verdict{}, 0, err
+	}
+	return model, verdict, score, nil
+}
+
+// foldNormalizer gives a model that leaves the search its own copy of the
+// normalization affine: the pipeline receives raw features.
+func (p *prepared) foldNormalizer(m *ir.Model) {
+	if p.norm != nil {
+		m.Mean = append([]float64{}, p.norm.Mean...)
+		m.Std = append([]float64{}, p.norm.Std...)
+	}
+}
+
+// searchFamily runs BO over one algorithm family's design space.
+func searchFamily(ctx context.Context, data *prepared, target Target, cfg SearchConfig, kind ir.Kind) (CandidateResult, error) {
+	space, build := familySpace(data.app, cfg, kind)
+	res := CandidateResult{Algorithm: kind}
 
 	evalCount := 0
 	var mu sync.Mutex // protects evalCount and bests
@@ -297,25 +343,12 @@ func searchFamily(ctx context.Context, app App, target Target, cfg SearchConfig,
 		seed := cfg.Seed + int64(kind)*1000 + int64(evalCount)
 		mu.Unlock()
 
-		model, err := build(x, train, seed)
+		model, verdict, metric, err := data.evaluate(build, x, seed, target, cfg.Metric)
 		if err != nil {
-			// Training failures are infeasible points, not fatal errors.
+			return 0, false, nil, err
+		}
+		if model == nil {
 			return 0, false, map[string]float64{"train_error": 1}, nil
-		}
-		if norm != nil {
-			// The pipeline receives raw features; fold the normalizer in.
-			model.Mean = append([]float64{}, norm.Mean...)
-			model.Std = append([]float64{}, norm.Std...)
-		}
-		model.FeatureNames = app.Train.FeatureNames
-
-		verdict, err := target.Estimate(stripNormalizer(model))
-		if err != nil {
-			return 0, false, nil, err
-		}
-		metric, err := scoreModel(stripNormalizer(model), test, cfg.Metric)
-		if err != nil {
-			return 0, false, nil, err
 		}
 		if verdict.Feasible {
 			mu.Lock()
@@ -335,19 +368,12 @@ func searchFamily(ctx context.Context, app App, target Target, cfg SearchConfig,
 	}
 	res.BO = boRes
 	if bestModel != nil {
+		data.foldNormalizer(bestModel)
 		res.Model = bestModel
 		res.Metric = bestMetric
 		res.Verdict = bestVerdict
 	}
 	return res, nil
-}
-
-// stripNormalizer returns a shallow copy without the normalization affine
-// so that scoring/estimation operate on the already-normalized datasets.
-func stripNormalizer(m *ir.Model) *ir.Model {
-	c := *m
-	c.Mean, c.Std = nil, nil
-	return &c
 }
 
 // DesignSpace returns the BO design space the core would search for an
@@ -359,8 +385,8 @@ func DesignSpace(app App, cfg SearchConfig, kind ir.Kind) bo.Space {
 	return space
 }
 
-// builder turns a BO design point into a trained model IR.
-type builder func(x []float64, train *dataset.Dataset, seed int64) (*ir.Model, error)
+// builder turns a BO design point into a model IR trained on data.train.
+type builder func(x []float64, data *prepared, seed int64) (*ir.Model, error)
 
 // familySpace constructs the design space (§3.2.2) and trainer for one
 // algorithm family.
@@ -384,7 +410,8 @@ func familySpace(app App, cfg SearchConfig, kind ir.Kind) (bo.Space, builder) {
 			})
 		}
 		space := bo.Space{Params: params}
-		return space, func(x []float64, train *dataset.Dataset, seed int64) (*ir.Model, error) {
+		return space, func(x []float64, data *prepared, seed int64) (*ir.Model, error) {
+			train := data.train
 			layers := int(x[0])
 			hidden := make([]int, layers)
 			for i := 0; i < layers; i++ {
@@ -417,16 +444,16 @@ func familySpace(app App, cfg SearchConfig, kind ir.Kind) (bo.Space, builder) {
 			{Name: "lambda", Kind: bo.Ordinal, Values: []float64{0.0001, 0.001, 0.01}},
 			{Name: "epochs", Kind: bo.Integer, Min: 3, Max: float64(cfg.TrainEpochs)},
 		}}
-		return space, func(x []float64, train *dataset.Dataset, seed int64) (*ir.Model, error) {
+		return space, func(x []float64, data *prepared, seed int64) (*ir.Model, error) {
 			sc := svm.Config{
-				Features:  train.Features(),
+				Features:  data.train.Features(),
 				Classes:   classes,
 				LearnRate: x[0],
 				Lambda:    x[1],
 				Epochs:    int(x[2]),
 				Seed:      seed,
 			}
-			m, err := svm.Train(sc, train)
+			m, err := svm.Train(sc, data.train)
 			if err != nil {
 				return nil, err
 			}
@@ -438,9 +465,9 @@ func familySpace(app App, cfg SearchConfig, kind ir.Kind) (bo.Space, builder) {
 			{Name: "k", Kind: bo.Integer, Min: 1, Max: float64(maxK)},
 			{Name: "iters", Kind: bo.Ordinal, Values: []float64{10, 25, 50}},
 		}}
-		return space, func(x []float64, train *dataset.Dataset, seed int64) (*ir.Model, error) {
+		return space, func(x []float64, data *prepared, seed int64) (*ir.Model, error) {
 			kc := kmeans.Config{K: int(x[0]), MaxIters: int(x[1]), Seed: seed}
-			m, err := kmeans.Train(kc, train)
+			m, err := kmeans.Train(kc, data.train)
 			if err != nil {
 				return nil, err
 			}
@@ -451,13 +478,13 @@ func familySpace(app App, cfg SearchConfig, kind ir.Kind) (bo.Space, builder) {
 			{Name: "depth", Kind: bo.Integer, Min: 1, Max: 8},
 			{Name: "minleaf", Kind: bo.Integer, Min: 1, Max: 16},
 		}}
-		return space, func(x []float64, train *dataset.Dataset, seed int64) (*ir.Model, error) {
+		return space, func(x []float64, data *prepared, seed int64) (*ir.Model, error) {
 			dc := dtree.Config{MaxDepth: int(x[0]), MinLeaf: int(x[1]), Classes: classes}
-			m, err := dtree.Train(dc, train)
+			m, err := data.sorted().Grow(dc)
 			if err != nil {
 				return nil, err
 			}
-			return ir.FromDTree(app.Name, m, train.Features(), cfg.Format), nil
+			return ir.FromDTree(app.Name, m, data.train.Features(), cfg.Format), nil
 		}
 	}
 }

@@ -5,9 +5,10 @@
 package dtree
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/dataset"
 )
@@ -51,53 +52,144 @@ type Model struct {
 	Root   *Node
 }
 
-// Train fits a CART tree with Gini-impurity splits.
+// Train fits a CART tree with Gini-impurity splits. It is Presort followed
+// by Grow; a caller fitting several trees to one training set (the search
+// loop does, twenty per family) presorts once and grows each from that.
 func Train(c Config, d *dataset.Dataset) (*Model, error) {
+	return Presort(d).Grow(c)
+}
+
+// Presorted is a training set with every feature column sorted once. The
+// split search needs each node's samples in ascending order of each
+// feature; sorting that at every node is what CART spends its time on.
+// Sorted once here, the order survives down the tree: a node owns the
+// same index range of every column, and a split partitions each range
+// stably into its left and right child, so the children are sorted too.
+// A Presorted is read-only after Presort and may be grown from
+// concurrently.
+type Presorted struct {
+	d *dataset.Dataset
+	// order holds one column of d.Len() sample indices per feature,
+	// column f at [f*n, (f+1)*n), ascending in feature f. Column 0
+	// doubles as the list of a node's samples, so a dataset with no
+	// features gets the identity as its only column.
+	order []int32
+}
+
+// Presort sorts every feature column of d. d must not change while the
+// result is in use. How equal values are ordered within a column is
+// arbitrary: a split is only legal between two different values, where
+// the class counts on each side do not depend on it.
+func Presort(d *dataset.Dataset) *Presorted {
+	n, nf := d.Len(), d.Features()
+	p := &Presorted{d: d, order: make([]int32, max(nf, 1)*n)}
+	for i := range p.order[:n] {
+		p.order[i] = int32(i)
+	}
+	type entry struct {
+		v float64
+		i int32
+	}
+	col := make([]entry, n)
+	for f := 0; f < nf; f++ {
+		for i := range col {
+			col[i] = entry{d.X.At(i, f), int32(i)}
+		}
+		slices.SortFunc(col, func(a, b entry) int { return cmp.Compare(a.v, b.v) })
+		for pos, e := range col {
+			p.order[f*n+pos] = e.i
+		}
+	}
+	return p
+}
+
+// Grow fits a CART tree with Gini-impurity splits to the presorted set.
+func (p *Presorted) Grow(c Config) (*Model, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	if d.Len() == 0 {
+	n := p.d.Len()
+	if n == 0 {
 		return nil, fmt.Errorf("dtree: empty training set")
 	}
-	idx := make([]int, d.Len())
-	for i := range idx {
-		idx[i] = i
+	counts := make([]int, 3*c.Classes)
+	g := grower{
+		c: c, d: p.d, n: n,
+		cols:   slices.Clone(p.order),
+		spill:  make([]int32, n),
+		left:   make([]bool, n),
+		counts: counts[:c.Classes],
+		lc:     counts[c.Classes : 2*c.Classes],
+		rc:     counts[2*c.Classes:],
 	}
-	root := build(c, d, idx, 0)
-	return &Model{Config: c, Root: root}, nil
+	return &Model{Config: c, Root: g.build(0, n, 0)}, nil
 }
 
-func build(c Config, d *dataset.Dataset, idx []int, depth int) *Node {
-	node := &Node{Feature: -1, Samples: len(idx)}
-	counts := make([]int, c.Classes)
-	for _, i := range idx {
+// grower is the working memory of one Grow: a private copy of the sorted
+// columns, partitioned in place as the tree recurses, and the buffers
+// every node reuses.
+type grower struct {
+	c Config
+	d *dataset.Dataset
+	n int
+
+	cols  []int32 // the node at [lo, hi) owns that range of every column
+	spill []int32 // right-child half of a column during its partition
+	left  []bool  // per sample: goes to the left child of the split under way
+
+	counts, lc, rc []int // class counts: the node, and each side of a sweep
+}
+
+// build grows the subtree over the samples at [lo, hi) of every column.
+func (g *grower) build(lo, hi, depth int) *Node {
+	c, d := g.c, g.d
+	node := &Node{Feature: -1, Samples: hi - lo}
+	clear(g.counts)
+	for _, i := range g.cols[lo:hi] {
 		if d.Y[i] < c.Classes {
-			counts[d.Y[i]]++
+			g.counts[d.Y[i]]++
 		}
 	}
-	node.Class = argMaxInt(counts)
-	if depth >= c.MaxDepth || len(idx) < 2*c.MinLeaf || pure(counts) {
+	node.Class = argMaxInt(g.counts)
+	if depth >= c.MaxDepth || hi-lo < 2*c.MinLeaf || pure(g.counts) {
 		return node
 	}
-	feat, thresh, gain := bestSplit(c, d, idx, counts)
+	feat, thresh, gain := g.bestSplit(lo, hi)
 	if gain <= 1e-12 {
 		return node
 	}
-	var left, right []int
-	for _, i := range idx {
-		if d.X.At(i, feat) <= thresh {
-			left = append(left, i)
-		} else {
-			right = append(right, i)
+	// Membership is decided by comparing with the threshold, not by the
+	// position of the split: the midpoint of two adjacent floats can round
+	// up to the larger one.
+	nl := 0
+	for _, i := range g.cols[lo:hi] {
+		l := d.X.At(int(i), feat) <= thresh
+		g.left[i] = l
+		if l {
+			nl++
 		}
 	}
-	if len(left) < c.MinLeaf || len(right) < c.MinLeaf {
+	if nl < c.MinLeaf || hi-lo-nl < c.MinLeaf {
 		return node
+	}
+	for off := 0; off < len(g.cols); off += g.n {
+		col := g.cols[off+lo : off+hi]
+		l, r := 0, 0
+		for _, i := range col {
+			if g.left[i] {
+				col[l] = i
+				l++
+			} else {
+				g.spill[r] = i
+				r++
+			}
+		}
+		copy(col[l:], g.spill[:r])
 	}
 	node.Feature = feat
 	node.Threshold = thresh
-	node.Left = build(c, d, left, depth+1)
-	node.Right = build(c, d, right, depth+1)
+	node.Left = g.build(lo, lo+nl, depth+1)
+	node.Right = g.build(lo+nl, hi, depth+1)
 	return node
 }
 
@@ -133,36 +225,38 @@ func gini(counts []int, total int) float64 {
 	return g
 }
 
-// bestSplit scans every feature with a sorted sweep, maintaining class
-// counts on each side incrementally (O(features · n log n)).
-func bestSplit(c Config, d *dataset.Dataset, idx []int, parentCounts []int) (feat int, thresh, gain float64) {
-	n := len(idx)
-	parentGini := gini(parentCounts, n)
+// bestSplit sweeps the node's range of every sorted column once,
+// maintaining class counts on each side incrementally: O(features · n ·
+// classes) per node, with no sorting. g.counts holds the node's counts.
+func (g *grower) bestSplit(lo, hi int) (feat int, thresh, gain float64) {
+	c, d := g.c, g.d
+	n := hi - lo
+	parentGini := gini(g.counts, n)
 	bestGain := 0.0
 	bestFeat, bestThresh := -1, 0.0
 
-	order := make([]int, n)
 	for f := 0; f < d.Features(); f++ {
-		copy(order, idx)
-		sort.Slice(order, func(a, b int) bool { return d.X.At(order[a], f) < d.X.At(order[b], f) })
-		leftCounts := make([]int, c.Classes)
-		rightCounts := append([]int{}, parentCounts...)
+		col := g.cols[f*g.n+lo : f*g.n+hi]
+		clear(g.lc)
+		copy(g.rc, g.counts)
+		next := d.X.At(int(col[0]), f)
 		for pos := 0; pos < n-1; pos++ {
-			y := d.Y[order[pos]]
+			y := d.Y[col[pos]]
 			if y < c.Classes {
-				leftCounts[y]++
-				rightCounts[y]--
+				g.lc[y]++
+				g.rc[y]--
 			}
-			v, next := d.X.At(order[pos], f), d.X.At(order[pos+1], f)
+			v := next
+			next = d.X.At(int(col[pos+1]), f)
 			if v == next {
 				continue // can't split between equal values
 			}
 			nl, nr := pos+1, n-pos-1
-			g := parentGini -
-				(float64(nl)/float64(n))*gini(leftCounts, nl) -
-				(float64(nr)/float64(n))*gini(rightCounts, nr)
-			if g > bestGain {
-				bestGain = g
+			gn := parentGini -
+				(float64(nl)/float64(n))*gini(g.lc, nl) -
+				(float64(nr)/float64(n))*gini(g.rc, nr)
+			if gn > bestGain {
+				bestGain = gn
 				bestFeat = f
 				bestThresh = (v + next) / 2
 			}

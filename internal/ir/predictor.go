@@ -284,8 +284,8 @@ func (p *Predictor) Classify(x []float64) (int, error) {
 	}
 }
 
-// PredictDataset classifies every row of d through the predictor's
-// reusable buffers, writing into out (which must have d.Len() slots).
+// PredictDataset classifies every row of d through the batch kernel,
+// writing into out (which must have d.Len() slots).
 func (p *Predictor) PredictDataset(d *dataset.Dataset, out []int) error {
 	if d.Features() != p.m.Inputs {
 		return fmt.Errorf("ir: input has %d features, model %q wants %d", d.Features(), p.m.Name, p.m.Inputs)
@@ -293,12 +293,17 @@ func (p *Predictor) PredictDataset(d *dataset.Dataset, out []int) error {
 	if len(out) != d.Len() {
 		return fmt.Errorf("ir: output slice has %d slots for %d samples", len(out), d.Len())
 	}
-	for i := range out {
-		y, err := p.Classify(d.X.Row(i))
-		if err != nil {
+	// ClassifyBatch takes row slices; a dataset is one flat matrix. A
+	// fixed window of row views keeps the call allocation-free.
+	var rows [8 * Tile][]float64
+	for lo := 0; lo < len(out); lo += len(rows) {
+		hi := min(lo+len(rows), len(out))
+		for i := lo; i < hi; i++ {
+			rows[i-lo] = d.X.Row(i)
+		}
+		if err := p.ClassifyBatch(rows[:hi-lo], out[lo:hi]); err != nil {
 			return err
 		}
-		out[i] = y
 	}
 	return nil
 }

@@ -7,7 +7,11 @@
 // running inside an already-parallel family search — the work simply runs
 // serially on the caller. That makes nesting safe by construction (no
 // unbounded goroutine trees, no oversubscription, no deadlock) at the cost
-// of occasionally under-splitting.
+// of occasionally under-splitting. Tokens are held only while there is
+// work for them: For returns its helpers' when the loop ends, and Run
+// returns one as each worker runs out of tasks, so when one long task
+// outlives its siblings (the DNN family search does) the kernels nested
+// inside it find the freed cores.
 //
 // Determinism contract: For and Run only guarantee that every index/task
 // executes exactly once; the partition into goroutines depends on how many
@@ -144,8 +148,9 @@ func chunkBounds(n, chunks, c int) (lo, hi int) {
 // Run executes every task exactly once, using the caller plus however many
 // helper tokens are free right now. Tasks beyond the worker count are
 // pulled off a shared atomic cursor as workers finish, so long and short
-// tasks pack without idle helpers. With an empty pool it degrades to a
-// serial loop.
+// tasks pack without idle helpers, and a worker that finds the cursor
+// exhausted returns its token while the remaining tasks are still running.
+// With an empty pool it degrades to a serial loop.
 func Run(tasks ...func()) {
 	RunCtx(context.Background(), tasks...)
 }
@@ -182,7 +187,19 @@ func RunCtx(ctx context.Context, tasks ...func()) error {
 		return serial()
 	}
 	var next int64
+	// Helper tokens stand for goroutines running beyond one. Each worker
+	// that runs out of tasks while others are still busy hands one token
+	// back at once instead of sitting on it until the slowest task ends,
+	// so that task's own nested For/Run calls can use the idle core. The
+	// last worker to finish returns nothing: it was the "one".
+	var running atomic.Int64
+	running.Store(int64(helpers + 1))
 	work := func() {
+		defer func() {
+			if running.Add(-1) > 0 {
+				release(t, 1)
+			}
+		}()
 		for {
 			select {
 			case <-done:
@@ -206,6 +223,5 @@ func RunCtx(ctx context.Context, tasks ...func()) error {
 	}
 	work()
 	wg.Wait()
-	release(t, helpers)
 	return ctx.Err()
 }

@@ -3,8 +3,10 @@ package parallel
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func withWorkers(t *testing.T, n int) {
@@ -162,5 +164,49 @@ func TestRunCtxAlreadyCancelled(t *testing.T) {
 	}
 	if ran != 0 {
 		t.Fatalf("no task should start under a dead ctx, ran %d", ran)
+	}
+}
+
+// TestRunReleasesTokensOfFinishedWorkers: when one task outlives its
+// siblings, the workers that ran out of tasks give their tokens back
+// while it is still running, so a For nested in it can split — whichever
+// goroutine, caller or helper, happens to be running it. When Run
+// returns, every token is back in the pool.
+func TestRunReleasesTokensOfFinishedWorkers(t *testing.T) {
+	for _, workers := range []int{2, 4} {
+		withWorkers(t, workers)
+		var shortsLeft atomic.Int32
+		shortsLeft.Store(3)
+		shortsDone := make(chan struct{})
+		short := func() {
+			if shortsLeft.Add(-1) == 0 {
+				close(shortsDone)
+			}
+		}
+		chunks := 0
+		long := func() {
+			select {
+			case <-shortsDone:
+			case <-time.After(5 * time.Second):
+				t.Error("the short tasks never ran beside the long one")
+				return
+			}
+			// The siblings' workers return their tokens just after their
+			// last task, not before: poll until the pool has them.
+			for deadline := time.Now().Add(5 * time.Second); chunks < workers && time.Now().Before(deadline); runtime.Gosched() {
+				var calls atomic.Int32
+				For(workers, 1, func(lo, hi int) { calls.Add(1) })
+				chunks = int(calls.Load())
+			}
+		}
+		Run(long, short, short, short)
+		if chunks != workers {
+			t.Fatalf("workers=%d: a For nested in the last running task split %d ways; the finished workers kept their tokens", workers, chunks)
+		}
+		if free := tryAcquire(pool(), workers); free != workers-1 {
+			t.Fatalf("workers=%d: %d tokens in the pool after Run, want %d", workers, free, workers-1)
+		} else {
+			release(pool(), free)
+		}
 	}
 }

@@ -10,7 +10,8 @@
 //
 // Trees are stored as flat index-linked arrays (cache-friendly to walk)
 // and built allocation-lean: bootstrap indices are partitioned in place
-// and the split search reuses per-tree scratch buffers. Tree fits run in
+// and the split search reuses per-tree scratch buffers, which a Scratch
+// carries from one fit to the next. Tree fits run in
 // parallel on the shared worker pool; every tree's bootstrap sample and
 // RNG seed are drawn from the forest seed up front on the caller, so the
 // fitted forest is bit-identical at any pool size.
@@ -109,6 +110,31 @@ type Forest struct {
 // Individual trees are fitted in parallel on the shared worker pool; the
 // result is deterministic for a given Config.Seed regardless of pool size.
 func Train(c Config, x [][]float64, y []float64) (*Forest, error) {
+	return new(Scratch).Train(c, x, y)
+}
+
+// Scratch is the memory of a forest fit — the node arrays, the bootstrap
+// draws, every tree's split-search buffers, each kind one slab shared out
+// among the trees — kept for the next fit. A BO run refits its surrogate
+// on a history one point longer before every suggestion and is done with
+// each forest before the next fit, so one Scratch per surrogate makes a
+// run's fits allocate only when the bootstrap sample grows. The zero value
+// is ready to use; a Scratch serves one Train at a time.
+type Scratch struct {
+	forest Forest
+	rng    *rand.Rand
+	seeds  []uint64
+	fits   []treeScratch // one per tree: tree fits run concurrently
+	// Slabs, tree t's share at [t*size, (t+1)*size): sampleN of boot,
+	// keys, order and part, nFeat of perm, 2*sampleN of nodes.
+	boot, order, part, perm []int
+	keys                    []float64
+	nodes                   []node
+}
+
+// Train is the package's Train fitted into s: the same forest, bit for
+// bit, but valid only until s's next Train, which overwrites it.
+func (s *Scratch) Train(c Config, x [][]float64, y []float64) (*Forest, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
@@ -124,34 +150,71 @@ func Train(c Config, x [][]float64, y []float64) (*Forest, error) {
 			return nil, fmt.Errorf("rf: ragged row %d (%d features, want %d)", i, len(row), nFeat)
 		}
 	}
-	f := &Forest{Config: c, trees: make([]tree, c.Trees), nFeat: nFeat}
-	rng := rand.New(rand.NewSource(c.Seed))
 	sampleN := int(math.Ceil(c.Subsample * float64(len(x))))
+	f := &s.forest
+	f.Config, f.nFeat = c, nFeat
+	f.trees = resize(f.trees, c.Trees)
+	s.fits = resize(s.fits, c.Trees)
+	s.seeds = resize(s.seeds, c.Trees)
+	s.boot = resize(s.boot, c.Trees*sampleN)
+	s.order = resize(s.order, c.Trees*sampleN)
+	s.part = resize(s.part, c.Trees*sampleN)
+	s.keys = resize(s.keys, c.Trees*sampleN)
+	s.perm = resize(s.perm, c.Trees*nFeat)
+	s.nodes = resize(s.nodes, c.Trees*2*sampleN)
+	// Reseeding is a fresh source's state: rand.NewSource(seed) is an
+	// allocation followed by this Seed call.
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(c.Seed))
+	} else {
+		s.rng.Seed(c.Seed)
+	}
 	// Draw every tree's bootstrap sample and RNG seed serially before
 	// dispatch, so the forest does not depend on fit scheduling. The
 	// forest-level source stays math/rand (one seeding per Train, same
 	// bootstrap protocol as ever); only the per-tree sources are splitmix.
-	bootFlat := make([]int, c.Trees*sampleN)
-	seeds := make([]uint64, c.Trees)
 	for t := 0; t < c.Trees; t++ {
 		for i := 0; i < sampleN; i++ {
-			bootFlat[t*sampleN+i] = rng.Intn(len(x))
+			s.boot[t*sampleN+i] = s.rng.Intn(len(x))
 		}
-		seeds[t] = uint64(rng.Int63())
+		s.seeds[t] = uint64(s.rng.Int63())
 	}
-	parallel.For(c.Trees, 1, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			f.trees[t] = fitTree(c, &splitmix{state: seeds[t]}, x, y, bootFlat[t*sampleN:(t+1)*sampleN])
+	parallel.For(c.Trees, 1, func(first, end int) {
+		for t := first; t < end; t++ {
+			lo, hi := t*sampleN, (t+1)*sampleN
+			fit := &s.fits[t]
+			*fit = treeScratch{
+				rng:      splitmix{state: s.seeds[t]},
+				keysBuf:  s.keys[lo:hi],
+				orderBuf: s.order[lo:hi],
+				part:     s.part[lo:hi],
+				perm:     s.perm[t*nFeat : (t+1)*nFeat],
+			}
+			// A tree over sampleN samples has fewer than 2*sampleN nodes,
+			// so appending stays inside the tree's share of the slab.
+			tr := &f.trees[t]
+			tr.nodes = s.nodes[2*lo : 2*lo : 2*hi]
+			buildNode(tr, c, &fit.rng, x, y, s.boot[lo:hi], 0, fit)
 		}
 	})
 	return f, nil
 }
 
+// resize returns s with length n, reallocating only when its capacity is
+// short; the contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // treeScratch is the reusable working memory of one tree fit: split-search
 // sort buffers, the stable-partition spill buffer, and the feature-subset
 // permutation. One scratch serves an entire tree, so node construction
-// allocates nothing beyond the node array itself.
+// allocates nothing.
 type treeScratch struct {
+	rng      splitmix  // the tree's own source
 	keysBuf  []float64 // full-capacity backing for keys
 	orderBuf []int     // full-capacity backing for order
 	keys     []float64 // current sort view: feature values
@@ -167,18 +230,6 @@ func (s *treeScratch) Less(a, b int) bool { return s.keys[a] < s.keys[b] }
 func (s *treeScratch) Swap(a, b int) {
 	s.keys[a], s.keys[b] = s.keys[b], s.keys[a]
 	s.order[a], s.order[b] = s.order[b], s.order[a]
-}
-
-func fitTree(c Config, rng *splitmix, x [][]float64, y []float64, idx []int) tree {
-	s := &treeScratch{
-		keysBuf:  make([]float64, len(idx)),
-		orderBuf: make([]int, len(idx)),
-		part:     make([]int, len(idx)),
-		perm:     make([]int, len(x[0])),
-	}
-	tr := tree{nodes: make([]node, 0, 2*len(idx))}
-	buildNode(&tr, c, rng, x, y, idx, 0, s)
-	return tr
 }
 
 // buildNode appends the subtree over idx to tr and returns its root index.

@@ -3,7 +3,10 @@ package rf
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
+
+	"repro/internal/parallel"
 )
 
 func TestValidate(t *testing.T) {
@@ -173,4 +176,47 @@ func TestPredictDimensionPanics(t *testing.T) {
 		}
 	}()
 	f.Predict([]float64{1})
+}
+
+// TestScratchTrainMatchesTrain: a forest fitted into a reused Scratch —
+// over histories that grow and shrink, feature counts and tree counts
+// that change, at two pool sizes — is the forest a fresh Train fits, node
+// for node, and a steady-state refit allocates only the closure it hands
+// to parallel.For.
+func TestScratchTrainMatchesTrain(t *testing.T) {
+	old := parallel.Workers()
+	defer parallel.SetWorkers(old)
+	rng := rand.New(rand.NewSource(7))
+	var s Scratch
+	for round, n := range []int{5, 6, 7, 20, 64, 9, 1, 33} {
+		parallel.SetWorkers(1 + round%2*3)
+		nFeat := 1 + round%4
+		x := make([][]float64, n)
+		y := make([]float64, n)
+		for i := range x {
+			x[i] = make([]float64, nFeat)
+			for j := range x[i] {
+				x[i][j] = float64(rng.Intn(5))
+			}
+			y[i] = x[i][0] + rng.NormFloat64()*0.1
+		}
+		c := DefaultConfig()
+		c.Seed = int64(round)
+		c.Trees = 8 + round%3*12
+		want, err := Train(c, x, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.Train(c, x, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.nFeat != want.nFeat || !reflect.DeepEqual(got.trees, want.trees) {
+			t.Fatalf("round %d (n=%d): the Scratch's forest differs from Train's", round, n)
+		}
+		parallel.SetWorkers(1)
+		if allocs := testing.AllocsPerRun(5, func() { _, _ = s.Train(c, x, y) }); allocs > 1 {
+			t.Fatalf("round %d (n=%d): a refit into a warm Scratch allocated %.0f times", round, n, allocs)
+		}
+	}
 }

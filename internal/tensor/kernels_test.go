@@ -160,3 +160,28 @@ func TestKernelsPoolSizeInvariant(t *testing.T) {
 		}
 	}
 }
+
+// TestMatMulTBitIdentical: the four-column kernel and its one-column tail
+// return, for every ragged shape, exactly the bits of a plain ascending
+// dot product per element — the artifact digests depend on it.
+func TestMatMulTBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for rows := 1; rows <= 27; rows += 2 {
+		for cols := 1; cols <= 27; cols++ {
+			for _, k := range []int{1, 2, 7, 24, 27} {
+				a, b := randMat(rng, rows, k), randMat(rng, cols, k)
+				// Magnitudes far apart make a sum depend on its order.
+				for i := range a.Data {
+					a.Data[i] *= math.Pow(10, float64(rng.Intn(13)-6))
+				}
+				got, want := MatMulT(New(rows, cols), a, b), refMatMulT(a, b)
+				for i := range want.Data {
+					if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+						t.Fatalf("%dx%d·(%dx%d)ᵀ elem %d: %x, scalar reference %x",
+							rows, k, cols, k, i, math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
+					}
+				}
+			}
+		}
+	}
+}

@@ -211,13 +211,32 @@ func MatMulT(dst, a, b *Matrix) *Matrix {
 	return dst
 }
 
-// matMulTRows computes dst rows [lo, hi) of a·bᵀ.
+// matMulTRows computes dst rows [lo, hi) of a·bᵀ, four output columns per
+// pass over the a row. One dot product is a chain of dependent additions,
+// each waiting out the previous one's latency; four independent chains
+// keep the adder busy. Every chain still sums its own products in
+// ascending order, so each element is the bits the one-column loop gives.
 func matMulTRows(dst, a, b *Matrix, lo, hi int) {
-	k := a.Cols
+	k, n := a.Cols, b.Rows
 	for i := lo; i < hi; i++ {
 		arow := a.Data[i*k : (i+1)*k]
-		drow := dst.Data[i*b.Rows : (i+1)*b.Rows]
-		for j := 0; j < b.Rows; j++ {
+		drow := dst.Data[i*n : (i+1)*n]
+		j := 0
+		for ; j+3 < n; j += 4 {
+			b0 := b.Data[j*k : (j+1)*k]
+			b1 := b.Data[(j+1)*k : (j+2)*k]
+			b2 := b.Data[(j+2)*k : (j+3)*k]
+			b3 := b.Data[(j+3)*k : (j+4)*k]
+			var s0, s1, s2, s3 float64
+			for p, av := range arow {
+				s0 += av * b0[p]
+				s1 += av * b1[p]
+				s2 += av * b2[p]
+				s3 += av * b3[p]
+			}
+			drow[j], drow[j+1], drow[j+2], drow[j+3] = s0, s1, s2, s3
+		}
+		for ; j < n; j++ {
 			brow := b.Data[j*k : (j+1)*k]
 			var s float64
 			for p, av := range arow {
