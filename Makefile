@@ -7,7 +7,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: check vet build test validate fuzz fuzz-wire fuzz-batch fuzz-job fuzz-tree bench-smoke bench staticcheck
+.PHONY: check vet build test validate fuzz fuzz-wire fuzz-number fuzz-batch fuzz-job fuzz-tree bench-smoke bench staticcheck
 
 check: vet build test
 
@@ -46,6 +46,14 @@ fuzz:
 # "interesting" input cannot eat the budget.
 fuzz-wire:
 	$(GO) test -run='^$$' -fuzz=FuzzClassifyDecode -fuzztime=$(FUZZ_BUDGET) -fuzzminimizetime=200x ./internal/httpapi/
+
+# Native fuzzing of the codec's number decoder (the sixth nightly CI step,
+# with a 10 s smoke in ci.yml): FuzzParseNumber spells a fuzzed mantissa,
+# decimal exponent and layout — and the decimals around the midpoint
+# above the float64 they denote — and requires strconv.ParseFloat's
+# refusal or bits of every spelling.
+fuzz-number:
+	$(GO) test -run='^$$' -fuzz=FuzzParseNumber -fuzztime=$(FUZZ_BUDGET) ./internal/httpapi/
 
 # Native fuzzing of the batch kernel (the third nightly CI step, with a
 # 10 s smoke in ci.yml): FuzzPredictorBatch differentially checks

@@ -11,10 +11,13 @@ package httpapi
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"net/http"
 	"strconv"
 	"sync"
@@ -139,14 +142,8 @@ func (b *classifyBuf) parseCanonical() bool {
 		start := len(b.flat)
 		i = skipSpace(s, i+1)
 		for moreNums := at(s, i) != ']'; moreNums; {
-			end := scanNumber(s, i)
-			if end < 0 {
-				return false
-			}
-			// No heap copy: the string does not escape ParseFloat, so
-			// up to 32 bytes of it live in a stack temporary.
-			v, err := strconv.ParseFloat(string(s[i:end]), 64)
-			if err != nil {
+			v, end, leg := parseNumber(s, i)
+			if leg == noNumber {
 				return false
 			}
 			b.flat = append(b.flat, v)
@@ -203,46 +200,168 @@ func skipSpace(s []byte, i int) int {
 	return i
 }
 
-func skipDigits(s []byte, i int) int {
-	for i < len(s) && '0' <= s[i] && s[i] <= '9' {
-		i++
-	}
-	return i
-}
+// numberLeg is how parseNumber converted a number. The product only asks
+// whether there was one; the tests read the rest to pin which share of
+// the traffic each leg takes.
+type numberLeg uint8
 
-// scanNumber returns the end of the JSON number starting at s[i] —
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? — or -1 if none does.
-func scanNumber(s []byte, i int) int {
-	if at(s, i) == '-' {
+const (
+	noNumber   numberLeg = iota // no JSON number at s[i], or one out of float64 range
+	legZero                     // mantissa 0: ±0 whatever the exponent
+	legClinger                  // mantissa < 2^53, |exp10| ≤ 22: one float multiply or divide
+	legDivide                   // mantissa ≥ 2^53, -19 ≤ exp10 < 0: one 128/64-bit divide
+	legStrconv                  // everything else: strconv.ParseFloat on the same bytes
+)
+
+// pow10f[k] and pow10u[k] are 10^k: every power of ten a float64 holds
+// exactly, and every one a uint64 holds.
+var (
+	pow10f = [23]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+		1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+	pow10u = [20]uint64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+		1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+)
+
+// parseNumber decodes the JSON number starting at s[i] —
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? — to the float64
+// strconv.ParseFloat makes of the same bytes, and returns where it ends.
+// The scan collects the number as mant × 10^exp10 and the conversion is
+// taken only down a leg that rounds once, from exact operands:
+//
+//   - Clinger: mant < 2^53 and 10^|exp10| ≤ 10^22 are both float64s, so
+//     the one IEEE multiply or divide is the correctly rounded result.
+//   - Divide: with both operands shifted to 64 bits, m·2^63/d is a 63- or
+//     64-bit quotient — ten bits past a float64's 53 — and its remainder
+//     says whether anything non-zero lies below them, which is all
+//     round-to-nearest-even needs. The result is in (2^53/10^19, 10^19),
+//     so the scaling by a power of two is exact.
+//
+// Whatever is outside them — more than 19 significant digits, other
+// exponents, everything near overflow or the subnormals — goes to
+// strconv, and a number strconv refuses is reported as no number.
+func parseNumber(s []byte, i int) (v float64, end int, leg numberLeg) {
+	start := i
+	neg := at(s, i) == '-'
+	if neg {
 		i++
 	}
+	// mant wraps past 19 digits; digits, counted from the first non-zero
+	// one, says when to disregard it.
+	var mant uint64
+	digits := 0
 	switch c := at(s, i); {
 	case c == '0':
 		i++
 	case '1' <= c && c <= '9':
-		i = skipDigits(s, i+1)
+		first := i
+		mant, i = scanDigits(s, i, 0)
+		digits = i - first
 	default:
-		return -1
+		return 0, 0, noNumber
 	}
+	exp10 := 0
 	if at(s, i) == '.' {
-		end := skipDigits(s, i+1)
-		if end == i+1 {
-			return -1
+		i++
+		point := i
+		if mant == 0 {
+			// 0.000…: these zeros place the point and are not significant.
+			for at(s, i) == '0' {
+				i++
+			}
 		}
-		i = end
+		first := i
+		mant, i = scanDigits(s, i, mant)
+		digits += i - first
+		if i == point {
+			return 0, 0, noNumber
+		}
+		exp10 = point - i
 	}
+	fits := digits <= 19 // mant × 10^exp10 is the number as written
 	if c := at(s, i); c == 'e' || c == 'E' {
 		i++
-		if c := at(s, i); c == '+' || c == '-' {
+		sign := at(s, i)
+		if sign == '+' || sign == '-' {
 			i++
 		}
-		end := skipDigits(s, i)
-		if end == i {
-			return -1
+		// Saturating: a hostile exponent must not wrap into range.
+		const saturated = 100_000_000
+		e, first := 0, i
+		for ; i < len(s) && s[i]-'0' <= 9; i++ {
+			if e < saturated {
+				e = e*10 + int(s[i]-'0')
+			}
 		}
-		i = end
+		if i == first {
+			return 0, 0, noNumber
+		}
+		fits = fits && e < saturated
+		if sign == '-' {
+			e = -e
+		}
+		exp10 += e
 	}
-	return i
+	leg = legStrconv
+	switch {
+	case !fits:
+	case mant == 0:
+		v, leg = 0, legZero
+	case mant < 1<<53 && 0 <= exp10 && exp10 <= 22:
+		v, leg = float64(mant)*pow10f[exp10], legClinger
+	case mant < 1<<53 && -22 <= exp10 && exp10 < 0:
+		v, leg = float64(mant)/pow10f[-exp10], legClinger
+	case mant >= 1<<53 && -19 <= exp10 && exp10 < 0:
+		d := pow10u[-exp10]
+		zm, zd := bits.LeadingZeros64(mant), bits.LeadingZeros64(d)
+		m := mant << zm
+		q, r := bits.Div64(m>>1, m<<63, d<<zd)
+		if r != 0 {
+			q |= 1 // sticky: below the bits the conversion rounds at
+		}
+		// uint64 → float64 rounds to nearest even; 2^(zd-zm-63) undoes the shifts.
+		v, leg = float64(q)*math.Float64frombits(uint64(1023+zd-zm-63)<<52), legDivide
+	}
+	if leg == legStrconv {
+		// No heap copy: the string does not escape ParseFloat, so up to
+		// 32 bytes of it live in a stack temporary.
+		f, err := strconv.ParseFloat(string(s[start:i]), 64)
+		if err != nil {
+			return 0, 0, noNumber
+		}
+		return f, i, legStrconv
+	}
+	if neg {
+		v = -v
+	}
+	return v, i, leg
+}
+
+// scanDigits folds the run of ASCII digits at s[i:] into mant, eight at
+// a time while eight are there, and returns where the run ends. mant
+// wraps on overflow; the caller counts the digits.
+func scanDigits(s []byte, i int, mant uint64) (uint64, int) {
+	for i+8 <= len(s) {
+		w := binary.LittleEndian.Uint64(s[i:])
+		// Every byte is '0'..'9': its high nibble is 3, and still 3 after
+		// adding 6 (no byte of 0x30..0x3f carries into its neighbour).
+		const hi = 0xf0f0f0f0f0f0f0f0
+		if w&hi|(w+0x0606060606060606)&hi>>4 != 0x3333333333333333 {
+			break
+		}
+		// The first digit is the low byte. Pairs (≤ 99, a byte each), then
+		// the four pairs weighted 10^6, 10^4, 10^2, 1 into the high word of
+		// two multiplies whose low words (≤ 9900 + 99) cannot carry.
+		w -= 0x3030303030303030
+		w = w*10 + w>>8
+		const pair = 0x000000ff000000ff
+		w = ((w&pair)*(100+1000000<<32) + (w>>16&pair)*(1+10000<<32)) >> 32
+		mant = mant*1e8 + w
+		i += 8
+	}
+	for ; i < len(s) && s[i]-'0' <= 9; i++ {
+		mant = mant*10 + uint64(s[i]-'0')
+	}
+	return mant, i
 }
 
 // classifyOn serves one classify request against a resolved endpoint —
