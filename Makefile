@@ -7,7 +7,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: check vet build test validate fuzz fuzz-wire fuzz-number fuzz-batch fuzz-job fuzz-tree bench-smoke bench staticcheck
+.PHONY: check vet build test validate fuzz fuzz-wire fuzz-number fuzz-batch fuzz-job fuzz-tree fuzz-config bench-smoke bench staticcheck
 
 check: vet build test
 
@@ -75,6 +75,17 @@ fuzz-job:
 # the per-node-sorting reference implementation fits, node for node.
 fuzz-tree:
 	$(GO) test -run='^$$' -fuzz=FuzzDTreePresorted -fuzztime=$(FUZZ_BUDGET) ./internal/dtree/
+
+# Native fuzzing of the serving-config decoder (the seventh nightly CI
+# step, with a 10 s smoke in ci.yml): FuzzServingConfig feeds arbitrary
+# bytes to ParseServingConfig; an accepted document must render
+# canonically to a fixed point, resolve idempotently without changing
+# its flush policy, and inherit over any other accepted document into a
+# valid one. Minimization is capped in executions: an interesting input
+# is often a long run of junk key bytes, and minimizing it uncapped
+# spends most of a short budget.
+fuzz-config:
+	$(GO) test -run='^$$' -fuzz=FuzzServingConfig -fuzztime=$(FUZZ_BUDGET) -fuzzminimizetime=200x .
 
 # One iteration of every benchmark, no unit tests: catches bit-rotted
 # benchmark code and asserts the allocation budgets and the autopilot

@@ -810,9 +810,9 @@ func runEndpointReplay(ctx context.Context, svc *homunculus.Service, platform *a
 	if err != nil {
 		return err
 	}
-	cfg := ep.ServingConfig().Options()
-	fmt.Printf("endpoint %q rev 1: platform=%s algorithm=%s shards=%d batch=%d delay=%v queue=%d clients=%d\n",
-		ep.Name(), ep.Platform(), ep.Model().Kind, cfg.Shards, cfg.BatchSize, cfg.MaxDelay, cfg.QueueDepth, clients)
+	cfg := ep.ServingConfig()
+	fmt.Printf("endpoint %q rev 1: platform=%s algorithm=%s shards=%d batch=%d flush=%s queue=%d clients=%d\n",
+		ep.Name(), ep.Platform(), ep.Model().Kind, cfg.Shards, cfg.BatchSize, describeFlush(cfg), cfg.QueueDepth, clients)
 
 	record := newRecord(len(xs))
 	var agg serve.ReplayResult

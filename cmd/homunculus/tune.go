@@ -133,19 +133,18 @@ func runTune(ctx context.Context, spec Spec, loader alchemy.DataLoader, pipe *ho
 // describeConfig renders a candidate config as a compact knob tuple.
 func describeConfig(cfg serve.ServingConfig) string {
 	r := cfg.Resolved()
-	delay := time.Duration(0)
-	if r.MaxDelayNS != nil {
-		delay = time.Duration(*r.MaxDelayNS)
+	return fmt.Sprintf("batch=%d shards=%d flush=%s queue=%d",
+		r.BatchSize, r.Shards, describeFlush(r), r.QueueDepth)
+}
+
+// describeFlush renders the flush policy a config runs: "greedy", or a
+// holding policy with its bound, e.g. "fixed(250µs)".
+func describeFlush(cfg serve.ServingConfig) string {
+	policy, bound := cfg.Flush()
+	if policy == serve.FlushGreedy {
+		return policy.String()
 	}
-	flush := "fixed"
-	if r.AdaptiveFlush {
-		flush = "adaptive"
-	}
-	if delay <= 0 {
-		flush = "greedy"
-	}
-	return fmt.Sprintf("batch=%d shards=%d delay=%v flush=%s queue=%d",
-		r.BatchSize, r.Shards, delay, flush, r.QueueDepth)
+	return fmt.Sprintf("%s(%v)", policy, bound)
 }
 
 // describeMetrics renders one candidate's measurements.

@@ -3,9 +3,13 @@ package main
 import (
 	"context"
 	"errors"
+	"io"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/serve"
 	"repro/internal/tune"
 )
 
@@ -135,4 +139,74 @@ func TestReplaySettingsValidateAdaptive(t *testing.T) {
 	if err := r.validate(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestDescribeConfigFlush pins how the CLI names a config's flush
+// policy: the one the runtime runs, so a greedy config prints no delay.
+func TestDescribeConfigFlush(t *testing.T) {
+	ns := func(d time.Duration) *int64 { v := int64(d); return &v }
+	for _, tc := range []struct {
+		cfg  serve.ServingConfig
+		want string
+	}{
+		{serve.ServingConfig{Shards: 2}, "batch=64 shards=2 flush=greedy queue=1024"},
+		{serve.ServingConfig{Shards: 2, MaxDelayNS: ns(0)}, "batch=64 shards=2 flush=greedy queue=1024"},
+		{serve.ServingConfig{Shards: 2, BatchSize: 16, MaxDelayNS: ns(250 * time.Microsecond)}, "batch=16 shards=2 flush=fixed(250µs) queue=1024"},
+		{serve.ServingConfig{Shards: 2, AdaptiveFlush: true}, "batch=64 shards=2 flush=adaptive(500µs) queue=1024"},
+		{serve.ServingConfig{Shards: 2, AdaptiveFlush: true, MaxDelayNS: ns(0)}, "batch=64 shards=2 flush=greedy queue=1024"},
+	} {
+		if got := describeConfig(tc.cfg); got != tc.want {
+			t.Errorf("describeConfig(%+v) = %q, want %q", tc.cfg, got, tc.want)
+		}
+	}
+}
+
+// TestReplayHeaderFlush: the -deploy replay header names the flush
+// policy the endpoint runs — greedy by default, a hold only for a
+// positive -batch-delay.
+func TestReplayHeaderFlush(t *testing.T) {
+	defer resetTune()
+	for _, tc := range []struct {
+		delay time.Duration
+		want  string
+	}{
+		{0, "shards=2 batch=16 flush=greedy queue=1024 clients=2"},
+		{time.Millisecond, "shards=2 batch=16 flush=fixed(1ms) queue=1024 clients=2"},
+	} {
+		replayCfg = replaySettings{deploy: true, samples: 64, clients: 2, shards: 2, batch: 16, delay: tc.delay}
+		out := captureStdout(t, func() {
+			if err := run(context.Background(), "testdata/ad.json", t.TempDir(), "", 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+		var header string
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(line, `endpoint "replay" rev 1:`) {
+				header = line
+			}
+		}
+		if !strings.HasSuffix(header, tc.want) || strings.Contains(header, "delay=") {
+			t.Fatalf("-batch-delay %v: header %q, want it to end %q", tc.delay, header, tc.want)
+		}
+	}
+}
+
+// captureStdout returns what fn prints to standard output.
+func captureStdout(t *testing.T, fn func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	defer func() { os.Stdout = stdout }()
+	done := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		done <- string(b)
+	}()
+	fn()
+	w.Close()
+	return <-done
 }

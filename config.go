@@ -3,9 +3,9 @@ package homunculus
 // The canonical serving-config surface: ServingConfig is the one
 // declaration of the serving knobs — what EndpointOptions and
 // RolloutOptions carry, the wire JSON and the CLI flags build, the tuner
-// emits, the manifest persists, and `PUT /v1/endpoints/{name}/config`
-// applies. Every way in validates it before serve.Options are resolved
-// from it. See docs/tuning.md.
+// emits, the manifest persists, `PUT /v1/endpoints/{name}/config`
+// applies, and every serving runtime is built from. Every way in
+// validates it. See docs/tuning.md.
 
 import (
 	"fmt"
@@ -29,25 +29,20 @@ func ParseServingConfig(data []byte) (ServingConfig, error) {
 	return serve.ParseConfig(data)
 }
 
-// ServingConfig returns the endpoint's live effective configuration —
-// every field resolved, suitable for GET /v1/endpoints/{name}/config
-// and as the base document to edit and re-apply.
-func (e *Endpoint) ServingConfig() ServingConfig {
-	c := serve.ConfigFromOptions(e.ep.Options())
-	e.mu.Lock()
-	c.ValidateRollouts = e.cfg.ValidateRollouts
-	e.mu.Unlock()
-	return c
-}
+// ServingConfig returns the endpoint's document resolved — every
+// default filled, the flush policy unchanged — suitable for GET
+// /v1/endpoints/{name}/config and as the base document to edit and
+// re-apply: applying it back changes nothing.
+func (e *Endpoint) ServingConfig() ServingConfig { return e.ep.Config().Resolved() }
 
-// RevisionConfigs returns each revision's requested runtime overrides
-// (zero fields inherited the endpoint defaults at rollout time).
+// RevisionConfigs returns each revision's stored document: the one its
+// runtime is built from and the manifest persists — a rollout's
+// override merged over the endpoint's document, defaults not filled.
 func (e *Endpoint) RevisionConfigs() map[int]ServingConfig {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make(map[int]ServingConfig, len(e.meta))
-	for id, m := range e.meta {
-		out[id] = m.cfg
+	revs := e.ep.Revisions()
+	out := make(map[int]ServingConfig, len(revs))
+	for _, r := range revs {
+		out[r.ID] = r.Config()
 	}
 	return out
 }
@@ -69,13 +64,12 @@ func (e *Endpoint) ApplyConfig(cfg ServingConfig) (RevisionInfo, error) {
 	e.mu.Lock()
 	prev := e.meta[stable]
 	e.mu.Unlock()
-	rev, err := e.ep.Reconfigure(cfg.Options())
+	rev, err := e.ep.Reconfigure(cfg)
 	if err != nil {
 		return RevisionInfo{}, fmt.Errorf("homunculus: apply config on %s: %w", e.name, err)
 	}
 	e.mu.Lock()
-	e.meta[rev.ID] = revisionMeta{jobID: prev.jobID, app: prev.app, specHash: prev.specHash, cfg: cfg}
-	e.cfg = cfg
+	e.meta[rev.ID] = prev
 	e.mu.Unlock()
 	e.svc.persistEndpoints()
 	return RevisionInfo{

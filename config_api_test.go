@@ -7,12 +7,31 @@ package homunculus
 // adaptive flush) across restart, and the Service-level tuner.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/tune"
 )
+
+// revisionBounds renders what each revision of e runs: its stored
+// document resolved — flush policy and hold bound, shards, batch, queue.
+func revisionBounds(e *Endpoint) map[int]string {
+	out := map[int]string{}
+	for id, c := range e.RevisionConfigs() {
+		r := c.Resolved()
+		policy, bound := r.Flush()
+		out[id] = fmt.Sprintf("%v/%v shards=%d batch=%d queue=%d", policy, bound, r.Shards, r.BatchSize, r.QueueDepth)
+	}
+	return out
+}
 
 // TestServingConfigEndpointLifecycle drives the config document through
 // an endpoint's life: created with an explicit greedy flush, read back
@@ -78,6 +97,97 @@ func TestServingConfigEndpointLifecycle(t *testing.T) {
 	}
 	if ep.ServingConfig().BatchSize != 16 {
 		t.Fatal("rejected apply must not change the effective config")
+	}
+}
+
+// TestServingConfigGetPutIsIdentity: PUTting back the document GET
+// returns changes nothing — not the flush policy the stable revision
+// runs, not the bytes GET returns next. A default endpoint's GET used to
+// carry max_delay_ns 500000, which applied back turned greedy flushing
+// into a fixed 500µs hold.
+func TestServingConfigGetPutIsIdentity(t *testing.T) {
+	svc, job1, _ := endpointService(t)
+	ns := func(d time.Duration) *int64 { v := int64(d); return &v }
+	for name, cfg := range map[string]ServingConfig{
+		"default":        {},
+		"greedy":         {MaxDelayNS: ns(0)},
+		"fixed":          {MaxDelayNS: ns(300 * time.Microsecond)},
+		"adaptive":       {AdaptiveFlush: true},
+		"adaptive-bound": {AdaptiveFlush: true, MaxDelayNS: ns(200 * time.Microsecond)},
+	} {
+		ep, err := svc.CreateEndpoint(name, job1.ID(), EndpointOptions{Serving: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stable := func() string {
+			id, _, _, _ := ep.View()
+			return revisionBounds(ep)[id]
+		}
+		before, doc := stable(), ep.ServingConfig()
+		get1, err := doc.Canonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ep.ApplyConfig(doc); err != nil {
+			t.Fatal(err)
+		}
+		get2, _ := ep.ServingConfig().Canonical()
+		if after := stable(); after != before || !bytes.Equal(get1, get2) {
+			t.Errorf("%s: GET → PUT changed the endpoint: runs %s → %s, GET %s → %s", name, before, after, get1, get2)
+		}
+	}
+}
+
+// TestApplyConfigSurvivesRestart: every revision runs the same bounds
+// after a restart as before it — including one ApplyConfig installed
+// over an endpoint whose earlier documents it must not inherit from,
+// and a rollout whose partial override it must — and a rollback after
+// the restart returns to the bounds the rolled-back-to revision ran.
+func TestApplyConfigSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	svc := mustOpen(t, dir, nil)
+	job, _ := runJob(t, svc)
+	ep, err := svc.CreateEndpoint("kept", job.ID(), EndpointOptions{
+		Serving: ServingConfig{Shards: 1, QueueDepth: 128},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ep.Rollout(job.ID(), RolloutOptions{CanaryPercent: 50, Serving: ServingConfig{BatchSize: 32}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ep.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ep.ApplyConfig(ServingConfig{BatchSize: 16}); err != nil {
+		t.Fatal(err)
+	}
+	live := revisionBounds(ep)
+	if len(live) != 3 || !strings.Contains(live[2], "shards=1 batch=32 queue=128") {
+		t.Fatalf("the rollout must inherit the endpoint's shards and queue: %v", live)
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	svc2 := mustOpen(t, dir, nil)
+	defer svc2.Close()
+	ep2, ok := svc2.Endpoint("kept")
+	if !ok {
+		t.Fatal("endpoint not restored")
+	}
+	if restored := revisionBounds(ep2); fmt.Sprint(restored) != fmt.Sprint(live) {
+		t.Fatalf("bounds changed across restart:\n  live     %v\n  restored %v", live, restored)
+	}
+	got, _ := ep2.ServingConfig().Canonical()
+	if want, _ := ep.ServingConfig().Canonical(); !bytes.Equal(got, want) {
+		t.Fatalf("GET changed across restart: %s, was %s", got, want)
+	}
+	if err := ep2.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if id, _, _, _ := ep2.View(); id != 2 || revisionBounds(ep2)[2] != live[2] {
+		t.Fatalf("rollback after restart: stable %d runs %s, want 2 running %s", id, revisionBounds(ep2)[2], live[2])
 	}
 }
 
@@ -237,4 +347,89 @@ func TestServiceTune(t *testing.T) {
 	if stable, _, _, _ := ep.View(); stable != 2 {
 		t.Fatalf("applied config must be a promoted revision, stable=%d", stable)
 	}
+}
+
+// configSeeds lists the serving documents of the checked-in manifests
+// (version-1 flat records and version-2 documents) and the tuner's
+// coarse grid: every spelling the product has written or emits.
+func configSeeds(t testing.TB) [][]byte {
+	var out [][]byte
+	for _, name := range []string{"endpoints_v1.json", "endpoints_v2.json"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m struct {
+			Endpoints []struct {
+				Options   json.RawMessage
+				Revisions []struct{ Options json.RawMessage }
+			}
+		}
+		if err := json.Unmarshal(raw, &m); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range m.Endpoints {
+			out = append(out, e.Options)
+			for _, r := range e.Revisions {
+				out = append(out, r.Options)
+			}
+		}
+	}
+	for _, c := range tune.CoarseGrid(4) {
+		raw, err := c.Canonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, raw)
+	}
+	return out
+}
+
+// FuzzServingConfig fuzzes the serving-config decoder, the one reader
+// of the document from the wire, the CLI and the manifest. Arbitrary
+// bytes must never panic it; an accepted document must render
+// canonically to a fixed point, resolve idempotently without changing
+// its flush policy (GET → PUT is the identity), and inherit over any
+// other accepted document into a valid one (a rollout's override).
+func FuzzServingConfig(f *testing.F) {
+	seeds := configSeeds(f)
+	for i, s := range seeds {
+		f.Add(s, seeds[(i+1)%len(seeds)])
+	}
+	f.Add([]byte(`{}`), []byte(`{"max_delay_ns":-1,"retain_retired":-1}`))
+	f.Add([]byte(`{"adaptive_flush":true}`), []byte(`null`))
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		c, err := ParseServingConfig(a)
+		if err != nil {
+			return
+		}
+		canon, err := c.Canonical()
+		if err != nil {
+			t.Fatalf("accepted %q but cannot render it: %v", a, err)
+		}
+		back, err := ParseServingConfig(canon)
+		if err != nil {
+			t.Fatalf("canonical %s does not parse: %v", canon, err)
+		}
+		if again, _ := back.Canonical(); !bytes.Equal(again, canon) {
+			t.Fatalf("canonical form is not a fixed point: %s → %s", canon, again)
+		}
+		r := c.Resolved()
+		once, err := r.Canonical()
+		if err != nil {
+			t.Fatalf("%s resolves to an invalid document: %v", canon, err)
+		}
+		if twice, _ := r.Resolved().Canonical(); !bytes.Equal(once, twice) {
+			t.Fatalf("Resolved is not idempotent: %s → %s", once, twice)
+		}
+		p1, d1 := c.Flush()
+		if p2, d2 := r.Flush(); p1 != p2 || d1 != d2 {
+			t.Fatalf("resolving %s changed its flush policy: %v/%v → %v/%v", canon, p1, d1, p2, d2)
+		}
+		if base, err := ParseServingConfig(b); err == nil {
+			if err := c.Inherit(base).Validate(); err != nil {
+				t.Fatalf("%s over %q is invalid: %v", canon, b, err)
+			}
+		}
+	})
 }

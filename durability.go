@@ -295,16 +295,17 @@ func (e *Endpoint) record() store.EndpointRecord {
 		CreatedUnixNano: e.created.UnixNano(),
 	}
 	rec.Stable, rec.Canary, rec.CanaryPercent, rec.Shadow = e.ep.View()
+	rec.Options = configDocument(e.ep.Config())
 	rows := e.ep.RevisionInfos()
+	cfgs := e.RevisionConfigs() // read after rows: it holds every row's ID
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	rec.Options = configDocument(e.cfg)
 	for _, r := range rows {
 		m := e.meta[r.ID]
 		rec.Revisions = append(rec.Revisions, store.RevisionRecord{
 			ID: r.ID, JobID: m.jobID, App: m.app, SpecHash: m.specHash,
 			State: string(r.State), CanaryPercent: r.CanaryPercent,
-			CreatedUnixNano: r.Created.UnixNano(), Options: configDocument(m.cfg),
+			CreatedUnixNano: r.Created.UnixNano(), Options: configDocument(cfgs[r.ID]),
 		})
 	}
 	return rec
@@ -429,7 +430,10 @@ func (s *Service) recover(dir string, fs store.FS) error {
 
 // restoreEndpoint rebuilds one named endpoint from its manifest record,
 // loading each revision's model out of the artifact store. Every config
-// document is validated before anything is built from it.
+// document is validated before anything is built from it. A version-3
+// revision document is the one its runtime was built from; versions 1
+// and 2 stored the rollout's override, which inherits the endpoint's
+// document as it did when those files were written.
 func (s *Service) restoreEndpoint(rec store.EndpointRecord, manifestVersion int) error {
 	cfg, err := parseConfigDocument(rec.Options, manifestVersion)
 	if err != nil {
@@ -442,6 +446,9 @@ func (s *Service) restoreEndpoint(rec store.EndpointRecord, manifestVersion int)
 		if err != nil {
 			return fmt.Errorf("revision %d: %w", rr.ID, err)
 		}
+		if manifestVersion < 3 {
+			rcfg = rcfg.Inherit(cfg)
+		}
 		state := serve.RevisionState(rr.State)
 		model := s.revisionModel(rr)
 		if model == nil && (state == serve.RevCanary || state == serve.RevShadow) {
@@ -452,13 +459,13 @@ func (s *Service) restoreEndpoint(rec store.EndpointRecord, manifestVersion int)
 			state = serve.RevRetired
 		}
 		revs = append(revs, serve.RestoreRevision{
-			ID: rr.ID, Model: model, Opts: rcfg.Options(),
+			ID: rr.ID, Model: model, Config: rcfg,
 			State: state, CanaryPercent: rr.CanaryPercent,
 			Created: time.Unix(0, rr.CreatedUnixNano),
 		})
-		meta[rr.ID] = revisionMeta{jobID: rr.JobID, app: rr.App, specHash: rr.SpecHash, cfg: rcfg}
+		meta[rr.ID] = revisionMeta{jobID: rr.JobID, app: rr.App, specHash: rr.SpecHash}
 	}
-	sep, err := serve.RestoreEndpoint(rec.Name, cfg.Options(), revs)
+	sep, err := serve.RestoreEndpoint(rec.Name, cfg, revs)
 	if err != nil {
 		return err
 	}
@@ -468,7 +475,6 @@ func (s *Service) restoreEndpoint(rec store.EndpointRecord, manifestVersion int)
 		created:  time.Unix(0, rec.CreatedUnixNano),
 		svc:      s,
 		ep:       sep,
-		cfg:      cfg,
 		meta:     meta,
 	}
 	s.mu.Lock()

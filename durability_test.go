@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/alchemy"
+	"repro/internal/parallel"
 	"repro/internal/store"
 )
 
@@ -283,7 +284,7 @@ func seedManifest(t *testing.T, manifest []byte) string {
 // the version-1 service wrote. Every endpoint restores with the flush
 // behaviour it ran with — in particular a positive flat max_delay_ns,
 // which never engaged a hold, reads back absent — and the next save
-// rewrites the file as version 2.
+// rewrites the file as version 3.
 func TestDurableManifestV1Restores(t *testing.T) {
 	fixture, err := os.ReadFile(filepath.Join("testdata", "endpoints_v1.json"))
 	if err != nil {
@@ -330,9 +331,100 @@ func TestDurableManifestV1Restores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(raw, []byte(`"version": 2`)) || bytes.Contains(raw, []byte("max_delay_set")) {
-		t.Fatalf("manifest not rewritten as version 2:\n%s", raw)
+	if !bytes.Contains(raw, []byte(`"version": 3`)) || bytes.Contains(raw, []byte("max_delay_set")) {
+		t.Fatalf("manifest not rewritten as version 3:\n%s", raw)
 	}
+}
+
+// TestDurableManifestV2Restores: testdata/endpoints_v2.json is a manifest
+// the version-2 service wrote, with partial-override rollouts and an
+// ApplyConfig'd endpoint. A version-2 revision document is the rollout's
+// override, so each one inherits the endpoint's document on restore —
+// exactly the bounds the version-2 service restored it to, pinned here
+// (for "applied", not the bounds it ran live: that service merged
+// ApplyConfig's document over the old one). The next save writes version
+// 3, which a second restart reads back unchanged.
+func TestDurableManifestV2Restores(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "endpoints_v2.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := seedManifest(t, fixture)
+	svc := mustOpen(t, dir, nil)
+	if rep := svc.Recovery(); len(rep.EndpointsRestored) != 3 || len(rep.EndpointsSkipped) != 0 || svc.StoreErrors() != 0 {
+		t.Fatalf("v2 restore: %+v, %d store errors", rep, svc.StoreErrors())
+	}
+	w := parallel.Workers()
+	want := map[string]map[int]string{
+		"applied": {
+			1: "greedy/0s shards=1 batch=16 queue=128",
+			2: fmt.Sprintf("greedy/0s shards=%d batch=16 queue=1024", w),
+		},
+		"rolled": {
+			1: fmt.Sprintf("fixed/1ms shards=%d batch=8 queue=256", w),
+			2: fmt.Sprintf("fixed/1ms shards=%d batch=32 queue=256", w),
+			3: "greedy/0s shards=2 batch=8 queue=256",
+		},
+		"adaptive": {
+			1: fmt.Sprintf("adaptive/500µs shards=%d batch=64 queue=1024", w),
+			2: fmt.Sprintf("adaptive/500µs shards=%d batch=4 queue=1024", w),
+			3: fmt.Sprintf("fixed/200µs shards=%d batch=64 queue=1024", w),
+		},
+	}
+	check := func(svc *Service) {
+		t.Helper()
+		for name, revs := range want {
+			ep, ok := svc.Endpoint(name)
+			if !ok {
+				t.Fatalf("%s not restored", name)
+			}
+			if got := revisionBounds(ep); fmt.Sprint(got) != fmt.Sprint(revs) {
+				t.Fatalf("%s restored to\n  %v\nwant\n  %v", name, got, revs)
+			}
+			if _, err := ep.Classify([]float64{1.4, -0.9, 0.1}); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		if s, _, _, sh := mustEndpoint(t, svc, "rolled").View(); s != 2 || sh != 3 {
+			t.Fatalf("rolled routing: stable %d shadow %d", s, sh)
+		}
+		if s, c, pct, _ := mustEndpoint(t, svc, "adaptive").View(); s != 2 || c != 3 || pct != 10 {
+			t.Fatalf("adaptive routing: stable %d canary %d at %d%%", s, c, pct)
+		}
+	}
+	check(svc)
+
+	// Any lifecycle operation rewrites the manifest as version 3; its
+	// effective documents restore as they are.
+	if err := mustEndpoint(t, svc, "applied").Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "endpoints.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(raw, []byte(`"version": 3`)) {
+		t.Fatalf("manifest not rewritten as version 3:\n%s", raw)
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	svc2 := mustOpen(t, dir, nil)
+	defer svc2.Close()
+	check(svc2)
+	if s, _, _, _ := mustEndpoint(t, svc2, "applied").View(); s != 1 {
+		t.Fatalf("applied rollback lost across restart: stable %d", s)
+	}
+}
+
+// mustEndpoint looks up a live endpoint by name or fails the test.
+func mustEndpoint(t *testing.T, svc *Service, name string) *Endpoint {
+	t.Helper()
+	ep, ok := svc.Endpoint(name)
+	if !ok {
+		t.Fatalf("no endpoint %q", name)
+	}
+	return ep
 }
 
 // TestDurableManifestRejectsBadConfig: the manifest is validated like the

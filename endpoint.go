@@ -88,11 +88,11 @@ type RolloutOptions struct {
 	// divergence counters compare the two. Mutually exclusive with a
 	// nonzero CanaryPercent.
 	Shadow bool
-	// Serving overrides the new revision's runtime bounds; zero fields
-	// inherit the endpoint's defaults. Its presence-aware MaxDelayNS
-	// lets a rollout pin an explicit greedy flush (delay 0) instead of
-	// inheriting the endpoint default. ValidateRollouts is an endpoint
-	// setting and is ignored here.
+	// Serving overrides the new revision's serving document; zero fields
+	// inherit the endpoint's document (ServingConfig.Inherit). Its
+	// presence-aware MaxDelayNS lets a rollout pin an explicit greedy
+	// flush (delay 0) instead of inheriting the endpoint's delay.
+	// ValidateRollouts is an endpoint setting and is ignored here.
 	Serving ServingConfig
 }
 
@@ -138,15 +138,12 @@ type Endpoint struct {
 	platform string
 	created  time.Time
 	svc      *Service
-	ep       *serve.Endpoint
+	// ep holds the serving documents, the endpoint's and each
+	// revision's; the endpoint's ValidateRollouts gates every revision
+	// behind translation validation of its shipped artifact.
+	ep *serve.Endpoint
 
-	mu sync.Mutex
-	// cfg is the endpoint's configuration as requested (zero fields =
-	// defaults) — what the manifest persists, so a restored endpoint
-	// re-derives machine defaults instead of pinning them. Its
-	// ValidateRollouts gates every revision behind translation
-	// validation of its shipped artifact.
-	cfg  ServingConfig
+	mu   sync.Mutex
 	meta map[int]revisionMeta // revision ID -> origin
 
 	forget sync.Once
@@ -159,9 +156,6 @@ type revisionMeta struct {
 	// pipeline ("" on an in-memory service, or when persisting failed —
 	// the revision then does not survive a restart).
 	specHash string
-	// cfg is the revision's requested runtime overrides, persisted for
-	// restore.
-	cfg ServingConfig
 }
 
 // endpointNameRE bounds endpoint names to URL-path-safe route segments.
@@ -202,7 +196,7 @@ func (s *Service) createEndpoint(name string, pipe *Pipeline, jobID string, opts
 			return nil, err
 		}
 	}
-	sep, err := serve.NewEndpoint(name, app.Model, cfg.Options())
+	sep, err := serve.NewEndpoint(name, app.Model, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("homunculus: endpoint %s: %w", name, err)
 	}
@@ -212,12 +206,10 @@ func (s *Service) createEndpoint(name string, pipe *Pipeline, jobID string, opts
 		created:  time.Now(),
 		svc:      s,
 		ep:       sep,
-		cfg:      cfg,
 		meta: map[int]revisionMeta{1: {
 			jobID:    jobID,
 			app:      app.Name,
 			specHash: s.endpointArtifact(pipe, jobID),
-			cfg:      cfg,
 		}},
 	}
 	s.mu.Lock()
@@ -392,7 +384,7 @@ func (e *Endpoint) rollout(pipe *Pipeline, jobID string, opts RolloutOptions) (R
 	if err != nil {
 		return RevisionInfo{}, err
 	}
-	if e.ServingConfig().ValidateRollouts {
+	if e.ep.Config().ValidateRollouts {
 		if err := gateRollout(e.platform, app); err != nil {
 			return RevisionInfo{}, fmt.Errorf("homunculus: rollout on %s refused: %w", e.name, err)
 		}
@@ -403,7 +395,7 @@ func (e *Endpoint) rollout(pipe *Pipeline, jobID string, opts RolloutOptions) (R
 	rev, err := e.ep.Rollout(app.Model, serve.RolloutConfig{
 		CanaryPercent: opts.CanaryPercent,
 		Shadow:        opts.Shadow,
-		Opts:          opts.Serving.Options(),
+		Serving:       opts.Serving,
 	})
 	if err != nil {
 		return RevisionInfo{}, fmt.Errorf("homunculus: rollout on %s: %w", e.name, err)
@@ -413,7 +405,6 @@ func (e *Endpoint) rollout(pipe *Pipeline, jobID string, opts RolloutOptions) (R
 		jobID:    jobID,
 		app:      app.Name,
 		specHash: e.svc.endpointArtifact(pipe, jobID),
-		cfg:      opts.Serving,
 	}
 	e.mu.Unlock()
 	e.svc.persistEndpoints()

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/parallel"
 )
 
 func delayNS(d time.Duration) *int64 {
@@ -14,21 +16,23 @@ func delayNS(d time.Duration) *int64 {
 }
 
 // TestServingConfigZeroValueIsDefaults covers the API contract that a
-// zero ServingConfig resolves to exactly the same runtime bounds as a
-// zero Options — the canonical form changes the spelling, not the
-// defaults.
+// zero ServingConfig means the current defaults, and that a runtime
+// built from it runs exactly the bounds Resolved reports.
 func TestServingConfigZeroValueIsDefaults(t *testing.T) {
 	var c ServingConfig
 	if err := c.Validate(); err != nil {
 		t.Fatalf("zero config must validate: %v", err)
 	}
-	got := c.Options().withDefaults()
-	want := Options{}.withDefaults()
-	if got.Shards != want.Shards || got.BatchSize != want.BatchSize ||
-		got.MaxDelay != want.MaxDelay || got.MaxDelaySet != want.MaxDelaySet ||
-		got.QueueDepth != want.QueueDepth || got.RetainRetired != want.RetainRetired ||
-		got.AdaptiveFlush != want.AdaptiveFlush {
-		t.Fatalf("zero ServingConfig resolved %+v, zero Options resolved %+v", got, want)
+	r := c.Resolved()
+	if r.Shards != parallel.Workers() || r.BatchSize != 64 || r.QueueDepth != 1024 ||
+		r.RetainRetired != 2 || r.MaxDelayNS != nil || r.AdaptiveFlush {
+		t.Fatalf("zero ServingConfig resolved %+v", r)
+	}
+	rt := mustRuntime(t, stepModel(), c)
+	if len(rt.rings) != r.Shards || rt.batchSize != r.BatchSize || rt.flush != FlushGreedy || rt.maxDelay != 0 ||
+		int(rt.rings[0].cap)*len(rt.rings) < r.QueueDepth {
+		t.Fatalf("runtime from the zero config: %d shards, batch %d, flush %v/%v, ring %d",
+			len(rt.rings), rt.batchSize, rt.flush, rt.maxDelay, rt.rings[0].cap)
 	}
 }
 
@@ -97,40 +101,60 @@ func TestServingConfigCanonical(t *testing.T) {
 	}
 }
 
-// TestServingConfigOptionsPresence covers the presence-aware MaxDelay
-// conversion in both directions.
+// TestServingConfigOptionsPresence covers the presence-aware delay
+// through resolution: an absent delay stays absent (greedy), an explicit
+// zero stays a present zero, and only adaptive flush fills the default
+// bound — the one case where absent and 500µs mean the same.
 func TestServingConfigOptionsPresence(t *testing.T) {
-	o := ServingConfig{}.Options()
-	if o.MaxDelaySet {
-		t.Fatal("absent max_delay_ns must not claim presence")
-	}
-	o = ServingConfig{MaxDelayNS: delayNS(0)}.Options()
-	if !o.MaxDelaySet || o.MaxDelay != 0 {
-		t.Fatalf("explicit zero delay lost: %+v", o)
-	}
-	if o.withDefaults().MaxDelay != 0 {
-		t.Fatalf("withDefaults overrode an explicit zero delay: %+v", o.withDefaults())
-	}
-	back := ConfigFromOptions(o)
-	if back.MaxDelayNS == nil || *back.MaxDelayNS != 0 {
-		t.Fatalf("ConfigFromOptions dropped explicit zero: %+v", back)
-	}
 	r := ServingConfig{}.Resolved()
+	if r.MaxDelayNS != nil {
+		t.Fatalf("absent max_delay_ns must stay absent, not become a hold: %+v", r)
+	}
+	r = ServingConfig{MaxDelayNS: delayNS(0)}.Resolved()
+	if r.MaxDelayNS == nil || *r.MaxDelayNS != 0 {
+		t.Fatalf("explicit zero delay lost: %+v", r)
+	}
+	r = ServingConfig{AdaptiveFlush: true}.Resolved()
 	if r.MaxDelayNS == nil || time.Duration(*r.MaxDelayNS) != 500*time.Microsecond {
-		t.Fatalf("resolved default delay wrong: %+v", r)
+		t.Fatalf("adaptive flush must resolve the default bound: %+v", r)
 	}
 	if r.Shards <= 0 || r.BatchSize != 64 || r.QueueDepth != 1024 {
 		t.Fatalf("resolved defaults wrong: %+v", r)
 	}
 }
 
+// TestServingConfigFlush pins the one flush-policy table, and that
+// resolving a document never changes its row.
+func TestServingConfigFlush(t *testing.T) {
+	ms := time.Millisecond
+	for _, c := range []struct {
+		cfg    ServingConfig
+		policy FlushPolicy
+		bound  time.Duration
+	}{
+		{ServingConfig{}, FlushGreedy, 0},
+		{ServingConfig{MaxDelayNS: delayNS(0)}, FlushGreedy, 0},
+		{ServingConfig{MaxDelayNS: delayNS(-1)}, FlushGreedy, 0},
+		{ServingConfig{MaxDelayNS: delayNS(ms)}, FlushFixed, ms},
+		{ServingConfig{AdaptiveFlush: true}, FlushAdaptive, 500 * time.Microsecond},
+		{ServingConfig{AdaptiveFlush: true, MaxDelayNS: delayNS(ms)}, FlushAdaptive, ms},
+		{ServingConfig{AdaptiveFlush: true, MaxDelayNS: delayNS(0)}, FlushGreedy, 0},
+	} {
+		for _, cfg := range []ServingConfig{c.cfg, c.cfg.Resolved()} {
+			if p, b := cfg.Flush(); p != c.policy || b != c.bound {
+				t.Errorf("%+v: flush %v/%v, want %v/%v", cfg, p, b, c.policy, c.bound)
+			}
+		}
+	}
+}
+
 // TestRolloutExplicitGreedyDelay is the regression test for the
-// inheritance bug: resolveOpts treated MaxDelay == 0 as "inherit", so
-// a rollout could never request an explicit greedy deadline on an
-// endpoint whose default delay was nonzero.
+// inheritance bug: the rollout merge once treated a zero delay as
+// "inherit", so a rollout could never request an explicit greedy flush
+// on an endpoint whose delay was nonzero.
 func TestRolloutExplicitGreedyDelay(t *testing.T) {
-	ep, err := NewEndpoint("greedy", stepModel(), Options{
-		Shards: 1, QueueDepth: 64, MaxDelay: 2 * time.Millisecond,
+	ep, err := NewEndpoint("greedy", stepModel(), ServingConfig{
+		Shards: 1, QueueDepth: 64, MaxDelayNS: delayNS(2 * time.Millisecond),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -138,12 +162,15 @@ func TestRolloutExplicitGreedyDelay(t *testing.T) {
 	defer ep.Close()
 
 	cfg := ServingConfig{MaxDelayNS: delayNS(0)}
-	rev, err := ep.Rollout(stepModel(), RolloutConfig{CanaryPercent: 50, Opts: cfg.Options()})
+	rev, err := ep.Rollout(stepModel(), RolloutConfig{CanaryPercent: 50, Serving: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rev.Opts(); got.MaxDelay != 0 || !got.MaxDelaySet {
-		t.Fatalf("explicit greedy (MaxDelay=0) swallowed by inheritance: %+v", got)
+	if got := rev.Config(); got.MaxDelayNS == nil || *got.MaxDelayNS != 0 {
+		t.Fatalf("explicit greedy (max_delay_ns 0) swallowed by inheritance: %+v", got)
+	}
+	if p, _ := rev.Config().Flush(); p != FlushGreedy {
+		t.Fatalf("explicit greedy rollout runs %v", p)
 	}
 	// Unset delay must still inherit the endpoint default.
 	if err := ep.Rollback(); err != nil {
@@ -153,8 +180,8 @@ func TestRolloutExplicitGreedyDelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rev2.Opts(); got.MaxDelay != 2*time.Millisecond {
-		t.Fatalf("unset delay must inherit endpoint default: %+v", got)
+	if p, b := rev2.Config().Flush(); p != FlushFixed || b != 2*time.Millisecond {
+		t.Fatalf("unset delay must inherit endpoint default: %v/%v from %+v", p, b, rev2.Config())
 	}
 }
 
@@ -162,23 +189,27 @@ func TestRolloutExplicitGreedyDelay(t *testing.T) {
 // bump, traffic served throughout, new defaults visible, previous
 // bounds one Rollback away.
 func TestReconfigure(t *testing.T) {
-	ep, err := NewEndpoint("cfg", stepModel(), Options{Shards: 1, QueueDepth: 64})
+	ep, err := NewEndpoint("cfg", stepModel(), ServingConfig{Shards: 1, QueueDepth: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ep.Close()
 
 	cfg := ServingConfig{BatchSize: 16, QueueDepth: 128, MaxDelayNS: delayNS(time.Millisecond)}
-	rev, err := ep.Reconfigure(cfg.Options())
+	rev, err := ep.Reconfigure(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rev.ID != 2 || rev.state != RevStable {
 		t.Fatalf("reconfigure must promote a fresh revision: id=%d state=%v", rev.ID, rev.state)
 	}
-	o := ep.Options()
-	if o.BatchSize != 16 || o.QueueDepth != 128 || o.MaxDelay != time.Millisecond || !o.MaxDelaySet {
-		t.Fatalf("endpoint defaults not updated: %+v", o)
+	// The document is installed as it is: complete, nothing inherited
+	// (Shards stays 0, the machine default, not the old 1).
+	want, _ := cfg.Canonical()
+	for what, got := range map[string]ServingConfig{"endpoint": ep.Config(), "revision": rev.Config()} {
+		if b, _ := got.Canonical(); string(b) != string(want) {
+			t.Fatalf("%s document %s, want %s", what, b, want)
+		}
 	}
 	if c, err := ep.Classify([]float64{1, 0}); err != nil || c != 1 {
 		t.Fatalf("classify after reconfigure: class=%d err=%v", c, err)
@@ -195,7 +226,7 @@ func TestReconfigure(t *testing.T) {
 	if _, err := ep.Rollout(stepModel(), RolloutConfig{CanaryPercent: 10}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ep.Reconfigure(Options{}); !errors.Is(err, ErrRolloutActive) {
+	if _, err := ep.Reconfigure(ServingConfig{}); !errors.Is(err, ErrRolloutActive) {
 		t.Fatalf("want ErrRolloutActive, got %v", err)
 	}
 }

@@ -10,9 +10,9 @@ package serve
 // store — requests already routed finish on the revision that admitted
 // them, requests admitted afterwards see the new table, and nothing is
 // ever torn down while it still holds traffic. Retired revisions stay
-// warm for instant rollback up to Options.RetainRetired; beyond the cap
-// their runtimes close and a rollback that reaches one re-creates the
-// runtime from the revision's model on the spot.
+// warm for instant rollback up to ServingConfig.RetainRetired; beyond
+// the cap their runtimes close and a rollback that reaches one
+// re-creates the runtime from the revision's model on the spot.
 //
 // Traffic splitting is deterministic: request N of the endpoint goes to
 // the canary iff splitmix64(N) mod 100 < CanaryPercent, so a fixed-seed
@@ -83,9 +83,11 @@ type Revision struct {
 
 	// model is the revision's compiled model; immutable after creation.
 	model *ir.Model
-	// opts are the revision's resolved runtime bounds, kept for lazy
-	// re-creation after the retention cap closed the runtime.
-	opts Options
+	// cfg is the revision's effective serving document — a rollout's
+	// override merged over the endpoint's document, not resolved — that
+	// its runtime is built from, now or on revival after the retention
+	// cap closed it. Immutable after creation.
+	cfg ServingConfig
 
 	// rt is the live runtime, nil while the revision is cold. Lifecycle
 	// transitions serialize on the endpoint's mu; the atomic makes
@@ -104,8 +106,8 @@ func (r *Revision) Model() *ir.Model { return r.model }
 // Warm reports whether the revision currently holds a live runtime.
 func (r *Revision) Warm() bool { return r.rt.Load() != nil }
 
-// Opts returns the revision's resolved runtime bounds.
-func (r *Revision) Opts() Options { return r.opts }
+// Config returns the revision's effective serving document.
+func (r *Revision) Config() ServingConfig { return r.cfg }
 
 // Stats snapshots the revision's own serving metrics (zero when cold —
 // a closed runtime's counters are gone).
@@ -127,7 +129,8 @@ const (
 	// RevShadow is a rollout scoring mirrored traffic off the record.
 	RevShadow RevisionState = "shadow"
 	// RevRetired no longer receives traffic; it stays warm for rollback
-	// until the retention cap (Options.RetainRetired) evicts its runtime.
+	// until the retention cap (ServingConfig.RetainRetired) evicts its
+	// runtime.
 	RevRetired RevisionState = "retired"
 )
 
@@ -262,7 +265,6 @@ type EndpointStats struct {
 // mutex while the classify path stays lock-free.
 type Endpoint struct {
 	name  string
-	opts  Options
 	start time.Time
 
 	table atomic.Pointer[revTable]
@@ -272,7 +274,10 @@ type Endpoint struct {
 	// acquiring every slot.
 	mirrorSem chan struct{}
 
-	mu         sync.Mutex
+	mu sync.Mutex
+	// cfg is the endpoint's serving document: what rollouts inherit
+	// from, what retention reads, and what Reconfigure replaces.
+	cfg        ServingConfig
 	revs       []*Revision
 	nextID     int
 	prevStable []*Revision // promote history, for rollback
@@ -280,24 +285,23 @@ type Endpoint struct {
 	closed     bool
 }
 
-// NewEndpoint starts an endpoint serving model as revision 1. opts are
-// the endpoint's default runtime bounds; each rollout may override them.
-func NewEndpoint(name string, model *ir.Model, opts Options) (*Endpoint, error) {
+// NewEndpoint starts an endpoint serving model as revision 1. cfg is the
+// endpoint's serving document; each rollout may override its fields.
+func NewEndpoint(name string, model *ir.Model, cfg ServingConfig) (*Endpoint, error) {
 	if name == "" {
 		return nil, fmt.Errorf("serve: endpoint needs a name")
 	}
-	o := opts.withDefaults()
-	rt, err := New(model, o)
+	rt, err := New(model, cfg)
 	if err != nil {
 		return nil, err
 	}
 	e := &Endpoint{
 		name:      name,
-		opts:      o,
+		cfg:       cfg,
 		start:     time.Now(),
 		mirrorSem: make(chan struct{}, mirrorDepth),
 	}
-	rev := &Revision{ID: 1, Created: time.Now(), model: model, opts: o, state: RevStable}
+	rev := &Revision{ID: 1, Created: time.Now(), model: model, cfg: cfg, state: RevStable}
 	rev.rt.Store(rt)
 	e.revs = []*Revision{rev}
 	e.nextID = 1
@@ -308,12 +312,12 @@ func NewEndpoint(name string, model *ir.Model, opts Options) (*Endpoint, error) 
 // Name returns the endpoint's stable route name.
 func (e *Endpoint) Name() string { return e.name }
 
-// Options returns the endpoint's default (defaulted) runtime bounds.
-// (Locked: Reconfigure replaces the defaults at runtime.)
-func (e *Endpoint) Options() Options {
+// Config returns the endpoint's serving document as installed (not
+// resolved). (Locked: Reconfigure replaces it at runtime.)
+func (e *Endpoint) Config() ServingConfig {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.opts
+	return e.cfg
 }
 
 // Model returns the current stable revision's model (nil after Close).
@@ -322,36 +326,6 @@ func (e *Endpoint) Model() *ir.Model {
 		return t.stable.model
 	}
 	return nil
-}
-
-// resolveOpts fills a rollout's zero option fields from the endpoint's
-// defaults. MaxDelay is presence-aware: a rollout carrying
-// MaxDelaySet keeps its value even when it is zero (explicit greedy),
-// which the bare `== 0` check used to swallow by inheriting the
-// endpoint default. AdaptiveFlush likewise inherits only when the
-// delay bound does — an explicitly configured delay is a complete
-// flush policy.
-func (e *Endpoint) resolveOpts(o Options) Options {
-	if o.Shards <= 0 {
-		o.Shards = e.opts.Shards
-	}
-	if o.BatchSize <= 0 {
-		o.BatchSize = e.opts.BatchSize
-	}
-	if o.MaxDelay == 0 && !o.MaxDelaySet {
-		o.MaxDelay = e.opts.MaxDelay
-		o.MaxDelaySet = e.opts.MaxDelaySet
-		if !o.AdaptiveFlush {
-			o.AdaptiveFlush = e.opts.AdaptiveFlush
-		}
-	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = e.opts.QueueDepth
-	}
-	if o.RetainRetired == 0 {
-		o.RetainRetired = e.opts.RetainRetired
-	}
-	return o
 }
 
 // RolloutConfig shapes how a new revision receives traffic.
@@ -365,14 +339,21 @@ type RolloutConfig struct {
 	// receives the stable answer while the divergence counters compare.
 	// Mutually exclusive with CanaryPercent.
 	Shadow bool
-	// Opts overrides the new revision's runtime bounds; zero fields
-	// inherit the endpoint's defaults.
-	Opts Options
+	// Serving overrides the new revision's serving document; zero
+	// fields inherit the endpoint's (ServingConfig.Inherit).
+	Serving ServingConfig
 }
 
 // Rollout starts serving model as a new revision behind the configured
 // canary split or shadow mirror. Only one rollout may be in progress.
 func (e *Endpoint) Rollout(model *ir.Model, cfg RolloutConfig) (*Revision, error) {
+	return e.rollout(model, cfg, true)
+}
+
+// rollout is Rollout; inherit merges the override over the endpoint's
+// document — the one place a revision inherits — where Reconfigure
+// installs its document as it is.
+func (e *Endpoint) rollout(model *ir.Model, cfg RolloutConfig, inherit bool) (*Revision, error) {
 	if cfg.CanaryPercent < 0 || cfg.CanaryPercent > 100 {
 		return nil, fmt.Errorf("serve: canary percent %d out of [0,100]", cfg.CanaryPercent)
 	}
@@ -385,7 +366,10 @@ func (e *Endpoint) Rollout(model *ir.Model, cfg RolloutConfig) (*Revision, error
 	if e.closed {
 		return nil, ErrClosed
 	}
-	o := e.resolveOpts(cfg.Opts)
+	doc := cfg.Serving
+	if inherit {
+		doc = doc.Inherit(e.cfg)
+	}
 	cur := e.table.Load()
 	if cur.canary != nil || cur.shadow != nil {
 		return nil, ErrRolloutActive
@@ -399,12 +383,12 @@ func (e *Endpoint) Rollout(model *ir.Model, cfg RolloutConfig) (*Revision, error
 	}
 	// Start the runtime inside the lock: rollouts are rare and the
 	// model-validating constructor is the operation worth serializing.
-	rt, err := New(model, o)
+	rt, err := New(model, doc)
 	if err != nil {
 		return nil, err
 	}
 	e.nextID++
-	rev := &Revision{ID: e.nextID, Created: time.Now(), model: model, opts: o}
+	rev := &Revision{ID: e.nextID, Created: time.Now(), model: model, cfg: doc}
 	rev.rt.Store(rt)
 	e.revs = append(e.revs, rev)
 	next := &revTable{stable: cur.stable, stableRT: cur.stableRT}
@@ -458,21 +442,19 @@ func (e *Endpoint) Promote() error {
 	return nil
 }
 
-// Reconfigure applies o as the endpoint's new serving bounds through
+// Reconfigure installs cfg as the endpoint's serving document through
 // the regular rollout path: the stable model is rolled out as a fresh
-// revision with the resolved options and promoted immediately, so the
-// change is one atomic routing-table swap, in-flight requests finish
-// on the old runtime, and the previous bounds stay one Rollback away.
-// Zero fields inherit the endpoint's current defaults (MaxDelay
-// presence-aware, see resolveOpts); the resolved options become the
-// endpoint's defaults for future rollouts. Fails with ErrRolloutActive
-// while a canary or shadow rollout is in progress.
-func (e *Endpoint) Reconfigure(o Options) (*Revision, error) {
+// revision built from cfg and promoted immediately, so the change is
+// one atomic routing-table swap, in-flight requests finish on the old
+// runtime, and the previous document stays one Rollback away. cfg is
+// complete: zero fields mean defaults, not the old values. Fails with
+// ErrRolloutActive while a canary or shadow rollout is in progress.
+func (e *Endpoint) Reconfigure(cfg ServingConfig) (*Revision, error) {
 	m := e.Model()
 	if m == nil {
 		return nil, ErrClosed
 	}
-	rev, err := e.Rollout(m, RolloutConfig{Opts: o})
+	rev, err := e.rollout(m, RolloutConfig{Serving: cfg}, false)
 	if err != nil {
 		return nil, err
 	}
@@ -480,7 +462,7 @@ func (e *Endpoint) Reconfigure(o Options) (*Revision, error) {
 		return nil, err
 	}
 	e.mu.Lock()
-	e.opts = rev.opts.withDefaults()
+	e.cfg = cfg
 	e.mu.Unlock()
 	return rev, nil
 }
@@ -528,7 +510,7 @@ func (e *Endpoint) Rollback() error {
 			return fmt.Errorf("serve: revision %d of %q has no model to revive", prev.ID, e.name)
 		}
 		var err error
-		rt, err = New(prev.model, prev.opts)
+		rt, err = New(prev.model, prev.cfg)
 		if err != nil {
 			e.mu.Unlock()
 			return fmt.Errorf("serve: revive revision %d of %q: %w", prev.ID, e.name, err)
@@ -545,12 +527,12 @@ func (e *Endpoint) Rollback() error {
 	return nil
 }
 
-// enforceRetentionLocked applies Options.RetainRetired: every retired
-// revision beyond the K most recent loses its runtime. The caller holds
-// e.mu and must close the returned runtimes after unlocking (Close
-// drains, and a drain must not stall lifecycle operations).
+// enforceRetentionLocked applies the endpoint's RetainRetired: every
+// retired revision beyond the K most recent loses its runtime. The
+// caller holds e.mu and must close the returned runtimes after unlocking
+// (Close drains, and a drain must not stall lifecycle operations).
 func (e *Endpoint) enforceRetentionLocked() []*Runtime {
-	k := e.opts.RetainRetired
+	k := e.cfg.Resolved().RetainRetired
 	if k < 0 {
 		return nil
 	}
@@ -896,9 +878,9 @@ type RestoreRevision struct {
 	// retired revision whose artifact did not survive — the revision is
 	// then listed but can never serve again.
 	Model *ir.Model
-	// Opts are the revision's runtime bounds; zero fields inherit the
-	// endpoint defaults.
-	Opts Options
+	// Config is the revision's effective serving document, used as it
+	// is: nothing is inherited from the endpoint's on restore.
+	Config ServingConfig
 	// State is the revision's lifecycle place; exactly one restored
 	// revision must be RevStable, and at most one RevCanary or RevShadow.
 	State RevisionState
@@ -914,17 +896,16 @@ type RestoreRevision struct {
 // routing revisions and for retired revisions within the retention cap;
 // older retired revisions come back cold. Serving counters and shadow
 // divergence tallies restart from zero — stats are not durable.
-func RestoreEndpoint(name string, opts Options, revs []RestoreRevision) (*Endpoint, error) {
+func RestoreEndpoint(name string, cfg ServingConfig, revs []RestoreRevision) (*Endpoint, error) {
 	if name == "" {
 		return nil, fmt.Errorf("serve: endpoint needs a name")
 	}
 	if len(revs) == 0 {
 		return nil, fmt.Errorf("serve: restore %q: no revisions", name)
 	}
-	o := opts.withDefaults()
 	e := &Endpoint{
 		name:      name,
-		opts:      o,
+		cfg:       cfg,
 		start:     time.Now(),
 		mirrorSem: make(chan struct{}, mirrorDepth),
 	}
@@ -939,7 +920,7 @@ func RestoreEndpoint(name string, opts Options, revs []RestoreRevision) (*Endpoi
 		}
 		rev := &Revision{
 			ID: rr.ID, Created: rr.Created, model: rr.Model,
-			opts: e.resolveOpts(rr.Opts), state: rr.State, canaryPercent: rr.CanaryPercent,
+			cfg: rr.Config, state: rr.State, canaryPercent: rr.CanaryPercent,
 		}
 		if rev.Created.IsZero() {
 			rev.Created = time.Now()
@@ -981,7 +962,7 @@ func RestoreEndpoint(name string, opts Options, revs []RestoreRevision) (*Endpoi
 		if rev.model == nil {
 			return nil, fmt.Errorf("serve: restore %q: revision %d has no model", name, rev.ID)
 		}
-		rt, err := New(rev.model, rev.opts)
+		rt, err := New(rev.model, rev.cfg)
 		if err != nil {
 			return nil, fmt.Errorf("serve: restore %q revision %d: %w", name, rev.ID, err)
 		}
@@ -1031,14 +1012,14 @@ func RestoreEndpoint(name string, opts Options, revs []RestoreRevision) (*Endpoi
 		}
 	}
 	warmFrom := 0
-	if o.RetainRetired >= 0 && len(retired) > o.RetainRetired {
-		warmFrom = len(retired) - o.RetainRetired
+	if k := cfg.Resolved().RetainRetired; k >= 0 && len(retired) > k {
+		warmFrom = len(retired) - k
 	}
 	for _, r := range retired[warmFrom:] {
 		if r.model == nil {
 			continue
 		}
-		if rt, err := New(r.model, r.opts); err == nil {
+		if rt, err := New(r.model, r.cfg); err == nil {
 			r.rt.Store(rt)
 		}
 	}

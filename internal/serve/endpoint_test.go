@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/fixed"
 	"repro/internal/ir"
@@ -20,9 +19,9 @@ func constModel(class int) *ir.Model {
 	}
 }
 
-func mustEndpoint(t *testing.T, class int, o Options) *Endpoint {
+func mustEndpoint(t *testing.T, class int, cfg ServingConfig) *Endpoint {
 	t.Helper()
-	ep, err := NewEndpoint("ep", constModel(class), o)
+	ep, err := NewEndpoint("ep", constModel(class), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +30,7 @@ func mustEndpoint(t *testing.T, class int, o Options) *Endpoint {
 }
 
 func TestEndpointLifecycle(t *testing.T) {
-	ep := mustEndpoint(t, 0, Options{BatchSize: 8, MaxDelay: -1})
+	ep := mustEndpoint(t, 0, ServingConfig{BatchSize: 8})
 	if ep.Name() != "ep" {
 		t.Fatalf("name %q", ep.Name())
 	}
@@ -143,7 +142,7 @@ func TestEndpointLifecycle(t *testing.T) {
 func TestEndpointSplitterDeterministic(t *testing.T) {
 	const n, pct = 2000, 30
 	run := func() []int {
-		ep := mustEndpoint(t, 0, Options{BatchSize: 1, MaxDelay: -1})
+		ep := mustEndpoint(t, 0, ServingConfig{BatchSize: 1})
 		if _, err := ep.Rollout(constModel(1), RolloutConfig{CanaryPercent: pct}); err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +180,7 @@ func TestEndpointSplitterDeterministic(t *testing.T) {
 // the stable answer while every request is re-scored on the shadow and
 // the per-class-pair divergence matrix fills in.
 func TestEndpointShadowDivergence(t *testing.T) {
-	ep := mustEndpoint(t, 0, Options{BatchSize: 4, MaxDelay: -1})
+	ep := mustEndpoint(t, 0, ServingConfig{BatchSize: 4})
 	if _, err := ep.Rollout(constModel(2), RolloutConfig{Shadow: true}); err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +224,7 @@ func TestEndpointShadowDivergence(t *testing.T) {
 // TestEndpointClassifyBatchSplits routes a batch through a live canary
 // split per-request and reassembles results in input order.
 func TestEndpointClassifyBatchSplits(t *testing.T) {
-	ep := mustEndpoint(t, 0, Options{BatchSize: 8, MaxDelay: time.Millisecond})
+	ep := mustEndpoint(t, 0, ServingConfig{BatchSize: 8})
 	if _, err := ep.Rollout(constModel(1), RolloutConfig{CanaryPercent: 50}); err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +258,7 @@ func TestEndpointClassifyBatchSplits(t *testing.T) {
 // or fail, a probe issued after Promote returns must be served by the
 // promoted revision, and accepted must equal completed once quiet.
 func TestEndpointHotSwapUnderFire(t *testing.T) {
-	ep := mustEndpoint(t, 0, Options{BatchSize: 8, MaxDelay: -1, QueueDepth: 1 << 15})
+	ep := mustEndpoint(t, 0, ServingConfig{BatchSize: 8, QueueDepth: 1 << 15})
 
 	var stop atomic.Bool
 	var failures atomic.Uint64
@@ -333,7 +332,7 @@ func TestEndpointHotSwapUnderFire(t *testing.T) {
 // canary rollout routes nothing, so every classification is bit-identical
 // to the stable-only path even while rollouts churn.
 func TestEndpointCanaryZeroBitIdentical(t *testing.T) {
-	ep := mustEndpoint(t, 1, Options{BatchSize: 8, MaxDelay: -1, QueueDepth: 1 << 15})
+	ep := mustEndpoint(t, 1, ServingConfig{BatchSize: 8, QueueDepth: 1 << 15})
 
 	var stop atomic.Bool
 	var wrong atomic.Uint64
@@ -375,7 +374,7 @@ func TestEndpointCanaryZeroBitIdentical(t *testing.T) {
 // TestEndpointCloseDrains: Close stops intake across revisions, delivers
 // accepted requests, and later calls fail with ErrClosed.
 func TestEndpointCloseDrains(t *testing.T) {
-	ep, err := NewEndpoint("drain", constModel(0), Options{BatchSize: 4, MaxDelay: -1})
+	ep, err := NewEndpoint("drain", constModel(0), ServingConfig{BatchSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,10 +411,10 @@ func TestEndpointCloseDrains(t *testing.T) {
 }
 
 func TestEndpointNameRequired(t *testing.T) {
-	if _, err := NewEndpoint("", constModel(0), Options{}); err == nil {
+	if _, err := NewEndpoint("", constModel(0), ServingConfig{}); err == nil {
 		t.Fatal("empty endpoint name must be rejected")
 	}
-	if _, err := NewEndpoint("x", nil, Options{}); err == nil {
+	if _, err := NewEndpoint("x", nil, ServingConfig{}); err == nil {
 		t.Fatal("nil model must be rejected")
 	}
 }

@@ -22,9 +22,9 @@ package serve
 //
 // The policy the prediction drives is deliberately simple: before a
 // sweep, if the batch is short of BatchSize, predict the next gap. If
-// the predicted gaps say the batch will fill within the MaxDelay
-// bound, hold for it (bursts get full batches); otherwise sweep now
-// (quiet traffic keeps greedy latency). Holding changes only *when* a
+// the predicted gaps say the batch will fill within the hold bound
+// (ServingConfig.Flush), hold for it (bursts get full batches);
+// otherwise sweep now (quiet traffic keeps greedy latency). Holding changes only *when* a
 // sweep runs — each request is still classified independently by the
 // same predictor — so classification output is bit-identical to the
 // greedy policy.
@@ -230,7 +230,7 @@ func (sh *shard) readyCount() int {
 // holdTarget is the batch a hold tries to fill: BatchSize, bounded by
 // the ring (a batch larger than the ring can never fill).
 func (rt *Runtime) holdTarget(sh *shard) int {
-	t := rt.opts.BatchSize
+	t := rt.batchSize
 	if c := int(sh.cap); t > c {
 		t = c
 	}
@@ -257,21 +257,21 @@ func (rt *Runtime) holdFor(sh *shard, deadline time.Time, target int) bool {
 	}
 }
 
-// fixedHold is the fixed-deadline flush policy (Options.MaxDelaySet,
-// no predictor): hold every partial batch up to MaxDelay. This is the
-// classic deadline-batching trade — full batches at the cost of up to
-// MaxDelay of added latency on quiet traffic — and the baseline the
-// adaptive policy is measured against.
+// fixedHold is the fixed-deadline flush policy (FlushFixed: a positive
+// max_delay_ns, no predictor): hold every partial batch up to the bound.
+// This is the classic deadline-batching trade — full batches at the cost
+// of up to the bound of added latency on quiet traffic — and the
+// baseline the adaptive policy is measured against.
 func (rt *Runtime) fixedHold(sh *shard) {
 	n := sh.readyCount()
 	if n == 0 || n >= rt.holdTarget(sh) {
 		return
 	}
-	sh.flushDeadline = rt.holdFor(sh, time.Now().Add(rt.opts.MaxDelay), rt.holdTarget(sh))
+	sh.flushDeadline = rt.holdFor(sh, time.Now().Add(rt.maxDelay), rt.holdTarget(sh))
 }
 
 // adaptiveHold holds only when the predictor says the batch will fill
-// inside the MaxDelay bound: predicted next-gap × remaining slots ≤
+// inside the hold bound: predicted next-gap × remaining slots ≤
 // bound means a burst is in flight and waiting buys a full batch;
 // otherwise the shard sweeps immediately and quiet traffic keeps the
 // greedy latency profile.
@@ -283,8 +283,8 @@ func (rt *Runtime) adaptiveHold(sh *shard) {
 	}
 	sh.gaps.sync(sh)
 	eta := bucketNS(sh.gaps.predict()) * int64(target-n)
-	if eta > int64(rt.opts.MaxDelay) {
+	if eta > int64(rt.maxDelay) {
 		return
 	}
-	sh.flushDeadline = rt.holdFor(sh, time.Now().Add(rt.opts.MaxDelay), target)
+	sh.flushDeadline = rt.holdFor(sh, time.Now().Add(rt.maxDelay), target)
 }

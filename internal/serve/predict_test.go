@@ -43,7 +43,7 @@ func TestAdaptiveFlushBitIdentity(t *testing.T) {
 	model := stepModel()
 
 	// Reference: sequential greedy classification.
-	ref, err := New(model, Options{Shards: 1, QueueDepth: 256})
+	ref, err := New(model, ServingConfig{Shards: 1, QueueDepth: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestAdaptiveFlushBitIdentity(t *testing.T) {
 					cfg.AdaptiveFlush = true
 					cfg.MaxDelayNS = delayNS(200 * time.Microsecond)
 				}
-				rt, err := New(model, cfg.Options())
+				rt, err := New(model, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -98,13 +98,13 @@ func TestAdaptiveFlushBitIdentity(t *testing.T) {
 }
 
 // TestFixedDeadlineHolds covers the fixed policy: with an explicitly
-// configured positive MaxDelay, a lone request is held toward the
+// configured positive max_delay_ns, a lone request is held toward the
 // deadline (the pre-ring deadline-batching semantics, now opt-in) and
 // the flush is accounted as a deadline flush.
 func TestFixedDeadlineHolds(t *testing.T) {
 	const delay = 30 * time.Millisecond
 	cfg := ServingConfig{Shards: 1, BatchSize: 64, QueueDepth: 64, MaxDelayNS: delayNS(delay)}
-	rt, err := New(stepModel(), cfg.Options())
+	rt, err := New(stepModel(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestFixedDeadlineHolds(t *testing.T) {
 // TestAdaptiveFlushQuietStaysGreedy covers the other half of the
 // policy: under quiet traffic (gaps far beyond the deadline budget)
 // the predictor votes "won't fill", so lone requests keep greedy
-// latency even though the same MaxDelay would hold them under the
+// latency even though the same delay would hold them under the
 // fixed policy.
 func TestAdaptiveFlushQuietStaysGreedy(t *testing.T) {
 	const delay = 30 * time.Millisecond
@@ -132,7 +132,7 @@ func TestAdaptiveFlushQuietStaysGreedy(t *testing.T) {
 		Shards: 1, BatchSize: 64, QueueDepth: 64,
 		MaxDelayNS: delayNS(delay), AdaptiveFlush: true,
 	}
-	rt, err := New(stepModel(), cfg.Options())
+	rt, err := New(stepModel(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,7 +105,7 @@ func TestRawStatsWireRoundTrip(t *testing.T) {
 }
 
 func TestEndpointRawStatsMatchesStats(t *testing.T) {
-	ep := mustEndpoint(t, 0, Options{BatchSize: 8, MaxDelay: -1})
+	ep := mustEndpoint(t, 0, ServingConfig{BatchSize: 8})
 	for i := 0; i < 30; i++ {
 		if _, err := ep.Classify([]float64{0.5, 1.5}); err != nil {
 			t.Fatal(err)

@@ -31,7 +31,7 @@ func promoteN(t *testing.T, ep *Endpoint, from, n int) {
 }
 
 func TestEndpointRetentionCap(t *testing.T) {
-	ep := mustEndpoint(t, 0, Options{BatchSize: 4, MaxDelay: -1, RetainRetired: 2})
+	ep := mustEndpoint(t, 0, ServingConfig{BatchSize: 4, RetainRetired: 2})
 	promoteN(t, ep, 1, 4) // revisions 2..5; 1..4 retired, 5 stable
 
 	// Only the stable and the last two retired revisions stay warm.
@@ -69,7 +69,7 @@ func TestEndpointRetentionCap(t *testing.T) {
 }
 
 func TestEndpointRetainAllWhenNegative(t *testing.T) {
-	ep := mustEndpoint(t, 0, Options{BatchSize: 4, MaxDelay: -1, RetainRetired: -1})
+	ep := mustEndpoint(t, 0, ServingConfig{BatchSize: 4, RetainRetired: -1})
 	promoteN(t, ep, 1, 4)
 	if got := warmIDs(ep); len(got) != 5 {
 		t.Fatalf("negative cap must keep every revision warm, got %v", got)
@@ -77,7 +77,7 @@ func TestEndpointRetainAllWhenNegative(t *testing.T) {
 }
 
 func TestRestoreEndpointRouting(t *testing.T) {
-	ep, err := RestoreEndpoint("restored", Options{BatchSize: 4, MaxDelay: -1, RetainRetired: 1}, []RestoreRevision{
+	ep, err := RestoreEndpoint("restored", ServingConfig{BatchSize: 4, RetainRetired: 1}, []RestoreRevision{
 		{ID: 1, Model: constModel(0), State: RevRetired},
 		{ID: 2, Model: constModel(1), State: RevRetired},
 		{ID: 3, Model: constModel(2), State: RevStable},
@@ -90,6 +90,13 @@ func TestRestoreEndpointRouting(t *testing.T) {
 
 	if st, ca, pct, sh := ep.View(); st != 3 || ca != 4 || pct != 100 || sh != 0 {
 		t.Fatalf("restored view: %d %d %d %d", st, ca, pct, sh)
+	}
+	// A revision's document is restored as it is: nothing is inherited
+	// from the endpoint's (batch 4 stays the endpoint's alone).
+	for _, r := range ep.Revisions() {
+		if c := r.Config(); c.BatchSize != 0 || c.RetainRetired != 0 {
+			t.Fatalf("revision %d restored with an inherited document: %+v", r.ID, c)
+		}
 	}
 	// 100% canary: traffic lands on revision 4.
 	if c, err := ep.Classify([]float64{0, 0}); err != nil || c != 3 {
@@ -125,7 +132,7 @@ func TestRestoreEndpointRouting(t *testing.T) {
 }
 
 func TestRestoreEndpointShadow(t *testing.T) {
-	ep, err := RestoreEndpoint("shadowed", Options{BatchSize: 4, MaxDelay: -1}, []RestoreRevision{
+	ep, err := RestoreEndpoint("shadowed", ServingConfig{BatchSize: 4}, []RestoreRevision{
 		{ID: 1, Model: constModel(0), State: RevStable},
 		{ID: 2, Model: constModel(1), State: RevShadow},
 	})
@@ -149,7 +156,7 @@ func TestRestoreEndpointShadow(t *testing.T) {
 func TestRestoreEndpointColdRetiredWithoutModel(t *testing.T) {
 	// A retired revision whose artifact did not survive restores cold
 	// and is listed, but a rollback that reaches it fails loudly.
-	ep, err := RestoreEndpoint("lossy", Options{BatchSize: 4, MaxDelay: -1}, []RestoreRevision{
+	ep, err := RestoreEndpoint("lossy", ServingConfig{BatchSize: 4}, []RestoreRevision{
 		{ID: 1, Model: nil, State: RevRetired},
 		{ID: 2, Model: constModel(1), State: RevStable},
 	})
@@ -166,7 +173,7 @@ func TestRestoreEndpointColdRetiredWithoutModel(t *testing.T) {
 }
 
 func TestRestoreEndpointRejectsBadManifests(t *testing.T) {
-	o := Options{BatchSize: 4, MaxDelay: -1}
+	o := ServingConfig{BatchSize: 4}
 	cases := []struct {
 		name string
 		revs []RestoreRevision

@@ -99,9 +99,9 @@ type shard struct {
 	// Adaptive-flush state (predict.go). Producers feed the shared
 	// arrival history with relaxed atomics (lastNS, gapHist); the gaps
 	// predictor itself, like pred, is guarded by the busy flag. nil
-	// unless Options.AdaptiveFlush resolved on. flushDeadline is set by
-	// a hold that expired (busy-guarded) and consumed by the next sweep
-	// for DeadlineFlushes accounting.
+	// unless the runtime's flush policy is FlushAdaptive. flushDeadline
+	// is set by a hold that expired (busy-guarded) and consumed by the
+	// next sweep for DeadlineFlushes accounting.
 	gaps          *gapPredictor
 	lastNS        atomic.Int64  // previous arrival, UnixNano
 	gapHist       atomic.Uint64 // packed 4-bit gap buckets, newest lowest
@@ -218,8 +218,8 @@ func (rt *Runtime) sweep(sh *shard) int {
 			}
 			s.seq.Store(t + sh.cap) // free the slot, and starts[i], for ticket t+cap
 			sh.credits.Add(-int64(len(xs)))
-			if rt.opts.testHook != nil {
-				rt.opts.testHook()
+			if rt.testHook != nil {
+				rt.testHook()
 			}
 			var err error
 			if len(xs) == 1 {
@@ -260,7 +260,7 @@ func (rt *Runtime) sweep(sh *shard) int {
 	if n > 0 {
 		deadline := sh.flushDeadline
 		sh.flushDeadline = false
-		rt.stats.flush(n, deadline, n >= rt.opts.BatchSize)
+		rt.stats.flush(n, deadline, n >= rt.batchSize)
 	}
 	return n
 }
@@ -274,9 +274,10 @@ func (rt *Runtime) harvest(sh *shard, hold bool) bool {
 		return false
 	}
 	if hold {
-		if sh.gaps != nil {
+		switch rt.flush {
+		case FlushAdaptive:
 			rt.adaptiveHold(sh)
-		} else if rt.holdFixed {
+		case FlushFixed:
 			rt.fixedHold(sh)
 		}
 	}

@@ -56,7 +56,7 @@ func ringInvariants(t *testing.T, rt *Runtime) {
 // balance (no slot reused before its harvest).
 func TestRingHammer(t *testing.T) {
 	m := dnnModel()
-	rt := mustRuntime(t, m, Options{Shards: 2, BatchSize: 8, QueueDepth: 16})
+	rt := mustRuntime(t, m, ServingConfig{Shards: 2, BatchSize: 8, QueueDepth: 16})
 
 	const producers = 12
 	const perProducer = 400
@@ -115,7 +115,7 @@ func TestRingHammer(t *testing.T) {
 // for every request — the tightest possible exercise of the sequence
 // gate. Sequential and concurrent use must both deliver exact results.
 func TestRingWraparoundSingleSlot(t *testing.T) {
-	rt := mustRuntime(t, stepModel(), Options{Shards: 1, QueueDepth: 1})
+	rt := mustRuntime(t, stepModel(), ServingConfig{Shards: 1, QueueDepth: 1})
 	for i := 0; i < 200; i++ {
 		wantClass := i % 2
 		x := []float64{float64(wantClass)*2 - 1, 0}
@@ -150,7 +150,7 @@ func TestRingWraparoundSingleSlot(t *testing.T) {
 // shedding its own traffic) — with no competing load, nothing drops.
 func TestRingClassifyBatchPipelines(t *testing.T) {
 	m := dnnModel()
-	rt := mustRuntime(t, m, Options{Shards: 2, BatchSize: 8, QueueDepth: 8})
+	rt := mustRuntime(t, m, ServingConfig{Shards: 2, BatchSize: 8, QueueDepth: 8})
 	rng := rand.New(rand.NewSource(13))
 	const n = 512 // 64× the total ring capacity
 	xs := make([][]float64, n)
@@ -180,7 +180,7 @@ func TestRingClassifyBatchPipelines(t *testing.T) {
 // to a class, ErrOverloaded, or ErrClosed, and the drain ledger
 // balances.
 func TestRingCloseUnderFire(t *testing.T) {
-	rt, err := New(stepModel(), Options{Shards: 2, QueueDepth: 8})
+	rt, err := New(stepModel(), ServingConfig{Shards: 2, QueueDepth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,6 @@ import (
 	"time"
 
 	"repro/internal/ir"
-	"repro/internal/parallel"
 )
 
 var (
@@ -53,79 +52,6 @@ var (
 	// ErrClosed rejects requests after Close began draining.
 	ErrClosed = errors.New("serve: deployment closed")
 )
-
-// Options bounds a deployment runtime. Zero values select defaults.
-type Options struct {
-	// Shards is the number of inference lanes, each owning a slot ring
-	// and a prepared quantized predictor. Default: the shared parallel
-	// pool's worker count (GOMAXPROCS).
-	Shards int
-	// BatchSize is the micro-batch target: a harvest sweep that collects
-	// at least this many requests counts as a full flush in Stats.
-	// Default 64. (The ring harvests continuously, so this is a stats
-	// threshold, not a dispatch trigger.)
-	BatchSize int
-	// MaxDelay bounds how long a harvester may hold a partial batch
-	// waiting for more arrivals. Whether it holds at all is policy:
-	// the default policy is greedy (harvest as soon as a slot is
-	// published — no request ever waits on a batching deadline), the
-	// historical ring-scheduler behavior. Deadline batching engages
-	// only when the bound was set explicitly through the canonical
-	// ServingConfig (MaxDelaySet, positive MaxDelay) or when
-	// AdaptiveFlush decides a burst is worth holding for. Default
-	// 500µs; zero-without-presence inherits the default, negative is
-	// always greedy.
-	MaxDelay time.Duration
-	// MaxDelaySet marks MaxDelay as explicitly configured, making an
-	// explicit zero (greedy) distinguishable from "use the default" on
-	// rollout inheritance. Set by ServingConfig.Options when
-	// max_delay_ns is present.
-	MaxDelaySet bool
-	// AdaptiveFlush enables the per-shard TAGE-flavored inter-arrival
-	// predictor (predict.go): the harvester holds a partial batch only
-	// when the predicted arrival gaps say the batch will fill within
-	// the MaxDelay bound. Quiet traffic keeps greedy latency; bursts
-	// get full batches. Classification output is bit-identical either
-	// way. Default off.
-	AdaptiveFlush bool
-	// QueueDepth caps vectors accepted but not yet harvested, singly or
-	// in ClassifyBatch spans. Classify sheds with ErrOverloaded beyond
-	// it. Default 1024. The per-shard ring size is QueueDepth/Shards
-	// rounded up to a power of two.
-	QueueDepth int
-
-	// RetainRetired caps how many retired revisions an Endpoint keeps
-	// warm (live runtime, instant rollback). Older retired revisions
-	// have their runtimes closed — their serving counters leave the
-	// endpoint's merged stats — and are lazily re-created from the
-	// revision's model if a rollback walks back that far. Default 2;
-	// negative keeps every retired revision warm (the pre-cap behavior).
-	// Meaningful only for endpoints; single-revision runtimes ignore it.
-	RetainRetired int
-
-	// testHook, when set by white-box tests, runs before each span is
-	// classified — it lets tests hold shards busy deterministically.
-	testHook func()
-}
-
-func (o Options) withDefaults() Options {
-	if o.Shards <= 0 {
-		o.Shards = parallel.Workers()
-	}
-	if o.BatchSize <= 0 {
-		o.BatchSize = 64
-	}
-	if o.MaxDelay == 0 && !o.MaxDelaySet {
-		o.MaxDelay = 500 * time.Microsecond
-	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 1024
-	}
-	if o.RetainRetired == 0 {
-		o.RetainRetired = 2
-	}
-	return o
-}
 
 // request is one blocking call, Classify or ClassifyBatch, waiting on the
 // spans it has published. Requests are pooled: the 1-slot wake channel
@@ -154,14 +80,19 @@ func (rt *Runtime) release(r *request) {
 // Runtime is a live deployment serving one compiled model. All exported
 // methods are safe for concurrent use.
 type Runtime struct {
-	opts  Options
 	model *ir.Model
 
-	// holdFixed selects the fixed-deadline flush policy: harvesters
-	// hold partial batches up to MaxDelay (predict.go). Set only for
-	// explicitly configured bounds (Options.MaxDelaySet) without
-	// AdaptiveFlush.
-	holdFixed bool
+	// The resolved bounds the hot loop reads (ServingConfig.Resolved,
+	// ServingConfig.Flush): the sweep size that counts as a full flush,
+	// the flush policy and its hold bound (predict.go).
+	batchSize int
+	flush     FlushPolicy
+	maxDelay  time.Duration
+
+	// testHook, when set by white-box tests before the first request,
+	// runs before each span is classified — it lets tests hold shards
+	// busy deterministically.
+	testHook func()
 
 	rings []*shard
 	rr    atomic.Uint64 // round-robin shard cursor
@@ -176,21 +107,21 @@ type Runtime struct {
 	workers   sync.WaitGroup
 }
 
-// New validates the model and starts the runtime's shard rings and
-// fallback workers.
-func New(model *ir.Model, opts Options) (*Runtime, error) {
+// New validates the model and starts a runtime with cfg's resolved
+// bounds: its shard rings and their fallback workers.
+func New(model *ir.Model, cfg ServingConfig) (*Runtime, error) {
 	if model == nil {
 		return nil, fmt.Errorf("serve: nil model")
 	}
-	o := opts.withDefaults()
-	capacity := ringCapacity(o.QueueDepth, o.Shards)
+	r := cfg.Resolved()
 	rt := &Runtime{
-		opts:  o,
-		model: model,
-		rings: make([]*shard, o.Shards),
-		stop:  make(chan struct{}),
+		model:     model,
+		batchSize: r.BatchSize,
+		rings:     make([]*shard, r.Shards),
+		stop:      make(chan struct{}),
 	}
-	adaptive := o.AdaptiveFlush && o.MaxDelay > 0
+	rt.flush, rt.maxDelay = r.Flush()
+	capacity := ringCapacity(r.QueueDepth, r.Shards)
 	for i := range rt.rings {
 		// newShard validates the model via ir.NewPredictor, so a broken
 		// model fails at Deploy time, not on the first live request.
@@ -198,18 +129,14 @@ func New(model *ir.Model, opts Options) (*Runtime, error) {
 		if err != nil {
 			return nil, err
 		}
-		if adaptive {
+		if rt.flush == FlushAdaptive {
 			sh.gaps = new(gapPredictor)
 		}
 		rt.rings[i] = sh
 	}
-	// Deadline batching only for explicitly configured positive bounds
-	// (max_delay_ns present in the ServingConfig); the default bound
-	// keeps the greedy ring-scheduler behavior.
-	rt.holdFixed = o.MaxDelaySet && o.MaxDelay > 0 && !adaptive
 	rt.reqPool.New = func() any { return &request{wake: make(chan struct{}, 1)} }
 	rt.stats.init(model.Outputs)
-	rt.workers.Add(o.Shards)
+	rt.workers.Add(r.Shards)
 	for _, sh := range rt.rings {
 		go rt.worker(sh)
 	}
@@ -226,9 +153,6 @@ func ringCapacity(depth, shards int) uint64 {
 	}
 	return c
 }
-
-// Options returns the effective (defaulted) runtime bounds.
-func (rt *Runtime) Options() Options { return rt.opts }
 
 // Model returns the deployed model.
 func (rt *Runtime) Model() *ir.Model { return rt.model }

@@ -43,13 +43,22 @@ func dnnModel() *ir.Model {
 	}
 }
 
-func mustRuntime(t *testing.T, m *ir.Model, o Options) *Runtime {
+func mustRuntime(t *testing.T, m *ir.Model, cfg ServingConfig) *Runtime {
 	t.Helper()
-	rt, err := New(m, o)
+	rt, err := New(m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = rt.Close() })
+	return rt
+}
+
+// mustRuntimeHook is mustRuntime with a test hook that runs before each
+// span is classified, installed before any request is admitted.
+func mustRuntimeHook(t *testing.T, m *ir.Model, cfg ServingConfig, hook func()) *Runtime {
+	t.Helper()
+	rt := mustRuntime(t, m, cfg)
+	rt.testHook = hook
 	return rt
 }
 
@@ -66,7 +75,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 func TestClassifySingle(t *testing.T) {
-	rt := mustRuntime(t, stepModel(), Options{})
+	rt := mustRuntime(t, stepModel(), ServingConfig{})
 	if c, err := rt.Classify([]float64{1, 0}); err != nil || c != 1 {
 		t.Fatalf("Classify(+)=%d, %v", c, err)
 	}
@@ -83,12 +92,12 @@ func TestClassifySingle(t *testing.T) {
 }
 
 // TestPartialBatchNeverWaits covers the latency bound: a partial batch
-// (far below BatchSize) must be harvested immediately — the ring
-// scheduler has no batching deadline to wait out, so requests complete
-// well inside the configured MaxDelay and DeadlineFlushes stays zero.
+// (far below BatchSize) must be harvested immediately — the default
+// greedy policy has no batching deadline to wait out, so requests
+// complete at once and DeadlineFlushes stays zero.
 func TestPartialBatchNeverWaits(t *testing.T) {
-	rt := mustRuntime(t, stepModel(), Options{
-		Shards: 1, BatchSize: 64, MaxDelay: 2 * time.Millisecond, QueueDepth: 64,
+	rt := mustRuntime(t, stepModel(), ServingConfig{
+		Shards: 1, BatchSize: 64, QueueDepth: 64,
 	})
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
@@ -127,10 +136,9 @@ func TestPartialBatchNeverWaits(t *testing.T) {
 func TestQueueFullSheds(t *testing.T) {
 	release := make(chan struct{})
 	var gate sync.Once
-	rt := mustRuntime(t, stepModel(), Options{
-		Shards: 1, BatchSize: 1, MaxDelay: -1, QueueDepth: 1,
-		testHook: func() { <-release },
-	})
+	rt := mustRuntimeHook(t, stepModel(), ServingConfig{
+		Shards: 1, BatchSize: 1, QueueDepth: 1,
+	}, func() { <-release })
 	defer gate.Do(func() { close(release) })
 
 	// With the harvester blocked, capacity is bounded by the ring's
@@ -181,10 +189,9 @@ func TestQueueFullSheds(t *testing.T) {
 func TestCloseDrainsAccepted(t *testing.T) {
 	release := make(chan struct{})
 	var gate sync.Once
-	rt := mustRuntime(t, stepModel(), Options{
-		Shards: 2, BatchSize: 4, MaxDelay: -1, QueueDepth: 64,
-		testHook: func() { <-release },
-	})
+	rt := mustRuntimeHook(t, stepModel(), ServingConfig{
+		Shards: 2, BatchSize: 4, QueueDepth: 64,
+	}, func() { <-release })
 	defer gate.Do(func() { close(release) })
 
 	const accepted = 8
@@ -261,7 +268,7 @@ func TestDeterministicAcrossShards(t *testing.T) {
 	}
 
 	for _, shards := range []int{1, 4} {
-		rt, err := New(m, Options{Shards: shards, BatchSize: 16, MaxDelay: time.Millisecond})
+		rt, err := New(m, ServingConfig{Shards: shards, BatchSize: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,19 +279,19 @@ func TestDeterministicAcrossShards(t *testing.T) {
 	// GOMAXPROCS=1 deployment shape.
 	prev := parallel.Workers()
 	parallel.SetWorkers(1)
-	rt, err := New(m, Options{BatchSize: 16, MaxDelay: -1})
+	rt, err := New(m, ServingConfig{BatchSize: 16})
 	parallel.SetWorkers(prev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rt.Options().Shards; got != 1 {
+	if got := len(rt.rings); got != 1 {
 		t.Fatalf("single-worker pool must default to 1 shard, got %d", got)
 	}
 	check("pool=1", rt)
 }
 
 func TestClassifyBatchMixedValidity(t *testing.T) {
-	rt := mustRuntime(t, stepModel(), Options{BatchSize: 8, MaxDelay: time.Millisecond})
+	rt := mustRuntime(t, stepModel(), ServingConfig{BatchSize: 8})
 	classes, dropped, err := rt.ClassifyBatch([][]float64{
 		{1, 0}, {0.5}, {-1, 0},
 	})
@@ -303,7 +310,7 @@ func TestClassifyBatchMixedValidity(t *testing.T) {
 }
 
 func TestGreedyModeBatchesUnderLoad(t *testing.T) {
-	rt := mustRuntime(t, stepModel(), Options{Shards: 1, BatchSize: 32, MaxDelay: -1, QueueDepth: 256})
+	rt := mustRuntime(t, stepModel(), ServingConfig{Shards: 1, BatchSize: 32, QueueDepth: 256})
 	for i := 0; i < 50; i++ {
 		if _, err := rt.Classify([]float64{1, 0}); err != nil {
 			t.Fatal(err)
@@ -324,16 +331,16 @@ func TestGreedyModeBatchesUnderLoad(t *testing.T) {
 }
 
 func TestNewRejectsBadModel(t *testing.T) {
-	if _, err := New(nil, Options{}); err == nil {
+	if _, err := New(nil, ServingConfig{}); err == nil {
 		t.Fatal("nil model must be rejected")
 	}
-	if _, err := New(&ir.Model{Kind: ir.DNN, Name: "bad", Inputs: 1, Outputs: 1}, Options{}); err == nil {
+	if _, err := New(&ir.Model{Kind: ir.DNN, Name: "bad", Inputs: 1, Outputs: 1}, ServingConfig{}); err == nil {
 		t.Fatal("invalid model must be rejected at deploy time")
 	}
 }
 
 func TestReplay(t *testing.T) {
-	rt := mustRuntime(t, stepModel(), Options{BatchSize: 16, MaxDelay: -1})
+	rt := mustRuntime(t, stepModel(), ServingConfig{BatchSize: 16})
 	rng := rand.New(rand.NewSource(3))
 	const n = 500
 	xs := make([][]float64, n)
@@ -379,7 +386,7 @@ func TestReplay(t *testing.T) {
 // TestReplayRunRecordsClasses: the record array carries the class of
 // every issued sample, indexed by trace position.
 func TestReplayRunRecordsClasses(t *testing.T) {
-	rt := mustRuntime(t, stepModel(), Options{BatchSize: 8, MaxDelay: -1})
+	rt := mustRuntime(t, stepModel(), ServingConfig{BatchSize: 8})
 	xs := [][]float64{{1, 0}, {-1, 0}, {1, 0}, {-1, 0}}
 	record := []int{-2, -2, -2, -2}
 	res, err := ReplayRun(context.Background(), rt, xs, nil, 2, record)
@@ -402,7 +409,7 @@ func TestReplayRunRecordsClasses(t *testing.T) {
 // actually shed when they slam a tiny ring guarded by a slow classify.
 func TestReplayBurst(t *testing.T) {
 	t.Run("accounting", func(t *testing.T) {
-		rt := mustRuntime(t, stepModel(), Options{BatchSize: 8, MaxDelay: -1})
+		rt := mustRuntime(t, stepModel(), ServingConfig{BatchSize: 8})
 		const n = 64
 		xs := make([][]float64, n)
 		labels := make([]int, n)
@@ -434,10 +441,9 @@ func TestReplayBurst(t *testing.T) {
 	})
 
 	t.Run("sheds-under-spike", func(t *testing.T) {
-		rt := mustRuntime(t, stepModel(), Options{
-			Shards: 1, QueueDepth: 1, BatchSize: 1, MaxDelay: -1,
-			testHook: func() { time.Sleep(100 * time.Microsecond) },
-		})
+		rt := mustRuntimeHook(t, stepModel(), ServingConfig{
+			Shards: 1, QueueDepth: 1, BatchSize: 1,
+		}, func() { time.Sleep(100 * time.Microsecond) })
 		const n = 256
 		xs := make([][]float64, n)
 		for i := range xs {
@@ -460,7 +466,7 @@ func TestReplayBurst(t *testing.T) {
 	})
 
 	t.Run("validation", func(t *testing.T) {
-		rt := mustRuntime(t, stepModel(), Options{})
+		rt := mustRuntime(t, stepModel(), ServingConfig{})
 		xs := [][]float64{{1, 0}}
 		if _, err := ReplayBurst(context.Background(), rt, xs, nil, 1, nil, BurstOptions{}); err == nil {
 			t.Fatal("zero mean rate must be rejected")
@@ -482,17 +488,16 @@ func TestReplayRunInterrupted(t *testing.T) {
 	var gate sync.Once
 	var issued atomic.Int64
 	ctx, cancel := context.WithCancel(context.Background())
-	rt := mustRuntime(t, stepModel(), Options{
-		Shards: 1, BatchSize: 1, MaxDelay: -1, QueueDepth: 64,
-		testHook: func() {
-			// Interrupt the replay while requests are in flight, then
-			// let the shard keep serving.
-			if issued.Add(1) == 3 {
-				cancel()
-			}
-			gate.Do(func() { close(release) })
-			<-release
-		},
+	rt := mustRuntimeHook(t, stepModel(), ServingConfig{
+		Shards: 1, BatchSize: 1, QueueDepth: 64,
+	}, func() {
+		// Interrupt the replay while requests are in flight, then
+		// let the shard keep serving.
+		if issued.Add(1) == 3 {
+			cancel()
+		}
+		gate.Do(func() { close(release) })
+		<-release
 	})
 	defer cancel()
 	const n = 10000

@@ -49,7 +49,7 @@ func inferAll(m *ir.Model, xs [][]float64) []int {
 // and the drain ledger balances.
 func TestSpanContractUnderFire(t *testing.T) {
 	m := dnnModel()
-	ep, err := NewEndpoint("fire", m, Options{Shards: 2, BatchSize: 8, QueueDepth: 64})
+	ep, err := NewEndpoint("fire", m, ServingConfig{Shards: 2, BatchSize: 8, QueueDepth: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestSpanContractUnderFire(t *testing.T) {
 // to spans a ring holds and pipelines through with nothing dropped.
 func TestSpanLoneBatchExceedsQueueDepth(t *testing.T) {
 	m := dnnModel()
-	rt := mustRuntime(t, m, Options{Shards: 2, QueueDepth: 64})
+	rt := mustRuntime(t, m, ServingConfig{Shards: 2, QueueDepth: 64})
 	xs := randRows(rand.New(rand.NewSource(3)), m, 1000)
 	want := inferAll(m, xs)
 	classes, dropped, err := rt.ClassifyBatch(xs)
@@ -188,10 +188,9 @@ func TestSpanLoneBatchExceedsQueueDepth(t *testing.T) {
 func TestSpanShedsWhole(t *testing.T) {
 	release := make(chan struct{})
 	var gate sync.Once
-	rt := mustRuntime(t, stepModel(), Options{
-		Shards: 1, MaxDelay: -1, QueueDepth: 16,
-		testHook: func() { <-release },
-	})
+	rt := mustRuntimeHook(t, stepModel(), ServingConfig{
+		Shards: 1, QueueDepth: 16,
+	}, func() { <-release })
 	defer gate.Do(func() { close(release) })
 
 	// 1 vector detached under the blocked harvester + 16 holding every
@@ -237,13 +236,13 @@ func TestSpanShedsWhole(t *testing.T) {
 }
 
 // TestSpanNeverHeld: under a fixed-deadline flush policy a harvester
-// holds a lone vector for MaxDelay hoping for company. A ClassifyBatch
+// holds a lone vector for the delay hoping for company. A ClassifyBatch
 // span is its own company: it must neither wait out a hold itself nor
 // sit behind a harvester that is holding.
 func TestSpanNeverHeld(t *testing.T) {
 	const hold = 5 * time.Second
-	rt := mustRuntime(t, stepModel(), Options{
-		Shards: 1, BatchSize: 64, MaxDelay: hold, MaxDelaySet: true,
+	rt := mustRuntime(t, stepModel(), ServingConfig{
+		Shards: 1, BatchSize: 64, MaxDelayNS: delayNS(hold),
 	})
 	xs := [][]float64{{1, 0}, {-1, 0}, {1, 0}}
 
@@ -283,7 +282,7 @@ func TestSpanNeverHeld(t *testing.T) {
 // completed, the per-class counts and the sweep size, and its malformed
 // rows — and only those — to errors.
 func TestSpanStatsCountVectors(t *testing.T) {
-	rt := mustRuntime(t, stepModel(), Options{Shards: 1, BatchSize: 8, MaxDelay: -1})
+	rt := mustRuntime(t, stepModel(), ServingConfig{Shards: 1, BatchSize: 8})
 	xs := make([][]float64, 20)
 	for i := range xs {
 		xs[i] = []float64{float64(i%4) - 0.5, 0} // classes 0,1,1,1,...
@@ -324,7 +323,7 @@ func TestSpanStatsCountVectors(t *testing.T) {
 // endpoint is mirrored as one unit — every vector compared, none shed,
 // however far the batch exceeds mirrorDepth.
 func TestEndpointShadowMirrorsBatchWhole(t *testing.T) {
-	ep := mustEndpoint(t, 0, Options{MaxDelay: -1})
+	ep := mustEndpoint(t, 0, ServingConfig{})
 	if _, err := ep.Rollout(constModel(2), RolloutConfig{Shadow: true}); err != nil {
 		t.Fatal(err)
 	}

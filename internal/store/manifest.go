@@ -13,11 +13,13 @@ import (
 	"path/filepath"
 )
 
-// manifestVersion 2 persists each serving config as the canonical
-// ServingConfig document. Version 1 (flat knob records, a separate
-// max_delay_set flag) is still read; the service translates its records
-// on restore and the next save rewrites the file as version 2.
-const manifestVersion = 2
+// manifestVersion 3 persists each revision's effective serving document,
+// the one its runtime was built from. Version 2 (canonical documents, a
+// revision's holding only its rollout override) and version 1 (flat knob
+// records, a separate max_delay_set flag) are still read; the service
+// translates their records on restore and the next save rewrites the
+// file as version 3.
+const manifestVersion = 3
 
 // Manifest is the persisted endpoint table.
 type Manifest struct {
@@ -60,8 +62,9 @@ type RevisionRecord struct {
 	State           string `json:"state"`
 	CanaryPercent   int    `json:"canary_percent,omitempty"`
 	CreatedUnixNano int64  `json:"created_unix_nano"`
-	// Options is the revision's serving-config document (zero fields
-	// inherit the endpoint defaults).
+	// Options is the revision's effective serving-config document
+	// (versions 1 and 2: its rollout override, whose zero fields
+	// inherit the endpoint's document).
 	Options json.RawMessage `json:"options,omitempty"`
 }
 
@@ -95,8 +98,8 @@ func (s *Store) LoadManifest() (Manifest, error) {
 	if err := json.Unmarshal(raw, &m); err != nil {
 		return Manifest{}, fmt.Errorf("store: parse manifest: %w", err)
 	}
-	if m.Version != 1 && m.Version != manifestVersion {
-		return Manifest{}, fmt.Errorf("store: unsupported manifest version %d (want 1 or %d)", m.Version, manifestVersion)
+	if m.Version < 1 || m.Version > manifestVersion {
+		return Manifest{}, fmt.Errorf("store: unsupported manifest version %d (want 1 to %d)", m.Version, manifestVersion)
 	}
 	return m, nil
 }

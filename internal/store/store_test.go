@@ -328,13 +328,13 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err := json.Compact(&doc, ep.Options); err != nil || doc.String() != string(want.Endpoints[0].Options) {
 		t.Fatalf("options document = %s (%v), want %s", ep.Options, err, want.Endpoints[0].Options)
 	}
-	if got.Version != 2 {
-		t.Fatalf("saved manifest version = %d, want 2", got.Version)
+	if got.Version != 3 {
+		t.Fatalf("saved manifest version = %d, want 3", got.Version)
 	}
 
-	// Version 1 files still load (the service translates their records);
-	// unknown versions are refused.
-	for version, ok := range map[int]bool{1: true, 3: false} {
+	// Version 1 and 2 files still load (the service translates their
+	// records); unknown versions are refused.
+	for version, ok := range map[int]bool{0: false, 1: true, 2: true, 4: false} {
 		raw := fmt.Sprintf(`{"version":%d,"endpoints":[{"name":"old","options":{"batch_size":8,"max_delay_set":true}}]}`, version)
 		if err := os.WriteFile(filepath.Join(dir, "endpoints.json"), []byte(raw), 0o644); err != nil {
 			t.Fatal(err)

@@ -60,12 +60,10 @@ func (p simParams) measure(cfg serve.ServingConfig) Metrics {
 	b := float64(cfg.BatchSize)
 	s := float64(cfg.Shards)
 	q := float64(cfg.QueueDepth)
-	var delayNS float64
-	if cfg.MaxDelayNS != nil && *cfg.MaxDelayNS > 0 {
-		delayNS = float64(*cfg.MaxDelayNS)
-	}
-	fixedHold := delayNS > 0 && !cfg.AdaptiveFlush
-	adaptive := delayNS > 0 && cfg.AdaptiveFlush
+	policy, bound := cfg.Flush()
+	delayNS := float64(bound)
+	fixedHold := policy == serve.FlushFixed
+	adaptive := policy == serve.FlushAdaptive
 
 	// Rates: quiet-phase base rate such that the duty-cycled mean is
 	// meanRate (mirrors serve.BurstOptions.baseRate).

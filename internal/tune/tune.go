@@ -312,7 +312,7 @@ func closestMiss(evals []Candidate, slo SLO) (Candidate, []string) {
 // from the replay.
 func ReplayEvaluator(model *ir.Model, xs [][]float64, clients int, burst serve.BurstOptions) Evaluator {
 	return func(ctx context.Context, cfg serve.ServingConfig) (Metrics, error) {
-		rt, err := serve.New(model, cfg.Options())
+		rt, err := serve.New(model, cfg)
 		if err != nil {
 			return Metrics{}, err
 		}
@@ -352,7 +352,7 @@ func Calibrate(model *ir.Model, xs [][]float64) (float64, error) {
 // — loaded enough that batching matters, unsaturated enough that a
 // good config can meet a latency SLO.
 func calibrateRate(model *ir.Model, xs [][]float64) (float64, error) {
-	rt, err := serve.New(model, serve.Options{Shards: 1})
+	rt, err := serve.New(model, serve.ServingConfig{Shards: 1})
 	if err != nil {
 		return 0, err
 	}
