@@ -35,18 +35,6 @@ func ParseServingConfig(data []byte) (ServingConfig, error) {
 // re-apply: applying it back changes nothing.
 func (e *Endpoint) ServingConfig() ServingConfig { return e.ep.Config().Resolved() }
 
-// RevisionConfigs returns each revision's stored document: the one its
-// runtime is built from and the manifest persists — a rollout's
-// override merged over the endpoint's document, defaults not filled.
-func (e *Endpoint) RevisionConfigs() map[int]ServingConfig {
-	revs := e.ep.Revisions()
-	out := make(map[int]ServingConfig, len(revs))
-	for _, r := range revs {
-		out[r.ID] = r.Config()
-	}
-	return out
-}
-
 // ApplyConfig replaces the endpoint's serving configuration with cfg —
 // complete-document semantics: the posted config IS the new config,
 // zero fields meaning defaults, not "keep the old value" (GET, edit,
@@ -74,6 +62,6 @@ func (e *Endpoint) ApplyConfig(cfg ServingConfig) (RevisionInfo, error) {
 	e.svc.persistEndpoints()
 	return RevisionInfo{
 		ID: rev.ID, JobID: prev.jobID, App: prev.app,
-		State: RevisionState(serve.RevStable), Created: rev.Created, Warm: true,
+		State: RevisionState(serve.RevStable), Created: rev.Created, Warm: true, Config: rev.Config(),
 	}, nil
 }

@@ -21,6 +21,16 @@ import (
 	"repro/internal/tune"
 )
 
+// RevisionConfigs maps each revision ID to its stored document
+// (RevisionInfo.Config), for tests that look a revision up by ID.
+func (e *Endpoint) RevisionConfigs() map[int]ServingConfig {
+	out := map[int]ServingConfig{}
+	for _, r := range e.Revisions() {
+		out[r.ID] = r.Config
+	}
+	return out
+}
+
 // revisionBounds renders what each revision of e runs: its stored
 // document resolved — flush policy and hold bound, shards, batch, queue.
 func revisionBounds(e *Endpoint) map[int]string {

@@ -296,16 +296,12 @@ func (e *Endpoint) record() store.EndpointRecord {
 	}
 	rec.Stable, rec.Canary, rec.CanaryPercent, rec.Shadow = e.ep.View()
 	rec.Options = configDocument(e.ep.Config())
-	rows := e.ep.RevisionInfos()
-	cfgs := e.RevisionConfigs() // read after rows: it holds every row's ID
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, r := range rows {
-		m := e.meta[r.ID]
+	infos, metas := e.join(e.ep.RevisionInfos())
+	for i, r := range infos {
 		rec.Revisions = append(rec.Revisions, store.RevisionRecord{
-			ID: r.ID, JobID: m.jobID, App: m.app, SpecHash: m.specHash,
+			ID: r.ID, JobID: r.JobID, App: r.App, SpecHash: metas[i].specHash,
 			State: string(r.State), CanaryPercent: r.CanaryPercent,
-			CreatedUnixNano: r.Created.UnixNano(), Options: configDocument(cfgs[r.ID]),
+			CreatedUnixNano: r.Created.UnixNano(), Options: configDocument(r.Config),
 		})
 	}
 	return rec

@@ -116,6 +116,10 @@ type RevisionInfo struct {
 	// rollback-able (their runtime is re-created on demand), but not
 	// consuming serving resources.
 	Warm bool
+	// Config is the revision's effective serving document: the one its
+	// runtime is built from and the manifest persists — a rollout's
+	// override merged over the endpoint's document, defaults not filled.
+	Config ServingConfig
 	// Stats snapshots the revision's own serving metrics.
 	Stats ServingStats
 }
@@ -414,7 +418,7 @@ func (e *Endpoint) rollout(pipe *Pipeline, jobID string, opts RolloutOptions) (R
 	}
 	return RevisionInfo{
 		ID: rev.ID, JobID: jobID, App: app.Name,
-		State: state, CanaryPercent: opts.CanaryPercent, Created: rev.Created,
+		State: state, CanaryPercent: opts.CanaryPercent, Created: rev.Created, Config: rev.Config(),
 	}, nil
 }
 
@@ -463,19 +467,8 @@ func (e *Endpoint) View() (stable, canary, canaryPercent, shadow int) { return e
 // without snapshotting the serving runtimes (the Stats field is zero —
 // use Stats() when counters are needed).
 func (e *Endpoint) Revisions() []RevisionInfo {
-	rows := e.ep.RevisionInfos()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]RevisionInfo, 0, len(rows))
-	for _, r := range rows {
-		m := e.meta[r.ID]
-		out = append(out, RevisionInfo{
-			ID: r.ID, JobID: m.jobID, App: m.app,
-			State: r.State, CanaryPercent: r.CanaryPercent,
-			Created: r.Created, Warm: r.Warm,
-		})
-	}
-	return out
+	infos, _ := e.join(e.ep.RevisionInfos())
+	return infos
 }
 
 // Stats snapshots the endpoint: merged metrics (counters and latency
@@ -483,23 +476,33 @@ func (e *Endpoint) Revisions() []RevisionInfo {
 // the shadow divergence report.
 func (e *Endpoint) Stats() EndpointStats {
 	st := e.ep.Stats()
-	out := EndpointStats{
-		Name:     e.name,
-		Platform: e.platform,
-		Merged:   st.Merged,
-		Shadow:   st.Shadow,
+	infos, _ := e.join(st.Revisions)
+	return EndpointStats{
+		Name:      e.name,
+		Platform:  e.platform,
+		Revisions: infos,
+		Merged:    st.Merged,
+		Shadow:    st.Shadow,
 	}
+}
+
+// join pairs serve's revision rows with each revision's origin (e.meta)
+// — the one place the two meet. metas[i] is infos[i]'s origin.
+func (e *Endpoint) join(rows []serve.RevisionStats) (infos []RevisionInfo, metas []revisionMeta) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for _, r := range st.Revisions {
+	infos = make([]RevisionInfo, len(rows))
+	metas = make([]revisionMeta, len(rows))
+	for i, r := range rows {
 		m := e.meta[r.ID]
-		out.Revisions = append(out.Revisions, RevisionInfo{
+		infos[i] = RevisionInfo{
 			ID: r.ID, JobID: m.jobID, App: m.app,
 			State: r.State, CanaryPercent: r.CanaryPercent,
-			Created: r.Created, Warm: r.Warm, Stats: r.Stats,
-		})
+			Created: r.Created, Warm: r.Warm, Config: r.Config, Stats: r.Stats,
+		}
+		metas[i] = m
 	}
-	return out
+	return infos, metas
 }
 
 // RawServingStats is the wire (mergeable) form of serving metrics:

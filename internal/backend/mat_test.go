@@ -1,4 +1,4 @@
-package mat
+package backend
 
 import (
 	"testing"
@@ -7,7 +7,7 @@ import (
 	"repro/internal/ir"
 )
 
-func svmModel(features, classes int) *ir.Model {
+func matSVMModel(features, classes int) *ir.Model {
 	m := &ir.Model{Kind: ir.SVM, Name: "s", Inputs: features, Outputs: classes, Format: fixed.Q8_8,
 		SVM: &ir.SVMParams{W: make([][]float64, classes), B: make([]float64, classes)}}
 	for i := range m.SVM.W {
@@ -16,7 +16,7 @@ func svmModel(features, classes int) *ir.Model {
 	return m
 }
 
-func kmeansModel(features, k int) *ir.Model {
+func matKMeansModel(features, k int) *ir.Model {
 	m := &ir.Model{Kind: ir.KMeans, Name: "k", Inputs: features, Outputs: k, Format: fixed.Q8_8,
 		Centroids: make([][]float64, k)}
 	for i := range m.Centroids {
@@ -25,11 +25,11 @@ func kmeansModel(features, k int) *ir.Model {
 	return m
 }
 
-func TestPipelineValidate(t *testing.T) {
-	if err := DefaultPipeline().Validate(); err != nil {
+func TestMATPipelineValidate(t *testing.T) {
+	if err := DefaultMATPipeline().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := []Pipeline{
+	bad := []MATPipeline{
 		{Tables: 0, EntriesPerTable: 1, StageLatencyNS: 1, LineRateGPkts: 1},
 		{Tables: 1, EntriesPerTable: 0, StageLatencyNS: 1, LineRateGPkts: 1},
 		{Tables: 1, EntriesPerTable: 1, StageLatencyNS: 0, LineRateGPkts: 1},
@@ -42,16 +42,16 @@ func TestPipelineValidate(t *testing.T) {
 	}
 }
 
-func TestSVMTablePerFeature(t *testing.T) {
+func TestMATSVMTablePerFeature(t *testing.T) {
 	// IIsy: "an implementation of an SVM may use a MAT per feature".
-	rep, err := Estimate(DefaultPipeline(), svmModel(7, 5))
+	rep, err := estimateMAT(DefaultMATPipeline(), matSVMModel(7, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.TablesUsed != 8 { // 7 features + decision
 		t.Fatalf("SVM tables = %d, want 8", rep.TablesUsed)
 	}
-	if !rep.Feasible() {
+	if !rep.Fits {
 		t.Fatal("7-feature SVM must fit default pipeline")
 	}
 	if rep.ThroughputGPkts != 1.0 {
@@ -59,8 +59,8 @@ func TestSVMTablePerFeature(t *testing.T) {
 	}
 }
 
-func TestKMeansTablePerCluster(t *testing.T) {
-	rep, err := Estimate(DefaultPipeline(), kmeansModel(7, 5))
+func TestMATKMeansTablePerCluster(t *testing.T) {
+	rep, err := estimateMAT(DefaultMATPipeline(), matKMeansModel(7, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +69,11 @@ func TestKMeansTablePerCluster(t *testing.T) {
 	}
 }
 
-func TestBudgetBinds(t *testing.T) {
-	tight := DefaultPipeline()
+func TestMATBudgetBinds(t *testing.T) {
+	tight := DefaultMATPipeline()
 	tight.Tables = 3
-	rep, _ := Estimate(tight, kmeansModel(7, 5))
-	if rep.Feasible() {
+	rep, _ := estimateMAT(tight, matKMeansModel(7, 5))
+	if rep.Fits {
 		t.Fatal("5 clusters must not fit 3 tables")
 	}
 	if rep.Reason == "" {
@@ -82,13 +82,13 @@ func TestBudgetBinds(t *testing.T) {
 	if rep.ThroughputGPkts != 0 {
 		t.Fatal("non-fitting program has no deployable throughput")
 	}
-	rep2, _ := Estimate(tight, kmeansModel(7, 3))
-	if !rep2.Feasible() {
+	rep2, _ := estimateMAT(tight, matKMeansModel(7, 3))
+	if !rep2.Fits {
 		t.Fatal("3 clusters must fit 3 tables")
 	}
 }
 
-func TestDTreeTablePerLevel(t *testing.T) {
+func TestMATDTreeTablePerLevel(t *testing.T) {
 	tree := &ir.TreeNode{Feature: 0, Threshold: 0.5,
 		Left: &ir.TreeNode{Feature: -1, Class: 0},
 		Right: &ir.TreeNode{Feature: 1, Threshold: 0.3,
@@ -96,7 +96,7 @@ func TestDTreeTablePerLevel(t *testing.T) {
 			Right: &ir.TreeNode{Feature: -1, Class: 0}},
 	}
 	m := &ir.Model{Kind: ir.DTree, Name: "t", Inputs: 2, Outputs: 2, Format: fixed.Q8_8, Tree: tree}
-	rep, err := Estimate(DefaultPipeline(), m)
+	rep, err := estimateMAT(DefaultMATPipeline(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,33 +105,17 @@ func TestDTreeTablePerLevel(t *testing.T) {
 	}
 }
 
-func TestDNNChargedLikeN2Net(t *testing.T) {
+func TestMATDNNChargedLikeN2Net(t *testing.T) {
 	m := &ir.Model{Kind: ir.DNN, Name: "d", Inputs: 4, Outputs: 2, Format: fixed.Q8_8,
 		Layers: []ir.Layer{
 			{In: 4, Out: 4, W: [][]float64{{0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}}, B: make([]float64, 4), Activation: "relu"},
 			{In: 4, Out: 2, W: [][]float64{{0, 0, 0, 0}, {0, 0, 0, 0}}, B: make([]float64, 2), Activation: "softmax"},
 		}}
-	rep, err := Estimate(DefaultPipeline(), m)
+	rep, err := estimateMAT(DefaultMATPipeline(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.TablesUsed != 24 { // 12 per layer
 		t.Fatalf("DNN tables = %d, want 24", rep.TablesUsed)
-	}
-}
-
-func TestBudgetHelpers(t *testing.T) {
-	p := DefaultPipeline()
-	if MaxClustersForBudget(p, 5) != 5 {
-		t.Fatal("cluster budget")
-	}
-	if MaxClustersForBudget(p, 100) != p.Tables {
-		t.Fatal("cluster budget must cap at pipeline tables")
-	}
-	if MaxSVMFeaturesForBudget(p, 5) != 4 {
-		t.Fatal("svm feature budget")
-	}
-	if MaxSVMFeaturesForBudget(p, 1) != 0 {
-		t.Fatal("svm needs >= 2 tables for any feature")
 	}
 }

@@ -88,6 +88,16 @@ type TreeNode struct {
 	Left, Right *TreeNode
 }
 
+// Depth is the number of internal-node levels on the longest root-to-leaf
+// path: 0 for a leaf (or a nil tree), one table or stage per level for
+// the backends.
+func (n *TreeNode) Depth() int {
+	if n == nil || n.Feature < 0 {
+		return 0
+	}
+	return 1 + max(n.Left.Depth(), n.Right.Depth())
+}
+
 // SVMParams holds one-vs-rest hyperplanes.
 type SVMParams struct {
 	W [][]float64 // [class][feature]

@@ -258,3 +258,23 @@ func TestParamCounts(t *testing.T) {
 		t.Fatalf("KMeans params = %d", mk.ParamCount())
 	}
 }
+
+func TestTreeNodeDepth(t *testing.T) {
+	leaf := func(c int) *TreeNode { return &TreeNode{Feature: -1, Class: c} }
+	lopsided := &TreeNode{Feature: 0, Left: leaf(0),
+		Right: &TreeNode{Feature: 1, Left: leaf(1),
+			Right: &TreeNode{Feature: 0, Left: leaf(0), Right: leaf(1)}}}
+	for name, tc := range map[string]struct {
+		n    *TreeNode
+		want int
+	}{
+		"nil":      {nil, 0},
+		"leaf":     {leaf(3), 0},
+		"stump":    {&TreeNode{Feature: 0, Left: leaf(0), Right: leaf(1)}, 1},
+		"lopsided": {lopsided, 3},
+	} {
+		if got := tc.n.Depth(); got != tc.want {
+			t.Errorf("%s: depth %d, want %d", name, got, tc.want)
+		}
+	}
+}

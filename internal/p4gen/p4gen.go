@@ -243,7 +243,7 @@ func generateTree(m *ir.Model) Program {
 		id    int
 		level int
 	}
-	depth := treeDepth(m.Tree)
+	depth := m.Tree.Depth()
 	queue := []bfsNode{{m.Tree, 0, 0}}
 	next := 1
 	entries := make(map[int][]Entry) // level -> entries
@@ -304,17 +304,6 @@ func generateTree(m *ir.Model) Program {
 	b.WriteString("    }\n}\n")
 	p.Source = b.String()
 	return p
-}
-
-func treeDepth(n *ir.TreeNode) int {
-	if n == nil || n.Feature < 0 {
-		return 0
-	}
-	l, r := treeDepth(n.Left), treeDepth(n.Right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
 }
 
 func sanitize(name string) string {

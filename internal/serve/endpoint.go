@@ -91,7 +91,7 @@ type Revision struct {
 
 	// rt is the live runtime, nil while the revision is cold. Lifecycle
 	// transitions serialize on the endpoint's mu; the atomic makes
-	// Stats/Warm reads safe without it.
+	// unlocked reads safe.
 	rt atomic.Pointer[Runtime]
 
 	// state and canaryPercent are display metadata guarded by the
@@ -100,23 +100,8 @@ type Revision struct {
 	canaryPercent int
 }
 
-// Model returns the revision's compiled model (set even when cold).
-func (r *Revision) Model() *ir.Model { return r.model }
-
-// Warm reports whether the revision currently holds a live runtime.
-func (r *Revision) Warm() bool { return r.rt.Load() != nil }
-
 // Config returns the revision's effective serving document.
 func (r *Revision) Config() ServingConfig { return r.cfg }
-
-// Stats snapshots the revision's own serving metrics (zero when cold —
-// a closed runtime's counters are gone).
-func (r *Revision) Stats() Stats {
-	if rt := r.rt.Load(); rt != nil {
-		return rt.Stats()
-	}
-	return Stats{}
-}
 
 // RevisionState is a revision's place in the endpoint lifecycle.
 type RevisionState string
@@ -140,15 +125,20 @@ const (
 // pointers are cached in the table so the hot path stays free of the
 // revision's own (mutable, retention-capped) runtime slot.
 type revTable struct {
-	stable        *Revision
-	stableRT      *Runtime
-	canary        *Revision // non-nil during a canary rollout
-	canaryRT      *Runtime
-	canaryPercent uint64
-	shadow        *Revision // non-nil during a shadow rollout
-	shadowRT      *Runtime
-	shadowCmp     *divergence // counters for the live shadow
+	stable   *Revision
+	stableRT *Runtime
+	// rollout is the one in-progress revision (nil when none) and
+	// rolloutRT its runtime. A nil shadow makes it a canary taking
+	// percent of the requests; a non-nil shadow makes it a shadow
+	// scoring mirrored traffic into that tally.
+	rollout   *Revision
+	rolloutRT *Runtime
+	percent   uint64
+	shadow    *divergence
 }
+
+// canary reports whether the table splits traffic to its rollout.
+func (t *revTable) canary() bool { return t.rollout != nil && t.shadow == nil }
 
 // divergence tallies shadow-vs-primary outcomes for one shadow rollout.
 type divergence struct {
@@ -238,8 +228,10 @@ type RevisionStats struct {
 	CanaryPercent int
 	// Warm reports whether the revision holds a live runtime (retired
 	// revisions beyond the retention cap run cold).
-	Warm  bool
-	Stats Stats
+	Warm bool
+	// Config is the revision's effective serving document.
+	Config ServingConfig
+	Stats  Stats
 }
 
 // EndpointStats is a point-in-time snapshot of an endpoint: the merged
@@ -354,59 +346,111 @@ func (e *Endpoint) Rollout(model *ir.Model, cfg RolloutConfig) (*Revision, error
 // document — the one place a revision inherits — where Reconfigure
 // installs its document as it is.
 func (e *Endpoint) rollout(model *ir.Model, cfg RolloutConfig, inherit bool) (*Revision, error) {
+	var rev *Revision
+	err := e.lifecycle(func(cur *revTable) (*revTable, error) {
+		if cur.rollout != nil {
+			return nil, ErrRolloutActive
+		}
+		doc := cfg.Serving
+		if inherit {
+			doc = doc.Inherit(e.cfg)
+		}
+		rev = &Revision{ID: e.nextID + 1, Created: time.Now(), model: model, cfg: doc}
+		next, err := e.installLocked(cur, rev, cfg)
+		if err != nil {
+			return nil, err
+		}
+		e.nextID = rev.ID
+		e.revs = append(e.revs, rev)
+		return next, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rev, nil
+}
+
+// installLocked makes rev the in-progress rollout over cur's stable
+// revision — the one install path of Rollout, Reconfigure and
+// RestoreEndpoint. It checks cfg's split, checks that rev's model takes
+// the stable's feature width (a mismatch would install fine and then fail
+// every canary-routed or mirrored request), starts rev's runtime and
+// returns the table routing both, for the caller to publish. The caller
+// holds e.mu, or owns e outright as RestoreEndpoint does.
+func (e *Endpoint) installLocked(cur *revTable, rev *Revision, cfg RolloutConfig) (*revTable, error) {
 	if cfg.CanaryPercent < 0 || cfg.CanaryPercent > 100 {
 		return nil, fmt.Errorf("serve: canary percent %d out of [0,100]", cfg.CanaryPercent)
 	}
 	if cfg.Shadow && cfg.CanaryPercent != 0 {
 		return nil, fmt.Errorf("serve: shadow and canary splits are mutually exclusive")
 	}
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return nil, ErrClosed
-	}
-	doc := cfg.Serving
-	if inherit {
-		doc = doc.Inherit(e.cfg)
-	}
-	cur := e.table.Load()
-	if cur.canary != nil || cur.shadow != nil {
-		return nil, ErrRolloutActive
-	}
-	// The new revision must accept the endpoint's live traffic: a
-	// feature-width mismatch would otherwise install fine and then fail
-	// on every canary-routed (or mirrored) request.
-	if model != nil && model.Inputs != cur.stable.model.Inputs {
-		return nil, fmt.Errorf("serve: rollout model wants %d features, endpoint %q serves %d — incompatible revision",
-			model.Inputs, e.name, cur.stable.model.Inputs)
+	stable := cur.stable.model
+	if rev.model != nil && rev.model.Inputs != stable.Inputs {
+		return nil, fmt.Errorf("serve: revision %d wants %d features, endpoint %q serves %d — incompatible revision",
+			rev.ID, rev.model.Inputs, e.name, stable.Inputs)
 	}
 	// Start the runtime inside the lock: rollouts are rare and the
 	// model-validating constructor is the operation worth serializing.
-	rt, err := New(model, doc)
+	rt, err := New(rev.model, rev.cfg)
 	if err != nil {
 		return nil, err
 	}
-	e.nextID++
-	rev := &Revision{ID: e.nextID, Created: time.Now(), model: model, cfg: doc}
 	rev.rt.Store(rt)
-	e.revs = append(e.revs, rev)
-	next := &revTable{stable: cur.stable, stableRT: cur.stableRT}
+	next := &revTable{stable: cur.stable, stableRT: cur.stableRT, rollout: rev, rolloutRT: rt}
 	if cfg.Shadow {
 		rev.state = RevShadow
-		next.shadow = rev
-		next.shadowRT = rt
-		next.shadowCmp = newDivergence(rev.ID, cur.stable.model.Outputs, model.Outputs)
-		e.lastShadow = next.shadowCmp
+		next.shadow = newDivergence(rev.ID, stable.Outputs, rev.model.Outputs)
+		e.lastShadow = next.shadow
 	} else {
-		rev.state = RevCanary
-		rev.canaryPercent = cfg.CanaryPercent
-		next.canary = rev
-		next.canaryRT = rt
-		next.canaryPercent = uint64(cfg.CanaryPercent)
+		rev.state, rev.canaryPercent = RevCanary, cfg.CanaryPercent
+		next.percent = uint64(cfg.CanaryPercent)
 	}
-	e.table.Store(next)
-	return rev, nil
+	return next, nil
+}
+
+// lifecycle runs one routing change under e.mu: step builds the table to
+// publish from the current one, then the retention cap is enforced. The
+// runtimes it evicts close after unlocking — Close drains, and a drain
+// must not stall lifecycle operations; any request still in flight on
+// one was admitted before it retired and is delivered first.
+func (e *Endpoint) lifecycle(step func(cur *revTable) (*revTable, error)) error {
+	e.mu.Lock()
+	if e.closed {
+		e.mu.Unlock()
+		return ErrClosed
+	}
+	next, err := step(e.table.Load())
+	var evicted []*Runtime
+	if err == nil {
+		e.table.Store(next)
+		retired, cold := e.retiredLocked()
+		for _, r := range retired[:cold] {
+			if rt := r.rt.Swap(nil); rt != nil {
+				evicted = append(evicted, rt)
+			}
+		}
+	}
+	e.mu.Unlock()
+	for _, rt := range evicted {
+		_ = rt.Close()
+	}
+	return err
+}
+
+// retiredLocked lists the retired revisions in rollout order and how many
+// of the oldest fall outside the retention cap (RetainRetired; negative
+// keeps all) — the one retention rule, which every lifecycle step
+// enforces and RestoreEndpoint rebuilds.
+func (e *Endpoint) retiredLocked() (retired []*Revision, cold int) {
+	for _, r := range e.revs {
+		if r.state == RevRetired {
+			retired = append(retired, r)
+		}
+	}
+	if k := e.cfg.Resolved().RetainRetired; k >= 0 && len(retired) > k {
+		cold = len(retired) - k
+	}
+	return retired, cold
 }
 
 // Promote makes the in-progress rollout (canary or shadow) the stable
@@ -417,29 +461,16 @@ func (e *Endpoint) rollout(model *ir.Model, cfg RolloutConfig, inherit bool) (*R
 // retention cap may later evict its runtime; rollback then re-creates
 // it from the model).
 func (e *Endpoint) Promote() error {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return ErrClosed
-	}
-	cur := e.table.Load()
-	next, nextRT := cur.canary, cur.canaryRT
-	if next == nil {
-		next, nextRT = cur.shadow, cur.shadowRT
-	}
-	if next == nil {
-		e.mu.Unlock()
-		return ErrNoRollout
-	}
-	cur.stable.state = RevRetired
-	e.prevStable = append(e.prevStable, cur.stable)
-	next.state = RevStable
-	next.canaryPercent = 0
-	e.table.Store(&revTable{stable: next, stableRT: nextRT})
-	evicted := e.enforceRetentionLocked()
-	e.mu.Unlock()
-	closeRuntimes(evicted)
-	return nil
+	return e.lifecycle(func(cur *revTable) (*revTable, error) {
+		next := cur.rollout
+		if next == nil {
+			return nil, ErrNoRollout
+		}
+		cur.stable.state = RevRetired
+		e.prevStable = append(e.prevStable, cur.stable)
+		next.state, next.canaryPercent = RevStable, 0
+		return &revTable{stable: next, stableRT: cur.rolloutRT}, nil
+	})
 }
 
 // Reconfigure installs cfg as the endpoint's serving document through
@@ -473,95 +504,32 @@ func (e *Endpoint) Reconfigure(cfg ServingConfig) (*Revision, error) {
 // stable revision — still warm within the retention cap, revived from
 // its model past it.
 func (e *Endpoint) Rollback() error {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return ErrClosed
-	}
-	cur := e.table.Load()
-	if rolled := cur.canary; rolled != nil {
-		rolled.state = RevRetired
-		rolled.canaryPercent = 0
-		e.table.Store(&revTable{stable: cur.stable, stableRT: cur.stableRT})
-		evicted := e.enforceRetentionLocked()
-		e.mu.Unlock()
-		closeRuntimes(evicted)
-		return nil
-	}
-	if rolled := cur.shadow; rolled != nil {
-		rolled.state = RevRetired
-		e.table.Store(&revTable{stable: cur.stable, stableRT: cur.stableRT})
-		evicted := e.enforceRetentionLocked()
-		e.mu.Unlock()
-		closeRuntimes(evicted)
-		return nil
-	}
-	if len(e.prevStable) == 0 {
-		e.mu.Unlock()
-		return ErrNoRollback
-	}
-	prev := e.prevStable[len(e.prevStable)-1]
-	rt := prev.rt.Load()
-	if rt == nil {
-		// The retention cap evicted this runtime; revive it from the
-		// revision's model before moving traffic.
-		if prev.model == nil {
-			e.mu.Unlock()
-			return fmt.Errorf("serve: revision %d of %q has no model to revive", prev.ID, e.name)
+	return e.lifecycle(func(cur *revTable) (*revTable, error) {
+		if rolled := cur.rollout; rolled != nil {
+			rolled.state, rolled.canaryPercent = RevRetired, 0
+			return &revTable{stable: cur.stable, stableRT: cur.stableRT}, nil
 		}
-		var err error
-		rt, err = New(prev.model, prev.cfg)
-		if err != nil {
-			e.mu.Unlock()
-			return fmt.Errorf("serve: revive revision %d of %q: %w", prev.ID, e.name, err)
+		if len(e.prevStable) == 0 {
+			return nil, ErrNoRollback
 		}
-		prev.rt.Store(rt)
-	}
-	e.prevStable = e.prevStable[:len(e.prevStable)-1]
-	cur.stable.state = RevRetired
-	prev.state = RevStable
-	e.table.Store(&revTable{stable: prev, stableRT: rt})
-	evicted := e.enforceRetentionLocked()
-	e.mu.Unlock()
-	closeRuntimes(evicted)
-	return nil
-}
-
-// enforceRetentionLocked applies the endpoint's RetainRetired: every
-// retired revision beyond the K most recent loses its runtime. The
-// caller holds e.mu and must close the returned runtimes after unlocking
-// (Close drains, and a drain must not stall lifecycle operations).
-func (e *Endpoint) enforceRetentionLocked() []*Runtime {
-	k := e.cfg.Resolved().RetainRetired
-	if k < 0 {
-		return nil
-	}
-	var retired []*Revision
-	for _, r := range e.revs {
-		if r.state == RevRetired {
-			retired = append(retired, r)
+		prev := e.prevStable[len(e.prevStable)-1]
+		rt := prev.rt.Load()
+		if rt == nil {
+			// The retention cap evicted this runtime; revive it from the
+			// revision's model before moving traffic.
+			if prev.model == nil {
+				return nil, fmt.Errorf("serve: revision %d of %q has no model to revive", prev.ID, e.name)
+			}
+			var err error
+			if rt, err = New(prev.model, prev.cfg); err != nil {
+				return nil, fmt.Errorf("serve: revive revision %d of %q: %w", prev.ID, e.name, err)
+			}
+			prev.rt.Store(rt)
 		}
-	}
-	if len(retired) <= k {
-		return nil
-	}
-	var evicted []*Runtime
-	for _, r := range retired[:len(retired)-k] {
-		if rt := r.rt.Load(); rt != nil {
-			r.rt.Store(nil)
-			evicted = append(evicted, rt)
-		}
-	}
-	return evicted
-}
-
-// closeRuntimes drains retention-evicted runtimes. Any request still in
-// flight on an evicted revision was admitted before it retired; Close
-// delivers it before the workers exit.
-func closeRuntimes(rts []*Runtime) {
-	for _, rt := range rts {
-		_ = rt.Close()
-	}
+		e.prevStable = e.prevStable[:len(e.prevStable)-1]
+		cur.stable.state, prev.state = RevRetired, RevStable
+		return &revTable{stable: prev, stableRT: rt}, nil
+	})
 }
 
 // route picks the serving runtime for one request. With a canary live,
@@ -569,8 +537,8 @@ func closeRuntimes(rts []*Runtime) {
 // so the split is even, uncorrelated with request content, and exactly
 // reproducible across fixed-seed replays.
 func (t *revTable) route(e *Endpoint) *Runtime {
-	if t.canary != nil && splitmix64(e.seq.Add(1)-1)%100 < t.canaryPercent {
-		return t.canaryRT
+	if t.canary() && splitmix64(e.seq.Add(1)-1)%100 < t.percent {
+		return t.rolloutRT
 	}
 	return t.stableRT
 }
@@ -595,7 +563,7 @@ func (e *Endpoint) Classify(x []float64) (int, error) {
 			continue
 		}
 		if t.shadow != nil && err == nil {
-			e.mirror(t, x, class)
+			e.mirror(t, [][]float64{x}, []int{class})
 		}
 		return class, err
 	}
@@ -643,87 +611,67 @@ func (e *Endpoint) classifyBatchOnce(xs [][]float64) (classes []int, dropped int
 		}
 		return classes, len(xs), ErrClosed
 	}
-	if t.canary == nil {
-		classes, dropped, err = t.stableRT.ClassifyBatch(xs)
+	if t.canary() {
+		classes, dropped, err = t.splitBatch(e, xs)
 	} else {
-		// Split the batch by per-request routing, classify the two
-		// sub-batches concurrently, then reassemble in input order.
-		toCanary := make([]bool, len(xs))
-		var stableXs, canaryXs [][]float64
-		for i, x := range xs {
-			if t.route(e) == t.canaryRT {
-				toCanary[i] = true
-				canaryXs = append(canaryXs, x)
-			} else {
-				stableXs = append(stableXs, x)
-			}
-		}
-		var (
-			wg            sync.WaitGroup
-			canaryRes     []int
-			canaryDropped int
-			canaryErr     error
-			stableRes     []int
-			stableDropped int
-			stableErr     error
-		)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			canaryRes, canaryDropped, canaryErr = t.canaryRT.ClassifyBatch(canaryXs)
-		}()
-		stableRes, stableDropped, stableErr = t.stableRT.ClassifyBatch(stableXs)
-		wg.Wait()
-		classes = make([]int, len(xs))
-		si, ci := 0, 0
-		for i := range xs {
-			if toCanary[i] {
-				classes[i] = canaryRes[ci]
-				ci++
-			} else {
-				classes[i] = stableRes[si]
-				si++
-			}
-		}
-		dropped = stableDropped + canaryDropped
-		err = stableErr
-		if err == nil {
-			err = canaryErr
-		}
+		classes, dropped, err = t.stableRT.ClassifyBatch(xs)
 	}
 	if t.shadow != nil {
-		e.mirrorBatch(t, xs, classes)
+		e.mirror(t, xs, classes)
 	}
 	return classes, dropped, err
 }
 
-// mirror re-scores one classified request on the shadow revision without
-// blocking the caller: the mirror runs on its own goroutine under a
-// bounded semaphore, and saturation sheds the mirror (counted) rather
-// than delaying the primary path. x is copied before the goroutine
-// starts: the caller may reuse it the moment its own call returns
-// (httpapi's pooled classify buffers depend on it).
-func (e *Endpoint) mirror(t *revTable, x []float64, primary int) {
-	select {
-	case e.mirrorSem <- struct{}{}:
-		xc := append(make([]float64, 0, len(x)), x...)
-		d, rt := t.shadowCmp, t.shadowRT
-		go func() {
-			defer func() { <-e.mirrorSem }()
-			class, err := rt.Classify(xc)
-			d.record(primary, class, err != nil)
-		}()
-	default:
-		t.shadowCmp.shed.Add(1)
+// splitBatch classifies xs across a live canary split, each row routed
+// as Classify would route it. view holds the rows permuted into two
+// contiguous ranges — stable rows from the front, canary rows from the
+// back — that classify concurrently into one result slice, scattered
+// back to input order once.
+func (t *revTable) splitBatch(e *Endpoint, xs [][]float64) (classes []int, dropped int, err error) {
+	n := len(xs)
+	view := make([][]float64, n)
+	from := make([]int, n) // view[j] is xs[from[j]]
+	cut, back := 0, n
+	for i, x := range xs {
+		if t.route(e) == t.rolloutRT {
+			back--
+			view[back], from[back] = x, i
+		} else {
+			view[cut], from[cut] = x, i
+			cut++
+		}
 	}
+	res := make([]int, n)
+	var (
+		wg            sync.WaitGroup
+		canaryDropped int
+		canaryErr     error
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		canaryDropped, canaryErr = t.rolloutRT.classifyInto(view[cut:], res[cut:])
+	}()
+	dropped, err = t.stableRT.classifyInto(view[:cut], res[:cut])
+	wg.Wait()
+	classes = make([]int, n)
+	for j, c := range res {
+		classes[from[j]] = c
+	}
+	if err == nil {
+		err = canaryErr
+	}
+	return classes, dropped + canaryDropped, err
 }
 
-// mirrorBatch is mirror for a classified batch, as one unit: one
-// semaphore slot, one copy of the rows that got a class (and of the
-// classes — both are the caller's again once its call returns), one
-// goroutine, one shadow ClassifyBatch. Saturation sheds the whole
-// batch's mirror, counted in vectors.
-func (e *Endpoint) mirrorBatch(t *revTable, xs [][]float64, classes []int) {
+// mirror re-scores classified rows on the shadow revision without
+// blocking the caller, as one unit: one semaphore slot, one copy of the
+// rows that got a class (and of the classes — both are the caller's
+// again once its call returns; httpapi's pooled classify buffers depend
+// on it), one goroutine, one shadow ClassifyBatch. Saturation sheds the
+// whole mirror, counted in vectors, rather than delaying the primary
+// path. Classify mirrors its one row through here too.
+func (e *Endpoint) mirror(t *revTable, xs [][]float64, classes []int) {
 	n, width := 0, 0
 	for i, c := range classes {
 		if c >= 0 {
@@ -736,48 +684,47 @@ func (e *Endpoint) mirrorBatch(t *revTable, xs [][]float64, classes []int) {
 	select {
 	case e.mirrorSem <- struct{}{}:
 	default:
-		t.shadowCmp.shed.Add(uint64(n))
+		t.shadow.shed.Add(uint64(n))
 		return
 	}
 	flat := make([]float64, 0, width)
 	rows := make([][]float64, 0, n)
-	primary := make([]int, 0, n)
+	cls := make([]int, 0, 2*n) // the primary classes, then the shadow's
 	for i, c := range classes {
 		if c >= 0 {
 			at := len(flat)
 			flat = append(flat, xs[i]...)
 			rows = append(rows, flat[at:len(flat):len(flat)])
-			primary = append(primary, c)
+			cls = append(cls, c)
 		}
 	}
-	d, rt := t.shadowCmp, t.shadowRT
+	d, rt := t.shadow, t.rolloutRT
 	go func() {
 		defer func() { <-e.mirrorSem }()
-		shadow, _, _ := rt.ClassifyBatch(rows)
+		shadow := cls[n : 2*n]
+		_, _ = rt.classifyInto(rows, shadow)
 		for i, class := range shadow {
-			d.record(primary[i], class, class < 0)
+			d.record(cls[i], class, class < 0)
 		}
 	}()
 }
 
-// Revisions lists every revision in rollout order.
-func (e *Endpoint) Revisions() []*Revision {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append([]*Revision(nil), e.revs...)
-}
-
 // RevisionInfos lists every revision's lifecycle metadata (ID, state,
-// traffic share, warmth) without snapshotting the runtimes — the cheap
-// form for listings that do not need counters (Stats is left zero).
+// traffic share, warmth, document) in rollout order without
+// snapshotting the runtimes — the cheap form for listings that do not
+// need counters (Stats is left zero).
 func (e *Endpoint) RevisionInfos() []RevisionStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return e.rowsLocked()
+}
+
+func (e *Endpoint) rowsLocked() []RevisionStats {
 	out := make([]RevisionStats, 0, len(e.revs))
 	for _, r := range e.revs {
 		out = append(out, RevisionStats{
-			ID: r.ID, State: r.state, Created: r.Created,
-			CanaryPercent: r.canaryPercent, Warm: r.rt.Load() != nil,
+			ID: r.ID, State: r.state, Created: r.Created, CanaryPercent: r.canaryPercent,
+			Warm: r.rt.Load() != nil, Config: r.cfg,
 		})
 	}
 	return out
@@ -791,14 +738,13 @@ func (e *Endpoint) View() (stable, canary, canaryPercent, shadow int) {
 	if t == nil {
 		return 0, 0, 0, 0
 	}
-	stable = t.stable.ID
-	if t.canary != nil {
-		canary, canaryPercent = t.canary.ID, int(t.canaryPercent)
+	switch {
+	case t.shadow != nil:
+		shadow = t.rollout.ID
+	case t.rollout != nil:
+		canary, canaryPercent = t.rollout.ID, int(t.percent)
 	}
-	if t.shadow != nil {
-		shadow = t.shadow.ID
-	}
-	return stable, canary, canaryPercent, shadow
+	return t.stable.ID, canary, canaryPercent, shadow
 }
 
 // Stats snapshots the endpoint: per-revision metrics, the merged view
@@ -807,29 +753,22 @@ func (e *Endpoint) View() (stable, canary, canaryPercent, shadow int) {
 // with zero stats — their counters left with their runtimes.
 func (e *Endpoint) Stats() EndpointStats {
 	e.mu.Lock()
-	revs := append([]*Revision(nil), e.revs...)
-	states := make([]RevisionState, len(revs))
-	pcts := make([]int, len(revs))
-	rts := make([]*Runtime, len(revs))
-	for i, r := range revs {
-		states[i], pcts[i], rts[i] = r.state, r.canaryPercent, r.rt.Load()
+	rows := e.rowsLocked()
+	rts := make([]*Runtime, len(e.revs))
+	for i, r := range e.revs {
+		rts[i] = r.rt.Load()
 	}
 	shadow := e.lastShadow
 	e.mu.Unlock()
 
-	out := EndpointStats{Name: e.name}
+	out := EndpointStats{Name: e.name, Revisions: rows}
 	var merged RawStats
-	for i, r := range revs {
-		var st Stats
-		if rts[i] != nil {
-			raw := rts[i].stats.raw()
-			st = raw.Stats()
+	for i, rt := range rts {
+		if rt != nil {
+			raw := rt.stats.raw()
+			rows[i].Stats = raw.Stats()
 			merged.Merge(raw)
 		}
-		out.Revisions = append(out.Revisions, RevisionStats{
-			ID: r.ID, State: states[i], Created: r.Created,
-			CanaryPercent: pcts[i], Warm: rts[i] != nil, Stats: st,
-		})
 	}
 	merged.UptimeNS = int64(time.Since(e.start))
 	out.Merged = merged.Stats()
@@ -892,10 +831,12 @@ type RestoreRevision struct {
 
 // RestoreEndpoint rebuilds an endpoint from persisted state: the same
 // revision history, routing table, and canary/shadow configuration it
-// had when the manifest was written. Runtimes are created for the
-// routing revisions and for retired revisions within the retention cap;
-// older retired revisions come back cold. Serving counters and shadow
-// divergence tallies restart from zero — stats are not durable.
+// had when the manifest was written. The manifest's shape is checked
+// here; the live rollout is installed, and the retired revisions kept
+// warm, by the same helpers the live lifecycle uses — a restore checks
+// everything a Rollout does. Older retired revisions come back cold.
+// Serving counters and shadow divergence tallies restart from zero —
+// stats are not durable.
 func RestoreEndpoint(name string, cfg ServingConfig, revs []RestoreRevision) (*Endpoint, error) {
 	if name == "" {
 		return nil, fmt.Errorf("serve: endpoint needs a name")
@@ -912,8 +853,8 @@ func RestoreEndpoint(name string, cfg ServingConfig, revs []RestoreRevision) (*E
 	sorted := append([]RestoreRevision(nil), revs...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID < sorted[j].ID })
 
-	var stable, canary, shadow *Revision
-	var canaryPct int
+	var stable, rollout *Revision
+	var split RolloutConfig
 	for _, rr := range sorted {
 		if rr.ID <= e.nextID {
 			return nil, fmt.Errorf("serve: restore %q: duplicate or non-positive revision ID %d", name, rr.ID)
@@ -931,19 +872,12 @@ func RestoreEndpoint(name string, cfg ServingConfig, revs []RestoreRevision) (*E
 				return nil, fmt.Errorf("serve: restore %q: two stable revisions (%d, %d)", name, stable.ID, rr.ID)
 			}
 			stable = rev
-		case RevCanary:
-			if canary != nil || shadow != nil {
+		case RevCanary, RevShadow:
+			if rollout != nil {
 				return nil, fmt.Errorf("serve: restore %q: more than one live rollout", name)
 			}
-			if rr.CanaryPercent < 0 || rr.CanaryPercent > 100 {
-				return nil, fmt.Errorf("serve: restore %q: canary percent %d out of [0,100]", name, rr.CanaryPercent)
-			}
-			canary, canaryPct = rev, rr.CanaryPercent
-		case RevShadow:
-			if canary != nil || shadow != nil {
-				return nil, fmt.Errorf("serve: restore %q: more than one live rollout", name)
-			}
-			shadow = rev
+			rollout = rev
+			split = RolloutConfig{CanaryPercent: rr.CanaryPercent, Shadow: rr.State == RevShadow}
 		case RevRetired:
 		default:
 			return nil, fmt.Errorf("serve: restore %q: revision %d has unknown state %q", name, rr.ID, rr.State)
@@ -955,67 +889,25 @@ func RestoreEndpoint(name string, cfg ServingConfig, revs []RestoreRevision) (*E
 		return nil, fmt.Errorf("serve: restore %q: no stable revision", name)
 	}
 
-	// Create runtimes for the routing revisions; unwind on failure so a
-	// rejected restore leaks nothing.
-	var created []*Runtime
-	warm := func(rev *Revision) (*Runtime, error) {
-		if rev.model == nil {
-			return nil, fmt.Errorf("serve: restore %q: revision %d has no model", name, rev.ID)
-		}
-		rt, err := New(rev.model, rev.cfg)
-		if err != nil {
-			return nil, fmt.Errorf("serve: restore %q revision %d: %w", name, rev.ID, err)
-		}
-		rev.rt.Store(rt)
-		created = append(created, rt)
-		return rt, nil
-	}
-	fail := func(err error) (*Endpoint, error) {
-		closeRuntimes(created)
-		return nil, err
-	}
-	table := &revTable{}
-	rt, err := warm(stable)
+	rt, err := New(stable.model, stable.cfg)
 	if err != nil {
-		return fail(err)
+		return nil, fmt.Errorf("serve: restore %q revision %d: %w", name, stable.ID, err)
 	}
-	table.stable, table.stableRT = stable, rt
-	if canary != nil {
-		if canary.model != nil && canary.model.Inputs != stable.model.Inputs {
-			return fail(fmt.Errorf("serve: restore %q: canary revision %d wants %d features, stable serves %d",
-				name, canary.ID, canary.model.Inputs, stable.model.Inputs))
+	stable.rt.Store(rt)
+	table := &revTable{stable: stable, stableRT: rt}
+	if rollout != nil {
+		if table, err = e.installLocked(table, rollout, split); err != nil {
+			_ = rt.Close() // a rejected restore leaks nothing
+			return nil, fmt.Errorf("serve: restore %q: %w", name, err)
 		}
-		rt, err := warm(canary)
-		if err != nil {
-			return fail(err)
-		}
-		table.canary, table.canaryRT, table.canaryPercent = canary, rt, uint64(canaryPct)
-	}
-	if shadow != nil {
-		rt, err := warm(shadow)
-		if err != nil {
-			return fail(err)
-		}
-		table.shadow, table.shadowRT = shadow, rt
-		table.shadowCmp = newDivergence(shadow.ID, stable.model.Outputs, shadow.model.Outputs)
-		e.lastShadow = table.shadowCmp
 	}
 
 	// Retired revisions within the retention cap come back warm (instant
-	// rollback, matching steady-state behavior); older ones stay cold. A
+	// rollback, as on the live endpoint); older ones stay cold. A
 	// model-less or invalid retired revision simply stays cold — boot
 	// must not fail over a revision nothing routes to.
-	var retired []*Revision
-	for _, r := range e.revs {
-		if r.state == RevRetired {
-			retired = append(retired, r)
-		}
-	}
-	warmFrom := 0
-	if k := cfg.Resolved().RetainRetired; k >= 0 && len(retired) > k {
-		warmFrom = len(retired) - k
-	}
-	for _, r := range retired[warmFrom:] {
+	retired, cold := e.retiredLocked()
+	for _, r := range retired[cold:] {
 		if r.model == nil {
 			continue
 		}
@@ -1025,8 +917,7 @@ func RestoreEndpoint(name string, cfg ServingConfig, revs []RestoreRevision) (*E
 	}
 	// The promote-history stack is rebuilt in revision order: rolling
 	// back walks retired revisions newest first.
-	e.prevStable = append(e.prevStable, retired...)
-
+	e.prevStable = retired
 	e.table.Store(table)
 	return e, nil
 }

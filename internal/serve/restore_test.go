@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -9,8 +10,8 @@ import (
 // warmIDs returns the IDs of revisions currently holding a live runtime.
 func warmIDs(e *Endpoint) []int {
 	var ids []int
-	for _, r := range e.Revisions() {
-		if r.Warm() {
+	for _, r := range e.RevisionInfos() {
+		if r.Warm {
 			ids = append(ids, r.ID)
 		}
 	}
@@ -93,8 +94,8 @@ func TestRestoreEndpointRouting(t *testing.T) {
 	}
 	// A revision's document is restored as it is: nothing is inherited
 	// from the endpoint's (batch 4 stays the endpoint's alone).
-	for _, r := range ep.Revisions() {
-		if c := r.Config(); c.BatchSize != 0 || c.RetainRetired != 0 {
+	for _, r := range ep.RevisionInfos() {
+		if c := r.Config; c.BatchSize != 0 || c.RetainRetired != 0 {
 			t.Fatalf("revision %d restored with an inherited document: %+v", r.ID, c)
 		}
 	}
@@ -174,6 +175,8 @@ func TestRestoreEndpointColdRetiredWithoutModel(t *testing.T) {
 
 func TestRestoreEndpointRejectsBadManifests(t *testing.T) {
 	o := ServingConfig{BatchSize: 4}
+	wide := constModel(1)
+	wide.Inputs = 3
 	cases := []struct {
 		name string
 		revs []RestoreRevision
@@ -203,11 +206,88 @@ func TestRestoreEndpointRejectsBadManifests(t *testing.T) {
 		{"unknown state", []RestoreRevision{
 			{ID: 1, Model: constModel(0), State: RevisionState("zombie")},
 		}},
+		{"canary of another width", []RestoreRevision{
+			{ID: 1, Model: constModel(0), State: RevStable},
+			{ID: 2, Model: wide, State: RevCanary, CanaryPercent: 10},
+		}},
+		{"shadow of another width", []RestoreRevision{
+			{ID: 1, Model: constModel(0), State: RevStable},
+			{ID: 2, Model: wide, State: RevShadow},
+		}},
 	}
 	for _, tc := range cases {
 		if ep, err := RestoreEndpoint("bad", o, tc.revs); err == nil {
 			ep.Close()
 			t.Fatalf("%s: restore must fail", tc.name)
 		}
+	}
+}
+
+// routing renders what an endpoint's lifecycle exposes: its view and
+// every revision's state, traffic share and warmth.
+func routing(e *Endpoint) string {
+	st, ca, pct, sh := e.View()
+	out := fmt.Sprintf("view %d/%d@%d%%/%d", st, ca, pct, sh)
+	for _, r := range e.RevisionInfos() {
+		out += fmt.Sprintf(" | %d %s %d%% warm=%v", r.ID, r.State, r.CanaryPercent, r.Warm)
+	}
+	return out
+}
+
+// TestRestoreMatchesLive rebuilds a live endpoint from its revisions and
+// requires the copy to route, keep warm and roll back exactly as the
+// original does: the live lifecycle and RestoreEndpoint share one
+// install path and one retention rule.
+func TestRestoreMatchesLive(t *testing.T) {
+	cfg := ServingConfig{BatchSize: 4, RetainRetired: 1}
+	canary := func(t *testing.T, ep *Endpoint) {
+		promoteN(t, ep, 1, 3)
+		if _, err := ep.Rollout(constModel(4), RolloutConfig{CanaryPercent: 30}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, drive := range map[string]func(*testing.T, *Endpoint){
+		"canary": canary,
+		"shadow": func(t *testing.T, ep *Endpoint) {
+			canary(t, ep)
+			if err := ep.Promote(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ep.Rollout(constModel(5), RolloutConfig{Shadow: true}); err != nil {
+				t.Fatal(err)
+			}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			live := mustEndpoint(t, 0, cfg)
+			drive(t, live)
+			var revs []RestoreRevision
+			for i, r := range live.RevisionInfos() {
+				revs = append(revs, RestoreRevision{
+					ID: r.ID, Model: live.revs[i].model, Config: r.Config,
+					State: r.State, CanaryPercent: r.CanaryPercent, Created: r.Created,
+				})
+			}
+			restored, err := RestoreEndpoint("ep", cfg, revs)
+			if err != nil {
+				t.Fatalf("RestoreEndpoint: %v", err)
+			}
+			defer restored.Close()
+			for step := 0; ; step++ {
+				if got, want := routing(restored), routing(live); got != want {
+					t.Fatalf("after %d rollbacks:\nrestored %s\nlive     %s", step, got, want)
+				}
+				errLive, errRestored := live.Rollback(), restored.Rollback()
+				if !errors.Is(errRestored, errLive) {
+					t.Fatalf("rollback %d: restored %v, live %v", step+1, errRestored, errLive)
+				}
+				if errLive != nil {
+					if !errors.Is(errLive, ErrNoRollback) || step < 4 {
+						t.Fatalf("rollback %d: %v", step+1, errLive)
+					}
+					return
+				}
+			}
+		})
 	}
 }

@@ -215,8 +215,15 @@ func (rt *Runtime) spanSize(n int) int {
 // reuse them then — httpapi's pooled classify buffers depend on it.
 func (rt *Runtime) ClassifyBatch(xs [][]float64) (classes []int, dropped int, err error) {
 	classes = make([]int, len(xs))
+	dropped, err = rt.classifyInto(xs, classes)
+	return classes, dropped, err
+}
+
+// classifyInto is ClassifyBatch writing into the caller's classes, which
+// must be as long as xs.
+func (rt *Runtime) classifyInto(xs [][]float64, classes []int) (dropped int, err error) {
 	if len(xs) == 0 {
-		return classes, 0, nil
+		return 0, nil
 	}
 	size := rt.spanSize(len(xs))
 	spans := (len(xs) + size - 1) / size
@@ -265,7 +272,7 @@ func (rt *Runtime) ClassifyBatch(xs [][]float64) (classes []int, dropped int, er
 		err = *perr
 	}
 	rt.release(r)
-	return classes, dropped, err
+	return dropped, err
 }
 
 // Stats snapshots the deployment's metrics.

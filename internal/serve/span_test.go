@@ -56,7 +56,7 @@ func TestSpanContractUnderFire(t *testing.T) {
 	if _, err := ep.Rollout(dnnModel(), RolloutConfig{Shadow: true}); err != nil {
 		t.Fatal(err)
 	}
-	stable := ep.Revisions()[0].rt.Load()
+	stable := ep.table.Load().stableRT
 
 	const batchers, singles, rounds = 4, 3, 60
 	var wg sync.WaitGroup

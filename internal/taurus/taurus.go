@@ -189,24 +189,13 @@ func estimateLinear(g Grid, units, in int) Report {
 // level (levels execute as pipeline stages), with the node parameters in
 // one MU per two levels.
 func estimateTree(g Grid, m *ir.Model) Report {
-	depth := treeDepth(m.Tree)
+	depth := m.Tree.Depth()
 	nodes := countInternal(m.Tree)
 	return Report{
 		CUs:    nodes + 1,
 		MUs:    ceilDiv(nodes, 8) + 1,
 		Stages: depth + 2,
 	}
-}
-
-func treeDepth(n *ir.TreeNode) int {
-	if n == nil || n.Feature < 0 {
-		return 0
-	}
-	l, r := treeDepth(n.Left), treeDepth(n.Right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
 }
 
 func countInternal(n *ir.TreeNode) int {
