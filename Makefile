@@ -108,11 +108,11 @@ fuzz-pipeline:
 # gate, each written as a b.Fatalf inside its benchmark at a fixed
 # iteration count of its own.
 bench-smoke:
-	$(GO) test -bench=. -benchtime=1x -run='^$$' . ./internal/cluster/ ./internal/httpapi/
+	$(GO) test -bench=. -benchtime=1x -run='^$$' . ./internal/cluster/ ./internal/experiments/ ./internal/httpapi/
 
 # Full benchmark pass with allocation reporting (slow).
 bench:
-	$(GO) test -bench=. -benchmem -run='^$$' . ./internal/cluster/ ./internal/httpapi/
+	$(GO) test -bench=. -benchmem -run='^$$' . ./internal/cluster/ ./internal/experiments/ ./internal/httpapi/
 
 # Pinned staticcheck (the CI lint gate); requires network on first run
 # to install the tool.

@@ -1,6 +1,8 @@
 // Command experiments regenerates every table and figure of the
 // Homunculus evaluation (§5) and prints paper-style rows. Use -run to
 // select one experiment and -quick for the reduced bench budget.
+// EXPERIMENTS.md holds the full-budget output and the claim each table
+// backs.
 //
 //	go run ./cmd/experiments            # everything, full budget
 //	go run ./cmd/experiments -run table2
@@ -8,8 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -31,97 +35,77 @@ func main() {
 	}
 	budget.Seed = *seed
 
-	want := func(name string) bool { return *run == "all" || *run == name }
-	ran := false
-
-	if want("table2") {
-		ran = true
-		rows, err := experiments.Table2(budget)
-		if err != nil {
-			log.Fatalf("table2: %v", err)
-		}
-		section("Table 2: hand-tuned baselines vs Homunculus-generated models")
-		fmt.Print(experiments.FormatTable2(rows))
-	}
-	if want("table3") {
-		ran = true
-		rows, err := experiments.Table3(budget)
-		if err != nil {
-			log.Fatalf("table3: %v", err)
-		}
-		section("Table 3: resource scaling for application chaining strategies")
-		fmt.Print(experiments.FormatTable3(rows))
-	}
-	if want("table4") {
-		ran = true
-		rows, err := experiments.Table4(budget)
-		if err != nil {
-			log.Fatalf("table4: %v", err)
-		}
-		section("Table 4: fused resource usage")
-		fmt.Print(experiments.FormatTable4(rows))
-	}
-	if want("table5") {
-		ran = true
-		rows, err := experiments.Table5(budget)
-		if err != nil {
-			log.Fatalf("table5: %v", err)
-		}
-		section("Table 5: FPGA testbed resource consumption")
-		fmt.Print(experiments.FormatTable5(rows))
-	}
-	if want("fig4") {
-		ran = true
-		data, err := experiments.Figure4(budget)
-		if err != nil {
-			log.Fatalf("fig4: %v", err)
-		}
-		section("Figure 4: BO regret (F1 per iteration, anomaly-detection DNN)")
-		fmt.Print(experiments.FormatFigure4(data))
-	}
-	if want("fig6") {
-		ran = true
-		data, err := experiments.Figure6(budget)
-		if err != nil {
-			log.Fatalf("fig6: %v", err)
-		}
-		section("Figure 6: botnet vs benign flow-level histograms")
-		fmt.Print(experiments.FormatFigure6(data))
-	}
-	if want("fig7") {
-		ran = true
-		series, err := experiments.Figure7(budget)
-		if err != nil {
-			log.Fatalf("fig7: %v", err)
-		}
-		section("Figure 7: KMeans V-measure under MAT budgets")
-		fmt.Print(experiments.FormatFigure7(series))
-	}
-	if want("reaction") {
-		ran = true
-		res, err := experiments.ReactionTime(budget)
-		if err != nil {
-			log.Fatalf("reaction: %v", err)
-		}
-		section("§5.1.1: reaction time — per-packet vs flow-level botnet detection")
-		fmt.Print(experiments.FormatReaction(res))
-	}
-	if want("service") {
-		ran = true
-		rows, err := sweep.Run(budget)
-		if err != nil {
-			log.Fatalf("service: %v", err)
-		}
-		section("Service sweep: bounded admission + content-addressed cache under load")
-		fmt.Print(sweep.Format(rows))
-	}
-	if !ran {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *run)
+	err := report(os.Stdout, budget, *run)
+	if errors.Is(err, errUnknownExperiment) {
+		fmt.Fprintln(os.Stderr, err)
 		flag.Usage()
 		os.Exit(2)
 	}
+	if err != nil {
+		log.Fatal(err)
+	}
 }
 
-func section(title string) {
-	fmt.Printf("\n%s\n%s\n", title, strings.Repeat("-", len(title)))
+var errUnknownExperiment = errors.New("unknown experiment")
+
+// section is one titled block of the report.
+type section struct {
+	name, title string
+	render      func(experiments.Budget) (string, error)
+}
+
+// rendered adapts an experiment and its formatter to a section body.
+func rendered[T any](run func(experiments.Budget) (T, error), format func(T) string) func(experiments.Budget) (string, error) {
+	return func(b experiments.Budget) (string, error) {
+		v, err := run(b)
+		if err != nil {
+			return "", err
+		}
+		return format(v), nil
+	}
+}
+
+// sections lists the report in print order.
+var sections = []section{
+	{"table2", "Table 2: hand-tuned baselines vs Homunculus-generated models",
+		rendered(experiments.Table2, experiments.FormatTable2)},
+	{"table3", "Table 3: resource scaling for application chaining strategies",
+		rendered(experiments.Table3, experiments.FormatTable3)},
+	{"table4", "Table 4: fused resource usage",
+		rendered(experiments.Table4, experiments.FormatTable4)},
+	{"table5", "Table 5: FPGA testbed resource consumption",
+		rendered(experiments.Table5, experiments.FormatTable5)},
+	{"fig4", "Figure 4: BO regret (F1 per iteration, anomaly-detection DNN)",
+		rendered(experiments.Figure4, experiments.FormatFigure4)},
+	{"fig6", "Figure 6: botnet vs benign flow-level histograms",
+		rendered(experiments.Figure6, experiments.FormatFigure6)},
+	{"fig7", "Figure 7: KMeans V-measure under MAT budgets",
+		rendered(experiments.Figure7, experiments.FormatFigure7)},
+	{"reaction", "§5.1.1: reaction time — per-packet vs flow-level botnet detection",
+		rendered(experiments.ReactionTime, experiments.FormatReaction)},
+	{"service", "Service sweep: bounded admission + content-addressed cache under load",
+		rendered(sweep.Run, sweep.Format)},
+}
+
+// report runs the selected experiment ("all" for every one) at budget b
+// and writes each section to w as soon as it completes.
+func report(w io.Writer, b experiments.Budget, run string) error {
+	ran := false
+	for _, s := range sections {
+		if run != "all" && run != s.name {
+			continue
+		}
+		ran = true
+		body, err := s.render(b)
+		if err != nil {
+			return fmt.Errorf("%s: %w", s.name, err)
+		}
+		if _, err := fmt.Fprintf(w, "\n%s\n%s\n%s", s.title, strings.Repeat("-", len(s.title)), body); err != nil {
+			return err
+		}
+	}
+	if !ran {
+		return fmt.Errorf("%w %q", errUnknownExperiment, run)
+	}
+	return nil
 }

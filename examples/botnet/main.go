@@ -41,8 +41,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	toFreq(train)
-	toFreq(test)
+	for _, d := range []*dataset.Dataset{train, test} {
+		for i := 0; i < d.Len(); i++ {
+			botnet.Frequencies(d.X.Row(i), packet.PaperBD)
+		}
+	}
 
 	app := core.App{Name: "botnet_detection", Train: train, Test: test, Normalize: true}
 	cfg := core.DefaultSearchConfig()
@@ -68,7 +71,7 @@ func main() {
 
 	// Stream the held-out trace through the deployed pipeline.
 	classify := stream.ModelFunc(func(f []float64) (int, error) {
-		return model.InferQ(freqVec(f))
+		return model.InferQ(botnet.Frequencies(append([]float64(nil), f...), packet.PaperBD))
 	})
 	trace := botnet.MergePackets(flows[cut:])
 	pp, err := stream.Run(packet.PaperBD, classify, trace, 4)
@@ -87,33 +90,4 @@ func main() {
 	fmt.Printf("reaction time:        %v into the conversation (per-packet)\n", pp.MeanDetectionTime.Round(time.Second))
 	fmt.Printf("                      %v (flow-level with 3600 s window)\n", fl.MeanReactionTime.Round(time.Second))
 	fmt.Printf("per-packet F1 %.3f vs flow-level F1 %.3f\n", pp.F1(), fl.F1())
-}
-
-// toFreq converts each flowmarker's PL and IPT segments to frequencies.
-func toFreq(d *dataset.Dataset) {
-	for i := 0; i < d.Len(); i++ {
-		freqInPlace(d.X.Row(i))
-	}
-}
-
-func freqVec(x []float64) []float64 {
-	c := append([]float64{}, x...)
-	freqInPlace(c)
-	return c
-}
-
-func freqInPlace(x []float64) {
-	pl := packet.PaperBD.PLBins
-	for _, seg := range [][2]int{{0, pl}, {pl, len(x)}} {
-		var sum float64
-		for _, v := range x[seg[0]:seg[1]] {
-			sum += v
-		}
-		if sum <= 0 {
-			continue
-		}
-		for j := seg[0]; j < seg[1]; j++ {
-			x[j] /= sum
-		}
-	}
 }

@@ -1,28 +1,37 @@
 // Package experiments regenerates every table and figure of the
-// Homunculus evaluation (§5) on the synthetic substrates: Table 2
+// Homunculus evaluation (§5) on the bundled synthetic substrates: Table 2
 // (baseline vs generated models), Table 3 (app chaining), Table 4 (model
 // fusion), Table 5 (FPGA utilization), Figure 4 (BO regret for AD),
 // Figure 6 (botnet vs benign histograms), Figure 7 (KMeans V-score under
-// MAT budgets), and the §5.1.1 reaction-time comparison. The same entry
-// points back cmd/experiments (full budget) and bench_test.go (quick
-// budget); EXPERIMENTS.md records paper-vs-measured values.
+// MAT budgets), and the §5.1.1 reaction-time comparison.
+//
+// Every searched row is compiled by the product: an Alchemy platform per
+// row, datasets from internal/loaders, one fresh in-process
+// homunculus.Service per entry point, and translation validation on, so a
+// diverged verdict fails the experiment. What stays direct is what the
+// compiler does not produce: the hand-tuned baselines, the chained
+// baseline of Table 3, and the Pareto search and fusion of Table 4.
+// cmd/experiments prints the full budget; EXPERIMENTS.md records that
+// output beside the paper claim each table backs.
 package experiments
 
 import (
+	"context"
 	"fmt"
 
-	"repro/internal/backend"
+	"repro/alchemy"
 	"repro/internal/bo"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/fixed"
 	"repro/internal/ir"
+	"repro/internal/loaders"
 	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/packet"
 	"repro/internal/synth/botnet"
-	"repro/internal/synth/iottc"
-	"repro/internal/synth/nslkdd"
+
+	homunculus "repro"
 )
 
 // Budget scales an experiment between bench-speed and paper-scale runs.
@@ -60,7 +69,9 @@ func Quick() Budget {
 	}
 }
 
-// Validate reports budget errors.
+// Validate reports budget errors. The seed must be positive: the loaders
+// read seed 0 as "generator default", so Seed 0 (or -1, -2, which the
+// per-application offsets carry to 0) would silently swap the corpus.
 func (b Budget) Validate() error {
 	if b.ADSamples < 100 || b.TCSamples < 100 || b.BDFlows < 20 {
 		return fmt.Errorf("experiments: dataset budgets too small: %+v", b)
@@ -68,13 +79,16 @@ func (b Budget) Validate() error {
 	if b.BOInit < 1 || b.BOIters < 0 || b.Epochs < 1 {
 		return fmt.Errorf("experiments: optimization budgets too small: %+v", b)
 	}
+	if b.Seed < 1 {
+		return fmt.Errorf("experiments: seed must be at least 1, got %d", b.Seed)
+	}
 	return nil
 }
 
-// searchConfig builds the core search configuration for a budget.
-func (b Budget) searchConfig() core.SearchConfig {
+// SearchConfig is the search configuration of a budget: the default
+// design space with the budget's BO, training and seed settings.
+func (b Budget) SearchConfig() core.SearchConfig {
 	cfg := core.DefaultSearchConfig()
-	cfg.BO = bo.DefaultConfig()
 	cfg.BO.InitSamples = b.BOInit
 	cfg.BO.Iterations = b.BOIters
 	cfg.TrainEpochs = b.Epochs
@@ -82,93 +96,105 @@ func (b Budget) searchConfig() core.SearchConfig {
 	return cfg
 }
 
-// adApp builds the anomaly-detection application (NSL-KDD-like).
-func adApp(b Budget) (core.App, error) {
-	cfg := nslkdd.DefaultConfig()
-	cfg.Samples = b.ADSamples
-	cfg.Seed = b.Seed
-	train, test, err := nslkdd.TrainTest(cfg)
-	if err != nil {
-		return core.App{}, err
-	}
-	return core.App{Name: "anomaly_detection", Train: train, Test: test, Normalize: true}, nil
+// The three applications' corpora. Each draws from its canonical loader
+// at a distinct seed offset.
+func adLoader(b Budget) alchemy.DataLoader { return loaders.NSLKDD(b.ADSamples, b.Seed) }
+func tcLoader(b Budget) alchemy.DataLoader { return loaders.IoTTC(b.TCSamples, b.Seed+1) }
+
+// bdLoader is the botnet corpus after the BD DataLoader's preprocessing
+// step: every flowmarker converted to per-histogram frequencies
+// (botnet.Frequencies), so a model trained on flow-level histograms
+// classifies the per-packet partial ones of the test split (§5.1.2).
+func bdLoader(b Budget) alchemy.DataLoader {
+	raw := loaders.Botnet(b.BDFlows, b.Seed+2)
+	return alchemy.DataLoaderFunc(func() (*alchemy.Data, error) {
+		data, err := raw.Load()
+		if err != nil {
+			return nil, err
+		}
+		for _, rows := range [][][]float64{data.TrainX, data.TestX} {
+			for _, x := range rows {
+				botnet.Frequencies(x, packet.PaperBD)
+			}
+		}
+		return data, nil
+	})
 }
 
-// tcApp builds the traffic-classification application (IIsy IoT-like).
-func tcApp(b Budget) (core.App, error) {
-	cfg := iottc.DefaultConfig()
-	cfg.Samples = b.TCSamples
-	cfg.Seed = b.Seed + 1
-	train, test, err := iottc.TrainTest(cfg)
-	if err != nil {
-		return core.App{}, err
-	}
-	return core.App{Name: "traffic_classification", Train: train, Test: test, Normalize: true}, nil
-}
-
-// bdData builds the botnet-detection datasets following the paper's
-// protocol: train on full flow-level flowmarkers, test on per-packet
-// partial histograms (§5.1.2).
-func bdData(b Budget) (train, test *dataset.Dataset, flows []botnet.Flow, err error) {
+// bdFlows regenerates the raw botnet corpus behind bdLoader, for the
+// experiments that read packets rather than features (Figure 6, the
+// reaction-time stream).
+func bdFlows(b Budget) ([]botnet.Flow, error) {
 	cfg := botnet.DefaultConfig()
 	cfg.Flows = b.BDFlows
 	cfg.Seed = b.Seed + 2
-	flows, err = botnet.Generate(cfg)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	cut := len(flows) * 3 / 4
-	train, err = botnet.FlowmarkerDataset(flows[:cut], packet.PaperBD)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	test, err = botnet.PartialDataset(flows[cut:], packet.PaperBD, 8)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	// The BD DataLoader's preprocessing step: convert raw histogram
-	// counts into per-histogram frequencies (PL and IPT parts normalized
-	// separately). Frequencies are prefix-robust — a conversation's
-	// partial histogram converges to the same distribution as its full
-	// flowmarker — which is what lets a model trained on flow-level
-	// histograms generalize to per-packet partial ones (§5.1.2).
-	normalizeHists(train)
-	normalizeHists(test)
-	return train, test, flows, nil
+	return botnet.Generate(cfg)
 }
 
-// normalizeHists converts each row's PL and IPT histogram segments into
-// frequency distributions in place.
-func normalizeHists(d *dataset.Dataset) {
-	for i := 0; i < d.Len(); i++ {
-		normalizeHistVec(d.X.Row(i))
+// datasets materializes a loader's train/test split.
+func datasets(l alchemy.DataLoader) (train, test *dataset.Dataset, err error) {
+	data, err := l.Load()
+	if err != nil {
+		return nil, nil, err
 	}
+	return data.Datasets()
 }
 
-// normalizeHistVec normalizes one flowmarker (PaperBD layout) in place
-// and returns it.
-func normalizeHistVec(x []float64) []float64 {
-	pl := packet.PaperBD.PLBins
-	segments := [][2]int{{0, pl}, {pl, len(x)}}
-	for _, seg := range segments {
-		var sum float64
-		for _, v := range x[seg[0]:seg[1]] {
-			sum += v
-		}
-		if sum <= 0 {
-			continue
-		}
-		for j := seg[0]; j < seg[1]; j++ {
-			x[j] /= sum
-		}
-	}
-	return x
+// job is one searched row: a model scheduled alone on a platform, under
+// a search configuration.
+type job struct {
+	kind   string            // registered backend kind
+	tables int               // MAT table budget; 0 keeps the platform default
+	model  *alchemy.Model    // the one scheduled model
+	search core.SearchConfig // BO budget, design-space bounds, seed
 }
 
-// histVec applies the same transform to a copy of one raw feature vector
-// (for streaming inference).
-func histVec(x []float64) []float64 {
-	return normalizeHistVec(append([]float64{}, x...))
+// compile submits every job to one fresh in-process Service — fresh, so
+// repeated runs never turn into cache hits — with translation validation
+// on, and returns each job's compiled app in order. A job whose compiled
+// model diverges from its emitted artifacts fails the experiment; a job
+// that finds no feasible model returns an app with a nil Model for the
+// caller to judge.
+func compile(jobs []job) ([]homunculus.AppResult, error) {
+	svc := homunculus.New(homunculus.ServiceOptions{})
+	defer svc.Close()
+	ctx := context.Background()
+	handles := make([]*homunculus.Job, len(jobs))
+	for i, j := range jobs {
+		p, err := alchemy.PlatformFor(j.kind)
+		if err != nil {
+			return nil, err
+		}
+		p.Constrain(alchemy.Constraints{Resources: alchemy.Resources{Tables: j.tables}})
+		p.Schedule(j.model)
+		if handles[i], err = svc.Submit(ctx, p, homunculus.WithSearchConfig(j.search), homunculus.WithValidation()); err != nil {
+			return nil, fmt.Errorf("experiments: submit %s on %s: %w", j.model.Spec.Name, j.kind, err)
+		}
+	}
+	apps := make([]homunculus.AppResult, len(jobs))
+	for i, h := range handles {
+		pipe, err := h.Wait(ctx)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: compile %s on %s: %w", jobs[i].model.Spec.Name, jobs[i].kind, err)
+		}
+		app := pipe.Apps[0]
+		if app.Model != nil && !app.Validation.OK() {
+			return nil, fmt.Errorf("experiments: %s on %s: %s", app.Name, pipe.Platform, app.Validation)
+		}
+		apps[i] = app
+	}
+	return apps, nil
+}
+
+// trajectory is the BO run of the family the compiler selected (empty
+// when no family found a feasible model).
+func trajectory(app homunculus.AppResult) bo.Result {
+	for _, c := range app.Candidates {
+		if c.Algorithm.String() == app.Algorithm {
+			return c.BO
+		}
+	}
+	return bo.Result{}
 }
 
 // trainBaselineDNN trains a fixed hand-tuned architecture — the paper's
@@ -221,18 +247,4 @@ func scoreF1(m *ir.Model, test *dataset.Dataset) (float64, error) {
 		return conf.F1(1), nil
 	}
 	return conf.MacroF1(), nil
-}
-
-// taurusTarget resolves the evaluation's Taurus deployment through the
-// backend registry (default 16×16 grid at 1 GPkt/s / 500 ns).
-func taurusTarget() (core.Target, error) {
-	return backend.Build(backend.Spec{Kind: "taurus"})
-}
-
-// matTarget resolves a MAT switch with the given table budget through
-// the backend registry.
-func matTarget(tables int) (core.Target, error) {
-	return backend.Build(backend.Spec{Kind: "tofino", Constraints: backend.Constraints{
-		Resources: backend.Resources{Tables: tables},
-	}})
 }

@@ -26,6 +26,13 @@ func TestBudgetValidate(t *testing.T) {
 	if bad2.Validate() == nil {
 		t.Fatal("zero epochs must fail")
 	}
+	for _, seed := range []int64{0, -1} {
+		bad3 := Quick()
+		bad3.Seed = seed
+		if bad3.Validate() == nil {
+			t.Fatalf("seed %d must fail: the loaders read 0 as the generator default", seed)
+		}
+	}
 }
 
 func TestTable2Shapes(t *testing.T) {

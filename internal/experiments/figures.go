@@ -1,11 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"time"
 
-	"repro/internal/core"
+	"repro/alchemy"
 	"repro/internal/ir"
 	"repro/internal/packet"
 	"repro/internal/stream"
@@ -23,33 +22,25 @@ type Figure4Data struct {
 }
 
 // Figure4 reproduces the regret plot for the anomaly-detection DNN on the
-// Map-Reduce grid (§3.3).
+// Map-Reduce grid (§3.3): the Hom-AD row of Table 2, compiled by the
+// product, read back as its BO trajectory.
 func Figure4(b Budget) (Figure4Data, error) {
 	if err := b.Validate(); err != nil {
 		return Figure4Data{}, err
 	}
-	ad, err := adApp(b)
+	apps, err := compile([]job{table2Apps(b)[0].hom})
 	if err != nil {
 		return Figure4Data{}, err
 	}
-	cfg := b.searchConfig()
-	cfg.Algorithms = []ir.Kind{ir.DNN}
-	target, err := taurusTarget()
-	if err != nil {
-		return Figure4Data{}, err
-	}
-	res, err := core.Search(context.Background(), ad, target, cfg)
-	if err != nil {
-		return Figure4Data{}, err
-	}
-	if res.Best == nil {
+	if apps[0].Model == nil {
 		return Figure4Data{}, fmt.Errorf("experiments: figure4 search found no model")
 	}
+	run := trajectory(apps[0])
 	var out Figure4Data
-	for _, ev := range res.Best.BO.History {
+	for _, ev := range run.History {
 		out.Raw = append(out.Raw, ev.Objective*100)
 	}
-	for _, v := range res.Best.BO.BestByIteration() {
+	for _, v := range run.BestByIteration() {
 		out.Best = append(out.Best, v*100)
 	}
 	return out, nil
@@ -76,10 +67,7 @@ func Figure6(b Budget) (Figure6Data, error) {
 	if err := b.Validate(); err != nil {
 		return Figure6Data{}, err
 	}
-	cfg := botnet.DefaultConfig()
-	cfg.Flows = b.BDFlows
-	cfg.Seed = b.Seed + 2
-	flows, err := botnet.Generate(cfg)
+	flows, err := bdFlows(b)
 	if err != nil {
 		return Figure6Data{}, err
 	}
@@ -115,36 +103,33 @@ type Figure7Series struct {
 // Figure7 reproduces the V-measure regret plots for KMeans traffic
 // clustering under MAT table budgets 1..5 (KMeans1..KMeans5): Homunculus
 // conforms the clustering to each budget, trading fidelity for tables.
+// Each budget is one compilation of the same declared model on a Tofino
+// platform constrained to that many tables.
 func Figure7(b Budget) ([]Figure7Series, error) {
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
-	tc, err := tcApp(b)
+	model := alchemy.NewModel(alchemy.ModelSpec{
+		Name: "traffic_classification", OptimizationMetric: "vmeasure",
+		Algorithms: []string{"kmeans"}, DataLoader: tcLoader(b),
+	})
+	var jobs []job
+	for tables := 1; tables <= 5; tables++ {
+		search := b.SearchConfig()
+		search.MaxClusters = 8
+		search.Seed = b.Seed + int64(tables)*31
+		jobs = append(jobs, job{kind: "tofino", tables: tables, model: model, search: search})
+	}
+	apps, err := compile(jobs)
 	if err != nil {
 		return nil, err
 	}
-	var out []Figure7Series
-	for tables := 1; tables <= 5; tables++ {
-		cfg := b.searchConfig()
-		cfg.Algorithms = []ir.Kind{ir.KMeans}
-		cfg.Metric = core.MetricVMeasure
-		cfg.MaxClusters = 8
-		cfg.Seed = b.Seed + int64(tables)*31
-		target, err := matTarget(tables)
-		if err != nil {
-			return nil, err
+	out := make([]Figure7Series, len(apps))
+	for i, app := range apps {
+		out[i].Tables = jobs[i].tables
+		for _, v := range trajectory(app).BestByIteration() {
+			out[i].VScore = append(out[i].VScore, v*100)
 		}
-		res, err := core.Search(context.Background(), tc, target, cfg)
-		if err != nil {
-			return nil, err
-		}
-		series := Figure7Series{Tables: tables}
-		if res.Best != nil {
-			for _, v := range res.Best.BO.BestByIteration() {
-				series.VScore = append(series.VScore, v*100)
-			}
-		}
-		out = append(out, series)
 	}
 	return out, nil
 }
@@ -185,7 +170,11 @@ func ReactionTime(b Budget) (ReactionResult, error) {
 	if err := b.Validate(); err != nil {
 		return ReactionResult{}, err
 	}
-	train, _, flows, err := bdData(b)
+	train, _, err := datasets(bdLoader(b))
+	if err != nil {
+		return ReactionResult{}, err
+	}
+	flows, err := bdFlows(b)
 	if err != nil {
 		return ReactionResult{}, err
 	}
@@ -199,8 +188,11 @@ func ReactionTime(b Budget) (ReactionResult, error) {
 		return ReactionResult{}, err
 	}
 
-	classify := stream.ModelFunc(func(f []float64) (int, error) { return model.InferQ(histVec(f)) })
-	// Evaluate on the held-out tail of the corpus.
+	classify := stream.ModelFunc(func(f []float64) (int, error) {
+		return model.InferQ(botnet.Frequencies(append([]float64(nil), f...), packet.PaperBD))
+	})
+	// Evaluate on the held-out tail of the corpus: the flows behind the
+	// loader's partial-window test split.
 	cut := len(flows) * 3 / 4
 	test := botnet.MergePackets(flows[cut:])
 

@@ -1,10 +1,11 @@
 // Package sweep drives the experiment harness's cross-backend workload
-// through the homunculus.Service — the admission, caching, and
-// single-flight machinery under real compilation load, instead of the
-// direct core.Search calls the table/figure experiments use. It submits
-// every (application, backend) pair at once against a service whose
-// in-flight bound is smaller than the batch, plus duplicate submissions
-// that must coalesce onto the cache, and reports the per-job outcomes.
+// through one homunculus.Service under contention: admission, caching
+// and single-flight under real compilation load, where the table and
+// figure experiments give each entry point a fresh service of its own.
+// It submits every (application, backend) pair at once against a
+// service whose in-flight bound is smaller than the batch, plus
+// duplicate submissions that must coalesce onto the cache, and reports
+// the per-job outcomes.
 package sweep
 
 import (
@@ -14,7 +15,6 @@ import (
 
 	"repro/alchemy"
 	"repro/internal/backend"
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/loaders"
 
@@ -50,11 +50,7 @@ func Run(b experiments.Budget) ([]Row, error) {
 		return nil, err
 	}
 	adLoader, tcLoader := budgetLoaders(b)
-	search := core.DefaultSearchConfig()
-	search.BO.InitSamples = b.BOInit
-	search.BO.Iterations = b.BOIters
-	search.TrainEpochs = b.Epochs
-	search.Seed = b.Seed
+	search := b.SearchConfig()
 
 	models := map[string]*alchemy.Model{
 		"ad": alchemy.NewModel(alchemy.ModelSpec{

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/fpga"
@@ -27,15 +28,15 @@ func Table3(b Budget) ([]Table3Row, error) {
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
-	ad, err := adApp(b)
+	train, test, err := datasets(adLoader(b))
 	if err != nil {
 		return nil, err
 	}
-	model, _, err := trainBaselineDNN("ad", ad.Train, ad.Test, []int{12, 6, 3}, 2, b.Epochs, b.Seed)
+	model, _, err := trainBaselineDNN("ad", train, test, []int{12, 6, 3}, 2, b.Epochs, b.Seed)
 	if err != nil {
 		return nil, err
 	}
-	target, err := taurusTarget()
+	target, err := backend.Build(backend.Spec{Kind: "taurus"})
 	if err != nil {
 		return nil, err
 	}
@@ -87,24 +88,24 @@ func Table4(b Budget) ([]Table4Row, error) {
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
-	ad, err := adApp(b)
+	train, test, err := datasets(adLoader(b))
 	if err != nil {
 		return nil, err
 	}
-	target, err := taurusTarget()
+	target, err := backend.Build(backend.Spec{Kind: "taurus"})
 	if err != nil {
 		return nil, err
 	}
-	cfg := b.searchConfig()
+	cfg := b.SearchConfig()
 	cfg.Algorithms = []ir.Kind{ir.DNN}
 
 	// Feature-overlapping halves (different sample halves, views sharing
 	// all but one feature each).
-	part1Train, part2Train, err := splitHalves(ad.Train)
+	part1Train, part2Train, err := splitHalves(train)
 	if err != nil {
 		return nil, err
 	}
-	part1Test, part2Test, err := splitHalves(ad.Test)
+	part1Test, part2Test, err := splitHalves(test)
 	if err != nil {
 		return nil, err
 	}
@@ -203,7 +204,7 @@ type Table5Row struct {
 // Table5 maps the six Table-2 models (plus the bare loopback) through the
 // Alveo U250 utilization model.
 func Table5(b Budget) ([]Table5Row, error) {
-	t2, err := Table2Models(b)
+	models, err := table2Models(b)
 	if err != nil {
 		return nil, err
 	}
@@ -216,102 +217,17 @@ func Table5(b Budget) ([]Table5Row, error) {
 		Application: "Loopback", Model: "-",
 		LUTPct: loop.LUTPct, FFPct: loop.FFPct, BRAMPct: loop.BRAMPct, PowerW: loop.PowerW,
 	}}
-	for _, item := range t2 {
-		rep, err := fpga.Estimate(shell, item.Model)
+	for _, m := range models {
+		rep, err := fpga.Estimate(shell, m.model)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, Table5Row{
-			Application: item.Name, Model: "DNN",
+			Application: m.name, Model: "DNN",
 			LUTPct: rep.LUTPct, FFPct: rep.FFPct, BRAMPct: rep.BRAMPct, PowerW: rep.PowerW,
 		})
 	}
 	return rows, nil
-}
-
-// NamedModel pairs a Table-2 model with its row name.
-type NamedModel struct {
-	Name  string
-	Model *ir.Model
-}
-
-// Table2Models rebuilds the six models behind Table 2 (baselines trained
-// directly, Homunculus rows searched) for reuse by Table 5.
-func Table2Models(b Budget) ([]NamedModel, error) {
-	if err := b.Validate(); err != nil {
-		return nil, err
-	}
-	target, err := taurusTarget()
-	if err != nil {
-		return nil, err
-	}
-	var out []NamedModel
-
-	ad, err := adApp(b)
-	if err != nil {
-		return nil, err
-	}
-	baseAD, _, err := trainBaselineDNN("base_ad", ad.Train, ad.Test, []int{12, 6, 3}, 2, b.Epochs, b.Seed)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, NamedModel{"Base-AD", baseAD})
-	cfg := b.searchConfig()
-	cfg.Algorithms = []ir.Kind{ir.DNN}
-	homAD, err := core.Search(context.Background(), ad, target, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if homAD.Best == nil {
-		return nil, fmt.Errorf("experiments: Hom-AD search failed")
-	}
-	out = append(out, NamedModel{"Hom-AD", homAD.Best.Model})
-
-	tc, err := tcApp(b)
-	if err != nil {
-		return nil, err
-	}
-	baseTC, _, err := trainBaselineDNN("base_tc", tc.Train, tc.Test, []int{10, 10, 5}, 5, b.Epochs, b.Seed+1)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, NamedModel{"Base-TC", baseTC})
-	cfg = b.searchConfig()
-	cfg.Algorithms = []ir.Kind{ir.DNN}
-	cfg.Seed = b.Seed + 1
-	homTC, err := core.Search(context.Background(), tc, target, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if homTC.Best == nil {
-		return nil, fmt.Errorf("experiments: Hom-TC search failed")
-	}
-	out = append(out, NamedModel{"Hom-TC", homTC.Best.Model})
-
-	bdTrain, bdTest, _, err := bdData(b)
-	if err != nil {
-		return nil, err
-	}
-	bd := core.App{Name: "botnet_detection", Train: bdTrain, Test: bdTest, Normalize: true}
-	baseBD, _, err := trainBaselineDNN("base_bd", bd.Train, bd.Test, []int{10, 10, 10, 10}, 2, b.Epochs, b.Seed+2)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, NamedModel{"Base-BD", baseBD})
-	cfg = b.searchConfig()
-	cfg.Algorithms = []ir.Kind{ir.DNN}
-	cfg.MaxHiddenLayers = 8
-	cfg.MaxNeurons = 12
-	cfg.Seed = b.Seed + 2
-	homBD, err := core.Search(context.Background(), bd, target, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if homBD.Best == nil {
-		return nil, fmt.Errorf("experiments: Hom-BD search failed")
-	}
-	out = append(out, NamedModel{"Hom-BD", homBD.Best.Model})
-	return out, nil
 }
 
 // FormatTable5 renders the utilization table.

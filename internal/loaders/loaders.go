@@ -1,8 +1,11 @@
 // Package loaders holds the canonical DataLoader recipes for the
 // bundled synthetic dataset generators — the single source the CLI's
-// spec format, the HTTP daemon's catalog, and the experiment sweeps all
-// build from, so the generator wiring (including the botnet corpus's
-// 3/4 flowmarker/partial split) cannot drift between entry points.
+// spec format, the HTTP daemon's catalog, the repo benchmark, and the
+// feature datasets of internal/experiments build from, so the generator wiring
+// (including the botnet corpus's 3/4 flowmarker/partial split and its
+// 8-packet window) cannot drift between entry points. The loaders emit
+// raw features; preprocessing such as the botnet experiments' frequency
+// transform (botnet.Frequencies) wraps a loader rather than forking it.
 package loaders
 
 import (

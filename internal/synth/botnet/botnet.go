@@ -3,7 +3,7 @@
 // benign P2P file-sharing applications (uTorrent, Vuze, eMule, Frostwire)
 // versus botnet command-and-control traffic (Storm, Waledac).
 //
-// Substitution note (DESIGN.md): the load-bearing property of the real
+// Substitution note: the load-bearing property of the real
 // traces — quoted directly in §5.1.1 — is that "botnets communicate via
 // low-volume and high-duration flows compared to benign P2P applications,
 // which makes them identifiable using their packet size and inter-arrival
@@ -369,6 +369,30 @@ func PartialDataset(flows []Flow, cfg packet.HistConfig, prefixStride int) (*dat
 		d.Y[i] = labels[i]
 	}
 	return d, nil
+}
+
+// Frequencies converts one flowmarker of layout cfg into per-segment
+// frequencies in place and returns it: the packet-length and
+// inter-arrival histograms are each divided by their own total (an
+// all-zero segment stays zero). This is the BD DataLoader's
+// preprocessing step (§5.1.2). Frequencies are prefix-robust — a
+// conversation's partial histogram converges to the same distribution as
+// its full flowmarker — which is what lets a model trained on flow-level
+// histograms classify per-packet partial ones.
+func Frequencies(x []float64, cfg packet.HistConfig) []float64 {
+	for _, seg := range [][]float64{x[:cfg.PLBins], x[cfg.PLBins:]} {
+		var sum float64
+		for _, v := range seg {
+			sum += v
+		}
+		if sum <= 0 {
+			continue
+		}
+		for j := range seg {
+			seg[j] /= sum
+		}
+	}
+	return x
 }
 
 // AverageHistograms computes the class-averaged PL and IPT histograms

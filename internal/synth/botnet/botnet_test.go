@@ -189,3 +189,20 @@ func TestAppString(t *testing.T) {
 		t.Fatal("out-of-range app must render")
 	}
 }
+
+func TestFrequencies(t *testing.T) {
+	cfg := packet.PaperBD
+	x := make([]float64, cfg.Features())
+	x[0], x[1] = 1, 3
+	x[cfg.PLBins] = 5
+	Frequencies(x, cfg)
+	if x[0] != 0.25 || x[1] != 0.75 || x[cfg.PLBins] != 1 {
+		t.Fatalf("segments not normalized separately: %v", x)
+	}
+	zero := make([]float64, cfg.Features())
+	for _, v := range Frequencies(zero, cfg) {
+		if v != 0 {
+			t.Fatalf("an empty segment must stay zero: %v", zero)
+		}
+	}
+}
