@@ -7,7 +7,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: check vet build test validate fuzz fuzz-wire fuzz-number fuzz-batch fuzz-job fuzz-tree fuzz-config fuzz-envelope fuzz-pipeline bench-smoke bench staticcheck
+.PHONY: check vet build test validate fuzz fuzz-wire fuzz-number fuzz-batch fuzz-job fuzz-tree fuzz-config fuzz-envelope fuzz-pipeline fuzz-manifest bench-smoke bench staticcheck
 
 check: vet build test
 
@@ -102,6 +102,16 @@ fuzz-envelope:
 # Minimization is capped in executions: the seeds are whole artifacts.
 fuzz-pipeline:
 	$(GO) test -run='^$$' -fuzz=FuzzUnmarshalPipeline -fuzztime=$(FUZZ_BUDGET) -fuzzminimizetime=200x .
+
+# Native fuzzing of the endpoint-manifest restore path (the tenth nightly
+# CI step, with a 10 s smoke in ci.yml): FuzzRestoreManifest writes the
+# fuzzed bytes as endpoints.json in a fresh state directory and opens a
+# service on it; every record must be restored or skipped with a store
+# error, and every restored serving document must re-parse to itself.
+# Minimization is capped in executions: the seeds are whole manifests
+# and each execution opens a service.
+fuzz-manifest:
+	$(GO) test -run='^$$' -fuzz=FuzzRestoreManifest -fuzztime=$(FUZZ_BUDGET) -fuzzminimizetime=100x .
 
 # One iteration of every benchmark, no unit tests: catches bit-rotted
 # benchmark code and asserts the allocation budgets and the autopilot

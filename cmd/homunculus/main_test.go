@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"errors"
+	"io"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -19,7 +20,7 @@ import (
 
 func TestRunTaurusSpec(t *testing.T) {
 	out := t.TempDir()
-	if err := run(context.Background(), "testdata/ad.json", out, "", 0); err != nil {
+	if _, err := run(context.Background(), config{out: io.Discard, spec: "testdata/ad.json", outDir: out}); err != nil {
 		t.Fatal(err)
 	}
 	code, err := os.ReadFile(filepath.Join(out, "anomaly_detection.spatial"))
@@ -45,7 +46,7 @@ func TestRunTaurusSpec(t *testing.T) {
 
 func TestRunTofinoSpec(t *testing.T) {
 	out := t.TempDir()
-	if err := run(context.Background(), "testdata/tc_tofino.json", out, "", 0); err != nil {
+	if _, err := run(context.Background(), config{out: io.Discard, spec: "testdata/tc_tofino.json", outDir: out}); err != nil {
 		t.Fatal(err)
 	}
 	code, err := os.ReadFile(filepath.Join(out, "traffic_class.p4"))
@@ -95,7 +96,7 @@ func TestRunCSVSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := t.TempDir()
-	if err := run(context.Background(), specPath, out, "", 0); err != nil {
+	if _, err := run(context.Background(), config{out: io.Discard, spec: specPath, outDir: out}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(out, "csv_pipeline.spatial")); err != nil {
@@ -105,28 +106,28 @@ func TestRunCSVSpec(t *testing.T) {
 
 func TestRunSpecErrors(t *testing.T) {
 	out := t.TempDir()
-	if err := run(context.Background(), "testdata/does_not_exist.json", out, "", 0); err == nil {
+	if _, err := run(context.Background(), config{out: io.Discard, spec: "testdata/does_not_exist.json", outDir: out}); err == nil {
 		t.Fatal("missing spec must fail")
 	}
 	dir := t.TempDir()
 	badPath := filepath.Join(dir, "bad.json")
 	os.WriteFile(badPath, []byte("not json"), 0o644)
-	if err := run(context.Background(), badPath, out, "", 0); err == nil {
+	if _, err := run(context.Background(), config{out: io.Discard, spec: badPath, outDir: out}); err == nil {
 		t.Fatal("garbage spec must fail")
 	}
 	noName := filepath.Join(dir, "noname.json")
 	os.WriteFile(noName, []byte(`{"data": {"generator": "nslkdd"}}`), 0o644)
-	if err := run(context.Background(), noName, out, "", 0); err == nil {
+	if _, err := run(context.Background(), config{out: io.Discard, spec: noName, outDir: out}); err == nil {
 		t.Fatal("nameless spec must fail")
 	}
 	badGen := filepath.Join(dir, "badgen.json")
 	os.WriteFile(badGen, []byte(`{"name": "x", "data": {"generator": "zzz"}}`), 0o644)
-	if err := run(context.Background(), badGen, out, "", 0); err == nil {
+	if _, err := run(context.Background(), config{out: io.Discard, spec: badGen, outDir: out}); err == nil {
 		t.Fatal("unknown generator must fail")
 	}
 	badPlat := filepath.Join(dir, "badplat.json")
 	os.WriteFile(badPlat, []byte(`{"name": "x", "data": {"generator": "nslkdd"}, "platform": {"kind": "abacus"}}`), 0o644)
-	if err := run(context.Background(), badPlat, out, "", 0); err == nil {
+	if _, err := run(context.Background(), config{out: io.Discard, spec: badPlat, outDir: out}); err == nil {
 		t.Fatal("unknown platform must fail")
 	}
 }
@@ -137,7 +138,7 @@ func TestRunSpecErrors(t *testing.T) {
 // the DNN and stays undeployable).
 func TestRunPlatformAllSweep(t *testing.T) {
 	out := t.TempDir()
-	if err := run(context.Background(), "testdata/ad.json", out, "all", 0); err != nil {
+	if _, err := run(context.Background(), config{out: io.Discard, spec: "testdata/ad.json", outDir: out, platform: "all"}); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"anomaly_detection.taurus.spatial", "anomaly_detection.fpga.spatial"} {
@@ -153,7 +154,7 @@ func TestRunPlatformAllSweep(t *testing.T) {
 // TestRunPlatformOverride: -platform swaps the spec's declared kind.
 func TestRunPlatformOverride(t *testing.T) {
 	out := t.TempDir()
-	if err := run(context.Background(), "testdata/tc_tofino.json", out, "taurus", 0); err != nil {
+	if _, err := run(context.Background(), config{out: io.Discard, spec: "testdata/tc_tofino.json", outDir: out, platform: "taurus"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(out, "traffic_class.spatial")); err != nil {
@@ -164,7 +165,7 @@ func TestRunPlatformOverride(t *testing.T) {
 // TestRunTimeout: a hopeless deadline must abort with a context error
 // instead of compiling.
 func TestRunTimeout(t *testing.T) {
-	err := run(context.Background(), "testdata/ad.json", t.TempDir(), "", time.Nanosecond)
+	_, err := run(context.Background(), config{out: io.Discard, spec: "testdata/ad.json", outDir: t.TempDir(), timeout: time.Nanosecond})
 	if err == nil {
 		t.Fatal("1ns budget must time out")
 	}
@@ -179,7 +180,7 @@ func TestUnknownPlatformListsBackends(t *testing.T) {
 	dir := t.TempDir()
 	badPlat := filepath.Join(dir, "badplat.json")
 	os.WriteFile(badPlat, []byte(`{"name": "x", "data": {"generator": "nslkdd"}, "platform": {"kind": "abacus"}}`), 0o644)
-	err := run(context.Background(), badPlat, t.TempDir(), "", 0)
+	_, err := run(context.Background(), config{out: io.Discard, spec: badPlat, outDir: t.TempDir()})
 	if err == nil {
 		t.Fatal("unknown platform must fail")
 	}
@@ -199,12 +200,16 @@ func TestBuildLoaderValidation(t *testing.T) {
 	}
 }
 
+// adConfig is `-spec testdata/ad.json` into a fresh output directory
+// with the given replay settings, its report discarded.
+func adConfig(t *testing.T, r replaySettings) config {
+	return config{out: io.Discard, spec: "testdata/ad.json", outDir: t.TempDir(), replay: r}
+}
+
 // TestRunDeployReplay drives the -deploy/-replay leg: compile the AD
 // spec, deploy it in-process, and replay a cycled test-split trace.
 func TestRunDeployReplay(t *testing.T) {
-	replayCfg = replaySettings{deploy: true, samples: 500, clients: 4, batch: 16}
-	defer func() { replayCfg = replaySettings{} }()
-	if err := run(context.Background(), "testdata/ad.json", t.TempDir(), "", 0); err != nil {
+	if _, err := run(context.Background(), adConfig(t, replaySettings{deploy: true, samples: 500, clients: 4, batch: 16})); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -214,15 +219,14 @@ func TestRunDeployReplay(t *testing.T) {
 // deliberately tiny ring, and the report accounts for every offered
 // request (delivered + shed + errors) with the offered rate populated.
 func TestRunDeployBurstReplay(t *testing.T) {
-	replayCfg = replaySettings{
+	got, err := run(context.Background(), adConfig(t, replaySettings{
 		deploy: true, samples: 500, clients: 8, batch: 16,
 		queue: 2, burst: true,
-	}
-	defer func() { replayCfg = replaySettings{}; lastReplayReport = nil }()
-	if err := run(context.Background(), "testdata/ad.json", t.TempDir(), "", 0); err != nil {
+	}))
+	if err != nil {
 		t.Fatal(err)
 	}
-	rep := lastReplayReport
+	rep := got.replay
 	if rep == nil {
 		t.Fatal("burst replay left no report")
 	}
@@ -243,14 +247,12 @@ func TestRunDeployBurstReplay(t *testing.T) {
 // endpoint's table must produce byte-identical classifications to the
 // plain -deploy replay (no rollout), with nothing dropped.
 func TestRunEndpointCanaryZeroByteIdentical(t *testing.T) {
-	defer func() { replayCfg = replaySettings{}; lastReplayReport = nil }()
-
 	// Plain -deploy replay: the endpoint named "replay", no rollout.
-	replayCfg = replaySettings{deploy: true, samples: 400, clients: 4, batch: 16}
-	if err := run(context.Background(), "testdata/ad.json", t.TempDir(), "", 0); err != nil {
+	got, err := run(context.Background(), adConfig(t, replaySettings{deploy: true, samples: 400, clients: 4, batch: 16}))
+	if err != nil {
 		t.Fatal(err)
 	}
-	flat := lastReplayReport
+	flat := got.replay
 	if flat == nil || flat.digest == "" || flat.endpoint == nil || flat.endpoint.Name != "replay" || len(flat.endpoint.Revisions) != 1 {
 		t.Fatalf("flat replay report: %+v", flat)
 	}
@@ -260,14 +262,14 @@ func TestRunEndpointCanaryZeroByteIdentical(t *testing.T) {
 
 	// The same spec through an endpoint with a mid-replay 0% canary
 	// rollout (recompiled at seed+1, routed no traffic).
-	replayCfg = replaySettings{
+	got, err = run(context.Background(), adConfig(t, replaySettings{
 		deploy: true, samples: 400, clients: 4, batch: 16,
 		endpoint: "ad", rollout: true, canary: 0,
-	}
-	if err := run(context.Background(), "testdata/ad.json", t.TempDir(), "", 0); err != nil {
+	}))
+	if err != nil {
 		t.Fatal(err)
 	}
-	ep := lastReplayReport
+	ep := got.replay
 	if ep == nil || ep.endpoint == nil {
 		t.Fatalf("endpoint replay report: %+v", ep)
 	}
@@ -289,15 +291,14 @@ func TestRunEndpointCanaryZeroByteIdentical(t *testing.T) {
 // mid-replay Promote completes with dropped == 0 and accepted ==
 // completed in the final stats.
 func TestRunEndpointPromoteMidReplay(t *testing.T) {
-	defer func() { replayCfg = replaySettings{}; lastReplayReport = nil }()
-	replayCfg = replaySettings{
+	got, err := run(context.Background(), adConfig(t, replaySettings{
 		deploy: true, samples: 400, clients: 4, batch: 16,
 		endpoint: "ad", rollout: true, canary: 25, promote: true,
-	}
-	if err := run(context.Background(), "testdata/ad.json", t.TempDir(), "", 0); err != nil {
+	}))
+	if err != nil {
 		t.Fatal(err)
 	}
-	rep := lastReplayReport
+	rep := got.replay
 	if rep == nil || rep.endpoint == nil {
 		t.Fatalf("replay report: %+v", rep)
 	}
@@ -320,15 +321,14 @@ func TestRunEndpointPromoteMidReplay(t *testing.T) {
 // TestRunEndpointShadowReplay: a mid-replay shadow rollout mirrors
 // traffic and fills the divergence report without touching the answers.
 func TestRunEndpointShadowReplay(t *testing.T) {
-	defer func() { replayCfg = replaySettings{}; lastReplayReport = nil }()
-	replayCfg = replaySettings{
+	got, err := run(context.Background(), adConfig(t, replaySettings{
 		deploy: true, samples: 400, clients: 4, batch: 16,
 		endpoint: "ad", rollout: true, shadow: true,
-	}
-	if err := run(context.Background(), "testdata/ad.json", t.TempDir(), "", 0); err != nil {
+	}))
+	if err != nil {
 		t.Fatal(err)
 	}
-	rep := lastReplayReport
+	rep := got.replay
 	if rep == nil || rep.endpoint == nil || rep.endpoint.Shadow == nil {
 		t.Fatalf("shadow replay report: %+v", rep)
 	}
@@ -346,39 +346,109 @@ func TestRunEndpointShadowReplay(t *testing.T) {
 
 // TestReplaySettingsValidate pins the lifecycle flag contract.
 func TestReplaySettingsValidate(t *testing.T) {
-	for _, bad := range []replaySettings{
-		{rollout: true},
-		{canary: 10},
-		{promote: true},
-		{endpoint: "x", canary: 101},
-		{endpoint: "x", rollout: true, shadow: true, canary: 10},
-		{endpoint: "x", rollout: true, promote: true, rollback: true},
-		{endpoint: "x", promote: true},
-		{endpoint: "x", canary: 25},
-		{endpoint: "x", shadow: true},
+	for _, bad := range [][]string{
+		{"-rollout"},
+		{"-canary", "10"},
+		{"-promote"},
+		{"-endpoint", "x", "-canary", "101"},
+		{"-endpoint", "x", "-rollout", "-shadow", "-canary", "10"},
+		{"-endpoint", "x", "-rollout", "-promote", "-rollback"},
+		{"-endpoint", "x", "-promote"},
+		{"-endpoint", "x", "-canary", "25"},
+		{"-endpoint", "x", "-shadow"},
 	} {
-		if err := bad.validate(); err == nil {
-			t.Fatalf("settings %+v must be rejected", bad)
+		if _, err := parseFlags(append([]string{"-spec", "s.json"}, bad...)); err == nil {
+			t.Fatalf("flags %q must be rejected", bad)
 		}
 	}
-	for _, ok := range []replaySettings{
+	for _, ok := range [][]string{
 		{},
-		{deploy: true},
-		{endpoint: "x"},
-		{endpoint: "x", rollout: true, canary: 50, promote: true},
-		{endpoint: "x", rollout: true, shadow: true, rollback: true},
+		{"-deploy"},
+		{"-endpoint", "x"},
+		{"-endpoint", "x", "-rollout", "-canary", "50", "-promote"},
+		{"-endpoint", "x", "-rollout", "-shadow", "-rollback"},
 	} {
-		if err := ok.validate(); err != nil {
-			t.Fatalf("settings %+v must be accepted: %v", ok, err)
+		if _, err := parseFlags(append([]string{"-spec", "s.json"}, ok...)); err != nil {
+			t.Fatalf("flags %q must be accepted: %v", ok, err)
+		}
+	}
+}
+
+// TestParseFlags pins the command line's contract: which flags imply
+// deployment or tuning, and which combinations are refused before any
+// mode runs.
+func TestParseFlags(t *testing.T) {
+	deploys := func(c config) bool { return c.replay.deploy && !c.tune.enabled }
+	tunes := func(c config) bool { return c.tune.enabled && !c.replay.deploy }
+	plain := func(c config) bool { return !c.replay.deploy && !c.tune.enabled }
+	for _, tc := range []struct {
+		args   []string
+		want   func(config) bool // checked when the line is accepted
+		refuse string            // substring of the refusal; "" = accepted
+	}{
+		// Implications.
+		{args: []string{"-spec", "s.json"}, want: plain},
+		{args: []string{"-spec", "s.json", "-deploy"}, want: deploys},
+		{args: []string{"-spec", "s.json", "-replay", "10"}, want: deploys},
+		{args: []string{"-spec", "s.json", "-endpoint", "x"}, want: deploys},
+		{args: []string{"-spec", "s.json", "-burst"}, want: deploys},
+		{args: []string{"-spec", "s.json", "-tune"}, want: tunes},
+		{args: []string{"-spec", "s.json", "-slo", "p99<=1ms"}, want: tunes},
+		{args: []string{"-spec", "s.json", "-replay", "0"}, want: plain},
+		{args: []string{"-validate", "-model", "m.json", "-code", "c.p4"}, want: plain},
+		{args: []string{"-spec", "s.json", "-remote", "http://x", "-validate"}, want: plain},
+
+		// Artifact inputs need -validate.
+		{args: []string{"-model", "m.json"}, refuse: "add -validate"},
+		{args: []string{"-code", "c.p4"}, refuse: "add -validate"},
+		{args: []string{"-model", "m.json", "-code", "c.p4"}, refuse: "add -validate"},
+
+		// -remote compiles on a daemon: no in-process deploy or tune.
+		{args: []string{"-spec", "s.json", "-remote", "http://x", "-deploy"}, refuse: "-remote"},
+		{args: []string{"-spec", "s.json", "-remote", "http://x", "-replay", "5"}, refuse: "-remote"},
+		{args: []string{"-spec", "s.json", "-remote", "http://x", "-endpoint", "x"}, refuse: "-remote"},
+		{args: []string{"-spec", "s.json", "-remote", "http://x", "-burst"}, refuse: "-remote"},
+		{args: []string{"-spec", "s.json", "-remote", "http://x", "-tune"}, refuse: "/tune"},
+		{args: []string{"-spec", "s.json", "-remote", "http://x", "-slo", "p99<=1ms"}, refuse: "/tune"},
+
+		// Lifecycle conflicts.
+		{args: []string{"-spec", "s.json", "-rollout"}, refuse: "require -endpoint"},
+		{args: []string{"-spec", "s.json", "-canary", "10"}, refuse: "require -endpoint"},
+		{args: []string{"-spec", "s.json", "-shadow"}, refuse: "require -endpoint"},
+		{args: []string{"-spec", "s.json", "-promote"}, refuse: "require -endpoint"},
+		{args: []string{"-spec", "s.json", "-rollback"}, refuse: "require -endpoint"},
+		{args: []string{"-spec", "s.json", "-endpoint", "x", "-rollout", "-canary", "101"}, refuse: "out of [0,100]"},
+		{args: []string{"-spec", "s.json", "-endpoint", "x", "-rollout", "-canary", "-1"}, refuse: "out of [0,100]"},
+		{args: []string{"-spec", "s.json", "-endpoint", "x", "-rollout", "-shadow", "-canary", "10"}, refuse: "mutually exclusive"},
+		{args: []string{"-spec", "s.json", "-endpoint", "x", "-rollout", "-promote", "-rollback"}, refuse: "mutually exclusive"},
+		{args: []string{"-spec", "s.json", "-endpoint", "x", "-canary", "25"}, refuse: "add -rollout"},
+		{args: []string{"-spec", "s.json", "-endpoint", "x", "-shadow"}, refuse: "add -rollout"},
+		{args: []string{"-spec", "s.json", "-endpoint", "x", "-promote"}, refuse: "add -rollout"},
+		{args: []string{"-spec", "s.json", "-endpoint", "x", "-rollback"}, refuse: "add -rollout"},
+		{args: []string{"-spec", "s.json", "-adaptive", "-batch-delay", "-1ms"}, refuse: "-adaptive"},
+
+		// Negative counts and durations.
+		{args: []string{"-spec", "s.json", "-replay", "-1"}, refuse: "negative"},
+		{args: []string{"-spec", "s.json", "-clients", "-2"}, refuse: "negative"},
+		{args: []string{"-spec", "s.json", "-timeout", "-1s"}, refuse: "negative"},
+	} {
+		c, err := parseFlags(tc.args)
+		switch {
+		case tc.refuse == "" && err != nil:
+			t.Errorf("%q refused: %v", tc.args, err)
+		case tc.refuse == "" && !tc.want(c):
+			t.Errorf("%q parsed to deploy=%v tune=%v", tc.args, c.replay.deploy, c.tune.enabled)
+		case tc.refuse != "" && (err == nil || !strings.Contains(err.Error(), tc.refuse)):
+			t.Errorf("%q: got %v, want a refusal naming %q", tc.args, err, tc.refuse)
 		}
 	}
 }
 
 // TestRunDeployRejectsSweep: -deploy only makes sense for one target.
 func TestRunDeployRejectsSweep(t *testing.T) {
-	replayCfg = replaySettings{deploy: true}
-	defer func() { replayCfg = replaySettings{} }()
-	if err := run(context.Background(), "testdata/ad.json", t.TempDir(), "all", 0); err == nil {
+	cfg := adConfig(t, replaySettings{deploy: true})
+	cfg.platform = "all"
+	if _, err := run(context.Background(), cfg); err == nil {
 		t.Fatal("-deploy with -platform all must fail")
 	}
 }
@@ -410,7 +480,7 @@ func TestRunRemote(t *testing.T) {
 	}
 	out := t.TempDir()
 	for pass := 1; pass <= 2; pass++ {
-		if err := runRemote(context.Background(), specPath, out, "", srv.URL, 0); err != nil {
+		if err := runRemote(context.Background(), config{out: io.Discard, spec: specPath, outDir: out, remote: srv.URL}); err != nil {
 			t.Fatalf("pass %d: %v", pass, err)
 		}
 	}
@@ -448,7 +518,7 @@ func TestRunRemoteRejectsLocalOnlySpecs(t *testing.T) {
 		{"sweep.json", `{"name":"x","data":{"generator":"nslkdd"},"platform":{"kind":"taurus"}}`, "all"},
 	} {
 		p := write(tc.name, tc.body)
-		if err := runRemote(context.Background(), p, t.TempDir(), tc.override, "http://127.0.0.1:1", 0); err == nil {
+		if err := runRemote(context.Background(), config{out: io.Discard, spec: p, outDir: t.TempDir(), platform: tc.override, remote: "http://127.0.0.1:1"}); err == nil {
 			t.Fatalf("%s must be rejected before any network traffic", tc.name)
 		}
 	}
@@ -473,5 +543,55 @@ func TestBuildTraceBotnet(t *testing.T) {
 	}
 	if len(cycled) != 17 || len(cl) != 17 {
 		t.Fatalf("cycled trace %d/%d, want 17", len(cycled), len(cl))
+	}
+}
+
+// TestRunSpaceArtifactError: a design-space artifact that cannot be
+// written fails the run instead of being skipped with exit status 0.
+func TestRunSpaceArtifactError(t *testing.T) {
+	out := t.TempDir()
+	if err := os.Mkdir(filepath.Join(out, "traffic_class.space.json"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	_, err := run(context.Background(), config{out: io.Discard, spec: "testdata/tc_tofino.json", outDir: out})
+	if err == nil || !strings.Contains(err.Error(), "design space") {
+		t.Fatalf("an unwritable space artifact must fail the run, got %v", err)
+	}
+}
+
+// TestCLIOutputGolden runs the deterministic modes from the command line
+// through parseFlags and execute, and diffs each report with its
+// testdata/golden file, where the output directory reads <out>.
+func TestCLIOutputGolden(t *testing.T) {
+	root := t.TempDir()
+	dir := func(name string) string { return filepath.Join(root, name) }
+	for _, tc := range []struct {
+		golden, out string
+		args        []string
+	}{
+		{"ad_validate.txt", dir("ad"), []string{"-spec", "testdata/ad.json", "-validate", "-out", dir("ad")}},
+		{"tc_tofino.txt", dir("tc"), []string{"-spec", "testdata/tc_tofino.json", "-out", dir("tc")}},
+		{"platform_all.txt", dir("all"), []string{"-spec", "testdata/ad.json", "-platform", "all", "-out", dir("all")}},
+		// Validates the artifact the tc_tofino run above wrote.
+		{"validate_artifact.txt", dir("tc"), []string{"-validate", "-out", dir("tc"),
+			"-model", filepath.Join(dir("tc"), "traffic_class.model.json"), "-code", filepath.Join(dir("tc"), "traffic_class.p4")}},
+		{"repro.txt", dir("repro"), []string{"-repro", "../../internal/validate/corpus/p4_tree_single_leaf.json"}},
+	} {
+		cfg, err := parseFlags(tc.args)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.golden, err)
+		}
+		var out strings.Builder
+		cfg.out = &out
+		if err := execute(context.Background(), cfg); err != nil {
+			t.Fatalf("%s: %v", tc.golden, err)
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", "golden", tc.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.ReplaceAll(out.String(), tc.out, "<out>"); got != string(want) {
+			t.Errorf("%s: output differs from the golden\n--- got\n%s--- want\n%s", tc.golden, got, want)
+		}
 	}
 }

@@ -28,7 +28,7 @@ import (
 // defaultSLO is what -tune enforces when -slo is left empty.
 const defaultSLO = "p99<=2ms,drops=0"
 
-// tuneSettings mirrors the -tune flag group.
+// tuneSettings is the -tune flag group.
 type tuneSettings struct {
 	enabled bool
 	slo     string
@@ -36,98 +36,96 @@ type tuneSettings struct {
 	seed    int64
 }
 
-var tuneCfg tuneSettings
-
-// lastTuneReport captures the most recent CLI tuning outcome so tests
-// can assert on it (the lastReplayReport pattern).
-var lastTuneReport *tune.Report
-
-// lastTuneVerify is the verification replay's measurement of the
-// chosen config.
-var lastTuneVerify *tune.Metrics
+// tuneReport is the outcome of one tuning run: the tuner's report and
+// the verification replay's measurement of the chosen config.
+type tuneReport struct {
+	report *tune.Report
+	verify tune.Metrics
+}
 
 // runTune tunes the compiled pipeline's serving configuration against
-// the replay trace and verifies the chosen config in a fresh replay.
-func runTune(ctx context.Context, spec Spec, loader alchemy.DataLoader, pipe *homunculus.Pipeline) error {
-	lastTuneReport, lastTuneVerify = nil, nil
+// the replay trace and verifies the chosen config in a fresh replay. A
+// run whose verification misses the SLO returns its report beside the
+// error; an infeasible one returns no report.
+func runTune(ctx context.Context, cfg config, spec Spec, loader alchemy.DataLoader, pipe *homunculus.Pipeline) (*tuneReport, error) {
+	t, w := cfg.tune, cfg.out
 	app := pipe.Apps[0]
-	xs, _, err := buildTrace(spec, loader, replayCfg.samples)
+	xs, _, err := buildTrace(spec, loader, cfg.replay.samples)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	sloStr := orDefault(tuneCfg.slo, defaultSLO)
+	sloStr := orDefault(t.slo, defaultSLO)
 	slo, err := tune.ParseSLO(sloStr)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	seed := tuneCfg.seed
+	seed := t.seed
 	if seed == 0 {
 		seed = spec.Search.Seed
 	}
-	fmt.Printf("tuning %q serving config: SLO %q, seed %d, %d trace samples\n",
+	fmt.Fprintf(w, "tuning %q serving config: SLO %q, seed %d, %d trace samples\n",
 		spec.Name, sloStr, seed, len(xs))
 
 	rep, err := tune.Run(ctx, app.Model, xs, tune.Options{
 		Seed:      seed,
-		Budget:    tuneCfg.budget,
+		Budget:    t.budget,
 		SLO:       slo,
-		Clients:   replayCfg.clients,
-		MaxShards: replayCfg.shards,
+		Clients:   cfg.replay.clients,
+		MaxShards: cfg.replay.shards,
 	})
 	if err != nil {
 		var inf *tune.InfeasibleError
 		if errors.As(err, &inf) {
-			fmt.Printf("no candidate met the SLO; closest miss %s violated: %v\n",
+			fmt.Fprintf(w, "no candidate met the SLO; closest miss %s violated: %v\n",
 				describeConfig(inf.Best.Config), inf.Violations)
 		}
-		return err
+		return nil, err
 	}
-	lastTuneReport = rep
 
 	chosenKey, err := rep.Chosen.Config.Canonical()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	fmt.Printf("evaluated %d candidates; Pareto frontier (%d points, * = chosen):\n",
+	fmt.Fprintf(w, "evaluated %d candidates; Pareto frontier (%d points, * = chosen):\n",
 		len(rep.Evaluations), len(rep.Front))
 	for _, c := range rep.Front {
 		key, err := c.Config.Canonical()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		mark := " "
 		if bytes.Equal(key, chosenKey) {
 			mark = "*"
 		}
-		fmt.Printf("  %s %-44s %s\n", mark, describeConfig(c.Config), describeMetrics(c.Metrics))
+		fmt.Fprintf(w, "  %s %-44s %s\n", mark, describeConfig(c.Config), describeMetrics(c.Metrics))
 	}
-	fmt.Printf("chosen config (canonical):\n  %s\n", chosenKey)
+	fmt.Fprintf(w, "chosen config (canonical):\n  %s\n", chosenKey)
 
 	// Verification replay: a fresh sandboxed runtime at the chosen
 	// config, paced exactly as the tuner's evaluations were.
 	rate, err := tune.Calibrate(app.Model, xs)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// Mirror the tuner's client default (tune.Options), not GOMAXPROCS:
 	// the verification must measure the same offered concurrency the
 	// candidates were scored under, or its quantiles aren't comparable.
-	clients := replayCfg.clients
+	clients := cfg.replay.clients
 	if clients <= 0 {
 		clients = 8
 	}
 	eval := tune.ReplayEvaluator(app.Model, xs, clients, serve.BurstOptions{MeanRate: rate})
 	m, err := eval(ctx, rep.Chosen.Config)
 	if err != nil {
-		return fmt.Errorf("verification replay: %w", err)
+		return nil, fmt.Errorf("verification replay: %w", err)
 	}
-	lastTuneVerify = &m
-	fmt.Printf("verification replay: %s\n", describeMetrics(m))
+	out := &tuneReport{report: rep, verify: m}
+	fmt.Fprintf(w, "verification replay: %s\n", describeMetrics(m))
 	if viol := slo.Check(m); len(viol) > 0 {
-		return fmt.Errorf("chosen config missed SLO %q in the verification replay: %v", sloStr, viol)
+		return out, fmt.Errorf("chosen config missed SLO %q in the verification replay: %v", sloStr, viol)
 	}
-	fmt.Printf("SLO %q met in verification replay\n", sloStr)
-	return nil
+	fmt.Fprintf(w, "SLO %q met in verification replay\n", sloStr)
+	return out, nil
 }
 
 // describeConfig renders a candidate config as a compact knob tuple.

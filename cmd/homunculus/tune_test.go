@@ -3,8 +3,6 @@ package main
 import (
 	"context"
 	"errors"
-	"io"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -12,14 +10,6 @@ import (
 	"repro/internal/serve"
 	"repro/internal/tune"
 )
-
-func resetTune() {
-	tuneCfg = tuneSettings{}
-	replayCfg = replaySettings{}
-	lastTuneReport = nil
-	lastTuneVerify = nil
-	lastReplayReport = nil
-}
 
 // TestRunTuneSpec drives `-tune` end to end on the tiny ad spec: the
 // run compiles, replays candidates, leaves a report with a non-empty
@@ -29,24 +19,27 @@ func TestRunTuneSpec(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replay tuning is wall-clock bound")
 	}
-	defer resetTune()
-	tuneCfg = tuneSettings{enabled: true, slo: "p99<=500ms", budget: 4, seed: 7}
-	replayCfg = replaySettings{samples: 200, clients: 2, shards: 2}
-	if err := run(context.Background(), "testdata/ad.json", t.TempDir(), "", 0); err != nil {
+	cfg := adConfig(t, replaySettings{samples: 200, clients: 2, shards: 2})
+	cfg.tune = tuneSettings{enabled: true, slo: "p99<=500ms", budget: 4, seed: 7}
+	got, err := run(context.Background(), cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	rep := lastTuneReport
+	if got.tune == nil {
+		t.Fatal("tuning left no report")
+	}
+	rep := got.tune.report
 	if rep == nil || len(rep.Front) == 0 || !rep.Chosen.Feasible {
 		t.Fatalf("tune report: %+v", rep)
 	}
 	if _, err := rep.Chosen.Config.Canonical(); err != nil {
 		t.Fatalf("chosen config must be canonical: %v", err)
 	}
-	if lastTuneVerify == nil {
+	if got.tune.verify.Delivered == 0 {
 		t.Fatal("verification replay left no metrics")
 	}
-	if lastTuneVerify.P99 > 500*time.Millisecond {
-		t.Fatalf("verification replay missed the SLO: %+v", lastTuneVerify)
+	if got.tune.verify.P99 > 500*time.Millisecond {
+		t.Fatalf("verification replay missed the SLO: %+v", got.tune.verify)
 	}
 }
 
@@ -56,23 +49,22 @@ func TestRunTuneInfeasibleSLO(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replay tuning is wall-clock bound")
 	}
-	defer resetTune()
-	tuneCfg = tuneSettings{enabled: true, slo: "p99<=1ns", budget: 4, seed: 7}
-	replayCfg = replaySettings{samples: 120, clients: 2, shards: 1}
-	err := run(context.Background(), "testdata/ad.json", t.TempDir(), "", 0)
+	cfg := adConfig(t, replaySettings{samples: 120, clients: 2, shards: 1})
+	cfg.tune = tuneSettings{enabled: true, slo: "p99<=1ns", budget: 4, seed: 7}
+	got, err := run(context.Background(), cfg)
 	if !errors.Is(err, tune.ErrInfeasible) {
 		t.Fatalf("want ErrInfeasible, got %v", err)
 	}
-	if lastTuneReport != nil {
+	if got.tune != nil {
 		t.Fatal("infeasible run must not leave a report")
 	}
 }
 
 // TestRunTuneBadSLO: a malformed -slo fails before any replay.
 func TestRunTuneBadSLO(t *testing.T) {
-	defer resetTune()
-	tuneCfg = tuneSettings{enabled: true, slo: "p99>=2ms"}
-	if err := run(context.Background(), "testdata/ad.json", t.TempDir(), "", 0); err == nil {
+	cfg := adConfig(t, replaySettings{})
+	cfg.tune = tuneSettings{enabled: true, slo: "p99>=2ms"}
+	if _, err := run(context.Background(), cfg); err == nil {
 		t.Fatal("reversed latency bound must fail")
 	}
 }
@@ -81,21 +73,21 @@ func TestRunTuneBadSLO(t *testing.T) {
 // timing — a fixed-seed replay must digest byte-identically to the
 // default greedy path.
 func TestRunReplayAdaptiveByteIdentical(t *testing.T) {
-	defer resetTune()
-	replayCfg = replaySettings{deploy: true, samples: 400, clients: 4, batch: 16}
-	if err := run(context.Background(), "testdata/ad.json", t.TempDir(), "", 0); err != nil {
+	cfg := adConfig(t, replaySettings{deploy: true, samples: 400, clients: 4, batch: 16})
+	got, err := run(context.Background(), cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	base := lastReplayReport
+	base := got.replay
 	if base == nil || base.digest == "" {
 		t.Fatalf("baseline replay report: %+v", base)
 	}
 
-	replayCfg.adaptive, replayCfg.delay = true, time.Millisecond
-	if err := run(context.Background(), "testdata/ad.json", t.TempDir(), "", 0); err != nil {
+	cfg.replay.adaptive, cfg.replay.delay = true, time.Millisecond
+	if got, err = run(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
-	adaptive := lastReplayReport
+	adaptive := got.replay
 	if adaptive == nil || adaptive.digest != base.digest {
 		t.Fatalf("adaptive flush diverged:\n  greedy:   %s\n  adaptive: %s", base.digest, adaptive.digest)
 	}
@@ -108,7 +100,6 @@ func TestRunReplayAdaptiveByteIdentical(t *testing.T) {
 // with max_delay_ns present iff -batch-delay was given — so the default
 // replay is greedy and a positive -batch-delay holds, -adaptive or not.
 func TestReplayEndpointOptions(t *testing.T) {
-	defer resetTune()
 	for _, tc := range []struct {
 		in   replaySettings
 		want string
@@ -120,8 +111,7 @@ func TestReplayEndpointOptions(t *testing.T) {
 		{replaySettings{adaptive: true}, `{"version":1,"adaptive_flush":true}`},
 		{replaySettings{adaptive: true, delay: time.Millisecond}, `{"version":1,"max_delay_ns":1000000,"adaptive_flush":true}`},
 	} {
-		replayCfg = tc.in
-		got, err := replayEndpointOptions().Serving.Canonical()
+		got, err := tc.in.endpointOptions().Serving.Canonical()
 		if err != nil || string(got) != tc.want {
 			t.Fatalf("%+v: config %s (%v), want %s", tc.in, got, err, tc.want)
 		}
@@ -131,12 +121,10 @@ func TestReplayEndpointOptions(t *testing.T) {
 // TestReplaySettingsValidateAdaptive: -adaptive with a negative (greedy)
 // -batch-delay is contradictory.
 func TestReplaySettingsValidateAdaptive(t *testing.T) {
-	r := replaySettings{adaptive: true, delay: -time.Millisecond}
-	if err := r.validate(); err == nil {
+	if _, err := parseFlags([]string{"-spec", "s.json", "-adaptive", "-batch-delay", "-1ms"}); err == nil {
 		t.Fatal("adaptive + negative delay must be rejected")
 	}
-	r.delay = time.Millisecond
-	if err := r.validate(); err != nil {
+	if _, err := parseFlags([]string{"-spec", "s.json", "-adaptive", "-batch-delay", "1ms"}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -165,7 +153,6 @@ func TestDescribeConfigFlush(t *testing.T) {
 // policy the endpoint runs — greedy by default, a hold only for a
 // positive -batch-delay.
 func TestReplayHeaderFlush(t *testing.T) {
-	defer resetTune()
 	for _, tc := range []struct {
 		delay time.Duration
 		want  string
@@ -173,14 +160,14 @@ func TestReplayHeaderFlush(t *testing.T) {
 		{0, "shards=2 batch=16 flush=greedy queue=1024 clients=2"},
 		{time.Millisecond, "shards=2 batch=16 flush=fixed(1ms) queue=1024 clients=2"},
 	} {
-		replayCfg = replaySettings{deploy: true, samples: 64, clients: 2, shards: 2, batch: 16, delay: tc.delay}
-		out := captureStdout(t, func() {
-			if err := run(context.Background(), "testdata/ad.json", t.TempDir(), "", 0); err != nil {
-				t.Fatal(err)
-			}
-		})
+		var out strings.Builder
+		cfg := adConfig(t, replaySettings{deploy: true, samples: 64, clients: 2, shards: 2, batch: 16, delay: tc.delay})
+		cfg.out = &out
+		if _, err := run(context.Background(), cfg); err != nil {
+			t.Fatal(err)
+		}
 		var header string
-		for _, line := range strings.Split(out, "\n") {
+		for _, line := range strings.Split(out.String(), "\n") {
 			if strings.HasPrefix(line, `endpoint "replay" rev 1:`) {
 				header = line
 			}
@@ -189,24 +176,4 @@ func TestReplayHeaderFlush(t *testing.T) {
 			t.Fatalf("-batch-delay %v: header %q, want it to end %q", tc.delay, header, tc.want)
 		}
 	}
-}
-
-// captureStdout returns what fn prints to standard output.
-func captureStdout(t *testing.T, fn func()) string {
-	t.Helper()
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	stdout := os.Stdout
-	os.Stdout = w
-	defer func() { os.Stdout = stdout }()
-	done := make(chan string)
-	go func() {
-		b, _ := io.ReadAll(r)
-		done <- string(b)
-	}()
-	fn()
-	w.Close()
-	return <-done
 }

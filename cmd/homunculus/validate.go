@@ -10,56 +10,29 @@ package main
 // minimized repro JSON — the artifact a codegen bug report starts from.
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 
+	"repro/internal/backend"
 	"repro/internal/ir"
 	"repro/internal/validate"
 
 	homunculus "repro"
 )
 
-// validateMode mirrors the -validate flag: single-target compilations run
-// the validate stage and the run fails on a diverging verdict.
-var validateMode bool
-
-// The CLI uses the same fixed traffic as the service's validate stage, so
-// a verdict printed here is bit-comparable with a daemon's.
-const (
-	cliValidationSeed    = 0x484f4d554e43 // "HOMUNC"
-	cliValidationTraffic = 256
-)
-
-// artifactLang picks the interpreter for an emitted artifact: the
-// -platform override when given, else the file extension the backends
-// write (.p4 / .spatial).
-func artifactLang(platformOverride, codePath string) (string, error) {
-	switch platformOverride {
-	case "tofino":
-		return "p4", nil
-	case "taurus", "fpga":
-		return "spatial", nil
-	case "":
-	default:
-		return "", fmt.Errorf("no artifact interpreter for platform %q (have tofino, taurus, fpga)", platformOverride)
-	}
-	switch ext := filepath.Ext(codePath); ext {
-	case ".p4":
-		return "p4", nil
-	case ".spatial":
-		return "spatial", nil
-	default:
-		return "", fmt.Errorf("cannot infer artifact language from %q; pass -platform", codePath)
-	}
-}
-
 // runValidateArtifact differentially checks an emitted artifact file
 // against its serialized model: the artifact text is interpreted and
-// driven with the fixed validation traffic next to the IR reference. On
-// divergence a minimized repro lands in outDir and the run errors.
-func runValidateArtifact(modelPath, codePath, platformOverride, outDir string) error {
+// driven with the product's validation traffic next to the IR reference,
+// exactly as the serving gate checks a rollout. The interpreter follows
+// the -platform override's code extension when given, else the file's.
+// On divergence a minimized repro lands in the output directory and the
+// run errors.
+func runValidateArtifact(cfg config) error {
+	modelPath, codePath := cfg.model, cfg.code
 	if modelPath == "" || codePath == "" {
 		return fmt.Errorf("artifact validation needs both -model and -code")
 	}
@@ -76,34 +49,29 @@ func runValidateArtifact(modelPath, codePath, platformOverride, outDir string) e
 	if err != nil {
 		return fmt.Errorf("read artifact: %w", err)
 	}
-	lang, err := artifactLang(platformOverride, codePath)
-	if err != nil {
-		return err
+	ext := filepath.Ext(codePath)
+	if cfg.platform != "" {
+		if !backend.Registered(cfg.platform) {
+			return fmt.Errorf("no artifact interpreter for platform %q (have %s)", cfg.platform, strings.Join(backend.Names(), ", "))
+		}
+		ext = backend.CodeExt(cfg.platform)
+	}
+	interp, err := validate.Interpreter(ext, string(raw))
+	switch {
+	case errors.Is(err, validate.ErrNoInterpreter):
+		return fmt.Errorf("cannot infer artifact language from %q; pass -platform", codePath)
+	case err != nil:
+		return fmt.Errorf("validate: %s: %w", codePath, err)
 	}
 
-	evals := []validate.Evaluator{{Name: "ir", Classify: m.InferQ}}
-	switch lang {
-	case "p4":
-		interp, err := validate.NewP4Interp(string(raw))
-		if err != nil {
-			return fmt.Errorf("validate: %s: %w", codePath, err)
-		}
-		evals = append(evals, validate.Evaluator{Name: "p4", Classify: interp.Classify})
-	case "spatial":
-		interp, err := validate.NewSpatialInterp(string(raw))
-		if err != nil {
-			return fmt.Errorf("validate: %s: %w", codePath, err)
-		}
-		evals = append(evals, validate.Evaluator{Name: "spatial", Classify: interp.Classify})
-	}
-
-	rep := validate.Check(evals, validate.Traffic(m, cliValidationSeed, cliValidationTraffic))
+	evals := []validate.Evaluator{{Name: "ir", Classify: m.InferQ}, interp}
+	rep := validate.Check(evals, validate.ProductTraffic(m))
 	if len(rep.Divergences) == 0 {
-		fmt.Printf("validate: %s is equivalent to %s across %v on %d inputs\n",
+		fmt.Fprintf(cfg.out, "validate: %s is equivalent to %s across %v on %d inputs\n",
 			codePath, modelPath, rep.Evaluators, rep.Inputs)
 		return nil
 	}
-	reproPath, werr := writeRepro(m, evals, rep.Divergences[0], outDir,
+	reproPath, werr := writeRepro(cfg.out, m, evals, rep.Divergences[0], cfg.outDir,
 		strings.TrimSuffix(filepath.Base(codePath), filepath.Ext(codePath)))
 	if werr != nil {
 		return fmt.Errorf("divergence found but repro not writable: %w", werr)
@@ -113,8 +81,8 @@ func runValidateArtifact(modelPath, codePath, platformOverride, outDir string) e
 }
 
 // writeRepro minimizes the first divergence and writes the repro JSON to
-// outDir/<name>.repro.json, echoing it to stdout for bug reports.
-func writeRepro(m *ir.Model, evals []validate.Evaluator, d validate.Divergence, outDir, name string) (string, error) {
+// outDir/<name>.repro.json, echoing it to w for bug reports.
+func writeRepro(w io.Writer, m *ir.Model, evals []validate.Evaluator, d validate.Divergence, outDir, name string) (string, error) {
 	r, err := validate.NewRepro(m, evals, d, "")
 	if err != nil {
 		return "", err
@@ -126,7 +94,7 @@ func writeRepro(m *ir.Model, evals []validate.Evaluator, d validate.Divergence, 
 	if err := r.WriteFile(path); err != nil {
 		return "", err
 	}
-	if err := r.Write(os.Stdout); err != nil {
+	if err := r.Write(w); err != nil {
 		return "", err
 	}
 	return path, nil
@@ -135,28 +103,27 @@ func writeRepro(m *ir.Model, evals []validate.Evaluator, d validate.Divergence, 
 // runReproReplay re-executes a saved divergence repro against the current
 // code generators: still-diverging repros exit nonzero (the bug lives),
 // fixed ones report success — the CLI face of the regression corpus.
-func runReproReplay(path string) error {
-	r, err := validate.ReadReproFile(path)
+func runReproReplay(cfg config) error {
+	r, err := validate.ReadReproFile(cfg.repro)
 	if err != nil {
 		return err
 	}
 	d, reproduced, err := r.Replay()
 	if err != nil {
-		return fmt.Errorf("replay %s: %w", path, err)
+		return fmt.Errorf("replay %s: %w", cfg.repro, err)
 	}
 	if reproduced {
-		return fmt.Errorf("repro %s still diverges: %s", path, d.String())
+		return fmt.Errorf("repro %s still diverges: %s", cfg.repro, d.String())
 	}
-	fmt.Printf("repro %s no longer diverges (fixed)\n", path)
+	fmt.Fprintf(cfg.out, "repro %s no longer diverges (fixed)\n", cfg.repro)
 	return nil
 }
 
-// reportValidation renders a compiled app's validation verdict; a failed
-// verdict writes the embedded repro next to the other artifacts and
-// errors so the CLI exits nonzero.
-func reportValidation(app homunculus.AppResult, outDir, name string) error {
-	v := app.Validation
-	fmt.Printf("  validation: %s\n", v.String())
+// reportValidation renders an app's validation verdict, compiled here or
+// on a daemon; a failed verdict writes its embedded repro next to the
+// other artifacts and errors so the CLI exits nonzero.
+func reportValidation(w io.Writer, v *homunculus.ValidationReport, outDir, name string) error {
+	fmt.Fprintf(w, "  validation: %s\n", v.String())
 	if v.OK() {
 		return nil
 	}
@@ -168,7 +135,7 @@ func reportValidation(app homunculus.AppResult, outDir, name string) error {
 		if err := os.WriteFile(path, append(append([]byte(nil), v.Repro...), '\n'), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("  repro:      %s\n", path)
+		fmt.Fprintf(w, "  repro:      %s\n", path)
 	}
 	return fmt.Errorf("translation validation failed: %s", v.String())
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -83,13 +84,13 @@ func TestValidateArtifactMode(t *testing.T) {
 	out := filepath.Join(dir, "out")
 	modelPath, codePath := writeModelAndArtifact(t, dir, "spatial", cliTreeModel())
 
-	if err := runValidateArtifact(modelPath, codePath, "", out); err != nil {
+	if err := runValidateArtifact(config{out: io.Discard, model: modelPath, code: codePath, outDir: out}); err != nil {
 		t.Fatalf("clean artifact: %v", err)
 	}
 
 	// Inject the codegen bug: a silently shifted threshold.
 	corruptFile(t, codePath, "0.375", "0.25")
-	err := runValidateArtifact(modelPath, codePath, "", out)
+	err := runValidateArtifact(config{out: io.Discard, model: modelPath, code: codePath, outDir: out})
 	if err == nil || !strings.Contains(err.Error(), "diverges") {
 		t.Fatalf("corrupted artifact must diverge, got: %v", err)
 	}
@@ -104,7 +105,7 @@ func TestValidateArtifactMode(t *testing.T) {
 	}
 	// The repro replays against regenerated (correct) artifacts, so the
 	// injected corruption does not reproduce there — exit zero.
-	if err := runReproReplay(reproPath); err != nil {
+	if err := runReproReplay(config{out: io.Discard, repro: reproPath}); err != nil {
 		t.Fatalf("replay against correct codegen: %v", err)
 	}
 }
@@ -117,11 +118,11 @@ func TestValidateArtifactModeP4(t *testing.T) {
 		SVM: &ir.SVMParams{W: [][]float64{{0.75, -1.5}, {-0.5, 1.125}}, B: []float64{0.25, -0.125}}}
 	modelPath, codePath := writeModelAndArtifact(t, dir, "p4", m)
 
-	if err := runValidateArtifact(modelPath, codePath, "", filepath.Join(dir, "out")); err != nil {
+	if err := runValidateArtifact(config{out: io.Discard, model: modelPath, code: codePath, outDir: filepath.Join(dir, "out")}); err != nil {
 		t.Fatalf("clean artifact: %v", err)
 	}
 	corruptFile(t, codePath, "(_) : mac_0(", "(_) : mac_0(-")
-	err := runValidateArtifact(modelPath, codePath, "", filepath.Join(dir, "out"))
+	err := runValidateArtifact(config{out: io.Discard, model: modelPath, code: codePath, outDir: filepath.Join(dir, "out")})
 	if err == nil || !strings.Contains(err.Error(), "diverges") {
 		t.Fatalf("corrupted p4 artifact must diverge, got: %v", err)
 	}
@@ -138,7 +139,7 @@ func TestValidateArtifactModeErrors(t *testing.T) {
 	if err := os.WriteFile(codePath, raw[:len(raw)/3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := runValidateArtifact(modelPath, codePath, "", dir); err == nil {
+	if err := runValidateArtifact(config{out: io.Discard, model: modelPath, code: codePath, outDir: dir}); err == nil {
 		t.Fatal("truncated artifact must fail")
 	}
 
@@ -147,17 +148,18 @@ func TestValidateArtifactModeErrors(t *testing.T) {
 	if err := os.WriteFile(other, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := runValidateArtifact(modelPath, other, "", dir); err == nil || !strings.Contains(err.Error(), "infer") {
+	if err := runValidateArtifact(config{out: io.Discard, model: modelPath, code: other, outDir: dir}); err == nil || !strings.Contains(err.Error(), "infer") {
 		t.Fatalf("unknown extension: %v", err)
 	}
 	// ...but the -platform override resolves it.
-	if err := runValidateArtifact(modelPath, other, "taurus", dir); err != nil {
+	if err := runValidateArtifact(config{out: io.Discard, model: modelPath, code: other, platform: "taurus", outDir: dir}); err != nil {
 		t.Fatalf("platform override: %v", err)
 	}
-	if _, err := artifactLang("mat", "x.p4"); err == nil {
-		t.Fatal("unknown platform must be rejected")
+	// The intact artifact isolates the refusal: only the platform is wrong.
+	if err := runValidateArtifact(config{out: io.Discard, model: modelPath, code: other, platform: "mat", outDir: dir}); err == nil || !strings.Contains(err.Error(), `platform "mat"`) {
+		t.Fatalf("unknown platform must be rejected by name, got: %v", err)
 	}
-	if err := runValidateArtifact(modelPath, "", "", dir); err == nil {
+	if err := runValidateArtifact(config{out: io.Discard, model: modelPath, code: "", outDir: dir}); err == nil {
 		t.Fatal("missing -code must be rejected")
 	}
 }
@@ -165,10 +167,8 @@ func TestValidateArtifactModeErrors(t *testing.T) {
 // TestValidateSpecMode compiles a spec with -validate: the verdict rides
 // the run and a clean compilation exits zero.
 func TestValidateSpecMode(t *testing.T) {
-	validateMode = true
-	defer func() { validateMode = false }()
-	out := t.TempDir()
-	if err := run(context.Background(), "testdata/tc_tofino.json", out, "", 0); err != nil {
+	cfg := config{out: io.Discard, spec: "testdata/tc_tofino.json", outDir: t.TempDir(), validate: true}
+	if _, err := run(context.Background(), cfg); err != nil {
 		t.Fatalf("validated compile: %v", err)
 	}
 }

@@ -43,7 +43,7 @@
 //
 // SIGINT/SIGTERM shut down gracefully: HTTP drains, running
 // compilations finish, queued jobs fail with ErrServiceClosed
-// (httpapi.ListenAndServe — the same loop behind `homunculus -serve`).
+// (httpapi.ListenAndServeHandler).
 package main
 
 import (

@@ -29,7 +29,7 @@ import (
 // catalog (named) data loaders.
 const durableLoaderName = "durable_test_ds"
 
-func durablePlatform(t *testing.T) *alchemy.Platform {
+func durablePlatform(t testing.TB) *alchemy.Platform {
 	t.Helper()
 	if !alchemy.LoaderRegistered(durableLoaderName) {
 		alchemy.RegisterLoader(durableLoaderName, sampleLoader(11))
@@ -43,7 +43,7 @@ func durablePlatform(t *testing.T) *alchemy.Platform {
 }
 
 // mustOpen opens a durable service over dir and fails the test on error.
-func mustOpen(t *testing.T, dir string, fs store.FS) *Service {
+func mustOpen(t testing.TB, dir string, fs store.FS) *Service {
 	t.Helper()
 	svc, err := Open(ServiceOptions{MaxInFlight: 2, StateDir: dir, StateFS: fs})
 	if err != nil {
@@ -53,7 +53,7 @@ func mustOpen(t *testing.T, dir string, fs store.FS) *Service {
 }
 
 // runJob submits the durable platform and waits for its pipeline.
-func runJob(t *testing.T, svc *Service) (*Job, *Pipeline) {
+func runJob(t testing.TB, svc *Service) (*Job, *Pipeline) {
 	t.Helper()
 	job, err := svc.Submit(context.Background(), durablePlatform(t), WithSearchConfig(fastConfig()))
 	if err != nil {
@@ -336,6 +336,114 @@ func TestDurableManifestV1Restores(t *testing.T) {
 	if !bytes.Contains(raw, []byte(`"version": 3`)) || bytes.Contains(raw, []byte("max_delay_set")) {
 		t.Fatalf("manifest not rewritten as version 3:\n%s", raw)
 	}
+}
+
+// FuzzRestoreManifest fuzzes boot recovery's manifest reader: the fuzzed
+// bytes become endpoints.json in a fresh state directory whose artifact
+// store holds one compiled pipeline (the literal SPEC_HASH in the input
+// names its key), and Open must come back without panicking or hanging.
+// A manifest that does not load restores nothing and counts a store
+// error; otherwise every record is either restored or skipped with a
+// store error, and every restored endpoint's documents re-parse through
+// ParseServingConfig to themselves. Seeds: the version-1 and version-2
+// fixtures and a version-3 manifest the current code writes.
+func FuzzRestoreManifest(f *testing.F) {
+	base := f.TempDir()
+	seeder := mustOpen(f, base, nil)
+	job, _ := runJob(f, seeder)
+	hash := job.Status().SpecHash
+	ep, err := seeder.CreateEndpoint("v3", job.ID(), EndpointOptions{Serving: ServingConfig{BatchSize: 8, QueueDepth: 64}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	delay := int64(time.Millisecond)
+	if _, err := ep.Rollout(job.ID(), RolloutOptions{CanaryPercent: 25, Serving: ServingConfig{MaxDelayNS: &delay}}); err != nil {
+		f.Fatal(err)
+	}
+	if err := seeder.Close(); err != nil {
+		f.Fatal(err)
+	}
+	artifact, err := os.ReadFile(filepath.Join(base, "artifacts", hash+".json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	v3, err := os.ReadFile(filepath.Join(base, "endpoints.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bytes.ReplaceAll(v3, []byte(hash), []byte("SPEC_HASH")))
+	for _, name := range []string{"endpoints_v1.json", "endpoints_v2.json"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+
+	f.Fuzz(func(t *testing.T, manifest []byte) {
+		dir := t.TempDir()
+		if err := os.MkdirAll(filepath.Join(dir, "artifacts"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "artifacts", hash+".json"), artifact, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		manifest = bytes.ReplaceAll(manifest, []byte("SPEC_HASH"), []byte(hash))
+		if err := os.WriteFile(filepath.Join(dir, "endpoints.json"), manifest, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, _, _, err := store.Open(dir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, loadErr := st.LoadManifest()
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		svc, err := Open(ServiceOptions{MaxInFlight: 1, StateDir: dir})
+		if err != nil {
+			// Boot recovery records a bad manifest as a store error; only
+			// the manifest varies here, so a refused boot is a finding.
+			t.Fatalf("Open refused a fuzzed manifest: %v", err)
+		}
+		defer svc.Close()
+		rep := svc.Recovery()
+		restored, skipped := len(rep.EndpointsRestored), len(rep.EndpointsSkipped)
+		if loadErr != nil {
+			if restored+skipped != 0 || svc.StoreErrors() == 0 {
+				t.Fatalf("unloadable manifest (%v): restored %d, skipped %d, %d store errors", loadErr, restored, skipped, svc.StoreErrors())
+			}
+			return
+		}
+		if restored+skipped != len(m.Endpoints) || svc.StoreErrors() < uint64(skipped) {
+			t.Fatalf("%d records: restored %v, skipped %v, %d store errors",
+				len(m.Endpoints), rep.EndpointsRestored, rep.EndpointsSkipped, svc.StoreErrors())
+		}
+		for _, name := range rep.EndpointsRestored {
+			ep, ok := svc.Endpoint(name)
+			if !ok {
+				t.Fatalf("restored endpoint %q is not reachable", name)
+			}
+			docs := []ServingConfig{ep.ServingConfig()}
+			for _, r := range ep.Revisions() {
+				docs = append(docs, r.Config)
+			}
+			for _, cfg := range docs {
+				raw, err := cfg.Canonical()
+				if err != nil {
+					t.Fatalf("%s: restored config does not render: %v", name, err)
+				}
+				back, err := ParseServingConfig(raw)
+				if err != nil {
+					t.Fatalf("%s: restored config %s does not re-parse: %v", name, raw, err)
+				}
+				if again, _ := back.Canonical(); !bytes.Equal(again, raw) {
+					t.Fatalf("%s: restored config %s re-parses as %s", name, raw, again)
+				}
+			}
+		}
+	})
 }
 
 // TestDurableManifestV2Restores: testdata/endpoints_v2.json is a manifest

@@ -1,8 +1,8 @@
 // Package httpapi exposes a homunculus.Service over HTTP/JSON: the
-// handler set behind cmd/homunculusd and the CLI's -serve mode. The
-// wire surface (docs/api.md) is deliberately thin — every semantic
-// (admission bounds, job states, content-addressed caching,
-// single-flight) lives in the service layer and is reused verbatim:
+// handler set behind cmd/homunculusd. The wire surface (docs/api.md) is
+// deliberately thin — every semantic (admission bounds, job states,
+// content-addressed caching, single-flight) lives in the service layer
+// and is reused verbatim:
 //
 //	POST   /v1/jobs             submit a compilation, returns the job
 //	GET    /v1/jobs             list jobs (admission order)
@@ -178,18 +178,11 @@ type errorJSON struct {
 	Error string `json:"error"`
 }
 
-// ListenAndServe is the daemon loop shared by cmd/homunculusd and the
-// CLI's -serve mode: HTTP on addr over svc, with graceful shutdown on
+// ListenAndServeHandler is the daemon loop behind cmd/homunculusd: HTTP
+// on addr serving handler over svc, with graceful shutdown on
 // SIGINT/SIGTERM — stop accepting requests, drain in-flight handlers
 // (30 s bound), then Close the service so running compilations finish
 // and queued jobs fail with their ErrServiceClosed terminal state.
-func ListenAndServe(addr string, svc *homunculus.Service) error {
-	return ListenAndServeHandler(addr, svc, NewServer(svc))
-}
-
-// ListenAndServeHandler is ListenAndServe with a caller-built handler —
-// the daemon uses it to mount the cluster fabric's routes
-// (NewServerWith) around the same graceful-shutdown loop.
 func ListenAndServeHandler(addr string, svc *homunculus.Service, handler http.Handler) error {
 	srv := &http.Server{Addr: addr, Handler: handler}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -142,8 +142,8 @@ func ReplayRun(ctx context.Context, c Classifier, xs [][]float64, labels []int, 
 // backpressure.
 type BurstOptions struct {
 	// MeanRate is the target mean offered load in requests/second,
-	// averaged over quiet and burst phases. Required (> 0); the CLI
-	// auto-calibrates it from a sequential warmup.
+	// averaged over quiet and burst phases. Required (> 0);
+	// CalibrateRate derives it from a sequential warmup.
 	MeanRate float64
 	// Factor is the burst-phase rate multiplier. Default 100.
 	Factor float64
@@ -171,6 +171,27 @@ func (o BurstOptions) withDefaults() BurstOptions {
 func (o BurstOptions) baseRate() float64 {
 	duty := float64(o.Burst) / float64(o.Period)
 	return o.MeanRate / (1 + duty*(o.Factor-1))
+}
+
+// CalibrateRate measures c's sequential service rate over the first
+// 256 rows of xs (fewer if the trace is shorter) and returns half of it:
+// the mean offered load a burst replay targets, loaded enough that
+// batching matters and unsaturated enough that the quiet phase stays
+// under capacity, so sheds come from the burst windows. The warmup
+// requests count in c's stats. A classify error fails the calibration.
+func CalibrateRate(c Classifier, xs [][]float64) (float64, error) {
+	n := min(len(xs), 256)
+	start := time.Now()
+	for _, x := range xs[:n] {
+		if _, err := c.Classify(x); err != nil {
+			return 0, err
+		}
+	}
+	elapsed := time.Since(start)
+	if elapsed <= 0 {
+		elapsed = time.Nanosecond
+	}
+	return float64(n) / elapsed.Seconds() / 2, nil
 }
 
 // ReplayBurst replays xs like ReplayRun but paces issuance with a token

@@ -187,7 +187,7 @@ func Run(ctx context.Context, model *ir.Model, xs [][]float64, opts Options) (*R
 		}
 		rate := o.Rate
 		if rate <= 0 {
-			r, err := calibrateRate(model, xs)
+			r, err := Calibrate(model, xs)
 			if err != nil {
 				return nil, err
 			}
@@ -339,39 +339,17 @@ func ReplayEvaluator(model *ir.Model, xs [][]float64, clients int, burst serve.B
 	}
 }
 
-// Calibrate measures the model's sequential service rate over a prefix
-// of the trace and returns the mean offered load a tuning run would
-// target (half the measured rate) — exposed so a caller can replay a
-// chosen config for verification at the same pacing the tuner used.
+// Calibrate is serve.CalibrateRate against a fresh single-shard runtime
+// of the model: the mean offered load a tuning run targets (half the
+// measured sequential rate) — exposed so a caller can replay a chosen
+// config for verification at the same pacing the tuner used.
 func Calibrate(model *ir.Model, xs [][]float64) (float64, error) {
-	return calibrateRate(model, xs)
-}
-
-// calibrateRate measures the model's sequential service rate over a
-// prefix of the trace and targets half of it as the mean offered load
-// — loaded enough that batching matters, unsaturated enough that a
-// good config can meet a latency SLO.
-func calibrateRate(model *ir.Model, xs [][]float64) (float64, error) {
 	rt, err := serve.New(model, serve.ServingConfig{Shards: 1})
 	if err != nil {
 		return 0, err
 	}
 	defer rt.Close()
-	n := len(xs)
-	if n > 256 {
-		n = 256
-	}
-	start := time.Now()
-	for _, x := range xs[:n] {
-		if _, err := rt.Classify(x); err != nil {
-			return 0, err
-		}
-	}
-	elapsed := time.Since(start)
-	if elapsed <= 0 {
-		elapsed = time.Nanosecond
-	}
-	return float64(n) / elapsed.Seconds() / 2, nil
+	return serve.CalibrateRate(rt, xs)
 }
 
 // Grid measures every config of a coarse knob grid — the AutoTM-style

@@ -26,6 +26,7 @@
 package validate
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/ir"
@@ -99,22 +100,22 @@ func Evaluators(m *ir.Model) ([]Evaluator, error) {
 		if err != nil {
 			return nil, fmt.Errorf("validate: p4gen: %w", err)
 		}
-		interp, err := NewP4Interp(prog.Source)
+		interp, err := Interpreter(".p4", prog.Source)
 		if err != nil {
-			return nil, fmt.Errorf("validate: p4 artifact unparseable: %w", err)
+			return nil, err
 		}
-		evals = append(evals, Evaluator{Name: "p4", Classify: interp.Classify})
+		evals = append(evals, interp)
 	}
 
 	sprog, err := spatialgen.Generate(m)
 	if err != nil {
 		return nil, fmt.Errorf("validate: spatialgen: %w", err)
 	}
-	sinterp, err := NewSpatialInterp(sprog.Source)
+	sinterp, err := Interpreter(".spatial", sprog.Source)
 	if err != nil {
-		return nil, fmt.Errorf("validate: spatial artifact unparseable: %w", err)
+		return nil, err
 	}
-	evals = append(evals, Evaluator{Name: "spatial", Classify: sinterp.Classify})
+	evals = append(evals, sinterp)
 
 	if m.Kind == ir.DNN {
 		sim, err := taurus.NewSim(taurus.DefaultGrid(), m)
@@ -127,6 +128,48 @@ func Evaluators(m *ir.Model) ([]Evaluator, error) {
 		}})
 	}
 	return evals, nil
+}
+
+// ErrNoInterpreter reports an artifact whose code extension no
+// interpreter reads.
+var ErrNoInterpreter = errors.New("validate: no artifact interpreter")
+
+// Interpreter parses emitted artifact text with the interpreter for its
+// code extension — backend.CodeExt's ".p4" or ".spatial" — and returns it
+// as an evaluator named after the language. It is the one mapping from an
+// artifact to an interpreter: Evaluators, the serving gate and the CLI's
+// artifact mode all go through it. Any other extension wraps
+// ErrNoInterpreter.
+func Interpreter(ext, code string) (Evaluator, error) {
+	switch ext {
+	case ".p4":
+		interp, err := NewP4Interp(code)
+		if err != nil {
+			return Evaluator{}, fmt.Errorf("validate: p4 artifact unparseable: %w", err)
+		}
+		return Evaluator{Name: "p4", Classify: interp.Classify}, nil
+	case ".spatial":
+		interp, err := NewSpatialInterp(code)
+		if err != nil {
+			return Evaluator{}, fmt.Errorf("validate: spatial artifact unparseable: %w", err)
+		}
+		return Evaluator{Name: "spatial", Classify: interp.Classify}, nil
+	}
+	return Evaluator{}, fmt.Errorf("%w for %q", ErrNoInterpreter, ext)
+}
+
+// The product's validation traffic: the compile stage, the serving gate
+// and the CLI drive the same inputs, so their verdicts are bit-comparable
+// and cacheable under the spec hash.
+const (
+	productSeed    = 0x484f4d554e43 // "HOMUNC"
+	productTraffic = 256
+)
+
+// ProductTraffic is Traffic at the one seed and size every product
+// surface validates with.
+func ProductTraffic(m *ir.Model) [][]float64 {
+	return Traffic(m, productSeed, productTraffic)
 }
 
 // Check runs every evaluator over every input and reports divergences.

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/backend"
 	"repro/internal/ir"
 	"repro/internal/validate"
 )
@@ -24,13 +25,6 @@ import (
 // model's reference semantics — or that carries a recorded failed
 // validation verdict — on an endpoint that opted into ValidateRollouts.
 var ErrValidationFailed = errors.New("homunculus: translation validation failed")
-
-// Validation traffic is fixed so verdicts are deterministic and cacheable
-// under the spec hash: same spec, same traffic, same verdict.
-const (
-	validationSeed    = 0x484f4d554e43 // "HOMUNC"
-	validationTraffic = 256
-)
 
 // ValidationReport is the per-app translation-validation verdict.
 type ValidationReport struct {
@@ -78,8 +72,7 @@ func validateModel(m *ir.Model) *ValidationReport {
 	if err != nil {
 		return &ValidationReport{Err: err.Error()}
 	}
-	inputs := validate.Traffic(m, validationSeed, validationTraffic)
-	rep := validate.Check(evals, inputs)
+	rep := validate.Check(evals, validate.ProductTraffic(m))
 	vr := &ValidationReport{
 		Evaluators:  rep.Evaluators,
 		Inputs:      rep.Inputs,
@@ -113,24 +106,15 @@ func gateRollout(platform string, app *AppResult) error {
 	if app.Model == nil {
 		return nil
 	}
-	evals := []validate.Evaluator{{Name: "ir", Classify: app.Model.InferQ}}
-	switch platform {
-	case "tofino":
-		interp, err := validate.NewP4Interp(app.Code)
-		if err != nil {
-			return fmt.Errorf("%w: app %q p4 artifact: %v", ErrValidationFailed, app.Name, err)
-		}
-		evals = append(evals, validate.Evaluator{Name: "p4", Classify: interp.Classify})
-	case "taurus", "fpga":
-		interp, err := validate.NewSpatialInterp(app.Code)
-		if err != nil {
-			return fmt.Errorf("%w: app %q spatial artifact: %v", ErrValidationFailed, app.Name, err)
-		}
-		evals = append(evals, validate.Evaluator{Name: "spatial", Classify: interp.Classify})
-	default:
+	interp, err := validate.Interpreter(backend.CodeExt(platform), app.Code)
+	if errors.Is(err, validate.ErrNoInterpreter) {
 		return nil
 	}
-	rep := validate.Check(evals, validate.Traffic(app.Model, validationSeed, validationTraffic))
+	if err != nil {
+		return fmt.Errorf("%w: app %q: %v", ErrValidationFailed, app.Name, err)
+	}
+	evals := []validate.Evaluator{{Name: "ir", Classify: app.Model.InferQ}, interp}
+	rep := validate.Check(evals, validate.ProductTraffic(app.Model))
 	if len(rep.Divergences) > 0 {
 		d := rep.Divergences[0]
 		return fmt.Errorf("%w: app %q shipped artifact diverges from reference on %d/%d inputs (first: %s)",

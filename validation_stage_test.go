@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/alchemy"
+	"repro/internal/validate"
 )
 
 // submitValidated compiles one dtree pipeline on svc, with or without
@@ -46,8 +47,8 @@ func TestValidateStageAttachesVerdict(t *testing.T) {
 	if !v.OK() {
 		t.Fatalf("verdict: %s", v.String())
 	}
-	if v.Inputs < validationTraffic {
-		t.Fatalf("traffic %d, want >= %d (fixed traffic + boundary probes)", v.Inputs, validationTraffic)
+	if want := len(validate.ProductTraffic(pipe.Apps[0].Model)); v.Inputs != want {
+		t.Fatalf("traffic %d, want %d (fixed traffic + boundary probes)", v.Inputs, want)
 	}
 	want := map[string]bool{"ir": true, "p4": true, "spatial": true}
 	for _, e := range v.Evaluators {
