@@ -806,7 +806,7 @@ func BenchmarkServeClassifyBatch256(b *testing.B) {
 // BenchmarkServeClassifyFreshGoroutine measures Classify the way a
 // shadow mirror makes it: once, from a goroutine that has just started.
 // A fresh goroutine has 2 KB of stack; when Classify's call chain
-// (await, harvest, sweep, the predictor, DotQ) outgrows what the runtime
+// (drain or await and harvest, sweep, the predictor, DotQ) outgrows what the runtime
 // leaves of it, every such call pays a stack copy — about 2.6 µs an op
 // here instead of 1.4 µs, when single vectors went through the batch
 // entry point's two extra frames — and the bursts in which mirrors run

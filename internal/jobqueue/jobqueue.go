@@ -19,7 +19,8 @@ import (
 )
 
 var (
-	// ErrFull rejects a Submit when the pending backlog is at capacity.
+	// ErrFull rejects a Submit when the backlog — pending tasks no idle
+	// worker is about to take — is at capacity.
 	ErrFull = errors.New("jobqueue: queue full")
 	// ErrClosed rejects a Submit after Close, and is handed to the drop
 	// callback of every ticket still pending when Close runs.
@@ -70,19 +71,20 @@ type Queue struct {
 	cond    *sync.Cond
 	pending []*Ticket
 	running int
-	depth   int // max pending; negative means unbounded
+	workers int
+	depth   int // max pending beyond the idle workers; negative means unbounded
 	closed  bool
 	wg      sync.WaitGroup
 }
 
 // New starts a queue with the given number of dispatch workers (the
-// in-flight cap; clipped up to 1) and pending-backlog depth (negative
-// means unbounded).
+// in-flight cap; clipped up to 1) and backlog depth: how many tasks may
+// wait with every worker busy (negative means unbounded).
 func New(workers, depth int) *Queue {
 	if workers < 1 {
 		workers = 1
 	}
-	q := &Queue{depth: depth}
+	q := &Queue{workers: workers, depth: depth}
 	q.cond = sync.NewCond(&q.mu)
 	q.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -100,7 +102,9 @@ func (q *Queue) Submit(run func(), drop func(error)) (*Ticket, error) {
 	if q.closed {
 		return nil, ErrClosed
 	}
-	if q.depth >= 0 && len(q.pending) >= q.depth {
+	// A pending task an idle worker has been signalled for but not yet
+	// dequeued is not waiting on anyone: only the rest are backlog.
+	if idle := q.workers - q.running; q.depth >= 0 && len(q.pending)-idle >= q.depth {
 		return nil, ErrFull
 	}
 	t := &Ticket{q: q, run: run, drop: drop}

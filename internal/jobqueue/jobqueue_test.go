@@ -172,3 +172,19 @@ func TestCloseDropsPendingAndDrainsRunning(t *testing.T) {
 		t.Fatalf("submit after close = %v, want ErrClosed", err)
 	}
 }
+
+// TestSubmitCountsIdleWorkers: a task an idle worker is about to take is
+// not backlog. With one worker and depth 1, two back-to-back submits
+// must both be admitted however far the worker has got with the first —
+// it is either running it (one task waits) or about to (none does).
+func TestSubmitCountsIdleWorkers(t *testing.T) {
+	for i := 0; i < 500; i++ {
+		q := New(1, 1)
+		for k := 1; k <= 2; k++ {
+			if _, err := q.Submit(func() {}, nil); err != nil {
+				t.Fatalf("round %d: submit %d: %v", i, k, err)
+			}
+		}
+		q.Close()
+	}
+}

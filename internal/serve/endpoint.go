@@ -765,7 +765,7 @@ func (e *Endpoint) Stats() EndpointStats {
 	var merged RawStats
 	for i, rt := range rts {
 		if rt != nil {
-			raw := rt.stats.raw()
+			raw := rt.raw()
 			rows[i].Stats = raw.Stats()
 			merged.Merge(raw)
 		}

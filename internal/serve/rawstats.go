@@ -110,7 +110,7 @@ func (e *Endpoint) RawStats() RawStats {
 
 	var out RawStats
 	for _, rt := range rts {
-		out.Merge(rt.stats.raw())
+		out.Merge(rt.raw())
 	}
 	out.UptimeNS = int64(time.Since(start))
 	return out

@@ -26,14 +26,24 @@ package serve
 // one token. A waiting producer uses the same protocol per call (a
 // waiter flag + 1-slot channel on the pooled request).
 //
-// The fast path is caller-harvesting: a producer that finds the shard
-// idle acquires the harvest lock itself and classifies its own request
-// (and any neighbors that were published meanwhile) inline on its own
-// goroutine — zero scheduler handoffs, which is what buys the single-
-// digit-µs p99. Under concurrency the same sweep naturally forms
-// micro-batches. The worker goroutine is the fallback harvester: it
-// takes the spans of a ClassifyBatch its caller has not reached yet and
-// covers producers that gave up spinning and parked.
+// The fast path is caller-harvesting and core-local. Every pooled
+// request has a home shard, dealt round-robin when the pool mints it;
+// sync.Pool hands a request back on the P that released it, so each P
+// settles on a shard of its own. A lone span — a Classify vector, or a
+// ClassifyBatch that fits in one span — claims a harvest lock before it
+// publishes: home's when it is free, else the next free one round the
+// shards. Holding it, the producer publishes and drains the shard
+// itself, classifying its own span (and any neighbors published
+// meanwhile) on its own goroutine: zero scheduler handoffs, which is
+// what buys the single-digit-µs p99, and no write to a cache line
+// another core is writing, since the slots, the bitmap and the counters
+// (stats.go) all belong to the shard. When every lock is held, the span
+// publishes to home and waits for that shard's harvester; under
+// concurrency those sweeps form the micro-batches. A multi-span batch
+// deals its spans from a shared round-robin cursor. The worker goroutine
+// is the fallback harvester: it takes the spans of a ClassifyBatch its
+// caller has not reached yet and covers producers that gave up spinning
+// and parked.
 
 import (
 	"math/bits"
@@ -75,10 +85,20 @@ type slot struct {
 	req *request    // the call to tell when the span is delivered
 }
 
+// cacheLinePad keeps the fields on either side of it off each other's
+// cache line.
+type cacheLinePad struct{ _ [64]byte }
+
+// lineWords rounds a count of 8-byte words up to whole 64-byte cache
+// lines, so a shard's small hot arrays never share a line with another
+// shard's allocation.
+func lineWords(n int) int { return (n + 7) &^ 7 }
+
 // shard is one inference lane: a slot ring, its ready-bitmap, the
-// admission credits, a prepared predictor, and the park/wake plumbing for
-// its fallback worker. The predictor is guarded by the busy flag — only
-// the harvester that owns busy may touch it.
+// admission credits, a prepared predictor, the park/wake plumbing for
+// its fallback worker, and its share of the deployment's counters. The
+// predictor is guarded by the busy flag — only the harvester that owns
+// busy may touch it.
 type shard struct {
 	tickets atomic.Uint64 // fetch-add slot claim
 	credits atomic.Int64  // vectors admitted and not yet harvested (≤ cap)
@@ -91,7 +111,7 @@ type shard struct {
 	mask   uint64
 	ready  []atomic.Uint64 // the bitmap scoreboard, 64 slots per word
 	slots  []slot
-	starts []time.Duration // when slot i's span was admitted, if its ticket is sampled: since stats.start
+	starts []time.Duration // when slot i's span was admitted, if its ticket is sampled: since the runtime's start
 
 	pred   *ir.Predictor
 	counts []uint64 // per-class tally of the span in hand; busy-guarded
@@ -106,6 +126,10 @@ type shard struct {
 	lastNS        atomic.Int64  // previous arrival, UnixNano
 	gapHist       atomic.Uint64 // packed 4-bit gap buckets, newest lowest
 	flushDeadline bool
+
+	_     cacheLinePad
+	stats counters // this shard's metrics (stats.go), on lines of their own
+	_     cacheLinePad
 }
 
 func newShard(model *ir.Model, capacity uint64) (*shard, error) {
@@ -113,16 +137,18 @@ func newShard(model *ir.Model, capacity uint64) (*shard, error) {
 	if err != nil {
 		return nil, err
 	}
+	words, classes := int(capacity+63)/64, model.Outputs
 	sh := &shard{
 		cap:    capacity,
 		mask:   capacity - 1,
-		ready:  make([]atomic.Uint64, (capacity+63)/64),
+		ready:  make([]atomic.Uint64, lineWords(words))[:words],
 		slots:  make([]slot, capacity),
-		starts: make([]time.Duration, capacity),
+		starts: make([]time.Duration, lineWords(int(capacity)))[:capacity],
 		wake:   make(chan struct{}, 1),
 		pred:   pred,
-		counts: make([]uint64, model.Outputs),
+		counts: make([]uint64, lineWords(classes))[:classes],
 	}
+	sh.stats.perClass = make([]atomic.Uint64, lineWords(classes))[:classes]
 	for i := range sh.slots {
 		sh.slots[i].seq.Store(uint64(i))
 	}
@@ -145,8 +171,9 @@ func (sh *shard) hasReady() bool {
 // credit per vector and one slot, so QueueDepth bounds vectors and the
 // ring cannot run out of slots before it runs out of credits. The rare
 // seq spin waits for a harvester to detach the slot's previous occupant
-// (possible only when the ring is nearly full).
-func (rt *Runtime) enqueue(sh *shard, r *request, xs [][]float64, out []int) error {
+// (possible only when the ring is nearly full); owned says the caller
+// holds sh's harvest lock, so it is that harvester and sweeps instead.
+func (rt *Runtime) enqueue(sh *shard, r *request, xs [][]float64, out []int, owned bool) error {
 	n := int64(len(xs))
 	if sh.credits.Add(n) > int64(sh.cap) {
 		sh.credits.Add(-n)
@@ -174,16 +201,19 @@ func (rt *Runtime) enqueue(sh *shard, r *request, xs [][]float64, out []int) err
 	i := t & sh.mask
 	s := &sh.slots[i]
 	for s.seq.Load() != t {
+		if owned {
+			rt.sweep(sh)
+		}
 		runtime.Gosched()
 	}
 	s.xs, s.out, s.req = xs, out, r
 	if t&(latSampleEvery-1) == 0 {
-		sh.starts[i] = time.Since(rt.stats.start)
+		sh.starts[i] = time.Since(rt.start)
 	}
 	if n > 1 {
 		sh.batches.Add(1)
 	}
-	rt.stats.accepted.Add(uint64(n))
+	sh.stats.accepted.Add(uint64(n))
 	sh.ready[i>>6].Or(1 << (i & 63))
 	return nil
 }
@@ -235,7 +265,7 @@ func (rt *Runtime) sweep(sh *shard) int {
 				err = sh.pred.ClassifyBatch(xs, out)
 			}
 			if sampled {
-				rt.stats.observeLatency(time.Since(rt.stats.start) - start)
+				sh.stats.observeLatency(time.Since(rt.start) - start)
 			}
 			failed := 0
 			if err != nil {
@@ -248,7 +278,7 @@ func (rt *Runtime) sweep(sh *shard) int {
 				first := err // a copy to escape, so only this path allocates
 				r.err.CompareAndSwap(nil, &first)
 			}
-			rt.stats.observe(sh.counts, out, failed)
+			sh.stats.observe(sh.counts, out, failed)
 			// The span is delivered; r may be back in the pool, and in
 			// another caller's hands, the moment pending reads zero.
 			if r.pending.Add(-1) == 0 && r.waiter.Swap(0) == 1 {
@@ -260,20 +290,53 @@ func (rt *Runtime) sweep(sh *shard) int {
 	if n > 0 {
 		deadline := sh.flushDeadline
 		sh.flushDeadline = false
-		rt.stats.flush(n, deadline, n >= rt.batchSize)
+		sh.stats.flush(n, deadline, n >= rt.batchSize)
 	}
 	return n
 }
 
-// harvest acquires the harvest lock if free and sweeps until the bitmap
-// stays empty. Returns false if another harvester owns the shard. hold
-// lets the flush policy (predict.go) delay the first sweep; a batch
-// caller passes false — it is waiting on spans, which are never held.
+// harvest acquires the harvest lock if free and drains the shard.
+// Returns false if another harvester owns it.
 func (rt *Runtime) harvest(sh *shard, hold bool) bool {
 	if !sh.busy.CompareAndSwap(0, 1) {
 		return false
 	}
-	if hold {
+	rt.drain(sh, hold)
+	return true
+}
+
+// claim takes the first harvest lock it can win for a lone span, from
+// home on round the shards, and returns its shard. When every lock is
+// held it returns (home, false): the span publishes to home and waits
+// for that shard's harvester.
+func (rt *Runtime) claim(home int) (int, bool) {
+	for k, i := 0, home; k < len(rt.rings); k++ {
+		// Load before the CAS: a held lock's line stays shared instead
+		// of bouncing to this core for a CAS that fails.
+		if busy := &rt.rings[i].busy; busy.Load() == 0 && busy.CompareAndSwap(0, 1) {
+			return i, true
+		}
+		if i++; i == len(rt.rings) {
+			i = 0
+		}
+	}
+	return home, false
+}
+
+// drain runs sh's harvest, for the owner of its harvest lock: sweep
+// until the bitmap stays empty, then release the lock. hold lets the
+// flush policy (predict.go) delay the first sweep; a batch caller
+// passes false — it is waiting on spans, which are never held.
+func (rt *Runtime) drain(sh *shard, hold bool) {
+	if hold && rt.flush != FlushGreedy {
+		if !sh.hasReady() {
+			// The policy decides on what is ready now, and nothing is:
+			// a span published from here on is for a harvest that can
+			// hold it, not for this one to sweep unheld. (A producer
+			// whose claim lost to this lock is publishing one.)
+			sh.busy.Store(0)
+			return
+		}
 		switch rt.flush {
 		case FlushAdaptive:
 			rt.adaptiveHold(sh)
@@ -284,7 +347,6 @@ func (rt *Runtime) harvest(sh *shard, hold bool) bool {
 	for rt.sweep(sh) > 0 {
 	}
 	sh.busy.Store(0)
-	return true
 }
 
 // await blocks until every span of r is delivered; the spans went to n

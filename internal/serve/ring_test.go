@@ -11,10 +11,13 @@ package serve
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/ir"
 )
 
 // ringInvariants checks the post-drain white-box state of every shard:
@@ -45,7 +48,7 @@ func ringInvariants(t *testing.T, rt *Runtime) {
 		}
 		tickets += sh.tickets.Load()
 	}
-	if acc := rt.stats.accepted.Load(); tickets > acc {
+	if acc := rt.raw().Accepted; tickets > acc {
 		t.Fatalf("%d tickets issued vs %d vectors accepted", tickets, acc)
 	}
 }
@@ -219,4 +222,228 @@ func TestRingCloseUnderFire(t *testing.T) {
 		t.Fatalf("accepted %d != completed %d after close", st.Accepted, st.Completed)
 	}
 	ringInvariants(t, rt)
+}
+
+// classifier is the traffic surface mixedLoad drives: a Runtime or an
+// Endpoint.
+type classifier interface {
+	Classify(x []float64) (int, error)
+	ClassifyBatch(xs [][]float64) ([]int, int, error)
+}
+
+// mixedLoad runs goroutines of mixed traffic against c — single
+// vectors, batches of one span and of several — plus one row of the
+// wrong width, retried until a ring admits it. Every delivered class
+// must equal InferQ. It returns the vectors the callers saw admitted
+// and shed, and how many admitted vectors failed inference.
+func mixedLoad(t *testing.T, c classifier, m *ir.Model, seed int64) (admitted, shed, failed uint64) {
+	t.Helper()
+	const goroutines, iters = 8, 60
+	var a, s, f atomic.Uint64
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			if g == 0 {
+				for {
+					_, err := c.Classify([]float64{1})
+					if errors.Is(err, ErrOverloaded) {
+						s.Add(1)
+						continue
+					}
+					if err == nil {
+						t.Error("a row of the wrong width classified")
+					}
+					a.Add(1)
+					f.Add(1)
+					break
+				}
+			}
+			rng := rand.New(rand.NewSource(seed*goroutines + int64(g)))
+			for i := 0; i < iters; i++ {
+				if i%3 == 0 {
+					xs := randRows(rng, m, 1)
+					class, err := c.Classify(xs[0])
+					switch {
+					case err == nil:
+						if want := inferAll(m, xs)[0]; class != want {
+							t.Errorf("goroutine %d: class %d, want %d", g, class, want)
+						}
+						a.Add(1)
+					case errors.Is(err, ErrOverloaded):
+						s.Add(1)
+					default:
+						t.Errorf("goroutine %d: %v", g, err)
+						return
+					}
+					continue
+				}
+				// A ring holds 16 vectors: up to 16 is one span, more is
+				// several.
+				n := 1 + rng.Intn(16)
+				if i%3 == 2 {
+					n += 16 + rng.Intn(32)
+				}
+				xs := randRows(rng, m, n)
+				classes, dropped, err := c.ClassifyBatch(xs)
+				if err != nil {
+					t.Errorf("goroutine %d: batch of %d: %v", g, n, err)
+					return
+				}
+				for k, want := range inferAll(m, xs) {
+					if classes[k] != -1 && classes[k] != want {
+						t.Errorf("goroutine %d: row %d of %d: class %d, want %d", g, k, n, classes[k], want)
+					}
+				}
+				a.Add(uint64(n - dropped))
+				s.Add(uint64(dropped))
+			}
+		}(g)
+	}
+	wg.Wait()
+	return a.Load(), s.Load(), f.Load()
+}
+
+// statsExact checks a drained deployment's counters against what its
+// callers saw.
+func statsExact(t *testing.T, what string, st Stats, admitted, shed, failed uint64) {
+	t.Helper()
+	if st.Accepted != st.Completed || st.Accepted != admitted {
+		t.Fatalf("%s: accepted %d, completed %d, callers saw %d admitted", what, st.Accepted, st.Completed, admitted)
+	}
+	if st.Dropped != shed {
+		t.Fatalf("%s: dropped %d, callers saw %d shed", what, st.Dropped, shed)
+	}
+	if st.Errors != failed {
+		t.Fatalf("%s: errors %d, callers saw %d failed", what, st.Errors, failed)
+	}
+	var classified uint64
+	for _, n := range st.PerClass {
+		classified += n
+	}
+	if classified != st.Completed-st.Errors {
+		t.Fatalf("%s: per-class sum %d, want completed %d - errors %d", what, classified, st.Completed, st.Errors)
+	}
+}
+
+// TestRingShardStatsExact: the counters live per shard and are summed
+// when read, so the sum must be exact. Mixed traffic on 4 small rings —
+// singles, one-span and multi-span batches, a row of the wrong width,
+// load enough to shed — then Close: accepted, completed, dropped, errors
+// and the per-class tally must match what the callers saw, and an
+// endpoint's RawStats must be the merge of its runtimes'.
+func TestRingShardStatsExact(t *testing.T) {
+	m := dnnModel()
+	cfg := ServingConfig{Shards: 4, BatchSize: 8, QueueDepth: 64}
+	// Each span sleeps under its harvest lock, so rings back up and shed.
+	rt := mustRuntimeHook(t, m, cfg, func() { time.Sleep(20 * time.Microsecond) })
+	var admitted, shed, failed uint64
+	for round := int64(0); round < 20 && shed == 0; round++ {
+		a, s, f := mixedLoad(t, rt, m, round)
+		admitted, shed, failed = admitted+a, shed+s, failed+f
+	}
+	if shed == 0 {
+		t.Fatal("nothing shed: the load never filled a ring")
+	}
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	statsExact(t, "runtime", rt.Stats(), admitted, shed, failed)
+	ringInvariants(t, rt)
+
+	ep, err := NewEndpoint("ep", m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ep.Close() })
+	if _, err := ep.Rollout(m, RolloutConfig{CanaryPercent: 50}); err != nil {
+		t.Fatal(err)
+	}
+	admitted, shed, failed = mixedLoad(t, ep, m, 100)
+	if err := ep.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var merged RawStats
+	for _, rev := range ep.revs {
+		merged.Merge(rev.rt.Load().raw())
+	}
+	got := ep.RawStats()
+	got.UptimeNS, merged.UptimeNS = 0, 0
+	if !reflect.DeepEqual(got, merged) {
+		t.Fatalf("endpoint RawStats %+v, merge of its runtimes %+v", got, merged)
+	}
+	statsExact(t, "endpoint", got.Stats(), admitted, shed, failed)
+}
+
+// TestRingClaimOrder: a lone span claims its home shard's harvest lock,
+// else the next free one round the shards, else none; new requests are
+// dealt homes round-robin; and a lone Classify on an idle runtime is
+// accepted on its request's home.
+func TestRingClaimOrder(t *testing.T) {
+	idle := func(rt *Runtime) {
+		t.Helper()
+		waitFor(t, "every fallback worker parked", func() bool {
+			for _, sh := range rt.rings {
+				if sh.parked.Load() == 0 {
+					return false
+				}
+			}
+			return true
+		})
+	}
+	cfg := ServingConfig{Shards: 4}
+	rt := mustRuntime(t, stepModel(), cfg)
+	idle(rt)
+	hold := func(held ...int) {
+		for i, sh := range rt.rings {
+			sh.busy.Store(0)
+			for _, h := range held {
+				if h == i {
+					sh.busy.Store(1)
+				}
+			}
+		}
+	}
+	for _, c := range []struct {
+		home   int
+		held   []int
+		at     int
+		gotten bool
+	}{
+		{home: 1, at: 1, gotten: true},
+		{home: 1, held: []int{1}, at: 2, gotten: true},
+		{home: 3, held: []int{3}, at: 0, gotten: true},
+		{home: 1, held: []int{1, 2, 3}, at: 0, gotten: true},
+		{home: 2, held: []int{0, 1, 2, 3}, at: 2, gotten: false},
+	} {
+		hold(c.held...)
+		if at, ok := rt.claim(c.home); at != c.at || ok != c.gotten {
+			t.Errorf("claim(%d) with %v held = (%d, %v), want (%d, %v)", c.home, c.held, at, ok, c.at, c.gotten)
+		}
+	}
+	hold()
+	for i := 0; i < 8; i++ {
+		if h := rt.reqPool.New().(*request).home; h != i%4 {
+			t.Fatalf("request %d minted with home %d, want %d", i, h, i%4)
+		}
+	}
+
+	for home := range cfg.Shards {
+		rt := mustRuntime(t, stepModel(), cfg)
+		idle(rt)
+		rt.rr.Store(uint64(home)) // the first request minted takes this home
+		if c, err := rt.Classify([]float64{1, 0}); err != nil || c != 1 {
+			t.Fatalf("classify: %d %v", c, err)
+		}
+		for i, sh := range rt.rings {
+			want := uint64(0)
+			if i == home {
+				want = 1
+			}
+			if got := sh.stats.accepted.Load(); got != want {
+				t.Fatalf("home %d: shard %d accepted %d, want %d", home, i, got, want)
+			}
+		}
+	}
 }

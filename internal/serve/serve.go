@@ -9,12 +9,15 @@
 // owns a fixed-size ring of preallocated slots with an atomic
 // ready-bitmap scoreboard. Producers claim a slot with an atomic
 // fetch-add, write a span — a run of their own rows and of their result
-// slice, nothing copied — and publish with a bit set; a harvester — the
-// producer itself when the shard is idle, else the shard's fallback
-// worker — drains the bitmap with a bits.TrailingZeros64 sweep. One
-// sweep is one micro-batch, so batches form naturally under concurrent
-// load, a ClassifyBatch is one span and one batch-kernel call per shard,
-// and a lone request is classified inline with zero scheduler handoffs.
+// slice, nothing copied — and publish with a bit set; a harvester drains
+// the bitmap with a bits.TrailingZeros64 sweep. A lone request first
+// claims a shard's harvest lock — its pooled request's home shard when
+// free — then publishes and sweeps that shard itself, so it is
+// classified inline with zero scheduler handoffs and writes only its own
+// shard's lines, counters included. When every shard is owned it
+// publishes to home and that shard's harvester (another producer, or the
+// fallback worker) takes it, so batches form naturally under concurrent
+// load; a ClassifyBatch is one span and one batch-kernel call per shard.
 // The busy path touches no channel and no mutex; parking is futex-style
 // and only on the idle path.
 //
@@ -24,9 +27,9 @@
 // service's admission queue). Each shard owns a prepared ir.Predictor,
 // so the steady-state classify path performs zero heap allocations.
 // Per-deployment metrics (throughput, a sampled log-scale latency
-// histogram for p50/p99, per-class counts, drops) are recorded inline
-// from day one — observability is part of the serving contract, not a
-// bolt-on.
+// histogram for p50/p99, per-class counts, drops) are recorded inline,
+// per shard, and summed when read — observability is part of the
+// serving contract, not a bolt-on.
 //
 // Close drains: intake stops (ErrClosed), every request already accepted
 // is still classified and delivered, then the workers exit. See
@@ -59,8 +62,9 @@ var (
 // classify path at zero allocations. Delivery is a countdown (spin/park,
 // see ring.go), not a channel send, so the busy path stays channel-free.
 type request struct {
-	row [1][]float64 // Classify's vector, as a span of one
-	cls [1]int       // and its class
+	row  [1][]float64 // Classify's vector, as a span of one
+	cls  [1]int       // and its class
+	home int          // the shard a lone span tries first (claim)
 
 	pending atomic.Int32          // spans published and not yet delivered
 	err     atomic.Pointer[error] // an inference error from one of them
@@ -95,11 +99,13 @@ type Runtime struct {
 	testHook func()
 
 	rings []*shard
-	rr    atomic.Uint64 // round-robin shard cursor
+	rr    atomic.Uint64 // round-robin shard cursor: a multi-span batch's first shard, a new request's home
 
 	reqPool sync.Pool
 
-	stats stats
+	// The runtime-wide metrics; the rest are per shard (stats.go).
+	start   time.Time
+	dropped atomic.Uint64 // vectors shed before any shard took them
 
 	closed    atomic.Bool
 	closeOnce sync.Once
@@ -134,8 +140,8 @@ func New(model *ir.Model, cfg ServingConfig) (*Runtime, error) {
 		}
 		rt.rings[i] = sh
 	}
-	rt.reqPool.New = func() any { return &request{wake: make(chan struct{}, 1)} }
-	rt.stats.init(model.Outputs)
+	rt.reqPool.New = func() any { return &request{home: rt.next(1), wake: make(chan struct{}, 1)} }
+	rt.start = time.Now()
 	rt.workers.Add(r.Shards)
 	for _, sh := range rt.rings {
 		go rt.worker(sh)
@@ -172,24 +178,51 @@ func (rt *Runtime) next(n int) int {
 // draining began. x is read until Classify returns and not after; the
 // caller may reuse it then.
 func (rt *Runtime) Classify(x []float64) (int, error) {
-	at := rt.next(1)
 	r := rt.reqPool.Get().(*request)
 	r.row[0] = x
 	r.pending.Store(1)
-	if err := rt.enqueue(rt.rings[at], r, r.row[:], r.cls[:]); err != nil {
+	// A lone span (ring.go): claim a harvest lock from home on, publish,
+	// and drain the shard if the claim won, else wait on home's harvester.
+	// Written out rather than shared with classifyInto: every shadow
+	// mirror runs this on a fresh goroutine, whose first stack one more
+	// frame on this chain outgrows (BenchmarkServeClassifyFreshGoroutine).
+	at, owned := rt.claim(r.home)
+	sh := rt.rings[at]
+	err := rt.enqueue(sh, r, r.row[:], r.cls[:], owned)
+	switch {
+	case owned:
+		rt.drain(sh, err == nil)
+	case err == nil:
+		rt.await(r, at, 1, true)
+	}
+	if err != nil {
 		if errors.Is(err, ErrOverloaded) {
-			rt.stats.dropped.Add(1)
+			rt.dropped.Add(1)
 		}
 		rt.release(r)
 		return 0, err
 	}
-	rt.await(r, at, 1, true)
 	class, perr := r.cls[0], r.err.Load()
 	rt.release(r)
 	if perr != nil {
 		return 0, *perr
 	}
 	return class, nil
+}
+
+// refused settles a span enqueue turned away: its classes read -1 and
+// count as dropped. A shed span is also a runtime drop; any other
+// refusal (ErrClosed) is the call's error.
+func (rt *Runtime) refused(eerr error, out []int) (dropped int, err error) {
+	if errors.Is(eerr, ErrOverloaded) {
+		rt.dropped.Add(uint64(len(out)))
+	} else {
+		err = eerr
+	}
+	for i := range out {
+		out[i] = -1
+	}
+	return len(out), err
 }
 
 // spanSize cuts a batch of n vectors for this runtime: into as many
@@ -229,7 +262,34 @@ func (rt *Runtime) classifyInto(xs [][]float64, classes []int) (dropped int, err
 	spans := (len(xs) + size - 1) / size
 	r := rt.reqPool.Get().(*request)
 	r.pending.Store(int32(spans))
-	// Consecutive shards: at most one span each while they last.
+	if spans == 1 {
+		// A lone span, as in Classify; spans are never held.
+		at, owned := rt.claim(r.home)
+		sh := rt.rings[at]
+		eerr := rt.enqueue(sh, r, xs, classes, owned)
+		switch {
+		case owned:
+			rt.drain(sh, false)
+		case eerr == nil:
+			rt.await(r, at, 1, false)
+		}
+		if eerr != nil {
+			dropped, err = rt.refused(eerr, classes)
+		}
+	} else {
+		dropped, err = rt.spread(r, xs, classes, size, spans)
+	}
+	if perr := r.err.Load(); perr != nil && err == nil {
+		err = *perr
+	}
+	rt.release(r)
+	return dropped, err
+}
+
+// spread publishes a batch of several spans to consecutive shards from
+// the round-robin cursor on — at most one span each while they last —
+// and waits for every admitted one.
+func (rt *Runtime) spread(r *request, xs [][]float64, classes []int, size, spans int) (dropped int, err error) {
 	first := rt.next(spans)
 	for k := 0; k < spans; k++ {
 		lo, hi := k*size, min((k+1)*size, len(xs))
@@ -239,7 +299,7 @@ func (rt *Runtime) classifyInto(xs [][]float64, classes []int) (dropped int, err
 			// Read before the attempt: a full ring sheds the span only if
 			// nothing of ours could have been what filled it.
 			ours := int(r.pending.Load()) > spans-k
-			eerr = rt.enqueue(sh, r, xs[lo:hi], classes[lo:hi])
+			eerr = rt.enqueue(sh, r, xs[lo:hi], classes[lo:hi], false)
 			if !ours || !errors.Is(eerr, ErrOverloaded) {
 				break
 			}
@@ -256,27 +316,19 @@ func (rt *Runtime) classifyInto(xs [][]float64, classes []int) (dropped int, err
 			}
 			continue
 		}
-		if errors.Is(eerr, ErrOverloaded) {
-			rt.stats.dropped.Add(uint64(hi - lo))
-		} else if err == nil {
-			err = eerr
+		d, rerr := rt.refused(eerr, classes[lo:hi])
+		dropped += d
+		if err == nil {
+			err = rerr
 		}
-		for i := lo; i < hi; i++ {
-			classes[i] = -1
-		}
-		dropped += hi - lo
 		r.pending.Add(-1)
 	}
 	rt.await(r, first, min(spans, len(rt.rings)), false)
-	if perr := r.err.Load(); perr != nil && err == nil {
-		err = *perr
-	}
-	rt.release(r)
 	return dropped, err
 }
 
 // Stats snapshots the deployment's metrics.
-func (rt *Runtime) Stats() Stats { return rt.stats.raw().Stats() }
+func (rt *Runtime) Stats() Stats { return rt.raw().Stats() }
 
 // Close stops intake and drains: every accepted request is classified
 // and delivered, then the workers exit. Blocks until the drain
@@ -288,15 +340,21 @@ func (rt *Runtime) Close() error {
 		// Drain: credits quiesce once every admitted request has been
 		// harvested (and any producer between credit and publish has
 		// finished), completed catches accepted once every harvested
-		// request is classified. Progress needs no help from here — each
-		// in-flight request has a live producer spinning or a worker
-		// covering it.
+		// request is classified. Every shard's completed is read before
+		// any shard's accepted, so a sum cannot catch up early. Progress
+		// needs no help from here — each in-flight request has a live
+		// producer spinning or a worker covering it.
 		for {
 			var inflight int64
+			var completed, accepted uint64
 			for _, sh := range rt.rings {
 				inflight += sh.credits.Load()
+				completed += sh.stats.completed.Load()
 			}
-			if inflight == 0 && rt.stats.completed.Load() >= rt.stats.accepted.Load() {
+			for _, sh := range rt.rings {
+				accepted += sh.stats.accepted.Load()
+			}
+			if inflight == 0 && completed >= accepted {
 				break
 			}
 			time.Sleep(50 * time.Microsecond)

@@ -9,6 +9,11 @@ package serve
 // histogram is fed by sampled spans (every latSampleEvery-th ticket per
 // shard, ring.go), so the steady-state path sheds the two time.Now()
 // calls on the other N-1.
+//
+// The counters are per shard, on cache lines no other shard writes: a
+// producer classifying on its own shard touches no line another core
+// does. Readers sum the shards (Runtime.raw); the runtime itself keeps
+// only the start time and the drops shed before any shard took them.
 
 import (
 	"math/bits"
@@ -20,12 +25,14 @@ import (
 // [2^(i-1), 2^i) nanoseconds, covering up to ~9.2 s in bucket 63.
 const LatencyBuckets = 64
 
-type stats struct {
-	start time.Time
+// counters is one shard's share of the deployment's metrics. accepted
+// is added by the shard's producers; every other counter is written
+// only by the harvester that owns the shard's busy flag, so it is
+// bumped with a plain load and store, no locked add.
+type counters struct {
+	accepted atomic.Uint64
 
-	accepted  atomic.Uint64
 	completed atomic.Uint64
-	dropped   atomic.Uint64
 	errors    atomic.Uint64
 
 	batches         atomic.Uint64
@@ -37,23 +44,20 @@ type stats struct {
 	latency  [LatencyBuckets]atomic.Uint64
 }
 
-func (s *stats) init(classes int) {
-	s.start = time.Now()
-	s.perClass = make([]atomic.Uint64, classes)
-}
+// bump adds n to a counter only the busy-flag owner writes.
+func bump(c *atomic.Uint64, n uint64) { c.Store(c.Load() + n) }
 
 // flush records one harvest sweep (= one micro-batch). full means the
-// sweep collected at least BatchSize requests. deadline is always false
-// under the ring scheduler — no request ever waits on a batching
-// deadline — but the counter survives for wire compatibility.
-func (s *stats) flush(size int, deadline, full bool) {
-	s.batches.Add(1)
-	s.batched.Add(uint64(size))
+// sweep collected at least BatchSize requests; deadline means a fixed or
+// adaptive hold expired before it did.
+func (s *counters) flush(size int, deadline, full bool) {
+	bump(&s.batches, 1)
+	bump(&s.batched, uint64(size))
 	switch {
 	case deadline:
-		s.deadlineFlushes.Add(1)
+		bump(&s.deadlineFlushes, 1)
 	case full:
-		s.fullFlushes.Add(1)
+		bump(&s.fullFlushes, 1)
 	}
 }
 
@@ -61,14 +65,14 @@ func (s *stats) flush(size int, deadline, full bool) {
 // counts, each added once however long the span. failed of its rows could
 // not be classified and hold -1 in out. counts is the caller's zeroed
 // per-class scratch, and is zeroed again on return.
-func (s *stats) observe(counts []uint64, out []int, failed int) {
-	s.completed.Add(uint64(len(out)))
+func (s *counters) observe(counts []uint64, out []int, failed int) {
+	bump(&s.completed, uint64(len(out)))
 	if failed > 0 {
-		s.errors.Add(uint64(failed))
+		bump(&s.errors, uint64(failed))
 	}
 	if len(out) == 1 {
 		if c := out[0]; c >= 0 && c < len(s.perClass) {
-			s.perClass[c].Add(1)
+			bump(&s.perClass[c], 1)
 		}
 		return
 	}
@@ -79,15 +83,34 @@ func (s *stats) observe(counts []uint64, out []int, failed int) {
 	}
 	for c, n := range counts {
 		if n > 0 {
-			s.perClass[c].Add(n)
+			bump(&s.perClass[c], n)
 			counts[c] = 0
 		}
 	}
 }
 
 // observeLatency records one sampled span's admission-to-delivery time.
-func (s *stats) observeLatency(lat time.Duration) {
-	s.latency[LatencyBucket(lat)].Add(1)
+func (s *counters) observeLatency(lat time.Duration) {
+	bump(&s.latency[LatencyBucket(lat)], 1)
+}
+
+// addTo sums the shard's counters into out, whose PerClass and Latency
+// are already sized for them. completed is read before accepted, so a
+// live snapshot never shows more completed than accepted.
+func (s *counters) addTo(out *RawStats) {
+	out.Completed += s.completed.Load()
+	out.Accepted += s.accepted.Load()
+	out.Errors += s.errors.Load()
+	out.Batches += s.batches.Load()
+	out.Batched += s.batched.Load()
+	out.FullFlushes += s.fullFlushes.Load()
+	out.DeadlineFlushes += s.deadlineFlushes.Load()
+	for i := range s.perClass {
+		out.PerClass[i] += s.perClass[i].Load()
+	}
+	for i := range s.latency {
+		out.Latency[i] += s.latency[i].Load()
+	}
 }
 
 // Stats is a point-in-time snapshot of a deployment's serving metrics.
@@ -121,28 +144,21 @@ type Stats struct {
 	Uptime time.Duration
 }
 
-// raw loads the live counters into the mergeable wire form, trailing
+// raw sums the shards' counters into the mergeable wire form, trailing
 // empty latency buckets trimmed.
-func (s *stats) raw() RawStats {
+func (rt *Runtime) raw() RawStats {
 	out := RawStats{
-		Accepted:        s.accepted.Load(),
-		Completed:       s.completed.Load(),
-		Dropped:         s.dropped.Load(),
-		Errors:          s.errors.Load(),
-		Batches:         s.batches.Load(),
-		Batched:         s.batched.Load(),
-		FullFlushes:     s.fullFlushes.Load(),
-		DeadlineFlushes: s.deadlineFlushes.Load(),
-		PerClass:        make([]uint64, len(s.perClass)),
-		Latency:         make([]uint64, LatencyBuckets),
-		UptimeNS:        int64(time.Since(s.start)),
+		Dropped:  rt.dropped.Load(),
+		PerClass: make([]uint64, rt.model.Outputs),
+		Latency:  make([]uint64, LatencyBuckets),
+		UptimeNS: int64(time.Since(rt.start)),
 	}
-	for i := range s.perClass {
-		out.PerClass[i] = s.perClass[i].Load()
+	for _, sh := range rt.rings {
+		sh.stats.addTo(&out)
 	}
 	used := 0
-	for i := range s.latency {
-		if out.Latency[i] = s.latency[i].Load(); out.Latency[i] != 0 {
+	for i, c := range out.Latency {
+		if c != 0 {
 			used = i + 1
 		}
 	}
