@@ -745,8 +745,10 @@ func servedDNN(n int) (*ir.Model, [][]float64) {
 
 // BenchmarkPredictorClassifyBatchDNN measures the batch kernel alone:
 // 256 vectors per op through Predictor.ClassifyBatch, 32 tiles of 8
-// lanes. per_vector_ns against BenchmarkPredictorClassifyDNN-style
-// single calls is what the register block buys.
+// lanes. internal/ir's BenchmarkPredictorClassifyDNN times single
+// Classify calls on the same model and reports the same per_vector_ns,
+// so the two are one comparison: the tile's eight lanes against the
+// single vector's four-neuron block.
 func BenchmarkPredictorClassifyBatchDNN(b *testing.B) {
 	m, xs := servedDNN(256)
 	p, err := ir.NewPredictor(m)

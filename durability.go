@@ -106,6 +106,14 @@ func (s *Service) recordSubmission(j *Job, p *alchemy.Platform, o *options) {
 	}
 }
 
+// journalRefused closes the trace of a job the queue refused after its
+// submission was journaled, so a replay never revives a job its caller
+// was told failed. Unsynced like the submission it closes: a burst of
+// refusals must not cost a disk flush each.
+func (s *Service) journalRefused(j *Job, err error) {
+	s.journal(store.Record{Op: store.OpFailed, Job: j.id, Error: err.Error()}, false)
+}
+
 // journalFinish is the Job.onFinish hook: it records the terminal
 // transition, fsynced — a job a client observed as done must still be
 // done after a crash.

@@ -11,6 +11,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -202,6 +203,92 @@ func TestDurableJournalCompactsOnRecovery(t *testing.T) {
 	}
 	if len(bytes.TrimSpace(raw)) != 0 {
 		t.Fatalf("journal not compacted after clean recovery:\n%s", raw)
+	}
+}
+
+// journalTraces reads dir's journal into each job's ops, in file order.
+func journalTraces(t *testing.T, dir string) map[string][]string {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces := map[string][]string{}
+	for _, line := range bytes.Split(bytes.TrimSpace(raw), []byte("\n")) {
+		var rec store.Record
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("journal line %q: %v", line, err)
+		}
+		traces[rec.Job] = append(traces[rec.Job], rec.Op)
+	}
+	return traces
+}
+
+// TestDurableJournalOrdersEachJob: every job's journal trace is
+// submitted, running, then its terminal op. A warm hit finishes within
+// microseconds of dispatch, so a submitted record written after the
+// enqueue could land behind done — and recovery, which keeps each job's
+// last op, would replay a finished job as interrupted.
+func TestDurableJournalOrdersEachJob(t *testing.T) {
+	dir := t.TempDir()
+	svc := mustOpen(t, dir, nil)
+	const n = 100
+	for i := 0; i < n; i++ {
+		runJob(t, svc) // the first compiles; the rest are warm hits
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	traces := journalTraces(t, dir)
+	if len(traces) != n {
+		t.Fatalf("journal holds %d jobs, want %d", len(traces), n)
+	}
+	for id, ops := range traces {
+		if strings.Join(ops, ",") != "submitted,running,done" {
+			t.Fatalf("%s journaled %v, want submitted, running, done", id, ops)
+		}
+	}
+}
+
+// TestDurableRefusedSubmissionStaysRefused: a submission the full queue
+// refuses was already journaled, so its trace is closed as failed, and
+// recovery neither requeues nor reports it.
+func TestDurableRefusedSubmissionStaysRefused(t *testing.T) {
+	dir := t.TempDir()
+	svc, err := Open(ServiceOptions{MaxInFlight: 1, QueueDepth: 1, StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	release, started := make(chan struct{}), make(chan struct{})
+	hold := alchemy.NewModel(alchemy.ModelSpec{
+		Name: "hold", Algorithms: []string{"dtree"}, DataLoader: blockingLoader(40, started, release)})
+	p := alchemy.Taurus()
+	p.Schedule(hold)
+	if _, err := svc.Submit(context.Background(), p, WithSearchConfig(fastConfig())); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	if _, err := svc.Submit(context.Background(), durablePlatform(t), WithSearchConfig(fastConfig())); err != nil {
+		t.Fatalf("backlog submission must be admitted: %v", err)
+	}
+	if _, err := svc.Submit(context.Background(), durablePlatform(t), WithSearchConfig(fastConfig())); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("over-depth submission = %v, want ErrQueueFull", err)
+	}
+	close(release)
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if ops := journalTraces(t, dir)["job-000003"]; strings.Join(ops, ",") != "submitted,failed" {
+		t.Fatalf("refused job journaled %v, want submitted, failed", ops)
+	}
+	svc2 := mustOpen(t, dir, nil)
+	defer svc2.Close()
+	rep := svc2.Recovery()
+	if len(rep.JobsRequeued) != 0 || len(rep.JobsSkipped) != 0 {
+		t.Fatalf("recovery revived a job: %+v", rep)
+	}
+	if _, ok := svc2.Job("job-000003"); ok {
+		t.Fatal("refused job reachable after recovery")
 	}
 }
 

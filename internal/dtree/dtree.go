@@ -204,7 +204,7 @@ func pure(counts []int) bool {
 }
 
 func argMaxInt(x []int) int {
-	best, bi := math.MinInt64, 0
+	best, bi := math.MinInt, 0
 	for i, v := range x {
 		if v > best {
 			best, bi = v, i

@@ -5,10 +5,11 @@ package ir
 // lane-minor — element i of lane l at [i*Tile+l] — so a layer loads each
 // weight once and multiplies it into Tile accumulators that stay in
 // registers for the whole row. The model's parameters are a few KB and
-// L1-resident; what a per-vector Classify pays for is the per-neuron
-// overhead (a DotQ call on a 7–23 element row, the saturation bounds
-// recomputed per call), so the kernel blocks registers and does not tile
-// for cache.
+// L1-resident, so the cost of a layer is instructions per neuron, not
+// memory: the kernel blocks registers and does not tile for cache. The
+// single-vector Classify (predictor.go) blocks the other way, four
+// neurons per pass over one vector, and shares this kernel's input
+// quantizer (quantizeRow) and neuron writeback (writeback.finish).
 //
 // Every lane computes exactly Classify's — and so InferQ's — sequence:
 // quantize((x-mean)/std), a wide int64 accumulate (wrapping addition is
@@ -68,36 +69,48 @@ func (p *Predictor) classifyRows(xs [][]float64, out []int, first error) error {
 // loadTile normalizes and quantizes Tile rows into p.tcur, lane-minor. It
 // reports false, leaving the tile unusable, if a row has the wrong width.
 func (p *Predictor) loadTile(rows [][]float64) bool {
-	m := p.m
 	for _, x := range rows {
-		if len(x) != m.Inputs {
+		if len(x) != p.m.Inputs {
 			return false
 		}
 	}
-	// Quantize with the format's constants hoisted: same products, same
-	// rounding, same bounds as fixed.Format.Quantize.
+	for l, x := range rows {
+		p.quantizeRow(p.tcur[l:], Tile, x)
+	}
+	return true
+}
+
+// quantizeRow normalizes x, when the model carries a normalizer, and
+// quantizes it into dst[0], dst[stride], dst[2*stride], ... — the one
+// input sweep of Classify (stride 1) and of a tile (stride Tile), for
+// every model family. It is fixed.Format.Quantize with the format's
+// constants hoisted: same product, same rounding, same bounds, NaN to 0.
+// The normalize is a divide, as InferQ's: a reciprocal multiply rounds
+// differently.
+func (p *Predictor) quantizeRow(dst []int32, stride int, x []float64) {
 	scale := float64(int64(1) << uint(p.f.FracBits))
 	lo, hi := p.f.MinRaw(), p.f.MaxRaw()
 	flo, fhi := float64(lo), float64(hi)
-	for l, x := range rows {
-		for i, v := range x {
-			if p.hasNorm {
-				// A divide, as in Classify: a reciprocal multiply rounds
-				// differently.
-				v = (v - m.Mean[i]) / m.Std[i]
-			}
-			q := int32(0) // NaN quantizes to 0
-			if raw := math.Round(v * scale); raw > fhi {
-				q = hi
-			} else if raw < flo {
-				q = lo
-			} else if raw == raw {
-				q = int32(raw)
-			}
-			p.tcur[i*Tile+l] = q
+	quantize := func(v float64) int32 {
+		if raw := math.Round(v * scale); raw > fhi {
+			return hi
+		} else if raw < flo {
+			return lo
+		} else if raw == raw {
+			return int32(raw)
 		}
+		return 0 // NaN
 	}
-	return true
+	if p.hasNorm {
+		mean, std := p.m.Mean[:len(x)], p.m.Std[:len(x)]
+		for i, v := range x {
+			dst[i*stride] = quantize((v - mean[i]) / std[i])
+		}
+		return
+	}
+	for i, v := range x {
+		dst[i*stride] = quantize(v)
+	}
 }
 
 // classifyTile classifies the tile loadTile left in p.tcur.
@@ -165,36 +178,17 @@ func dotTile(row, x []int32) (a0, a1, a2, a3, a4, a5, a6, a7 int64) {
 // layerTile runs one dense layer over a tile: cur holds l.in features,
 // nxt receives l.out activations, both lane-minor.
 func (p *Predictor) layerTile(l *flatLayer, cur, nxt []int32) {
-	// int64 >> 63 is what any larger count gives; the mask lets the
-	// compiler drop its count check.
-	frac := min(uint(p.f.FracBits), 63) & 63
-	lo, hi := int64(p.f.MinRaw()), int64(p.f.MaxRaw())
-	// The activation as the bounds of the bias add's saturation: ReLU
-	// raises the floor to 0, the PWL tanh narrows both to ±1.
-	alo, ahi := lo, hi
-	switch l.act {
-	case actReLU:
-		alo = 0
-	case actTanh:
-		alo, ahi = -int64(p.one), int64(p.one)
-	}
-	// Writeback, saturate, saturating bias add, activation.
-	finish := func(acc, b int64) int32 {
-		return int32(min(max(min(max(acc>>frac, lo), hi)+b, alo), ahi))
-	}
-	in := l.in
+	wb, in := l.wb, l.in
 	cur = cur[:in*Tile]
 	for o := 0; o < l.out; o++ {
 		a0, a1, a2, a3, a4, a5, a6, a7 := dotTile(l.w[o*in:(o+1)*in], cur)
 		b := int64(l.b[o])
 		d := nxt[o*Tile : (o+1)*Tile : (o+1)*Tile]
-		d[0], d[1], d[2], d[3] = finish(a0, b), finish(a1, b), finish(a2, b), finish(a3, b)
-		d[4], d[5], d[6], d[7] = finish(a4, b), finish(a5, b), finish(a6, b), finish(a7, b)
+		d[0], d[1], d[2], d[3] = wb.finish(a0, b), wb.finish(a1, b), wb.finish(a2, b), wb.finish(a3, b)
+		d[4], d[5], d[6], d[7] = wb.finish(a4, b), wb.finish(a5, b), wb.finish(a6, b), wb.finish(a7, b)
 	}
 	if l.act == actSigmoid {
-		for i, v := range nxt[:l.out*Tile] {
-			nxt[i] = p.f.SigmoidQ(v)
-		}
+		p.sigmoid(nxt[:l.out*Tile])
 	}
 }
 

@@ -19,7 +19,10 @@ package ir
 // Classify is bit-identical to Model.InferQ for every algorithm family:
 // the per-element operation order (quantize, wide-accumulator dot,
 // saturating add, PWL activations) is exactly the generated hardware's,
-// so a served answer matches what the data plane would output.
+// so a served answer matches what the data plane would output. A dense
+// layer runs register-blocked, four neurons per pass over the input
+// (layerVec), through the same writeback and quantizer as the batch
+// kernel.
 //
 // ClassifyBatch (batch.go) is the same arithmetic carried over Tile
 // input vectors at once, and is bit-identical to InferQ lane for lane.
@@ -68,11 +71,12 @@ type flatLayer struct {
 	w       []int32
 	b       []int32
 	act     actKind
+	wb      writeback
 }
 
 // newFlatLayer quantizes one layer's [out][in] weights and biases.
 func newFlatLayer(f fixed.Format, in int, w [][]float64, b []float64, act actKind) flatLayer {
-	l := flatLayer{in: in, out: len(w), w: make([]int32, len(w)*in), b: make([]int32, len(w)), act: act}
+	l := flatLayer{in: in, out: len(w), w: make([]int32, len(w)*in), b: make([]int32, len(w)), act: act, wb: newWriteback(f, act)}
 	for o, wo := range w {
 		row := l.w[o*in : (o+1)*in]
 		for i, wv := range wo {
@@ -83,11 +87,50 @@ func newFlatLayer(f fixed.Format, in int, w [][]float64, b []float64, act actKin
 	return l
 }
 
+// writeback is the end of every dense-layer neuron, on both kernels:
+// shift the wide accumulator back to the format's fraction bits,
+// saturate, saturating bias add, activation — DotQ's writeback followed
+// by Add and the activation, with the bounds resolved once per layer.
+// ReLU and the PWL tanh are clamps of an already saturated value, so
+// they fold into the bounds of the bias add's saturation; the PWL
+// sigmoid is a pass of its own over the layer's outputs.
+//
+// The bounds are two pairs rather than four fields: a struct of at most
+// four fields and four words is one the compiler keeps in registers.
+type writeback struct {
+	frac uint
+	sat  bounds // the format's range
+	act  bounds // the bias add's saturation, narrowed by the activation
+}
+
+type bounds struct{ lo, hi int32 }
+
+func newWriteback(f fixed.Format, act actKind) writeback {
+	// int64 >> 63 is what any larger count gives.
+	wb := writeback{frac: min(uint(f.FracBits), 63), sat: bounds{f.MinRaw(), f.MaxRaw()}}
+	wb.act = wb.sat
+	switch act {
+	case actReLU:
+		wb.act.lo = 0
+	case actTanh:
+		one := f.Quantize(1)
+		wb.act = bounds{-one, one}
+	}
+	return wb
+}
+
+// finish is one neuron's writeback: acc is its wide dot product, b its
+// quantized bias.
+func (w writeback) finish(acc, b int64) int32 {
+	// The mask lets the compiler drop the shift's count check.
+	v := min(max(acc>>(w.frac&63), int64(w.sat.lo)), int64(w.sat.hi)) + b
+	return int32(min(max(v, int64(w.act.lo)), int64(w.act.hi)))
+}
+
 // Predictor holds quantized parameters and reusable inference buffers.
 type Predictor struct {
 	m       *Model
 	f       fixed.Format
-	one     int32
 	hasNorm bool
 
 	vbuf, nbuf []int32 // ping-pong activation buffers
@@ -116,7 +159,7 @@ func NewPredictor(m *Model) (*Predictor, error) {
 		return nil, err
 	}
 	f := m.Format
-	p := &Predictor{m: m, f: f, one: f.Quantize(1), hasNorm: len(m.Mean) == m.Inputs}
+	p := &Predictor{m: m, f: f, hasNorm: len(m.Mean) == m.Inputs}
 	switch m.Kind {
 	case DNN:
 		p.layers = make([]flatLayer, len(m.Layers))
@@ -197,59 +240,15 @@ func (p *Predictor) Classify(x []float64) (int, error) {
 	if len(x) != m.Inputs {
 		return 0, fmt.Errorf("ir: input has %d features, model %q wants %d", len(x), m.Name, m.Inputs)
 	}
-	f := p.f
 	cur := p.vbuf[:m.Inputs]
-	// Fused normalize+quantize: one sweep over the features. The divide
-	// must stay a divide — a reciprocal multiply would round differently
-	// and break bit-identity with InferQ's normalize-then-quantize.
-	if p.hasNorm {
-		mean, std := m.Mean, m.Std
-		for i := range cur {
-			cur[i] = f.Quantize((x[i] - mean[i]) / std[i])
-		}
-	} else {
-		for i := range cur {
-			cur[i] = f.Quantize(x[i])
-		}
-	}
+	p.quantizeRow(cur, 1, x)
 	switch m.Kind {
 	case DNN, SVM:
 		nxt := p.nbuf
 		for li := range p.layers {
 			l := &p.layers[li]
-			nv := nxt[:l.out]
-			w, b, in := l.w, l.b, l.in
-			// Activation hoisted out of the neuron loop: the per-neuron
-			// op order (dot, saturating bias add, activation) is
-			// unchanged, so each lane computes exactly InferQ's value.
-			switch l.act {
-			case actReLU:
-				for o := range nv {
-					nv[o] = fixed.ReLUQ(f.Add(f.DotQ(w[o*in:(o+1)*in], cur), b[o]))
-				}
-			case actSigmoid:
-				for o := range nv {
-					nv[o] = f.SigmoidQ(f.Add(f.DotQ(w[o*in:(o+1)*in], cur), b[o]))
-				}
-			case actTanh:
-				one := p.one
-				for o := range nv {
-					acc := f.Add(f.DotQ(w[o*in:(o+1)*in], cur), b[o])
-					if acc > one {
-						acc = one
-					}
-					if acc < -one {
-						acc = -one
-					}
-					nv[o] = acc
-				}
-			default:
-				for o := range nv {
-					nv[o] = f.Add(f.DotQ(w[o*in:(o+1)*in], cur), b[o])
-				}
-			}
-			nxt = cur[:cap(cur)]
-			cur = nv
+			p.layerVec(l, cur, nxt)
+			cur, nxt = nxt[:l.out], cur[:cap(cur)]
 		}
 		return argMaxQ(cur), nil
 	case KMeans:
@@ -281,6 +280,80 @@ func (p *Predictor) Classify(x []float64) (int, error) {
 		return int(p.treeCls[idx]), nil
 	default:
 		return 0, fmt.Errorf("ir: cannot infer kind %d", int(m.Kind))
+	}
+}
+
+// layerVec runs one dense layer on a single vector: cur holds l.in
+// features, nxt receives l.out activations. Four neurons share each pass
+// over the input; the out mod 4 tail is a pair, then a single. The wide
+// sums equal DotQ's: int64 addition wraps and is associative, so the
+// order of the products is free.
+func (p *Predictor) layerVec(l *flatLayer, cur, nxt []int32) {
+	cur, nxt = cur[:l.in], nxt[:l.out]
+	o := 0
+	for ; o+4 <= len(nxt); o += 4 {
+		l.block4(o, cur, nxt)
+	}
+	if o+2 <= len(nxt) {
+		l.block2(o, cur, nxt)
+		o += 2
+	}
+	if o < len(nxt) {
+		l.block1(o, cur, nxt)
+	}
+	if l.act == actSigmoid {
+		p.sigmoid(nxt)
+	}
+}
+
+// block4 is the single-vector register block: neurons o..o+3 of l
+// against x, each feature loaded once for all four, written back into d.
+func (l *flatLayer) block4(o int, x, d []int32) {
+	n := len(x)
+	w := l.w[o*n:]
+	r0, r1, r2, r3 := w[:n], w[n:][:n], w[2*n:][:n], w[3*n:][:n]
+	var a0, a1, a2, a3 int64
+	for i, xv := range x {
+		v := int64(xv)
+		a0 += int64(r0[i]) * v
+		a1 += int64(r1[i]) * v
+		a2 += int64(r2[i]) * v
+		a3 += int64(r3[i]) * v
+	}
+	wb, b, d := l.wb, l.b[o:o+4:o+4], d[o:o+4:o+4]
+	d[0], d[1] = wb.finish(a0, int64(b[0])), wb.finish(a1, int64(b[1]))
+	d[2], d[3] = wb.finish(a2, int64(b[2])), wb.finish(a3, int64(b[3]))
+}
+
+// block2 is block4 for two neurons.
+func (l *flatLayer) block2(o int, x, d []int32) {
+	n := len(x)
+	w := l.w[o*n:]
+	r0, r1 := w[:n], w[n:][:n]
+	var a0, a1 int64
+	for i, xv := range x {
+		v := int64(xv)
+		a0 += int64(r0[i]) * v
+		a1 += int64(r1[i]) * v
+	}
+	wb, b, d := l.wb, l.b[o:o+2:o+2], d[o:o+2:o+2]
+	d[0], d[1] = wb.finish(a0, int64(b[0])), wb.finish(a1, int64(b[1]))
+}
+
+// block1 is block4 for one neuron.
+func (l *flatLayer) block1(o int, x, d []int32) {
+	w := l.w[o*len(x):][:len(x)]
+	var a int64
+	for i, xv := range x {
+		a += int64(w[i]) * int64(xv)
+	}
+	d[o] = l.wb.finish(a, int64(l.b[o]))
+}
+
+// sigmoid applies the PWL sigmoid to a layer's written-back outputs.
+func (p *Predictor) sigmoid(v []int32) {
+	for i, x := range v {
+		v[i] = p.f.SigmoidQ(x)
 	}
 }
 

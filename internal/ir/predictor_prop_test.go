@@ -152,6 +152,8 @@ func fuzzDTree(rng *rand.Rand) *Model {
 // TestPredictorMatchesInferQFuzzed is the bit-identity property test:
 // for every fuzzed model and input, the flat predictor and the reference
 // interpreter must agree exactly — same class, same error disposition.
+// Two deterministic sweeps follow the fuzzed families: the blocked dense
+// layer's edges and the quantizer's rounding midpoints.
 func TestPredictorMatchesInferQFuzzed(t *testing.T) {
 	gens := map[string]func(*rand.Rand) *Model{
 		"dnn":    fuzzDNN,
@@ -164,24 +166,9 @@ func TestPredictorMatchesInferQFuzzed(t *testing.T) {
 			rng := rand.New(rand.NewSource(42))
 			for trial := 0; trial < 60; trial++ {
 				m := gen(rng)
-				if err := m.Validate(); err != nil {
-					t.Fatalf("trial %d: generator produced invalid model: %v", trial, err)
-				}
-				p, err := NewPredictor(m)
-				if err != nil {
-					t.Fatalf("trial %d: NewPredictor: %v", trial, err)
-				}
+				p := mustPredictor(t, m)
 				for q := 0; q < 40; q++ {
-					x := fuzzInput(rng, m.Inputs)
-					want, werr := m.InferQ(x)
-					got, gerr := p.Classify(x)
-					if (werr == nil) != (gerr == nil) {
-						t.Fatalf("trial %d/%d: error mismatch: InferQ=%v Predictor=%v", trial, q, werr, gerr)
-					}
-					if werr == nil && got != want {
-						t.Fatalf("trial %d/%d: Predictor=%d InferQ=%d (format %v, x=%v)",
-							trial, q, got, want, m.Format, x)
-					}
+					agreeInferQ(t, m, p, fuzzInput(rng, m.Inputs))
 				}
 				// Wrong-length inputs must error on both paths.
 				bad := make([]float64, m.Inputs+1)
@@ -191,6 +178,137 @@ func TestPredictorMatchesInferQFuzzed(t *testing.T) {
 			}
 		})
 	}
+	// The blocked dense layer's edges, which random widths and normal
+	// weights rarely reach: every out mod 4 tail, a single input, every
+	// activation, and parameters at the format's extreme raw words driven
+	// with ±Inf. In Q16_16 those products are near 2^62, so the wide sums
+	// wrap, and only associativity mod 2^64 keeps a blocked sum equal to
+	// DotQ's.
+	t.Run("dense-edges", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(38))
+		for _, f := range propFormats {
+			for _, act := range propActivations {
+				for out := 1; out <= 9; out++ {
+					for _, in := range []int{1, 2, 3, 7} {
+						for _, m := range edgeModels(rng, f, act, in, out) {
+							p := mustPredictor(t, m)
+							for _, x := range edgeInputs(rng, in) {
+								agreeInferQ(t, m, p, x)
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+	// The quantizer at its rounding midpoints: x/std lands on, or an ulp
+	// beside, (k+½)·2^-frac, where a reciprocal multiply in place of the
+	// divide rounds the other way. The model makes the class the rounding
+	// direction: neuron 0 is the constant k, neuron 1 the quantized input.
+	t.Run("quantizer-midpoints", func(t *testing.T) {
+		for _, f := range propFormats {
+			scale := math.Ldexp(1, f.FracBits)
+			for _, std := range []float64{3, 7, 0.3, 1.1, 10.0 / 3} {
+				for k := -100; k < 100; k++ {
+					m := &Model{Kind: DNN, Name: "midpoint", Inputs: 1, Outputs: 2, Format: f,
+						Mean: []float64{0}, Std: []float64{std},
+						Layers: []Layer{{In: 1, Out: 2, W: [][]float64{{0}, {1}}, B: []float64{float64(k) / scale, 0}}},
+					}
+					p := mustPredictor(t, m)
+					x := (float64(k) + 0.5) / scale * std
+					for _, v := range []float64{x, math.Nextafter(x, math.Inf(-1)), math.Nextafter(x, math.Inf(1))} {
+						agreeInferQ(t, m, p, []float64{v})
+					}
+				}
+			}
+		}
+	})
+}
+
+func mustPredictor(t *testing.T, m *Model) *Predictor {
+	t.Helper()
+	if err := m.Validate(); err != nil {
+		t.Fatalf("generator produced invalid model: %v", err)
+	}
+	p, err := NewPredictor(m)
+	if err != nil {
+		t.Fatalf("NewPredictor: %v", err)
+	}
+	return p
+}
+
+// agreeInferQ requires p.Classify(x) to equal m.InferQ(x): same class,
+// same error disposition.
+func agreeInferQ(t *testing.T, m *Model, p *Predictor, x []float64) {
+	t.Helper()
+	want, werr := m.InferQ(x)
+	got, gerr := p.Classify(x)
+	if (werr == nil) != (gerr == nil) {
+		t.Fatalf("%s: error mismatch: InferQ=%v Predictor=%v", m.Name, werr, gerr)
+	}
+	if werr == nil && got != want {
+		t.Fatalf("%s: Predictor=%d InferQ=%d (format %v, x=%v)", m.Name, got, want, m.Format, x)
+	}
+}
+
+// edgeParam is a weight or bias for the edge sweep: the format's largest
+// or smallest value, or an ordinary one.
+func edgeParam(rng *rand.Rand, f fixed.Format) float64 {
+	switch rng.Intn(3) {
+	case 0:
+		return f.Max()
+	case 1:
+		return f.Min()
+	}
+	return rng.NormFloat64()
+}
+
+func edgeRows(rng *rand.Rand, f fixed.Format, in, out int) ([][]float64, []float64) {
+	w, b := make([][]float64, out), make([]float64, out)
+	for o := range w {
+		w[o] = make([]float64, in)
+		for i := range w[o] {
+			w[o][i] = edgeParam(rng, f)
+		}
+		b[o] = edgeParam(rng, f)
+	}
+	return w, b
+}
+
+// edgeModels builds the dense models of the edge sweep for one layer
+// shape in→out: the layer as a DNN's head, so its outputs are the
+// classes; the layer feeding a second blocked layer of three neurons (a
+// pair and a single); and an SVM with out hyperplanes.
+func edgeModels(rng *rand.Rand, f fixed.Format, act string, in, out int) []*Model {
+	layer := func(in, out int, act string) Layer {
+		w, b := edgeRows(rng, f, in, out)
+		return Layer{In: in, Out: out, W: w, B: b, Activation: act}
+	}
+	head := &Model{Kind: DNN, Name: "edge-head", Inputs: in, Outputs: out, Format: f,
+		Layers: []Layer{layer(in, out, act)}}
+	hidden := &Model{Kind: DNN, Name: "edge-hidden", Inputs: in, Outputs: 3, Format: f,
+		Layers: []Layer{layer(in, out, act), layer(out, 3, act)}}
+	w, b := edgeRows(rng, f, in, out)
+	svm := &Model{Kind: SVM, Name: "edge-svm", Inputs: in, Outputs: out, Format: f,
+		SVM: &SVMParams{W: w, B: b}}
+	models := []*Model{head, hidden, svm}
+	for _, m := range models {
+		fuzzNormalizer(rng, m)
+	}
+	return models
+}
+
+// edgeInputs is every feature at +Inf, at -Inf, alternating, and a run of
+// fuzzed vectors.
+func edgeInputs(rng *rand.Rand, in int) [][]float64 {
+	xs := [][]float64{make([]float64, in), make([]float64, in), make([]float64, in)}
+	for i := 0; i < in; i++ {
+		xs[0][i], xs[1][i], xs[2][i] = math.Inf(1), math.Inf(-1), math.Inf(1-2*(i%2))
+	}
+	for k := 0; k < 16; k++ {
+		xs = append(xs, fuzzInput(rng, in))
+	}
+	return xs
 }
 
 // TestPredictorTreeDegenerate pins the flat-tree edge cases the fuzzer
@@ -261,26 +379,47 @@ func TestPredictorReuseIsStateless(t *testing.T) {
 	}
 }
 
-func BenchmarkPredictorClassifyDNN(b *testing.B) {
+// servedDense is a dense model of the shape the repo benchmark serves,
+// built the way the root package's servedDNN builds it (seed 1, normal
+// weights and biases), with one input vector: a DNN 7→15→8→23→2 (ReLU,
+// softmax head) when widths has hidden layers, an SVM when it is just
+// inputs and classes.
+func servedDense(kind Kind, widths ...int) (*Model, []float64) {
 	rng := rand.New(rand.NewSource(1))
-	m := &Model{Kind: DNN, Name: "bench", Inputs: 7, Outputs: 2, Format: fixed.Q8_8}
-	prev := 7
-	for _, out := range []int{12, 6, 2} {
-		l := Layer{In: prev, Out: out, W: make([][]float64, out), B: make([]float64, out), Activation: "relu"}
+	m := &Model{Kind: kind, Name: "served", Inputs: widths[0], Outputs: widths[len(widths)-1], Format: fixed.Q8_8}
+	for li := 1; li < len(widths); li++ {
+		in, out := widths[li-1], widths[li]
+		l := Layer{In: in, Out: out, W: make([][]float64, out), B: make([]float64, out), Activation: "relu"}
+		if li == len(widths)-1 {
+			l.Activation = "softmax"
+		}
 		for o := range l.W {
-			l.W[o] = make([]float64, prev)
+			l.W[o] = make([]float64, in)
 			for i := range l.W[o] {
 				l.W[o][i] = rng.NormFloat64()
 			}
+			l.B[o] = rng.NormFloat64()
 		}
 		m.Layers = append(m.Layers, l)
-		prev = out
 	}
+	if kind == SVM {
+		m.SVM = &SVMParams{W: m.Layers[0].W, B: m.Layers[0].B}
+		m.Layers = nil
+	}
+	x := make([]float64, m.Inputs)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	return m, x
+}
+
+// benchClassify times single-vector Classify calls; per_vector_ns is the
+// figure BenchmarkPredictorClassifyBatchDNN reports for the batch kernel.
+func benchClassify(b *testing.B, m *Model, x []float64) {
 	p, err := NewPredictor(m)
 	if err != nil {
 		b.Fatal(err)
 	}
-	x := []float64{0.1, -0.2, 0.3, -0.4, 0.5, -0.6, 0.7}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -288,6 +427,20 @@ func BenchmarkPredictorClassifyDNN(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "per_vector_ns")
+}
+
+// BenchmarkPredictorClassifyDNN: the served DNN, 7→15→8→23→2.
+func BenchmarkPredictorClassifyDNN(b *testing.B) {
+	m, x := servedDense(DNN, 7, 15, 8, 23, 2)
+	benchClassify(b, m, x)
+}
+
+// BenchmarkPredictorClassifySVM: the botnet fixture's SVM, 30 features,
+// 2 classes.
+func BenchmarkPredictorClassifySVM(b *testing.B) {
+	m, x := servedDense(SVM, 30, 2)
+	benchClassify(b, m, x)
 }
 
 func BenchmarkPredictorClassifyDTree(b *testing.B) {

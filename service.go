@@ -206,11 +206,14 @@ func (s *Service) admit(ctx context.Context, p *alchemy.Platform, o *options) (*
 	if err != nil {
 		return nil, err
 	}
+	// Journaled before the queue can hand the job to a worker, so its
+	// submitted record precedes running and its terminal record.
+	s.recordSubmission(j, p, o)
 	if err := s.enqueue(j, p, o); err != nil {
+		s.journalRefused(j, err)
 		return nil, err
 	}
 	s.register(j)
-	s.recordSubmission(j, p, o)
 	return j, nil
 }
 
@@ -285,28 +288,37 @@ func removeFromOrder(order []string, id string) []string {
 }
 
 // pruneLocked forgets the oldest terminal jobs once the retention cap is
-// exceeded. Caller holds s.mu.
+// exceeded. It scans from the oldest only until it has found the excess,
+// so an admission at the cap costs the non-terminal jobs older than the
+// ones it forgets, not the whole retained set. Caller holds s.mu.
 func (s *Service) pruneLocked() {
 	if s.opts.RetainJobs < 0 || len(s.order) <= s.opts.RetainJobs {
 		return
 	}
 	excess := len(s.order) - s.opts.RetainJobs
-	kept := s.order[:0]
-	for _, id := range s.order {
-		j := s.jobs[id]
-		if excess > 0 {
-			j.mu.Lock()
-			terminal := j.state.Terminal()
-			j.mu.Unlock()
-			if terminal {
-				delete(s.jobs, id)
-				excess--
-				continue
-			}
+	n := 0 // the scanned prefix of s.order
+	for ; n < len(s.order) && excess > 0; n++ {
+		j := s.jobs[s.order[n]]
+		j.mu.Lock()
+		terminal := j.state.Terminal()
+		j.mu.Unlock()
+		if terminal {
+			delete(s.jobs, j.id)
+			s.order[n] = ""
+			excess--
 		}
-		kept = append(kept, id)
 	}
-	s.order = kept
+	// Close the gaps toward the unscanned rest, which stays where it is,
+	// then drop the vacated front.
+	w := n
+	for i := n - 1; i >= 0; i-- {
+		if id := s.order[i]; id != "" {
+			w--
+			s.order[i] = ""
+			s.order[w] = id
+		}
+	}
+	s.order = s.order[w:]
 }
 
 // Job looks up a submitted job by ID.

@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -358,6 +359,76 @@ func TestSubmitQueueFull(t *testing.T) {
 	}
 	close(release)
 	svc.Close()
+}
+
+// TestServiceRetainsJobs: past the retention cap, an admission forgets
+// the oldest terminal jobs, never a live one however old, and Jobs keeps
+// admission order.
+func TestServiceRetainsJobs(t *testing.T) {
+	svc := New(ServiceOptions{MaxInFlight: 3, QueueDepth: -1, RetainJobs: 3})
+	defer svc.Close()
+	release := make(chan struct{})
+	submit := func(p *alchemy.Platform) *Job {
+		t.Helper()
+		job, err := svc.Submit(context.Background(), p, WithSearchConfig(fastConfig()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return job
+	}
+	blocker := func(seed int64) *Job {
+		started := make(chan struct{})
+		m := alchemy.NewModel(alchemy.ModelSpec{
+			Name: "hold", Algorithms: []string{"dtree"}, DataLoader: blockingLoader(seed, started, release)})
+		p := alchemy.Taurus()
+		p.Schedule(m)
+		job := submit(p)
+		<-started
+		return job
+	}
+	done := func() *Job {
+		t.Helper()
+		job := submit(servicePlatform(45))
+		if _, err := job.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return job
+	}
+	expect := func(step string, want ...*Job) {
+		t.Helper()
+		var got, ids []string
+		for _, j := range svc.Jobs() {
+			got = append(got, j.ID())
+		}
+		for _, j := range want {
+			ids = append(ids, j.ID())
+		}
+		if strings.Join(got, " ") != strings.Join(ids, " ") {
+			t.Fatalf("%s: Jobs() = %v, want %v", step, got, ids)
+		}
+	}
+
+	b1 := blocker(46)
+	t2 := done()
+	b3 := blocker(47)
+	expect("at the cap", b1, t2, b3)
+	t4 := done()
+	expect("the oldest terminal job goes, live ones stay", b1, b3, t4)
+	if _, ok := svc.Job(t2.ID()); ok {
+		t.Fatalf("%s still reachable after it was pruned", t2.ID())
+	}
+	t5 := done()
+	expect("the next oldest terminal job goes", b1, b3, t5)
+	close(release)
+	for _, b := range []*Job{b1, b3} {
+		if _, err := b.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t6 := done()
+	expect("a finished blocker is the oldest terminal job", b3, t5, t6)
+	t7 := done()
+	expect("and so is the second", t5, t6, t7)
 }
 
 func TestJobEventsReplayAndPlatformStamp(t *testing.T) {
