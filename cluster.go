@@ -18,14 +18,12 @@ import (
 	"repro/internal/store"
 )
 
-// RemoteArtifacts is the cluster fabric's artifact exchange. Fetch is
-// consulted on the compile path after a local store miss; Offer
-// announces a fresh local compile for broadcast installs. Fetch
-// implementations must verify payload digests before returning — the
-// service installs what Fetch hands back. Offer must not block.
+// RemoteArtifacts is the cluster fabric's artifact source. Fetch is
+// consulted on the compile path after a local store miss.
+// Implementations must verify payload digests before returning — the
+// service installs what Fetch hands back.
 type RemoteArtifacts interface {
 	Fetch(ctx context.Context, hash string) ([]byte, bool)
-	Offer(hash string, payload []byte)
 }
 
 // remoteArtifactsBox wraps the interface so it can sit in an
@@ -63,7 +61,7 @@ func (s *Service) lookupStored(ctx context.Context, key string) (*Pipeline, bool
 	if !ok {
 		return nil, false
 	}
-	pipe, err := s.InstallArtifact(key, payload)
+	pipe, err := s.installArtifact(key, payload)
 	if err != nil {
 		s.storeErr(err)
 		return nil, false
@@ -180,7 +178,7 @@ func (r *RemoteJob) Complete(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	pipe, err := r.svc.InstallArtifact(key, payload)
+	pipe, err := r.svc.installArtifact(key, payload)
 	if err != nil {
 		return fmt.Errorf("homunculus: delegated result for %s: %w", r.job.id, err)
 	}

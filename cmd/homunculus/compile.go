@@ -388,7 +388,7 @@ func runClusterStatus(ctx context.Context, cfg config) error {
 		return fmt.Errorf("cluster status from %s: %w", cfg.cluster, err)
 	}
 	w := cfg.out
-	fmt.Fprintf(w, "node %s at %s (cache mode %s)\n", st.Self.ID, st.Self.Addr, st.CacheMode)
+	fmt.Fprintf(w, "node %s at %s\n", st.Self.ID, st.Self.Addr)
 	fmt.Fprintf(w, "  load: %d queued, %d running (max in-flight %d, queue depth %d)\n",
 		st.Self.Queued, st.Self.Running, st.Self.MaxInFlight, st.Self.QueueDepth)
 	if len(st.Peers) == 0 {
@@ -404,9 +404,8 @@ func runClusterStatus(ctx context.Context, cfg config) error {
 				p.State, orDefault(p.ID, "?"), p.Addr, p.Queued, p.Running, p.LastSeenMS, extra)
 		}
 	}
-	fmt.Fprintf(w, "cache [%s]: %d remote hits, %d misses, %d poisoned, %d served, %d broadcast, %d installed (fetch p50 %s, p99 %s)\n",
-		st.Cache.Mode, st.Cache.RemoteHits, st.Cache.RemoteMisses, st.Cache.Poisoned,
-		st.Cache.Served, st.Cache.BroadcastsSent, st.Cache.Installs,
+	fmt.Fprintf(w, "cache: %d remote hits, %d misses, %d poisoned, %d served (fetch p50 %s, p99 %s)\n",
+		st.Cache.RemoteHits, st.Cache.RemoteMisses, st.Cache.Poisoned, st.Cache.Served,
 		time.Duration(st.Cache.FetchP50NS), time.Duration(st.Cache.FetchP99NS))
 	fmt.Fprintf(w, "steal: %d delegated (%d ran local), %d granted, %d completed remotely, %d reclaimed; as thief: %d attempts, %d executed\n",
 		st.Steal.Delegated, st.Steal.DelegatedLocal, st.Steal.StolenGranted,

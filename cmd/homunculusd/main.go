@@ -20,11 +20,12 @@
 // daemon is in-memory only and a restart forfeits everything.
 //
 // -peers joins a cluster fabric (docs/cluster.md): nodes gossip
-// membership and health, resolve artifacts from each other's caches by
-// content address before compiling (-cache-mode local|fetch|broadcast),
-// delegate queue-full submissions to the least-loaded live peer, and
-// steal queued work when idle. -node-addr is the base URL peers dial
-// back; it defaults from -addr only when -addr carries a concrete host.
+// membership and health, fetch an artifact missing locally from a live
+// peer by content address before compiling it, delegate queue-full
+// submissions to the least-loaded live peer, and steal queued work when
+// idle. Artifacts cross nodes only by that fetch; no route installs one.
+// -node-addr is the base URL peers dial back; it defaults from -addr
+// only when -addr carries a concrete host.
 //
 // Endpoints: POST /v1/jobs, GET /v1/jobs, GET /v1/jobs/{id},
 // GET /v1/jobs/{id}/events (SSE), DELETE /v1/jobs/{id},
@@ -67,7 +68,6 @@ func main() {
 	stateDir := flag.String("state-dir", "", "durable state directory (artifact store + job journal + endpoint manifest); empty = in-memory only")
 	peers := flag.String("peers", "", "comma-separated peer base URLs; non-empty joins a cluster fabric")
 	nodeAddr := flag.String("node-addr", "", "advertised base URL peers dial back (default http://<addr> when -addr has a host)")
-	cacheMode := flag.String("cache-mode", "fetch", "cluster cache mode: local, fetch, or broadcast")
 	heartbeat := flag.Duration("heartbeat", time.Second, "cluster gossip interval")
 	stealInterval := flag.Duration("steal-interval", time.Second, "idle work-steal poll interval (negative = disable stealing)")
 	stealLease := flag.Duration("steal-lease", 30*time.Second, "how long a thief holds a stolen job before the origin reclaims it")
@@ -93,10 +93,6 @@ func main() {
 
 	serverOpts := httpapi.ServerOptions{}
 	if *peers != "" {
-		mode, err := cluster.ParseMode(*cacheMode)
-		if err != nil {
-			log.Fatalf("homunculusd: %v", err)
-		}
 		self := *nodeAddr
 		if self == "" {
 			host := *addr
@@ -108,7 +104,6 @@ func main() {
 		fab, err := cluster.New(svc, cluster.Config{
 			SelfAddr:      self,
 			Peers:         splitPeers(*peers),
-			Mode:          mode,
 			Heartbeat:     *heartbeat,
 			StealInterval: *stealInterval,
 			StealLease:    *stealLease,
@@ -119,8 +114,8 @@ func main() {
 		fab.Start()
 		defer fab.Close()
 		serverOpts = fab.Options()
-		log.Printf("homunculusd: cluster fabric %s at %s (%d seed peers, cache mode %s)",
-			fab.ID(), self, len(splitPeers(*peers)), mode)
+		log.Printf("homunculusd: cluster fabric %s at %s (%d seed peers)",
+			fab.ID(), self, len(splitPeers(*peers)))
 	}
 
 	opts := svc.Options()

@@ -172,11 +172,11 @@ func (s *Service) putArtifact(key string, raw []byte) bool {
 	return true
 }
 
-// InstallArtifact takes an already-verified payload from a peer — a
-// fetch on a local miss, a broadcast, a delegated or stolen job's result:
-// parsed once, written through to the store, and planted in the memory
-// cache so an identical submission is a warm hit without touching disk.
-func (s *Service) InstallArtifact(key string, payload []byte) (*Pipeline, error) {
+// installArtifact takes an already-verified payload from a peer — a
+// fetch on a local miss, a delegated or stolen job's result: parsed
+// once, written through to the store, and planted in the memory cache so
+// an identical submission is a warm hit without touching disk.
+func (s *Service) installArtifact(key string, payload []byte) (*Pipeline, error) {
 	pipe, err := UnmarshalPipeline(payload)
 	if err != nil {
 		return nil, fmt.Errorf("homunculus: install artifact %s: %w", key, err)
@@ -189,11 +189,9 @@ func (s *Service) InstallArtifact(key string, payload []byte) (*Pipeline, error)
 }
 
 // storeArtifact writes a compiled pipeline through to the artifact
-// store and offers it to cluster peers (broadcast consistency mode
-// installs it everywhere; other modes ignore offers).
+// store.
 func (s *Service) storeArtifact(key string, pipe *Pipeline) {
-	box := s.remote.Load()
-	if s.store == nil && box == nil {
+	if s.store == nil {
 		return
 	}
 	raw, err := MarshalPipeline(pipe)
@@ -202,9 +200,6 @@ func (s *Service) storeArtifact(key string, pipe *Pipeline) {
 		return
 	}
 	s.putArtifact(key, raw)
-	if box != nil {
-		box.ra.Offer(key, raw)
-	}
 }
 
 // endpointArtifact ensures an endpoint revision's pipeline is in the

@@ -1,10 +1,13 @@
 // The shared logical cache: this file implements homunculus.
-// RemoteArtifacts over the peer wire surface. The trust boundary is
-// store.VerifyEnvelope — every byte sequence a peer hands back is
-// treated as hostile until its embedded content address and payload
-// digest check out, the same defence PR6 applies to a local disk.
-// A peer that fails verification is quarantined (skipped for fetches)
-// until it restarts with a new epoch.
+// RemoteArtifacts over the peer wire surface, as a pull on a local miss.
+// Every byte sequence a peer hands back is treated as hostile until
+// store.VerifyEnvelope checks its embedded content address and payload
+// digest, the same check a local disk read gets; a peer that fails it is
+// quarantined (skipped for fetches) until it restarts with a new epoch.
+// The check proves the bytes are intact, not that the pipeline was
+// compiled from the spec behind the hash — that binding rests on the
+// serving peer's word, which is why artifacts enter a node only through
+// a fetch it started from a member it chose, never through a push.
 
 package cluster
 
@@ -22,13 +25,8 @@ import (
 // Called by the service's compile path after a local store miss; the
 // returned payload is verified here, so the service installs it as-is.
 func (f *Fabric) Fetch(ctx context.Context, hash string) ([]byte, bool) {
-	if f.cfg.Mode == ModeLocal {
-		return nil, false
-	}
 	for _, p := range f.livePeers(time.Now()) {
-		payload, ok := f.fetchFromPeer(ctx, p, hash)
-		if ok {
-			f.metrics.installs.Add(1)
+		if payload, ok := f.fetchFromPeer(ctx, p, hash); ok {
 			return payload, true
 		}
 		if ctx.Err() != nil {
@@ -76,38 +74,6 @@ func (f *Fabric) fetchFrom(ctx context.Context, addr, hash string) ([]byte, bool
 	return f.fetchFromPeer(ctx, p, hash)
 }
 
-// Offer announces a fresh local compile. In broadcast mode the wrapped
-// envelope is pushed to every live peer asynchronously — Offer must not
-// block the compile path that calls it.
-func (f *Fabric) Offer(hash string, payload []byte) {
-	if f.cfg.Mode != ModeBroadcast {
-		return
-	}
-	env, err := store.WrapEnvelope(hash, payload)
-	if err != nil {
-		return
-	}
-	peers := f.livePeers(time.Now())
-	if len(peers) == 0 {
-		return
-	}
-	// Untracked on purpose: Close must not wait on handler-spawned
-	// traffic, and every request below is bounded by f.ctx.
-	go func() {
-		for _, p := range peers {
-			ctx, cancel := context.WithTimeout(f.ctx, f.cfg.FetchTimeout)
-			err := p.client.Put(ctx, "/v1/cluster/artifacts/"+hash, json.RawMessage(env), nil)
-			cancel()
-			if err == nil {
-				f.metrics.broadcasts.Add(1)
-			}
-			if f.ctx.Err() != nil {
-				return
-			}
-		}
-	}()
-}
-
 // observeFetch records a successful peer fetch in the log2 latency
 // histogram (the serving stats' bucketing and quantile derivation).
 func (f *Fabric) observeFetch(d time.Duration) {
@@ -121,14 +87,11 @@ func (f *Fabric) cacheJSON() httpapi.ClusterCacheJSON {
 		hist[i] = f.metrics.fetchLat[i].Load()
 	}
 	return httpapi.ClusterCacheJSON{
-		Mode:           string(f.cfg.Mode),
-		RemoteHits:     f.metrics.remoteHits.Load(),
-		RemoteMisses:   f.metrics.remoteMisses.Load(),
-		Poisoned:       f.metrics.poisoned.Load(),
-		Served:         f.metrics.served.Load(),
-		BroadcastsSent: f.metrics.broadcasts.Load(),
-		Installs:       f.metrics.installs.Load(),
-		FetchP50NS:     serve.LatencyQuantile(hist, 0.50).Nanoseconds(),
-		FetchP99NS:     serve.LatencyQuantile(hist, 0.99).Nanoseconds(),
+		RemoteHits:   f.metrics.remoteHits.Load(),
+		RemoteMisses: f.metrics.remoteMisses.Load(),
+		Poisoned:     f.metrics.poisoned.Load(),
+		Served:       f.metrics.served.Load(),
+		FetchP50NS:   serve.LatencyQuantile(hist, 0.50).Nanoseconds(),
+		FetchP99NS:   serve.LatencyQuantile(hist, 0.99).Nanoseconds(),
 	}
 }

@@ -10,12 +10,12 @@
 //     Liveness is inferred locally from heartbeat age: alive → suspect
 //     (missed heartbeats) → dead (evicted from fetch/steal candidacy).
 //
-//   - Shared logical cache: before paying a cold compile, a node asks
-//     live peers for the artifact by content address. Responses are
-//     envelope-verified before a byte is installed or returned — a peer
-//     serving a corrupt artifact is quarantined until it restarts
-//     (epoch change). Modes: local (no peer traffic), fetch (pull on
-//     miss), broadcast (fetch + push fresh compiles).
+//   - Shared logical cache: on a local miss, before paying a cold
+//     compile, a node asks live peers for the artifact by content
+//     address. Responses are envelope-verified before a byte is
+//     installed or returned — a peer serving a corrupt artifact is
+//     quarantined until it restarts (epoch change). Artifacts only ever
+//     move by this pull: no route accepts one pushed by a peer.
 //
 //   - Work sharing: queue-full submissions are delegated to the
 //     least-loaded live peer, and idle nodes steal from busy peers'
@@ -44,33 +44,6 @@ import (
 	homunculus "repro"
 )
 
-// Mode selects the shared-cache consistency mode (docs/cluster.md
-// measures the trade-offs).
-type Mode string
-
-const (
-	// ModeLocal disables peer cache traffic: every node compiles for
-	// itself. Work sharing and cluster stats still run.
-	ModeLocal Mode = "local"
-	// ModeFetch pulls artifacts by content address from live peers on a
-	// local store miss, before paying a cold compile. The default.
-	ModeFetch Mode = "fetch"
-	// ModeBroadcast is fetch plus eager push: fresh local compiles are
-	// offered to every live peer, converging caches ahead of demand.
-	ModeBroadcast Mode = "broadcast"
-)
-
-// ParseMode validates a -cache-mode flag value.
-func ParseMode(s string) (Mode, error) {
-	switch Mode(s) {
-	case ModeLocal, ModeFetch, ModeBroadcast:
-		return Mode(s), nil
-	case "":
-		return ModeFetch, nil
-	}
-	return "", fmt.Errorf("cluster: unknown cache mode %q (local|fetch|broadcast)", s)
-}
-
 // Config parameterizes a Fabric. SelfAddr is required; everything else
 // has serviceable defaults.
 type Config struct {
@@ -80,8 +53,6 @@ type Config struct {
 	// Peers seeds the membership table with static base URLs; gossip
 	// grows it from there.
 	Peers []string
-	// Mode is the shared-cache consistency mode (default fetch).
-	Mode Mode
 	// Heartbeat is the gossip interval (default 1s). It also bounds each
 	// heartbeat probe's deadline.
 	Heartbeat time.Duration
@@ -107,9 +78,6 @@ type Config struct {
 
 func (c *Config) withDefaults() Config {
 	out := *c
-	if out.Mode == "" {
-		out.Mode = ModeFetch
-	}
 	if out.Heartbeat <= 0 {
 		out.Heartbeat = time.Second
 	}
@@ -177,7 +145,6 @@ type Fabric struct {
 type metrics struct {
 	remoteHits, remoteMisses    atomic.Uint64
 	poisoned, served            atomic.Uint64
-	broadcasts, installs        atomic.Uint64
 	delegated, delegatedLocal   atomic.Uint64
 	stolenGranted, stolenDone   atomic.Uint64
 	reclaimed                   atomic.Uint64
@@ -186,7 +153,7 @@ type metrics struct {
 }
 
 // New builds a fabric over svc and attaches its hooks: the remote
-// artifact source (unless ModeLocal) and work-sharing wire retention.
+// artifact source and work-sharing wire retention.
 // The fabric is inert until Start.
 func New(svc *homunculus.Service, cfg Config) (*Fabric, error) {
 	if cfg.SelfAddr == "" {
@@ -211,9 +178,7 @@ func New(svc *homunculus.Service, cfg Config) (*Fabric, error) {
 	for _, addr := range cfg.Peers {
 		f.addPeer(addr, true)
 	}
-	if cfg.Mode != ModeLocal {
-		svc.SetRemoteArtifacts(f)
-	}
+	svc.SetRemoteArtifacts(f)
 	svc.EnableWorkSharing()
 	return f, nil
 }
@@ -449,10 +414,9 @@ func (f *Fabric) peerTable(now time.Time) []httpapi.ClusterNodeJSON {
 func (f *Fabric) Status() httpapi.ClusterStatusJSON {
 	now := time.Now()
 	return httpapi.ClusterStatusJSON{
-		Self:      f.selfNode(),
-		CacheMode: string(f.cfg.Mode),
-		Peers:     f.peerTable(now),
-		Cache:     f.cacheJSON(),
+		Self:  f.selfNode(),
+		Peers: f.peerTable(now),
+		Cache: f.cacheJSON(),
 		Steal: httpapi.ClusterStealJSON{
 			Delegated:       f.metrics.delegated.Load(),
 			DelegatedLocal:  f.metrics.delegatedLocal.Load(),

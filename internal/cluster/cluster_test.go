@@ -293,45 +293,6 @@ func TestRemoteCacheFetchHit(t *testing.T) {
 	}
 }
 
-// TestBroadcastInstall: in broadcast mode a fresh compile on A lands in
-// B's cache unprompted, so B's identical submission hits without a
-// single peer fetch.
-func TestBroadcastInstall(t *testing.T) {
-	a := startNode(t, homunculus.ServiceOptions{}, Config{Mode: ModeBroadcast})
-	b := startNode(t, homunculus.ServiceOptions{}, Config{Mode: ModeBroadcast, Peers: []string{a.URL()}})
-
-	// A must know B (via gossip) before compiling, or the broadcast has
-	// no live audience.
-	waitFor(t, 10*time.Second, "A to learn B", func() bool {
-		for _, p := range a.fab.Status().Peers {
-			if p.State == "alive" {
-				return true
-			}
-		}
-		return false
-	})
-
-	first := a.pollDone(a.submit(specBody("cluster_tiny", 2)).ID)
-	if first.State != homunculus.JobDone {
-		t.Fatalf("A compile: state %q (%s)", first.State, first.Error)
-	}
-	waitFor(t, 10*time.Second, "broadcast install on B", func() bool {
-		_, ok := b.svc.ExportArtifact(first.SpecHash)
-		return ok
-	})
-	if a.fab.Status().Cache.BroadcastsSent == 0 {
-		t.Fatal("A sent no broadcasts")
-	}
-	if b.fab.Status().Cache.Installs == 0 {
-		t.Fatal("B installed no broadcast artifacts")
-	}
-
-	second := b.pollDone(b.submit(specBody("cluster_tiny", 2)).ID)
-	if !second.CacheHit || second.State != homunculus.JobDone {
-		t.Fatalf("B after broadcast: cache_hit=%v state=%q", second.CacheHit, second.State)
-	}
-}
-
 // TestQueueFullDelegation: with A's slot and queue saturated, a new
 // submission is delegated to B and still reaches a terminal state on A
 // under A's job ID.
@@ -594,14 +555,35 @@ func TestPoisonedPeerQuarantined(t *testing.T) {
 	}
 }
 
-// TestBroadcastPoisonRejected: a corrupt envelope pushed at the install
-// endpoint is rejected with a 400 and never reaches the store.
-func TestBroadcastPoisonRejected(t *testing.T) {
-	a := startNode(t, homunculus.ServiceOptions{}, Config{Mode: ModeBroadcast})
+// TestPushedArtifactRefused: an envelope is intact when its payload
+// matches its digest, whatever spec the payload was compiled from, so a
+// node must not accept artifacts it did not fetch. A PUT that binds a
+// dtree spec's hash to an svm pipeline is not routed, and the dtree
+// spec then compiles for itself into its own artifact.
+func TestPushedArtifactRefused(t *testing.T) {
+	x := specBody("cluster_tiny", 70)
+	y := strings.Replace(specBody("cluster_tiny", 71), `"dtree"`, `"svm"`, 1)
 
-	hash := "deadbeefdeadbeefdeadbeefdeadbeefdeadbeefdeadbeefdeadbeefdeadbeef"
-	body := []byte(`{"version":1,"spec_hash":"` + hash + `","payload_sha256":"1111111111111111111111111111111111111111111111111111111111111111","payload":{"evil":true}}`)
-	req, err := http.NewRequest(http.MethodPut, a.URL()+"/v1/cluster/artifacts/"+hash, bytes.NewReader(body))
+	// A node outside the fabric compiles both specs: X's hash, X's
+	// honest artifact, and Y's pipeline to forge with.
+	ref := startNode(t, homunculus.ServiceOptions{}, Config{})
+	jobX := ref.pollDone(ref.submit(x).ID)
+	jobY := ref.pollDone(ref.submit(y).ID)
+	if jobX.State != homunculus.JobDone || jobY.State != homunculus.JobDone {
+		t.Fatalf("reference compiles: X %q (%s), Y %q (%s)", jobX.State, jobX.Error, jobY.State, jobY.Error)
+	}
+	honest := fetchEnvelope(t, ref.URL(), jobX.SpecHash)
+	payloadY, err := store.VerifyEnvelope(jobY.SpecHash, fetchEnvelope(t, ref.URL(), jobY.SpecHash))
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged, err := store.WrapEnvelope(jobX.SpecHash, payloadY)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	a := startNode(t, homunculus.ServiceOptions{}, Config{})
+	req, err := http.NewRequest(http.MethodPut, a.URL()+"/v1/cluster/artifacts/"+jobX.SpecHash, bytes.NewReader(forged))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -610,14 +592,19 @@ func TestBroadcastPoisonRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("poison install: status %d, want 400", resp.StatusCode)
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("PUT of a forged envelope: status %d, want 405", resp.StatusCode)
 	}
-	if _, ok := a.svc.ExportArtifact(hash); ok {
-		t.Fatal("corrupt artifact was installed")
+
+	got := a.pollDone(a.submit(x).ID)
+	if got.State != homunculus.JobDone {
+		t.Fatalf("X on A: state %q (%s)", got.State, got.Error)
 	}
-	if a.fab.Status().Cache.Installs != 0 {
-		t.Fatal("install counter advanced on a rejected envelope")
+	if got.CacheHit || len(got.Stages) == 0 {
+		t.Fatalf("X on A: cache_hit=%v with %d stages, want a compile", got.CacheHit, len(got.Stages))
+	}
+	if env := fetchEnvelope(t, a.URL(), jobX.SpecHash); !bytes.Equal(env, honest) {
+		t.Fatalf("A serves X's hash with another artifact:\n got %.120s\nwant %.120s", env, honest)
 	}
 }
 
@@ -693,28 +680,6 @@ func TestClusterStatsSum(t *testing.T) {
 	// Unknown endpoints 404 through the cluster path too.
 	if _, err := client.EndpointClusterStats(context.Background(), "nope"); err == nil {
 		t.Fatal("cluster stats for unknown endpoint succeeded")
-	}
-}
-
-// TestModeLocalNoPeerTraffic: cache mode local never queries peers even
-// when they hold the artifact.
-func TestModeLocalNoPeerTraffic(t *testing.T) {
-	a := startNode(t, homunculus.ServiceOptions{}, Config{})
-	b := startNode(t, homunculus.ServiceOptions{}, Config{Mode: ModeLocal, Peers: []string{a.URL()}})
-
-	first := a.pollDone(a.submit(specBody("cluster_tiny", 60)).ID)
-	if first.State != homunculus.JobDone {
-		t.Fatalf("A compile: %q", first.State)
-	}
-	second := b.pollDone(b.submit(specBody("cluster_tiny", 60)).ID)
-	if second.State != homunculus.JobDone {
-		t.Fatalf("B compile: %q (%s)", second.State, second.Error)
-	}
-	if second.CacheHit {
-		t.Fatal("mode local must not produce remote cache hits")
-	}
-	if st := b.fab.Status().Cache; st.RemoteHits != 0 || st.RemoteMisses != 0 {
-		t.Fatalf("mode local generated peer cache traffic: %+v", st)
 	}
 }
 

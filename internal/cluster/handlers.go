@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -16,17 +15,12 @@ import (
 	"repro/internal/store"
 )
 
-// maxEnvelopeBytes bounds a broadcast-install body; a pipeline document
-// is kilobytes, so this is generous.
-const maxEnvelopeBytes = 64 << 20
-
 // Routes returns the /v1/cluster/* handler table.
 func (f *Fabric) Routes() map[string]http.HandlerFunc {
 	return map[string]http.HandlerFunc{
 		"GET /v1/cluster":                  f.handleStatus,
 		"GET /v1/cluster/health":           f.handleHealth,
 		"GET /v1/cluster/artifacts/{hash}": f.handleGetArtifact,
-		"PUT /v1/cluster/artifacts/{hash}": f.handlePutArtifact,
 		"GET /v1/cluster/backlog":          f.handleBacklog,
 		"POST /v1/cluster/steal":           f.handleSteal,
 		"POST /v1/cluster/stolen":          f.handleStolen,
@@ -76,34 +70,6 @@ func (f *Fabric) handleGetArtifact(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	w.Write(env)
-}
-
-// handlePutArtifact installs a broadcast envelope. Verification runs
-// before any write — a corrupt or mismatched envelope is rejected with
-// a 400 and never touches the store or cache.
-func (f *Fabric) handlePutArtifact(w http.ResponseWriter, r *http.Request) {
-	hash := r.PathValue("hash")
-	if !store.ValidKey(hash) {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: invalid artifact key %q", hash))
-		return
-	}
-	raw, err := io.ReadAll(io.LimitReader(r.Body, maxEnvelopeBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	payload, err := store.VerifyEnvelope(hash, raw)
-	if err != nil {
-		f.metrics.poisoned.Add(1)
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if _, err := f.svc.InstallArtifact(hash, payload); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	f.metrics.installs.Add(1)
-	w.WriteHeader(http.StatusNoContent)
 }
 
 func (f *Fabric) handleBacklog(w http.ResponseWriter, r *http.Request) {

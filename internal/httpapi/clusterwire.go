@@ -8,7 +8,6 @@ package httpapi
 //	GET  /v1/cluster                 node + peer table, cache/steal counters
 //	GET  /v1/cluster/health          heartbeat: identity, health, peer digests
 //	GET  /v1/cluster/artifacts/{hash} verified artifact envelope by content address
-//	PUT  /v1/cluster/artifacts/{hash} broadcast install (envelope body)
 //	GET  /v1/cluster/backlog         stealable queued jobs
 //	POST /v1/cluster/steal           claim one queued job for remote execution
 //	POST /v1/cluster/stolen          report a stolen job's terminal state
@@ -59,18 +58,15 @@ type HeartbeatJSON struct {
 
 // ClusterStatusJSON is the GET /v1/cluster document.
 type ClusterStatusJSON struct {
-	Self      ClusterNodeJSON   `json:"self"`
-	CacheMode string            `json:"cache_mode"`
-	Peers     []ClusterNodeJSON `json:"peers"`
-	Cache     ClusterCacheJSON  `json:"cache"`
-	Steal     ClusterStealJSON  `json:"steal"`
+	Self  ClusterNodeJSON   `json:"self"`
+	Peers []ClusterNodeJSON `json:"peers"`
+	Cache ClusterCacheJSON  `json:"cache"`
+	Steal ClusterStealJSON  `json:"steal"`
 }
 
-// ClusterCacheJSON counts the shared-cache traffic of the active
-// consistency mode (docs/cluster.md measures the modes against each
-// other with these counters).
+// ClusterCacheJSON counts the shared-cache traffic: this node's fetches
+// on a local miss and the fetches it answered for peers.
 type ClusterCacheJSON struct {
-	Mode string `json:"mode"`
 	// RemoteHits/RemoteMisses count peer fetches by outcome; fetch
 	// latency quantiles cover the hits.
 	RemoteHits   uint64 `json:"remote_hits"`
@@ -82,10 +78,6 @@ type ClusterCacheJSON struct {
 	Poisoned uint64 `json:"poisoned"`
 	// Served counts artifact requests this node answered for peers.
 	Served uint64 `json:"served"`
-	// BroadcastsSent counts per-peer pushes of fresh local compiles;
-	// Installs counts artifacts accepted from peers (fetch or broadcast).
-	BroadcastsSent uint64 `json:"broadcasts_sent"`
-	Installs       uint64 `json:"installs"`
 }
 
 // ClusterStealJSON counts work-stealing traffic from both sides.

@@ -61,22 +61,37 @@ func Replay(c Classifier, xs [][]float64, labels []int, clients int) (ReplayResu
 // fixed-seed replay's output can be compared byte-for-byte across
 // serving paths.
 func ReplayRun(ctx context.Context, c Classifier, xs [][]float64, labels []int, clients int, record []int) (ReplayResult, error) {
-	if c == nil {
-		return ReplayResult{}, fmt.Errorf("serve: replay needs a classifier")
-	}
-	if labels != nil && len(labels) != len(xs) {
-		return ReplayResult{}, fmt.Errorf("serve: replay trace has %d samples but %d labels", len(xs), len(labels))
-	}
-	if record != nil && len(record) != len(xs) {
-		return ReplayResult{}, fmt.Errorf("serve: replay trace has %d samples but %d record slots", len(xs), len(record))
-	}
-	if clients < 1 {
-		clients = 1
-	}
-	if clients > len(xs) {
-		clients = len(xs)
+	if err := checkReplay(c, xs, labels, record); err != nil {
+		return ReplayResult{}, err
 	}
 	var cursor atomic.Int64
+	next := func() (int, bool) {
+		i := int(cursor.Add(1) - 1)
+		return i, i < len(xs)
+	}
+	return replayLoop(ctx, c, xs, labels, clients, record, next), nil
+}
+
+// checkReplay rejects a replay whose trace, labels and record disagree.
+func checkReplay(c Classifier, xs [][]float64, labels, record []int) error {
+	if c == nil {
+		return fmt.Errorf("serve: replay needs a classifier")
+	}
+	if labels != nil && len(labels) != len(xs) {
+		return fmt.Errorf("serve: replay trace has %d samples but %d labels", len(xs), len(labels))
+	}
+	if record != nil && len(record) != len(xs) {
+		return fmt.Errorf("serve: replay trace has %d samples but %d record slots", len(xs), len(record))
+	}
+	return nil
+}
+
+// replayLoop runs the replay's clients. Each takes the next sample index
+// from next — a shared cursor (closed loop) or the burst pacer's arrival
+// queue (open loop) — until next reports the trace exhausted or ctx is
+// cancelled, and tallies the outcome of every request it issued.
+func replayLoop(ctx context.Context, c Classifier, xs [][]float64, labels []int, clients int, record []int, next func() (int, bool)) ReplayResult {
+	clients = min(max(clients, 1), len(xs))
 	var issued, delivered, dropped, errs, correct atomic.Int64
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -85,11 +100,8 @@ func ReplayRun(ctx context.Context, c Classifier, xs [][]float64, labels []int, 
 		go func() {
 			defer wg.Done()
 			for {
-				if ctx.Err() != nil {
-					return
-				}
-				i := int(cursor.Add(1) - 1)
-				if i >= len(xs) {
+				i, ok := next()
+				if !ok || ctx.Err() != nil {
 					return
 				}
 				issued.Add(1)
@@ -133,7 +145,7 @@ func ReplayRun(ctx context.Context, c Classifier, xs [][]float64, labels []int, 
 	if res.Delivered > 0 && labels != nil {
 		res.Accuracy = float64(res.Correct) / float64(res.Delivered)
 	}
-	return res, nil
+	return res
 }
 
 // BurstOptions shapes ReplayBurst's offered load: a baseline arrival
@@ -204,23 +216,11 @@ func CalibrateRate(c Classifier, xs [][]float64) (float64, error) {
 // Sheds are counted, not retried. Delivered results still verify
 // against labels/record the same way ReplayRun's do.
 func ReplayBurst(ctx context.Context, c Classifier, xs [][]float64, labels []int, clients int, record []int, opts BurstOptions) (ReplayResult, error) {
-	if c == nil {
-		return ReplayResult{}, fmt.Errorf("serve: replay needs a classifier")
+	if err := checkReplay(c, xs, labels, record); err != nil {
+		return ReplayResult{}, err
 	}
 	if opts.MeanRate <= 0 {
 		return ReplayResult{}, fmt.Errorf("serve: burst replay needs a positive mean rate")
-	}
-	if labels != nil && len(labels) != len(xs) {
-		return ReplayResult{}, fmt.Errorf("serve: replay trace has %d samples but %d labels", len(xs), len(labels))
-	}
-	if record != nil && len(record) != len(xs) {
-		return ReplayResult{}, fmt.Errorf("serve: replay trace has %d samples but %d record slots", len(xs), len(record))
-	}
-	if clients < 1 {
-		clients = 1
-	}
-	if clients > len(xs) {
-		clients = len(xs)
 	}
 	o := opts.withDefaults()
 	base := o.baseRate()
@@ -266,58 +266,12 @@ func ReplayBurst(ctx context.Context, c Classifier, xs [][]float64, labels []int
 		}
 	}()
 
-	var issued, delivered, dropped, errs, correct atomic.Int64
-	start := time.Now()
-	var wg sync.WaitGroup
-	wg.Add(clients)
-	for w := 0; w < clients; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range arrivals {
-				if ctx.Err() != nil {
-					return
-				}
-				issued.Add(1)
-				class, err := c.Classify(xs[i])
-				switch {
-				case errors.Is(err, ErrOverloaded):
-					dropped.Add(1)
-					if record != nil {
-						record[i] = -1
-					}
-				case err != nil:
-					errs.Add(1)
-					if record != nil {
-						record[i] = -1
-					}
-				default:
-					delivered.Add(1)
-					if record != nil {
-						record[i] = class
-					}
-					if labels != nil && class == labels[i] {
-						correct.Add(1)
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	res := ReplayResult{
-		Requests:  len(xs),
-		Issued:    int(issued.Load()),
-		Delivered: int(delivered.Load()),
-		Dropped:   int(dropped.Load()),
-		Errors:    int(errs.Load()),
-		Correct:   int(correct.Load()),
-		Elapsed:   time.Since(start),
-	}
+	res := replayLoop(ctx, c, xs, labels, clients, record, func() (int, bool) {
+		i, ok := <-arrivals
+		return i, ok
+	})
 	if res.Elapsed > 0 {
-		res.Rate = float64(res.Delivered) / res.Elapsed.Seconds()
 		res.OfferedRate = float64(res.Issued) / res.Elapsed.Seconds()
-	}
-	if res.Delivered > 0 && labels != nil {
-		res.Accuracy = float64(res.Correct) / float64(res.Delivered)
 	}
 	return res, nil
 }

@@ -69,6 +69,11 @@ type Journal struct {
 	mu  sync.Mutex
 	f   File
 	seq int64
+	// torn is set when the file may not end in a newline (a failed
+	// Append may have landed part of its line), so the next record
+	// starts on a fresh line instead of gluing onto the fragment —
+	// replay would otherwise skip both.
+	torn bool
 }
 
 // openJournal replays an existing journal (if any) and opens it for
@@ -124,6 +129,7 @@ func (j *Journal) replay() ([]Record, int, error) {
 			// line may still parse (torn exactly before the newline) —
 			// try it, skip it otherwise.
 			raw = nil
+			j.torn = true
 		}
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
@@ -157,9 +163,14 @@ func (j *Journal) Append(rec Record, sync bool) error {
 		return fmt.Errorf("store: encode journal record: %w", err)
 	}
 	raw = append(raw, '\n')
+	if j.torn {
+		raw = append([]byte{'\n'}, raw...)
+	}
 	if _, err := j.f.Write(raw); err != nil {
+		j.torn = true
 		return fmt.Errorf("store: append journal: %w", err)
 	}
+	j.torn = false
 	if sync {
 		if err := j.f.Sync(); err != nil {
 			return fmt.Errorf("store: sync journal: %w", err)
@@ -194,6 +205,7 @@ func (j *Journal) Compact(keep []Record) error {
 		return fmt.Errorf("store: compact journal: %w", err)
 	}
 	j.seq = int64(len(keep))
+	j.torn = false
 	return j.open()
 }
 

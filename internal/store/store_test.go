@@ -290,6 +290,50 @@ func TestJournalAppendFaultSurfaces(t *testing.T) {
 	}
 }
 
+// TestJournalTornAppendKeepsNextRecord: a short write leaves a line
+// fragment; the next, acknowledged record must not land on the same
+// line, or replay drops it along with the fragment.
+func TestJournalTornAppendKeepsNextRecord(t *testing.T) {
+	dir := t.TempDir()
+	fs := NewFaultFS(nil)
+	s, _, _ := openTest(t, dir, fs)
+	if err := s.Journal.Append(Record{Op: OpSubmitted, Job: "job-000001"}, false); err != nil {
+		t.Fatal(err)
+	}
+	fs.TearWrites(0)
+	if err := s.Journal.Append(Record{Op: OpRunning, Job: "job-000001"}, false); err == nil {
+		t.Fatal("torn Append must fail")
+	}
+	fs.Disarm()
+	if err := s.Journal.Append(Record{Op: OpDone, Job: "job-000001", SpecHash: testKey("spec")}, true); err != nil {
+		t.Fatalf("Append after torn write: %v", err)
+	}
+	_ = s.Close()
+
+	s2, recs, skipped := openTest(t, dir, nil)
+	if len(recs) != 2 || skipped != 1 || recs[len(recs)-1].Op != OpDone {
+		t.Fatalf("replayed %d records, %d skipped: %+v; want submitted, done and the fragment skipped", len(recs), skipped, recs)
+	}
+	// A reopened journal whose tail is a fragment starts the next record
+	// on a fresh line too.
+	f, err := os.OpenFile(filepath.Join(dir, "journal.jsonl"), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprint(f, `{"seq":9,"op":"fail`)
+	_ = f.Close()
+	_ = s2.Close()
+	s3, _, _ := openTest(t, dir, nil)
+	if err := s3.Journal.Append(Record{Op: OpCancelled, Job: "job-000002"}, true); err != nil {
+		t.Fatal(err)
+	}
+	_ = s3.Close()
+	_, recs, skipped = openTest(t, dir, nil)
+	if skipped != 2 || recs[len(recs)-1].Op != OpCancelled {
+		t.Fatalf("after a torn tail: %d skipped, records %+v; want the cancelled record last", skipped, recs)
+	}
+}
+
 func TestManifestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s, _, _ := openTest(t, dir, nil)

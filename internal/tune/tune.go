@@ -198,8 +198,10 @@ func Run(ctx context.Context, model *ir.Model, xs [][]float64, opts Options) (*R
 		eval = ReplayEvaluator(model, xs, o.Clients, burst)
 	}
 
+	// Infeasible points still enter the history and inform the
+	// surrogate; the scalarized acquisition excludes them.
 	var evals []Candidate
-	raw := func(x []float64) ([]float64, bool, map[string]float64, error) {
+	obj := func(x []float64) ([]float64, bool, map[string]float64, error) {
 		cfg := configAt(x)
 		m, err := eval(ctx, cfg)
 		if err != nil {
@@ -207,11 +209,8 @@ func Run(ctx context.Context, model *ir.Model, xs [][]float64, opts Options) (*R
 		}
 		c := Candidate{Config: cfg, Metrics: m, Feasible: len(o.SLO.Check(m)) == 0, values: objectives(m)}
 		evals = append(evals, c)
-		return c.values, true, metricsMap(m), nil
+		return c.values, c.Feasible, metricsMap(m), nil
 	}
-	obj := bo.Constrained(bo.WithBudget(raw, o.Budget), func(values []float64, metrics map[string]float64) bool {
-		return evals[len(evals)-1].Feasible
-	})
 
 	init := o.Budget / 3
 	if init < 2 {
@@ -221,8 +220,8 @@ func Run(ctx context.Context, model *ir.Model, xs [][]float64, opts Options) (*R
 	cfg.Seed = o.Seed
 	cfg.InitSamples = init
 	cfg.Iterations = o.Budget - init
-	_, err := bo.MaximizeMulti(ctx, searchSpace(o.MaxShards), cfg, 3, obj)
-	if err != nil && !errors.Is(err, bo.ErrBudgetExhausted) {
+	// InitSamples + Iterations == Budget: the schedule is the budget.
+	if _, err := bo.MaximizeMulti(ctx, searchSpace(o.MaxShards), cfg, 3, obj); err != nil {
 		return nil, err
 	}
 
