@@ -248,7 +248,7 @@ func ExampleOpen() {
 	fmt.Printf("lifetime 2: restored endpoint classified a flow as class %d\n", class)
 	// Output:
 	// lifetime 1: compiled job-000001, endpoint "ad" serving; shutting down
-	// lifetime 2: recovered 3 journal records, 1 results warm, endpoints restored: [ad]
+	// lifetime 2: recovered 2 journal records, 1 results warm, endpoints restored: [ad]
 	// lifetime 2: identical resubmit job-000002: cache hit: true
 	// lifetime 2: restored endpoint classified a flow as class 1
 }

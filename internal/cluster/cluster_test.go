@@ -407,6 +407,89 @@ func TestStealLeaseReclaim(t *testing.T) {
 	release()
 }
 
+// TestStealReportFromHolderOnly: a stolen job is settled only by the
+// thief that holds its lease. A third party that knows the leased job's
+// ID reports it done from a fault peer seeded with a pipeline of its
+// choosing, then reports it failed under the thief's own address: both
+// are refused with 403, nothing is fetched, and the job stays leased.
+// The thief's report, carrying its lease token, then completes the job
+// with the thief's artifact.
+func TestStealReportFromHolderOnly(t *testing.T) {
+	release := newGate(t)
+	defer release() // before the nodes' cleanups, which wait on the held job
+	a := startNode(t, homunculus.ServiceOptions{MaxInFlight: 1}, Config{StealLease: time.Minute})
+	b := startNode(t, homunculus.ServiceOptions{}, Config{})
+	fp, err := NewFaultPeer("evil")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fp.Close)
+
+	// The thief already holds the victim spec's artifact; the fault peer
+	// holds another pipeline under that spec hash.
+	hash := b.pollDone(b.submit(specBody("cluster_tiny", 61)).ID).SpecHash
+	want, _ := b.svc.ExportArtifact(hash)
+	otherSpec := strings.Replace(specBody("cluster_tiny", 62), `"dtree"`, `"kmeans"`, 1)
+	other, _ := b.svc.ExportArtifact(b.pollDone(b.submit(otherSpec).ID).SpecHash)
+	if len(want) == 0 || len(other) == 0 || bytes.Equal(want, other) {
+		t.Fatal("thief artifacts missing or equal")
+	}
+	if err := fp.Seed(hash, other); err != nil {
+		t.Fatal(err)
+	}
+
+	a.submit(specBody("cluster_block", 60)) // occupies A's only slot
+	victim := a.submit(specBody("cluster_tiny", 61))
+	waitFor(t, 10*time.Second, "victim queued", func() bool {
+		queued, _ := a.svc.Stats()
+		return queued >= 1
+	})
+	post := func(path string, v any) int {
+		t.Helper()
+		body, _ := json.Marshal(v)
+		resp, err := http.Post(a.URL()+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	const token = "0123456789abcdef0123456789abcdef"
+	if code := post("/v1/cluster/steal", httpapi.StealRequestJSON{JobID: victim.ID, ThiefID: "b", ThiefAddr: b.URL(), LeaseToken: token}); code != http.StatusOK {
+		t.Fatalf("steal: status %d", code)
+	}
+	for _, rep := range []httpapi.StealReportJSON{
+		{JobID: victim.ID, State: "done", SpecHash: hash, Addr: fp.Addr()},
+		{JobID: victim.ID, State: "done", SpecHash: hash, Addr: fp.Addr(), LeaseToken: "guess"},
+		{JobID: victim.ID, State: "done", SpecHash: hash, Addr: fp.Addr(), LeaseToken: token},
+		{JobID: victim.ID, State: "failed", Error: "sabotage", Addr: b.URL(), LeaseToken: "guess"},
+	} {
+		if code := post("/v1/cluster/stolen", rep); code != http.StatusForbidden {
+			t.Fatalf("third-party report %+v: status %d, want 403", rep, code)
+		}
+	}
+	a.fab.mu.Lock()
+	_, leased := a.fab.stolen[victim.ID]
+	a.fab.mu.Unlock()
+	if !leased || fp.Served() != 0 {
+		t.Fatalf("after refused reports: leased=%v, fault peer served %d", leased, fp.Served())
+	}
+	if job, ok := a.svc.Job(victim.ID); !ok || job.Status().State.Terminal() {
+		t.Fatalf("victim settled by a refused report: %v", ok)
+	}
+
+	if code := post("/v1/cluster/stolen", httpapi.StealReportJSON{JobID: victim.ID, State: "done", SpecHash: hash, Addr: b.URL(), LeaseToken: token}); code != http.StatusOK {
+		t.Fatalf("thief's report: status %d", code)
+	}
+	final := a.pollDone(victim.ID)
+	if final.State != homunculus.JobDone || final.SpecHash != hash {
+		t.Fatalf("stolen job: state %q hash %s (%s)", final.State, final.SpecHash, final.Error)
+	}
+	if got, _ := a.svc.ExportArtifact(hash); !bytes.Equal(got, want) {
+		t.Fatal("origin installed another artifact than the thief's")
+	}
+}
+
 // TestStealWireShape pins what crosses nodes when work is stolen: the
 // backlog listing and the grant carry the journal's wire job under the
 // keys peers already speak, and the two steal bodies are read under the

@@ -97,16 +97,27 @@ func (f *Fabric) handleSteal(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, grant)
 }
 
-// handleStolen accepts a thief's terminal report. A report for a job
-// whose lease already expired is a 410 — the origin reclaimed it and
-// the local run owns the terminal transition.
+// handleStolen accepts a thief's terminal report. A report that is not
+// the lease holder's — no lease token, another token, or another
+// address — is a 403 and changes nothing; a lease granted without a
+// token is never settled here, so it ends by reclaim. A report for a
+// job whose lease already expired is a 410 — the origin reclaimed it
+// and the local run owns the terminal transition.
 func (f *Fabric) handleStolen(w http.ResponseWriter, r *http.Request) {
 	var rep httpapi.StealReportJSON
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, httpapi.MaxRequestBody)).Decode(&rep); err != nil {
 		writeError(w, httpapi.DecodeStatus(err), err)
 		return
 	}
-	if err := f.handleStolenReport(rep); err != nil {
+	err := errNotHolder
+	if rep.LeaseToken != "" {
+		err = f.handleStolenReport(rep)
+	}
+	switch {
+	case errors.Is(err, errNotHolder):
+		writeError(w, http.StatusForbidden, err)
+		return
+	case err != nil:
 		writeError(w, http.StatusGone, err)
 		return
 	}

@@ -15,6 +15,9 @@ package cluster
 
 import (
 	"context"
+	"crypto/rand"
+	"crypto/subtle"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"time"
@@ -25,11 +28,25 @@ import (
 )
 
 // stolenEntry is the origin-side record of a job leased to a thief.
+// token is the secret the thief minted for the lease: a report settles
+// the job only if it carries it.
 type stolenEntry struct {
 	rj        *homunculus.RemoteJob
 	thiefID   string
 	thiefAddr string
+	token     string
 	timer     *time.Timer
+}
+
+// errNotHolder refuses a steal report that does not come from the lease
+// holder; the lease, its timer and the job are left as they were.
+var errNotHolder = errors.New("cluster: steal report does not match the lease")
+
+// holds reports whether rep comes from e's thief: it carries the lease
+// token, and names the thief's address if it names one at all.
+func (e *stolenEntry) holds(rep httpapi.StealReportJSON) bool {
+	return subtle.ConstantTimeCompare([]byte(rep.LeaseToken), []byte(e.token)) == 1 &&
+		(rep.Addr == "" || rep.Addr == e.thiefAddr)
 }
 
 // SubmitFallback is the httpapi queue-full hook: place the shed
@@ -177,13 +194,15 @@ func (f *Fabric) stealOnce() {
 	if err := victim.client.Get(f.ctx, "/v1/cluster/backlog", &backlog); err != nil || len(backlog.Jobs) == 0 {
 		return
 	}
+	var tok [16]byte
+	_, _ = rand.Read(tok[:]) // crypto/rand.Read never fails since Go 1.24
 	var grant httpapi.StealGrantJSON
-	reqBody := httpapi.StealRequestJSON{JobID: backlog.Jobs[0].ID, ThiefID: f.id, ThiefAddr: f.cfg.SelfAddr}
+	reqBody := httpapi.StealRequestJSON{JobID: backlog.Jobs[0].ID, ThiefID: f.id, ThiefAddr: f.cfg.SelfAddr, LeaseToken: hex.EncodeToString(tok[:])}
 	if err := victim.client.Post(f.ctx, "/v1/cluster/steal", reqBody, &grant); err != nil {
 		return // lost the claim race (409) or the victim went away
 	}
 	f.metrics.stealsExecuted.Add(1)
-	f.executeStolen(victim, grant)
+	f.executeStolen(victim, grant, reqBody.LeaseToken)
 }
 
 // busiest returns the live peer with the deepest backlog, or nil if no
@@ -206,9 +225,9 @@ func (f *Fabric) busiest() *peer {
 
 // executeStolen runs a granted job locally as a first-class submission
 // and reports the terminal state back to the origin under the origin's
-// job ID.
-func (f *Fabric) executeStolen(origin *peer, grant httpapi.StealGrantJSON) {
-	rep := httpapi.StealReportJSON{JobID: grant.JobID, Addr: f.cfg.SelfAddr}
+// job ID, with the lease token its steal request carried.
+func (f *Fabric) executeStolen(origin *peer, grant httpapi.StealGrantJSON, token string) {
+	rep := httpapi.StealReportJSON{JobID: grant.JobID, Addr: f.cfg.SelfAddr, LeaseToken: token}
 	job, err := f.svc.SubmitWire(f.ctx, grant.WireJob)
 	if err != nil {
 		rep.State = "failed"
@@ -235,7 +254,7 @@ func (f *Fabric) grantSteal(req httpapi.StealRequestJSON) (httpapi.StealGrantJSO
 	if !ok {
 		return httpapi.StealGrantJSON{}, false
 	}
-	e := &stolenEntry{rj: rj, thiefID: req.ThiefID, thiefAddr: req.ThiefAddr}
+	e := &stolenEntry{rj: rj, thiefID: req.ThiefID, thiefAddr: req.ThiefAddr, token: req.LeaseToken}
 	e.timer = time.AfterFunc(f.cfg.StealLease, func() { f.reclaim(req.JobID) })
 	f.mu.Lock()
 	f.stolen[req.JobID] = e
@@ -267,10 +286,17 @@ func (f *Fabric) reclaim(jobID string) {
 }
 
 // handleStolenReport is the origin side of POST /v1/cluster/stolen:
-// resolve the leased-out job with the thief's terminal verdict.
+// resolve the leased-out job with the thief's terminal verdict. Only
+// the lease holder's report does (errNotHolder otherwise), and a result
+// is fetched from the address the lease was granted to, never from one
+// the report names.
 func (f *Fabric) handleStolenReport(rep httpapi.StealReportJSON) error {
 	f.mu.Lock()
 	e, ok := f.stolen[rep.JobID]
+	if ok && !e.holds(rep) {
+		f.mu.Unlock()
+		return errNotHolder
+	}
 	delete(f.stolen, rep.JobID)
 	f.mu.Unlock()
 	if !ok {
@@ -283,7 +309,7 @@ func (f *Fabric) handleStolenReport(rep httpapi.StealReportJSON) error {
 		if rep.Error == "" {
 			rep.Error = "unspecified failure"
 		}
-		e.rj.Fail(fmt.Errorf("cluster: stolen by %s: %s", rep.Addr, rep.Error))
+		e.rj.Fail(fmt.Errorf("cluster: stolen by %s: %s", e.thiefAddr, rep.Error))
 		f.metrics.stolenDone.Add(1)
 		return nil
 	}
@@ -292,12 +318,12 @@ func (f *Fabric) handleStolenReport(rep httpapi.StealReportJSON) error {
 	// abort the origin's completion.
 	ctx, cancel := context.WithTimeout(f.ctx, 2*f.cfg.FetchTimeout)
 	defer cancel()
-	if f.completeFromPeer(ctx, e.rj, rep.Addr) {
+	if f.completeFromPeer(ctx, e.rj, e.thiefAddr) {
 		f.metrics.stolenDone.Add(1)
 		return nil
 	}
 	f.metrics.reclaimed.Add(1)
-	f.cfg.Logf("cluster: stolen result for %s unfetchable from %s; recomputing locally", rep.JobID, rep.Addr)
+	f.cfg.Logf("cluster: stolen result for %s unfetchable from %s; recomputing locally", rep.JobID, e.thiefAddr)
 	go e.rj.RunLocal()
 	return nil
 }

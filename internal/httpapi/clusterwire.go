@@ -98,11 +98,14 @@ type ClusterStealJSON struct {
 }
 
 // StealRequestJSON is the POST /v1/cluster/steal body: a thief asking
-// the origin for one specific queued job.
+// the origin for one specific queued job. LeaseToken is a random secret
+// the thief mints for the lease and echoes in its report; only a report
+// that carries it settles the job.
 type StealRequestJSON struct {
-	JobID     string `json:"job_id"`
-	ThiefID   string `json:"thief_id"`
-	ThiefAddr string `json:"thief_addr"`
+	JobID      string `json:"job_id"`
+	ThiefID    string `json:"thief_id"`
+	ThiefAddr  string `json:"thief_addr"`
+	LeaseToken string `json:"lease_token,omitempty"`
 }
 
 // StealGrantJSON hands the claimed job's wire form to the thief, with
@@ -116,13 +119,15 @@ type StealGrantJSON struct {
 
 // StealReportJSON is the POST /v1/cluster/stolen body: the thief
 // reporting a stolen job's terminal state under its origin ID. Addr is
-// where the origin fetches the result artifact.
+// the thief's own address, where the origin fetches the result
+// artifact; LeaseToken is the one its steal request carried.
 type StealReportJSON struct {
-	JobID    string `json:"job_id"`
-	State    string `json:"state"` // "done" | "failed"
-	SpecHash string `json:"spec_hash,omitempty"`
-	Error    string `json:"error,omitempty"`
-	Addr     string `json:"addr"`
+	JobID      string `json:"job_id"`
+	State      string `json:"state"` // "done" | "failed"
+	SpecHash   string `json:"spec_hash,omitempty"`
+	Error      string `json:"error,omitempty"`
+	Addr       string `json:"addr"`
+	LeaseToken string `json:"lease_token,omitempty"`
 }
 
 // BacklogJSON is the GET /v1/cluster/backlog document: this node's

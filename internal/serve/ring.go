@@ -26,24 +26,31 @@ package serve
 // one token. A waiting producer uses the same protocol per call (a
 // waiter flag + 1-slot channel on the pooled request).
 //
-// The fast path is caller-harvesting and core-local. Every pooled
-// request has a home shard, dealt round-robin when the pool mints it;
-// sync.Pool hands a request back on the P that released it, so each P
-// settles on a shard of its own. A lone span — a Classify vector, or a
-// ClassifyBatch that fits in one span — claims a harvest lock before it
-// publishes: home's when it is free, else the next free one round the
-// shards. Holding it, the producer publishes and drains the shard
-// itself, classifying its own span (and any neighbors published
-// meanwhile) on its own goroutine: zero scheduler handoffs, which is
-// what buys the single-digit-µs p99, and no write to a cache line
-// another core is writing, since the slots, the bitmap and the counters
-// (stats.go) all belong to the shard. When every lock is held, the span
-// publishes to home and waits for that shard's harvester; under
-// concurrency those sweeps form the micro-batches. A multi-span batch
-// deals its spans from a shared round-robin cursor. The worker goroutine
-// is the fallback harvester: it takes the spans of a ClassifyBatch its
-// caller has not reached yet and covers producers that gave up spinning
-// and parked.
+// The fast path is the owner path: caller-harvesting, core-local, and
+// off the ring. Every pooled request has a home shard, dealt round-robin
+// when the pool mints it; sync.Pool hands a request back on the P that
+// released it, so each P settles on a shard of its own. A lone span — a
+// Classify vector, or a ClassifyBatch that fits in one span — claims a
+// harvest lock first: home's when it is free, else the next free one
+// round the shards. Holding it, the caller classifies its span in place
+// on that shard's predictor (classifyOwned): admitted against the
+// shard's credits and counted like a ring span, but with no ticket,
+// slot, bitmap bit or sweep, since those would only hand the vector
+// back to the same goroutine. It then drains the shard, sweeping any
+// neighbors published meanwhile, and releases the lock. Zero scheduler
+// handoffs is what buys the single-digit-µs p99, and no write lands on
+// a cache line another core is writing, since the credits and the
+// counters (stats.go) belong to the shard. Under a hold policy a lone
+// Classify still publishes, so its hold can wait in the ring for
+// company.
+//
+// The ring carries the spans another goroutine harvests: a lone span
+// whose caller lost every claim publishes to home and waits for that
+// shard's harvester — under concurrency those sweeps form the
+// micro-batches — and a multi-span batch deals its spans from a shared
+// round-robin cursor. The worker goroutine is the fallback harvester:
+// it takes the spans of a ClassifyBatch its caller has not reached yet
+// and covers producers that gave up spinning and parked.
 
 import (
 	"math/bits"
@@ -115,6 +122,7 @@ type shard struct {
 
 	pred   *ir.Predictor
 	counts []uint64 // per-class tally of the span in hand; busy-guarded
+	owned  uint64   // spans classified by their lock-owning caller (classifyOwned); busy-guarded
 
 	// Adaptive-flush state (predict.go). Producers feed the shared
 	// arrival history with relaxed atomics (lastNS, gapHist); the gaps
@@ -174,28 +182,9 @@ func (sh *shard) hasReady() bool {
 // (possible only when the ring is nearly full); owned says the caller
 // holds sh's harvest lock, so it is that harvester and sweeps instead.
 func (rt *Runtime) enqueue(sh *shard, r *request, xs [][]float64, out []int, owned bool) error {
-	n := int64(len(xs))
-	if sh.credits.Add(n) > int64(sh.cap) {
-		sh.credits.Add(-n)
-		return ErrOverloaded
-	}
-	// Closed is checked after the credit so Close's drain poll cannot
-	// miss an in-flight producer: if this load sees the flag unset, the
-	// credit above is already visible to the poll.
-	if rt.closed.Load() {
-		sh.credits.Add(-n)
-		return ErrClosed
-	}
-	if sh.gaps != nil {
-		// Feed the arrival predictor: one relaxed Swap for the gap, one
-		// load/store pair to shift the bucket into the shared history.
-		// Concurrent producers may drop a nibble — the predictor is a
-		// timing heuristic, so lossy history is acceptable.
-		now := time.Now().UnixNano()
-		if prev := sh.lastNS.Swap(now); prev != 0 {
-			h := sh.gapHist.Load()
-			sh.gapHist.Store(h<<4 | uint64(gapBucket(now-prev)))
-		}
+	n := len(xs)
+	if err := rt.admit(sh, n); err != nil {
+		return err
 	}
 	t := sh.tickets.Add(1) - 1
 	i := t & sh.mask
@@ -213,8 +202,65 @@ func (rt *Runtime) enqueue(sh *shard, r *request, xs [][]float64, out []int, own
 	if n > 1 {
 		sh.batches.Add(1)
 	}
-	sh.stats.accepted.Add(uint64(n))
 	sh.ready[i>>6].Or(1 << (i & 63))
+	return nil
+}
+
+// admit takes n of sh's credits for a span and counts it accepted, or
+// sheds it: ErrOverloaded past the ring's bound, ErrClosed once Close
+// began. Both a published span (enqueue) and an owned one (classifyOwned)
+// are admitted here, so QueueDepth bounds every vector in a shard's hands.
+func (rt *Runtime) admit(sh *shard, n int) error {
+	if sh.credits.Add(int64(n)) > int64(sh.cap) {
+		sh.credits.Add(-int64(n))
+		return ErrOverloaded
+	}
+	// Closed is checked after the credit so Close's drain poll cannot
+	// miss an in-flight producer: if this load sees the flag unset, the
+	// credit above is already visible to the poll.
+	if rt.closed.Load() {
+		sh.credits.Add(-int64(n))
+		return ErrClosed
+	}
+	if sh.gaps != nil {
+		// Feed the arrival predictor: one relaxed Swap for the gap, one
+		// load/store pair to shift the bucket into the shared history.
+		// Concurrent producers may drop a nibble — the predictor is a
+		// timing heuristic, so lossy history is acceptable.
+		now := time.Now().UnixNano()
+		if prev := sh.lastNS.Swap(now); prev != 0 {
+			h := sh.gapHist.Load()
+			sh.gapHist.Store(h<<4 | uint64(gapBucket(now-prev)))
+		}
+	}
+	// Counted before the credit can be freed, so Close's poll never sees
+	// a vector that is neither in flight nor accepted.
+	sh.stats.accepted.Add(uint64(n))
+	return nil
+}
+
+// classifyOwned is the owner path: a lone span whose caller holds sh's
+// harvest lock is classified here, on sh's predictor, instead of being
+// published only to be swept back by the same goroutine. It is admitted
+// and accounted as a ring span is: its credits are freed before the
+// classify, as sweep frees a slot on detach, and it is one flush. Every
+// latSampleEvery-th owned span is sampled, counted by sh.owned, since
+// tickets count slot claims only. The caller releases the lock through
+// drain, which sweeps whatever neighbors published meanwhile.
+func (rt *Runtime) classifyOwned(sh *shard, r *request, xs [][]float64, out []int) error {
+	n := len(xs)
+	if err := rt.admit(sh, n); err != nil {
+		return err
+	}
+	sampled := sh.owned&(latSampleEvery-1) == 0
+	sh.owned++
+	var start time.Duration
+	if sampled {
+		start = time.Since(rt.start)
+	}
+	sh.credits.Add(-int64(n))
+	rt.classifySpan(sh, r, xs, out, sampled, start)
+	sh.stats.flush(n, false, n >= rt.batchSize)
 	return nil
 }
 
@@ -248,37 +294,10 @@ func (rt *Runtime) sweep(sh *shard) int {
 			}
 			s.seq.Store(t + sh.cap) // free the slot, and starts[i], for ticket t+cap
 			sh.credits.Add(-int64(len(xs)))
-			if rt.testHook != nil {
-				rt.testHook()
-			}
-			var err error
-			if len(xs) == 1 {
-				// Straight to Classify: the batch entry point's frames on
-				// top of this call chain outgrow the 2 KB stack a fresh
-				// goroutine starts with — every shadow mirror is one —
-				// and growing it costs three classifies.
-				if out[0], err = sh.pred.Classify(xs[0]); err != nil {
-					out[0] = -1
-				}
-			} else {
+			if len(xs) > 1 {
 				sh.batches.Add(-1)
-				err = sh.pred.ClassifyBatch(xs, out)
 			}
-			if sampled {
-				sh.stats.observeLatency(time.Since(rt.start) - start)
-			}
-			failed := 0
-			if err != nil {
-				// The predictor's only error is a row of the wrong width.
-				for _, x := range xs {
-					if len(x) != rt.model.Inputs {
-						failed++
-					}
-				}
-				first := err // a copy to escape, so only this path allocates
-				r.err.CompareAndSwap(nil, &first)
-			}
-			sh.stats.observe(sh.counts, out, failed)
+			rt.classifySpan(sh, r, xs, out, sampled, start)
 			// The span is delivered; r may be back in the pool, and in
 			// another caller's hands, the moment pending reads zero.
 			if r.pending.Add(-1) == 0 && r.waiter.Swap(0) == 1 {
@@ -293,6 +312,43 @@ func (rt *Runtime) sweep(sh *shard) int {
 		sh.stats.flush(n, deadline, n >= rt.batchSize)
 	}
 	return n
+}
+
+// classifySpan classifies one span of r on sh's predictor, for the
+// owner of sh's harvest lock, and records it: the sampled latency since
+// start, completed, per-class and errors. A wrong-width row reads -1 and
+// its error is r's.
+func (rt *Runtime) classifySpan(sh *shard, r *request, xs [][]float64, out []int, sampled bool, start time.Duration) {
+	if rt.testHook != nil {
+		rt.testHook()
+	}
+	var err error
+	if len(xs) == 1 {
+		// Straight to Classify: the batch entry point's frames on top of
+		// this call chain outgrow the 2 KB stack a fresh goroutine starts
+		// with — every shadow mirror is one — and growing it costs three
+		// classifies.
+		if out[0], err = sh.pred.Classify(xs[0]); err != nil {
+			out[0] = -1
+		}
+	} else {
+		err = sh.pred.ClassifyBatch(xs, out)
+	}
+	if sampled {
+		sh.stats.observeLatency(time.Since(rt.start) - start)
+	}
+	failed := 0
+	if err != nil {
+		// The predictor's only error is a row of the wrong width.
+		for _, x := range xs {
+			if len(x) != rt.model.Inputs {
+				failed++
+			}
+		}
+		first := err // a copy to escape, so only this path allocates
+		r.err.CompareAndSwap(nil, &first)
+	}
+	sh.stats.observe(sh.counts, out, failed)
 }
 
 // harvest acquires the harvest lock if free and drains the shard.

@@ -381,20 +381,9 @@ func TestRingShardStatsExact(t *testing.T) {
 // dealt homes round-robin; and a lone Classify on an idle runtime is
 // accepted on its request's home.
 func TestRingClaimOrder(t *testing.T) {
-	idle := func(rt *Runtime) {
-		t.Helper()
-		waitFor(t, "every fallback worker parked", func() bool {
-			for _, sh := range rt.rings {
-				if sh.parked.Load() == 0 {
-					return false
-				}
-			}
-			return true
-		})
-	}
 	cfg := ServingConfig{Shards: 4}
 	rt := mustRuntime(t, stepModel(), cfg)
-	idle(rt)
+	parkedWorkers(t, rt)
 	hold := func(held ...int) {
 		for i, sh := range rt.rings {
 			sh.busy.Store(0)
@@ -431,7 +420,7 @@ func TestRingClaimOrder(t *testing.T) {
 
 	for home := range cfg.Shards {
 		rt := mustRuntime(t, stepModel(), cfg)
-		idle(rt)
+		parkedWorkers(t, rt)
 		rt.rr.Store(uint64(home)) // the first request minted takes this home
 		if c, err := rt.Classify([]float64{1, 0}); err != nil || c != 1 {
 			t.Fatalf("classify: %d %v", c, err)

@@ -12,12 +12,14 @@
 // slice, nothing copied — and publish with a bit set; a harvester drains
 // the bitmap with a bits.TrailingZeros64 sweep. A lone request first
 // claims a shard's harvest lock — its pooled request's home shard when
-// free — then publishes and sweeps that shard itself, so it is
-// classified inline with zero scheduler handoffs and writes only its own
-// shard's lines, counters included. When every shard is owned it
-// publishes to home and that shard's harvester (another producer, or the
-// fallback worker) takes it, so batches form naturally under concurrent
-// load; a ClassifyBatch is one span and one batch-kernel call per shard.
+// free — and, holding it, classifies itself in place on that shard's
+// predictor without touching the ring (the owner path), then sweeps
+// whatever neighbors published meanwhile: zero scheduler handoffs, and
+// writes only to its own shard's lines, counters included. When every
+// shard is owned it publishes to home and that shard's harvester
+// (another producer, or the fallback worker) takes it, so batches form
+// naturally under concurrent load; a ClassifyBatch is one span and one
+// batch-kernel call per shard.
 // The busy path touches no channel and no mutex; parking is futex-style
 // and only on the idle path.
 //
@@ -180,20 +182,28 @@ func (rt *Runtime) next(n int) int {
 func (rt *Runtime) Classify(x []float64) (int, error) {
 	r := rt.reqPool.Get().(*request)
 	r.row[0] = x
-	r.pending.Store(1)
-	// A lone span (ring.go): claim a harvest lock from home on, publish,
-	// and drain the shard if the claim won, else wait on home's harvester.
-	// Written out rather than shared with classifyInto: every shadow
-	// mirror runs this on a fresh goroutine, whose first stack one more
-	// frame on this chain outgrows (BenchmarkServeClassifyFreshGoroutine).
+	// A lone span (ring.go): claim a harvest lock from home on. A won
+	// claim classifies the vector in place under the greedy policy; a
+	// hold policy publishes it instead, to wait in the ring for company.
+	// A lost claim publishes to home and waits on its harvester. Written
+	// out rather than shared with classifyInto: every shadow mirror runs
+	// this on a fresh goroutine, whose first stack one more frame on this
+	// chain outgrows (BenchmarkServeClassifyFreshGoroutine).
 	at, owned := rt.claim(r.home)
 	sh := rt.rings[at]
-	err := rt.enqueue(sh, r, r.row[:], r.cls[:], owned)
-	switch {
-	case owned:
-		rt.drain(sh, err == nil)
-	case err == nil:
-		rt.await(r, at, 1, true)
+	var err error
+	if owned && rt.flush == FlushGreedy {
+		err = rt.classifyOwned(sh, r, r.row[:], r.cls[:])
+		rt.drain(sh, false)
+	} else {
+		r.pending.Store(1)
+		err = rt.enqueue(sh, r, r.row[:], r.cls[:], owned)
+		switch {
+		case owned:
+			rt.drain(sh, err == nil)
+		case err == nil:
+			rt.await(r, at, 1, true)
+		}
 	}
 	if err != nil {
 		if errors.Is(err, ErrOverloaded) {
@@ -261,22 +271,26 @@ func (rt *Runtime) classifyInto(xs [][]float64, classes []int) (dropped int, err
 	size := rt.spanSize(len(xs))
 	spans := (len(xs) + size - 1) / size
 	r := rt.reqPool.Get().(*request)
-	r.pending.Store(int32(spans))
 	if spans == 1 {
-		// A lone span, as in Classify; spans are never held.
+		// A lone span, as in Classify; spans are never held, so a won
+		// claim classifies it in place under every policy.
 		at, owned := rt.claim(r.home)
 		sh := rt.rings[at]
-		eerr := rt.enqueue(sh, r, xs, classes, owned)
-		switch {
-		case owned:
+		var eerr error
+		if owned {
+			eerr = rt.classifyOwned(sh, r, xs, classes)
 			rt.drain(sh, false)
-		case eerr == nil:
-			rt.await(r, at, 1, false)
+		} else {
+			r.pending.Store(1)
+			if eerr = rt.enqueue(sh, r, xs, classes, false); eerr == nil {
+				rt.await(r, at, 1, false)
+			}
 		}
 		if eerr != nil {
 			dropped, err = rt.refused(eerr, classes)
 		}
 	} else {
+		r.pending.Store(int32(spans))
 		dropped, err = rt.spread(r, xs, classes, size, spans)
 	}
 	if perr := r.err.Load(); perr != nil && err == nil {

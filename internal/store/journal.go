@@ -20,8 +20,9 @@ const (
 	// OpSubmitted records an admitted job with its full spec — the record
 	// recovery recompiles from.
 	OpSubmitted = "submitted"
-	// OpRunning records dispatch (observability; recovery treats running
-	// like submitted).
+	// OpRunning recorded dispatch. It is no longer written — recovery
+	// folds it exactly like submitted, so it carried nothing — but
+	// journals that hold it still replay.
 	OpRunning = "running"
 	// OpDone records successful completion; SpecHash points at the
 	// artifact carrying the result.

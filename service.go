@@ -380,7 +380,6 @@ func (s *Service) run(ctx context.Context, j *Job, p *alchemy.Platform, o *optio
 		return
 	}
 	j.setRunning()
-	s.journal(store.Record{Op: store.OpRunning, Job: j.id}, false)
 	if s.cache == nil && s.store == nil && s.remote.Load() == nil {
 		pipe, err := s.compileJob(ctx, j, p, o)
 		j.finish(pipe, err)
