@@ -7,7 +7,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: check vet build test validate fuzz fuzz-wire fuzz-number fuzz-batch fuzz-job fuzz-tree fuzz-config fuzz-envelope fuzz-pipeline fuzz-manifest bench-smoke bench staticcheck
+.PHONY: check vet build test validate fuzz fuzz-wire fuzz-number fuzz-batch fuzz-job fuzz-tree fuzz-config fuzz-envelope fuzz-pipeline fuzz-manifest fuzz-p4 bench-smoke bench staticcheck
 
 check: vet build test
 
@@ -112,6 +112,15 @@ fuzz-pipeline:
 # and each execution opens a service.
 fuzz-manifest:
 	$(GO) test -run='^$$' -fuzz=FuzzRestoreManifest -fuzztime=$(FUZZ_BUDGET) -fuzzminimizetime=100x .
+
+# Native fuzzing of the P4 artifact interpreter's parser (the eleventh
+# nightly CI step, with a 10 s smoke in ci.yml): FuzzP4Interp feeds
+# fuzzed artifact text, seeded from p4gen's goldens and the legacy
+# decide-table fixtures, to NewP4Interp; hostile text must be an error,
+# never a panic, and an accepted program must classify into one of its
+# declared classes or refuse.
+fuzz-p4:
+	$(GO) test -run='^$$' -fuzz=FuzzP4Interp -fuzztime=$(FUZZ_BUDGET) -fuzzminimizetime=200x ./internal/validate/
 
 # One iteration of every benchmark, no unit tests: catches bit-rotted
 # benchmark code and asserts the allocation budgets and the autopilot

@@ -96,8 +96,8 @@ func TestBuildAppliesConstraints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mt := target.(*MATTarget); mt.Pipeline.Tables != 4 {
-		t.Fatalf("tables: %+v", mt.Pipeline)
+	if mt := target.(*MATTarget); mt.Tables != 4 {
+		t.Fatalf("tables: %+v", mt)
 	}
 }
 

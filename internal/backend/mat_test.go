@@ -1,10 +1,12 @@
 package backend
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/fixed"
 	"repro/internal/ir"
+	"repro/internal/p4gen"
 )
 
 func matSVMModel(features, classes int) *ir.Model {
@@ -25,65 +27,72 @@ func matKMeansModel(features, k int) *ir.Model {
 	return m
 }
 
-func TestMATPipelineValidate(t *testing.T) {
-	if err := DefaultMATPipeline().Validate(); err != nil {
+// emitted counts the program p4gen ships for m: the layout every
+// expectation below is read from.
+func emitted(t *testing.T, m *ir.Model) (tables, entries int) {
+	t.Helper()
+	p, err := p4gen.Generate(m)
+	if err != nil {
 		t.Fatal(err)
 	}
-	bad := []MATPipeline{
-		{Tables: 0, EntriesPerTable: 1, StageLatencyNS: 1, LineRateGPkts: 1},
-		{Tables: 1, EntriesPerTable: 0, StageLatencyNS: 1, LineRateGPkts: 1},
-		{Tables: 1, EntriesPerTable: 1, StageLatencyNS: 0, LineRateGPkts: 1},
-		{Tables: 1, EntriesPerTable: 1, StageLatencyNS: 1, LineRateGPkts: 0},
+	perTable := map[string]int{}
+	for _, e := range p.Entries {
+		perTable[e.Table]++
+		entries = max(entries, perTable[e.Table])
 	}
-	for i, p := range bad {
-		if p.Validate() == nil {
-			t.Fatalf("pipeline %d must fail", i)
-		}
+	return len(p.Tables), entries
+}
+
+func estimate(t *testing.T, target *MATTarget, m *ir.Model) Verdict {
+	t.Helper()
+	v, err := target.Estimate(m)
+	if err != nil {
+		t.Fatal(err)
 	}
+	tables, entries := emitted(t, m)
+	if v.Metrics["tables"] != float64(tables) || v.Metrics["entries"] != float64(entries) {
+		t.Fatalf("%s verdict %v, emitted program has %d tables × %d entries", m.Kind, v.Metrics, tables, entries)
+	}
+	if v.Metrics["latency_ns"] != float64(tables) {
+		t.Fatalf("latency_ns = %v, want one ns per table", v.Metrics["latency_ns"])
+	}
+	return v
 }
 
 func TestMATSVMTablePerFeature(t *testing.T) {
 	// IIsy: "an implementation of an SVM may use a MAT per feature".
-	rep, err := estimateMAT(DefaultMATPipeline(), matSVMModel(7, 5))
-	if err != nil {
-		t.Fatal(err)
+	v := estimate(t, NewMATTarget(0), matSVMModel(7, 5))
+	if v.Metrics["tables"] != 8 { // 7 features + decision
+		t.Fatalf("SVM tables = %v, want 8", v.Metrics["tables"])
 	}
-	if rep.TablesUsed != 8 { // 7 features + decision
-		t.Fatalf("SVM tables = %d, want 8", rep.TablesUsed)
+	if !v.Feasible {
+		t.Fatal("7-feature SVM must fit the default pipeline")
 	}
-	if !rep.Fits {
-		t.Fatal("7-feature SVM must fit default pipeline")
-	}
-	if rep.ThroughputGPkts != 1.0 {
+	if v.Metrics["throughput_gpkts"] != 1.0 {
 		t.Fatal("fitting MAT program must run at line rate")
 	}
 }
 
 func TestMATKMeansTablePerCluster(t *testing.T) {
-	rep, err := estimateMAT(DefaultMATPipeline(), matKMeansModel(7, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.TablesUsed != 5 {
-		t.Fatalf("KMeans tables = %d, want 5", rep.TablesUsed)
+	v := estimate(t, NewMATTarget(0), matKMeansModel(7, 5))
+	if v.Metrics["tables"] != 5 {
+		t.Fatalf("KMeans tables = %v, want 5", v.Metrics["tables"])
 	}
 }
 
 func TestMATBudgetBinds(t *testing.T) {
-	tight := DefaultMATPipeline()
-	tight.Tables = 3
-	rep, _ := estimateMAT(tight, matKMeansModel(7, 5))
-	if rep.Fits {
+	tight := NewMATTarget(3)
+	v := estimate(t, tight, matKMeansModel(7, 5))
+	if v.Feasible {
 		t.Fatal("5 clusters must not fit 3 tables")
 	}
-	if rep.Reason == "" {
+	if v.Reason == "" {
 		t.Fatal("must carry reason")
 	}
-	if rep.ThroughputGPkts != 0 {
+	if v.Metrics["throughput_gpkts"] != 0 {
 		t.Fatal("non-fitting program has no deployable throughput")
 	}
-	rep2, _ := estimateMAT(tight, matKMeansModel(7, 3))
-	if !rep2.Fits {
+	if v2 := estimate(t, tight, matKMeansModel(7, 3)); !v2.Feasible {
 		t.Fatal("3 clusters must fit 3 tables")
 	}
 }
@@ -96,26 +105,16 @@ func TestMATDTreeTablePerLevel(t *testing.T) {
 			Right: &ir.TreeNode{Feature: -1, Class: 0}},
 	}
 	m := &ir.Model{Kind: ir.DTree, Name: "t", Inputs: 2, Outputs: 2, Format: fixed.Q8_8, Tree: tree}
-	rep, err := estimateMAT(DefaultMATPipeline(), m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.TablesUsed != 3 { // depth 2 + leaf table
-		t.Fatalf("DTree tables = %d, want 3", rep.TablesUsed)
+	v := estimate(t, NewMATTarget(0), m)
+	if v.Metrics["tables"] != 3 { // levels 0..2
+		t.Fatalf("DTree tables = %v, want 3", v.Metrics["tables"])
 	}
 }
 
-func TestMATDNNChargedLikeN2Net(t *testing.T) {
-	m := &ir.Model{Kind: ir.DNN, Name: "d", Inputs: 4, Outputs: 2, Format: fixed.Q8_8,
-		Layers: []ir.Layer{
-			{In: 4, Out: 4, W: [][]float64{{0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}}, B: make([]float64, 4), Activation: "relu"},
-			{In: 4, Out: 2, W: [][]float64{{0, 0, 0, 0}, {0, 0, 0, 0}}, B: make([]float64, 2), Activation: "softmax"},
-		}}
-	rep, err := estimateMAT(DefaultMATPipeline(), m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.TablesUsed != 24 { // 12 per layer
-		t.Fatalf("DNN tables = %d, want 24", rep.TablesUsed)
+func TestMATDNNRejected(t *testing.T) {
+	m := &ir.Model{Kind: ir.DNN, Name: "d", Inputs: 2, Outputs: 2, Format: fixed.Q8_8,
+		Layers: []ir.Layer{{In: 2, Out: 2, W: [][]float64{{0, 0}, {0, 0}}, B: make([]float64, 2), Activation: "softmax"}}}
+	if _, err := NewMATTarget(0).Estimate(m); err == nil || !strings.Contains(err.Error(), "DNNs do not map") {
+		t.Fatalf("a DNN has no MAT program to count; got %v", err)
 	}
 }

@@ -30,23 +30,37 @@ import (
 var registerClusterLoaders sync.Once
 
 // clusterGate lets a test hold "cluster_block" jobs in their load stage.
-// Nil (the default) means no blocking; tests install a fresh channel
-// with newGate and release it when saturation is no longer needed.
-var clusterGate atomic.Pointer[chan struct{}]
+// Nil (the default) means no blocking; tests install a fresh gate with
+// newGate and release it when saturation is no longer needed.
+var clusterGate atomic.Pointer[gate]
+
+type gate struct {
+	ch   chan struct{}
+	once sync.Once
+}
+
+func (g *gate) release() {
+	g.once.Do(func() {
+		close(g.ch)
+		clusterGate.CompareAndSwap(g, nil)
+	})
+}
+
+// releaseGate opens the installed gate, if any. Every node's cleanup
+// calls it before closing the node, so a test that fails while a
+// "cluster_block" job holds the gate does not hang in Service.Close.
+func releaseGate() {
+	if g := clusterGate.Load(); g != nil {
+		g.release()
+	}
+}
 
 func newGate(t *testing.T) (release func()) {
 	t.Helper()
-	ch := make(chan struct{})
-	clusterGate.Store(&ch)
-	var once sync.Once
-	release = func() {
-		once.Do(func() {
-			close(ch)
-			clusterGate.Store(nil)
-		})
-	}
-	t.Cleanup(release)
-	return release
+	g := &gate{ch: make(chan struct{})}
+	clusterGate.Store(g)
+	t.Cleanup(g.release)
+	return g.release
 }
 
 func clusterTinyData() *alchemy.Data {
@@ -70,8 +84,8 @@ func loadLoaders() {
 			return clusterTinyData(), nil
 		}))
 		alchemy.RegisterLoader("cluster_block", alchemy.DataLoaderFunc(func() (*alchemy.Data, error) {
-			if ch := clusterGate.Load(); ch != nil {
-				<-*ch
+			if g := clusterGate.Load(); g != nil {
+				<-g.ch
 			}
 			return clusterTinyData(), nil
 		}))
@@ -129,6 +143,7 @@ func startNode(t *testing.T, svcOpts homunculus.ServiceOptions, cfg Config) *tes
 	hp.Store(&handler)
 	fab.Start()
 	t.Cleanup(func() {
+		releaseGate()
 		fab.Close()
 		_ = svc.Close()
 		srv.Close()
@@ -415,8 +430,7 @@ func TestStealLeaseReclaim(t *testing.T) {
 // The thief's report, carrying its lease token, then completes the job
 // with the thief's artifact.
 func TestStealReportFromHolderOnly(t *testing.T) {
-	release := newGate(t)
-	defer release() // before the nodes' cleanups, which wait on the held job
+	newGate(t)
 	a := startNode(t, homunculus.ServiceOptions{MaxInFlight: 1}, Config{StealLease: time.Minute})
 	b := startNode(t, homunculus.ServiceOptions{}, Config{})
 	fp, err := NewFaultPeer("evil")

@@ -59,11 +59,11 @@ func ParseFormat(s string) (Format, error) {
 	if err != nil {
 		return Format{}, fmt.Errorf("fixed: format %q fraction bits: %w", s, err)
 	}
-	f := Format{IntBits: m - 1, FracBits: n}
-	if f.IntBits < 0 || f.FracBits < 0 || f.Bits() > 32 {
-		return Format{}, fmt.Errorf("fixed: format %q out of range (word width %d)", s, f.Bits())
+	// Each part is bounded before they are added, so no sum wraps.
+	if m < 1 || n < 0 || m > 32 || n > 32 || m+n > 32 {
+		return Format{}, fmt.Errorf("fixed: format %q out of range (1 <= m, 0 <= n, m+n <= 32)", s)
 	}
-	return f, nil
+	return Format{IntBits: m - 1, FracBits: n}, nil
 }
 
 // Max returns the largest representable value.

@@ -166,7 +166,8 @@ func TestParseFormatRoundTrip(t *testing.T) {
 			t.Fatalf("ParseFormat(%s) = %+v, want %+v", f, got, f)
 		}
 	}
-	for _, bad := range []string{"", "8.8", "Q8", "Qx.8", "Q8.y", "Q40.40", "Q0.8"} {
+	for _, bad := range []string{"", "8.8", "Q8", "Qx.8", "Q8.y", "Q40.40", "Q0.8",
+		"Q-9223372036854775808.0", "Q9223372036854775807.9223372036854775807"} {
 		if _, err := ParseFormat(bad); err == nil {
 			t.Fatalf("ParseFormat(%q) must fail", bad)
 		}

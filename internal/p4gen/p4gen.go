@@ -1,23 +1,29 @@
 // Package p4gen generates P4-16 source for classical models mapped onto
-// match-action tables through the IIsy methodology (§4): SVMs become one
-// MAC table per feature accumulating per-class partial scores, KMeans
-// becomes one table per cluster computing quantized distances, and
-// decision trees become one table per level. The emitted program targets
-// a v1model-style pipeline and is self-contained: every model parameter
-// the data plane needs (quantized weight words, centroid words, node
-// ranges, leaf classes, the normalization affine) is embedded in the
-// source as `const entries` blocks and structured header comments, so the
-// artifact alone determines the computed function. internal/validate
-// executes exactly this representation and checks it bit-for-bit against
-// ir.Model.InferQ.
+// match-action tables after IIsy (§4). The emitted program is the one
+// description of a model's MAT layout: the Tofino backend's verdict
+// counts its tables and entries through Layout, so what the search
+// budgets is what ships.
 //
-// The SVM/KMeans mapping installs exact per-class weight (resp. centroid)
-// words as action parameters of an always-matching entry, rather than the
-// midpoint partial-score range tables of early IIsy: translation
-// validation showed the 64-step midpoint quantization systematically
-// diverges from the IR's fixed-point scores, while MAC actions with
-// control-plane-installed words reproduce ir.InferQ exactly (wide
-// accumulator per class, one writeback, saturating bias add).
+//   - SVM: one MAC table per feature, whose always-matching entry carries
+//     the feature's quantized per-class weight words and accumulates
+//     into wide per-class registers, then one bias table whose action
+//     writes back (acc >> frac, saturating), adds the bias and picks the
+//     first strict arg-max: Inputs+1 tables.
+//   - KMeans: one table per cluster (§5.2.2), whose entry carries the
+//     quantized centroid and computes a 64-bit squared distance; the
+//     last cluster's action picks the first strict arg-min.
+//   - Decision tree: one table per level, matching the node id exactly
+//     and the node's split feature by range.
+//
+// The program targets a v1model-style pipeline and is self-contained:
+// every parameter the data plane needs (weight and centroid words, node
+// ranges, leaf classes, the normalization affine) is embedded as `const
+// entries` blocks and header comments, so the artifact alone determines
+// the computed function. internal/validate executes exactly this text
+// and checks it bit-for-bit against ir.Model.InferQ. The MAC and
+// distance actions multiply at run time, which a Tofino stage does not
+// do at line rate; IIsy's feature-range tables avoid that, but their
+// midpoint partial scores diverge from InferQ, so exactness wins here.
 package p4gen
 
 import (
@@ -57,7 +63,7 @@ type Program struct {
 // pipelines cannot execute dense matrix multiplies (use the Taurus
 // backend / spatialgen instead).
 func Generate(m *ir.Model) (Program, error) {
-	if err := m.Validate(); err != nil {
+	if err := check(m); err != nil {
 		return Program{}, err
 	}
 	switch m.Kind {
@@ -65,12 +71,49 @@ func Generate(m *ir.Model) (Program, error) {
 		return generateSVM(m), nil
 	case ir.KMeans:
 		return generateKMeans(m), nil
-	case ir.DTree:
-		return generateTree(m), nil
-	case ir.DNN:
-		return Program{}, fmt.Errorf("p4gen: DNNs do not map to MAT pipelines; use the Taurus backend")
 	default:
-		return Program{}, fmt.Errorf("p4gen: unsupported kind %v", m.Kind)
+		return generateTree(m), nil
+	}
+}
+
+// Layout is the shape of the program Generate emits for m: how many
+// tables it has and the most entries any one of them holds. It renders
+// nothing, so a search can afford it for every candidate. A tree's
+// entries come from the same walk Generate renders.
+func Layout(m *ir.Model) (tables, entries int, err error) {
+	if err := check(m); err != nil {
+		return 0, 0, err
+	}
+	switch m.Kind {
+	case ir.SVM:
+		// A MAC table per feature, then the bias table: one wildcard
+		// entry each.
+		return m.Inputs + 1, 1, nil
+	case ir.KMeans:
+		// A table per cluster, one wildcard entry each.
+		return len(m.Centroids), 1, nil
+	default:
+		sizes := make([]int, m.Tree.Depth()+1)
+		walkTree(m, func(level int, _ Entry) {
+			sizes[level]++
+			entries = max(entries, sizes[level])
+		})
+		return len(sizes), entries, nil
+	}
+}
+
+// check refuses what Generate cannot emit.
+func check(m *ir.Model) error {
+	if err := m.Validate(); err != nil {
+		return err
+	}
+	switch m.Kind {
+	case ir.SVM, ir.KMeans, ir.DTree:
+		return nil
+	case ir.DNN:
+		return fmt.Errorf("p4gen: DNNs do not map to MAT pipelines; use the Taurus backend")
+	default:
+		return fmt.Errorf("p4gen: unsupported kind %v", m.Kind)
 	}
 }
 
@@ -161,21 +204,17 @@ func generateSVM(m *ir.Model) Program {
 	p.Tables = append(p.Tables, "svm_bias")
 	b.WriteString("\n    action bias(")
 	writeParamDecl(&b, m.Outputs, "b")
-	b.WriteString(") { /* score[c] = sat(acc[c] >> frac) + b_c */ }\n")
+	b.WriteString(") { /* score[c] = sat(acc[c] >> frac) + b_c; meta.class = first strict argmax score[c] */ }\n")
 	b.WriteString("    table svm_bias {\n")
 	b.WriteString("        key = { meta.valid: exact; }\n")
 	b.WriteString("        actions = { bias; }\n")
 	p.Entries = append(p.Entries, emitWildcardEntry(&b, "svm_bias", "bias", bq))
 	b.WriteString("    }\n")
-	p.Tables = append(p.Tables, "svm_decide")
-	b.WriteString("\n    table svm_decide {\n        key = { meta.best_class: exact; }\n")
-	b.WriteString("        actions = { set_class; } // first strict maximum wins\n    }\n")
 	b.WriteString("\n    apply {\n")
 	for fi := 0; fi < m.Inputs; fi++ {
 		fmt.Fprintf(&b, "        svm_mac_%s.apply();\n", featureName(m, fi))
 	}
-	b.WriteString("        svm_bias.apply();\n")
-	b.WriteString("        svm_decide.apply();\n    }\n}\n")
+	b.WriteString("        svm_bias.apply();\n    }\n}\n")
 	p.Source = b.String()
 	return p
 }
@@ -204,21 +243,22 @@ func generateKMeans(m *ir.Model) Program {
 		}
 		fmt.Fprintf(&b, "\n    action dist_%d(", k)
 		writeParamDecl(&b, m.Inputs, "c")
-		fmt.Fprintf(&b, ") { /* meta.dist[%d] = sum_i (v_i - c_i)^2, 64-bit */ }\n", k)
+		fmt.Fprintf(&b, ") { /* meta.dist[%d] = sum_i (v_i - c_i)^2, 64-bit", k)
+		if k == len(m.Centroids)-1 {
+			b.WriteString("; meta.class = first strict argmin meta.dist[k]")
+		}
+		b.WriteString(" */ }\n")
 		fmt.Fprintf(&b, "    table %s {\n", table)
 		b.WriteString("        key = { meta.valid: exact; }\n")
 		fmt.Fprintf(&b, "        actions = { dist_%d; }\n", k)
 		p.Entries = append(p.Entries, emitWildcardEntry(&b, table, fmt.Sprintf("dist_%d", k), cq))
 		b.WriteString("    }\n")
 	}
-	p.Tables = append(p.Tables, "kmeans_decide")
-	b.WriteString("\n    table kmeans_decide {\n        key = { meta.best_cluster: exact; }\n")
-	b.WriteString("        actions = { set_cluster; } // first strict minimum wins\n    }\n")
 	b.WriteString("\n    apply {\n")
 	for k := range m.Centroids {
 		fmt.Fprintf(&b, "        cluster_%d.apply();\n", k)
 	}
-	b.WriteString("        kmeans_decide.apply();\n    }\n}\n")
+	b.WriteString("    }\n}\n")
 	p.Source = b.String()
 	return p
 }
@@ -226,58 +266,16 @@ func generateKMeans(m *ir.Model) Program {
 func generateTree(m *ir.Model) Program {
 	var b strings.Builder
 	var p Program
-	f := m.Format
 	b.WriteString(header(m))
 	b.WriteString("control TreeIngress(inout headers hdr, inout metadata meta) {\n")
 	b.WriteString("    action goto_node(bit<16> next) { meta.node = next; }\n")
 	b.WriteString("    action set_leaf(bit<8> cls) { meta.class = cls; meta.node = 0xffff; }\n")
 
-	// Breadth-first node numbering; a node's entries live in the table of
-	// its level, so walking tree_level_0..depth visits one entry per level
-	// on any root-to-leaf path. Leaves install set_leaf entries (a
-	// single-node tree is one level-0 set_leaf); internal nodes split the
-	// format's full raw range at the quantized threshold, matching
-	// InferQ's `v[feat] <= Quantize(threshold)` exactly.
-	type bfsNode struct {
-		n     *ir.TreeNode
-		id    int
-		level int
-	}
 	depth := m.Tree.Depth()
-	queue := []bfsNode{{m.Tree, 0, 0}}
-	next := 1
-	entries := make(map[int][]Entry) // level -> entries
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		table := fmt.Sprintf("tree_level_%d", cur.level)
-		if cur.n.Feature < 0 {
-			entries[cur.level] = append(entries[cur.level], Entry{
-				Table: table, Node: cur.id, Feature: -1,
-				Lo: f.MinRaw(), Hi: f.MaxRaw(),
-				Action: "set_leaf", Param: cur.n.Class,
-			})
-			continue
-		}
-		leftID, rightID := next, next+1
-		next += 2
-		th := f.Quantize(cur.n.Threshold)
-		left := Entry{
-			Table: table, Node: cur.id, Feature: cur.n.Feature,
-			Lo: f.MinRaw(), Hi: th,
-			Action: "goto_node", Param: leftID,
-		}
-		entries[cur.level] = append(entries[cur.level], left)
-		if th < f.MaxRaw() {
-			entries[cur.level] = append(entries[cur.level], Entry{
-				Table: table, Node: cur.id, Feature: cur.n.Feature,
-				Lo: th + 1, Hi: f.MaxRaw(),
-				Action: "goto_node", Param: rightID,
-			})
-		}
-		queue = append(queue, bfsNode{cur.n.Left, leftID, cur.level + 1},
-			bfsNode{cur.n.Right, rightID, cur.level + 1})
-	}
+	entries := make([][]Entry, depth+1)
+	walkTree(m, func(level int, e Entry) {
+		entries[level] = append(entries[level], e)
+	})
 
 	for lvl := 0; lvl <= depth; lvl++ {
 		table := fmt.Sprintf("tree_level_%d", lvl)
@@ -293,6 +291,7 @@ func generateTree(m *ir.Model) Program {
 				fmt.Fprintf(&b, "            (%d, f%d, %d..%d) : goto_node(%d);\n",
 					e.Node, e.Feature, e.Lo, e.Hi, e.Param)
 			}
+			e.Table = table
 			p.Entries = append(p.Entries, e)
 		}
 		b.WriteString("        }\n    }\n")
@@ -304,6 +303,54 @@ func generateTree(m *ir.Model) Program {
 	b.WriteString("    }\n}\n")
 	p.Source = b.String()
 	return p
+}
+
+// walkTree visits the entries of a tree's level tables in emission
+// order, without their table name. Nodes are numbered breadth-first and
+// a node's entries live in the table of its level, so walking
+// tree_level_0..depth visits one entry per level on any root-to-leaf
+// path. Leaves install set_leaf entries (a single-node tree is one
+// level-0 set_leaf); internal nodes split the format's full raw range at
+// the quantized threshold, matching InferQ's `v[feat] <= Quantize(threshold)`
+// exactly.
+func walkTree(m *ir.Model, visit func(level int, e Entry)) {
+	f := m.Format
+	type bfsNode struct {
+		n     *ir.TreeNode
+		id    int
+		level int
+	}
+	queue := []bfsNode{{m.Tree, 0, 0}}
+	next := 1
+	for len(queue) > 0 {
+		cur := queue[0]
+		queue = queue[1:]
+		if cur.n.Feature < 0 {
+			visit(cur.level, Entry{
+				Node: cur.id, Feature: -1,
+				Lo: f.MinRaw(), Hi: f.MaxRaw(),
+				Action: "set_leaf", Param: cur.n.Class,
+			})
+			continue
+		}
+		leftID, rightID := next, next+1
+		next += 2
+		th := f.Quantize(cur.n.Threshold)
+		visit(cur.level, Entry{
+			Node: cur.id, Feature: cur.n.Feature,
+			Lo: f.MinRaw(), Hi: th,
+			Action: "goto_node", Param: leftID,
+		})
+		if th < f.MaxRaw() {
+			visit(cur.level, Entry{
+				Node: cur.id, Feature: cur.n.Feature,
+				Lo: th + 1, Hi: f.MaxRaw(),
+				Action: "goto_node", Param: rightID,
+			})
+		}
+		queue = append(queue, bfsNode{cur.n.Left, leftID, cur.level + 1},
+			bfsNode{cur.n.Right, rightID, cur.level + 1})
+	}
 }
 
 func sanitize(name string) string {

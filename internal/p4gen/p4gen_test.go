@@ -20,8 +20,8 @@ func TestGenerateSVM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One MAC table per feature + bias + decision.
-	if len(p.Tables) != 5 {
+	// One MAC table per feature + the bias/decision table.
+	if len(p.Tables) != 4 {
 		t.Fatalf("tables = %v", p.Tables)
 	}
 	for _, want := range []string{
@@ -30,7 +30,8 @@ func TestGenerateSVM(t *testing.T) {
 		"table svm_mac_ip_proto", // sanitized space
 		"key = { hdr.features.pkt_len: ternary; }",
 		"table svm_bias",
-		"svm_decide.apply();",
+		"svm_bias.apply();\n    }",
+		"meta.class = first strict argmax",
 	} {
 		if !strings.Contains(p.Source, want) {
 			t.Fatalf("source missing %q", want)
@@ -91,11 +92,11 @@ func TestGenerateKMeans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Tables) != 4 { // one per cluster + decide
+	if len(p.Tables) != 3 { // one per cluster
 		t.Fatalf("tables = %v", p.Tables)
 	}
-	if !strings.Contains(p.Source, "cluster_2.apply();") || !strings.Contains(p.Source, "kmeans_decide.apply();") {
-		t.Fatal("cluster/decide apply missing")
+	if !strings.Contains(p.Source, "cluster_2.apply();\n    }") || strings.Count(p.Source, "first strict argmin") != 1 {
+		t.Fatal("cluster apply missing, or the arg-min is not in the last cluster's action alone")
 	}
 	// Every cluster entry carries the full quantized centroid.
 	if len(p.Entries) != 3 {
@@ -221,6 +222,49 @@ func TestDNNRejected(t *testing.T) {
 		Layers: []ir.Layer{{In: 2, Out: 2, W: [][]float64{{0, 0}, {0, 0}}, B: []float64{0, 0}, Activation: "softmax"}}}
 	if _, err := Generate(m); err == nil {
 		t.Fatal("DNN must be rejected by the MAT code generator")
+	}
+	if _, _, err := Layout(m); err == nil {
+		t.Fatal("a DNN has no MAT layout")
+	}
+}
+
+// TestLayoutMatchesProgram: Layout is the shape of what Generate emits —
+// its table count and its largest per-table entry count.
+func TestLayoutMatchesProgram(t *testing.T) {
+	sat := &ir.Model{Kind: ir.DTree, Name: "sat", Inputs: 1, Outputs: 2, Format: fixed.Q8_8,
+		Tree: &ir.TreeNode{Feature: 0, Threshold: 1e6,
+			Left:  &ir.TreeNode{Feature: -1, Class: 0},
+			Right: &ir.TreeNode{Feature: -1, Class: 1}}}
+	bushy := &ir.Model{Kind: ir.DTree, Name: "bushy", Inputs: 2, Outputs: 3, Format: fixed.Q8_8,
+		Tree: &ir.TreeNode{Feature: 0, Threshold: 0.5,
+			Left: &ir.TreeNode{Feature: 1, Threshold: -0.25,
+				Left:  &ir.TreeNode{Feature: -1, Class: 0},
+				Right: &ir.TreeNode{Feature: -1, Class: 2}},
+			Right: &ir.TreeNode{Feature: 1, Threshold: 0.75,
+				Left:  &ir.TreeNode{Feature: -1, Class: 1},
+				Right: &ir.TreeNode{Feature: -1, Class: 0}}}}
+	models := append(degenerateModels(), svmModel(), sat, bushy,
+		&ir.Model{Kind: ir.KMeans, Name: "clu", Inputs: 2, Outputs: 3, Format: fixed.Q8_8,
+			Centroids: [][]float64{{0, 0.5}, {1, 1}, {2, 2}}})
+	for _, m := range models {
+		p, err := Generate(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perTable := map[string]int{}
+		entries := 0
+		for _, e := range p.Entries {
+			perTable[e.Table]++
+			entries = max(entries, perTable[e.Table])
+		}
+		gotTables, gotEntries, err := Layout(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotTables != len(p.Tables) || gotEntries != entries {
+			t.Errorf("%s: Layout = %d tables × %d entries, Generate emitted %d × %d",
+				m.Name, gotTables, gotEntries, len(p.Tables), entries)
+		}
 	}
 }
 

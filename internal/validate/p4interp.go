@@ -75,9 +75,14 @@ func NewP4Interp(source string) (*P4Interp, error) {
 	if hm == nil {
 		return nil, fmt.Errorf("validate: p4 artifact has no inputs/outputs/format header")
 	}
-	p.inputs, _ = strconv.Atoi(hm[1])
-	p.outputs, _ = strconv.Atoi(hm[2])
 	var err error
+	p.inputs, err = strconv.Atoi(hm[1])
+	if err != nil {
+		return nil, fmt.Errorf("validate: p4 artifact: inputs: %w", err)
+	}
+	if p.outputs, err = strconv.Atoi(hm[2]); err != nil || p.outputs < 1 {
+		return nil, fmt.Errorf("validate: p4 artifact declares outputs=%s, want at least 1", hm[2])
+	}
 	if p.format, err = fixed.ParseFormat(hm[3]); err != nil {
 		return nil, fmt.Errorf("validate: p4 artifact: %w", err)
 	}
@@ -207,10 +212,19 @@ func NewP4Interp(source string) (*P4Interp, error) {
 			}
 			p.centroids = append(p.centroids, tb.wild)
 		case strings.HasPrefix(name, "tree_level_"):
+			for _, e := range tb.tree {
+				if e.action == "set_leaf" && e.param >= p.outputs {
+					return nil, fmt.Errorf("validate: p4 artifact: table %s sets class %d of %d", name, e.param, p.outputs)
+				}
+			}
 			p.levels = append(p.levels, levelTable{entries: tb.tree})
 		case name == "svm_decide" || name == "kmeans_decide":
-			// Selection stages carry no entries; semantics are fixed
-			// (first strict max / first strict min).
+			// p4gen no longer emits these entry-less selection tables
+			// (the arg-max/arg-min is the last table's action), but
+			// artifacts written before that still sit in daemons'
+			// stores and go through the rollout gate, which must keep
+			// passing them. They change nothing: the selection below
+			// is the same first strict max / first strict min.
 		default:
 			return nil, fmt.Errorf("validate: p4 artifact applies unrecognized table %q", name)
 		}
