@@ -11,6 +11,13 @@
 // evaluation also reports feasibility; infeasible configurations never
 // become incumbents but still train the feasibility model so the search
 // learns to avoid them.
+//
+// A run's evaluations form groups by dependence: the warm-up points are
+// all drawn before any result exists, and each fourth-iteration uniform
+// sample reads nothing of the suggestion before it. Maximize evaluates
+// one point at a time; MaximizeConcurrent evaluates a group's members
+// concurrently on the shared worker pool and records them in index order,
+// so both return the same Result for the same seed.
 package bo
 
 import (
@@ -310,18 +317,80 @@ func newSuggestScratch(nCands, dims int) *suggestScratch {
 	return s
 }
 
-// Maximize runs constrained Bayesian optimization of obj over space.
-// The run is deterministic given Config.Seed — including at any
-// GOMAXPROCS: the concurrent forest fits and acquisition scoring reduce
-// with scheduling-independent seeds and a lowest-index argmax. Every
-// evaluation error is fatal (the caller's black box is expected to encode
-// failures as infeasible rather than erroring).
+// Maximize runs constrained Bayesian optimization of obj over space,
+// one evaluation at a time. The run is deterministic given Config.Seed —
+// including at any GOMAXPROCS: the concurrent forest fits and acquisition
+// scoring reduce with scheduling-independent seeds and a lowest-index
+// argmax. Every evaluation error is fatal (the caller's black box is
+// expected to encode failures as infeasible rather than erroring).
 //
 // Cancellation is checked before every evaluation: once ctx is done,
 // Maximize returns the history so far together with an error wrapping
 // ctx.Err(). An undone ctx never changes the trajectory, so fixed-seed
 // runs stay byte-identical to the uncancellable API.
 func Maximize(ctx context.Context, space Space, cfg Config, obj Objective) (Result, error) {
+	return maximize(ctx, space, cfg, func(_ int, x []float64) (float64, bool, map[string]float64, error) {
+		return obj(x)
+	}, false)
+}
+
+// IndexedObjective is an Objective that is also told the evaluation's
+// position in the run's history (0 for the first warm-up point).
+type IndexedObjective func(i int, x []float64) (value float64, feasible bool, metrics map[string]float64, err error)
+
+// MaximizeConcurrent is Maximize with the points whose choice waits on
+// no pending result evaluated concurrently over the shared worker pool:
+// the InitSamples warm-up points, and each fourth-iteration uniform
+// sample beside the suggestion before it. obj must be safe for
+// concurrent calls; it is told each point's index so that whatever it
+// derives per evaluation (a training seed, say) does not depend on the
+// order in which the calls happen. Results enter the history in index
+// order, so with the same obj the Result is the one Maximize returns,
+// bit for bit. On cancellation, members of a group that never started
+// are skipped and the history is the evaluated prefix.
+func MaximizeConcurrent(ctx context.Context, space Space, cfg Config, obj IndexedObjective) (Result, error) {
+	return maximize(ctx, space, cfg, obj, true)
+}
+
+// WarmUp returns the points a run with cfg evaluates first, in index
+// order: the InitSamples uniform draws made before any result exists.
+// They wait on nothing, so a caller may evaluate them ahead of the run,
+// beside other work, and answer the run's first InitSamples objective
+// calls — which ask for exactly these points — from what it found.
+func WarmUp(space Space, cfg Config) ([][]float64, error) {
+	if err := space.Validate(); err != nil {
+		return nil, err
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	return drawWarmUp(space, cfg, rand.New(rand.NewSource(cfg.Seed))), nil
+}
+
+// drawWarmUp draws a run's warm-up points from its fresh RNG.
+func drawWarmUp(space Space, cfg Config, rng *rand.Rand) [][]float64 {
+	points := make([][]float64, cfg.InitSamples)
+	for i := range points {
+		points[i] = space.Sample(rng)
+	}
+	return points
+}
+
+// outcome is one evaluation's return, held until its group is recorded.
+type outcome struct {
+	value    float64
+	feasible bool
+	metrics  map[string]float64
+	err      error
+	done     bool // false when cancellation skipped the evaluation
+}
+
+// maximize is the engine behind Maximize and MaximizeConcurrent. It
+// groups the evaluations by dependence — a group's points are all drawn
+// before any of them is evaluated — and records each group's results in
+// index order, so the history, the incumbent, the forests' inputs and
+// every later RNG draw are the same however a group is evaluated.
+func maximize(ctx context.Context, space Space, cfg Config, obj IndexedObjective, concurrent bool) (Result, error) {
 	if err := space.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -333,54 +402,82 @@ func Maximize(ctx context.Context, space Space, cfg Config, obj Objective) (Resu
 	hist := &history{}
 	scratch := newSuggestScratch(cfg.Candidates, len(space.Params))
 
-	evaluate := func(x []float64) error {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("bo: search cancelled after %d evaluations: %w", len(res.History), err)
+	// group holds the points being evaluated, in index order, and outs
+	// their returns; both, and the tasks that fill outs, serve every group.
+	var group [][]float64
+	outs := make([]outcome, max(cfg.InitSamples, 2))
+	run := func(k int) {
+		if ctx.Err() != nil {
+			return
 		}
-		val, feas, metrics, err := obj(x)
-		if err != nil {
-			return fmt.Errorf("bo: objective evaluation failed: %w", err)
+		o := &outs[k]
+		o.value, o.feasible, o.metrics, o.err = obj(len(res.History)+k, group[k])
+		o.done = true
+	}
+	tasks := make([]func(), len(outs))
+	for k := range tasks {
+		tasks[k] = func() { run(k) }
+	}
+	evaluate := func() error {
+		outs := outs[:len(group)]
+		clear(outs)
+		if concurrent && len(group) > 1 {
+			_ = parallel.RunCtx(ctx, tasks[:len(group)]...) // skipped members have done == false
+		} else {
+			for k := range group {
+				if run(k); !outs[k].done || outs[k].err != nil {
+					break
+				}
+			}
 		}
-		ev := Evaluation{X: append([]float64{}, x...), Objective: val, Feasible: feas, Metrics: metrics}
-		res.History = append(res.History, ev)
-		hist.add(ev.X, val, feas)
-		if feas && (res.Best == nil || val > res.Best.Objective) {
-			best := ev
-			res.Best = &best
+		for k, o := range outs {
+			if !o.done {
+				return fmt.Errorf("bo: search cancelled after %d evaluations: %w", len(res.History), ctx.Err())
+			}
+			if o.err != nil {
+				return fmt.Errorf("bo: objective evaluation failed: %w", o.err)
+			}
+			ev := Evaluation{X: append([]float64{}, group[k]...), Objective: o.value, Feasible: o.feasible, Metrics: o.metrics}
+			res.History = append(res.History, ev)
+			hist.add(ev.X, o.value, o.feasible)
+			if o.feasible && (res.Best == nil || o.value > res.Best.Objective) {
+				best := ev
+				res.Best = &best
+			}
 		}
 		return nil
 	}
 
-	// Phase 1: uniform random initialization.
-	for i := 0; i < cfg.InitSamples; i++ {
-		if err := evaluate(space.Sample(rng)); err != nil {
-			return res, err
-		}
+	// Phase 1: uniform random initialization, every point drawn before
+	// any result exists.
+	group = drawWarmUp(space, cfg, rng)
+	if err := evaluate(); err != nil {
+		return res, err
 	}
 
 	// Phase 2: BO iterations. Every fourth iteration is a pure uniform
 	// sample (epsilon-greedy exploration), which keeps the search from
 	// locking onto a surrogate artifact when the forest's variance
 	// estimate collapses — mirroring HyperMapper's randomized sampling
-	// interleave.
+	// interleave. That sample reads nothing of the suggestion before it,
+	// so it is drawn straight after suggest and the two form one group.
 	for it := 0; it < cfg.Iterations; it++ {
-		var next []float64
-		if it%4 == 3 {
-			next = space.Sample(rng)
-		} else {
-			incumbent := math.Inf(-1)
-			var incumbentX []float64
-			if res.Best != nil {
-				incumbent = res.Best.Objective
-				incumbentX = res.Best.X
-			}
-			var err error
-			next, err = suggest(space, cfg, rng, hist, incumbent, incumbentX, scratch)
-			if err != nil {
-				return res, err
-			}
+		incumbent := math.Inf(-1)
+		var incumbentX []float64
+		if res.Best != nil {
+			incumbent = res.Best.Objective
+			incumbentX = res.Best.X
 		}
-		if err := evaluate(next); err != nil {
+		next, err := suggest(space, cfg, rng, hist, incumbent, incumbentX, scratch)
+		if err != nil {
+			return res, err
+		}
+		group = append(group[:0], next)
+		if it%4 == 2 && it+1 < cfg.Iterations {
+			it++
+			group = append(group, space.Sample(rng))
+		}
+		if err := evaluate(); err != nil {
 			return res, err
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -220,26 +221,45 @@ func Search(ctx context.Context, app App, target Target, cfg SearchConfig) (*Sea
 	data := prepare(app)
 	results := make([]CandidateResult, len(jobs))
 	errs := make([]error, len(jobs))
-	tasks := make([]func(), 0, len(jobs))
+	var fams []*family
+	var slots []int
 	for i, j := range jobs {
 		results[i].Algorithm = j.kind
+		notify(CandidateEvent{App: app.Name, Algorithm: j.kind})
 		if j.skipped != "" {
 			results[i].Skipped = j.skipped
-			notify(CandidateEvent{App: app.Name, Algorithm: j.kind})
 			notify(CandidateEvent{App: app.Name, Algorithm: j.kind, Done: true, Result: &results[i]})
 			continue
 		}
-		i, kind := i, j.kind
-		tasks = append(tasks, func() {
-			notify(CandidateEvent{App: app.Name, Algorithm: kind})
-			res, err := searchFamily(ctx, data, target, cfg, kind)
+		fams = append(fams, newFamily(data, target, cfg, j.kind))
+		slots = append(slots, i)
+	}
+
+	// Every family's warm-up points wait on no result, so they are
+	// evaluated first, all in one run over the pool, in family order.
+	// The DNN family's trainings, the longest of them, then share every
+	// core instead of starting beside the cheaper families that would
+	// otherwise hold the other cores; those families' BO loops later fill
+	// the cores the DNN family's one-at-a-time steps leave idle.
+	var warm []func()
+	for _, f := range fams {
+		warm = append(warm, f.warmUp()...)
+	}
+	if err := parallel.RunCtx(ctx, warm...); err != nil {
+		return nil, fmt.Errorf("core: search cancelled: %w", err)
+	}
+	tasks := make([]func(), len(fams))
+	for k, f := range fams {
+		i := slots[k]
+		tasks[k] = func() {
+			res, err := f.search(ctx)
 			if err != nil {
 				errs[i] = err
 				return
 			}
 			results[i] = res
-			notify(CandidateEvent{App: app.Name, Algorithm: kind, Done: true, Result: &results[i]})
-		})
+			notify(CandidateEvent{App: app.Name, Algorithm: f.kind, Done: true, Result: &results[i]})
+		}
 	}
 	runErr := parallel.RunCtx(ctx, tasks...)
 	for _, err := range errs {
@@ -323,57 +343,111 @@ func (p *prepared) foldNormalizer(m *ir.Model) {
 	}
 }
 
-// searchFamily runs BO over one algorithm family's design space.
-func searchFamily(ctx context.Context, data *prepared, target Target, cfg SearchConfig, kind ir.Kind) (CandidateResult, error) {
+// family is one algorithm family's BO search (§3.2.3): its design space,
+// its trainer, and the best model its evaluations have found. Each
+// evaluation's training seed comes from its index in the BO history, so
+// neither the seeds nor the model kept depend on the order in which
+// concurrent evaluations finish.
+type family struct {
+	kind   ir.Kind
+	data   *prepared
+	target Target
+	cfg    SearchConfig
+	space  bo.Space
+	build  builder
+	boCfg  bo.Config
+	warm   []warmResult // the warm-up evaluations, once warmUp's tasks ran
+
+	mu          sync.Mutex // guards the best-so-far below
+	bestModel   *ir.Model
+	bestVerdict Verdict
+	bestMetric  float64
+	bestIndex   int
+}
+
+// warmResult is one warm-up evaluation made ahead of the BO run; x stays
+// nil if cancellation skipped it.
+type warmResult struct {
+	x        []float64
+	value    float64
+	feasible bool
+	metrics  map[string]float64
+	err      error
+}
+
+func newFamily(data *prepared, target Target, cfg SearchConfig, kind ir.Kind) *family {
 	space, build := familySpace(data.app, cfg, kind)
-	res := CandidateResult{Algorithm: kind}
-
-	evalCount := 0
-	var mu sync.Mutex // protects evalCount and bests
-	var bestModel *ir.Model
-	var bestVerdict Verdict
-	bestMetric := -1.0
-
 	boCfg := cfg.BO
 	boCfg.Seed = cfg.Seed + int64(kind)*101
+	return &family{kind: kind, data: data, target: target, cfg: cfg, space: space, build: build, boCfg: boCfg, bestMetric: -1}
+}
 
-	objective := func(x []float64) (float64, bool, map[string]float64, error) {
-		mu.Lock()
-		evalCount++
-		seed := cfg.Seed + int64(kind)*1000 + int64(evalCount)
-		mu.Unlock()
-
-		model, verdict, metric, err := data.evaluate(build, x, seed, target, cfg.Metric)
-		if err != nil {
-			return 0, false, nil, err
-		}
-		if model == nil {
-			return 0, false, map[string]float64{"train_error": 1}, nil
-		}
-		if verdict.Feasible {
-			mu.Lock()
-			if metric > bestMetric {
-				bestMetric = metric
-				bestModel = model
-				bestVerdict = verdict
-			}
-			mu.Unlock()
-		}
-		return metric, verdict.Feasible, verdict.Metrics, nil
-	}
-
-	boRes, err := bo.Maximize(ctx, space, boCfg, objective)
+// warmUp returns one task per warm-up point of the family's BO run; each
+// evaluates its point and keeps the outcome for the run to read.
+func (f *family) warmUp() []func() {
+	points, err := bo.WarmUp(f.space, f.boCfg)
 	if err != nil {
-		return res, fmt.Errorf("core: %s search: %w", kind, err)
+		return nil // the run itself reports the invalid space
+	}
+	f.warm = make([]warmResult, len(points))
+	tasks := make([]func(), len(points))
+	for i, x := range points {
+		tasks[i] = func() {
+			w := &f.warm[i]
+			w.value, w.feasible, w.metrics, w.err = f.evaluate(i, x)
+			w.x = x
+		}
+	}
+	return tasks
+}
+
+// search runs the family's BO; the points warmUp evaluated are answered
+// from what it found.
+func (f *family) search(ctx context.Context) (CandidateResult, error) {
+	res := CandidateResult{Algorithm: f.kind}
+	boRes, err := bo.MaximizeConcurrent(ctx, f.space, f.boCfg, func(i int, x []float64) (float64, bool, map[string]float64, error) {
+		if i < len(f.warm) && slices.Equal(f.warm[i].x, x) {
+			w := f.warm[i]
+			return w.value, w.feasible, w.metrics, w.err
+		}
+		return f.evaluate(i, x)
+	})
+	if err != nil {
+		return res, fmt.Errorf("core: %s search: %w", f.kind, err)
 	}
 	res.BO = boRes
-	if bestModel != nil {
-		data.foldNormalizer(bestModel)
-		res.Model = bestModel
-		res.Metric = bestMetric
-		res.Verdict = bestVerdict
+	if f.bestModel != nil {
+		f.data.foldNormalizer(f.bestModel)
+		res.Model = f.bestModel
+		res.Metric = f.bestMetric
+		res.Verdict = f.bestVerdict
 	}
 	return res, nil
+}
+
+// evaluate is the BO objective: it trains and measures the candidate at
+// design point x, the i-th of the run, and keeps the model if it is the
+// best feasible one so far.
+func (f *family) evaluate(i int, x []float64) (float64, bool, map[string]float64, error) {
+	seed := f.cfg.Seed + int64(f.kind)*1000 + int64(i) + 1
+	model, verdict, metric, err := f.data.evaluate(f.build, x, seed, f.target, f.cfg.Metric)
+	if err != nil {
+		return 0, false, nil, err
+	}
+	if model == nil {
+		return 0, false, map[string]float64{"train_error": 1}, nil
+	}
+	if verdict.Feasible {
+		f.mu.Lock()
+		// The highest metric, and of equal ones the lowest index: the
+		// model a strict > over the history in order keeps.
+		if metric > f.bestMetric || (metric == f.bestMetric && f.bestModel != nil && i < f.bestIndex) {
+			f.bestMetric, f.bestIndex = metric, i
+			f.bestModel, f.bestVerdict = model, verdict
+		}
+		f.mu.Unlock()
+	}
+	return metric, verdict.Feasible, verdict.Metrics, nil
 }
 
 // DesignSpace returns the BO design space the core would search for an

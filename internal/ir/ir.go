@@ -122,53 +122,116 @@ type Model struct {
 	Tree      *TreeNode   // DTree
 }
 
-// Validate checks structural consistency.
+// ShapeError reports a model whose parameters do not have the shape its
+// header declares: an evaluator reading them would index outside the
+// input vector or the class range, or follow a missing tree branch.
+type ShapeError struct {
+	Model string // the model's name
+	Where string // the parameter, e.g. "svm.w[1]" or "tree.left.right"
+	What  string // what is wrong with it
+}
+
+func (e *ShapeError) Error() string {
+	return fmt.Sprintf("ir: model %q: %s %s", e.Model, e.Where, e.What)
+}
+
+// Validate checks that every parameter has the shape the evaluators
+// index: a refused model is reported as a *ShapeError.
 func (m *Model) Validate() error {
+	bad := func(where, format string, args ...any) error {
+		return &ShapeError{Model: m.Name, Where: where, What: fmt.Sprintf(format, args...)}
+	}
 	if m.Inputs <= 0 {
-		return fmt.Errorf("ir: model %q has %d inputs", m.Name, m.Inputs)
+		return bad("inputs", "is %d, want > 0", m.Inputs)
 	}
 	if m.Outputs <= 0 {
-		return fmt.Errorf("ir: model %q has %d outputs", m.Name, m.Outputs)
+		return bad("outputs", "is %d, want > 0", m.Outputs)
+	}
+	if len(m.Mean) != 0 && len(m.Mean) != m.Inputs {
+		return bad("mean", "has %d entries, want %d or none", len(m.Mean), m.Inputs)
+	}
+	if len(m.Std) != len(m.Mean) {
+		return bad("std", "has %d entries, want %d like the mean", len(m.Std), len(m.Mean))
 	}
 	switch m.Kind {
 	case DNN:
 		if len(m.Layers) == 0 {
-			return fmt.Errorf("ir: DNN %q has no layers", m.Name)
+			return bad("layers", "is empty")
 		}
 		prev := m.Inputs
 		for i, l := range m.Layers {
 			if l.In != prev {
-				return fmt.Errorf("ir: layer %d input %d, want %d", i, l.In, prev)
+				return bad(fmt.Sprintf("layers[%d]", i), "has input %d, want %d", l.In, prev)
 			}
 			if len(l.W) != l.Out || len(l.B) != l.Out {
-				return fmt.Errorf("ir: layer %d weight/bias shape mismatch", i)
+				return bad(fmt.Sprintf("layers[%d]", i), "has %d weight rows and %d biases, want %d of each", len(l.W), len(l.B), l.Out)
 			}
-			for _, row := range l.W {
+			for j, row := range l.W {
 				if len(row) != l.In {
-					return fmt.Errorf("ir: layer %d weight row length %d, want %d", i, len(row), l.In)
+					return bad(fmt.Sprintf("layers[%d].w[%d]", i, j), "has %d entries, want %d", len(row), l.In)
 				}
 			}
 			prev = l.Out
 		}
 		if prev != m.Outputs {
-			return fmt.Errorf("ir: final layer out %d, want %d outputs", prev, m.Outputs)
+			return bad("layers", "end in %d outputs, want %d", prev, m.Outputs)
 		}
 	case SVM:
-		if m.SVM == nil || len(m.SVM.W) != m.Outputs {
-			return fmt.Errorf("ir: SVM %q params missing or wrong class count", m.Name)
+		if m.SVM == nil {
+			return bad("svm", "is missing")
+		}
+		if len(m.SVM.W) != m.Outputs || len(m.SVM.B) != m.Outputs {
+			return bad("svm", "has %d hyperplanes and %d biases, want %d of each", len(m.SVM.W), len(m.SVM.B), m.Outputs)
+		}
+		for k, row := range m.SVM.W {
+			if len(row) != m.Inputs {
+				return bad(fmt.Sprintf("svm.w[%d]", k), "has %d entries, want %d", len(row), m.Inputs)
+			}
 		}
 	case KMeans:
 		if len(m.Centroids) != m.Outputs {
-			return fmt.Errorf("ir: KMeans %q has %d centroids, want %d", m.Name, len(m.Centroids), m.Outputs)
+			return bad("centroids", "has %d centroids, want %d", len(m.Centroids), m.Outputs)
+		}
+		for k, c := range m.Centroids {
+			if len(c) != m.Inputs {
+				return bad(fmt.Sprintf("centroids[%d]", k), "has %d entries, want %d", len(c), m.Inputs)
+			}
 		}
 	case DTree:
-		if m.Tree == nil {
-			return fmt.Errorf("ir: DTree %q has no tree", m.Name)
+		if path, what := m.treeFault(m.Tree); what != "" {
+			return bad("tree"+path, "%s", what)
 		}
 	default:
 		return fmt.Errorf("ir: unknown kind %d", int(m.Kind))
 	}
 	return nil
+}
+
+// treeFault finds the first node below n, in preorder, that an evaluator
+// could not walk: an internal node testing a feature outside the input or
+// missing a child, or a leaf outside the classes. It returns the node's
+// path from n and what is wrong with it, or "" for what when there is
+// none. Paths are built only on the way out of a fault, so a sound tree
+// costs no allocation.
+func (m *Model) treeFault(n *TreeNode) (path, what string) {
+	switch {
+	case n == nil:
+		return "", "is missing"
+	case n.Feature >= m.Inputs:
+		return "", fmt.Sprintf("tests feature %d, want < %d", n.Feature, m.Inputs)
+	case n.Feature < 0:
+		if n.Class < 0 || n.Class >= m.Outputs {
+			return "", fmt.Sprintf("is class %d, want [0, %d)", n.Class, m.Outputs)
+		}
+		return "", ""
+	}
+	if path, what := m.treeFault(n.Left); what != "" {
+		return ".left" + path, what
+	}
+	if path, what := m.treeFault(n.Right); what != "" {
+		return ".right" + path, what
+	}
+	return "", ""
 }
 
 // ParamCount returns the trainable parameter count (the "# NN Param"

@@ -7,11 +7,15 @@
 // running inside an already-parallel family search — the work simply runs
 // serially on the caller. That makes nesting safe by construction (no
 // unbounded goroutine trees, no oversubscription, no deadlock) at the cost
-// of occasionally under-splitting. Tokens are held only while there is
-// work for them: For returns its helpers' when the loop ends, and Run
-// returns one as each worker runs out of tasks, so when one long task
-// outlives its siblings (the DNN family search does) the kernels nested
-// inside it find the freed cores.
+// of occasionally under-splitting. Run repairs that where it is cheap to:
+// before each task it takes, a worker recruits a helper if a token is
+// free and more tasks are unstarted than there are workers, so a Run that
+// began on a drained pool (a BO group started while other families held
+// the cores) picks the cores up as they come back. Tokens are held only
+// while there is work for them: For returns its helpers' when the loop
+// ends, and Run returns one as each worker runs out of tasks, so when one
+// long task outlives its siblings (the DNN family search does) the
+// kernels nested inside it find the freed cores.
 //
 // Determinism contract: For and Run only guarantee that every index/task
 // executes exactly once; the partition into goroutines depends on how many
@@ -146,11 +150,14 @@ func chunkBounds(n, chunks, c int) (lo, hi int) {
 }
 
 // Run executes every task exactly once, using the caller plus however many
-// helper tokens are free right now. Tasks beyond the worker count are
-// pulled off a shared atomic cursor as workers finish, so long and short
-// tasks pack without idle helpers, and a worker that finds the cursor
-// exhausted returns its token while the remaining tasks are still running.
-// With an empty pool it degrades to a serial loop.
+// helper tokens are free. Tasks beyond the worker count are pulled off a
+// shared atomic cursor as workers finish, so long and short tasks pack
+// without idle helpers. Before each task a worker recruits a helper if a
+// token has come free and more tasks are unstarted than there are
+// workers, so a Run that began on a drained pool picks up the cores other
+// work gives back; and a worker that finds the cursor exhausted returns
+// its token while the remaining tasks are still running. With an empty
+// pool it degrades to a serial loop.
 func Run(tasks ...func()) {
 	RunCtx(context.Background(), tasks...)
 }
@@ -162,13 +169,13 @@ func Run(tasks ...func()) {
 // skipped, so the caller must treat a non-nil return as "results
 // incomplete". With an undone ctx the task schedule is identical to Run.
 func RunCtx(ctx context.Context, tasks ...func()) error {
-	n := len(tasks)
+	n := int64(len(tasks))
 	if n == 0 {
 		return ctx.Err()
 	}
 	t := pool()
 	done := ctx.Done()
-	serial := func() error {
+	if n == 1 || cap(t) == 0 {
 		for _, task := range tasks {
 			select {
 			case <-done:
@@ -179,22 +186,30 @@ func RunCtx(ctx context.Context, tasks ...func()) error {
 		}
 		return ctx.Err()
 	}
-	if n == 1 || cap(t) == 0 {
-		return serial()
-	}
-	helpers := tryAcquire(t, n-1)
-	if helpers == 0 {
-		return serial()
-	}
-	var next int64
-	// Helper tokens stand for goroutines running beyond one. Each worker
-	// that runs out of tasks while others are still busy hands one token
-	// back at once instead of sitting on it until the slowest task ends,
-	// so that task's own nested For/Run calls can use the idle core. The
-	// last worker to finish returns nothing: it was the "one".
+	var next atomic.Int64
+	// Helper tokens stand for goroutines running beyond one: at every
+	// moment the tokens this Run holds number its workers minus one. Each
+	// worker that runs out of tasks while others are still busy hands one
+	// token back at once instead of sitting on it until the slowest task
+	// ends, so that task's own nested For/Run calls can use the idle core.
+	// The last worker to finish returns nothing: it was the "one".
 	var running atomic.Int64
-	running.Store(int64(helpers + 1))
-	work := func() {
+	running.Store(1)
+	var wg sync.WaitGroup
+	var work func()
+	// recruit starts helpers while a token is free and more tasks are
+	// unstarted than there are workers to start them.
+	recruit := func() {
+		for n-next.Load() > running.Load() && tryAcquire(t, 1) == 1 {
+			running.Add(1)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work()
+			}()
+		}
+	}
+	work = func() {
 		defer func() {
 			if running.Add(-1) > 0 {
 				release(t, 1)
@@ -206,20 +221,13 @@ func RunCtx(ctx context.Context, tasks ...func()) error {
 				return
 			default:
 			}
-			i := atomic.AddInt64(&next, 1) - 1
-			if i >= int64(n) {
+			recruit()
+			i := next.Add(1) - 1
+			if i >= n {
 				return
 			}
 			tasks[i]()
 		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(helpers)
-	for i := 0; i < helpers; i++ {
-		go func() {
-			defer wg.Done()
-			work()
-		}()
 	}
 	work()
 	wg.Wait()

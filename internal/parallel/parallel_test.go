@@ -210,3 +210,44 @@ func TestRunReleasesTokensOfFinishedWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRecruitsHelperWhenTokenFreed: a Run that starts on a drained
+// pool runs on the caller alone; when a token comes back while at least
+// two of its tasks are unstarted, the next task boundary recruits a
+// helper, so the two tasks that wait for each other meet. When Run
+// returns, every token is back in the pool.
+func TestRunRecruitsHelperWhenTokenFreed(t *testing.T) {
+	for _, workers := range []int{2, 4} {
+		withWorkers(t, workers)
+		held := tryAcquire(pool(), workers)
+		if held != workers-1 {
+			t.Fatalf("workers=%d: drained %d tokens, want %d", workers, held, workers-1)
+		}
+		var arrived atomic.Int32
+		var missed atomic.Bool
+		meet := func() {
+			arrived.Add(1)
+			for deadline := time.Now().Add(5 * time.Second); arrived.Load() < 2; runtime.Gosched() {
+				if time.Now().After(deadline) {
+					missed.Store(true)
+					return
+				}
+			}
+		}
+		giveBack := func() { release(pool(), held) }
+		var after atomic.Int32
+		tail := func() { after.Add(1) }
+		Run(giveBack, meet, meet, tail, tail)
+		if missed.Load() {
+			t.Fatalf("workers=%d: no helper joined after the pool's tokens came back", workers)
+		}
+		if after.Load() != 2 {
+			t.Fatalf("workers=%d: %d of the 2 trailing tasks ran", workers, after.Load())
+		}
+		if free := tryAcquire(pool(), workers); free != workers-1 {
+			t.Fatalf("workers=%d: %d tokens in the pool after Run, want %d", workers, free, workers-1)
+		} else {
+			release(pool(), free)
+		}
+	}
+}

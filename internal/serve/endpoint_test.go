@@ -11,10 +11,11 @@ import (
 )
 
 // constModel always classifies `class`, regardless of input — revisions
-// built from distinct constants make routing decisions observable.
+// built from distinct constants make routing decisions observable. It
+// declares four classes, or as many as its constant needs.
 func constModel(class int) *ir.Model {
 	return &ir.Model{
-		Kind: ir.DTree, Name: "const", Inputs: 2, Outputs: 4, Format: fixed.Q8_8,
+		Kind: ir.DTree, Name: "const", Inputs: 2, Outputs: max(4, class+1), Format: fixed.Q8_8,
 		Tree: &ir.TreeNode{Feature: -1, Class: class},
 	}
 }

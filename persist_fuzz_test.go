@@ -183,7 +183,28 @@ func FuzzUnmarshalPipeline(f *testing.F) {
 		if aerr != nil || berr != nil || !bytes.Equal(a, b) {
 			t.Fatalf("the decoders disagree (%v, %v):\n%s\nvs\n%s\nfrom\n%s", aerr, berr, a, b, raw)
 		}
+		for _, app := range got.Apps {
+			inferDecoded(t, app.Model, raw)
+		}
 	})
+}
+
+// inferDecoded classifies one input, drawn from raw, with a model the
+// decoder accepted: whatever passes validation must be safe to evaluate,
+// and its class must be one the model declares.
+func inferDecoded(t *testing.T, m *ir.Model, raw []byte) {
+	t.Helper()
+	if m == nil || m.Inputs > 1<<12 {
+		return // a tree may declare any width; the input would only cost memory
+	}
+	x := make([]float64, m.Inputs)
+	for i := range x {
+		x[i] = float64(int8(raw[i%len(raw)])) / 16
+	}
+	class, err := m.InferQ(x)
+	if err != nil || class < 0 || class >= m.Outputs {
+		t.Fatalf("a decoded model classifies %v as %d of %d classes (%v):\n%s", x, class, m.Outputs, err, raw)
+	}
 }
 
 // TestPipelineReadTakesMarshalledDocuments: what MarshalPipeline writes,

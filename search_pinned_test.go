@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/alchemy"
+	"repro/internal/core"
 )
 
 // TestSearchArtifactsPinned: the search stage's inner loops (tree
@@ -35,20 +36,35 @@ func TestSearchArtifactsPinned(t *testing.T) {
 		{alchemy.Taurus, []string{"dnn"}, "4a921c1570e3f5b6827db5dbd5fa55b5228c3c57617e45c2d2c6c0dbea1b91d0"},
 		{alchemy.FPGA, []string{"dnn"}, "81556b9976fc24f222a1a81eac1b6143d7ec5ba49d5f55b128448e36d724eb77"},
 	} {
-		p := tc.platform()
-		p.Schedule(alchemy.NewModel(alchemy.ModelSpec{Name: "pinned", Algorithms: tc.algorithms, DataLoader: sampleLoader(23)}))
-		pipe, err := Generate(context.Background(), p, WithSearchConfig(fastConfig()), WithSeed(5))
-		if err != nil {
-			t.Fatalf("%s: %v", p.Kind, err)
-		}
-		doc, err := MarshalPipeline(pipe)
-		if err != nil {
-			t.Fatalf("%s: %v", p.Kind, err)
-		}
-		sum := sha256.Sum256(doc)
-		if got := hex.EncodeToString(sum[:]); got != tc.want {
-			t.Errorf("%s %v (%s, metric %v): artifact sha256 = %s; the parent compiled %s",
-				p.Kind, tc.algorithms, pipe.Apps[0].Algorithm, pipe.Apps[0].Metric, got, tc.want)
-		}
+		checkPinned(t, tc.platform(), tc.algorithms, fastConfig(), tc.want)
+	}
+	// fastConfig's 3+3 evaluations never reach the BO's fourth iteration,
+	// where a suggestion and the uniform sample after it train
+	// concurrently. The DNN family at the default budget (5 warm-up
+	// points, 15 iterations) runs every kind of evaluation group; its
+	// digest was recorded while the family's evaluations still ran one
+	// at a time.
+	full := fastConfig()
+	full.BO.InitSamples, full.BO.Iterations = 5, 15
+	checkPinned(t, alchemy.Taurus(), []string{"dnn"}, full, "86dd5ab895e4225c00b5a190b028743df59c85ce0a18c4ee0001cdbbc82bf67d")
+}
+
+// checkPinned compiles the pinned spec on p and compares the artifact
+// document's digest with want.
+func checkPinned(t *testing.T, p *alchemy.Platform, algorithms []string, cfg core.SearchConfig, want string) {
+	t.Helper()
+	p.Schedule(alchemy.NewModel(alchemy.ModelSpec{Name: "pinned", Algorithms: algorithms, DataLoader: sampleLoader(23)}))
+	pipe, err := Generate(context.Background(), p, WithSearchConfig(cfg), WithSeed(5))
+	if err != nil {
+		t.Fatalf("%s: %v", p.Kind, err)
+	}
+	doc, err := MarshalPipeline(pipe)
+	if err != nil {
+		t.Fatalf("%s: %v", p.Kind, err)
+	}
+	sum := sha256.Sum256(doc)
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("%s %v (%s, metric %v, %d+%d BO evaluations): artifact sha256 = %s; the parent compiled %s",
+			p.Kind, algorithms, pipe.Apps[0].Algorithm, pipe.Apps[0].Metric, cfg.BO.InitSamples, cfg.BO.Iterations, got, want)
 	}
 }
