@@ -12,12 +12,17 @@
 // become incumbents but still train the feasibility model so the search
 // learns to avoid them.
 //
-// A run's evaluations form groups by dependence: the warm-up points are
-// all drawn before any result exists, and each fourth-iteration uniform
-// sample reads nothing of the suggestion before it. Maximize evaluates
-// one point at a time; MaximizeConcurrent evaluates a group's members
-// concurrently on the shared worker pool and records them in index order,
-// so both return the same Result for the same seed.
+// One engine runs every search, with one objective or several (random
+// scalarization, see multi.go). A run's evaluations form groups by
+// dependence: the warm-up points are all drawn before any result exists,
+// and each fourth-iteration uniform sample reads nothing of the
+// suggestion before it. Maximize and MaximizeMulti evaluate one point at
+// a time; MaximizeConcurrent and MaximizeMultiConcurrent evaluate a
+// group's members concurrently on the shared worker pool and record them
+// in index order, so the serial and the concurrent entry return the same
+// result for the same seed. The serial entries are for objectives that
+// must not overlap, such as the serving tuner's replays, which measure
+// wall-clock time.
 package bo
 
 import (
@@ -179,23 +184,6 @@ func (s Space) Get(x []float64, name string) (float64, error) {
 	return x[i], nil
 }
 
-// Size estimates the cardinality of the discrete projection of the space
-// (continuous dims count as 1000 steps) — used for logging only.
-func (s Space) Size() float64 {
-	total := 1.0
-	for _, p := range s.Params {
-		switch p.Kind {
-		case Real:
-			total *= 1000
-		case Integer:
-			total *= math.Max(1, p.Max-p.Min+1)
-		default:
-			total *= float64(len(p.Values))
-		}
-	}
-	return total
-}
-
 // Evaluation is one observed point.
 type Evaluation struct {
 	X         []float64
@@ -329,7 +317,7 @@ func newSuggestScratch(nCands, dims int) *suggestScratch {
 // ctx.Err(). An undone ctx never changes the trajectory, so fixed-seed
 // runs stay byte-identical to the uncancellable API.
 func Maximize(ctx context.Context, space Space, cfg Config, obj Objective) (Result, error) {
-	return maximize(ctx, space, cfg, func(_ int, x []float64) (float64, bool, map[string]float64, error) {
+	return maximizeOne(ctx, space, cfg, func(_ int, x []float64) (float64, bool, map[string]float64, error) {
 		return obj(x)
 	}, false)
 }
@@ -349,7 +337,30 @@ type IndexedObjective func(i int, x []float64) (value float64, feasible bool, me
 // bit for bit. On cancellation, members of a group that never started
 // are skipped and the history is the evaluated prefix.
 func MaximizeConcurrent(ctx context.Context, space Space, cfg Config, obj IndexedObjective) (Result, error) {
-	return maximize(ctx, space, cfg, obj, true)
+	return maximizeOne(ctx, space, cfg, obj, true)
+}
+
+// maximizeOne runs the engine with one objective and reads its history
+// as a Result.
+func maximizeOne(ctx context.Context, space Space, cfg Config, obj IndexedObjective, concurrent bool) (Result, error) {
+	evals, err := maximize(ctx, space, cfg, 1, func(i int, x, values []float64) (bool, map[string]float64, error) {
+		v, feasible, metrics, err := obj(i, x)
+		values[0] = v
+		return feasible, metrics, err
+	}, concurrent)
+	var res Result
+	if len(evals) > 0 {
+		res.History = make([]Evaluation, 0, len(evals))
+	}
+	for _, e := range evals {
+		ev := Evaluation{X: e.X, Objective: e.Values[0], Feasible: e.Feasible, Metrics: e.Metrics}
+		res.History = append(res.History, ev)
+		if ev.Feasible && (res.Best == nil || ev.Objective > res.Best.Objective) {
+			best := ev
+			res.Best = &best
+		}
+	}
+	return res, err
 }
 
 // WarmUp returns the points a run with cfg evaluates first, in index
@@ -376,30 +387,41 @@ func drawWarmUp(space Space, cfg Config, rng *rand.Rand) [][]float64 {
 	return points
 }
 
+// engineObjective is the objective as the engine calls it: told the
+// evaluation's index, it writes one value per objective into values.
+type engineObjective func(i int, x, values []float64) (feasible bool, metrics map[string]float64, err error)
+
 // outcome is one evaluation's return, held until its group is recorded.
 type outcome struct {
-	value    float64
+	values   []float64
 	feasible bool
 	metrics  map[string]float64
 	err      error
 	done     bool // false when cancellation skipped the evaluation
 }
 
-// maximize is the engine behind Maximize and MaximizeConcurrent. It
-// groups the evaluations by dependence — a group's points are all drawn
-// before any of them is evaluated — and records each group's results in
-// index order, so the history, the incumbent, the forests' inputs and
-// every later RNG draw are the same however a group is evaluated.
-func maximize(ctx context.Context, space Space, cfg Config, obj IndexedObjective, concurrent bool) (Result, error) {
+// maximize is the one BO engine, behind every exported entry. It runs
+// nObjectives objectives; with more than one, each iteration first
+// scalarizes the history under a fresh random weight vector, and with
+// one that step, and its RNG draws, do not happen. The engine groups the
+// evaluations by dependence — a group's points are all drawn before any
+// of them is evaluated — and records each group's results in index
+// order, so the history, the incumbent, the forests' inputs and every
+// later RNG draw are the same however a group is evaluated.
+func maximize(ctx context.Context, space Space, cfg Config, nObjectives int, obj engineObjective, concurrent bool) ([]MultiEvaluation, error) {
 	if err := space.Validate(); err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	if err := cfg.Validate(); err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	var res Result
+	var evals []MultiEvaluation
+	// hist is what the forests train on and incumbent the best feasible
+	// point in it. With one objective both grow as results are recorded;
+	// with more, the scalarizing step rebuilds them every iteration.
 	hist := &history{}
+	incumbent, incumbentX := math.Inf(-1), []float64(nil)
 	scratch := newSuggestScratch(cfg.Candidates, len(space.Params))
 
 	// group holds the points being evaluated, in index order, and outs
@@ -411,7 +433,8 @@ func maximize(ctx context.Context, space Space, cfg Config, obj IndexedObjective
 			return
 		}
 		o := &outs[k]
-		o.value, o.feasible, o.metrics, o.err = obj(len(res.History)+k, group[k])
+		o.values = make([]float64, nObjectives)
+		o.feasible, o.metrics, o.err = obj(len(evals)+k, group[k], o.values)
 		o.done = true
 	}
 	tasks := make([]func(), len(outs))
@@ -432,17 +455,19 @@ func maximize(ctx context.Context, space Space, cfg Config, obj IndexedObjective
 		}
 		for k, o := range outs {
 			if !o.done {
-				return fmt.Errorf("bo: search cancelled after %d evaluations: %w", len(res.History), ctx.Err())
+				return fmt.Errorf("bo: search cancelled after %d evaluations: %w", len(evals), ctx.Err())
 			}
 			if o.err != nil {
 				return fmt.Errorf("bo: objective evaluation failed: %w", o.err)
 			}
-			ev := Evaluation{X: append([]float64{}, group[k]...), Objective: o.value, Feasible: o.feasible, Metrics: o.metrics}
-			res.History = append(res.History, ev)
-			hist.add(ev.X, o.value, o.feasible)
-			if o.feasible && (res.Best == nil || o.value > res.Best.Objective) {
-				best := ev
-				res.Best = &best
+			ev := MultiEvaluation{X: append([]float64{}, group[k]...), Values: o.values, Feasible: o.feasible, Metrics: o.metrics}
+			evals = append(evals, ev)
+			if nObjectives == 1 {
+				v := ev.Values[0]
+				hist.add(ev.X, v, ev.Feasible)
+				if ev.Feasible && (incumbentX == nil || v > incumbent) {
+					incumbent, incumbentX = v, ev.X
+				}
 			}
 		}
 		return nil
@@ -452,7 +477,7 @@ func maximize(ctx context.Context, space Space, cfg Config, obj IndexedObjective
 	// any result exists.
 	group = drawWarmUp(space, cfg, rng)
 	if err := evaluate(); err != nil {
-		return res, err
+		return evals, err
 	}
 
 	// Phase 2: BO iterations. Every fourth iteration is a pure uniform
@@ -460,28 +485,30 @@ func maximize(ctx context.Context, space Space, cfg Config, obj IndexedObjective
 	// locking onto a surrogate artifact when the forest's variance
 	// estimate collapses — mirroring HyperMapper's randomized sampling
 	// interleave. That sample reads nothing of the suggestion before it,
-	// so it is drawn straight after suggest and the two form one group.
+	// so it is drawn straight after suggest and the two form one group;
+	// with several objectives its iteration's weight vector, which no
+	// suggestion reads, is drawn just before it.
 	for it := 0; it < cfg.Iterations; it++ {
-		incumbent := math.Inf(-1)
-		var incumbentX []float64
-		if res.Best != nil {
-			incumbent = res.Best.Objective
-			incumbentX = res.Best.X
+		if nObjectives > 1 {
+			incumbent, incumbentX = scalarizeInto(hist, evals, sampleSimplex(rng, nObjectives))
 		}
 		next, err := suggest(space, cfg, rng, hist, incumbent, incumbentX, scratch)
 		if err != nil {
-			return res, err
+			return evals, err
 		}
 		group = append(group[:0], next)
 		if it%4 == 2 && it+1 < cfg.Iterations {
 			it++
+			if nObjectives > 1 {
+				sampleSimplex(rng, nObjectives)
+			}
 			group = append(group, space.Sample(rng))
 		}
 		if err := evaluate(); err != nil {
-			return res, err
+			return evals, err
 		}
 	}
-	return res, nil
+	return evals, nil
 }
 
 // suggest fits surrogate + feasibility forests on the history and returns
@@ -568,16 +595,10 @@ func suggest(space Space, cfg Config, rng *rand.Rand, hist *history, incumbent f
 	return append([]float64{}, bestX...), nil
 }
 
-// perturb returns a neighbour of x: each dimension is nudged by ~10% of
-// its range (or to an adjacent ordinal/categorical value) with probability
-// 1/2, then clipped to legality.
-func perturb(space Space, rng *rand.Rand, x []float64) []float64 {
-	out := append([]float64{}, x...)
-	perturbInto(space, rng, x, out)
-	return out
-}
-
-// perturbInto writes a neighbour of x into dst (len == dims).
+// perturbInto writes a neighbour of x into dst (len == dims): each
+// dimension is nudged by ~10% of its range (or to an adjacent
+// ordinal/categorical value) with probability 1/2, then clipped to
+// legality.
 func perturbInto(space Space, rng *rand.Rand, x, dst []float64) {
 	copy(dst, x)
 	for i, p := range space.Params {

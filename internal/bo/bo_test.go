@@ -93,9 +93,6 @@ func TestSpaceHelpers(t *testing.T) {
 	if _, err := s.Get([]float64{0.5, 3}, "zz"); err == nil {
 		t.Fatal("Get unknown must error")
 	}
-	if s.Size() != 4000 {
-		t.Fatalf("Size = %v", s.Size())
-	}
 }
 
 func TestConfigValidate(t *testing.T) {

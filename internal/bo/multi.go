@@ -15,7 +15,8 @@ import (
 // follows the random-scalarization approach of Paria et al. (UAI 2019,
 // the paper's [72]): each BO round optimizes a randomly weighted
 // combination of the objectives, which in aggregate covers the Pareto
-// front.
+// front. With one objective the engine skips the scalarizing step, so
+// Maximize and MaximizeMulti are the same loop.
 
 // MultiObjective evaluates a point and returns one value per objective
 // (all maximized), feasibility, and auxiliary metrics.
@@ -79,93 +80,69 @@ func ParetoFront(evals []MultiEvaluation) []MultiEvaluation {
 	return front
 }
 
+// IndexedMultiObjective is a MultiObjective that is also told the
+// evaluation's position in the run's history (0 for the first warm-up
+// point).
+type IndexedMultiObjective func(i int, x []float64) (values []float64, feasible bool, metrics map[string]float64, err error)
+
 // MaximizeMulti runs constrained multi-objective BO over space with
-// nObjectives objectives. Each iteration draws a random weight vector on
-// the simplex and runs the single-objective acquisition against the
-// weighted sum; the returned result carries the full history and its
-// Pareto front. Cancellation follows the Maximize contract: checked
-// before every evaluation, trajectory untouched while ctx is undone.
+// nObjectives objectives, one evaluation at a time. Each iteration draws
+// a random weight vector on the simplex and runs the single-objective
+// acquisition against the weighted sum; the returned result carries the
+// full history and its Pareto front. Cancellation follows the Maximize
+// contract: checked before every evaluation, trajectory untouched while
+// ctx is undone. Evaluations never overlap, so an objective that measures
+// wall-clock time (the serving tuner's replays) measures only itself.
 func MaximizeMulti(ctx context.Context, space Space, cfg Config, nObjectives int, obj MultiObjective) (MultiResult, error) {
-	if err := space.Validate(); err != nil {
-		return MultiResult{}, err
-	}
-	if err := cfg.Validate(); err != nil {
-		return MultiResult{}, err
-	}
+	return maximizeMulti(ctx, space, cfg, nObjectives, func(_ int, x []float64) ([]float64, bool, map[string]float64, error) {
+		return obj(x)
+	}, false)
+}
+
+// MaximizeMultiConcurrent is MaximizeMulti with the groups of points that
+// wait on no pending result evaluated concurrently, as MaximizeConcurrent
+// does for one objective. obj must be safe for concurrent calls; with the
+// same obj the result is the one MaximizeMulti returns, bit for bit.
+func MaximizeMultiConcurrent(ctx context.Context, space Space, cfg Config, nObjectives int, obj IndexedMultiObjective) (MultiResult, error) {
+	return maximizeMulti(ctx, space, cfg, nObjectives, obj, true)
+}
+
+// maximizeMulti runs the engine with nObjectives objectives and returns
+// its history with the Pareto front.
+func maximizeMulti(ctx context.Context, space Space, cfg Config, nObjectives int, obj IndexedMultiObjective, concurrent bool) (MultiResult, error) {
 	if nObjectives < 2 {
-		return MultiResult{}, fmt.Errorf("bo: MaximizeMulti needs >= 2 objectives, got %d", nObjectives)
+		return MultiResult{}, fmt.Errorf("bo: multi-objective search needs >= 2 objectives, got %d", nObjectives)
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	var res MultiResult
+	evals, err := maximize(ctx, space, cfg, nObjectives, func(i int, x, values []float64) (bool, map[string]float64, error) {
+		v, feasible, metrics, err := obj(i, x)
+		if err == nil && len(v) != nObjectives {
+			err = fmt.Errorf("objective returned %d values, want %d", len(v), nObjectives)
+		}
+		copy(values, v)
+		return feasible, metrics, err
+	}, concurrent)
+	if err != nil {
+		return MultiResult{History: evals}, err
+	}
+	return MultiResult{History: evals, Front: ParetoFront(evals)}, nil
+}
 
-	evaluate := func(x []float64) (MultiEvaluation, error) {
-		if err := ctx.Err(); err != nil {
-			return MultiEvaluation{}, fmt.Errorf("bo: search cancelled after %d evaluations: %w", len(res.History), err)
-		}
-		values, feasible, metrics, err := obj(x)
-		if err != nil {
-			return MultiEvaluation{}, fmt.Errorf("bo: multi-objective evaluation failed: %w", err)
-		}
-		if len(values) != nObjectives {
-			return MultiEvaluation{}, fmt.Errorf("bo: objective returned %d values, want %d", len(values), nObjectives)
-		}
-		ev := MultiEvaluation{
-			X:        append([]float64{}, x...),
-			Values:   append([]float64{}, values...),
-			Feasible: feasible,
-			Metrics:  metrics,
-		}
-		res.History = append(res.History, ev)
-		return ev, nil
-	}
-
-	// Warm-up.
-	for i := 0; i < cfg.InitSamples; i++ {
-		if _, err := evaluate(space.Sample(rng)); err != nil {
-			return res, err
+// scalarizeInto refills hist with evals valued under one weight vector,
+// each objective rescaled by its observed range so that the weights are
+// meaningful across magnitudes, and returns the best feasible point.
+// hist's buffers are reused across rounds.
+func scalarizeInto(hist *history, evals []MultiEvaluation, weights []float64) (incumbent float64, incumbentX []float64) {
+	lo, hi := objectiveRanges(evals, len(weights))
+	*hist = history{xs: hist.xs[:0], ys: hist.ys[:0], feas: hist.feas[:0]}
+	incumbent = math.Inf(-1)
+	for _, ev := range evals {
+		v := scalarize(ev.Values, weights, lo, hi)
+		hist.add(ev.X, v, ev.Feasible)
+		if ev.Feasible && v > incumbent {
+			incumbent, incumbentX = v, ev.X
 		}
 	}
-
-	// Scalarized BO rounds. The scalarization rescales each objective by
-	// the observed range so weights are meaningful across magnitudes. The
-	// scalarized history and candidate buffers are reused across rounds;
-	// only the scalar objective values are recomputed under each round's
-	// fresh weight vector.
-	shist := &history{}
-	scratch := newSuggestScratch(cfg.Candidates, len(space.Params))
-	for it := 0; it < cfg.Iterations; it++ {
-		weights := sampleSimplex(rng, nObjectives)
-		lo, hi := objectiveRanges(res.History, nObjectives)
-		shist.xs = shist.xs[:0]
-		shist.ys = shist.ys[:0]
-		shist.feas = shist.feas[:0]
-		shist.nInfeasible = 0
-		incumbent := math.Inf(-1)
-		var incumbentX []float64
-		for _, ev := range res.History {
-			v := scalarize(ev.Values, weights, lo, hi)
-			shist.add(ev.X, v, ev.Feasible)
-			if ev.Feasible && v > incumbent {
-				incumbent = v
-				incumbentX = ev.X
-			}
-		}
-		var next []float64
-		if it%4 == 3 {
-			next = space.Sample(rng)
-		} else {
-			var err error
-			next, err = suggest(space, cfg, rng, shist, incumbent, incumbentX, scratch)
-			if err != nil {
-				return res, err
-			}
-		}
-		if _, err := evaluate(next); err != nil {
-			return res, err
-		}
-	}
-	res.Front = ParetoFront(res.History)
-	return res, nil
+	return incumbent, incumbentX
 }
 
 // sampleSimplex draws a uniform random weight vector summing to 1.

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/bo"
 	"repro/internal/ir"
@@ -36,8 +35,12 @@ type ParetoSearchResult struct {
 
 // SearchPareto runs a two-objective BO (maximize metric, minimize the
 // target's binding resource, per target.ResourceKey) over one algorithm
-// family and returns the feasible Pareto front. Cancellation follows the
-// Search contract.
+// family and returns the feasible Pareto front. The points that wait on no
+// pending result — the warm-up points, and each fourth-iteration uniform
+// sample beside the suggestion before it — train concurrently; a point's
+// training seed comes from its index, so the front does not depend on
+// which training finishes first. Cancellation follows the Search
+// contract.
 func SearchPareto(ctx context.Context, app App, target Target, cfg SearchConfig, kind ir.Kind) (*ParetoSearchResult, error) {
 	if err := app.Validate(); err != nil {
 		return nil, err
@@ -56,50 +59,41 @@ func SearchPareto(ctx context.Context, app App, target Target, cfg SearchConfig,
 	data := prepare(app)
 
 	// Keep the trained model of each evaluation so front entries can be
-	// resolved back to deployable models. Keyed by evaluation index.
-	var mu sync.Mutex
-	evalCount := 0
-	models := map[int]*ir.Model{}
-	verdicts := map[int]Verdict{}
+	// resolved back to deployable models. Indexed by evaluation, so the
+	// concurrent evaluations write disjoint slots.
+	n := cfg.BO.InitSamples + cfg.BO.Iterations
+	models := make([]*ir.Model, n)
+	verdicts := make([]Verdict, n)
 
 	boCfg := cfg.BO
 	boCfg.Seed = cfg.Seed + int64(kind)*211
 
-	objective := func(x []float64) ([]float64, bool, map[string]float64, error) {
-		mu.Lock()
-		evalCount++
-		id := evalCount
-		seed := cfg.Seed + int64(kind)*2000 + int64(id)
-		mu.Unlock()
-
+	objective := func(i int, x []float64) ([]float64, bool, map[string]float64, error) {
+		seed := cfg.Seed + int64(kind)*2000 + int64(i) + 1
 		model, verdict, metric, err := data.evaluate(build, x, seed, target, cfg.Metric)
 		if err != nil {
 			return nil, false, nil, err
 		}
+		metrics := map[string]float64{"eval_id": float64(i)}
 		if model == nil {
-			return []float64{0, 0}, false, map[string]float64{"eval_id": float64(id)}, nil
+			return []float64{0, 0}, false, metrics, nil
 		}
-		resource := verdict.Metrics[key]
-		mu.Lock()
-		models[id] = model
-		verdicts[id] = verdict
-		mu.Unlock()
-		metrics := map[string]float64{"eval_id": float64(id)}
+		models[i], verdicts[i] = model, verdict
 		for k, v := range verdict.Metrics {
 			metrics[k] = v
 		}
-		return []float64{metric, -resource}, verdict.Feasible, metrics, nil
+		return []float64{metric, -verdict.Metrics[key]}, verdict.Feasible, metrics, nil
 	}
 
-	multiRes, err := bo.MaximizeMulti(ctx, space, boCfg, 2, objective)
+	multiRes, err := bo.MaximizeMultiConcurrent(ctx, space, boCfg, 2, objective)
 	if err != nil {
 		return nil, fmt.Errorf("core: pareto search: %w", err)
 	}
 
 	out := &ParetoSearchResult{Algorithm: kind, ResourceKey: key, Evaluations: len(multiRes.History)}
 	for _, ev := range multiRes.Front {
-		id := int(ev.Metrics["eval_id"])
-		m := models[id]
+		i := int(ev.Metrics["eval_id"])
+		m := models[i]
 		if m == nil {
 			continue
 		}
@@ -108,7 +102,7 @@ func SearchPareto(ctx context.Context, app App, target Target, cfg SearchConfig,
 			Model:    m,
 			Metric:   ev.Values[0],
 			Resource: -ev.Values[1],
-			Verdict:  verdicts[id],
+			Verdict:  verdicts[i],
 		})
 	}
 	// Sort ascending by resource (insertion sort: fronts are small).
