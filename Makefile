@@ -7,7 +7,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: check vet build test validate fuzz fuzz-wire fuzz-number fuzz-batch fuzz-job fuzz-tree fuzz-config fuzz-envelope fuzz-pipeline fuzz-manifest fuzz-p4 bench-smoke bench staticcheck
+.PHONY: check vet build test validate fuzz fuzz-wire fuzz-number fuzz-batch fuzz-job fuzz-tree fuzz-config fuzz-envelope fuzz-pipeline fuzz-manifest fuzz-p4 fuzz-journal bench-smoke bench staticcheck
 
 check: vet build test
 
@@ -121,6 +121,15 @@ fuzz-manifest:
 # declared classes or refuse.
 fuzz-p4:
 	$(GO) test -run='^$$' -fuzz=FuzzP4Interp -fuzztime=$(FUZZ_BUDGET) -fuzzminimizetime=200x ./internal/validate/
+
+# Native fuzzing of the journal's torn-tail handling (the twelfth nightly
+# CI step, with a 10 s smoke in ci.yml): FuzzJournalAppendAfterReplay
+# writes fuzzed bytes as an existing journal, opens the store, appends
+# one synced record and reopens; the record must replay last, after
+# exactly the records the first open returned. Seeded from the journals
+# the store tests write, torn tails included.
+fuzz-journal:
+	$(GO) test -run='^$$' -fuzz=FuzzJournalAppendAfterReplay -fuzztime=$(FUZZ_BUDGET) -fuzzminimizetime=100x ./internal/store/
 
 # One iteration of every benchmark, no unit tests: catches bit-rotted
 # benchmark code and asserts the allocation budgets and the autopilot

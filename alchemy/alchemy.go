@@ -206,8 +206,9 @@ type Schedule struct {
 	Op       Op
 	Children []*Schedule
 	Model    *Model
-	// Mapper optionally transforms the upstream outputs into this node's
-	// inputs (the IOMap construct). Recorded for codegen; identity if nil.
+	// Mapper names the IOMap construct wired into this node. No compile
+	// stage executes its function: only the Name is hashed into the spec
+	// hash and carried on the wire.
 	Mapper *IOMap
 }
 
@@ -271,9 +272,11 @@ func (s *Schedule) Models() []*Model {
 	return out
 }
 
-// IOMap connects models' inputs and outputs (§3.1.1). The mapper function
-// receives the upstream model's output vector and produces the downstream
-// input vector; WithIOMap attaches it to a schedule node.
+// IOMap names how models' inputs and outputs connect (§3.1.1);
+// WithIOMap attaches it to a schedule node. Mapper is the user's
+// transform from the upstream model's outputs to the downstream inputs,
+// but no compile stage runs it: the pipeline records Name only (the spec
+// hash and the JSON wire form), and a decoded IOMap carries no function.
 type IOMap struct {
 	Name   string
 	Mapper func(outputs []float64) []float64

@@ -286,10 +286,3 @@ func (c *flightCache) peek(key string) (*Pipeline, bool) {
 	}
 	return f.pipe, true
 }
-
-// len reports cached + in-flight entries (for tests).
-func (c *flightCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Multi-objective optimization support. HyperMapper — the optimizer the
@@ -56,7 +57,9 @@ func Dominates(a, b []float64) bool {
 	return strictly
 }
 
-// ParetoFront filters evals to the feasible non-dominated subset.
+// ParetoFront filters evals to the feasible non-dominated subset. Points
+// with equal values are one trade-off: only the first evaluated of them
+// is kept.
 func ParetoFront(evals []MultiEvaluation) []MultiEvaluation {
 	var front []MultiEvaluation
 	for i, e := range evals {
@@ -68,7 +71,7 @@ func ParetoFront(evals []MultiEvaluation) []MultiEvaluation {
 			if i == j || !other.Feasible {
 				continue
 			}
-			if Dominates(other.Values, e.Values) {
+			if Dominates(other.Values, e.Values) || (j < i && slices.Equal(other.Values, e.Values)) {
 				dominated = true
 				break
 			}

@@ -32,12 +32,17 @@ func TestParetoFront(t *testing.T) {
 		{Values: []float64{1, 5}, Feasible: true},
 		{Values: []float64{5, 1}, Feasible: true},
 		{Values: []float64{2, 2}, Feasible: true}, // dominated by (3,3)
-		{Values: []float64{3, 3}, Feasible: true},
-		{Values: []float64{9, 9}, Feasible: false}, // infeasible: excluded
+		{X: []float64{0}, Values: []float64{3, 3}, Feasible: true},
+		{Values: []float64{9, 9}, Feasible: false},                 // infeasible: excluded
+		{X: []float64{1}, Values: []float64{3, 3}, Feasible: true}, // equals an earlier point: excluded
+		{Values: []float64{9, 9}, Feasible: false},                 // equal infeasible points: excluded
 	}
 	front := ParetoFront(evals)
 	if len(front) != 3 {
 		t.Fatalf("front size %d, want 3", len(front))
+	}
+	if front[2].X[0] != 0 {
+		t.Fatal("of equal points, the first evaluated must be kept")
 	}
 	for _, e := range front {
 		if e.Values[0] == 2 && e.Values[1] == 2 {

@@ -129,26 +129,6 @@ func (c *Composition) String() string {
 	return s + ")"
 }
 
-// ThroughputConsistent checks the §3.2.1 rule that chained models'
-// throughput requirements are mutually consistent: a pipeline runs at the
-// minimum throughput of its members, so every member must tolerate that
-// rate. Returns the sustained rate.
-func ThroughputConsistent(rates []float64) (float64, error) {
-	if len(rates) == 0 {
-		return 0, fmt.Errorf("core: no throughput rates")
-	}
-	min := rates[0]
-	for _, r := range rates {
-		if r <= 0 {
-			return 0, fmt.Errorf("core: non-positive throughput %v", r)
-		}
-		if r < min {
-			min = r
-		}
-	}
-	return min, nil
-}
-
 // EstimateComposition maps a composition onto a target that implements
 // the Composer capability, returning the Table-3 style verdict. On
 // Taurus, resources are strategy-independent (glue logic folds into

@@ -101,19 +101,6 @@ func TestTable3ResourceInvariance(t *testing.T) {
 	}
 }
 
-func TestThroughputConsistent(t *testing.T) {
-	min, err := ThroughputConsistent([]float64{1.0, 0.5, 2.0})
-	if err != nil || min != 0.5 {
-		t.Fatalf("min = %v err = %v", min, err)
-	}
-	if _, err := ThroughputConsistent(nil); err == nil {
-		t.Fatal("empty rates must error")
-	}
-	if _, err := ThroughputConsistent([]float64{1, 0}); err == nil {
-		t.Fatal("zero rate must error")
-	}
-}
-
 func TestEstimateCompositionInvalid(t *testing.T) {
 	target := backend.NewTaurusTarget()
 	if _, err := EstimateComposition(target, &Composition{}); err == nil {

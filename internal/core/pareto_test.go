@@ -26,6 +26,15 @@ func TestSearchParetoFrontier(t *testing.T) {
 	if len(res.Front) == 0 {
 		t.Fatal("front must be non-empty")
 	}
+	// Each trade-off appears once.
+	seen := map[[2]float64]bool{}
+	for _, p := range res.Front {
+		k := [2]float64{p.Metric, p.Resource}
+		if seen[k] {
+			t.Fatalf("trade-off (%v, %v) appears twice on the front", p.Metric, p.Resource)
+		}
+		seen[k] = true
+	}
 	// Front sorted by resource, and metric must increase with resource
 	// (otherwise the cheaper point would dominate).
 	for i := 1; i < len(res.Front); i++ {

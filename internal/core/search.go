@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/bo"
@@ -584,47 +583,4 @@ func scoreModel(m *ir.Model, test *dataset.Dataset, metric Metric) (float64, err
 		}
 		return conf.MacroF1(), nil
 	}
-}
-
-// RankFeatures orders feature indices by importance for IIsy feature
-// pruning (§4: "Homunculus will try to remove less impactful features
-// until the SVM model fits"). Importance is the class-separation F-score
-// of each feature (between-class variance over within-class variance).
-func RankFeatures(d *dataset.Dataset) []int {
-	nf := d.Features()
-	scores := make([]float64, nf)
-	byClass := map[int][]int{}
-	for i, y := range d.Y {
-		byClass[y] = append(byClass[y], i)
-	}
-	for j := 0; j < nf; j++ {
-		var grandSum float64
-		for i := 0; i < d.Len(); i++ {
-			grandSum += d.X.At(i, j)
-		}
-		grand := grandSum / float64(d.Len())
-		var between, within float64
-		for _, idx := range byClass {
-			var sum float64
-			for _, i := range idx {
-				sum += d.X.At(i, j)
-			}
-			mean := sum / float64(len(idx))
-			between += float64(len(idx)) * (mean - grand) * (mean - grand)
-			for _, i := range idx {
-				dv := d.X.At(i, j) - mean
-				within += dv * dv
-			}
-		}
-		if within < 1e-12 {
-			within = 1e-12
-		}
-		scores[j] = between / within
-	}
-	order := make([]int, nf)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return scores[order[a]] > scores[order[b]] })
-	return order
 }

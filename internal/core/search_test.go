@@ -258,25 +258,6 @@ func TestSearchErrors(t *testing.T) {
 	}
 }
 
-func TestRankFeatures(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	d := dataset.New(400, 3)
-	for i := 0; i < 400; i++ {
-		c := i % 2
-		d.X.Set(i, 0, rng.NormFloat64())              // noise
-		d.X.Set(i, 1, float64(c)*3+rng.NormFloat64()) // strong signal
-		d.X.Set(i, 2, float64(c)+rng.NormFloat64())   // weak signal
-		d.Y[i] = c
-	}
-	order := RankFeatures(d)
-	if order[0] != 1 {
-		t.Fatalf("strongest feature should rank first: %v", order)
-	}
-	if order[2] != 0 {
-		t.Fatalf("noise should rank last: %v", order)
-	}
-}
-
 func TestScoreModelMetrics(t *testing.T) {
 	app := smallApp(t, 10)
 	cfg := fastSearchConfig()

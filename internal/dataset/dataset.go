@@ -94,8 +94,8 @@ func (d *Dataset) Subset(idx []int) *Dataset {
 }
 
 // SelectFeatures returns a new dataset keeping only the given feature
-// columns, in the given order. Used by the optimization core when IIsy
-// feature pruning drops low-impact features to fit MAT budgets.
+// columns, in the given order. Its caller is nslkdd's feature-wise split,
+// which builds the two overlapping feature views Table 4 fuses.
 func (d *Dataset) SelectFeatures(cols []int) (*Dataset, error) {
 	for _, c := range cols {
 		if c < 0 || c >= d.Features() {

@@ -113,13 +113,6 @@ func (f Format) Dequantize(raw int32) float64 {
 // RoundTrip quantizes then dequantizes v — the value the hardware would see.
 func (f Format) RoundTrip(v float64) float64 { return f.Dequantize(f.Quantize(v)) }
 
-// Mul multiplies two raw words, rescaling the 2n-fraction-bit product back
-// to n fraction bits with saturation (the CU multiplier behaviour).
-func (f Format) Mul(a, b int32) int32 {
-	prod := int64(a) * int64(b) >> uint(f.FracBits)
-	return f.saturate(prod)
-}
-
 // Add adds two raw words with saturation.
 func (f Format) Add(a, b int32) int32 { return f.saturate(int64(a) + int64(b)) }
 
@@ -173,15 +166,6 @@ func (f Format) QuantizeVec(v []float64) []int32 {
 	out := make([]int32, len(v))
 	for i, x := range v {
 		out[i] = f.Quantize(x)
-	}
-	return out
-}
-
-// DequantizeVec converts raw words back into a fresh float slice.
-func (f Format) DequantizeVec(raw []int32) []float64 {
-	out := make([]float64, len(raw))
-	for i, x := range raw {
-		out[i] = f.Dequantize(x)
 	}
 	return out
 }

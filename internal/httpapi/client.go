@@ -156,17 +156,6 @@ func (c *Client) Post(ctx context.Context, path string, in, out any) error {
 	return c.do(ctx, http.MethodPost, path, in, out)
 }
 
-// Put marshals in, issues a retrying PUT, and decodes the 2xx body
-// into out.
-func (c *Client) Put(ctx context.Context, path string, in, out any) error {
-	return c.do(ctx, http.MethodPut, path, in, out)
-}
-
-// Delete issues a retrying DELETE and decodes the 2xx body into out.
-func (c *Client) Delete(ctx context.Context, path string, out any) error {
-	return c.do(ctx, http.MethodDelete, path, nil, out)
-}
-
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
 	var body []byte
 	if in != nil {
@@ -329,38 +318,6 @@ func (c *Client) ClassifyEndpoint(ctx context.Context, name string, features [][
 	var resp ClassifyResponse
 	err := c.Post(ctx, "/v1/endpoints/"+name+"/classify", ClassifyRequest{Features: features}, &resp)
 	return resp, err
-}
-
-// EndpointConfig fetches an endpoint's canonical effective serving
-// configuration.
-func (c *Client) EndpointConfig(ctx context.Context, name string) (homunculus.ServingConfig, error) {
-	var cfg homunculus.ServingConfig
-	err := c.Get(ctx, "/v1/endpoints/"+name+"/config", &cfg)
-	return cfg, err
-}
-
-// PutEndpointConfig applies a serving configuration to an endpoint
-// (complete-document semantics) and returns the now-effective config.
-func (c *Client) PutEndpointConfig(ctx context.Context, name string, cfg homunculus.ServingConfig) (homunculus.ServingConfig, error) {
-	var out homunculus.ServingConfig
-	err := c.Put(ctx, "/v1/endpoints/"+name+"/config", cfg, &out)
-	return out, err
-}
-
-// TuneEndpoint runs the replay-driven serving tuner against an
-// endpoint's stable model and returns the report (frontier + chosen
-// config).
-func (c *Client) TuneEndpoint(ctx context.Context, name string, req TuneRequest) (TuneResponse, error) {
-	var resp TuneResponse
-	err := c.Post(ctx, "/v1/endpoints/"+name+"/tune", req, &resp)
-	return resp, err
-}
-
-// Health fetches the daemon's health document (GET /v1/healthz).
-func (c *Client) Health(ctx context.Context) (HealthJSON, error) {
-	var out HealthJSON
-	err := c.Get(ctx, "/v1/healthz", &out)
-	return out, err
 }
 
 // EndpointRawStats fetches an endpoint's mergeable wire stats

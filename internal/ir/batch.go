@@ -30,7 +30,7 @@ import (
 const Tile = 8
 
 // ClassifyBatch classifies every row of xs into out, which must have
-// len(xs) slots; out[i] equals p.Model().InferQ(xs[i]) bit for bit. A row
+// len(xs) slots; out[i] equals the model's InferQ(xs[i]) bit for bit. A row
 // of the wrong width gets -1 and is reported in the returned error (the
 // first such row's); every other row is still classified. The rows are
 // only read.

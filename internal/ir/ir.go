@@ -540,76 +540,6 @@ func argMaxQ(v []int32) int {
 	return bi
 }
 
-// ScoresQ runs quantized inference and returns the per-output scores
-// (dequantized): decision values for DNN/SVM, negated squared distances
-// for KMeans (so arg-max semantics hold), and a one-hot for trees. The
-// composition executor uses these as the values an IOMap transforms.
-func (m *Model) ScoresQ(x []float64) ([]float64, error) {
-	if len(x) != m.Inputs {
-		return nil, fmt.Errorf("ir: input has %d features, model %q wants %d", len(x), m.Name, m.Inputs)
-	}
-	f := m.Format
-	v := f.QuantizeVec(m.normalize(x))
-	switch m.Kind {
-	case DNN:
-		for _, l := range m.Layers {
-			next := make([]int32, l.Out)
-			for o := 0; o < l.Out; o++ {
-				wq := f.QuantizeVec(l.W[o])
-				acc := f.Add(f.DotQ(wq, v), f.Quantize(l.B[o]))
-				switch l.Activation {
-				case "relu":
-					acc = fixed.ReLUQ(acc)
-				case "sigmoid":
-					acc = f.SigmoidQ(acc)
-				case "tanh":
-					one := f.Quantize(1)
-					if acc > one {
-						acc = one
-					}
-					if acc < -one {
-						acc = -one
-					}
-				}
-				next[o] = acc
-			}
-			v = next
-		}
-		return f.DequantizeVec(v), nil
-	case SVM:
-		out := make([]float64, m.Outputs)
-		for k := range out {
-			wq := f.QuantizeVec(m.SVM.W[k])
-			out[k] = f.Dequantize(f.Add(f.DotQ(wq, v), f.Quantize(m.SVM.B[k])))
-		}
-		return out, nil
-	case KMeans:
-		out := make([]float64, m.Outputs)
-		for k, c := range m.Centroids {
-			cq := f.QuantizeVec(c)
-			var d int64
-			for i := range cq {
-				diff := int64(v[i]) - int64(cq[i])
-				d += diff * diff
-			}
-			out[k] = -float64(d)
-		}
-		return out, nil
-	case DTree:
-		class, err := m.InferQ(x)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]float64, m.Outputs)
-		if class >= 0 && class < m.Outputs {
-			out[class] = 1
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("ir: cannot score kind %d", int(m.Kind))
-	}
-}
-
 // PredictQ classifies every sample of d with quantized inference. It
 // rides the prepared Predictor fast path: parameters are quantized once
 // and every row streams through reusable buffers (InferQ re-quantizes

@@ -229,11 +229,8 @@ func (p *Predictor) flattenTree(root *TreeNode) {
 	walk(root, 0)
 }
 
-// Model returns the model this predictor was prepared from.
-func (p *Predictor) Model() *Model { return p.m }
-
 // Classify runs one quantized inference, reusing the predictor's buffers.
-// The result equals p.Model().InferQ(x) bit-for-bit; the input slice is
+// The result equals the model's InferQ(x) bit-for-bit; the input slice is
 // only read.
 func (p *Predictor) Classify(x []float64) (int, error) {
 	m := p.m

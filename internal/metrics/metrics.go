@@ -120,13 +120,6 @@ func (c *Confusion) String() string {
 	return s
 }
 
-// F1Binary computes the F1 score of the positive class (label 1) for
-// binary classification given parallel actual/predicted label slices.
-func F1Binary(actual, predicted []int) float64 {
-	c := FromLabels(actual, predicted, 2)
-	return c.F1(1)
-}
-
 // FromLabels builds a confusion matrix over n classes from parallel label
 // slices. Slices must be the same length.
 func FromLabels(actual, predicted []int, n int) *Confusion {

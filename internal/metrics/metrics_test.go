@@ -53,15 +53,6 @@ func TestEmptyConfusionSafe(t *testing.T) {
 	}
 }
 
-func TestF1Binary(t *testing.T) {
-	actual := []int{1, 1, 1, 0, 0, 0}
-	pred := []int{1, 1, 0, 1, 0, 0}
-	// tp=2 fp=1 fn=1 -> p=2/3 r=2/3 f1=2/3
-	if got := F1Binary(actual, pred); math.Abs(got-2.0/3.0) > 1e-12 {
-		t.Fatalf("F1Binary = %v", got)
-	}
-}
-
 func TestMacroF1PerfectPrediction(t *testing.T) {
 	actual := []int{0, 1, 2, 0, 1, 2}
 	c := FromLabels(actual, actual, 3)

@@ -39,20 +39,6 @@ func (a Activation) String() string {
 	}
 }
 
-// ParseActivation maps a name back to an Activation.
-func ParseActivation(s string) (Activation, error) {
-	switch s {
-	case "relu":
-		return ReLU, nil
-	case "sigmoid":
-		return Sigmoid, nil
-	case "tanh":
-		return Tanh, nil
-	default:
-		return 0, fmt.Errorf("nn: unknown activation %q", s)
-	}
-}
-
 // Optimizer selects the weight-update rule.
 type Optimizer int
 
@@ -289,25 +275,8 @@ func applyActivation(m *tensor.Matrix, a Activation) {
 	}
 }
 
-// activationGrad returns d(act)/dz given the *activated* output value.
-func activationGrad(out float64, a Activation) float64 {
-	switch a {
-	case ReLU:
-		if out > 0 {
-			return 1
-		}
-		return 0
-	case Sigmoid:
-		return out * (1 - out)
-	case Tanh:
-		return 1 - out*out
-	default:
-		return 1
-	}
-}
-
 // applyActivationGrad scales delta elementwise by d(act)/dz, derived from
-// the activated outputs — the hoisted-switch batch form of activationGrad.
+// the activated outputs (ReLU: 0 or 1, sigmoid: o(1-o), tanh: 1-o²).
 func applyActivationGrad(delta, out []float64, a Activation) {
 	switch a {
 	case ReLU:

@@ -314,12 +314,6 @@ func TestStringers(t *testing.T) {
 	if Activation(9).String() == "" || Optimizer(9).String() == "" {
 		t.Fatal("out-of-range stringers must render")
 	}
-	if a, err := ParseActivation("tanh"); err != nil || a != Tanh {
-		t.Fatal("ParseActivation tanh")
-	}
-	if _, err := ParseActivation("nope"); err == nil {
-		t.Fatal("ParseActivation must reject unknown")
-	}
 }
 
 func TestDropoutValidation(t *testing.T) {

@@ -17,9 +17,8 @@ type Proto uint8
 
 // Protocol numbers used by the synthetic traffic generators.
 const (
-	ProtoTCP  Proto = 6
-	ProtoUDP  Proto = 17
-	ProtoICMP Proto = 1
+	ProtoTCP Proto = 6
+	ProtoUDP Proto = 17
 )
 
 // Packet is a single parsed packet as seen by the data-plane parser stage:
@@ -74,6 +73,18 @@ var PaperBD = HistConfig{PLBins: 23, PLBinSize: 64, IPTBins: 7, IPTBinSize: 512 
 
 // Features returns the flowmarker feature count (PL + IPT bins).
 func (c HistConfig) Features() int { return c.PLBins + c.IPTBins }
+
+// FlowCapacity returns how many conversations a register budget (in
+// histogram-counter words) supports under layout c. A switch dedicates a
+// fixed register file to per-flow state, which is why the paper's §5.1.2
+// notes that shrinking the flowmarker from 151 to 30 bins "increases the
+// number of flows we can handle on a switch proportionally".
+func FlowCapacity(registerWords int, c HistConfig) int {
+	if c.Features() <= 0 {
+		return 0
+	}
+	return registerWords / c.Features()
+}
 
 // Validate checks the layout is usable.
 func (c HistConfig) Validate() error {

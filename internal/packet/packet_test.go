@@ -135,3 +135,22 @@ func TestHistogramMassQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestFlowCapacity(t *testing.T) {
+	// The §5.1.2 arithmetic: shrinking the flowmarker from 151 to 30 bins
+	// grows flow capacity ~5×.
+	flowlens := HistConfig{PLBins: 94, PLBinSize: 64, IPTBins: 57, IPTBinSize: 512 * time.Second}
+	budget := 1 << 20 // 1M counter words
+	big := FlowCapacity(budget, flowlens)
+	small := FlowCapacity(budget, PaperBD)
+	if big <= 0 || small <= 0 {
+		t.Fatal("capacities must be positive")
+	}
+	ratio := float64(small) / float64(big)
+	if ratio < 4.8 || ratio > 5.3 {
+		t.Fatalf("30-bin layout should hold ~5x the flows of 151-bin: ratio %v", ratio)
+	}
+	if FlowCapacity(10, HistConfig{}) != 0 {
+		t.Fatal("degenerate layout capacity must be 0")
+	}
+}

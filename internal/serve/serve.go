@@ -162,9 +162,6 @@ func ringCapacity(depth, shards int) uint64 {
 	return c
 }
 
-// Model returns the deployed model.
-func (rt *Runtime) Model() *ir.Model { return rt.model }
-
 // next advances the round-robin shard cursor by n and returns the index
 // of the first of the n shards it passed.
 func (rt *Runtime) next(n int) int {

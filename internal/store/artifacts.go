@@ -190,42 +190,6 @@ func (a *Artifacts) Get(key string) ([]byte, error) {
 	return payload, nil
 }
 
-// Envelope returns the stored artifact for key as a verified envelope —
-// the exact bytes a peer can install with Install. Verification failures
-// quarantine the file just like Get.
-func (a *Artifacts) Envelope(key string) ([]byte, error) {
-	if !keyRE.MatchString(key) {
-		return nil, fmt.Errorf("store: invalid artifact key %q", key)
-	}
-	raw, err := a.fs.ReadFile(a.path(key))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, ErrNotFound
-		}
-		return nil, fmt.Errorf("store: read artifact %s: %w", key, err)
-	}
-	if _, err := VerifyEnvelope(key, raw); err != nil {
-		return nil, a.Quarantine(key, err.Error())
-	}
-	return raw, nil
-}
-
-// Install verifies an envelope received from elsewhere (a peer fetch or
-// broadcast) and, only if it checks out, stores its payload under key.
-// The verify-before-write order is the cache-poisoning defence: corrupt
-// bytes never reach the artifacts directory. Returns the verified
-// payload.
-func (a *Artifacts) Install(key string, raw []byte) ([]byte, error) {
-	payload, err := VerifyEnvelope(key, raw)
-	if err != nil {
-		return nil, err
-	}
-	if err := a.Put(key, payload); err != nil {
-		return nil, err
-	}
-	return payload, nil
-}
-
 // Has reports whether an artifact exists for key without verifying it.
 func (a *Artifacts) Has(key string) bool {
 	if !keyRE.MatchString(key) {
@@ -233,24 +197,6 @@ func (a *Artifacts) Has(key string) bool {
 	}
 	_, err := a.fs.ReadFile(a.path(key))
 	return err == nil
-}
-
-// Keys lists every stored artifact key (unverified), sorted by name.
-func (a *Artifacts) Keys() ([]string, error) {
-	entries, err := a.fs.ReadDir(a.dir)
-	if err != nil {
-		return nil, fmt.Errorf("store: list artifacts: %w", err)
-	}
-	var keys []string
-	for _, e := range entries {
-		name := e.Name()
-		key, ok := strings.CutSuffix(name, ".json")
-		if !ok || !keyRE.MatchString(key) {
-			continue
-		}
-		keys = append(keys, key)
-	}
-	return keys, nil
 }
 
 // Quarantine moves a bad artifact out of the serving path and returns

@@ -66,50 +66,3 @@ func TestEnvelopeRejectsBadInputs(t *testing.T) {
 		t.Fatal("WrapEnvelope accepted a non-JSON payload")
 	}
 }
-
-func TestEnvelopeAccessors(t *testing.T) {
-	s, _, _ := openTest(t, t.TempDir(), nil)
-	key := testKey("env3")
-	payload := []byte(`{"platform":"taurus"}`)
-	if err := s.Artifacts.Put(key, payload); err != nil {
-		t.Fatal(err)
-	}
-	env, err := s.Artifacts.Envelope(key)
-	if err != nil {
-		t.Fatalf("Envelope: %v", err)
-	}
-	if _, err := VerifyEnvelope(key, env); err != nil {
-		t.Fatalf("stored envelope does not verify: %v", err)
-	}
-	if _, err := s.Artifacts.Envelope(testKey("missing")); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Envelope(missing) = %v, want ErrNotFound", err)
-	}
-}
-
-func TestInstallVerifiesBeforeWrite(t *testing.T) {
-	s, _, _ := openTest(t, t.TempDir(), nil)
-	key := testKey("env4")
-	env, err := WrapEnvelope(key, []byte(`{"ok":true}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, err := s.Artifacts.Install(key, env)
-	if err != nil {
-		t.Fatalf("Install: %v", err)
-	}
-	got, err := s.Artifacts.Get(key)
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("Get after Install = %s, %v", got, err)
-	}
-
-	// A corrupt envelope is rejected and nothing lands on disk.
-	bad := bytes.Replace(env, []byte(`true`), []byte(`false`), 1)
-	key2 := testKey("env5")
-	badForKey2 := bytes.Replace(bad, []byte(key), []byte(key2), 1)
-	if _, err := s.Artifacts.Install(key2, badForKey2); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Install(corrupt) = %v, want ErrCorrupt", err)
-	}
-	if s.Artifacts.Has(key2) {
-		t.Fatal("corrupt install reached the store")
-	}
-}

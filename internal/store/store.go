@@ -54,8 +54,5 @@ func Open(dir string, fs FS) (*Store, []Record, int, error) {
 	return s, records, skipped, nil
 }
 
-// Dir returns the state directory path.
-func (s *Store) Dir() string { return s.dir }
-
 // Close closes the journal's append handle.
 func (s *Store) Close() error { return s.Journal.Close() }

@@ -123,19 +123,3 @@ func (m *Model) Predict(d *dataset.Dataset) []int {
 	}
 	return out
 }
-
-// FeatureImportance returns |w| summed over classes per feature — the
-// ranking the optimization core uses when IIsy feature pruning must drop
-// "less impactful features until the SVM model fits" (§4).
-func (m *Model) FeatureImportance() []float64 {
-	imp := make([]float64, m.Config.Features)
-	for _, w := range m.W {
-		for j, v := range w {
-			if v < 0 {
-				v = -v
-			}
-			imp[j] += v
-		}
-	}
-	return imp
-}

@@ -106,24 +106,3 @@ func TestScoreAndPredictAgree(t *testing.T) {
 		}
 	}
 }
-
-func TestFeatureImportance(t *testing.T) {
-	// Class depends only on feature 0; its importance must dominate.
-	rng := rand.New(rand.NewSource(5))
-	d := dataset.New(400, 3)
-	for i := 0; i < 400; i++ {
-		x := rng.NormFloat64()
-		d.X.Set(i, 0, x)
-		d.X.Set(i, 1, rng.NormFloat64()*0.01)
-		d.X.Set(i, 2, rng.NormFloat64()*0.01)
-		if x > 0 {
-			d.Y[i] = 1
-		}
-	}
-	c := Config{Features: 3, Classes: 2, LearnRate: 0.1, Lambda: 0.001, Epochs: 10, Seed: 5}
-	m, _ := Train(c, d)
-	imp := m.FeatureImportance()
-	if imp[0] <= imp[1] || imp[0] <= imp[2] {
-		t.Fatalf("importance %v: feature 0 must dominate", imp)
-	}
-}

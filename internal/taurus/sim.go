@@ -35,10 +35,7 @@ type Sim struct {
 // an early Sim saturated each lane's partial separately, which diverged
 // from InferQ whenever a lane's partial overflowed but the full sum did
 // not (caught by translation validation).
-type stage struct {
-	name string
-	run  func(v []int64) []int64
-}
+type stage func(v []int64) []int64
 
 // NewSim compiles a DNN model for the grid. Only DNNs have a multi-stage
 // fabric pipeline; classical models map to single-kernel stages and are
@@ -66,9 +63,9 @@ func NewSim(g Grid, m *ir.Model) (*Sim, error) {
 		s.mean = append([]float64{}, m.Mean...)
 		s.std = append([]float64{}, m.Std...)
 	}
-	s.stages = append(s.stages, stage{name: "parse+extract", run: func(x []int64) []int64 { return x }})
+	s.stages = append(s.stages, func(x []int64) []int64 { return x }) // parse+extract
 
-	for li, l := range m.Layers {
+	for _, l := range m.Layers {
 		layer := l // capture
 		lanes := ceilDiv(layer.In, v)
 
@@ -83,57 +80,48 @@ func NewSim(g Grid, m *ir.Model) (*Sim, error) {
 		// product in one cycle (the intra-lane tree is charged
 		// intLog2(min(in, v)) extra cycles below, as pipeline fill). The
 		// partials are raw 2n-fraction-bit sums — no per-lane rescale.
-		s.stages = append(s.stages, stage{
-			name: fmt.Sprintf("layer%d.map", li),
-			run: func(x []int64) []int64 {
-				partials := make([]int64, layer.Out*lanes)
-				for o := 0; o < layer.Out; o++ {
-					for lane := 0; lane < lanes; lane++ {
-						lo := lane * v
-						hi := lo + v
-						if hi > layer.In {
-							hi = layer.In
-						}
-						var acc int64
-						for j := lo; j < hi; j++ {
-							acc += int64(wq[o][j]) * x[j]
-						}
-						partials[o*lanes+lane] = acc
+		s.stages = append(s.stages, func(x []int64) []int64 {
+			partials := make([]int64, layer.Out*lanes)
+			for o := 0; o < layer.Out; o++ {
+				for lane := 0; lane < lanes; lane++ {
+					lo := lane * v
+					hi := lo + v
+					if hi > layer.In {
+						hi = layer.In
 					}
+					var acc int64
+					for j := lo; j < hi; j++ {
+						acc += int64(wq[o][j]) * x[j]
+					}
+					partials[o*lanes+lane] = acc
 				}
-				return partials
-			},
+			}
+			return partials
 		})
-		for d := 0; d < intLog2(min(layer.In, v)); d++ {
-			s.stages = append(s.stages, stage{
-				name: fmt.Sprintf("layer%d.lane_reduce%d", li, d),
-				run:  func(x []int64) []int64 { return x }, // fill cycles of the intra-lane tree
-			})
+		for range intLog2(min(layer.In, v)) {
+			s.stages = append(s.stages, func(x []int64) []int64 { return x }) // fill cycles of the intra-lane tree
 		}
 
 		// Cross-lane reduce tree: halve the partials per neuron each
 		// cycle, keeping the wide accumulator (int64 addition is exact
 		// and associative here, so the tree order matches DotQ's sum).
 		reduceLanes := lanes
-		for d := 0; reduceLanes > 1; d++ {
+		for reduceLanes > 1 {
 			halved := (reduceLanes + 1) / 2
 			from := reduceLanes
-			s.stages = append(s.stages, stage{
-				name: fmt.Sprintf("layer%d.reduce%d", li, d),
-				run: func(x []int64) []int64 {
-					out := make([]int64, layer.Out*halved)
-					for o := 0; o < layer.Out; o++ {
-						for i := 0; i < halved; i++ {
-							a := x[o*from+2*i]
-							var b int64
-							if 2*i+1 < from {
-								b = x[o*from+2*i+1]
-							}
-							out[o*halved+i] = a + b
+			s.stages = append(s.stages, func(x []int64) []int64 {
+				out := make([]int64, layer.Out*halved)
+				for o := 0; o < layer.Out; o++ {
+					for i := 0; i < halved; i++ {
+						a := x[o*from+2*i]
+						var b int64
+						if 2*i+1 < from {
+							b = x[o*from+2*i+1]
 						}
+						out[o*halved+i] = a + b
 					}
-					return out
-				},
+				}
+				return out
 			})
 			reduceLanes = halved
 		}
@@ -141,36 +129,30 @@ func NewSim(g Grid, m *ir.Model) (*Sim, error) {
 		// Activation stage: one writeback of the wide accumulator (the
 		// DotQ semantics), then saturating bias add and PWL nonlinearity.
 		act := layer.Activation
-		s.stages = append(s.stages, stage{
-			name: fmt.Sprintf("layer%d.act", li),
-			run: func(x []int64) []int64 {
-				out := make([]int64, layer.Out)
-				for o := 0; o < layer.Out; o++ {
-					acc := f.Add(f.Writeback(x[o]), bq[o])
-					switch act {
-					case "relu":
-						acc = fixed.ReLUQ(acc)
-					case "sigmoid":
-						acc = f.SigmoidQ(acc)
-					case "tanh":
-						one := f.Quantize(1)
-						if acc > one {
-							acc = one
-						}
-						if acc < -one {
-							acc = -one
-						}
+		s.stages = append(s.stages, func(x []int64) []int64 {
+			out := make([]int64, layer.Out)
+			for o := 0; o < layer.Out; o++ {
+				acc := f.Add(f.Writeback(x[o]), bq[o])
+				switch act {
+				case "relu":
+					acc = fixed.ReLUQ(acc)
+				case "sigmoid":
+					acc = f.SigmoidQ(acc)
+				case "tanh":
+					one := f.Quantize(1)
+					if acc > one {
+						acc = one
 					}
-					out[o] = int64(acc)
+					if acc < -one {
+						acc = -one
+					}
 				}
-				return out
-			},
+				out[o] = int64(acc)
+			}
+			return out
 		})
 		// Double-buffer stage between layers.
-		s.stages = append(s.stages, stage{
-			name: fmt.Sprintf("layer%d.buffer", li),
-			run:  func(x []int64) []int64 { return x },
-		})
+		s.stages = append(s.stages, func(x []int64) []int64 { return x })
 	}
 	return s, nil
 }
@@ -199,7 +181,7 @@ func (s *Sim) Process(x []float64) (class int, cycles int, err error) {
 		v[i] = int64(w)
 	}
 	for _, st := range s.stages {
-		v = st.run(v)
+		v = st(v)
 	}
 	best, bi := v[0], 0
 	for i, val := range v {
@@ -208,43 +190,4 @@ func (s *Sim) Process(x []float64) (class int, cycles int, err error) {
 		}
 	}
 	return bi, s.Stages(), nil
-}
-
-// StreamStats summarizes a pipelined streaming run.
-type StreamStats struct {
-	Packets     int
-	FillCycles  int // latency of the first packet
-	TotalCycles int // fill + (packets-1) at II=1
-	// ThroughputPktsPerCycle is packets/TotalCycles — approaches 1.0 (one
-	// packet per cycle, i.e. line rate at the fabric clock) as the stream
-	// grows.
-	ThroughputPktsPerCycle float64
-}
-
-// ProcessStream pushes a batch through the pipeline with initiation
-// interval 1, returning per-packet classes and the cycle accounting.
-func (s *Sim) ProcessStream(xs [][]float64) ([]int, StreamStats, error) {
-	classes := make([]int, len(xs))
-	for i, x := range xs {
-		c, _, err := s.Process(x)
-		if err != nil {
-			return nil, StreamStats{}, err
-		}
-		classes[i] = c
-	}
-	stats := StreamStats{Packets: len(xs), FillCycles: s.Stages()}
-	if len(xs) > 0 {
-		stats.TotalCycles = stats.FillCycles + len(xs) - 1
-		stats.ThroughputPktsPerCycle = float64(len(xs)) / float64(stats.TotalCycles)
-	}
-	return classes, stats, nil
-}
-
-// StageNames lists the compiled pipeline stages for reports.
-func (s *Sim) StageNames() []string {
-	names := make([]string, len(s.stages))
-	for i, st := range s.stages {
-		names[i] = st.name
-	}
-	return names
 }

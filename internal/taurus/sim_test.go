@@ -98,35 +98,6 @@ func TestSimWithNormalizer(t *testing.T) {
 	}
 }
 
-func TestSimStreamThroughput(t *testing.T) {
-	m, d := trainedModel(t, []int{12, 6}, 4)
-	sim, err := NewSim(DefaultGrid(), m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var xs [][]float64
-	for i := 0; i < 200; i++ {
-		xs = append(xs, d.X.Row(i))
-	}
-	classes, stats, err := sim.ProcessStream(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(classes) != 200 {
-		t.Fatal("class per packet")
-	}
-	if stats.FillCycles != sim.Stages() {
-		t.Fatal("fill latency must equal pipeline depth")
-	}
-	if stats.TotalCycles != stats.FillCycles+199 {
-		t.Fatalf("II=1 accounting wrong: %+v", stats)
-	}
-	// Long streams approach one packet per cycle.
-	if stats.ThroughputPktsPerCycle < 0.85 {
-		t.Fatalf("throughput %v too low for 200-packet stream", stats.ThroughputPktsPerCycle)
-	}
-}
-
 func TestSimRejectsNonDNN(t *testing.T) {
 	m := &ir.Model{Kind: ir.SVM, Name: "s", Inputs: 2, Outputs: 2, Format: fixed.Q8_8,
 		SVM: &ir.SVMParams{W: [][]float64{{1, 2}, {3, 4}}, B: []float64{0, 0}}}
@@ -140,21 +111,6 @@ func TestSimProcessErrors(t *testing.T) {
 	sim, _ := NewSim(DefaultGrid(), m)
 	if _, _, err := sim.Process([]float64{1}); err == nil {
 		t.Fatal("wrong width must error")
-	}
-	if len(sim.StageNames()) != sim.Stages()+1 {
-		t.Fatal("stage names must cover parse + fabric stages")
-	}
-}
-
-func TestSimEmptyStream(t *testing.T) {
-	m, _ := trainedModel(t, []int{8}, 6)
-	sim, _ := NewSim(DefaultGrid(), m)
-	classes, stats, err := sim.ProcessStream(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(classes) != 0 || stats.TotalCycles != 0 {
-		t.Fatal("empty stream must be a no-op")
 	}
 }
 

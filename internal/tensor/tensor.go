@@ -66,20 +66,6 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 // Row returns a view (not a copy) of row i.
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
-// Zero sets every element to 0.
-func (m *Matrix) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-}
-
-// Fill sets every element to v.
-func (m *Matrix) Fill(v float64) {
-	for i := range m.Data {
-		m.Data[i] = v
-	}
-}
-
 // RandInit fills m with uniform values in [-scale, scale] drawn from rng.
 func (m *Matrix) RandInit(rng *rand.Rand, scale float64) {
 	for i := range m.Data {

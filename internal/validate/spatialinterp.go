@@ -322,9 +322,6 @@ func truncate(s string) string {
 	return s
 }
 
-// Inputs returns the artifact's declared feature width.
-func (s *SpatialInterp) Inputs() int { return s.inputs }
-
 // Classify executes the artifact over one feature vector.
 func (s *SpatialInterp) Classify(x []float64) (int, error) {
 	if len(x) != s.inputs {
