@@ -59,7 +59,8 @@ fuzz-number:
 # Native fuzzing of the batch kernel (the third nightly CI step, with a
 # 10 s smoke in ci.yml): FuzzPredictorBatch differentially checks
 # Predictor.ClassifyBatch against Model.InferQ, row by row, on fuzzed
-# models of all four families and fuzzed feature bit patterns.
+# models of all four families and fuzzed feature bit patterns, once per
+# dense tile kernel the host runs (the portable one and AVX2).
 fuzz-batch:
 	$(GO) test -run='^$$' -fuzz=FuzzPredictorBatch -fuzztime=$(FUZZ_BUDGET) ./internal/ir/
 
@@ -136,11 +137,11 @@ fuzz-journal:
 # gate, each written as a b.Fatalf inside its benchmark at a fixed
 # iteration count of its own.
 bench-smoke:
-	$(GO) test -bench=. -benchtime=1x -run='^$$' . ./internal/cluster/ ./internal/experiments/ ./internal/httpapi/
+	$(GO) test -bench=. -benchtime=1x -run='^$$' . ./internal/cluster/ ./internal/experiments/ ./internal/httpapi/ ./internal/ir/
 
 # Full benchmark pass with allocation reporting (slow).
 bench:
-	$(GO) test -bench=. -benchmem -run='^$$' . ./internal/cluster/ ./internal/experiments/ ./internal/httpapi/
+	$(GO) test -bench=. -benchmem -run='^$$' . ./internal/cluster/ ./internal/experiments/ ./internal/httpapi/ ./internal/ir/
 
 # Pinned staticcheck (the CI lint gate); requires network on first run
 # to install the tool.

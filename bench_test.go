@@ -743,29 +743,6 @@ func servedDNN(n int) (*ir.Model, [][]float64) {
 	return m, xs
 }
 
-// BenchmarkPredictorClassifyBatchDNN measures the batch kernel alone:
-// 256 vectors per op through Predictor.ClassifyBatch, 32 tiles of 8
-// lanes. internal/ir's BenchmarkPredictorClassifyDNN times single
-// Classify calls on the same model and reports the same per_vector_ns,
-// so the two are one comparison: the tile's eight lanes against the
-// single vector's four-neuron block.
-func BenchmarkPredictorClassifyBatchDNN(b *testing.B) {
-	m, xs := servedDNN(256)
-	p, err := ir.NewPredictor(m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	out := make([]int, len(xs))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := p.ClassifyBatch(xs, out); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(xs)), "per_vector_ns")
-}
-
 // BenchmarkServeClassifyBatch256 measures one 256-vector ClassifyBatch
 // through the deployment runtime with default options: spans of the
 // caller's rows in the rings, one kernel call per span. The call may

@@ -6,7 +6,10 @@ package ir
 // weight once and multiplies it into Tile accumulators that stay in
 // registers for the whole row. The model's parameters are a few KB and
 // L1-resident, so the cost of a layer is instructions per neuron, not
-// memory: the kernel blocks registers and does not tile for cache. The
+// memory: the kernel blocks registers and does not tile for cache. On an
+// amd64 CPU with AVX2 a dense layer is one call of tileAVX2
+// (tile_amd64.s), which runs the eight lanes in two ymm registers;
+// dotTile is the portable kernel and the one the tests hold it to. The
 // single-vector Classify (predictor.go) blocks the other way, four
 // neurons per pass over one vector, and shares this kernel's input
 // quantizer (quantizeRow) and neuron writeback (writeback.finish).
@@ -23,6 +26,10 @@ import (
 	"fmt"
 	"math"
 )
+
+// useAVX2 makes layerTile run its dense layer as one call of tileAVX2
+// (tile_amd64.s). It is decided once, at init.
+var useAVX2 = cpuAVX2()
 
 // Tile is the number of input vectors the batch kernel classifies
 // together. Eight int64 accumulators, the weight and the loop state fit
@@ -176,19 +183,27 @@ func dotTile(row, x []int32) (a0, a1, a2, a3, a4, a5, a6, a7 int64) {
 }
 
 // layerTile runs one dense layer over a tile: cur holds l.in features,
-// nxt receives l.out activations, both lane-minor.
+// nxt receives l.out activations, both lane-minor: tileAVX2 where the CPU
+// has AVX2, else dotTile and writeback.finish.
 func (p *Predictor) layerTile(l *flatLayer, cur, nxt []int32) {
-	wb, in := l.wb, l.in
-	cur = cur[:in*Tile]
-	for o := 0; o < l.out; o++ {
-		a0, a1, a2, a3, a4, a5, a6, a7 := dotTile(l.w[o*in:(o+1)*in], cur)
-		b := int64(l.b[o])
-		d := nxt[o*Tile : (o+1)*Tile : (o+1)*Tile]
-		d[0], d[1], d[2], d[3] = wb.finish(a0, b), wb.finish(a1, b), wb.finish(a2, b), wb.finish(a3, b)
-		d[4], d[5], d[6], d[7] = wb.finish(a4, b), wb.finish(a5, b), wb.finish(a6, b), wb.finish(a7, b)
+	wb, in, out := l.wb, l.in, l.out
+	// The assembly reads and writes through raw pointers: these slicings
+	// are its bounds checks.
+	w, b := l.w[:out*in], l.b[:out]
+	cur, nxt = cur[:in*Tile], nxt[:out*Tile]
+	if useAVX2 {
+		tileAVX2(w, b, cur, nxt, in, wb)
+	} else {
+		for o := range b {
+			a0, a1, a2, a3, a4, a5, a6, a7 := dotTile(w[o*in:(o+1)*in], cur)
+			bo := int64(b[o])
+			d := nxt[o*Tile : (o+1)*Tile : (o+1)*Tile]
+			d[0], d[1], d[2], d[3] = wb.finish(a0, bo), wb.finish(a1, bo), wb.finish(a2, bo), wb.finish(a3, bo)
+			d[4], d[5], d[6], d[7] = wb.finish(a4, bo), wb.finish(a5, bo), wb.finish(a6, bo), wb.finish(a7, bo)
+		}
 	}
 	if l.act == actSigmoid {
-		p.sigmoid(nxt[:l.out*Tile])
+		p.sigmoid(nxt)
 	}
 }
 

@@ -4,7 +4,8 @@ package ir
 // against Model.InferQ, row by row, for every family, activation, batch
 // size around the tile width, adversarial features and a row of the
 // wrong width at every position — plus a native fuzz target over the
-// same comparison.
+// same comparison. Each check runs once per dense tile kernel the host
+// can execute (forEachKernel).
 
 import (
 	"math"
@@ -13,6 +14,28 @@ import (
 
 	"repro/internal/fixed"
 )
+
+// forEachKernel calls f once per dense tile kernel this host can run —
+// the portable dotTile, and tileAVX2 where the CPU has AVX2 — with
+// layerTile dispatching to it, and restores the dispatch afterwards.
+func forEachKernel(f func(kernel string)) {
+	defer func(saved bool) { useAVX2 = saved }(useAVX2)
+	for _, avx2 := range []bool{false, true} {
+		if avx2 && !cpuAVX2() {
+			continue
+		}
+		useAVX2 = avx2
+		f(kernelName())
+	}
+}
+
+// kernelName names the tile kernel layerTile dispatches to.
+func kernelName() string {
+	if useAVX2 {
+		return "avx2"
+	}
+	return "go"
+}
 
 // checkBatch classifies xs through p.ClassifyBatch and compares every
 // row, and the error disposition, with m.InferQ.
@@ -30,12 +53,12 @@ func checkBatch(t testing.TB, m *Model, p *Predictor, xs [][]float64) {
 			want, bad = -1, true
 		}
 		if out[i] != want {
-			t.Fatalf("%s n=%d row %d: ClassifyBatch=%d InferQ=%d,%v (format %v, x=%v)",
-				m.Name, len(xs), i, out[i], want, werr, m.Format, x)
+			t.Fatalf("%s n=%d row %d, kernel=%s: ClassifyBatch=%d InferQ=%d,%v (format %v, x=%v)",
+				m.Name, len(xs), i, kernelName(), out[i], want, werr, m.Format, x)
 		}
 	}
 	if (err != nil) != bad {
-		t.Fatalf("%s n=%d: ClassifyBatch err=%v, want an error iff a row is malformed (%v)", m.Name, len(xs), err, bad)
+		t.Fatalf("%s n=%d, kernel=%s: ClassifyBatch err=%v, want an error iff a row is malformed (%v)", m.Name, len(xs), kernelName(), err, bad)
 	}
 }
 
@@ -50,6 +73,12 @@ func withActivation(rng *rand.Rand, act string) *Model {
 }
 
 func TestPredictorBatchMatchesInferQ(t *testing.T) {
+	forEachKernel(func(kernel string) {
+		t.Run("kernel="+kernel, testPredictorBatchMatchesInferQ)
+	})
+}
+
+func testPredictorBatchMatchesInferQ(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	var models []*Model
 	for _, act := range propActivations {
@@ -96,6 +125,12 @@ func TestPredictorBatchMatchesInferQ(t *testing.T) {
 // single-vector buffers are separate, and neither path leaves state the
 // other reads.
 func TestPredictorBatchInterleavesWithClassify(t *testing.T) {
+	forEachKernel(func(kernel string) {
+		t.Run("kernel="+kernel, testPredictorBatchInterleavesWithClassify)
+	})
+}
+
+func testPredictorBatchInterleavesWithClassify(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := fuzzDNN(rng)
 	p, err := NewPredictor(m)
@@ -117,10 +152,10 @@ func TestPredictorBatchInterleavesWithClassify(t *testing.T) {
 }
 
 // FuzzPredictorBatch derives a model of each family and a batch from the
-// fuzzer's bytes and checks ClassifyBatch against InferQ. seed picks the
-// models, n the batch size, raw the feature bit patterns (so NaN, ±Inf,
-// subnormals and saturating magnitudes all occur), badRow a row to give
-// the wrong width.
+// fuzzer's bytes and checks ClassifyBatch against InferQ on every tile
+// kernel. seed picks the models, n the batch size, raw the feature bit
+// patterns (so NaN, ±Inf, subnormals and saturating magnitudes all
+// occur), badRow a row to give the wrong width.
 func FuzzPredictorBatch(f *testing.F) {
 	f.Add(int64(1), uint8(0), []byte{}, uint8(0))
 	f.Add(int64(2), uint8(1), []byte{0x7f, 0xf8, 0, 0, 0, 0, 0, 1}, uint8(0))           // NaN, n < Tile
@@ -157,7 +192,7 @@ func FuzzPredictorBatch(f *testing.F) {
 			if badRow > 0 && int(badRow) <= len(xs) {
 				xs[badRow-1] = xs[badRow-1][:m.Inputs-1]
 			}
-			checkBatch(t, m, p, xs)
+			forEachKernel(func(string) { checkBatch(t, m, p, xs) })
 		}
 	})
 }

@@ -381,10 +381,10 @@ func TestPredictorReuseIsStateless(t *testing.T) {
 
 // servedDense is a dense model of the shape the repo benchmark serves,
 // built the way the root package's servedDNN builds it (seed 1, normal
-// weights and biases), with one input vector: a DNN 7→15→8→23→2 (ReLU,
+// weights and biases), with n input vectors: a DNN 7→15→8→23→2 (ReLU,
 // softmax head) when widths has hidden layers, an SVM when it is just
 // inputs and classes.
-func servedDense(kind Kind, widths ...int) (*Model, []float64) {
+func servedDense(kind Kind, n int, widths ...int) (*Model, [][]float64) {
 	rng := rand.New(rand.NewSource(1))
 	m := &Model{Kind: kind, Name: "served", Inputs: widths[0], Outputs: widths[len(widths)-1], Format: fixed.Q8_8}
 	for li := 1; li < len(widths); li++ {
@@ -406,11 +406,14 @@ func servedDense(kind Kind, widths ...int) (*Model, []float64) {
 		m.SVM = &SVMParams{W: m.Layers[0].W, B: m.Layers[0].B}
 		m.Layers = nil
 	}
-	x := make([]float64, m.Inputs)
-	for i := range x {
-		x[i] = rng.NormFloat64()
+	xs := make([][]float64, n)
+	for i := range xs {
+		xs[i] = make([]float64, m.Inputs)
+		for j := range xs[i] {
+			xs[i][j] = rng.NormFloat64()
+		}
 	}
-	return m, x
+	return m, xs
 }
 
 // benchClassify times single-vector Classify calls; per_vector_ns is the
@@ -432,15 +435,49 @@ func benchClassify(b *testing.B, m *Model, x []float64) {
 
 // BenchmarkPredictorClassifyDNN: the served DNN, 7→15→8→23→2.
 func BenchmarkPredictorClassifyDNN(b *testing.B) {
-	m, x := servedDense(DNN, 7, 15, 8, 23, 2)
-	benchClassify(b, m, x)
+	m, xs := servedDense(DNN, 1, 7, 15, 8, 23, 2)
+	benchClassify(b, m, xs[0])
 }
 
 // BenchmarkPredictorClassifySVM: the botnet fixture's SVM, 30 features,
 // 2 classes.
 func BenchmarkPredictorClassifySVM(b *testing.B) {
-	m, x := servedDense(SVM, 30, 2)
-	benchClassify(b, m, x)
+	m, xs := servedDense(SVM, 1, 30, 2)
+	benchClassify(b, m, xs[0])
+}
+
+// BenchmarkPredictorClassifyBatchDNN measures the batch kernel alone:
+// 256 vectors of the served DNN per op through ClassifyBatch, 32 tiles
+// of 8 lanes, once per tile kernel the host can run (kernel=go,
+// kernel=avx2). Its per_vector_ns compares with
+// BenchmarkPredictorClassifyDNN's: the tile's eight lanes against the
+// single vector's four-neuron block. The call allocates nothing, which
+// is asserted here.
+func BenchmarkPredictorClassifyBatchDNN(b *testing.B) {
+	m, xs := servedDense(DNN, 256, 7, 15, 8, 23, 2)
+	p, err := NewPredictor(m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	out := make([]int, len(xs))
+	forEachKernel(func(kernel string) {
+		b.Run("kernel="+kernel, func(b *testing.B) {
+			classify := func() {
+				if err := p.ClassifyBatch(xs, out); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if allocs := testing.AllocsPerRun(10, classify); allocs != 0 {
+				b.Fatalf("ClassifyBatch of 256 allocated %.1f times per op, budget 0", allocs)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				classify()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(xs)), "per_vector_ns")
+		})
+	})
 }
 
 func BenchmarkPredictorClassifyDTree(b *testing.B) {
