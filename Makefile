@@ -7,7 +7,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: check vet build test validate fuzz fuzz-wire fuzz-number fuzz-batch fuzz-job fuzz-tree fuzz-config fuzz-envelope fuzz-pipeline fuzz-manifest fuzz-p4 fuzz-journal bench-smoke bench staticcheck
+.PHONY: check vet build test validate fuzz fuzz-wire fuzz-number fuzz-batch fuzz-job fuzz-tree fuzz-config fuzz-envelope fuzz-pipeline fuzz-manifest fuzz-p4 fuzz-journal fuzz-spatial bench-smoke bench staticcheck
 
 check: vet build test
 
@@ -131,6 +131,16 @@ fuzz-p4:
 # the store tests write, torn tails included.
 fuzz-journal:
 	$(GO) test -run='^$$' -fuzz=FuzzJournalAppendAfterReplay -fuzztime=$(FUZZ_BUDGET) -fuzzminimizetime=100x ./internal/store/
+
+# Native fuzzing of the Spatial artifact interpreter's parser (the
+# thirteenth nightly CI step, with a 10 s smoke in ci.yml):
+# FuzzSpatialInterp feeds fuzzed artifact text, seeded from spatialgen's
+# goldens and the validate package's test-model artifacts, to
+# NewSpatialInterp; hostile text must be an error, never a panic, and an
+# accepted program must classify into one of its declared classes or
+# refuse.
+fuzz-spatial:
+	$(GO) test -run='^$$' -fuzz=FuzzSpatialInterp -fuzztime=$(FUZZ_BUDGET) -fuzzminimizetime=200x ./internal/validate/
 
 # One iteration of every benchmark, no unit tests: catches bit-rotted
 # benchmark code and asserts the allocation budgets and the autopilot

@@ -48,20 +48,10 @@ func (e *Endpoint) ApplyConfig(cfg ServingConfig) (RevisionInfo, error) {
 	if err := cfg.Validate(); err != nil {
 		return RevisionInfo{}, err
 	}
-	stable, _, _, _ := e.ep.View()
-	e.mu.Lock()
-	prev := e.meta[stable]
-	e.mu.Unlock()
 	rev, err := e.ep.Reconfigure(cfg)
 	if err != nil {
 		return RevisionInfo{}, fmt.Errorf("homunculus: apply config on %s: %w", e.name, err)
 	}
-	e.mu.Lock()
-	e.meta[rev.ID] = prev
-	e.mu.Unlock()
 	e.svc.persistEndpoints()
-	return RevisionInfo{
-		ID: rev.ID, JobID: prev.jobID, App: prev.app,
-		State: RevisionState(serve.RevStable), Created: rev.Created, Warm: true, Config: rev.Config(),
-	}, nil
+	return e.ep.RevisionInfo(rev), nil
 }

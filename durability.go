@@ -202,14 +202,16 @@ func (s *Service) storeArtifact(key string, pipe *Pipeline) {
 	s.putArtifact(key, raw)
 }
 
-// endpointArtifact ensures an endpoint revision's pipeline is in the
-// artifact store and returns its key: the compilation's content address
-// when the pipeline came from a job, otherwise the hash of the canonical
-// pipeline document (out-of-band pipelines have no spec to hash). An
-// empty return means the revision will not survive a restart.
-func (s *Service) endpointArtifact(pipe *Pipeline, jobID string) string {
+// origin is an endpoint revision's origin: its job, its app, and the
+// key of its pipeline in the artifact store, which origin ensures holds
+// it — the compilation's content address when the pipeline came from a
+// job, otherwise the hash of the canonical pipeline document
+// (out-of-band pipelines have no spec to hash). An empty Artifact means
+// the revision will not survive a restart.
+func (s *Service) origin(pipe *Pipeline, jobID, app string) serve.Origin {
+	o := serve.Origin{JobID: jobID, App: app}
 	if s.store == nil {
-		return ""
+		return o
 	}
 	key := ""
 	if jobID != "" {
@@ -220,16 +222,16 @@ func (s *Service) endpointArtifact(pipe *Pipeline, jobID string) string {
 	raw, err := MarshalPipeline(pipe)
 	if err != nil {
 		s.storeErr(fmt.Errorf("serialize endpoint pipeline: %w", err))
-		return ""
+		return o
 	}
 	if key == "" {
 		sum := sha256.Sum256(raw)
 		key = hex.EncodeToString(sum[:])
 	}
-	if !s.store.Artifacts.Has(key) && !s.putArtifact(key, raw) {
-		return ""
+	if s.store.Artifacts.Has(key) || s.putArtifact(key, raw) {
+		o.Artifact = key
 	}
-	return key
+	return o
 }
 
 // configDocument renders a serving config as its manifest document.
@@ -302,11 +304,10 @@ func (e *Endpoint) record() store.EndpointRecord {
 	}
 	rec.Stable, rec.Canary, rec.CanaryPercent, rec.Shadow = e.ep.View()
 	rec.Options = configDocument(e.ep.Config())
-	infos, metas := e.join(e.ep.RevisionInfos())
-	for i, r := range infos {
+	for _, r := range e.ep.RevisionInfos() {
 		rec.Revisions = append(rec.Revisions, store.RevisionRecord{
-			ID: r.ID, JobID: r.JobID, App: r.App, SpecHash: metas[i].specHash,
-			State: string(r.State), CanaryPercent: r.CanaryPercent,
+			ID: r.ID, JobID: r.JobID, App: r.App, SpecHash: r.Artifact,
+			State: string(r.State), CanaryPercent: r.CanaryPercent, Rollback: r.Rollback,
 			CreatedUnixNano: r.Created.UnixNano(), Options: configDocument(r.Config),
 		})
 	}
@@ -432,17 +433,18 @@ func (s *Service) recover(dir string, fs store.FS) error {
 
 // restoreEndpoint rebuilds one named endpoint from its manifest record,
 // loading each revision's model out of the artifact store. Every config
-// document is validated before anything is built from it. A version-3
-// revision document is the one its runtime was built from; versions 1
-// and 2 stored the rollout's override, which inherits the endpoint's
-// document as it did when those files were written.
+// document is validated before anything is built from it. A version-3 or
+// later revision document is the one its runtime was built from;
+// versions 1 and 2 stored the rollout's override, which inherits the
+// endpoint's document as it did when those files were written. Version 4
+// records which retired revisions are on the rollback stack; before it,
+// every retired revision is.
 func (s *Service) restoreEndpoint(rec store.EndpointRecord, manifestVersion int) error {
 	cfg, err := parseConfigDocument(rec.Options, manifestVersion)
 	if err != nil {
 		return err
 	}
 	revs := make([]serve.RestoreRevision, 0, len(rec.Revisions))
-	meta := make(map[int]revisionMeta, len(rec.Revisions))
 	for _, rr := range rec.Revisions {
 		rcfg, err := parseConfigDocument(rr.Options, manifestVersion)
 		if err != nil {
@@ -463,9 +465,10 @@ func (s *Service) restoreEndpoint(rec store.EndpointRecord, manifestVersion int)
 		revs = append(revs, serve.RestoreRevision{
 			ID: rr.ID, Model: model, Config: rcfg,
 			State: state, CanaryPercent: rr.CanaryPercent,
-			Created: time.Unix(0, rr.CreatedUnixNano),
+			Created:    time.Unix(0, rr.CreatedUnixNano),
+			Origin:     serve.Origin{JobID: rr.JobID, App: rr.App, Artifact: rr.SpecHash},
+			NoRollback: manifestVersion >= 4 && !rr.Rollback,
 		})
-		meta[rr.ID] = revisionMeta{jobID: rr.JobID, app: rr.App, specHash: rr.SpecHash}
 	}
 	sep, err := serve.RestoreEndpoint(rec.Name, cfg, revs)
 	if err != nil {
@@ -477,7 +480,6 @@ func (s *Service) restoreEndpoint(rec store.EndpointRecord, manifestVersion int)
 		created:  time.Unix(0, rec.CreatedUnixNano),
 		svc:      s,
 		ep:       sep,
-		meta:     meta,
 	}
 	s.mu.Lock()
 	if _, dup := s.endpoints[rec.Name]; dup {

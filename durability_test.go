@@ -352,6 +352,69 @@ func TestDurableEndpointSurvivesRestart(t *testing.T) {
 	}
 }
 
+// TestDurableAbortedRolloutStaysOffRollbackStack: an aborted canary
+// retires without joining the rollback stack, and a restart must not put
+// it there — the restored endpoint refuses Rollback exactly as the live
+// one did. A version-3 manifest, which did not record the stack, is still
+// read with every retired revision on it.
+func TestDurableAbortedRolloutStaysOffRollbackStack(t *testing.T) {
+	dir := t.TempDir()
+	svc := mustOpen(t, dir, nil)
+	job, _ := runJob(t, svc)
+	ep, err := svc.CreateEndpoint("aborted", job.ID(), EndpointOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ep.Rollout(job.ID(), RolloutOptions{CanaryPercent: 25}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ep.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ep.Rollback(); !errors.Is(err, ErrNoRollback) {
+		t.Fatalf("live rollback after the abort: %v, want ErrNoRollback", err)
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	svc2 := mustOpen(t, dir, nil)
+	ep2 := mustEndpoint(t, svc2, "aborted")
+	if revs := ep2.Revisions(); len(revs) != 2 || revs[1].State != "retired" || revs[1].Rollback {
+		t.Fatalf("restored revisions: %+v", revs)
+	}
+	if err := ep2.Rollback(); !errors.Is(err, ErrNoRollback) {
+		t.Fatalf("restored rollback after the abort: %v, want ErrNoRollback", err)
+	}
+	if stable, _, _, _ := ep2.View(); stable != 1 {
+		t.Fatalf("restored stable: %d", stable)
+	}
+	if err := svc2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(dir, "endpoints.json")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v3 := bytes.Replace(raw, []byte(`"version": 4`), []byte(`"version": 3`), 1)
+	if bytes.Equal(v3, raw) {
+		t.Fatalf("manifest is not version 4:\n%s", raw)
+	}
+	if err := os.WriteFile(path, v3, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	svc3 := mustOpen(t, dir, nil)
+	defer svc3.Close()
+	if err := mustEndpoint(t, svc3, "aborted").Rollback(); err != nil {
+		t.Fatalf("version-3 rollback onto the retired revision: %v", err)
+	}
+	if stable, _, _, _ := mustEndpoint(t, svc3, "aborted").View(); stable != 2 {
+		t.Fatalf("version-3 rollback: stable %d, want 2", stable)
+	}
+}
+
 // seedManifest compiles one job into a fresh state dir, closes the
 // service, and writes manifest (its SPEC_HASH placeholders replaced by
 // the job's artifact key) as the dir's endpoints.json.
@@ -375,7 +438,7 @@ func seedManifest(t *testing.T, manifest []byte) string {
 // the version-1 service wrote. Every endpoint restores with the flush
 // behaviour it ran with — in particular a positive flat max_delay_ns,
 // which never engaged a hold, reads back absent — and the next save
-// rewrites the file as version 3.
+// rewrites the file as version 4.
 func TestDurableManifestV1Restores(t *testing.T) {
 	fixture, err := os.ReadFile(filepath.Join("testdata", "endpoints_v1.json"))
 	if err != nil {
@@ -422,8 +485,8 @@ func TestDurableManifestV1Restores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(raw, []byte(`"version": 3`)) || bytes.Contains(raw, []byte("max_delay_set")) {
-		t.Fatalf("manifest not rewritten as version 3:\n%s", raw)
+	if !bytes.Contains(raw, []byte(`"version": 4`)) || bytes.Contains(raw, []byte("max_delay_set")) {
+		t.Fatalf("manifest not rewritten as version 4:\n%s", raw)
 	}
 }
 
@@ -433,9 +496,12 @@ func TestDurableManifestV1Restores(t *testing.T) {
 // names its key), and Open must come back without panicking or hanging.
 // A manifest that does not load restores nothing and counts a store
 // error; otherwise every record is either restored or skipped with a
-// store error, and every restored endpoint's documents re-parse through
-// ParseServingConfig to themselves. Seeds: the version-1 and version-2
-// fixtures and a version-3 manifest the current code writes.
+// store error, every restored endpoint's documents re-parse through
+// ParseServingConfig to themselves, and Rollback walks its stack until
+// refused. Seeds: the version-1 and version-2 fixtures, a version-4
+// manifest the current code writes, and that manifest with hostile
+// rollback bits — on the stable, on the canary, and on a retired
+// revision whose artifact is missing.
 func FuzzRestoreManifest(f *testing.F) {
 	base := f.TempDir()
 	seeder := mustOpen(f, base, nil)
@@ -456,11 +522,32 @@ func FuzzRestoreManifest(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	v3, err := os.ReadFile(filepath.Join(base, "endpoints.json"))
+	v4, err := os.ReadFile(filepath.Join(base, "endpoints.json"))
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(bytes.ReplaceAll(v3, []byte(hash), []byte("SPEC_HASH")))
+	v4 = bytes.ReplaceAll(v4, []byte(hash), []byte("SPEC_HASH"))
+	f.Add(v4)
+	for _, hostile := range []func(revs []store.RevisionRecord) []store.RevisionRecord{
+		func(revs []store.RevisionRecord) []store.RevisionRecord { revs[0].Rollback = true; return revs },
+		func(revs []store.RevisionRecord) []store.RevisionRecord { revs[1].Rollback = true; return revs },
+		func(revs []store.RevisionRecord) []store.RevisionRecord {
+			lost := revs[0]
+			lost.ID, lost.State, lost.SpecHash, lost.Rollback = 3, "retired", "missing", true
+			return append(revs, lost)
+		},
+	} {
+		var m store.Manifest
+		if err := json.Unmarshal(v4, &m); err != nil || len(m.Endpoints) != 1 || len(m.Endpoints[0].Revisions) != 2 {
+			f.Fatalf("seed manifest: %v\n%s", err, v4)
+		}
+		m.Endpoints[0].Revisions = hostile(m.Endpoints[0].Revisions)
+		raw, err := json.Marshal(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
 	for _, name := range []string{"endpoints_v1.json", "endpoints_v2.json"} {
 		raw, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
@@ -531,6 +618,13 @@ func FuzzRestoreManifest(f *testing.F) {
 					t.Fatalf("%s: restored config %s re-parses as %s", name, raw, again)
 				}
 			}
+			// Each Rollback aborts the rollout or pops the stack, so
+			// one more than the revision count must reach a refusal.
+			for i := 0; ep.Rollback() == nil; i++ {
+				if i == len(docs) {
+					t.Fatalf("%s: Rollback still succeeding after %d calls", name, i+1)
+				}
+			}
 		}
 	})
 }
@@ -542,7 +636,7 @@ func FuzzRestoreManifest(f *testing.F) {
 // exactly the bounds the version-2 service restored it to, pinned here
 // (for "applied", not the bounds it ran live: that service merged
 // ApplyConfig's document over the old one). The next save writes version
-// 3, which a second restart reads back unchanged.
+// 4, which a second restart reads back unchanged.
 func TestDurableManifestV2Restores(t *testing.T) {
 	fixture, err := os.ReadFile(filepath.Join("testdata", "endpoints_v2.json"))
 	if err != nil {
@@ -593,7 +687,7 @@ func TestDurableManifestV2Restores(t *testing.T) {
 	}
 	check(svc)
 
-	// Any lifecycle operation rewrites the manifest as version 3; its
+	// Any lifecycle operation rewrites the manifest as version 4; its
 	// effective documents restore as they are.
 	if err := mustEndpoint(t, svc, "applied").Rollback(); err != nil {
 		t.Fatal(err)
@@ -602,8 +696,8 @@ func TestDurableManifestV2Restores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(raw, []byte(`"version": 3`)) {
-		t.Fatalf("manifest not rewritten as version 3:\n%s", raw)
+	if !bytes.Contains(raw, []byte(`"version": 4`)) {
+		t.Fatalf("manifest not rewritten as version 4:\n%s", raw)
 	}
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)

@@ -96,33 +96,13 @@ type RolloutOptions struct {
 	Serving ServingConfig
 }
 
-// RevisionInfo describes one revision of an endpoint.
-type RevisionInfo struct {
-	// ID is the endpoint-local revision number, starting at 1.
-	ID int
-	// JobID is the compilation job the revision serves ("" when its
-	// pipeline was supplied directly).
-	JobID string
-	// App is the served application (model) name.
-	App string
-	// State is the revision's place in the lifecycle.
-	State RevisionState
-	// CanaryPercent is the traffic share of a canary revision.
-	CanaryPercent int
-	// Created is when the revision was rolled out.
-	Created time.Time
-	// Warm reports whether the revision holds a live runtime. Retired
-	// revisions beyond the endpoint's RetainRetired cap run cold: listed,
-	// rollback-able (their runtime is re-created on demand), but not
-	// consuming serving resources.
-	Warm bool
-	// Config is the revision's effective serving document: the one its
-	// runtime is built from and the manifest persists — a rollout's
-	// override merged over the endpoint's document, defaults not filled.
-	Config ServingConfig
-	// Stats snapshots the revision's own serving metrics.
-	Stats ServingStats
-}
+// RevisionInfo describes one revision of an endpoint: its ID, origin
+// (JobID is "" when the pipeline was supplied directly, Artifact "" when
+// the revision will not survive a restart), lifecycle state, warmth,
+// effective serving document and, in Stats, its own metrics. The
+// endpoint's serve.Endpoint is the one record of its revisions; this is
+// its row.
+type RevisionInfo = serve.RevisionStats
 
 // EndpointStats is a point-in-time snapshot of an endpoint: the merged
 // serving metrics, the per-revision breakdown, and the most recent
@@ -142,24 +122,13 @@ type Endpoint struct {
 	platform string
 	created  time.Time
 	svc      *Service
-	// ep holds the serving documents, the endpoint's and each
-	// revision's; the endpoint's ValidateRollouts gates every revision
-	// behind translation validation of its shipped artifact.
+	// ep holds the revisions — each with its origin — and the serving
+	// documents, the endpoint's and each revision's; the endpoint's
+	// ValidateRollouts gates every revision behind translation validation
+	// of its shipped artifact.
 	ep *serve.Endpoint
 
-	mu   sync.Mutex
-	meta map[int]revisionMeta // revision ID -> origin
-
 	forget sync.Once
-}
-
-type revisionMeta struct {
-	jobID string
-	app   string
-	// specHash keys the artifact store entry holding the revision's
-	// pipeline ("" on an in-memory service, or when persisting failed —
-	// the revision then does not survive a restart).
-	specHash string
 }
 
 // endpointNameRE bounds endpoint names to URL-path-safe route segments.
@@ -200,7 +169,10 @@ func (s *Service) createEndpoint(name string, pipe *Pipeline, jobID string, opts
 			return nil, err
 		}
 	}
-	sep, err := serve.NewEndpoint(name, app.Model, cfg)
+	sep, err := serve.RestoreEndpoint(name, cfg, []serve.RestoreRevision{{
+		ID: 1, Model: app.Model, Config: cfg, State: serve.RevStable,
+		Origin: s.origin(pipe, jobID, app.Name),
+	}})
 	if err != nil {
 		return nil, fmt.Errorf("homunculus: endpoint %s: %w", name, err)
 	}
@@ -210,11 +182,6 @@ func (s *Service) createEndpoint(name string, pipe *Pipeline, jobID string, opts
 		created:  time.Now(),
 		svc:      s,
 		ep:       sep,
-		meta: map[int]revisionMeta{1: {
-			jobID:    jobID,
-			app:      app.Name,
-			specHash: s.endpointArtifact(pipe, jobID),
-		}},
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -366,19 +333,12 @@ func (e *Endpoint) rollout(pipe *Pipeline, jobID string, opts RolloutOptions) (R
 		// rolls out the matching application — and fails loudly (via
 		// selectApp) if that app came back undeployable, rather than
 		// silently serving a different one.
-		e.mu.Lock()
-		var cur revisionMeta
-		maxID := 0
-		for id, m := range e.meta {
-			if id > maxID {
-				maxID, cur = id, m
-			}
-		}
-		e.mu.Unlock()
+		revs := e.ep.RevisionInfos()
+		cur := revs[len(revs)-1].App
 		if pipe != nil {
 			for i := range pipe.Apps {
-				if pipe.Apps[i].Name == cur.app {
-					want = cur.app
+				if pipe.Apps[i].Name == cur {
+					want = cur
 					break
 				}
 			}
@@ -400,26 +360,13 @@ func (e *Endpoint) rollout(pipe *Pipeline, jobID string, opts RolloutOptions) (R
 		CanaryPercent: opts.CanaryPercent,
 		Shadow:        opts.Shadow,
 		Serving:       opts.Serving,
+		Origin:        e.svc.origin(pipe, jobID, app.Name),
 	})
 	if err != nil {
 		return RevisionInfo{}, fmt.Errorf("homunculus: rollout on %s: %w", e.name, err)
 	}
-	e.mu.Lock()
-	e.meta[rev.ID] = revisionMeta{
-		jobID:    jobID,
-		app:      app.Name,
-		specHash: e.svc.endpointArtifact(pipe, jobID),
-	}
-	e.mu.Unlock()
 	e.svc.persistEndpoints()
-	state := RevisionState(serve.RevCanary)
-	if opts.Shadow {
-		state = serve.RevShadow
-	}
-	return RevisionInfo{
-		ID: rev.ID, JobID: jobID, App: app.Name,
-		State: state, CanaryPercent: opts.CanaryPercent, Created: rev.Created, Config: rev.Config(),
-	}, nil
+	return e.ep.RevisionInfo(rev), nil
 }
 
 // Promote makes the in-progress rollout the stable revision: requests
@@ -466,43 +413,20 @@ func (e *Endpoint) View() (stable, canary, canaryPercent, shadow int) { return e
 // Revisions lists every revision's lifecycle metadata in rollout order
 // without snapshotting the serving runtimes (the Stats field is zero —
 // use Stats() when counters are needed).
-func (e *Endpoint) Revisions() []RevisionInfo {
-	infos, _ := e.join(e.ep.RevisionInfos())
-	return infos
-}
+func (e *Endpoint) Revisions() []RevisionInfo { return e.ep.RevisionInfos() }
 
 // Stats snapshots the endpoint: merged metrics (counters and latency
 // histograms summed across revisions), the per-revision breakdown, and
 // the shadow divergence report.
 func (e *Endpoint) Stats() EndpointStats {
 	st := e.ep.Stats()
-	infos, _ := e.join(st.Revisions)
 	return EndpointStats{
 		Name:      e.name,
 		Platform:  e.platform,
-		Revisions: infos,
+		Revisions: st.Revisions,
 		Merged:    st.Merged,
 		Shadow:    st.Shadow,
 	}
-}
-
-// join pairs serve's revision rows with each revision's origin (e.meta)
-// — the one place the two meet. metas[i] is infos[i]'s origin.
-func (e *Endpoint) join(rows []serve.RevisionStats) (infos []RevisionInfo, metas []revisionMeta) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	infos = make([]RevisionInfo, len(rows))
-	metas = make([]revisionMeta, len(rows))
-	for i, r := range rows {
-		m := e.meta[r.ID]
-		infos[i] = RevisionInfo{
-			ID: r.ID, JobID: m.jobID, App: m.app,
-			State: r.State, CanaryPercent: r.CanaryPercent,
-			Created: r.Created, Warm: r.Warm, Config: r.Config, Stats: r.Stats,
-		}
-		metas[i] = m
-	}
-	return infos, metas
 }
 
 // RawServingStats is the wire (mergeable) form of serving metrics:

@@ -3,6 +3,7 @@ package homunculus
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -516,4 +517,51 @@ func TestServiceCloseDrainsEndpoints(t *testing.T) {
 	if _, err := svc.CreateEndpoint("late", job1.ID(), EndpointOptions{}); !errors.Is(err, ErrServiceClosed) {
 		t.Fatalf("create on closed service: %v", err)
 	}
+}
+
+// TestLifecycleReturnsListedRow: the row Rollout and ApplyConfig return
+// is the row Revisions lists for the new revision, origin and warmth
+// included — the endpoint keeps one record of its revisions.
+func TestLifecycleReturnsListedRow(t *testing.T) {
+	svc, job1, job2 := endpointService(t)
+	ep, err := svc.CreateEndpoint("rows", job1.ID(), EndpointOptions{Serving: greedyFlush()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := func(got RevisionInfo) {
+		t.Helper()
+		for _, r := range ep.Revisions() {
+			if r.ID == got.ID {
+				if !reflect.DeepEqual(got, r) {
+					t.Fatalf("returned row differs from the listed one:\nreturned %+v\nlisted   %+v", got, r)
+				}
+				if !got.Warm {
+					t.Fatalf("revision %d was just installed but reads cold", got.ID)
+				}
+				return
+			}
+		}
+		t.Fatalf("returned revision %d is not listed", got.ID)
+	}
+	for _, opts := range []RolloutOptions{{CanaryPercent: 40}, {Shadow: true}} {
+		rev, err := ep.Rollout(job2.ID(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rev.JobID != job2.ID() || rev.App != "ad" {
+			t.Fatalf("rollout origin: %+v", rev.Origin)
+		}
+		listed(rev)
+		if err := ep.Rollback(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rev, err := ep.ApplyConfig(ServingConfig{BatchSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rev.JobID != job1.ID() || rev.State != "stable" {
+		t.Fatalf("applied revision must keep the stable's origin: %+v", rev)
+	}
+	listed(rev)
 }

@@ -27,10 +27,11 @@ package serve
 // table caches each live revision's runtime pointer so the hot path
 // never touches revision state.
 //
-// RestoreEndpoint rebuilds an endpoint — revision history, routing,
-// canary/shadow config — from persisted state (the daemon's endpoint
-// manifest, internal/store), which is how named endpoints survive a
-// crash or restart.
+// RestoreEndpoint rebuilds an endpoint — revision history with each
+// revision's origin, routing, canary/shadow config, rollback stack —
+// from persisted state (the daemon's endpoint manifest, internal/store),
+// which is how named endpoints survive a crash or restart; a new
+// endpoint is its one-revision case.
 
 import (
 	"errors"
@@ -71,6 +72,17 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
+// Origin is where a revision came from. An endpoint stores and reports
+// it and never reads it; any field may be empty.
+type Origin struct {
+	// JobID is the compilation job the revision serves.
+	JobID string
+	// App is the served application (model) name.
+	App string
+	// Artifact keys the artifact-store entry holding the pipeline.
+	Artifact string
+}
+
 // Revision is one deployed model generation of an endpoint. Its runtime
 // serves while the revision routes traffic and stays warm after
 // retirement until the retention cap pushes it out; the model is kept
@@ -80,6 +92,8 @@ type Revision struct {
 	ID int
 	// Created is when the revision was rolled out.
 	Created time.Time
+	// Origin is where the revision came from; immutable.
+	Origin Origin
 
 	// model is the revision's compiled model; immutable after creation.
 	model *ir.Model
@@ -98,6 +112,12 @@ type Revision struct {
 	// endpoint's mu; the hot path never reads them.
 	state         RevisionState
 	canaryPercent int
+	// rollback marks a retired revision on the promote-history stack:
+	// Promote sets it on the stable it retires, and Rollback returns to
+	// the newest revision carrying it and clears it. The stack holds
+	// only revisions older than the stable, pushed in ID order, so the
+	// bit alone is the stack. Guarded by the endpoint's mu.
+	rollback bool
 }
 
 // Config returns the revision's effective serving document.
@@ -219,19 +239,32 @@ func (d *divergence) snapshot() *DivergenceStats {
 	return out
 }
 
-// RevisionStats is one revision's row in an endpoint stats snapshot.
+// RevisionStats is one revision's row: its identity, origin and place
+// in the lifecycle, and (in a Stats snapshot) its own serving metrics.
 type RevisionStats struct {
-	ID      int
-	State   RevisionState
+	// ID is the endpoint-local revision number, starting at 1.
+	ID int
+	// Origin is where the revision came from (r.JobID, r.App).
+	Origin
+	// State is the revision's place in the lifecycle.
+	State RevisionState
+	// Created is when the revision was rolled out.
 	Created time.Time
 	// CanaryPercent is the traffic slice of a RevCanary revision.
 	CanaryPercent int
 	// Warm reports whether the revision holds a live runtime (retired
 	// revisions beyond the retention cap run cold).
 	Warm bool
-	// Config is the revision's effective serving document.
+	// Rollback reports whether a retired revision is on the rollback
+	// stack: a stable that a Promote retired, which Rollback can return
+	// to. An aborted rollout, or a stable rolled back from, is not.
+	Rollback bool
+	// Config is the revision's effective serving document: a rollout's
+	// override merged over the endpoint's, defaults not filled.
 	Config ServingConfig
-	Stats  Stats
+	// Stats snapshots the revision's own serving metrics (zero in
+	// RevisionInfos and for a cold revision).
+	Stats Stats
 }
 
 // EndpointStats is a point-in-time snapshot of an endpoint: the merged
@@ -272,33 +305,15 @@ type Endpoint struct {
 	cfg        ServingConfig
 	revs       []*Revision
 	nextID     int
-	prevStable []*Revision // promote history, for rollback
 	lastShadow *divergence
 	closed     bool
 }
 
-// NewEndpoint starts an endpoint serving model as revision 1. cfg is the
-// endpoint's serving document; each rollout may override its fields.
+// NewEndpoint starts an endpoint serving model as revision 1, with no
+// origin. cfg is the endpoint's serving document; each rollout may
+// override its fields. It is RestoreEndpoint's one-revision case.
 func NewEndpoint(name string, model *ir.Model, cfg ServingConfig) (*Endpoint, error) {
-	if name == "" {
-		return nil, fmt.Errorf("serve: endpoint needs a name")
-	}
-	rt, err := New(model, cfg)
-	if err != nil {
-		return nil, err
-	}
-	e := &Endpoint{
-		name:      name,
-		cfg:       cfg,
-		start:     time.Now(),
-		mirrorSem: make(chan struct{}, mirrorDepth),
-	}
-	rev := &Revision{ID: 1, Created: time.Now(), model: model, cfg: cfg, state: RevStable}
-	rev.rt.Store(rt)
-	e.revs = []*Revision{rev}
-	e.nextID = 1
-	e.table.Store(&revTable{stable: rev, stableRT: rt})
-	return e, nil
+	return RestoreEndpoint(name, cfg, []RestoreRevision{{ID: 1, Model: model, Config: cfg, State: RevStable}})
 }
 
 // Name returns the endpoint's stable route name.
@@ -334,6 +349,8 @@ type RolloutConfig struct {
 	// Serving overrides the new revision's serving document; zero
 	// fields inherit the endpoint's (ServingConfig.Inherit).
 	Serving ServingConfig
+	// Origin is where the new revision came from.
+	Origin Origin
 }
 
 // Rollout starts serving model as a new revision behind the configured
@@ -355,7 +372,7 @@ func (e *Endpoint) rollout(model *ir.Model, cfg RolloutConfig, inherit bool) (*R
 		if inherit {
 			doc = doc.Inherit(e.cfg)
 		}
-		rev = &Revision{ID: e.nextID + 1, Created: time.Now(), model: model, cfg: doc}
+		rev = &Revision{ID: e.nextID + 1, Created: time.Now(), Origin: cfg.Origin, model: model, cfg: doc}
 		next, err := e.installLocked(cur, rev, cfg)
 		if err != nil {
 			return nil, err
@@ -466,8 +483,7 @@ func (e *Endpoint) Promote() error {
 		if next == nil {
 			return nil, ErrNoRollout
 		}
-		cur.stable.state = RevRetired
-		e.prevStable = append(e.prevStable, cur.stable)
+		cur.stable.state, cur.stable.rollback = RevRetired, true
 		next.state, next.canaryPercent = RevStable, 0
 		return &revTable{stable: next, stableRT: cur.rolloutRT}, nil
 	})
@@ -478,14 +494,15 @@ func (e *Endpoint) Promote() error {
 // revision built from cfg and promoted immediately, so the change is
 // one atomic routing-table swap, in-flight requests finish on the old
 // runtime, and the previous document stays one Rollback away. cfg is
-// complete: zero fields mean defaults, not the old values. Fails with
-// ErrRolloutActive while a canary or shadow rollout is in progress.
+// complete: zero fields mean defaults, not the old values. The new
+// revision keeps the stable's origin. Fails with ErrRolloutActive while
+// a canary or shadow rollout is in progress.
 func (e *Endpoint) Reconfigure(cfg ServingConfig) (*Revision, error) {
-	m := e.Model()
-	if m == nil {
+	t := e.table.Load()
+	if t == nil {
 		return nil, ErrClosed
 	}
-	rev, err := e.rollout(m, RolloutConfig{Serving: cfg}, false)
+	rev, err := e.rollout(t.stable.model, RolloutConfig{Serving: cfg, Origin: t.stable.Origin}, false)
 	if err != nil {
 		return nil, err
 	}
@@ -509,10 +526,15 @@ func (e *Endpoint) Rollback() error {
 			rolled.state, rolled.canaryPercent = RevRetired, 0
 			return &revTable{stable: cur.stable, stableRT: cur.stableRT}, nil
 		}
-		if len(e.prevStable) == 0 {
+		var prev *Revision
+		for _, r := range e.revs {
+			if r.rollback {
+				prev = r
+			}
+		}
+		if prev == nil {
 			return nil, ErrNoRollback
 		}
-		prev := e.prevStable[len(e.prevStable)-1]
 		rt := prev.rt.Load()
 		if rt == nil {
 			// The retention cap evicted this runtime; revive it from the
@@ -526,8 +548,8 @@ func (e *Endpoint) Rollback() error {
 			}
 			prev.rt.Store(rt)
 		}
-		e.prevStable = e.prevStable[:len(e.prevStable)-1]
-		cur.stable.state, prev.state = RevRetired, RevStable
+		cur.stable.state = RevRetired
+		prev.state, prev.rollback = RevStable, false
 		return &revTable{stable: prev, stableRT: rt}, nil
 	})
 }
@@ -709,8 +731,8 @@ func (e *Endpoint) mirror(t *revTable, xs [][]float64, classes []int) {
 	}()
 }
 
-// RevisionInfos lists every revision's lifecycle metadata (ID, state,
-// traffic share, warmth, document) in rollout order without
+// RevisionInfos lists every revision's row (ID, origin, state, traffic
+// share, warmth, rollback bit, document) in rollout order without
 // snapshotting the runtimes — the cheap form for listings that do not
 // need counters (Stats is left zero).
 func (e *Endpoint) RevisionInfos() []RevisionStats {
@@ -719,15 +741,28 @@ func (e *Endpoint) RevisionInfos() []RevisionStats {
 	return e.rowsLocked()
 }
 
+// RevisionInfo is r's row as RevisionInfos lists it now.
+func (e *Endpoint) RevisionInfo(r *Revision) RevisionStats {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return r.rowLocked()
+}
+
 func (e *Endpoint) rowsLocked() []RevisionStats {
 	out := make([]RevisionStats, 0, len(e.revs))
 	for _, r := range e.revs {
-		out = append(out, RevisionStats{
-			ID: r.ID, State: r.state, Created: r.Created, CanaryPercent: r.canaryPercent,
-			Warm: r.rt.Load() != nil, Config: r.cfg,
-		})
+		out = append(out, r.rowLocked())
 	}
 	return out
+}
+
+// rowLocked renders the revision's row; the caller holds the endpoint's
+// mu.
+func (r *Revision) rowLocked() RevisionStats {
+	return RevisionStats{
+		ID: r.ID, Origin: r.Origin, State: r.state, Created: r.Created, CanaryPercent: r.canaryPercent,
+		Warm: r.rt.Load() != nil, Rollback: r.rollback, Config: r.cfg,
+	}
 }
 
 // View reports the endpoint's current routing: the stable revision ID,
@@ -827,22 +862,30 @@ type RestoreRevision struct {
 	CanaryPercent int
 	// Created is the revision's original rollout time (now if zero).
 	Created time.Time
+	// Origin is where the revision came from.
+	Origin Origin
+	// NoRollback keeps a retired revision off the rollback stack
+	// (RevisionStats.Rollback false). The zero value puts every retired
+	// revision on it, the rule for histories that did not record the
+	// stack.
+	NoRollback bool
 }
 
-// RestoreEndpoint rebuilds an endpoint from persisted state: the same
-// revision history, routing table, and canary/shadow configuration it
-// had when the manifest was written. The manifest's shape is checked
-// here; the live rollout is installed, and the retired revisions kept
-// warm, by the same helpers the live lifecycle uses — a restore checks
-// everything a Rollout does. Older retired revisions come back cold.
-// Serving counters and shadow divergence tallies restart from zero —
-// stats are not durable.
+// RestoreEndpoint builds an endpoint from a revision history: the same
+// revisions, routing table, canary/shadow configuration and rollback
+// stack it had when the history was recorded. A new endpoint is the
+// one-revision case (NewEndpoint). The history's shape is checked here;
+// the live rollout is installed, and the retired revisions kept warm, by
+// the same helpers the live lifecycle uses — a restore checks everything
+// a Rollout does. Older retired revisions come back cold. Serving
+// counters and shadow divergence tallies restart from zero — stats are
+// not durable.
 func RestoreEndpoint(name string, cfg ServingConfig, revs []RestoreRevision) (*Endpoint, error) {
 	if name == "" {
 		return nil, fmt.Errorf("serve: endpoint needs a name")
 	}
 	if len(revs) == 0 {
-		return nil, fmt.Errorf("serve: restore %q: no revisions", name)
+		return nil, fmt.Errorf("serve: endpoint %q: no revisions", name)
 	}
 	e := &Endpoint{
 		name:      name,
@@ -857,11 +900,12 @@ func RestoreEndpoint(name string, cfg ServingConfig, revs []RestoreRevision) (*E
 	var split RolloutConfig
 	for _, rr := range sorted {
 		if rr.ID <= e.nextID {
-			return nil, fmt.Errorf("serve: restore %q: duplicate or non-positive revision ID %d", name, rr.ID)
+			return nil, fmt.Errorf("serve: endpoint %q: duplicate or non-positive revision ID %d", name, rr.ID)
 		}
 		rev := &Revision{
-			ID: rr.ID, Created: rr.Created, model: rr.Model,
+			ID: rr.ID, Created: rr.Created, Origin: rr.Origin, model: rr.Model,
 			cfg: rr.Config, state: rr.State, canaryPercent: rr.CanaryPercent,
+			rollback: rr.State == RevRetired && !rr.NoRollback,
 		}
 		if rev.Created.IsZero() {
 			rev.Created = time.Now()
@@ -869,36 +913,36 @@ func RestoreEndpoint(name string, cfg ServingConfig, revs []RestoreRevision) (*E
 		switch rr.State {
 		case RevStable:
 			if stable != nil {
-				return nil, fmt.Errorf("serve: restore %q: two stable revisions (%d, %d)", name, stable.ID, rr.ID)
+				return nil, fmt.Errorf("serve: endpoint %q: two stable revisions (%d, %d)", name, stable.ID, rr.ID)
 			}
 			stable = rev
 		case RevCanary, RevShadow:
 			if rollout != nil {
-				return nil, fmt.Errorf("serve: restore %q: more than one live rollout", name)
+				return nil, fmt.Errorf("serve: endpoint %q: more than one live rollout", name)
 			}
 			rollout = rev
 			split = RolloutConfig{CanaryPercent: rr.CanaryPercent, Shadow: rr.State == RevShadow}
 		case RevRetired:
 		default:
-			return nil, fmt.Errorf("serve: restore %q: revision %d has unknown state %q", name, rr.ID, rr.State)
+			return nil, fmt.Errorf("serve: endpoint %q: revision %d has unknown state %q", name, rr.ID, rr.State)
 		}
 		e.revs = append(e.revs, rev)
 		e.nextID = rr.ID
 	}
 	if stable == nil {
-		return nil, fmt.Errorf("serve: restore %q: no stable revision", name)
+		return nil, fmt.Errorf("serve: endpoint %q: no stable revision", name)
 	}
 
 	rt, err := New(stable.model, stable.cfg)
 	if err != nil {
-		return nil, fmt.Errorf("serve: restore %q revision %d: %w", name, stable.ID, err)
+		return nil, fmt.Errorf("serve: endpoint %q revision %d: %w", name, stable.ID, err)
 	}
 	stable.rt.Store(rt)
 	table := &revTable{stable: stable, stableRT: rt}
 	if rollout != nil {
 		if table, err = e.installLocked(table, rollout, split); err != nil {
 			_ = rt.Close() // a rejected restore leaks nothing
-			return nil, fmt.Errorf("serve: restore %q: %w", name, err)
+			return nil, fmt.Errorf("serve: endpoint %q: %w", name, err)
 		}
 	}
 
@@ -915,9 +959,6 @@ func RestoreEndpoint(name string, cfg ServingConfig, revs []RestoreRevision) (*E
 			r.rt.Store(rt)
 		}
 	}
-	// The promote-history stack is rebuilt in revision order: rolling
-	// back walks retired revisions newest first.
-	e.prevStable = retired
 	e.table.Store(table)
 	return e, nil
 }

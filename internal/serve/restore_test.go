@@ -224,12 +224,13 @@ func TestRestoreEndpointRejectsBadManifests(t *testing.T) {
 }
 
 // routing renders what an endpoint's lifecycle exposes: its view and
-// every revision's state, traffic share and warmth.
+// every revision's state, traffic share, warmth and place on the
+// rollback stack.
 func routing(e *Endpoint) string {
 	st, ca, pct, sh := e.View()
 	out := fmt.Sprintf("view %d/%d@%d%%/%d", st, ca, pct, sh)
 	for _, r := range e.RevisionInfos() {
-		out += fmt.Sprintf(" | %d %s %d%% warm=%v", r.ID, r.State, r.CanaryPercent, r.Warm)
+		out += fmt.Sprintf(" | %d %s %d%% warm=%v rollback=%v", r.ID, r.State, r.CanaryPercent, r.Warm, r.Rollback)
 	}
 	return out
 }
@@ -237,35 +238,61 @@ func routing(e *Endpoint) string {
 // TestRestoreMatchesLive rebuilds a live endpoint from its revisions and
 // requires the copy to route, keep warm and roll back exactly as the
 // original does: the live lifecycle and RestoreEndpoint share one
-// install path and one retention rule.
+// install path, one retention rule and one rollback stack. The aborted
+// rollouts and the rollback before a new rollout leave retired revisions
+// that are not on the stack; a restore that put every retired revision
+// on it would roll back onto them.
 func TestRestoreMatchesLive(t *testing.T) {
 	cfg := ServingConfig{BatchSize: 4, RetainRetired: 1}
-	canary := func(t *testing.T, ep *Endpoint) {
-		promoteN(t, ep, 1, 3)
-		if _, err := ep.Rollout(constModel(4), RolloutConfig{CanaryPercent: 30}); err != nil {
+	must := func(t *testing.T, err error) {
+		t.Helper()
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	for name, drive := range map[string]func(*testing.T, *Endpoint){
-		"canary": canary,
-		"shadow": func(t *testing.T, ep *Endpoint) {
+	canary := func(t *testing.T, ep *Endpoint) {
+		promoteN(t, ep, 1, 3)
+		_, err := ep.Rollout(constModel(4), RolloutConfig{CanaryPercent: 30})
+		must(t, err)
+	}
+	for name, tc := range map[string]struct {
+		drive func(*testing.T, *Endpoint)
+		// rollbacks is how many Rollbacks succeed before ErrNoRollback.
+		rollbacks int
+	}{
+		"canary": {canary, 4},
+		"shadow": {func(t *testing.T, ep *Endpoint) {
 			canary(t, ep)
-			if err := ep.Promote(); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := ep.Rollout(constModel(5), RolloutConfig{Shadow: true}); err != nil {
-				t.Fatal(err)
-			}
-		},
+			must(t, ep.Promote())
+			_, err := ep.Rollout(constModel(5), RolloutConfig{Shadow: true})
+			must(t, err)
+		}, 5},
+		"aborted canary": {func(t *testing.T, ep *Endpoint) {
+			canary(t, ep)
+			must(t, ep.Rollback())
+		}, 3},
+		"aborted shadow": {func(t *testing.T, ep *Endpoint) {
+			promoteN(t, ep, 1, 3)
+			_, err := ep.Rollout(constModel(4), RolloutConfig{Shadow: true})
+			must(t, err)
+			must(t, ep.Rollback())
+		}, 3},
+		"rollback then rollout": {func(t *testing.T, ep *Endpoint) {
+			promoteN(t, ep, 1, 3)
+			must(t, ep.Rollback())
+			_, err := ep.Rollout(constModel(5), RolloutConfig{CanaryPercent: 30})
+			must(t, err)
+		}, 3},
 	} {
 		t.Run(name, func(t *testing.T) {
 			live := mustEndpoint(t, 0, cfg)
-			drive(t, live)
+			tc.drive(t, live)
 			var revs []RestoreRevision
 			for i, r := range live.RevisionInfos() {
 				revs = append(revs, RestoreRevision{
 					ID: r.ID, Model: live.revs[i].model, Config: r.Config,
 					State: r.State, CanaryPercent: r.CanaryPercent, Created: r.Created,
+					NoRollback: !r.Rollback,
 				})
 			}
 			restored, err := RestoreEndpoint("ep", cfg, revs)
@@ -282,8 +309,8 @@ func TestRestoreMatchesLive(t *testing.T) {
 					t.Fatalf("rollback %d: restored %v, live %v", step+1, errRestored, errLive)
 				}
 				if errLive != nil {
-					if !errors.Is(errLive, ErrNoRollback) || step < 4 {
-						t.Fatalf("rollback %d: %v", step+1, errLive)
+					if !errors.Is(errLive, ErrNoRollback) || step != tc.rollbacks {
+						t.Fatalf("rollback %d: %v, want ErrNoRollback after %d", step+1, errLive, tc.rollbacks)
 					}
 					return
 				}

@@ -13,13 +13,14 @@ import (
 	"path/filepath"
 )
 
-// manifestVersion 3 persists each revision's effective serving document,
-// the one its runtime was built from. Version 2 (canonical documents, a
-// revision's holding only its rollout override) and version 1 (flat knob
-// records, a separate max_delay_set flag) are still read; the service
-// translates their records on restore and the next save rewrites the
-// file as version 3.
-const manifestVersion = 3
+// manifestVersion 4 marks which retired revisions are on the rollback
+// stack. Version 3 (each revision's effective serving document, no stack:
+// every retired revision counts as on it), version 2 (canonical
+// documents, a revision's holding only its rollout override) and version
+// 1 (flat knob records, a separate max_delay_set flag) are still read;
+// the service translates their records on restore and the next save
+// rewrites the file as version 4.
+const manifestVersion = 4
 
 // Manifest is the persisted endpoint table.
 type Manifest struct {
@@ -59,9 +60,14 @@ type RevisionRecord struct {
 	// SpecHash keys the artifact holding the revision's pipeline.
 	SpecHash string `json:"spec_hash"`
 	// State is "stable", "canary", "shadow", or "retired".
-	State           string `json:"state"`
-	CanaryPercent   int    `json:"canary_percent,omitempty"`
-	CreatedUnixNano int64  `json:"created_unix_nano"`
+	State         string `json:"state"`
+	CanaryPercent int    `json:"canary_percent,omitempty"`
+	// Rollback marks a retired revision Rollback can return to: one a
+	// Promote retired, not an aborted rollout or a stable rolled back
+	// from. The stack is in ascending ID order, so the bit is enough.
+	// Versions 1 to 3 did not record it.
+	Rollback        bool  `json:"rollback,omitempty"`
+	CreatedUnixNano int64 `json:"created_unix_nano"`
 	// Options is the revision's effective serving-config document
 	// (versions 1 and 2: its rollout override, whose zero fields
 	// inherit the endpoint's document).

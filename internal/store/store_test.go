@@ -368,13 +368,13 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err := json.Compact(&doc, ep.Options); err != nil || doc.String() != string(want.Endpoints[0].Options) {
 		t.Fatalf("options document = %s (%v), want %s", ep.Options, err, want.Endpoints[0].Options)
 	}
-	if got.Version != 3 {
-		t.Fatalf("saved manifest version = %d, want 3", got.Version)
+	if got.Version != 4 {
+		t.Fatalf("saved manifest version = %d, want 4", got.Version)
 	}
 
-	// Version 1 and 2 files still load (the service translates their
+	// Version 1 to 3 files still load (the service translates their
 	// records); unknown versions are refused.
-	for version, ok := range map[int]bool{0: false, 1: true, 2: true, 4: false} {
+	for version, ok := range map[int]bool{0: false, 1: true, 2: true, 3: true, 4: true, 5: false} {
 		raw := fmt.Sprintf(`{"version":%d,"endpoints":[{"name":"old","options":{"batch_size":8,"max_delay_set":true}}]}`, version)
 		if err := os.WriteFile(filepath.Join(dir, "endpoints.json"), []byte(raw), 0o644); err != nil {
 			t.Fatal(err)

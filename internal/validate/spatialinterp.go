@@ -58,16 +58,24 @@ var (
 )
 
 // NewSpatialInterp parses the emitted Spatial source into an executable
-// form.
+// form. A program whose shapes no model has — LUTs that do not chain
+// from the declared inputs to the declared outputs, a tree testing a
+// feature outside the input or reaching a class outside the outputs — is
+// refused here (the rules of ir.Model.Validate), so Classify never
+// indexes out of range.
 func NewSpatialInterp(source string) (*SpatialInterp, error) {
 	s := &SpatialInterp{}
 	hm := spHeaderRE.FindStringSubmatch(source)
 	if hm == nil {
 		return nil, fmt.Errorf("validate: spatial artifact has no inputs/outputs/format header")
 	}
-	s.inputs, _ = strconv.Atoi(hm[1])
-	s.outputs, _ = strconv.Atoi(hm[2])
 	var err error
+	if s.inputs, err = strconv.Atoi(hm[1]); err != nil || s.inputs < 1 {
+		return nil, fmt.Errorf("validate: spatial artifact declares inputs=%s, want at least 1", hm[1])
+	}
+	if s.outputs, err = strconv.Atoi(hm[2]); err != nil || s.outputs < 1 {
+		return nil, fmt.Errorf("validate: spatial artifact declares outputs=%s, want at least 1", hm[2])
+	}
 	if s.format, err = fixed.ParseFormat(hm[3]); err != nil {
 		return nil, fmt.Errorf("validate: spatial artifact: %w", err)
 	}
@@ -91,10 +99,15 @@ func NewSpatialInterp(source string) (*SpatialInterp, error) {
 	}{}
 	for _, loc := range spLutRE.FindAllStringSubmatchIndex(source, -1) {
 		name := source[loc[2]:loc[3]]
-		rows, _ := strconv.Atoi(source[loc[4]:loc[5]])
+		rows, err := strconv.Atoi(source[loc[4]:loc[5]])
+		if err != nil || rows < 1 {
+			return nil, fmt.Errorf("validate: spatial artifact: LUT %s has %s rows, want at least 1", name, source[loc[4]:loc[5]])
+		}
 		cols := 0
 		if loc[6] >= 0 {
-			cols, _ = strconv.Atoi(source[loc[6]:loc[7]])
+			if cols, err = strconv.Atoi(source[loc[6]:loc[7]]); err != nil || cols < 1 {
+				return nil, fmt.Errorf("validate: spatial artifact: LUT %s has %s columns, want at least 1", name, source[loc[6]:loc[7]])
+			}
 		}
 		body, err := balancedParen(source, loc[1]-1)
 		if err != nil {
@@ -104,12 +117,10 @@ func NewSpatialInterp(source string) (*SpatialInterp, error) {
 		if err != nil {
 			return nil, fmt.Errorf("validate: spatial artifact: LUT %s: %w", name, err)
 		}
-		want := rows
-		if cols > 0 {
-			want = rows * cols
-		}
-		if len(vals) != want {
-			return nil, fmt.Errorf("validate: spatial artifact: LUT %s has %d values, want %d", name, len(vals), want)
+		// rows x cols is checked by division: the product of two hostile
+		// sizes may overflow.
+		if n := len(vals); cols == 0 && n != rows || cols > 0 && (n%cols != 0 || n/cols != rows) {
+			return nil, fmt.Errorf("validate: spatial artifact: LUT %s has %d values for %d x %d", name, n, rows, max(cols, 1))
 		}
 		luts[name] = struct {
 			rows, cols int
@@ -128,8 +139,9 @@ func NewSpatialInterp(source string) (*SpatialInterp, error) {
 		if !ok {
 			return nil, fmt.Errorf("validate: spatial svm artifact has no bias LUT")
 		}
-		if wl.rows != s.outputs || len(bl.vals) != s.outputs {
-			return nil, fmt.Errorf("validate: spatial svm artifact carries %d hyperplanes/%d biases for %d classes", wl.rows, len(bl.vals), s.outputs)
+		if wl.rows != s.outputs || len(bl.vals) != s.outputs || wl.cols != s.inputs {
+			return nil, fmt.Errorf("validate: spatial svm artifact carries %d hyperplanes of %d/%d biases for %d classes of %d features",
+				wl.rows, wl.cols, len(bl.vals), s.outputs, s.inputs)
 		}
 		s.w = reshape(wl.vals, wl.rows, wl.cols)
 		s.bias = bl.vals
@@ -139,8 +151,9 @@ func NewSpatialInterp(source string) (*SpatialInterp, error) {
 		if !ok || cl.cols == 0 {
 			return nil, fmt.Errorf("validate: spatial kmeans artifact has no centroid LUT")
 		}
-		if cl.rows != s.outputs {
-			return nil, fmt.Errorf("validate: spatial kmeans artifact carries %d centroids for %d clusters", cl.rows, s.outputs)
+		if cl.rows != s.outputs || cl.cols != s.inputs {
+			return nil, fmt.Errorf("validate: spatial kmeans artifact carries %d centroids of %d for %d clusters of %d features",
+				cl.rows, cl.cols, s.outputs, s.inputs)
 		}
 		s.w = reshape(cl.vals, cl.rows, cl.cols)
 		if !strings.Contains(source, "ArgMin(") {
@@ -154,7 +167,7 @@ func NewSpatialInterp(source string) (*SpatialInterp, error) {
 		if end := strings.Index(expr, "\n"); end >= 0 {
 			expr = expr[:end]
 		}
-		node, rest, err := parseMux(strings.TrimSpace(expr))
+		node, rest, err := s.parseMux(strings.TrimSpace(expr))
 		if err != nil {
 			return nil, fmt.Errorf("validate: spatial tree artifact: %w", err)
 		}
@@ -170,15 +183,17 @@ func NewSpatialInterp(source string) (*SpatialInterp, error) {
 			li, _ := strconv.Atoi(am[1])
 			acts[li] = activationName(am[2])
 		}
+		prev := s.inputs
 		for i := 0; ; i++ {
 			wl, ok := luts[fmt.Sprintf("w%d", i)]
 			if !ok {
 				break
 			}
 			bl, ok := luts[fmt.Sprintf("b%d", i)]
-			if !ok || wl.cols == 0 {
+			if !ok || wl.cols != prev || len(bl.vals) != wl.rows {
 				return nil, fmt.Errorf("validate: spatial dnn artifact: layer %d LUTs malformed", i)
 			}
+			prev = wl.rows
 			act, ok := acts[i]
 			if !ok {
 				return nil, fmt.Errorf("validate: spatial dnn artifact: layer %d has no activation", i)
@@ -191,6 +206,9 @@ func NewSpatialInterp(source string) (*SpatialInterp, error) {
 		}
 		if len(s.layers) == 0 {
 			return nil, fmt.Errorf("validate: spatial artifact matches no known template structure")
+		}
+		if prev != s.outputs {
+			return nil, fmt.Errorf("validate: spatial dnn artifact ends in %d outputs, declares %d", prev, s.outputs)
 		}
 	}
 	return s, nil
@@ -255,8 +273,9 @@ func activationName(fn string) string {
 }
 
 // parseMux parses `mux(<vec>(<idx>) <= <float>.to[T], <expr>, <expr>)` or
-// an integer leaf, returning the node and the unconsumed remainder.
-func parseMux(expr string) (*muxNode, string, error) {
+// an integer leaf, returning the node and the unconsumed remainder. A
+// feature outside the input or a class outside the outputs is refused.
+func (s *SpatialInterp) parseMux(expr string) (*muxNode, string, error) {
 	expr = strings.TrimSpace(expr)
 	if !strings.HasPrefix(expr, "mux(") {
 		i := 0
@@ -267,8 +286,8 @@ func parseMux(expr string) (*muxNode, string, error) {
 			return nil, expr, fmt.Errorf("expected mux or leaf class at %q", truncate(expr))
 		}
 		cls, err := strconv.Atoi(expr[:i])
-		if err != nil {
-			return nil, expr, err
+		if err != nil || cls < 0 || cls >= s.outputs {
+			return nil, expr, fmt.Errorf("leaf class %s outside [0, %d)", expr[:i], s.outputs)
 		}
 		return &muxNode{feature: -1, class: cls}, expr[i:], nil
 	}
@@ -282,8 +301,8 @@ func parseMux(expr string) (*muxNode, string, error) {
 		return nil, expr, fmt.Errorf("mux condition unterminated at %q", truncate(rest))
 	}
 	feat, err := strconv.Atoi(rest[open+1 : open+closeIdx])
-	if err != nil {
-		return nil, expr, fmt.Errorf("mux feature index: %w", err)
+	if err != nil || feat < 0 || feat >= s.inputs {
+		return nil, expr, fmt.Errorf("mux feature index %q outside [0, %d)", rest[open+1:open+closeIdx], s.inputs)
 	}
 	rest = rest[open+closeIdx+1:]
 	le := strings.Index(rest, "<=")
@@ -296,7 +315,7 @@ func parseMux(expr string) (*muxNode, string, error) {
 		return nil, expr, fmt.Errorf("mux threshold: %w", err)
 	}
 	rest = rest[toT+len(".to[T],"):]
-	left, rest, err := parseMux(rest)
+	left, rest, err := s.parseMux(rest)
 	if err != nil {
 		return nil, expr, err
 	}
@@ -304,7 +323,7 @@ func parseMux(expr string) (*muxNode, string, error) {
 	if !strings.HasPrefix(rest, ",") {
 		return nil, expr, fmt.Errorf("mux missing right arm at %q", truncate(rest))
 	}
-	right, rest, err := parseMux(rest[1:])
+	right, rest, err := s.parseMux(rest[1:])
 	if err != nil {
 		return nil, expr, err
 	}
@@ -339,9 +358,6 @@ func (s *SpatialInterp) Classify(x []float64) (int, error) {
 	switch s.kind {
 	case "dnn":
 		for _, l := range s.layers {
-			if l.in != len(v) {
-				return 0, fmt.Errorf("validate: spatial layer expects %d inputs, has %d", l.in, len(v))
-			}
 			next := make([]int32, l.out)
 			for o := 0; o < l.out; o++ {
 				wq := f.QuantizeVec(l.w[o])
@@ -389,9 +405,6 @@ func (s *SpatialInterp) Classify(x []float64) (int, error) {
 	case "tree":
 		n := s.tree
 		for n.feature >= 0 {
-			if n.feature >= len(v) {
-				return 0, fmt.Errorf("validate: spatial tree selects feature %d of %d", n.feature, len(v))
-			}
 			if v[n.feature] <= f.Quantize(n.threshold) {
 				n = n.left
 			} else {
