@@ -17,6 +17,7 @@ package homunculus
 // decode is quarantined and recompiled, never served.
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -160,16 +161,15 @@ func (s *Service) loadArtifact(key string) (*Pipeline, bool) {
 }
 
 // putArtifact is the one artifact write (best effort — a store failure
-// degrades durability, never the operation it shadows).
-func (s *Service) putArtifact(key string, raw []byte) bool {
-	if s.store == nil {
-		return false
+// degrades durability, never the operation it shadows); a nil raw
+// writes nothing.
+func (s *Service) putArtifact(key string, raw []byte) {
+	if s.store == nil || raw == nil {
+		return
 	}
 	if err := s.store.Artifacts.Put(key, raw); err != nil {
 		s.storeErr(fmt.Errorf("artifact %s: %w", key, err))
-		return false
 	}
-	return true
 }
 
 // installArtifact takes an already-verified payload from a peer — a
@@ -203,15 +203,17 @@ func (s *Service) storeArtifact(key string, pipe *Pipeline) {
 }
 
 // origin is an endpoint revision's origin: its job, its app, and the
-// key of its pipeline in the artifact store, which origin ensures holds
-// it — the compilation's content address when the pipeline came from a
-// job, otherwise the hash of the canonical pipeline document
-// (out-of-band pipelines have no spec to hash). An empty Artifact means
-// the revision will not survive a restart.
-func (s *Service) origin(pipe *Pipeline, jobID, app string) serve.Origin {
-	o := serve.Origin{JobID: jobID, App: app}
+// key of its pipeline in the artifact store — the compilation's content
+// address when the pipeline came from a job, otherwise the hash of the
+// canonical pipeline document (out-of-band pipelines have no spec to
+// hash). raw is what to putArtifact under that key once the revision is
+// installed (nil when the store holds it), so a refused install stores
+// nothing. An empty Artifact, or a failed put, means the revision will
+// not survive a restart.
+func (s *Service) origin(pipe *Pipeline, jobID, app string) (o serve.Origin, raw []byte) {
+	o = serve.Origin{JobID: jobID, App: app}
 	if s.store == nil {
-		return o
+		return o, nil
 	}
 	key := ""
 	if jobID != "" {
@@ -222,16 +224,17 @@ func (s *Service) origin(pipe *Pipeline, jobID, app string) serve.Origin {
 	raw, err := MarshalPipeline(pipe)
 	if err != nil {
 		s.storeErr(fmt.Errorf("serialize endpoint pipeline: %w", err))
-		return o
+		return o, nil
 	}
 	if key == "" {
 		sum := sha256.Sum256(raw)
 		key = hex.EncodeToString(sum[:])
 	}
-	if s.store.Artifacts.Has(key) || s.putArtifact(key, raw) {
-		o.Artifact = key
+	o.Artifact = key
+	if s.store.Artifacts.Has(key) {
+		return o, nil
 	}
-	return o
+	return o, raw
 }
 
 // configDocument renders a serving config as its manifest document.
@@ -437,8 +440,8 @@ func (s *Service) recover(dir string, fs store.FS) error {
 // later revision document is the one its runtime was built from;
 // versions 1 and 2 stored the rollout's override, which inherits the
 // endpoint's document as it did when those files were written. Version 4
-// records which retired revisions are on the rollback stack; before it,
-// every retired revision is.
+// records each retired revision's place on the rollback stack; before
+// it, every retired revision is on it in ID order.
 func (s *Service) restoreEndpoint(rec store.EndpointRecord, manifestVersion int) error {
 	cfg, err := parseConfigDocument(rec.Options, manifestVersion)
 	if err != nil {
@@ -462,12 +465,16 @@ func (s *Service) restoreEndpoint(rec store.EndpointRecord, manifestVersion int)
 			s.storeErr(fmt.Errorf("endpoint %q revision %d: rollout artifact %q unavailable, restoring it retired", rec.Name, rr.ID, rr.SpecHash))
 			state = serve.RevRetired
 		}
+		place := 0 // versions 1-3 did not record the stack: placed by ID
+		if manifestVersion >= 4 {
+			place = cmp.Or(rr.Rollback, serve.OffRollbackStack)
+		}
 		revs = append(revs, serve.RestoreRevision{
 			ID: rr.ID, Model: model, Config: rcfg,
 			State: state, CanaryPercent: rr.CanaryPercent,
-			Created:    time.Unix(0, rr.CreatedUnixNano),
-			Origin:     serve.Origin{JobID: rr.JobID, App: rr.App, Artifact: rr.SpecHash},
-			NoRollback: manifestVersion >= 4 && !rr.Rollback,
+			Created:  time.Unix(0, rr.CreatedUnixNano),
+			Origin:   serve.Origin{JobID: rr.JobID, App: rr.App, Artifact: rr.SpecHash},
+			Rollback: place,
 		})
 	}
 	sep, err := serve.RestoreEndpoint(rec.Name, cfg, revs)

@@ -356,11 +356,14 @@ func TestDurableEndpointSurvivesRestart(t *testing.T) {
 // retires without joining the rollback stack, and a restart must not put
 // it there — the restored endpoint refuses Rollback exactly as the live
 // one did. A version-3 manifest, which did not record the stack, is still
-// read with every retired revision on it.
+// read with every retired revision on it in ID order, exactly as the
+// version-3 service read it: a later Promote pushes the stable above the
+// aborted revision, so Rollback returns to the stable first — also after
+// a restart, when the version-4 rewrite of the file is read.
 func TestDurableAbortedRolloutStaysOffRollbackStack(t *testing.T) {
 	dir := t.TempDir()
 	svc := mustOpen(t, dir, nil)
-	job, _ := runJob(t, svc)
+	job, pipe := runJob(t, svc)
 	ep, err := svc.CreateEndpoint("aborted", job.ID(), EndpointOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -380,7 +383,7 @@ func TestDurableAbortedRolloutStaysOffRollbackStack(t *testing.T) {
 
 	svc2 := mustOpen(t, dir, nil)
 	ep2 := mustEndpoint(t, svc2, "aborted")
-	if revs := ep2.Revisions(); len(revs) != 2 || revs[1].State != "retired" || revs[1].Rollback {
+	if revs := ep2.Revisions(); len(revs) != 2 || revs[1].State != "retired" || revs[1].Rollback != 0 {
 		t.Fatalf("restored revisions: %+v", revs)
 	}
 	if err := ep2.Rollback(); !errors.Is(err, ErrNoRollback) {
@@ -406,12 +409,81 @@ func TestDurableAbortedRolloutStaysOffRollbackStack(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc3 := mustOpen(t, dir, nil)
-	defer svc3.Close()
-	if err := mustEndpoint(t, svc3, "aborted").Rollback(); err != nil {
-		t.Fatalf("version-3 rollback onto the retired revision: %v", err)
+	ep3 := mustEndpoint(t, svc3, "aborted")
+	if revs := ep3.Revisions(); len(revs) != 2 || revs[1].Rollback == 0 {
+		t.Fatalf("version-3 restore must stack the retired revision: %+v", revs)
 	}
-	if stable, _, _, _ := mustEndpoint(t, svc3, "aborted").View(); stable != 2 {
-		t.Fatalf("version-3 rollback: stable %d, want 2", stable)
+	if _, err := ep3.RolloutPipeline(pipe, RolloutOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ep3.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc3.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	svc4 := mustOpen(t, dir, nil)
+	defer svc4.Close()
+	ep4 := mustEndpoint(t, svc4, "aborted")
+	for _, want := range []int{1, 2} {
+		if err := ep4.Rollback(); err != nil {
+			t.Fatalf("rollback to %d: %v", want, err)
+		}
+		if stable, _, _, _ := ep4.View(); stable != want {
+			t.Fatalf("rollback after the version-3 restore: stable %d, want %d", stable, want)
+		}
+	}
+	if err := ep4.Rollback(); !errors.Is(err, ErrNoRollback) {
+		t.Fatalf("rollback past the stack: %v, want ErrNoRollback", err)
+	}
+}
+
+// TestDurableRefusedRolloutStoresNoArtifact: an out-of-band pipeline is
+// stored under its content hash only once its revision is installed, so
+// a refused rollout leaves the artifact store as it was.
+func TestDurableRefusedRolloutStoresNoArtifact(t *testing.T) {
+	dir := t.TempDir()
+	svc := mustOpen(t, dir, nil)
+	defer svc.Close()
+	job, pipe := runJob(t, svc)
+	ep, err := svc.CreateEndpoint("refused", job.ID(), EndpointOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	artifacts := func() int {
+		t.Helper()
+		entries, err := os.ReadDir(filepath.Join(dir, "artifacts"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(entries)
+	}
+	before := artifacts()
+	if _, err := ep.Rollout(job.ID(), RolloutOptions{CanaryPercent: 10}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ep.RolloutPipeline(pipe, RolloutOptions{}); !errors.Is(err, ErrRolloutActive) {
+		t.Fatalf("second rollout: %v, want ErrRolloutActive", err)
+	}
+	if _, err := ep.RolloutPipeline(pipe, RolloutOptions{CanaryPercent: 101}); err == nil {
+		t.Fatal("rollout with a 101% canary accepted")
+	}
+	if n := artifacts(); n != before {
+		t.Fatalf("refused rollouts wrote %d artifacts", n-before)
+	}
+	if err := ep.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	rev, err := ep.RolloutPipeline(pipe, RolloutOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := artifacts(); n != before+1 || rev.Artifact == "" {
+		t.Fatalf("installed out-of-band rollout: %d new artifacts, key %q", n-before, rev.Artifact)
+	}
+	if n := svc.StoreErrors(); n != 0 {
+		t.Fatalf("%d store errors", n)
 	}
 }
 
@@ -497,17 +569,20 @@ func TestDurableManifestV1Restores(t *testing.T) {
 // A manifest that does not load restores nothing and counts a store
 // error; otherwise every record is either restored or skipped with a
 // store error, every restored endpoint's documents re-parse through
-// ParseServingConfig to themselves, and Rollback walks its stack until
-// refused. Seeds: the version-1 and version-2 fixtures, a version-4
-// manifest the current code writes, and that manifest with hostile
-// rollback bits — on the stable, on the canary, and on a retired
-// revision whose artifact is missing.
+// ParseServingConfig to themselves, only retired revisions hold rollback
+// places, and Rollback walks the stack — aborting the rollout, then
+// always returning to the highest place — until refused. Seeds: the
+// version-1 and version-2 fixtures, a version-4 manifest the current
+// code writes, the same manifest labelled version 3, and the version-4
+// manifest with hostile rollback places — on the stable, on the canary,
+// shared by two retired revisions, and on a retired revision newer than
+// the stable with its artifact missing and present.
 func FuzzRestoreManifest(f *testing.F) {
 	base := f.TempDir()
 	seeder := mustOpen(f, base, nil)
 	job, _ := runJob(f, seeder)
 	hash := job.Status().SpecHash
-	ep, err := seeder.CreateEndpoint("v3", job.ID(), EndpointOptions{Serving: ServingConfig{BatchSize: 8, QueueDepth: 64}})
+	ep, err := seeder.CreateEndpoint("seed", job.ID(), EndpointOptions{Serving: ServingConfig{BatchSize: 8, QueueDepth: 64}})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -528,14 +603,20 @@ func FuzzRestoreManifest(f *testing.F) {
 	}
 	v4 = bytes.ReplaceAll(v4, []byte(hash), []byte("SPEC_HASH"))
 	f.Add(v4)
+	f.Add(bytes.Replace(v4, []byte(`"version": 4`), []byte(`"version": 3`), 1))
+	retired := func(revs []store.RevisionRecord, id, place int, artifact string) []store.RevisionRecord {
+		r := revs[0]
+		r.ID, r.State, r.SpecHash, r.Rollback = id, "retired", artifact, place
+		return append(revs, r)
+	}
 	for _, hostile := range []func(revs []store.RevisionRecord) []store.RevisionRecord{
-		func(revs []store.RevisionRecord) []store.RevisionRecord { revs[0].Rollback = true; return revs },
-		func(revs []store.RevisionRecord) []store.RevisionRecord { revs[1].Rollback = true; return revs },
+		func(revs []store.RevisionRecord) []store.RevisionRecord { revs[0].Rollback = 1; return revs },
+		func(revs []store.RevisionRecord) []store.RevisionRecord { revs[1].Rollback = 1; return revs },
 		func(revs []store.RevisionRecord) []store.RevisionRecord {
-			lost := revs[0]
-			lost.ID, lost.State, lost.SpecHash, lost.Rollback = 3, "retired", "missing", true
-			return append(revs, lost)
+			return retired(retired(revs, 3, 1, "SPEC_HASH"), 4, 1, "SPEC_HASH")
 		},
+		func(revs []store.RevisionRecord) []store.RevisionRecord { return retired(revs, 3, 1, "missing") },
+		func(revs []store.RevisionRecord) []store.RevisionRecord { return retired(revs, 3, 1, "SPEC_HASH") },
 	} {
 		var m store.Manifest
 		if err := json.Unmarshal(v4, &m); err != nil || len(m.Endpoints) != 1 || len(m.Endpoints[0].Revisions) != 2 {
@@ -618,9 +699,30 @@ func FuzzRestoreManifest(f *testing.F) {
 					t.Fatalf("%s: restored config %s re-parses as %s", name, raw, again)
 				}
 			}
-			// Each Rollback aborts the rollout or pops the stack, so
-			// one more than the revision count must reach a refusal.
-			for i := 0; ep.Rollback() == nil; i++ {
+			// Each Rollback aborts the rollout or returns to the highest
+			// place, so one more than the revision count must reach a
+			// refusal, and a refusal moves no traffic.
+			for i := 0; ; i++ {
+				stable, canary, _, shadow := ep.View()
+				want, top := stable, 0
+				for _, r := range ep.Revisions() {
+					if r.Rollback != 0 && r.State != "retired" {
+						t.Fatalf("%s: %s revision %d holds rollback place %d", name, r.State, r.ID, r.Rollback)
+					}
+					if canary == 0 && shadow == 0 && r.Rollback > top {
+						want, top = r.ID, r.Rollback
+					}
+				}
+				err := ep.Rollback()
+				if err != nil {
+					want = stable
+				}
+				if got, _, _, _ := ep.View(); got != want {
+					t.Fatalf("%s: Rollback (%v) left stable %d, want %d", name, err, got, want)
+				}
+				if err != nil {
+					break
+				}
 				if i == len(docs) {
 					t.Fatalf("%s: Rollback still succeeding after %d calls", name, i+1)
 				}

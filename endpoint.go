@@ -169,13 +169,14 @@ func (s *Service) createEndpoint(name string, pipe *Pipeline, jobID string, opts
 			return nil, err
 		}
 	}
+	origin, raw := s.origin(pipe, jobID, app.Name)
 	sep, err := serve.RestoreEndpoint(name, cfg, []serve.RestoreRevision{{
-		ID: 1, Model: app.Model, Config: cfg, State: serve.RevStable,
-		Origin: s.origin(pipe, jobID, app.Name),
+		ID: 1, Model: app.Model, Config: cfg, State: serve.RevStable, Origin: origin,
 	}})
 	if err != nil {
 		return nil, fmt.Errorf("homunculus: endpoint %s: %w", name, err)
 	}
+	s.putArtifact(origin.Artifact, raw)
 	e := &Endpoint{
 		name:     name,
 		platform: pipe.Platform,
@@ -356,15 +357,17 @@ func (e *Endpoint) rollout(pipe *Pipeline, jobID string, opts RolloutOptions) (R
 	if err := opts.Serving.Validate(); err != nil {
 		return RevisionInfo{}, fmt.Errorf("homunculus: rollout on %s: %w", e.name, err)
 	}
+	origin, raw := e.svc.origin(pipe, jobID, app.Name)
 	rev, err := e.ep.Rollout(app.Model, serve.RolloutConfig{
 		CanaryPercent: opts.CanaryPercent,
 		Shadow:        opts.Shadow,
 		Serving:       opts.Serving,
-		Origin:        e.svc.origin(pipe, jobID, app.Name),
+		Origin:        origin,
 	})
 	if err != nil {
 		return RevisionInfo{}, fmt.Errorf("homunculus: rollout on %s: %w", e.name, err)
 	}
+	e.svc.putArtifact(origin.Artifact, raw)
 	e.svc.persistEndpoints()
 	return e.ep.RevisionInfo(rev), nil
 }

@@ -34,6 +34,7 @@ package serve
 // endpoint is its one-revision case.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sort"
@@ -112,12 +113,11 @@ type Revision struct {
 	// endpoint's mu; the hot path never reads them.
 	state         RevisionState
 	canaryPercent int
-	// rollback marks a retired revision on the promote-history stack:
-	// Promote sets it on the stable it retires, and Rollback returns to
-	// the newest revision carrying it and clears it. The stack holds
-	// only revisions older than the stable, pushed in ID order, so the
-	// bit alone is the stack. Guarded by the endpoint's mu.
-	rollback bool
+	// rollback is the revision's place on the rollback stack, 0 when off
+	// it: Promote gives the stable it retires the next place, Rollback
+	// returns to the highest and clears it. Places, not IDs, order the
+	// stack (see RestoreRevision.Rollback). Guarded by the endpoint's mu.
+	rollback int
 }
 
 // Config returns the revision's effective serving document.
@@ -255,10 +255,11 @@ type RevisionStats struct {
 	// Warm reports whether the revision holds a live runtime (retired
 	// revisions beyond the retention cap run cold).
 	Warm bool
-	// Rollback reports whether a retired revision is on the rollback
-	// stack: a stable that a Promote retired, which Rollback can return
-	// to. An aborted rollout, or a stable rolled back from, is not.
-	Rollback bool
+	// Rollback is a retired revision's place on the rollback stack, 0
+	// when it is off it; Rollback returns to the highest place. A stable
+	// that a Promote retired is on it; an aborted rollout, or a stable
+	// rolled back from, is not.
+	Rollback int
 	// Config is the revision's effective serving document: a rollout's
 	// override merged over the endpoint's, defaults not filled.
 	Config ServingConfig
@@ -305,6 +306,7 @@ type Endpoint struct {
 	cfg        ServingConfig
 	revs       []*Revision
 	nextID     int
+	pushed     int // highest rollback place handed out
 	lastShadow *divergence
 	closed     bool
 }
@@ -483,7 +485,8 @@ func (e *Endpoint) Promote() error {
 		if next == nil {
 			return nil, ErrNoRollout
 		}
-		cur.stable.state, cur.stable.rollback = RevRetired, true
+		e.pushed++
+		cur.stable.state, cur.stable.rollback = RevRetired, e.pushed
 		next.state, next.canaryPercent = RevStable, 0
 		return &revTable{stable: next, stableRT: cur.rolloutRT}, nil
 	})
@@ -528,7 +531,7 @@ func (e *Endpoint) Rollback() error {
 		}
 		var prev *Revision
 		for _, r := range e.revs {
-			if r.rollback {
+			if r.rollback > 0 && (prev == nil || r.rollback > prev.rollback) {
 				prev = r
 			}
 		}
@@ -549,7 +552,7 @@ func (e *Endpoint) Rollback() error {
 			prev.rt.Store(rt)
 		}
 		cur.stable.state = RevRetired
-		prev.state, prev.rollback = RevStable, false
+		prev.state, prev.rollback = RevStable, 0
 		return &revTable{stable: prev, stableRT: rt}, nil
 	})
 }
@@ -732,7 +735,7 @@ func (e *Endpoint) mirror(t *revTable, xs [][]float64, classes []int) {
 }
 
 // RevisionInfos lists every revision's row (ID, origin, state, traffic
-// share, warmth, rollback bit, document) in rollout order without
+// share, warmth, rollback place, document) in rollout order without
 // snapshotting the runtimes — the cheap form for listings that do not
 // need counters (Stats is left zero).
 func (e *Endpoint) RevisionInfos() []RevisionStats {
@@ -864,12 +867,17 @@ type RestoreRevision struct {
 	Created time.Time
 	// Origin is where the revision came from.
 	Origin Origin
-	// NoRollback keeps a retired revision off the rollback stack
-	// (RevisionStats.Rollback false). The zero value puts every retired
-	// revision on it, the rule for histories that did not record the
-	// stack.
-	NoRollback bool
+	// Rollback is a retired revision's place on the rollback stack
+	// (RevisionStats.Rollback), negative to keep it off; other states
+	// ignore it. Zero places it by ID, the rule for histories that did
+	// not record the stack: every retired revision on it, newer than the
+	// stable too.
+	Rollback int
 }
+
+// OffRollbackStack is RestoreRevision.Rollback for a retired revision
+// that is not on the rollback stack.
+const OffRollbackStack = -1
 
 // RestoreEndpoint builds an endpoint from a revision history: the same
 // revisions, routing table, canary/shadow configuration and rollback
@@ -905,7 +913,10 @@ func RestoreEndpoint(name string, cfg ServingConfig, revs []RestoreRevision) (*E
 		rev := &Revision{
 			ID: rr.ID, Created: rr.Created, Origin: rr.Origin, model: rr.Model,
 			cfg: rr.Config, state: rr.State, canaryPercent: rr.CanaryPercent,
-			rollback: rr.State == RevRetired && !rr.NoRollback,
+		}
+		if rr.State == RevRetired && rr.Rollback >= 0 {
+			rev.rollback = cmp.Or(rr.Rollback, rr.ID)
+			e.pushed = max(e.pushed, rev.rollback)
 		}
 		if rev.Created.IsZero() {
 			rev.Created = time.Now()

@@ -235,6 +235,14 @@ func routing(e *Endpoint) string {
 	return out
 }
 
+// place is a live row's rollback place as RestoreRevision takes it.
+func place(p int) int {
+	if p == 0 {
+		return OffRollbackStack
+	}
+	return p
+}
+
 // TestRestoreMatchesLive rebuilds a live endpoint from its revisions and
 // requires the copy to route, keep warm and roll back exactly as the
 // original does: the live lifecycle and RestoreEndpoint share one
@@ -292,7 +300,7 @@ func TestRestoreMatchesLive(t *testing.T) {
 				revs = append(revs, RestoreRevision{
 					ID: r.ID, Model: live.revs[i].model, Config: r.Config,
 					State: r.State, CanaryPercent: r.CanaryPercent, Created: r.Created,
-					NoRollback: !r.Rollback,
+					Rollback: place(r.Rollback),
 				})
 			}
 			restored, err := RestoreEndpoint("ep", cfg, revs)
@@ -316,5 +324,33 @@ func TestRestoreMatchesLive(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRestoreRollbackPlacesKeepPushOrder: the rollback stack is ordered
+// by place, not by ID. A history recorded before the stack was puts every
+// retired revision on it in ID order, newer ones too: restoring stable 1
+// with retired 2 on the stack and then promoting revision 3 pushes 1
+// above 2, so Rollback returns to 1 first and only then to 2.
+func TestRestoreRollbackPlacesKeepPushOrder(t *testing.T) {
+	ep, err := RestoreEndpoint("legacy", ServingConfig{BatchSize: 4}, []RestoreRevision{
+		{ID: 1, Model: constModel(0), State: RevStable},
+		{ID: 2, Model: constModel(1), State: RevRetired, Rollback: 2},
+	})
+	if err != nil {
+		t.Fatalf("RestoreEndpoint: %v", err)
+	}
+	defer ep.Close()
+	promoteN(t, ep, 2, 1)
+	for _, want := range []int{1, 2} {
+		if err := ep.Rollback(); err != nil {
+			t.Fatalf("rollback to %d: %v", want, err)
+		}
+		if stable, _, _, _ := ep.View(); stable != want {
+			t.Fatalf("rollback: stable %d, want %d (%s)", stable, want, routing(ep))
+		}
+	}
+	if err := ep.Rollback(); !errors.Is(err, ErrNoRollback) {
+		t.Fatalf("rollback past the stack: %v", err)
 	}
 }

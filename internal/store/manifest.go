@@ -13,13 +13,13 @@ import (
 	"path/filepath"
 )
 
-// manifestVersion 4 marks which retired revisions are on the rollback
-// stack. Version 3 (each revision's effective serving document, no stack:
-// every retired revision counts as on it), version 2 (canonical
-// documents, a revision's holding only its rollout override) and version
-// 1 (flat knob records, a separate max_delay_set flag) are still read;
-// the service translates their records on restore and the next save
-// rewrites the file as version 4.
+// manifestVersion 4 records each retired revision's place on the
+// rollback stack. Version 3 (each revision's effective serving document,
+// no stack: every retired revision counts as on it, in ID order),
+// version 2 (canonical documents, a revision's holding only its rollout
+// override) and version 1 (flat knob records, a separate max_delay_set
+// flag) are still read; the service translates their records on restore
+// and the next save rewrites the file as version 4.
 const manifestVersion = 4
 
 // Manifest is the persisted endpoint table.
@@ -62,11 +62,11 @@ type RevisionRecord struct {
 	// State is "stable", "canary", "shadow", or "retired".
 	State         string `json:"state"`
 	CanaryPercent int    `json:"canary_percent,omitempty"`
-	// Rollback marks a retired revision Rollback can return to: one a
-	// Promote retired, not an aborted rollout or a stable rolled back
-	// from. The stack is in ascending ID order, so the bit is enough.
-	// Versions 1 to 3 did not record it.
-	Rollback        bool  `json:"rollback,omitempty"`
+	// Rollback is a retired revision's place on the rollback stack,
+	// absent when it is off it; Rollback returns to the highest place. A
+	// stable that a Promote retired is on it, an aborted rollout or a
+	// stable rolled back from is not. Versions 1 to 3 did not record it.
+	Rollback        int   `json:"rollback,omitempty"`
 	CreatedUnixNano int64 `json:"created_unix_nano"`
 	// Options is the revision's effective serving-config document
 	// (versions 1 and 2: its rollout override, whose zero fields
