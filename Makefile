@@ -7,7 +7,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: check vet build test validate fuzz fuzz-wire fuzz-number fuzz-batch fuzz-job fuzz-tree fuzz-config fuzz-envelope fuzz-pipeline fuzz-manifest fuzz-p4 fuzz-journal fuzz-spatial bench-smoke bench staticcheck
+.PHONY: check vet build test loc validate fuzz fuzz-wire fuzz-number fuzz-batch fuzz-job fuzz-tree fuzz-config fuzz-envelope fuzz-pipeline fuzz-manifest fuzz-p4 fuzz-journal fuzz-spatial bench-smoke bench staticcheck
 
 check: vet build test
 
@@ -19,6 +19,11 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Non-test Go lines outside bench/: the size figure every change reports
+# against its parent's (ROADMAP.md, aim 2).
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.*' -exec cat {} + | wc -l
 
 # Translation validation (docs/validation.md): the differential harness
 # across every model family, the interpreter + divergence-corpus

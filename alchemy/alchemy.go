@@ -272,6 +272,40 @@ func (s *Schedule) Models() []*Model {
 	return out
 }
 
+// Compose reads the schedule as a whole-pipeline estimate takes it: the
+// compiled models in schedule order and the longest > chain through
+// them. compiled maps each leaf's declaration to its compiled model; a
+// leaf it maps to nil counts for nothing, so an operator left with one
+// compiled child reads as that child. > sums its children's depths and
+// | takes their maximum.
+func (s *Schedule) Compose(compiled func(*Model) *ir.Model) (models []*ir.Model, depth int) {
+	var walk func(s *Schedule) int
+	walk = func(s *Schedule) int {
+		if s == nil {
+			return 0
+		}
+		if s.Op == opLeaf {
+			m := compiled(s.Model)
+			if m == nil {
+				return 0
+			}
+			models = append(models, m)
+			return 1
+		}
+		d := 0
+		for _, ch := range s.Children {
+			if s.Op == OpSeq {
+				d += walk(ch)
+			} else {
+				d = max(d, walk(ch))
+			}
+		}
+		return d
+	}
+	depth = walk(s)
+	return models, depth
+}
+
 // IOMap names how models' inputs and outputs connect (§3.1.1);
 // WithIOMap attaches it to a schedule node. Mapper is the user's
 // transform from the upstream model's outputs to the downstream inputs,

@@ -3,6 +3,7 @@ package alchemy
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -134,6 +135,53 @@ func TestScheduleValidateErrors(t *testing.T) {
 	}
 	if Seq(nil).Validate() == nil {
 		t.Fatal("nil child must fail")
+	}
+}
+
+func TestScheduleCompose(t *testing.T) {
+	a, b, c, d := mkModel("a"), mkModel("b"), mkModel("c"), mkModel("d")
+	// Two distinct declarations that share a name: each leaf must get
+	// its own declaration's model, never the other's.
+	x1, x2 := mkModel("x"), mkModel("x")
+	built := map[*Model]*ir.Model{}
+	for _, m := range []*Model{a, b, c, d, x1, x2} {
+		built[m] = &ir.Model{Name: m.Spec.Name}
+	}
+	cases := []struct {
+		name     string
+		sched    *Schedule
+		compiled []*Model // the declarations that compiled; others map to nil
+		want     []*Model // compiled leaves in schedule order
+		depth    int
+	}{
+		{"seq x4", Seq(a, a, a, a), []*Model{a}, []*Model{a, a, a, a}, 4},
+		{"par x4", Par(a, a, a, a), []*Model{a}, []*Model{a, a, a, a}, 1},
+		{"a > (b | c) > d", Seq(a, Par(b, c), d), []*Model{a, b, c, d}, []*Model{a, b, c, d}, 3},
+		{"schedule order", Seq(d, Par(c, b), a), []*Model{a, b, c, d}, []*Model{d, c, b, a}, 3},
+		{"par of chains", Par(Seq(a, b, c), d), []*Model{a, b, c, d}, []*Model{a, b, c, d}, 3},
+		{"lone leaf", a.node(), []*Model{a}, []*Model{a}, 1},
+		{"lone compiled leaf in seq", Seq(a, b), []*Model{a}, []*Model{a}, 1},
+		{"lone compiled leaf in nested par", Seq(a, Par(b, c), d), []*Model{c}, []*Model{c}, 1},
+		{"uncompiled leaves count nothing", Seq(a, Par(b, c), d), []*Model{a, b}, []*Model{a, b}, 2},
+		{"no compiled leaf", Seq(a, Par(b, c)), nil, nil, 0},
+		{"shared name", Seq(x1, x2), []*Model{x1, x2}, []*Model{x1, x2}, 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			compiled := map[*Model]*ir.Model{}
+			for _, m := range tc.compiled {
+				compiled[m] = built[m]
+			}
+			models, depth := tc.sched.Compose(func(m *Model) *ir.Model { return compiled[m] })
+			var want []*ir.Model
+			for _, m := range tc.want {
+				want = append(want, built[m])
+			}
+			if !slices.Equal(models, want) || depth != tc.depth {
+				t.Fatalf("Compose = %d models, depth %d; want %d models, depth %d (models equal: %v)",
+					len(models), depth, len(want), tc.depth, slices.Equal(models, want))
+			}
+		})
 	}
 }
 

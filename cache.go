@@ -247,8 +247,9 @@ func (c *flightCache) complete(key string, f *flight, pipe *Pipeline, err error)
 }
 
 // insert plants an externally produced pipeline as a completed success
-// (a broadcast install from a peer). A key with any existing entry — in
-// flight or completed — is left alone: the local flight owns it.
+// (a peer's result that installArtifact took in: fetched on a local
+// miss, or a delegated or stolen job's). A key with any existing entry —
+// in flight or completed — is left alone: the local flight owns it.
 func (c *flightCache) insert(key string, pipe *Pipeline) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

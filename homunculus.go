@@ -273,26 +273,23 @@ func compile(ctx context.Context, p *alchemy.Platform, target core.Target, o *op
 	}
 
 	// Stage 3: compose. Whole-pipeline feasibility for multi-model
-	// schedules on composition-capable targets (Taurus).
+	// schedules on composition-capable targets (Taurus), read off the
+	// declared schedule with each leaf's own compiled model.
 	pipe := &Pipeline{Platform: p.Kind.String()}
-	leaves := 0
 	for _, m := range models {
-		out := jobs[index[m]].out
-		pipe.Apps = append(pipe.Apps, out)
-		if out.Model != nil {
-			leaves++
-		}
+		pipe.Apps = append(pipe.Apps, jobs[index[m]].out)
 	}
-	if _, ok := target.(core.Composer); ok && leaves > 1 {
-		emit(Event{Stage: StageCompose})
-		if comp := buildComposition(p.Sched, pipe.Apps); comp != nil {
-			v, err := core.EstimateComposition(target, comp)
+	if composer, ok := target.(backend.Composer); ok {
+		composed, depth := p.Sched.Compose(func(m *alchemy.Model) *ir.Model { return jobs[index[m]].out.Model })
+		if len(composed) > 1 {
+			emit(Event{Stage: StageCompose})
+			v, err := composer.EstimateComposition(composed, depth)
 			if err != nil {
 				return nil, err
 			}
 			pipe.Composition = &v
+			emit(Event{Stage: StageCompose, Done: true})
 		}
-		emit(Event{Stage: StageCompose, Done: true})
 	}
 
 	// Stage 4: codegen. Emit backend source once per unique model, then
@@ -446,45 +443,4 @@ func cancelJobs(jobs []*Job) {
 			j.Cancel()
 		}
 	}
-}
-
-// buildComposition mirrors the alchemy schedule tree over the searched
-// models (dropping models the search could not satisfy).
-func buildComposition(s *alchemy.Schedule, apps []AppResult) *core.Composition {
-	byName := map[string]*ir.Model{}
-	for _, a := range apps {
-		if a.Model != nil {
-			byName[a.Name] = a.Model
-		}
-	}
-	var build func(s *alchemy.Schedule) *core.Composition
-	build = func(s *alchemy.Schedule) *core.Composition {
-		if s == nil {
-			return nil
-		}
-		if s.Model != nil {
-			if m := byName[s.Model.Spec.Name]; m != nil {
-				return core.Leaf(m)
-			}
-			return nil
-		}
-		var children []*core.Composition
-		for _, ch := range s.Children {
-			if c := build(ch); c != nil {
-				children = append(children, c)
-			}
-		}
-		if len(children) == 0 {
-			return nil
-		}
-		if len(children) == 1 {
-			return children[0]
-		}
-		op := core.Seq
-		if s.Op == alchemy.OpPar {
-			op = core.Par
-		}
-		return &core.Composition{Op: op, Children: children}
-	}
-	return build(s)
 }

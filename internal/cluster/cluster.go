@@ -54,15 +54,9 @@ type Config struct {
 	// grows it from there.
 	Peers []string
 	// Heartbeat is the gossip interval (default 1s). It also bounds each
-	// heartbeat probe's deadline.
+	// heartbeat probe's deadline, and a peer's liveness is counted in it
+	// (suspectBeats, evictBeats).
 	Heartbeat time.Duration
-	// SuspectAfter demotes a peer to suspect when its last heartbeat is
-	// older than this (default 3×Heartbeat).
-	SuspectAfter time.Duration
-	// EvictAfter demotes to dead (default 10×Heartbeat). Dead
-	// gossip-learned peers are dropped from the table; dead static peers
-	// stay listed — they are configuration.
-	EvictAfter time.Duration
 	// StealInterval paces the idle thief loop (default 1s; negative
 	// disables stealing entirely).
 	StealInterval time.Duration
@@ -80,12 +74,6 @@ func (c *Config) withDefaults() Config {
 	out := *c
 	if out.Heartbeat <= 0 {
 		out.Heartbeat = time.Second
-	}
-	if out.SuspectAfter <= 0 {
-		out.SuspectAfter = 3 * out.Heartbeat
-	}
-	if out.EvictAfter <= 0 {
-		out.EvictAfter = 10 * out.Heartbeat
 	}
 	if out.StealInterval == 0 {
 		out.StealInterval = time.Second
@@ -245,15 +233,24 @@ func (f *Fabric) addPeer(addr string, static bool) {
 	f.peers[addr] = &peer{addr: addr, static: static, client: client, probe: probe}
 }
 
+// A peer whose last heartbeat is older than suspectBeats heartbeat
+// intervals is suspect, and older than evictBeats dead. Dead
+// gossip-learned peers are dropped from the table; dead static peers
+// stay listed — they are configuration.
+const (
+	suspectBeats = 3
+	evictBeats   = 10
+)
+
 // stateOf derives a peer's liveness from heartbeat age.
 func (f *Fabric) stateOf(p *peer, now time.Time) string {
 	age := now.Sub(p.lastSeen)
 	switch {
 	case p.lastSeen.IsZero():
 		return "unknown"
-	case age <= f.cfg.SuspectAfter:
+	case age <= suspectBeats*f.cfg.Heartbeat:
 		return "alive"
-	case age <= f.cfg.EvictAfter:
+	case age <= evictBeats*f.cfg.Heartbeat:
 		return "suspect"
 	default:
 		return "dead"

@@ -3,8 +3,7 @@
 // explores the design space of candidate ML algorithms with constrained
 // Bayesian optimization, trains candidates, tests feasibility against the
 // target's resources and the network performance constraints, and returns
-// the best compliant model. It also implements multi-model composition
-// (§3.1.1 scheduling operators) and model fusion (§3.2.5).
+// the best compliant model. It also implements model fusion (§3.2.5).
 //
 // The core is backend-agnostic by construction: it sees platforms only
 // through the internal/backend interfaces below, never through concrete
@@ -22,7 +21,3 @@ type Verdict = backend.Verdict
 // Target is the deployable-backend interface the core searches against
 // (see backend.Target).
 type Target = backend.Target
-
-// Composer is the optional whole-pipeline estimation capability a Target
-// may implement (see backend.Composer).
-type Composer = backend.Composer

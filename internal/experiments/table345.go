@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/alchemy"
 	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -20,15 +21,17 @@ type Table3Row struct {
 	LatencyNS float64
 }
 
-// Table3 chains four copies of the anomaly-detection DNN in the paper's
-// three configurations and reports total fabric resources. The paper's
+// Table3 schedules four copies of the anomaly-detection DNN in the
+// paper's three Alchemy compositions over one declaration, compiled to
+// the Base-AD model, and reports total fabric resources. The paper's
 // point: totals are identical across strategies because inter-model glue
 // folds into existing CUs.
 func Table3(b Budget) ([]Table3Row, error) {
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
-	train, test, err := datasets(adLoader(b))
+	ad := alchemy.NewModel(alchemy.ModelSpec{Name: "ad", DataLoader: adLoader(b)})
+	train, test, err := datasets(ad.Spec.DataLoader)
 	if err != nil {
 		return nil, err
 	}
@@ -36,22 +39,19 @@ func Table3(b Budget) ([]Table3Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	target, err := backend.Build(backend.Spec{Kind: "taurus"})
-	if err != nil {
-		return nil, err
-	}
-	l := func() *core.Composition { return core.Leaf(model) }
+	target := backend.NewTaurusTarget()
 	cases := []struct {
-		name string
-		comp *core.Composition
+		name  string
+		sched *alchemy.Schedule
 	}{
-		{"DNN > DNN > DNN > DNN", core.Chain(l(), l(), l(), l())},
-		{"DNN | DNN | DNN | DNN", core.Parallel(l(), l(), l(), l())},
-		{"DNN > (DNN | DNN) > DNN", core.Chain(l(), core.Parallel(l(), l()), l())},
+		{"DNN > DNN > DNN > DNN", alchemy.Seq(ad, ad, ad, ad)},
+		{"DNN | DNN | DNN | DNN", alchemy.Par(ad, ad, ad, ad)},
+		{"DNN > (DNN | DNN) > DNN", alchemy.Seq(ad, alchemy.Par(ad, ad), ad)},
 	}
 	var rows []Table3Row
 	for _, c := range cases {
-		v, err := core.EstimateComposition(target, c.comp)
+		models, depth := c.sched.Compose(func(*alchemy.Model) *ir.Model { return model })
+		v, err := target.EstimateComposition(models, depth)
 		if err != nil {
 			return nil, err
 		}

@@ -17,7 +17,7 @@ import (
 )
 
 // Classifier is the serving interface a replay drives: the Runtime, the
-// root package's Deployment handle, and internal/stream's model adapters
+// root package's Endpoint handle, and internal/stream's model adapters
 // all satisfy it.
 type Classifier interface {
 	Classify(x []float64) (int, error)

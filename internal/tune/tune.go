@@ -91,9 +91,6 @@ type Options struct {
 	SLO SLO
 	// Clients is the replay concurrency (default 8).
 	Clients int
-	// Rate is the mean offered load in requests/second for the burst
-	// replay; 0 auto-calibrates to half the sequential service rate.
-	Rate float64
 	// Burst paces the replay (zero fields = serve.BurstOptions
 	// defaults: 100× bursts of 2ms every 50ms).
 	Burst serve.BurstOptions
@@ -185,13 +182,9 @@ func Run(ctx context.Context, model *ir.Model, xs [][]float64, opts Options) (*R
 		if len(xs) == 0 {
 			return nil, fmt.Errorf("tune: empty trace")
 		}
-		rate := o.Rate
-		if rate <= 0 {
-			r, err := Calibrate(model, xs)
-			if err != nil {
-				return nil, err
-			}
-			rate = r
+		rate, err := Calibrate(model, xs)
+		if err != nil {
+			return nil, err
 		}
 		burst := o.Burst
 		burst.MeanRate = rate

@@ -1,8 +1,8 @@
 package homunculus
 
 // Tests for the staged compilation pipeline: cancellation, progress
-// events, buildComposition edge cases, Generate-level determinism across
-// pool sizes, and the cross-platform sweep.
+// events, Generate-level determinism across pool sizes, and the
+// cross-platform sweep.
 
 import (
 	"bytes"
@@ -16,8 +16,6 @@ import (
 	"time"
 
 	"repro/alchemy"
-	"repro/internal/core"
-	"repro/internal/ir"
 	"repro/internal/parallel"
 )
 
@@ -142,61 +140,6 @@ func TestGenerateProgressStages(t *testing.T) {
 	}
 	if lastIdx[StageCompose] > firstIdx[StageCodegen] {
 		t.Fatal("compose must precede codegen")
-	}
-}
-
-// --- buildComposition edge cases ---
-
-func leafApp(name string, withModel bool) AppResult {
-	out := AppResult{Name: name}
-	if withModel {
-		out.Model = &ir.Model{Name: name, Kind: ir.DTree}
-	}
-	return out
-}
-
-func schedModel(name string) *alchemy.Model {
-	return alchemy.NewModel(alchemy.ModelSpec{
-		Name: name, DataLoader: alchemy.DataLoaderFunc(func() (*alchemy.Data, error) { return nil, nil })})
-}
-
-func TestBuildCompositionAllInfeasible(t *testing.T) {
-	s := alchemy.Seq(schedModel("a"), schedModel("b"))
-	comp := buildComposition(s, []AppResult{leafApp("a", false), leafApp("b", false)})
-	if comp != nil {
-		t.Fatal("schedule with no searched models must produce no composition")
-	}
-}
-
-func TestBuildCompositionSingleChildCollapse(t *testing.T) {
-	// Only one of the two scheduled models was satisfiable: the operator
-	// node must collapse to the surviving leaf, not wrap it.
-	s := alchemy.Seq(schedModel("a"), schedModel("b"))
-	comp := buildComposition(s, []AppResult{leafApp("a", true), leafApp("b", false)})
-	if comp == nil || comp.Model == nil || comp.Model.Name != "a" {
-		t.Fatalf("single survivor must collapse to a leaf, got %v", comp)
-	}
-}
-
-func TestBuildCompositionOpMapping(t *testing.T) {
-	apps := []AppResult{leafApp("a", true), leafApp("b", true)}
-	seq := buildComposition(alchemy.Seq(schedModel("a"), schedModel("b")), apps)
-	if seq == nil || seq.Op != core.Seq || len(seq.Children) != 2 {
-		t.Fatalf("Seq schedule must map to core.Seq, got %v", seq)
-	}
-	par := buildComposition(alchemy.Par(schedModel("a"), schedModel("b")), apps)
-	if par == nil || par.Op != core.Par || len(par.Children) != 2 {
-		t.Fatalf("Par schedule must map to core.Par, got %v", par)
-	}
-	// Nested: a > (b | c) with all satisfiable keeps its shape.
-	apps = append(apps, leafApp("c", true))
-	nested := buildComposition(
-		alchemy.Seq(schedModel("a"), alchemy.Par(schedModel("b"), schedModel("c"))), apps)
-	if nested == nil || nested.Op != core.Seq || len(nested.Children) != 2 {
-		t.Fatalf("nested shape lost: %v", nested)
-	}
-	if inner := nested.Children[1]; inner.Op != core.Par || len(inner.Children) != 2 {
-		t.Fatalf("inner Par lost: %v", nested)
 	}
 }
 

@@ -47,10 +47,8 @@ type TuneOptions struct {
 	// App selects the application to tune in a multi-model pipeline
 	// (Service.Tune only; empty = first deployable).
 	App string
-	// Trace is the feature-vector workload to replay. Nil generates a
-	// deterministic synthetic trace of TraceSamples uniform vectors.
-	Trace [][]float64
-	// TraceSamples sizes the synthetic trace (default 512).
+	// TraceSamples sizes the replayed workload, a deterministic
+	// synthetic trace of uniform vectors (default 512).
 	TraceSamples int
 	// Apply, on TuneEndpoint, applies the chosen config to the endpoint
 	// through the atomic rollout path once tuning succeeds.
@@ -78,14 +76,11 @@ func tuneModel(ctx context.Context, model *ir.Model, opts TuneOptions) (*TuneRep
 	if err != nil {
 		return nil, fmt.Errorf("homunculus: tune: %w", err)
 	}
-	xs := opts.Trace
-	if xs == nil {
-		n := opts.TraceSamples
-		if n <= 0 {
-			n = 512
-		}
-		xs = syntheticTrace(model.Inputs, n, opts.Seed)
+	n := opts.TraceSamples
+	if n <= 0 {
+		n = 512
 	}
+	xs := syntheticTrace(model.Inputs, n, opts.Seed)
 	return tune.Run(ctx, model, xs, tune.Options{
 		Seed:      opts.Seed,
 		Budget:    opts.Budget,
