@@ -279,18 +279,11 @@ func compile(ctx context.Context, p *alchemy.Platform, target core.Target, o *op
 	for _, m := range models {
 		pipe.Apps = append(pipe.Apps, jobs[index[m]].out)
 	}
-	if composer, ok := target.(backend.Composer); ok {
-		composed, depth := p.Sched.Compose(func(m *alchemy.Model) *ir.Model { return jobs[index[m]].out.Model })
-		if len(composed) > 1 {
-			emit(Event{Stage: StageCompose})
-			v, err := composer.EstimateComposition(composed, depth)
-			if err != nil {
-				return nil, err
-			}
-			pipe.Composition = &v
-			emit(Event{Stage: StageCompose, Done: true})
-		}
+	comp, err := composeSchedule(target, p.Sched, func(m *alchemy.Model) *ir.Model { return jobs[index[m]].out.Model }, emit)
+	if err != nil {
+		return nil, err
 	}
+	pipe.Composition = comp
 
 	// Stage 4: codegen. Emit backend source once per unique model, then
 	// share it across that model's schedule instances.
@@ -443,4 +436,27 @@ func cancelJobs(jobs []*Job) {
 			j.Cancel()
 		}
 	}
+}
+
+// composeSchedule is the compose stage: the whole-pipeline verdict for
+// the schedule's compiled models, in schedule order and with the longest
+// > chain through them, on a composition-capable target. It is nil when
+// the target cannot compose or fewer than two leaves compiled, since a
+// lone model's own verdict already covers it.
+func composeSchedule(target backend.Target, sched *alchemy.Schedule, compiled func(*alchemy.Model) *ir.Model, emit func(Event)) (*backend.Verdict, error) {
+	composer, ok := target.(backend.Composer)
+	if !ok {
+		return nil, nil
+	}
+	models, depth := sched.Compose(compiled)
+	if len(models) < 2 {
+		return nil, nil
+	}
+	emit(Event{Stage: StageCompose})
+	v, err := composer.EstimateComposition(models, depth)
+	if err != nil {
+		return nil, err
+	}
+	emit(Event{Stage: StageCompose, Done: true})
+	return &v, nil
 }

@@ -1,9 +1,14 @@
 package core
 
+// Whole-pipeline feasibility (§3.2.1): a composition-capable Target
+// estimates a multi-model schedule as the declared Alchemy schedule
+// reads it, the compiled models in order and the longest > chain.
+
 import (
-	"strings"
+	"slices"
 	"testing"
 
+	"repro/alchemy"
 	"repro/internal/backend"
 	"repro/internal/fixed"
 	"repro/internal/ir"
@@ -29,81 +34,61 @@ func adModel(t *testing.T) *ir.Model {
 	return m
 }
 
-func TestCompositionStructure(t *testing.T) {
+func declared(name string) *alchemy.Model {
+	return alchemy.NewModel(alchemy.ModelSpec{Name: name,
+		DataLoader: alchemy.DataLoaderFunc(func() (*alchemy.Data, error) { return nil, nil })})
+}
+
+// estimate reads s with every leaf compiled to its own copy of the AD
+// model and estimates it on the Taurus target.
+func estimate(t *testing.T, s *alchemy.Schedule) ([]*ir.Model, Verdict) {
+	t.Helper()
 	m := adModel(t)
-	c := Chain(Leaf(m), Parallel(Leaf(m), Leaf(m)), Leaf(m)) // m > (m|m) > m
-	if err := c.Validate(); err != nil {
+	built := map[*alchemy.Model]*ir.Model{}
+	models, depth := s.Compose(func(d *alchemy.Model) *ir.Model {
+		if built[d] == nil {
+			c := *m
+			c.Name = d.Spec.Name
+			built[d] = &c
+		}
+		return built[d]
+	})
+	var target Target = backend.NewTaurusTarget()
+	v, err := target.(backend.Composer).EstimateComposition(models, depth)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c.Models()) != 4 {
-		t.Fatalf("models = %d", len(c.Models()))
+	return models, v
+}
+
+func TestCompositionStructure(t *testing.T) {
+	a, b, c, d := declared("a"), declared("b"), declared("c"), declared("d")
+	s := alchemy.Seq(a, alchemy.Par(b, c), d) // a > (b | c) > d
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
 	}
-	if c.ChainDepth() != 3 {
-		t.Fatalf("chain depth = %d, want 3", c.ChainDepth())
+	models, v := estimate(t, s)
+	var names []string
+	for _, m := range models {
+		names = append(names, m.Name)
 	}
-	if !strings.Contains(c.String(), "|") || !strings.Contains(c.String(), ">") {
-		t.Fatalf("String = %q", c.String())
+	if !slices.Equal(names, []string{"a", "b", "c", "d"}) {
+		t.Fatalf("models = %v, want schedule order a b c d", names)
+	}
+	if v.Metrics["models"] != 4 || v.Metrics["chain_depth"] != 3 {
+		t.Fatalf("chain depth = %v over %v models, want 3 over 4", v.Metrics["chain_depth"], v.Metrics["models"])
 	}
 }
 
 func TestChainDepths(t *testing.T) {
-	m := adModel(t)
-	seq := Chain(Leaf(m), Leaf(m), Leaf(m), Leaf(m))
-	par := Parallel(Leaf(m), Leaf(m), Leaf(m), Leaf(m))
-	if seq.ChainDepth() != 4 || par.ChainDepth() != 1 {
-		t.Fatalf("depths %d/%d", seq.ChainDepth(), par.ChainDepth())
+	m := declared("ad")
+	_, seq := estimate(t, alchemy.Seq(m, m, m, m))
+	_, par := estimate(t, alchemy.Par(m, m, m, m))
+	if seq.Metrics["chain_depth"] != 4 || par.Metrics["chain_depth"] != 1 {
+		t.Fatalf("depths %v/%v", seq.Metrics["chain_depth"], par.Metrics["chain_depth"])
 	}
-}
-
-func TestCompositionValidateErrors(t *testing.T) {
-	if (&Composition{}).Validate() == nil {
-		t.Fatal("empty operator must fail")
-	}
-	var nilComp *Composition
-	if nilComp.Validate() == nil {
-		t.Fatal("nil composition must fail")
-	}
-	m := adModel(t)
-	leafWithKids := &Composition{Model: m, Children: []*Composition{Leaf(m)}}
-	if leafWithKids.Validate() == nil {
-		t.Fatal("leaf with children must fail")
-	}
-}
-
-func TestTable3ResourceInvariance(t *testing.T) {
-	// The Table-3 experiment: identical CU/MU totals across strategies.
-	m := adModel(t)
-	target := backend.NewTaurusTarget()
-	seq, err := EstimateComposition(target, Chain(Leaf(m), Leaf(m), Leaf(m), Leaf(m)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := EstimateComposition(target, Parallel(Leaf(m), Leaf(m), Leaf(m), Leaf(m)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mix, err := EstimateComposition(target, Chain(Leaf(m), Parallel(Leaf(m), Leaf(m)), Leaf(m)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Metrics["cus"] != par.Metrics["cus"] || seq.Metrics["cus"] != mix.Metrics["cus"] {
-		t.Fatalf("CU totals differ: %v/%v/%v", seq.Metrics["cus"], par.Metrics["cus"], mix.Metrics["cus"])
-	}
-	if seq.Metrics["mus"] != par.Metrics["mus"] || seq.Metrics["mus"] != mix.Metrics["mus"] {
-		t.Fatal("MU totals differ")
-	}
-	if !(par.Metrics["latency_ns"] < mix.Metrics["latency_ns"] &&
-		mix.Metrics["latency_ns"] < seq.Metrics["latency_ns"]) {
-		t.Fatal("latency ordering wrong across strategies")
-	}
-	if !seq.Feasible || !par.Feasible || !mix.Feasible {
-		t.Fatal("4 AD copies must fit a 16x16 grid")
-	}
-}
-
-func TestEstimateCompositionInvalid(t *testing.T) {
-	target := backend.NewTaurusTarget()
-	if _, err := EstimateComposition(target, &Composition{}); err == nil {
-		t.Fatal("invalid composition must error")
+	if !(par.Metrics["latency_ns"] < seq.Metrics["latency_ns"]) {
+		t.Fatalf("a chain of four must be slower than four side by side: %v vs %v",
+			seq.Metrics["latency_ns"], par.Metrics["latency_ns"])
 	}
 }

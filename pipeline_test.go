@@ -1,8 +1,8 @@
 package homunculus
 
 // Tests for the staged compilation pipeline: cancellation, progress
-// events, Generate-level determinism across pool sizes, and the
-// cross-platform sweep.
+// events, the compose stage's reading of the schedule, Generate-level
+// determinism across pool sizes, and the cross-platform sweep.
 
 import (
 	"bytes"
@@ -16,6 +16,8 @@ import (
 	"time"
 
 	"repro/alchemy"
+	"repro/internal/backend"
+	"repro/internal/ir"
 	"repro/internal/parallel"
 )
 
@@ -140,6 +142,80 @@ func TestGenerateProgressStages(t *testing.T) {
 	}
 	if lastIdx[StageCompose] > firstIdx[StageCodegen] {
 		t.Fatal("compose must precede codegen")
+	}
+}
+
+// --- compose stage ---
+
+func schedModel(name string) *alchemy.Model {
+	return alchemy.NewModel(alchemy.ModelSpec{
+		Name: name, DataLoader: alchemy.DataLoaderFunc(func() (*alchemy.Data, error) { return nil, nil })})
+}
+
+// composeOn runs the compose stage on target with only the given
+// leaves compiled, and returns its verdict and the stage events.
+func composeOn(t *testing.T, target backend.Target, s *alchemy.Schedule, compiled ...*alchemy.Model) (*backend.Verdict, []Event) {
+	t.Helper()
+	built := map[*alchemy.Model]*ir.Model{}
+	for _, m := range compiled {
+		tree := gateTreeModel()
+		tree.Name = m.Spec.Name
+		built[m] = tree
+	}
+	var events []Event
+	v, err := composeSchedule(target, s, func(m *alchemy.Model) *ir.Model { return built[m] },
+		func(ev Event) { events = append(events, ev) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v, events
+}
+
+func TestBuildCompositionAllInfeasible(t *testing.T) {
+	a, b := schedModel("a"), schedModel("b")
+	v, events := composeOn(t, backend.NewTaurusTarget(), alchemy.Seq(a, b))
+	if v != nil || len(events) != 0 {
+		t.Fatalf("schedule with no compiled models must produce no composition, got %+v (%d events)", v, len(events))
+	}
+}
+
+func TestBuildCompositionSingleChildCollapse(t *testing.T) {
+	a, b, c := schedModel("a"), schedModel("b"), schedModel("c")
+	// Only one of the two scheduled models compiled: a lone model has no
+	// whole-pipeline estimate beyond its own verdict.
+	if v, _ := composeOn(t, backend.NewTaurusTarget(), alchemy.Seq(a, b), a); v != nil {
+		t.Fatalf("single survivor must produce no composition, got %+v", v)
+	}
+	// a > (b | c) with c unsatisfiable: the | collapses to b, so the
+	// chain runs a > b.
+	v, _ := composeOn(t, backend.NewTaurusTarget(), alchemy.Seq(a, alchemy.Par(b, c)), a, b)
+	if v == nil || v.Metrics["models"] != 2 || v.Metrics["chain_depth"] != 2 {
+		t.Fatalf("collapsed | must leave a chain of two, got %+v", v)
+	}
+}
+
+func TestBuildCompositionOpMapping(t *testing.T) {
+	a, b, c := schedModel("a"), schedModel("b"), schedModel("c")
+	target := backend.NewTaurusTarget()
+	seq, events := composeOn(t, target, alchemy.Seq(a, b), a, b)
+	if seq == nil || seq.Metrics["models"] != 2 || seq.Metrics["chain_depth"] != 2 {
+		t.Fatalf("Seq schedule must chain both models, got %+v", seq)
+	}
+	if len(events) != 2 || events[0].Stage != StageCompose || events[0].Done || !events[1].Done {
+		t.Fatalf("compose stage must emit start and done, got %+v", events)
+	}
+	par, _ := composeOn(t, target, alchemy.Par(a, b), a, b)
+	if par == nil || par.Metrics["models"] != 2 || par.Metrics["chain_depth"] != 1 {
+		t.Fatalf("Par schedule must run both models side by side, got %+v", par)
+	}
+	// Nested: a > (b | c) with all satisfiable keeps its shape.
+	nested, _ := composeOn(t, target, alchemy.Seq(a, alchemy.Par(b, c)), a, b, c)
+	if nested == nil || nested.Metrics["models"] != 3 || nested.Metrics["chain_depth"] != 2 {
+		t.Fatalf("a > (b | c) must give 3 models at depth 2, got %+v", nested)
+	}
+	// A target that cannot compose gets no whole-pipeline verdict.
+	if v, _ := composeOn(t, struct{ backend.Target }{target}, alchemy.Seq(a, b), a, b); v != nil {
+		t.Fatalf("non-composing target must produce no composition, got %+v", v)
 	}
 }
 
