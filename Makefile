@@ -152,11 +152,11 @@ fuzz-spatial:
 # gate, each written as a b.Fatalf inside its benchmark at a fixed
 # iteration count of its own.
 bench-smoke:
-	$(GO) test -bench=. -benchtime=1x -run='^$$' . ./internal/cluster/ ./internal/experiments/ ./internal/httpapi/ ./internal/ir/
+	$(GO) test -bench=. -benchtime=1x -run='^$$' . ./internal/cluster/ ./internal/experiments/ ./internal/httpapi/ ./internal/ir/ ./internal/tensor/
 
 # Full benchmark pass with allocation reporting (slow).
 bench:
-	$(GO) test -bench=. -benchmem -run='^$$' . ./internal/cluster/ ./internal/experiments/ ./internal/httpapi/ ./internal/ir/
+	$(GO) test -bench=. -benchmem -run='^$$' . ./internal/cluster/ ./internal/experiments/ ./internal/httpapi/ ./internal/ir/ ./internal/tensor/
 
 # Pinned staticcheck (the CI lint gate); requires network on first run
 # to install the tool.

@@ -19,6 +19,13 @@ func jsonTestData(scale float64) *Data {
 
 func TestLoaderCatalog(t *testing.T) {
 	RegisterLoader("json_test_ds", DataLoaderFunc(func() (*Data, error) { return jsonTestData(1), nil }))
+	// Unregister, so that a second run in one process (-count=2) can
+	// register the name again.
+	t.Cleanup(func() {
+		catMu.Lock()
+		defer catMu.Unlock()
+		delete(catalog, "json_test_ds")
+	})
 	if !LoaderRegistered("json_test_ds") {
 		t.Fatal("registered loader not found")
 	}

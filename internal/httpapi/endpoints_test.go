@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/alchemy"
@@ -16,40 +17,22 @@ import (
 	homunculus "repro"
 )
 
-// endpointTestLoaders registers a blocking loader private to this file
-// so the queue-full test can hold the admission pipe without touching
-// the gates other test files rely on.
-var (
-	endpointTestLoaders  sync.Once
-	endpointRelease      = make(chan struct{})
-	endpointReleaseOnce  sync.Once
-	endpointBlockDataset = func() {
-		endpointTestLoaders.Do(func() {
-			alchemy.RegisterLoader("httpapi_ep_block", alchemy.DataLoaderFunc(func() (*alchemy.Data, error) {
-				<-endpointRelease
-				return tinyData(), nil
-			}))
-		})
-	}
-)
+// blockingLoader registers a loader that blocks until release is called,
+// under a name of its own on every call: a test run twice in one process
+// (-count=2) gets a fresh gate, and releasing one test's gate cannot
+// interfere with another's or with httpapi_test.go's cancellation gate.
+func blockingLoader(prefix string) (name string, release func()) {
+	name = fmt.Sprintf("%s_%d", prefix, blockingLoaders.Add(1))
+	gate := make(chan struct{})
+	alchemy.RegisterLoader(name, alchemy.DataLoaderFunc(func() (*alchemy.Data, error) {
+		<-gate
+		return tinyData(), nil
+	}))
+	var once sync.Once
+	return name, func() { once.Do(func() { close(gate) }) }
+}
 
-// unfinishedBlockDataset registers a second blocking loader, for the
-// unfinished-job case of TestHTTPEndpointErrors: releasing it cannot
-// interfere with the queue-full test's gate or httpapi_test.go's
-// cancellation gate.
-var (
-	unfinishedTestLoaders  sync.Once
-	unfinishedRelease      = make(chan struct{})
-	unfinishedReleaseOnce  sync.Once
-	unfinishedBlockDataset = func() {
-		unfinishedTestLoaders.Do(func() {
-			alchemy.RegisterLoader("httpapi_unfinished_block", alchemy.DataLoaderFunc(func() (*alchemy.Data, error) {
-				<-unfinishedRelease
-				return tinyData(), nil
-			}))
-		})
-	}
-)
+var blockingLoaders atomic.Int64
 
 func postJSON(t testing.TB, url string, body any) (*http.Response, []byte) {
 	t.Helper()
@@ -414,8 +397,9 @@ func TestHTTPEndpointErrors(t *testing.T) {
 	}
 
 	// A job that has not finished yet conflicts.
-	unfinishedBlockDataset()
-	blocked, presp := postJob(t, srv, submitBody("httpapi_unfinished_block"))
+	unfinished, release := blockingLoader("httpapi_unfinished_block")
+	defer release()
+	blocked, presp := postJob(t, srv, submitBody(unfinished))
 	if presp.StatusCode != http.StatusAccepted {
 		t.Fatalf("POST status %d", presp.StatusCode)
 	}
@@ -424,7 +408,7 @@ func TestHTTPEndpointErrors(t *testing.T) {
 		t.Fatalf("unfinished job status %d: %s", resp.StatusCode, body)
 	}
 	// Unblock and settle the job so service Close can drain.
-	unfinishedReleaseOnce.Do(func() { close(unfinishedRelease) })
+	release()
 	pollDone(t, srv, blocked.ID)
 }
 
@@ -526,22 +510,22 @@ func TestHTTPServingStatsJSONShape(t *testing.T) {
 // submission path: when the admission queue sheds, the 429 carries a
 // Retry-After hint.
 func TestHTTPQueueFullRetryAfter(t *testing.T) {
-	endpointBlockDataset()
+	blocking, release := blockingLoader("httpapi_ep_block")
 	srv, _ := setupServer(t, homunculus.ServiceOptions{
 		MaxInFlight: 1, QueueDepth: 1, CacheEntries: -1})
-	defer endpointReleaseOnce.Do(func() { close(endpointRelease) })
+	defer release()
 
 	// Job 1 occupies the single dispatch slot (blocked in load), job 2
 	// fills the depth-1 backlog, job 3 must shed with 429 + Retry-After.
-	j1, resp := postJob(t, srv, submitBody("httpapi_ep_block"))
+	j1, resp := postJob(t, srv, submitBody(blocking))
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("job 1 status %d", resp.StatusCode)
 	}
-	j2, resp := postJob(t, srv, submitBody("httpapi_ep_block"))
+	j2, resp := postJob(t, srv, submitBody(blocking))
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("job 2 status %d", resp.StatusCode)
 	}
-	_, resp = postJob(t, srv, submitBody("httpapi_ep_block"))
+	_, resp = postJob(t, srv, submitBody(blocking))
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("job 3 status %d, want 429", resp.StatusCode)
 	}
@@ -549,7 +533,7 @@ func TestHTTPQueueFullRetryAfter(t *testing.T) {
 		t.Fatalf("queue-full 429 Retry-After %q, want \"1\"", ra)
 	}
 	// Release and settle so Close can drain.
-	endpointReleaseOnce.Do(func() { close(endpointRelease) })
+	release()
 	pollDone(t, srv, j1.ID)
 	pollDone(t, srv, j2.ID)
 }

@@ -25,11 +25,13 @@ package ir
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/tensor"
 )
 
 // useAVX2 makes layerTile run its dense layer as one call of tileAVX2
 // (tile_amd64.s). It is decided once, at init.
-var useAVX2 = cpuAVX2()
+var useAVX2 = tensor.HasAVX2()
 
 // Tile is the number of input vectors the batch kernel classifies
 // together. Eight int64 accumulators, the weight and the loop state fit

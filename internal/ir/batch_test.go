@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/fixed"
+	"repro/internal/tensor"
 )
 
 // forEachKernel calls f once per dense tile kernel this host can run —
@@ -21,7 +22,7 @@ import (
 func forEachKernel(f func(kernel string)) {
 	defer func(saved bool) { useAVX2 = saved }(useAVX2)
 	for _, avx2 := range []bool{false, true} {
-		if avx2 && !cpuAVX2() {
+		if avx2 && !tensor.HasAVX2() {
 			continue
 		}
 		useAVX2 = avx2

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/fixed"
+	"repro/internal/tensor"
 )
 
 // edgeAccumulators are wide sums around every bound of f's writeback:
@@ -80,7 +81,7 @@ func compareTileKernels(t *testing.T, p *Predictor, l *flatLayer, x []int32, wha
 }
 
 func TestTileKernelEdges(t *testing.T) {
-	if !cpuAVX2() {
+	if !tensor.HasAVX2() {
 		t.Skip("the CPU has no AVX2: dotTile is the only tile kernel")
 	}
 	defer func(saved bool) { useAVX2 = saved }(useAVX2)

@@ -60,6 +60,9 @@ func Train(c Config, d *dataset.Dataset) (*Model, error) {
 		assign[i] = -1
 	}
 	m := &Model{Config: c, Centroids: centroids}
+	// The centroid update's scratch, zeroed at each use.
+	counts := make([]int, c.K)
+	sums := tensor.New(c.K, nFeat)
 	for iter := 0; iter < c.MaxIters; iter++ {
 		m.Iters = iter + 1
 		changed := false
@@ -77,8 +80,8 @@ func Train(c Config, d *dataset.Dataset) (*Model, error) {
 			break
 		}
 		// Recompute centroids.
-		counts := make([]int, c.K)
-		sums := tensor.New(c.K, nFeat)
+		clear(counts)
+		clear(sums.Data)
 		for i := 0; i < d.Len(); i++ {
 			counts[assign[i]]++
 			tensor.Axpy(sums.Row(assign[i]), 1, d.X.Row(i))

@@ -464,22 +464,16 @@ const (
 )
 
 func updateAdam(l *Dense, gradW *tensor.Matrix, gradB []float64, st *adamState, lr float64, step int) {
-	bc1 := 1 - math.Pow(adamBeta1, float64(step))
-	bc2 := 1 - math.Pow(adamBeta2, float64(step))
-	for i, g := range gradW.Data {
-		st.mW.Data[i] = adamBeta1*st.mW.Data[i] + (1-adamBeta1)*g
-		st.vW.Data[i] = adamBeta2*st.vW.Data[i] + (1-adamBeta2)*g*g
-		mHat := st.mW.Data[i] / bc1
-		vHat := st.vW.Data[i] / bc2
-		l.W.Data[i] -= lr * mHat / (math.Sqrt(vHat) + adamEps)
+	s := tensor.Adam{
+		Beta1: adamBeta1, Beta2: adamBeta2,
+		OneMinusBeta1: 1 - adamBeta1, OneMinusBeta2: 1 - adamBeta2,
+		LR:  lr,
+		BC1: 1 - math.Pow(adamBeta1, float64(step)),
+		BC2: 1 - math.Pow(adamBeta2, float64(step)),
+		Eps: adamEps,
 	}
-	for i, g := range gradB {
-		st.mB[i] = adamBeta1*st.mB[i] + (1-adamBeta1)*g
-		st.vB[i] = adamBeta2*st.vB[i] + (1-adamBeta2)*g*g
-		mHat := st.mB[i] / bc1
-		vHat := st.vB[i] / bc2
-		l.B[i] -= lr * mHat / (math.Sqrt(vHat) + adamEps)
-	}
+	s.Step(l.W.Data, st.mW.Data, st.vW.Data, gradW.Data)
+	s.Step(l.B, st.mB, st.vB, gradB)
 }
 
 // Predict returns the arg-max class for each sample of d.

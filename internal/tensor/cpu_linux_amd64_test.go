@@ -1,4 +1,4 @@
-package ir
+package tensor
 
 import (
 	"os"
@@ -10,7 +10,8 @@ import (
 // TestCPUAVX2MatchesCPUInfo holds the CPUID/XGETBV check to the kernel's
 // own: Linux lists avx2 in /proc/cpuinfo only when the CPU has it and the
 // kernel saves the YMM state. Reporting it where it is absent would run
-// tileAVX2 into SIGILL; missing it would silently serve from dotTile.
+// the AVX2 kernels here and internal/ir's tile kernel into SIGILL;
+// missing it would silently train and serve from the portable loops.
 func TestCPUAVX2MatchesCPUInfo(t *testing.T) {
 	info, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {

@@ -80,6 +80,15 @@ func (m *Matrix) GlorotInit(rng *rand.Rand, fanIn, fanOut int) {
 	m.RandInit(rng, limit)
 }
 
+// useAVX2 makes the dense products and Adam.Step run their AVX2 kernels
+// (avx2_amd64.s), which give the portable loops' bits. It is decided
+// once, at init; tests switch it off to compare the two.
+var useAVX2 = cpuAVX2()
+
+// HasAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
+// registers on a context switch: whether AVX2 kernels can run here.
+func HasAVX2() bool { return cpuAVX2() }
+
 // Kernel tuning. parMinFlops is the multiply-add count below which the
 // matmul kernels stay serial: the data-plane models Homunculus trains are
 // often tiny (a handful of neurons), and goroutine dispatch would dwarf the
@@ -90,6 +99,10 @@ const (
 	parMinFlops = 1 << 14
 	blockK      = 128
 )
+
+// maxPanelK is the deepest product matMulTAVX2 takes: its panel of
+// four transposed rows, 4×k float64, is its 8 KiB stack frame.
+const maxPanelK = 256
 
 // matMulGrain returns the minimum number of output rows per parallel chunk
 // given flopsPerRow multiply-adds each.
@@ -139,6 +152,13 @@ func matMulRows(dst, a, b *Matrix, lo, hi int) {
 		for j := range drow {
 			drow[j] = 0
 		}
+	}
+	if useAVX2 {
+		for kb := 0; kb < k; kb += blockK {
+			kend := min(kb+blockK, k)
+			mulAddAVX2(dst.Data[lo*n:hi*n], a.Data[lo*k+kb:], b.Data[kb*n:], hi-lo, kend-kb, n, k, 1)
+		}
+		return
 	}
 	for kb := 0; kb < k; kb += blockK {
 		kend := kb + blockK
@@ -204,6 +224,10 @@ func MatMulT(dst, a, b *Matrix) *Matrix {
 // ascending order, so each element is the bits the one-column loop gives.
 func matMulTRows(dst, a, b *Matrix, lo, hi int) {
 	k, n := a.Cols, b.Rows
+	if useAVX2 && k > 0 && k <= maxPanelK {
+		matMulTAVX2(dst.Data[lo*n:hi*n], a.Data[lo*k:hi*k], b.Data, hi-lo, k, n)
+		return
+	}
 	for i := lo; i < hi; i++ {
 		arow := a.Data[i*k : (i+1)*k]
 		drow := dst.Data[i*n : (i+1)*n]
@@ -267,6 +291,10 @@ func tMatMulCols(dst, a, b *Matrix, lo, hi int) {
 			drow[j] = 0
 		}
 	}
+	if useAVX2 {
+		mulAddAVX2(dst.Data[lo*n:hi*n], a.Data[lo:], b.Data, hi-lo, a.Rows, n, 1, m)
+		return
+	}
 	r := 0
 	for ; r+3 < a.Rows; r += 4 {
 		a0 := a.Data[r*m : (r+1)*m]
@@ -323,6 +351,38 @@ func Axpy(dst []float64, alpha float64, x []float64) {
 	}
 	for i, xv := range x {
 		dst[i] += alpha * xv
+	}
+}
+
+// Adam holds the coefficients of one Adam step: the moment decay rates
+// β1 and β2, their complements 1−β1 and 1−β2 as the caller's constants
+// fold them (1-0.9 folds to the float64 nearest 0.1, which 1-Beta1 at
+// run time is not), the learning rate, the bias corrections 1−β1ᵗ and
+// 1−β2ᵗ of step t, and ε.
+type Adam struct {
+	Beta1, Beta2                 float64
+	OneMinusBeta1, OneMinusBeta2 float64
+	LR, BC1, BC2, Eps            float64
+}
+
+// Step applies the step to the parameters w with gradient g, updating
+// the first and second moment estimates m and v in place. All four
+// slices must have the same length.
+func (s *Adam) Step(w, m, v, g []float64) {
+	if len(w) != len(g) || len(m) != len(g) || len(v) != len(g) {
+		panic(fmt.Sprintf("tensor: Adam.Step lengths %d, %d, %d, %d", len(w), len(m), len(v), len(g)))
+	}
+	if useAVX2 {
+		n := len(g) &^ 3
+		adamAVX2(w[:n], m[:n], v[:n], g[:n], s)
+		w, m, v, g = w[n:], m[n:], v[n:], g[n:]
+	}
+	for i, gv := range g {
+		m[i] = s.Beta1*m[i] + s.OneMinusBeta1*gv
+		v[i] = s.Beta2*v[i] + s.OneMinusBeta2*gv*gv
+		mHat := m[i] / s.BC1
+		vHat := v[i] / s.BC2
+		w[i] -= s.LR * mHat / (math.Sqrt(vHat) + s.Eps)
 	}
 }
 
