@@ -9,7 +9,6 @@ package ir
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/dataset"
 	"repro/internal/dtree"
@@ -445,11 +444,11 @@ func applyAct(v []float64, act string) {
 		}
 	case "sigmoid":
 		for i := range v {
-			v[i] = 1 / (1 + exp(-v[i]))
+			v[i] = 1 / (1 + tensor.Exp(-v[i]))
 		}
 	case "tanh":
 		for i := range v {
-			v[i] = tanh(v[i])
+			v[i] = tensor.Tanh(v[i])
 		}
 	case "softmax":
 		// arg-max is invariant to softmax; data planes skip it entirely.
@@ -558,6 +557,3 @@ func (m *Model) PredictQ(d *dataset.Dataset) ([]int, error) {
 	}
 	return out, nil
 }
-
-func exp(x float64) float64  { return math.Exp(x) }
-func tanh(x float64) float64 { return math.Tanh(x) }

@@ -16,28 +16,14 @@ import (
 )
 
 // Activation selects a hidden-layer nonlinearity.
-type Activation int
+type Activation = tensor.Activation
 
 // Supported activations.
 const (
-	ReLU Activation = iota
-	Sigmoid
-	Tanh
+	ReLU    = tensor.ActReLU
+	Sigmoid = tensor.ActSigmoid
+	Tanh    = tensor.ActTanh
 )
-
-// String names the activation for code generation and reports.
-func (a Activation) String() string {
-	switch a {
-	case ReLU:
-		return "relu"
-	case Sigmoid:
-		return "sigmoid"
-	case Tanh:
-		return "tanh"
-	default:
-		return fmt.Sprintf("Activation(%d)", int(a))
-	}
-}
 
 // Optimizer selects the weight-update rule.
 type Optimizer int
@@ -180,12 +166,14 @@ func (b *batchBuf) view(rows int) *tensor.Matrix {
 }
 
 // trainArena preallocates every buffer one Train call touches — batch
-// staging, per-layer activations, backprop deltas, and gradients — so the
-// per-batch hot loop is allocation-free in steady state. It is built once
-// per Train call and reused across all batches and epochs.
+// staging, per-layer activations, dropout draws, backprop deltas, and
+// gradients — so the per-batch hot loop is allocation-free in steady
+// state. It is built once per Train call and reused across all batches
+// and epochs.
 type trainArena struct {
 	x, y   batchBuf   // staged mini-batch inputs/targets
 	outs   []batchBuf // activated output of each layer
+	draws  []float64  // one dropout draw per element of the widest hidden layer
 	deltas []batchBuf // backprop delta flowing into each layer's output
 	gradW  []*tensor.Matrix
 	gradB  [][]float64
@@ -197,11 +185,18 @@ func newTrainArena(n *Network, maxBatch int) *trainArena {
 		x: newBatchBuf(maxBatch, c.Inputs),
 		y: newBatchBuf(maxBatch, c.Outputs),
 	}
+	widest := 0
 	for _, l := range n.Layers {
 		ar.outs = append(ar.outs, newBatchBuf(maxBatch, l.Out))
 		ar.deltas = append(ar.deltas, newBatchBuf(maxBatch, l.Out))
 		ar.gradW = append(ar.gradW, tensor.New(l.In, l.Out))
 		ar.gradB = append(ar.gradB, make([]float64, l.Out))
+		if !l.Final {
+			widest = max(widest, l.Out)
+		}
+	}
+	if c.Dropout > 0 {
+		ar.draws = make([]float64, maxBatch*widest)
 	}
 	return ar
 }
@@ -213,11 +208,11 @@ func (n *Network) Forward(x *tensor.Matrix) *tensor.Matrix {
 	for _, l := range n.Layers {
 		z := tensor.New(cur.Rows, l.Out)
 		tensor.MatMul(z, cur, l.W)
-		tensor.AddBias(z, l.B)
 		if l.Final {
-			softmaxRows(z)
+			tensor.AddBias(z, l.B)
+			tensor.SoftmaxRows(z)
 		} else {
-			applyActivation(z, l.Act)
+			tensor.BiasAct(z, l.B, l.Act)
 		}
 		cur = z
 	}
@@ -228,93 +223,30 @@ func (n *Network) Forward(x *tensor.Matrix) *tensor.Matrix {
 // buffers. Inverted dropout is folded into the same sweep: each hidden
 // layer is masked (zero with probability p, survivors scaled by 1/(1-p))
 // immediately after activation, so downstream layers see the dropped
-// values the first time — no recompute pass, no fresh allocations.
+// values the first time — no recompute pass, no fresh allocations. The
+// layer's draws are taken first, one per element in row-major order.
 func (n *Network) forwardTrain(ar *trainArena, x *tensor.Matrix, rng *rand.Rand) *tensor.Matrix {
 	c := n.Config
-	keep := 1 - c.Dropout
 	cur := x
 	for li, l := range n.Layers {
 		z := ar.outs[li].view(x.Rows)
 		tensor.MatMul(z, cur, l.W)
-		tensor.AddBias(z, l.B)
 		if l.Final {
-			softmaxRows(z)
+			tensor.AddBias(z, l.B)
+			tensor.SoftmaxRows(z)
 		} else {
-			applyActivation(z, l.Act)
+			tensor.BiasAct(z, l.B, l.Act)
 			if c.Dropout > 0 && rng != nil {
-				for i := range z.Data {
-					if rng.Float64() < c.Dropout {
-						z.Data[i] = 0
-					} else {
-						z.Data[i] /= keep
-					}
+				draws := ar.draws[:len(z.Data)]
+				for i := range draws {
+					draws[i] = rng.Float64()
 				}
+				tensor.Dropout(z.Data, draws, c.Dropout)
 			}
 		}
 		cur = z
 	}
 	return cur
-}
-
-func applyActivation(m *tensor.Matrix, a Activation) {
-	switch a {
-	case ReLU:
-		for i, v := range m.Data {
-			if v < 0 {
-				m.Data[i] = 0
-			}
-		}
-	case Sigmoid:
-		for i, v := range m.Data {
-			m.Data[i] = 1 / (1 + math.Exp(-v))
-		}
-	case Tanh:
-		for i, v := range m.Data {
-			m.Data[i] = math.Tanh(v)
-		}
-	}
-}
-
-// applyActivationGrad scales delta elementwise by d(act)/dz, derived from
-// the activated outputs (ReLU: 0 or 1, sigmoid: o(1-o), tanh: 1-o²).
-func applyActivationGrad(delta, out []float64, a Activation) {
-	switch a {
-	case ReLU:
-		for i, o := range out {
-			if o <= 0 {
-				delta[i] = 0
-			}
-		}
-	case Sigmoid:
-		for i, o := range out {
-			delta[i] *= o * (1 - o)
-		}
-	case Tanh:
-		for i, o := range out {
-			delta[i] *= 1 - o*o
-		}
-	}
-}
-
-func softmaxRows(m *tensor.Matrix) {
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		max := row[0]
-		for _, v := range row {
-			if v > max {
-				max = v
-			}
-		}
-		var sum float64
-		for j, v := range row {
-			e := math.Exp(v - max)
-			row[j] = e
-			sum += e
-		}
-		for j := range row {
-			row[j] /= sum
-		}
-	}
 }
 
 // adamState holds per-layer first/second moment estimates.
@@ -410,9 +342,7 @@ func (n *Network) trainBatch(ar *trainArena, x, y *tensor.Matrix, adamStates []*
 	// Output delta for softmax+CE: (p - y) / batch.
 	last := len(n.Layers) - 1
 	delta := ar.deltas[last].view(x.Rows)
-	for i := range delta.Data {
-		delta.Data[i] = (probs.Data[i] - y.Data[i]) / batch
-	}
+	tensor.SubDiv(delta.Data, probs.Data, y.Data, batch)
 
 	// Backpropagate layer by layer.
 	for li := last; li >= 0; li-- {
@@ -428,9 +358,7 @@ func (n *Network) trainBatch(ar *trainArena, x, y *tensor.Matrix, adamStates []*
 		tensor.ColSums(gradB, delta)
 
 		if c.L2 > 0 {
-			for i, w := range l.W.Data {
-				gradW.Data[i] += c.L2 * w
-			}
+			tensor.Axpy(gradW.Data, c.L2, l.W.Data)
 		}
 
 		// Delta for the previous layer (before this layer's weights change).
@@ -438,7 +366,7 @@ func (n *Network) trainBatch(ar *trainArena, x, y *tensor.Matrix, adamStates []*
 			prevOut := ar.outs[li-1].view(x.Rows)
 			nextDelta := ar.deltas[li-1].view(x.Rows)
 			tensor.MatMulT(nextDelta, delta, l.W)
-			applyActivationGrad(nextDelta.Data, prevOut.Data, n.Layers[li-1].Act)
+			tensor.ActivationGrad(nextDelta.Data, prevOut.Data, n.Layers[li-1].Act)
 			delta = nextDelta
 		}
 
@@ -446,12 +374,8 @@ func (n *Network) trainBatch(ar *trainArena, x, y *tensor.Matrix, adamStates []*
 		case Adam:
 			updateAdam(l, gradW, gradB, adamStates[li], c.LearnRate, step)
 		default:
-			for i := range l.W.Data {
-				l.W.Data[i] -= c.LearnRate * gradW.Data[i]
-			}
-			for i := range l.B {
-				l.B[i] -= c.LearnRate * gradB[i]
-			}
+			tensor.SGDStep(l.W.Data, gradW.Data, c.LearnRate)
+			tensor.SGDStep(l.B, gradB, c.LearnRate)
 		}
 	}
 	return loss

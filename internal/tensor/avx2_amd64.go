@@ -27,17 +27,66 @@ func matMulTAVX2(d, a, b []float64, rows, k, n int)
 //go:noescape
 func adamAVX2(w, m, v, g []float64, s *Adam)
 
+// biasActAVX2 is biasAct's kernel: z is rows of cols columns from
+// column col of its first row on, and b the bias, or for cols < 4 the
+// bias extended to cols+3 elements. Four elements per ymm, it adds each
+// element's bias and applies a (or nothing, for biasOnly), and returns
+// the number of elements done: len(z), or the start of the first group
+// of four where a lane's exponential would leave exp's fast path, which
+// it leaves untouched.
+//
+//go:noescape
+func biasActAVX2(z, b []float64, cols, col int, a Activation) int
+
+// actGradAVX2 is ActivationGrad in AVX2, four elements per ymm.
+//
+//go:noescape
+func actGradAVX2(delta, out []float64, a Activation)
+
+// dropoutAVX2 is Dropout in AVX2, four elements per ymm, keep = 1-p.
+//
+//go:noescape
+func dropoutAVX2(x, draws []float64, p, keep float64)
+
+// expAVX2 replaces x[i] by Exp(x[i]), four elements per ymm, and returns
+// the number done: len(x), or the start of the first group of four where
+// a lane would leave exp's fast path, which it leaves untouched.
+//
+//go:noescape
+func expAVX2(x []float64) int
+
+// colSumsAVX2 is ColSums in AVX2 over rows rows of len(dst) columns,
+// four columns per ymm.
+//
+//go:noescape
+func colSumsAVX2(dst, m []float64, rows int)
+
+// axpyAVX2 is Axpy in AVX2, four elements per ymm.
+//
+//go:noescape
+func axpyAVX2(d, x []float64, a float64)
+
+// sgdAVX2 is SGDStep in AVX2, four elements per ymm.
+//
+//go:noescape
+func sgdAVX2(w, g []float64, lr float64)
+
+// subDivAVX2 is SubDiv in AVX2, four elements per ymm.
+//
+//go:noescape
+func subDivAVX2(d, a, b []float64, s float64)
+
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
-// cpuAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
-// registers on a context switch.
+// cpuAVX2 reports whether the CPU has AVX2 and FMA and the OS saves the
+// YMM registers on a context switch.
 func cpuAVX2() bool {
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
 		return false
 	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&(osxsave|avx) != osxsave|avx {
+	const fma, osxsave, avx = 1 << 12, 1 << 27, 1 << 28
+	if _, _, ecx, _ := cpuid(1, 0); ecx&(fma|osxsave|avx) != fma|osxsave|avx {
 		return false
 	}
 	// XCR0 bits 1 and 2: the OS saves the XMM and the YMM state.

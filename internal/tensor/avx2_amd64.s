@@ -1,11 +1,13 @@
 #include "textflag.h"
 
-// The AVX2 kernels behind MatMul, TMatMul, MatMulT and Adam.Step. Every
-// lane computes one output element with the very operations, in the
-// very order, of the portable Go loop it replaces (tensor.go), so the
-// results are the same bits. No FMA: the Go compiler does not fuse a
-// product into a sum on amd64 at the default GOAMD64=v1, and a fused
-// one rounds once where the Go code rounds twice.
+// The AVX2 kernels behind MatMul, TMatMul, MatMulT, Adam.Step and the
+// elementwise steps of training (act.go, tensor.go). Every lane computes
+// one output element with the very operations, in the very order, of
+// the portable Go code it replaces, so the results are the same bits.
+// FMA only where that Go code calls math.FMA, in exp's reduction and
+// polynomial (exp.go): the Go compiler does not fuse a product into a
+// sum on amd64 at the default GOAMD64=v1, and a fused one rounds once
+// where the Go code rounds twice.
 
 // tailmask<>+(4-r)*8 is the mask of a chunk's first r lanes, r in 0..4.
 DATA tailmask<>+0(SB)/8, $-1
@@ -432,6 +434,517 @@ aloop:
 	JNZ     aloop
 
 adone:
+	VZEROUPPER
+	RET
+
+// The elementwise kernels. Each runs four elements per ymm; a group
+// short of four runs under the mask Y15 of its first lanes, loaded and
+// stored with VMASKMOVPD, so the lanes past the end read +0 and are
+// never written.
+
+// expc<> holds each constant of exp, tanh and the elementwise kernels
+// four times over, one ymm, so an instruction can take it from memory.
+#define CONST4(off, val) \
+	DATA expc<>+(off)(SB)/8, val; \
+	DATA expc<>+(off+8)(SB)/8, val; \
+	DATA expc<>+(off+16)(SB)/8, val; \
+	DATA expc<>+(off+24)(SB)/8, val
+
+CONST4(0, $1.4426950408889634073599246810018920)       // log2(e)
+CONST4(32, $0.69314718055966295651160180568695068359375) // upper half of ln 2
+CONST4(64, $0.28235290563031577122588448175013436025525412068e-12)
+CONST4(96, $0.0625)
+CONST4(128, $2.4801587301587301587e-5) // 1/8!
+CONST4(160, $1.9841269841269841270e-4)
+CONST4(192, $1.3888888888888888889e-3)
+CONST4(224, $8.3333333333333333333e-3)
+CONST4(256, $4.1666666666666666667e-2)
+CONST4(288, $1.6666666666666666667e-1) // 1/3!
+CONST4(320, $0.5)
+CONST4(352, $1.0)
+CONST4(384, $2.0)
+CONST4(416, $7.09782712893384e+02)     // exp overflows above it
+CONST4(448, $-1022.0)                  // the fast path's least k
+CONST4(480, $0x8000000000000000)       // the sign bit
+CONST4(512, $0x7fffffffffffffff)       // all bits but the sign
+CONST4(544, $4.4014845965556527147994e+01) // tanh rounds to ±1 above it
+CONST4(576, $0.625)
+CONST4(608, $-9.64399179425052238628e-1)
+CONST4(640, $-9.92877231001918586564e1)
+CONST4(672, $-1.61468768441708447952e3)
+CONST4(704, $1.12811678491632931402e2)
+CONST4(736, $2.23548839060100448583e3)
+CONST4(768, $4.84406305325125486048e3)
+DATA expc<>+800(SB)/4, $1023 // the exponent bias, four int32
+DATA expc<>+804(SB)/4, $1023
+DATA expc<>+808(SB)/4, $1023
+DATA expc<>+812(SB)/4, $1023
+GLOBL expc<>(SB), RODATA|NOPTR, $816
+
+#define LOG2E expc<>+0(SB)
+#define LN2HI expc<>+32(SB)
+#define LN2LO expc<>+64(SB)
+#define SIXTEENTH expc<>+96(SB)
+#define EXPC8 expc<>+128(SB)
+#define EXPC7 expc<>+160(SB)
+#define EXPC6 expc<>+192(SB)
+#define EXPC5 expc<>+224(SB)
+#define EXPC4 expc<>+256(SB)
+#define EXPC3 expc<>+288(SB)
+#define HALF expc<>+320(SB)
+#define ONE expc<>+352(SB)
+#define TWO expc<>+384(SB)
+#define EXPOVERFLOW expc<>+416(SB)
+#define KMIN expc<>+448(SB)
+#define SIGNBIT expc<>+480(SB)
+#define ABSMASK expc<>+512(SB)
+#define TANHSAT expc<>+544(SB)
+#define TANHMID expc<>+576(SB)
+#define TANHP0 expc<>+608(SB)
+#define TANHP1 expc<>+640(SB)
+#define TANHP2 expc<>+672(SB)
+#define TANHQ0 expc<>+704(SB)
+#define TANHQ1 expc<>+736(SB)
+#define TANHQ2 expc<>+768(SB)
+#define EXPBIAS expc<>+800(SB)
+
+// EXP4 sets each lane of Y0 to Exp of it, the Go reference's fast path
+// step for step, and each lane of Y3 to all ones where that lane would
+// leave the fast path: NaN, +Inf or above the overflow threshold, or k
+// (the power of two that scales the result) below -1022, which also
+// catches -Inf and the subnormal and zero results. Such a lane's Y0 is
+// garbage. The one exit not tested for is k = 1024, x within 0.35 below
+// the threshold: its scale is the exponent field 0x7ff, +Inf, and the
+// product +Inf is the reference's answer. It clobbers Y1, Y2 and Y8.
+#define EXP4 \
+	VCMPPD       $6, EXPOVERFLOW, Y0, Y3; \
+	VMULPD       LOG2E, Y0, Y1; \
+	VCVTPD2DQY   Y1, X2; \
+	VCVTDQ2PD    X2, Y1; \
+	VCMPPD       $1, KMIN, Y1, Y8; \
+	VORPD        Y8, Y3, Y3; \
+	VFNMADD231PD LN2HI, Y1, Y0; \
+	VFNMADD231PD LN2LO, Y1, Y0; \
+	VMULPD       SIXTEENTH, Y0, Y0; \
+	VMOVUPD      EXPC8, Y1; \
+	VFMADD213PD  EXPC7, Y0, Y1; \
+	VFMADD213PD  EXPC6, Y0, Y1; \
+	VFMADD213PD  EXPC5, Y0, Y1; \
+	VFMADD213PD  EXPC4, Y0, Y1; \
+	VFMADD213PD  EXPC3, Y0, Y1; \
+	VFMADD213PD  HALF, Y0, Y1; \
+	VFMADD213PD  ONE, Y0, Y1; \
+	VMULPD       Y1, Y0, Y0; \
+	VADDPD       TWO, Y0, Y1; \
+	VMULPD       Y1, Y0, Y0; \
+	VADDPD       TWO, Y0, Y1; \
+	VMULPD       Y1, Y0, Y0; \
+	VADDPD       TWO, Y0, Y1; \
+	VMULPD       Y1, Y0, Y0; \
+	VADDPD       TWO, Y0, Y1; \
+	VFMADD213PD  ONE, Y1, Y0; \
+	VPADDD       EXPBIAS, X2, X2; \
+	VPMOVSXDQ    X2, Y2; \
+	VPSLLQ       $52, Y2, Y2; \
+	VMULPD       Y2, Y0, Y0
+
+// TANH4 sets each lane of Y0 to Tanh of it: all three of the reference's
+// branches are computed and each lane takes its own. The exponential of
+// a lane outside its branch is garbage and never taken, so no lane
+// leaves the kernel. It clobbers Y1-Y8.
+#define TANH4 \
+	VMOVAPD      Y0, Y6; \
+	VANDPD       ABSMASK, Y0, Y4; \
+	VANDPD       SIGNBIT, Y0, Y5; \
+	VCMPPD       $0x0d, TANHMID, Y4, Y7; \
+	VADDPD       Y4, Y4, Y0; \
+	EXP4; \
+	VADDPD       ONE, Y0, Y0; \
+	VMOVUPD      TWO, Y1; \
+	VDIVPD       Y0, Y1, Y1; \
+	VMOVUPD      ONE, Y0; \
+	VSUBPD       Y1, Y0, Y0; \
+	VXORPD       Y5, Y0, Y0; \
+	VORPD        ONE, Y5, Y1; \
+	VCMPPD       $0x0e, TANHSAT, Y4, Y2; \
+	VBLENDVPD    Y2, Y1, Y0, Y0; \
+	VMULPD       Y6, Y6, Y1; \
+	VMULPD       TANHP0, Y1, Y2; \
+	VADDPD       TANHP1, Y2, Y2; \
+	VMULPD       Y1, Y2, Y2; \
+	VADDPD       TANHP2, Y2, Y2; \
+	VADDPD       TANHQ0, Y1, Y3; \
+	VMULPD       Y1, Y3, Y3; \
+	VADDPD       TANHQ1, Y3, Y3; \
+	VMULPD       Y1, Y3, Y3; \
+	VADDPD       TANHQ2, Y3, Y3; \
+	VMULPD       Y6, Y1, Y1; \
+	VMULPD       Y2, Y1, Y1; \
+	VDIVPD       Y3, Y1, Y1; \
+	VADDPD       Y1, Y6, Y1; \
+	VXORPD       Y2, Y2, Y2; \
+	VCMPPD       $0, Y2, Y6, Y2; \
+	VBLENDVPD    Y2, Y6, Y1, Y1; \
+	VBLENDVPD    Y7, Y0, Y1, Y0
+
+// In TANH4, Y4 is |x|, Y5 x's sign, Y6 x and Y7 the lanes with
+// |x| ≥ 0.625; the exponential branch gives ±(1 − 2/(e^2|x| + 1)), the
+// saturated one ±1 (the sign ORed into 1.0), and below 0.625 the
+// rational function x + x·s·p(s)/q(s) of s = x², or x itself at ±0.
+
+// Loads and stores of a whole group and of a group's first lanes.
+#define LDU(addr, y) VMOVUPD addr, y
+#define STU(y, addr) VMOVUPD y, addr
+#define LDM(addr, y) VMASKMOVPD addr, Y15, y
+#define STM(y, addr) VMASKMOVPD y, Y15, addr
+
+// FLAT runs body(LDU, STU) on each whole group of four of the CX
+// elements and body(LDM, STM) on the n mod 4 after them, with BX the
+// group's first element; the caller has put the tail's mask in Y15. It
+// clobbers DX.
+#define FLAT(body, loop, tail, done) \
+	MOVQ CX, DX; \
+	ANDQ $-4, DX; \
+	XORQ BX, BX; \
+loop: \
+	CMPQ BX, DX; \
+	JAE  tail; \
+	body(LDU, STU); \
+	ADDQ $4, BX; \
+	JMP  loop; \
+tail: \
+	CMPQ BX, CX; \
+	JAE  done; \
+	body(LDM, STM); \
+done:
+
+// func biasActAVX2(z, b []float64, cols, col int, a Activation) int
+//
+// z runs flat, BX counting its elements and CX the column of a group's
+// first; R13 is the end of z's whole groups, and Y15 the mask of the
+// tail's lanes. A group's biases are b[CX:CX+4] where b holds them (b is
+// the bias extended past cols, or the group ends within its row), and
+// otherwise, a group that crosses into the next row of a bias of
+// cols ≥ 4, the row's last w = cols−CX from b[CX:] under the mask Y14
+// and the next row's first from b[CX−cols:] under its complement.
+TEXT ·biasActAVX2(SB), NOSPLIT, $0-80
+	MOVQ z_base+0(FP), DI
+	MOVQ z_len+8(FP), DX
+	MOVQ b_base+24(FP), SI
+	MOVQ b_len+32(FP), R11
+	MOVQ cols+48(FP), R8
+	MOVQ col+56(FP), CX
+	MOVQ a+64(FP), R9
+	TAILMASK(DX)
+	MOVQ DX, R13
+	ANDQ $-4, R13
+	XORQ BX, BX
+
+bagroup:
+	CMPQ BX, DX
+	JAE  badone
+	LEAQ 4(CX), R10
+	CMPQ R10, R11
+	JA   bawrap
+	VMOVUPD (SI)(CX*8), Y1
+	JMP     baz
+
+bawrap:
+	MOVQ       R8, R10
+	SUBQ       CX, R10
+	MOVQ       $4, R12
+	SUBQ       R10, R12
+	LEAQ       tailmask<>(SB), AX
+	VMOVDQU    (AX)(R12*8), Y14
+	VMASKMOVPD (SI)(CX*8), Y14, Y1
+	VPCMPEQQ   Y2, Y2, Y2
+	VPXOR      Y2, Y14, Y14
+	MOVQ       CX, R12
+	SUBQ       R8, R12
+	VMASKMOVPD (SI)(R12*8), Y14, Y2
+	VORPD      Y2, Y1, Y1
+
+baz:
+	CMPQ BX, R13
+	JAE  baztail
+	VMOVUPD (DI)(BX*8), Y0
+	JMP     baadd
+
+baztail:
+	VMASKMOVPD (DI)(BX*8), Y15, Y0
+
+baadd:
+	VADDPD Y1, Y0, Y0
+	CMPQ   R9, $0
+	JLT    bastore // biasOnly
+	JEQ    barelu
+	CMPQ   R9, $1
+	JEQ    basigmoid
+	TANH4
+	JMP    bastore
+
+barelu:
+	VXORPD  Y1, Y1, Y1
+	VCMPPD  $1, Y1, Y0, Y1
+	VANDNPD Y0, Y1, Y0
+	JMP     bastore
+
+basigmoid:
+	VXORPD    SIGNBIT, Y0, Y0
+	EXP4
+	VMOVMSKPD Y3, AX
+	TESTQ     AX, AX
+	JNZ       badone // the Go reference runs this group
+	VADDPD    ONE, Y0, Y0
+	VMOVUPD   ONE, Y1
+	VDIVPD    Y0, Y1, Y0
+
+bastore:
+	CMPQ BX, R13
+	JAE  batail
+	VMOVUPD Y0, (DI)(BX*8)
+	ADDQ    $4, BX
+	ADDQ    $4, CX
+
+bawrapcol:
+	CMPQ CX, R8
+	JB   bagroup
+	SUBQ R8, CX
+	JMP  bawrapcol
+
+batail:
+	VMASKMOVPD Y0, Y15, (DI)(BX*8)
+	MOVQ       DX, BX
+
+badone:
+	MOVQ BX, ret+72(FP)
+	VZEROUPPER
+	RET
+
+// With Y6 = +0 and Y7 = 1: delta = 0 where out ≤ 0, delta·(o·(1−o)),
+// and delta·(1−o·o).
+#define GRADRELU(LD, ST) \
+	LD((SI)(BX*8), Y1); \
+	VCMPPD  $2, Y6, Y1, Y1; \
+	LD((DI)(BX*8), Y0); \
+	VANDNPD Y0, Y1, Y0; \
+	ST(Y0, (DI)(BX*8))
+
+#define GRADSIGMOID(LD, ST) \
+	LD((SI)(BX*8), Y1); \
+	VSUBPD Y1, Y7, Y2; \
+	VMULPD Y2, Y1, Y2; \
+	LD((DI)(BX*8), Y0); \
+	VMULPD Y2, Y0, Y0; \
+	ST(Y0, (DI)(BX*8))
+
+#define GRADTANH(LD, ST) \
+	LD((SI)(BX*8), Y1); \
+	VMULPD Y1, Y1, Y2; \
+	VSUBPD Y2, Y7, Y2; \
+	LD((DI)(BX*8), Y0); \
+	VMULPD Y2, Y0, Y0; \
+	ST(Y0, (DI)(BX*8))
+
+// func actGradAVX2(delta, out []float64, a Activation)
+TEXT ·actGradAVX2(SB), NOSPLIT, $0-56
+	MOVQ    delta_base+0(FP), DI
+	MOVQ    delta_len+8(FP), CX
+	MOVQ    out_base+24(FP), SI
+	MOVQ    a+48(FP), R9
+	TAILMASK(CX)
+	VXORPD  Y6, Y6, Y6
+	VMOVUPD ONE, Y7
+	CMPQ    R9, $1
+	JEQ     agsigmoid
+	JA      agtanh
+	FLAT(GRADRELU, agrloop, agrtail, agdone)
+	VZEROUPPER
+	RET
+
+agsigmoid:
+	FLAT(GRADSIGMOID, agsloop, agstail, agsdone)
+	VZEROUPPER
+	RET
+
+agtanh:
+	FLAT(GRADTANH, agtloop, agttail, agtdone)
+	VZEROUPPER
+	RET
+
+// With Y6 = p and Y7 = keep: x = 0 where draws < p, x/keep elsewhere.
+#define DROPOUT(LD, ST) \
+	LD((SI)(BX*8), Y1); \
+	VCMPPD  $1, Y6, Y1, Y1; \
+	LD((DI)(BX*8), Y0); \
+	VDIVPD  Y7, Y0, Y0; \
+	VANDNPD Y0, Y1, Y0; \
+	ST(Y0, (DI)(BX*8))
+
+// func dropoutAVX2(x, draws []float64, p, keep float64)
+TEXT ·dropoutAVX2(SB), NOSPLIT, $0-64
+	MOVQ         x_base+0(FP), DI
+	MOVQ         x_len+8(FP), CX
+	MOVQ         draws_base+24(FP), SI
+	VBROADCASTSD p+48(FP), Y6
+	VBROADCASTSD keep+56(FP), Y7
+	TAILMASK(CX)
+	FLAT(DROPOUT, droploop, droptail, dropdone)
+	VZEROUPPER
+	RET
+
+// EXPBODY stops the kernel at a group with a lane that leaves exp's
+// fast path, before storing it.
+#define EXPBODY(LD, ST) \
+	LD((DI)(BX*8), Y0); \
+	EXP4; \
+	VMOVMSKPD Y3, AX; \
+	TESTQ     AX, AX; \
+	JNZ       exstop; \
+	ST(Y0, (DI)(BX*8))
+
+// func expAVX2(x []float64) int
+TEXT ·expAVX2(SB), NOSPLIT, $0-32
+	MOVQ x_base+0(FP), DI
+	MOVQ x_len+8(FP), CX
+	TAILMASK(CX)
+	FLAT(EXPBODY, exloop, extail, exdone)
+	MOVQ CX, ret+24(FP)
+	VZEROUPPER
+	RET
+
+exstop:
+	MOVQ BX, ret+24(FP)
+	VZEROUPPER
+	RET
+
+// ZEROACC clears a chunk's accumulator; COLADD adds the chunk of the row
+// at AX to it.
+#define ZEROACC(off, acc) VXORPD acc, acc, acc
+#define COLADD(off, acc) VADDPD off(AX), acc, acc
+
+// func colSumsAVX2(dst, m []float64, rows int)
+//
+// Blocks of up to 32 columns as in mulAddAVX2: the full chunks' sums in
+// Y6-Y13 and the last block's partial chunk in Y14, each from +0 over
+// the rows in ascending order.
+TEXT ·colSumsAVX2(SB), NOSPLIT, $0-56
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), R8
+	MOVQ m_base+24(FP), SI
+	TAILMASK(R8)
+	SHLQ $3, R8 // m's row stride in bytes
+	XORQ BX, BX // the block's column offset in bytes
+
+csblock:
+	MOVQ R8, R12
+	SUBQ BX, R12
+	JZ   csdone
+	CMPQ R12, $(36*8)
+	JB   cslast
+	MOVQ $32, CX
+	XORQ R11, R11
+	JMP  cszero
+
+cslast:
+	SHRQ $3, R12
+	MOVQ R12, R11
+	ANDQ $3, R11
+	MOVQ R12, CX
+	ANDQ $-4, CX
+
+cszero:
+	EACH(cszeroed, ZEROACC)
+
+cszeroed:
+	VXORPD Y14, Y14, Y14
+	LEAQ   (SI)(BX*1), AX
+	MOVQ   rows+48(FP), R13
+	TESTQ  R13, R13
+	JZ     csstore
+
+csrow:
+	EACH(csrowtail, COLADD)
+
+csrowtail:
+	TESTQ R11, R11
+	JZ    csnext
+	VMASKMOVPD (AX)(CX*8), Y15, Y4
+	VADDPD     Y4, Y14, Y14
+
+csnext:
+	ADDQ R8, AX
+	DECQ R13
+	JNZ  csrow
+
+csstore:
+	LEAQ (DI)(BX*1), R10
+	EACH(csstored, STOREACC)
+
+csstored:
+	LEAQ  (BX)(CX*8), BX
+	TESTQ R11, R11
+	JZ    csblock
+	VMASKMOVPD Y14, Y15, (R10)(CX*8)
+
+csdone:
+	VZEROUPPER
+	RET
+
+// With Y6 = a: d + a·x, and d − a·x.
+#define AXPY(LD, ST) \
+	LD((SI)(BX*8), Y1); \
+	VMULPD Y1, Y6, Y1; \
+	LD((DI)(BX*8), Y0); \
+	VADDPD Y1, Y0, Y0; \
+	ST(Y0, (DI)(BX*8))
+
+#define AXMY(LD, ST) \
+	LD((SI)(BX*8), Y1); \
+	VMULPD Y1, Y6, Y1; \
+	LD((DI)(BX*8), Y0); \
+	VSUBPD Y1, Y0, Y0; \
+	ST(Y0, (DI)(BX*8))
+
+// func axpyAVX2(d, x []float64, a float64)
+TEXT ·axpyAVX2(SB), NOSPLIT, $0-56
+	MOVQ         d_base+0(FP), DI
+	MOVQ         d_len+8(FP), CX
+	MOVQ         x_base+24(FP), SI
+	VBROADCASTSD a+48(FP), Y6
+	TAILMASK(CX)
+	FLAT(AXPY, axloop, axtail, axdone)
+	VZEROUPPER
+	RET
+
+// func sgdAVX2(w, g []float64, lr float64)
+TEXT ·sgdAVX2(SB), NOSPLIT, $0-56
+	MOVQ         w_base+0(FP), DI
+	MOVQ         w_len+8(FP), CX
+	MOVQ         g_base+24(FP), SI
+	VBROADCASTSD lr+48(FP), Y6
+	TAILMASK(CX)
+	FLAT(AXMY, sgdloop, sgdtail, sgddone)
+	VZEROUPPER
+	RET
+
+// With Y6 = s: (a − b)/s, a at SI and b at R8.
+#define SUBDIV(LD, ST) \
+	LD((SI)(BX*8), Y0); \
+	LD((R8)(BX*8), Y1); \
+	VSUBPD Y1, Y0, Y0; \
+	VDIVPD Y6, Y0, Y0; \
+	ST(Y0, (DI)(BX*8))
+
+// func subDivAVX2(d, a, b []float64, s float64)
+TEXT ·subDivAVX2(SB), NOSPLIT, $0-80
+	MOVQ         d_base+0(FP), DI
+	MOVQ         d_len+8(FP), CX
+	MOVQ         a_base+24(FP), SI
+	MOVQ         b_base+48(FP), R8
+	VBROADCASTSD s+72(FP), Y6
+	TAILMASK(CX)
+	FLAT(SUBDIV, sdloop, sdtail, sddone)
 	VZEROUPPER
 	RET
 

@@ -17,3 +17,35 @@ func matMulTAVX2(d, a, b []float64, rows, k, n int) {
 func adamAVX2(w, m, v, g []float64, s *Adam) {
 	panic("tensor: no AVX2 kernels on this architecture")
 }
+
+func biasActAVX2(z, b []float64, cols, col int, a Activation) int {
+	panic("tensor: no AVX2 kernels on this architecture")
+}
+
+func actGradAVX2(delta, out []float64, a Activation) {
+	panic("tensor: no AVX2 kernels on this architecture")
+}
+
+func dropoutAVX2(x, draws []float64, p, keep float64) {
+	panic("tensor: no AVX2 kernels on this architecture")
+}
+
+func expAVX2(x []float64) int {
+	panic("tensor: no AVX2 kernels on this architecture")
+}
+
+func colSumsAVX2(dst, m []float64, rows int) {
+	panic("tensor: no AVX2 kernels on this architecture")
+}
+
+func axpyAVX2(d, x []float64, a float64) {
+	panic("tensor: no AVX2 kernels on this architecture")
+}
+
+func sgdAVX2(w, g []float64, lr float64) {
+	panic("tensor: no AVX2 kernels on this architecture")
+}
+
+func subDivAVX2(d, a, b []float64, s float64) {
+	panic("tensor: no AVX2 kernels on this architecture")
+}

@@ -57,3 +57,50 @@ func BenchmarkTensorKernels(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkActivations times the trainer's elementwise steps at the
+// search's shapes, a mini-batch of 16, 32 or 64 rows through a layer of
+// width 2, 6, 13 or 24: the hidden layer's bias and activation
+// (BiasAct) and its gradient (ActivationGrad) for each activation, and
+// dropout, the output layer's softmax and the bias gradient (ColSums)
+// once — on every kernel set the host runs. Each asserts the kernels'
+// allocation budget: none.
+func BenchmarkActivations(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	for _, batch := range []int{16, 32, 64} {
+		for _, width := range []int{2, 6, 13, 24} {
+			z, bias, delta := randMat(rng, batch, width), randMat(rng, 1, width).Data, randMat(rng, batch, width)
+			draws, sums := randMat(rng, batch, width).Data, make([]float64, width)
+			work := New(batch, width)
+			reset := func() { copy(work.Data, z.Data) }
+			type op struct {
+				name string
+				run  func()
+			}
+			var ops []op
+			for _, a := range activations {
+				ops = append(ops,
+					op{"BiasAct/act=" + a.String(), func() { reset(); BiasAct(work, bias, a) }},
+					op{"ActivationGrad/act=" + a.String(), func() { reset(); ActivationGrad(work.Data, delta.Data, a) }})
+			}
+			ops = append(ops,
+				op{"Dropout", func() { reset(); Dropout(work.Data, draws, 0.2) }},
+				op{"SoftmaxRows", func() { reset(); SoftmaxRows(work) }},
+				op{"ColSums", func() { ColSums(sums, delta) }})
+			for _, o := range ops {
+				name := fmt.Sprintf("op=%s/batch=%d/width=%d", o.name, batch, width)
+				forEachKernel(func(kernel string) {
+					b.Run(name+"/kernel="+kernel, func(b *testing.B) {
+						if allocs := testing.AllocsPerRun(10, o.run); allocs != 0 {
+							b.Fatalf("%s allocated %.1f times per call, budget 0", o.name, allocs)
+						}
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							o.run()
+						}
+					})
+				})
+			}
+		}
+	}
+}

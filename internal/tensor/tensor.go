@@ -80,13 +80,14 @@ func (m *Matrix) GlorotInit(rng *rand.Rand, fanIn, fanOut int) {
 	m.RandInit(rng, limit)
 }
 
-// useAVX2 makes the dense products and Adam.Step run their AVX2 kernels
-// (avx2_amd64.s), which give the portable loops' bits. It is decided
-// once, at init; tests switch it off to compare the two.
+// useAVX2 makes every routine with an AVX2 kernel (avx2_amd64.s) run
+// it; the kernels give the portable loops' bits. It is decided once, at
+// init; tests switch it off to compare the two.
 var useAVX2 = cpuAVX2()
 
-// HasAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
-// registers on a context switch: whether AVX2 kernels can run here.
+// HasAVX2 reports whether the CPU has AVX2 and FMA and the OS saves the
+// YMM registers on a context switch: whether the AVX2 kernels, whose
+// exponential fuses where Exp calls math.FMA, can run here.
 func HasAVX2() bool { return cpuAVX2() }
 
 // Kernel tuning. parMinFlops is the multiply-add count below which the
@@ -349,8 +350,41 @@ func Axpy(dst []float64, alpha float64, x []float64) {
 	if len(dst) != len(x) {
 		panic(fmt.Sprintf("tensor: Axpy length mismatch %d vs %d", len(dst), len(x)))
 	}
+	if useAVX2 {
+		axpyAVX2(dst, x, alpha)
+		return
+	}
 	for i, xv := range x {
 		dst[i] += alpha * xv
+	}
+}
+
+// SGDStep applies one gradient-descent step to the parameters w:
+// w[i] -= lr*g[i].
+func SGDStep(w, g []float64, lr float64) {
+	if len(w) != len(g) {
+		panic(fmt.Sprintf("tensor: SGDStep length mismatch %d vs %d", len(w), len(g)))
+	}
+	if useAVX2 {
+		sgdAVX2(w, g, lr)
+		return
+	}
+	for i, gv := range g {
+		w[i] -= lr * gv
+	}
+}
+
+// SubDiv computes dst[i] = (a[i] - b[i]) / s.
+func SubDiv(dst, a, b []float64, s float64) {
+	if len(a) != len(dst) || len(b) != len(dst) {
+		panic(fmt.Sprintf("tensor: SubDiv lengths %d, %d, %d", len(dst), len(a), len(b)))
+	}
+	if useAVX2 {
+		subDivAVX2(dst, a, b, s)
+		return
+	}
+	for i := range dst {
+		dst[i] = (a[i] - b[i]) / s
 	}
 }
 
@@ -393,23 +427,15 @@ func Scale(x []float64, alpha float64) {
 	}
 }
 
-// AddBias adds the bias vector b to every row of m in place.
-func AddBias(m *Matrix, b []float64) {
-	if len(b) != m.Cols {
-		panic(fmt.Sprintf("tensor: AddBias len %d, want %d", len(b), m.Cols))
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, bv := range b {
-			row[j] += bv
-		}
-	}
-}
-
-// ColSums accumulates the per-column sums of m into dst (len m.Cols).
+// ColSums accumulates the per-column sums of m into dst (len m.Cols),
+// each from +0 over the rows in ascending order.
 func ColSums(dst []float64, m *Matrix) {
 	if len(dst) != m.Cols {
 		panic(fmt.Sprintf("tensor: ColSums len %d, want %d", len(dst), m.Cols))
+	}
+	if useAVX2 {
+		colSumsAVX2(dst, m.Data, m.Rows)
+		return
 	}
 	for i := range dst {
 		dst[i] = 0
