@@ -87,6 +87,9 @@ func (c Config) Validate() error {
 	if c.Epochs <= 0 {
 		return fmt.Errorf("nn: Epochs must be positive, got %d", c.Epochs)
 	}
+	if c.Activation < ReLU || c.Activation > Tanh {
+		return fmt.Errorf("nn: unknown Activation %v", c.Activation)
+	}
 	if c.L2 < 0 {
 		return fmt.Errorf("nn: L2 must be >= 0, got %v", c.L2)
 	}
@@ -342,7 +345,9 @@ func (n *Network) trainBatch(ar *trainArena, x, y *tensor.Matrix, adamStates []*
 	// Output delta for softmax+CE: (p - y) / batch.
 	last := len(n.Layers) - 1
 	delta := ar.deltas[last].view(x.Rows)
-	tensor.SubDiv(delta.Data, probs.Data, y.Data, batch)
+	for i := range delta.Data {
+		delta.Data[i] = (probs.Data[i] - y.Data[i]) / batch
+	}
 
 	// Backpropagate layer by layer.
 	for li := last; li >= 0; li-- {
@@ -358,7 +363,9 @@ func (n *Network) trainBatch(ar *trainArena, x, y *tensor.Matrix, adamStates []*
 		tensor.ColSums(gradB, delta)
 
 		if c.L2 > 0 {
-			tensor.Axpy(gradW.Data, c.L2, l.W.Data)
+			for i, w := range l.W.Data {
+				gradW.Data[i] += c.L2 * w
+			}
 		}
 
 		// Delta for the previous layer (before this layer's weights change).
@@ -374,8 +381,12 @@ func (n *Network) trainBatch(ar *trainArena, x, y *tensor.Matrix, adamStates []*
 		case Adam:
 			updateAdam(l, gradW, gradB, adamStates[li], c.LearnRate, step)
 		default:
-			tensor.SGDStep(l.W.Data, gradW.Data, c.LearnRate)
-			tensor.SGDStep(l.B, gradB, c.LearnRate)
+			for i := range l.W.Data {
+				l.W.Data[i] -= c.LearnRate * gradW.Data[i]
+			}
+			for i := range l.B {
+				l.B[i] -= c.LearnRate * gradB[i]
+			}
 		}
 	}
 	return loss

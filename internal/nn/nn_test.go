@@ -43,6 +43,8 @@ func TestValidate(t *testing.T) {
 		{Inputs: 1, Outputs: 2, LearnRate: 1, BatchSize: 0, Epochs: 1},
 		{Inputs: 1, Outputs: 2, LearnRate: 1, BatchSize: 1, Epochs: 0},
 		{Inputs: 1, Outputs: 2, LearnRate: 1, BatchSize: 1, Epochs: 1, L2: -1},
+		{Inputs: 1, Outputs: 2, LearnRate: 1, BatchSize: 1, Epochs: 1, Activation: Tanh + 1},
+		{Inputs: 1, Outputs: 2, LearnRate: 1, BatchSize: 1, Epochs: 1, Activation: -1},
 	}
 	for i, c := range bad {
 		if _, err := New(c); err == nil {

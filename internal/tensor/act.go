@@ -57,7 +57,10 @@ func AddBias(m *Matrix, b []float64) {
 // consecutive elements.
 func biasAct(z, b []float64, a Activation) {
 	cols := len(b)
-	if !useAVX2 {
+	if len(z) == 0 || cols == 0 {
+		return
+	}
+	if !useAVX2 || !hasFMA {
 		for r := 0; r < len(z); r += cols {
 			for j, bv := range b {
 				z[r+j] = activate(z[r+j]+bv, a)
@@ -177,7 +180,7 @@ func SoftmaxRows(m *Matrix) {
 // kernel stops at a group of four where a lane would leave exp's fast
 // path; the Go reference finishes that group.
 func expInPlace(x []float64) {
-	if !useAVX2 {
+	if !useAVX2 || !hasFMA {
 		for i, v := range x {
 			x[i] = Exp(v)
 		}

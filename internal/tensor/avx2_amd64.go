@@ -30,10 +30,10 @@ func adamAVX2(w, m, v, g []float64, s *Adam)
 // biasActAVX2 is biasAct's kernel: z is rows of cols columns from
 // column col of its first row on, and b the bias, or for cols < 4 the
 // bias extended to cols+3 elements. Four elements per ymm, it adds each
-// element's bias and applies a (or nothing, for biasOnly), and returns
-// the number of elements done: len(z), or the start of the first group
-// of four where a lane's exponential would leave exp's fast path, which
-// it leaves untouched.
+// element's bias and applies a (nothing where a is biasOnly or names no
+// activation), and returns the number of elements done: len(z), or the
+// start of the first group of four where a lane's exponential would
+// leave exp's fast path, which it leaves untouched.
 //
 //go:noescape
 func biasActAVX2(z, b []float64, cols, col int, a Activation) int
@@ -61,32 +61,17 @@ func expAVX2(x []float64) int
 //go:noescape
 func colSumsAVX2(dst, m []float64, rows int)
 
-// axpyAVX2 is Axpy in AVX2, four elements per ymm.
-//
-//go:noescape
-func axpyAVX2(d, x []float64, a float64)
-
-// sgdAVX2 is SGDStep in AVX2, four elements per ymm.
-//
-//go:noescape
-func sgdAVX2(w, g []float64, lr float64)
-
-// subDivAVX2 is SubDiv in AVX2, four elements per ymm.
-//
-//go:noescape
-func subDivAVX2(d, a, b []float64, s float64)
-
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
-// cpuAVX2 reports whether the CPU has AVX2 and FMA and the OS saves the
-// YMM registers on a context switch.
+// cpuAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
+// registers on a context switch.
 func cpuAVX2() bool {
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
 		return false
 	}
-	const fma, osxsave, avx = 1 << 12, 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&(fma|osxsave|avx) != fma|osxsave|avx {
+	const osxsave, avx = 1 << 27, 1 << 28
+	if _, _, ecx, _ := cpuid(1, 0); ecx&(osxsave|avx) != osxsave|avx {
 		return false
 	}
 	// XCR0 bits 1 and 2: the OS saves the XMM and the YMM state.
@@ -95,4 +80,12 @@ func cpuAVX2() bool {
 	}
 	_, ebx, _, _ := cpuid(7, 0)
 	return ebx&(1<<5) != 0
+}
+
+// cpuFMA reports whether the CPU has AVX2 and FMA, and the OS saves the
+// YMM registers.
+func cpuFMA() bool {
+	const fma = 1 << 12
+	_, _, ecx, _ := cpuid(1, 0)
+	return ecx&fma != 0 && cpuAVX2()
 }

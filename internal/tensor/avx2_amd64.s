@@ -680,6 +680,8 @@ baadd:
 	JEQ    barelu
 	CMPQ   R9, $1
 	JEQ    basigmoid
+	CMPQ   R9, $2
+	JNE    bastore // not an activation: as activate, none
 	TANH4
 	JMP    bastore
 
@@ -755,9 +757,16 @@ TEXT ·actGradAVX2(SB), NOSPLIT, $0-56
 	TAILMASK(CX)
 	VXORPD  Y6, Y6, Y6
 	VMOVUPD ONE, Y7
+	CMPQ    R9, $0
+	JEQ     agrelu
 	CMPQ    R9, $1
 	JEQ     agsigmoid
-	JA      agtanh
+	CMPQ    R9, $2
+	JEQ     agtanh
+	VZEROUPPER // not an activation: as the Go loops, no change
+	RET
+
+agrelu:
 	FLAT(GRADRELU, agrloop, agrtail, agdone)
 	VZEROUPPER
 	RET
@@ -888,63 +897,6 @@ csstored:
 	VMASKMOVPD Y14, Y15, (R10)(CX*8)
 
 csdone:
-	VZEROUPPER
-	RET
-
-// With Y6 = a: d + a·x, and d − a·x.
-#define AXPY(LD, ST) \
-	LD((SI)(BX*8), Y1); \
-	VMULPD Y1, Y6, Y1; \
-	LD((DI)(BX*8), Y0); \
-	VADDPD Y1, Y0, Y0; \
-	ST(Y0, (DI)(BX*8))
-
-#define AXMY(LD, ST) \
-	LD((SI)(BX*8), Y1); \
-	VMULPD Y1, Y6, Y1; \
-	LD((DI)(BX*8), Y0); \
-	VSUBPD Y1, Y0, Y0; \
-	ST(Y0, (DI)(BX*8))
-
-// func axpyAVX2(d, x []float64, a float64)
-TEXT ·axpyAVX2(SB), NOSPLIT, $0-56
-	MOVQ         d_base+0(FP), DI
-	MOVQ         d_len+8(FP), CX
-	MOVQ         x_base+24(FP), SI
-	VBROADCASTSD a+48(FP), Y6
-	TAILMASK(CX)
-	FLAT(AXPY, axloop, axtail, axdone)
-	VZEROUPPER
-	RET
-
-// func sgdAVX2(w, g []float64, lr float64)
-TEXT ·sgdAVX2(SB), NOSPLIT, $0-56
-	MOVQ         w_base+0(FP), DI
-	MOVQ         w_len+8(FP), CX
-	MOVQ         g_base+24(FP), SI
-	VBROADCASTSD lr+48(FP), Y6
-	TAILMASK(CX)
-	FLAT(AXMY, sgdloop, sgdtail, sgddone)
-	VZEROUPPER
-	RET
-
-// With Y6 = s: (a − b)/s, a at SI and b at R8.
-#define SUBDIV(LD, ST) \
-	LD((SI)(BX*8), Y0); \
-	LD((R8)(BX*8), Y1); \
-	VSUBPD Y1, Y0, Y0; \
-	VDIVPD Y6, Y0, Y0; \
-	ST(Y0, (DI)(BX*8))
-
-// func subDivAVX2(d, a, b []float64, s float64)
-TEXT ·subDivAVX2(SB), NOSPLIT, $0-80
-	MOVQ         d_base+0(FP), DI
-	MOVQ         d_len+8(FP), CX
-	MOVQ         a_base+24(FP), SI
-	MOVQ         b_base+48(FP), R8
-	VBROADCASTSD s+72(FP), Y6
-	TAILMASK(CX)
-	FLAT(SUBDIV, sdloop, sdtail, sddone)
 	VZEROUPPER
 	RET
 

@@ -6,6 +6,8 @@ package tensor
 
 func cpuAVX2() bool { return false }
 
+func cpuFMA() bool { return false }
+
 func mulAddAVX2(d, a, b []float64, rows, k, n, aRow, aK int) {
 	panic("tensor: no AVX2 kernels on this architecture")
 }
@@ -35,17 +37,5 @@ func expAVX2(x []float64) int {
 }
 
 func colSumsAVX2(dst, m []float64, rows int) {
-	panic("tensor: no AVX2 kernels on this architecture")
-}
-
-func axpyAVX2(d, x []float64, a float64) {
-	panic("tensor: no AVX2 kernels on this architecture")
-}
-
-func sgdAVX2(w, g []float64, lr float64) {
-	panic("tensor: no AVX2 kernels on this architecture")
-}
-
-func subDivAVX2(d, a, b []float64, s float64) {
 	panic("tensor: no AVX2 kernels on this architecture")
 }

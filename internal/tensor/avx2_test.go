@@ -14,9 +14,9 @@ import (
 )
 
 // forEachKernel calls f once per kernel set this host can run — the
-// portable loops, and the AVX2 kernels where the CPU has AVX2 and FMA —
-// with every routine dispatching to it, and restores the dispatch
-// afterwards.
+// portable loops, and the AVX2 kernels where the CPU has AVX2 (those
+// with an exponential where it also has FMA) — with every routine
+// dispatching to it, and restores the dispatch afterwards.
 func forEachKernel(f func(kernel string)) {
 	defer func(saved bool) { useAVX2 = saved }(useAVX2)
 	for _, avx2 := range []bool{false, true} {
@@ -37,11 +37,11 @@ func kernelName() string {
 }
 
 // onBothKernels returns f's result on the portable loops and on the
-// AVX2 kernels; it skips t where the CPU has no AVX2 and FMA.
+// AVX2 kernels; it skips t where the CPU has no AVX2.
 func onBothKernels(t *testing.T, f func() []float64) (portable, avx2 []float64) {
 	t.Helper()
 	if !cpuAVX2() {
-		t.Skip("the CPU has no AVX2 and FMA: the portable loops are the only kernels")
+		t.Skip("the CPU has no AVX2: the portable loops are the only kernels")
 	}
 	defer func(saved bool) { useAVX2 = saved }(useAVX2)
 	useAVX2 = false

@@ -7,11 +7,11 @@ import (
 	"testing"
 )
 
-// TestCPUAVX2MatchesCPUInfo holds the CPUID/XGETBV check to the kernel's
-// own: Linux lists avx2 and fma in /proc/cpuinfo only when the CPU has
-// them and the kernel saves the YMM state. Reporting them where they are
-// absent would run the AVX2 kernels here and internal/ir's tile kernel
-// into SIGILL; missing them would silently train and serve from the
+// TestCPUAVX2MatchesCPUInfo holds the CPUID/XGETBV checks to the
+// kernel's own: Linux lists avx2 and fma in /proc/cpuinfo only when the
+// CPU has them and the kernel saves the YMM state. Reporting one where
+// it is absent would run the AVX2 kernels here and internal/ir's tile
+// kernel into SIGILL; missing it would silently train and serve from the
 // portable loops.
 func TestCPUAVX2MatchesCPUInfo(t *testing.T) {
 	info, err := os.ReadFile("/proc/cpuinfo")
@@ -28,11 +28,15 @@ func TestCPUAVX2MatchesCPUInfo(t *testing.T) {
 	if flags == nil {
 		t.Skip("/proc/cpuinfo has no flags line")
 	}
-	want := slices.Contains(flags, "avx2") && slices.Contains(flags, "fma")
+	want := slices.Contains(flags, "avx2")
 	if got := cpuAVX2(); got != want {
-		t.Fatalf("cpuAVX2() = %v, /proc/cpuinfo lists avx2 and fma: %v", got, want)
+		t.Fatalf("cpuAVX2() = %v, /proc/cpuinfo lists avx2: %v", got, want)
 	}
 	if useAVX2 != want {
-		t.Fatalf("useAVX2 = %v at init, /proc/cpuinfo lists avx2 and fma: %v", useAVX2, want)
+		t.Fatalf("useAVX2 = %v at init, /proc/cpuinfo lists avx2: %v", useAVX2, want)
+	}
+	wantFMA := want && slices.Contains(flags, "fma")
+	if got := cpuFMA(); got != wantFMA || hasFMA != wantFMA {
+		t.Fatalf("cpuFMA() = %v, hasFMA = %v at init, /proc/cpuinfo lists avx2 and fma: %v", got, hasFMA, wantFMA)
 	}
 }

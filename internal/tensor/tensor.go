@@ -85,9 +85,13 @@ func (m *Matrix) GlorotInit(rng *rand.Rand, fanIn, fanOut int) {
 // init; tests switch it off to compare the two.
 var useAVX2 = cpuAVX2()
 
-// HasAVX2 reports whether the CPU has AVX2 and FMA and the OS saves the
-// YMM registers on a context switch: whether the AVX2 kernels, whose
-// exponential fuses where Exp calls math.FMA, can run here.
+// hasFMA reports whether the CPU also has FMA. biasAct and expInPlace
+// run their kernels only where it does: the kernels' exponential fuses
+// where Exp calls math.FMA.
+var hasFMA = cpuFMA()
+
+// HasAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
+// registers on a context switch: whether AVX2 kernels can run here.
 func HasAVX2() bool { return cpuAVX2() }
 
 // Kernel tuning. parMinFlops is the multiply-add count below which the
@@ -350,41 +354,8 @@ func Axpy(dst []float64, alpha float64, x []float64) {
 	if len(dst) != len(x) {
 		panic(fmt.Sprintf("tensor: Axpy length mismatch %d vs %d", len(dst), len(x)))
 	}
-	if useAVX2 {
-		axpyAVX2(dst, x, alpha)
-		return
-	}
 	for i, xv := range x {
 		dst[i] += alpha * xv
-	}
-}
-
-// SGDStep applies one gradient-descent step to the parameters w:
-// w[i] -= lr*g[i].
-func SGDStep(w, g []float64, lr float64) {
-	if len(w) != len(g) {
-		panic(fmt.Sprintf("tensor: SGDStep length mismatch %d vs %d", len(w), len(g)))
-	}
-	if useAVX2 {
-		sgdAVX2(w, g, lr)
-		return
-	}
-	for i, gv := range g {
-		w[i] -= lr * gv
-	}
-}
-
-// SubDiv computes dst[i] = (a[i] - b[i]) / s.
-func SubDiv(dst, a, b []float64, s float64) {
-	if len(a) != len(dst) || len(b) != len(dst) {
-		panic(fmt.Sprintf("tensor: SubDiv lengths %d, %d, %d", len(dst), len(a), len(b)))
-	}
-	if useAVX2 {
-		subDivAVX2(dst, a, b, s)
-		return
-	}
-	for i := range dst {
-		dst[i] = (a[i] - b[i]) / s
 	}
 }
 
